@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check mantralint lint lint-json lint-sarif lint-baseline write-baseline test race bench bench-collect bench-archive bench-engine bench-detect bench-scale bench-store bench-smoke bench-json fuzz chaos chaos-shard figures check
+.PHONY: build vet fmt-check mantralint lint lint-json lint-sarif lint-baseline write-baseline test race bench bench-collect bench-archive bench-engine bench-detect bench-scale bench-store bench-smoke bench-check bench-json loc fuzz chaos chaos-shard figures check
 
 build:
 	$(GO) build ./...
@@ -77,8 +77,8 @@ bench-collect:
 bench-archive:
 	$(GO) test -run '^$$' -bench 'BenchmarkArchive' -benchtime 3s -count 3 .
 
-# The cycle-engine schedule comparison: 64 skewed targets, pipelined vs
-# barrier vs serial at the same worker-pool size. Pipelined must win.
+# The cycle-engine schedule comparison: 64 skewed targets, pipelined (a
+# pool of 8) vs serial (a pool of one). Pipelined must win.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkCycleEngine' -benchtime 10x -count 3 .
 
@@ -86,6 +86,19 @@ bench-engine:
 # that keeps benchmarks compiling and running without timing anything.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench/ is a Go module of its own (BENCHMARK.json's harness), so
+# `go build ./...` and `go test ./...` never compile it. This does:
+# vet plus the harness's short tests against the current tree.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test -short .
+
+# Non-test Go lines per package, outside bench/ and testdata/ — the
+# figure simplification PRs report before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # The smoke pass plus the full-module lint benchmark, captured as
 # timestamp-free JSON so runs can be diffed byte-for-byte.

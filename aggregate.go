@@ -3,13 +3,13 @@ package mantra
 import (
 	"time"
 
-	"repro/internal/core/engine"
+	"repro/internal/core/cycle"
 	"repro/internal/core/tables"
 )
 
 // AggregateTarget is the synthetic target name under which combined
 // results are published when aggregation is enabled.
-const AggregateTarget = "aggregate"
+const AggregateTarget = cycle.AggregateTarget
 
 // EnableAggregation turns on the enhancement the paper's conclusion
 // announces as work in progress: collecting from multiple routers
@@ -33,7 +33,7 @@ func (m *Monitor) EnableAggregation() {
 // abort it. With aggregation enabled, the merged view over the targets
 // that succeeded is processed last.
 func (m *Monitor) RunCycleConcurrent(now time.Time) ([]CycleStats, error) {
-	return m.runEngine(now, engine.Options{Concurrency: m.Concurrency()})
+	return m.runEngine(now, m.Concurrency())
 }
 
 // MergeSnapshots combines several routers' cycle snapshots into one

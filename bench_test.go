@@ -332,9 +332,9 @@ func (d slowDialer) Dial() (io.ReadWriteCloser, error) {
 // stragglers every real deployment has. Collection is therefore
 // latency-dominated: the worker pool spends much of the cycle waiting
 // on the wire with CPU to spare. That spare capacity is what separates
-// the schedules — the barrier leaves it idle until the last dump is in,
-// the pipelined schedule fills it with the ordered stages of the
-// targets already collected.
+// the schedules — the serial one waits out every round-trip in turn,
+// the pipelined schedule overlaps them and fills the waits with the
+// ordered stages of the targets already collected.
 func engineBenchMonitor(b *testing.B) *mantra.Monitor {
 	b.Helper()
 	r := getUsageRunner(b)
@@ -357,8 +357,8 @@ func engineBenchMonitor(b *testing.B) *mantra.Monitor {
 }
 
 // BenchmarkCycleEngine measures one monitoring cycle over 64 targets
-// with the skewed-latency profile, pipelined versus barrier at the same
-// worker-pool size. The artifacts are identical by construction
+// with the skewed-latency profile, pipelined (a pool of 8) versus
+// serial (a pool of one). The artifacts are identical by construction
 // (TestPipelinedCycleMatchesSerial); the wall clock is the difference,
 // and pipelined must come out ahead.
 func BenchmarkCycleEngine(b *testing.B) {
@@ -378,11 +378,6 @@ func BenchmarkCycleEngine(b *testing.B) {
 		b.ReportMetric(float64(rep.StageTotal("collect").Milliseconds()), "collect_ms/cycle")
 		b.ReportMetric(float64(rep.MaxQueueDepth), "queue_peak")
 	}
-	b.Run("barrier", func(b *testing.B) {
-		run(b, func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) {
-			return m.RunCycleBarrier(now)
-		})
-	})
 	b.Run("pipelined", func(b *testing.B) {
 		run(b, func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) {
 			return m.RunCycleConcurrent(now)

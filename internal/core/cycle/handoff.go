@@ -1,0 +1,120 @@
+package cycle
+
+import (
+	"time"
+
+	"repro/internal/core/collect"
+	"repro/internal/core/logger"
+	"repro/internal/core/process"
+	"repro/internal/core/tables"
+)
+
+// Checkpoint is a core's per-target state export, the in-memory form a
+// shard handoff moves targets through. AsOf records, per target, the
+// last cycle stamp the exported state accounts for — later recorded
+// cycles are the target's blind window.
+type Checkpoint struct {
+	AsOf   map[string]time.Time
+	Proc   map[string]*process.TargetState
+	Logs   map[string]logger.TargetState
+	Stab   map[string]*process.StabilityState
+	Health map[string]collect.TargetHealth
+	Latest map[string]*tables.Snapshot
+}
+
+// NewCheckpoint returns an empty checkpoint.
+func NewCheckpoint() *Checkpoint {
+	return &Checkpoint{
+		AsOf:   make(map[string]time.Time),
+		Proc:   make(map[string]*process.TargetState),
+		Logs:   make(map[string]logger.TargetState),
+		Stab:   make(map[string]*process.StabilityState),
+		Health: make(map[string]collect.TargetHealth),
+		Latest: make(map[string]*tables.Snapshot),
+	}
+}
+
+// Merge splices one target's entries from another checkpoint in —
+// used when a live import lands on a core whose own checkpoint
+// predates the new target.
+func (ck *Checkpoint) Merge(name string, one *Checkpoint) {
+	ck.AsOf[name] = one.AsOf[name]
+	splice(ck.Proc, one.Proc, name)
+	splice(ck.Logs, one.Logs, name)
+	splice(ck.Stab, one.Stab, name)
+	splice(ck.Health, one.Health, name)
+	splice(ck.Latest, one.Latest, name)
+}
+
+// splice copies src's entry for name over dst's, or deletes dst's when
+// src has none.
+func splice[V any](dst, src map[string]V, name string) {
+	if v, ok := src[name]; ok {
+		dst[name] = v
+	} else {
+		delete(dst, name)
+	}
+}
+
+// Export captures the core's per-target state for the given targets,
+// all current as of the cycle stamped at.
+//
+//mantra:statetransfer root=handoff-export
+func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
+	ck := NewCheckpoint()
+	for _, t := range targets {
+		name := t.Name
+		ck.AsOf[name] = at
+		if st := c.Proc.ExportTarget(name); st != nil {
+			ck.Proc[name] = st
+		}
+		if ts, ok := c.Log.ExportTarget(name); ok {
+			ck.Logs[name] = ts
+		}
+		if rs := c.Engine.Stability(name); rs != nil {
+			ck.Stab[name] = rs.ExportState()
+		}
+		if h, ok := c.Collector.TargetHealth(name); ok {
+			ck.Health[name] = h
+		}
+		if sn := c.Engine.Latest(name); sn != nil {
+			ck.Latest[name] = sn
+		}
+	}
+	return ck
+}
+
+// ImportTarget splices one target's checkpointed state into this core —
+// the receiving side of a handoff. now anchors the restored breaker's
+// cooldown.
+//
+//mantra:statetransfer root=handoff-import
+func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
+	c.Proc.ImportTarget(name, ck.Proc[name])
+	if ts, ok := ck.Logs[name]; ok {
+		c.Log.ImportTarget(name, ts)
+	}
+	if st, ok := ck.Stab[name]; ok {
+		c.Engine.SetStability(name, process.StabilityFromState(st))
+	} else {
+		c.Engine.SetStability(name, nil)
+	}
+	c.Collector.ResetTarget(name)
+	if h, ok := ck.Health[name]; ok {
+		c.Collector.RestoreHealth(h, now)
+	}
+	c.Engine.SetLatest(name, ck.Latest[name])
+}
+
+// RemoveTarget drops a target's live state after it moved elsewhere.
+// The delta logger keeps its (now stale) records — fleet views read
+// through the assignment map, so they are unreachable, and a later
+// re-import replaces them wholesale.
+//
+//mantra:statetransfer root=handoff-remove
+func (c *Core) RemoveTarget(name string) {
+	c.Proc.ImportTarget(name, nil)
+	c.Engine.SetStability(name, nil)
+	c.Engine.SetLatest(name, nil)
+	c.Collector.ResetTarget(name)
+}

@@ -1,7 +1,8 @@
 // Package engine schedules Mantra's monitoring cycle as the staged
 // pipeline the paper's §III design describes — Data Collector →
 // Router-Table Processor → Data Logger → Data Processor → Output
-// Interface — instead of the single barrier the Monitor used to run.
+// Interface. The stage implementations are supplied once, by
+// internal/core/cycle; the engine is the schedule and the bookkeeping.
 //
 // Each registered target flows through the stages independently:
 // Collect and Normalize run concurrently on a bounded worker pool, and a
@@ -9,17 +10,17 @@
 // ordered stages (Log → Ingest → Publish) strictly in registration
 // order. That keeps every downstream artifact — delta log records,
 // series points, anomaly order, archive WAL frames — byte-identical to
-// the old serial schedule while a slow router no longer delays the
-// processing of every healthy one. The optional Aggregate stage runs
-// once per cycle over the successful snapshots, still in registration
-// order.
+// the serial schedule (a pool of one) while a slow router no longer
+// delays the processing of every healthy one. The optional Aggregate
+// stage runs once per cycle over the successful snapshots, still in
+// registration order.
 //
 // The engine also owns the per-target state the Monitor used to scatter
 // across parallel maps (latest snapshot, route-stability tracker,
 // gap/success bookkeeping) and instruments every stage with per-target
 // timings and reorder-queue depth counters on an injected monotonic
-// clock, so the pipeline's speedup over the barrier is measured, not
-// asserted.
+// clock, so the pipeline's speedup over the serial schedule is
+// measured, not asserted.
 package engine
 
 import (
@@ -92,11 +93,6 @@ type Options struct {
 	// Concurrency bounds the Collect/Normalize worker pool. Values
 	// below 1 mean 1; values above the target count are clamped to it.
 	Concurrency int
-	// Barrier restores the pre-pipeline two-phase schedule: every
-	// target finishes collection before any is processed. Retained so
-	// the pipeline's gain stays measurable (BenchmarkCycleEngine)
-	// rather than asserted.
-	Barrier bool
 	// Aggregate enables the final merge stage (needs Stages.Aggregate).
 	Aggregate bool
 }
@@ -295,7 +291,6 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 	report := &CycleReport{
 		At:          now,
 		Concurrency: conc,
-		Barrier:     opts.Barrier,
 		Targets:     n,
 		Stages:      make(map[Stage]StageStat),
 	}
@@ -353,23 +348,12 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 		if len(pending) > report.MaxQueueDepth {
 			report.MaxQueueDepth = len(pending)
 		}
-		if opts.Barrier {
-			continue
-		}
 		for pending[next] != nil {
 			rdy := pending[next]
 			delete(pending, next)
 			next++
 			processItem(rdy)
 		}
-	}
-	// Barrier mode deferred all processing to here; in pipelined mode
-	// everything already drained.
-	for next < n {
-		rdy := pending[next]
-		delete(pending, next)
-		next++
-		processItem(rdy)
 	}
 
 	var aggStats *process.CycleStats

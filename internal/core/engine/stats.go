@@ -93,14 +93,12 @@ type CycleReport struct {
 	// At is the cycle's logical timestamp (the now passed to Run).
 	At          time.Time `json:"at"`
 	Concurrency int       `json:"concurrency"`
-	Barrier     bool      `json:"barrier,omitempty"`
 	Targets     int       `json:"targets"`
 	Failed      int       `json:"failed"`
 	// WallNs is the cycle's span on the cycle clock.
 	WallNs int64 `json:"wall_ns"`
 	// MaxQueueDepth is the reorder buffer's high-water mark: how many
-	// finished targets were parked behind a slower earlier one (in
-	// barrier mode it reaches the full target count by construction).
+	// finished targets were parked behind a slower earlier one.
 	MaxQueueDepth int                 `json:"max_queue_depth"`
 	Stages        map[Stage]StageStat `json:"stages"`
 	PerTarget     []TargetCycle       `json:"per_target"`

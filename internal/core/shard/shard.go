@@ -1,8 +1,9 @@
 // Package shard implements fault-tolerant sharded collection: a
 // supervisor consistent-hash-assigns the registered targets across N
-// shard workers, each a self-contained monitor (collector, delta
-// logger, processor, cycle engine, optional per-shard WAL), and a
-// fan-in tier merges the per-shard results into one fleet view.
+// shard workers, each a cycle.Core — the collector, delta logger,
+// processor, stage wiring and WAL commit the unsharded Monitor also
+// runs, with an optional per-shard WAL — plus supervision, and a fan-in
+// tier merges the per-shard results into one fleet view.
 //
 // Robustness is the point. Failure detection is heartbeat-based on the
 // injected cycle timeline — a worker whose goroutine exited (crash) or
@@ -34,6 +35,7 @@ import (
 	"sync"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/cycle"
 	"repro/internal/core/engine"
 	"repro/internal/core/process"
 	"repro/internal/core/tables"
@@ -166,7 +168,7 @@ var ErrClosed = errors.New("shard: supervisor closed")
 //
 // Register, RunCycle and Close must be called from one goroutine (the
 // cycle driver), exactly like Monitor.RunCycle; the published views
-// (Status, FleetAnomalies, FleetHealth, Merged) are safe
+// (Status, FleetAnomalies, FleetHealth, Merged, EngineStats) are safe
 // from any goroutine, including while a cycle is in flight.
 type Supervisor struct {
 	cfg Config
@@ -190,6 +192,7 @@ type Supervisor struct {
 	lastMerged *tables.Snapshot
 	lastAnoms  []process.Anomaly
 	lastHealth []TargetHealthView
+	engines    []*engine.Engine
 }
 
 // New starts a supervisor with cfg.Shards live workers and no targets.
@@ -231,6 +234,7 @@ func (s *Supervisor) spawn(idx, gen int) (*worker, error) {
 		idx:     idx,
 		gen:     gen,
 		core:    core,
+		conc:    s.cfg.Concurrency,
 		reqCh:   make(chan cycleReq, 1),
 		respCh:  make(chan cycleResp, 1),
 		done:    make(chan struct{}),
@@ -435,15 +439,12 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 	// for the eventual restart.
 	close(w.reqCh)
 	<-w.done
-	if w.core.store != nil {
-		w.core.store.Close()
-		w.core.store = nil
-	}
+	s.closeStore(w)
 	s.handoffs++
 
 	ck := w.checkpointRef()
 	if ck == nil {
-		ck = newCheckpoint()
+		ck = cycle.NewCheckpoint()
 	}
 	live := s.liveShards()
 	if len(live) == 0 {
@@ -453,7 +454,7 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 		// so the eventual new owner can gap-mark the whole dark window.
 		for name, sh := range s.assign {
 			if sh == w.idx {
-				s.lost[name] = ck.asOf[name]
+				s.lost[name] = ck.AsOf[name]
 				delete(s.assign, name)
 			}
 		}
@@ -467,11 +468,11 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 		}
 		dst := assignTarget(ring, t.Name)
 		o := s.workers[dst]
-		o.core.importTarget(t.Name, ck, now)
-		s.markBlind(o, t.Name, ck.asOf[t.Name], now)
+		o.core.ImportTarget(t.Name, ck, now)
+		s.markBlind(o, t.Name, ck.AsOf[t.Name], now)
 		s.assign[t.Name] = dst
 		s.moved++
-		s.refreshCkpt(o, t.Name, prev)
+		s.refreshCkpt(o, t, prev)
 	}
 }
 
@@ -489,10 +490,10 @@ func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) {
 		if !ct.After(asOf) || !ct.Before(now) {
 			continue
 		}
-		o.core.proc.MarkGap(name, ct)
-		o.core.log.MarkGap(name, ct, handoffGapReason)
-		if o.core.store != nil {
-			o.core.store.AppendGap(name, ct, handoffGapReason)
+		o.core.Proc.MarkGap(name, ct)
+		o.core.Log.MarkGap(name, ct, handoffGapReason)
+		if o.core.Store != nil {
+			o.core.Store.AppendGap(name, ct, handoffGapReason)
 		}
 	}
 }
@@ -528,18 +529,17 @@ func (s *Supervisor) restartDue(now time.Time) {
 			}
 			if ok {
 				src := s.workers[cur]
-				one := src.core.exportOne(t.Name)
-				one.asOf[t.Name] = prev
-				s.workers[dst].core.importTarget(t.Name, one, now)
-				src.core.removeTarget(t.Name)
-				s.refreshCkpt(s.workers[dst], t.Name, prev)
+				one := src.core.Export(prev, []collect.Target{t})
+				s.workers[dst].core.ImportTarget(t.Name, one, now)
+				src.core.RemoveTarget(t.Name)
+				s.refreshCkpt(s.workers[dst], t, prev)
 				s.moved++
 				movedAny = true
 			} else if lt, lost := s.lost[t.Name]; lost {
 				// The target sat unassigned after a total outage; its
 				// state is gone but the dark window goes on the record.
 				s.markBlind(s.workers[dst], t.Name, lt, now)
-				s.refreshCkpt(s.workers[dst], t.Name, prev)
+				s.refreshCkpt(s.workers[dst], t, prev)
 				delete(s.lost, t.Name)
 				movedAny = true
 			}
@@ -565,14 +565,13 @@ func (s *Supervisor) prevCycleTime(now time.Time) time.Time {
 // refreshCkpt folds a just-imported target into the receiving worker's
 // in-memory checkpoint, so a death before its next completed cycle
 // still hands the target off with state instead of losing it.
-func (s *Supervisor) refreshCkpt(w *worker, name string, asOf time.Time) {
-	one := w.core.exportOne(name)
-	one.asOf[name] = asOf
+func (s *Supervisor) refreshCkpt(w *worker, t collect.Target, asOf time.Time) {
+	one := w.core.Export(asOf, []collect.Target{t})
 	w.mu.Lock()
 	if w.ckpt == nil {
-		w.ckpt = newCheckpoint()
+		w.ckpt = cycle.NewCheckpoint()
 	}
-	w.ckpt.merge(name, one)
+	w.ckpt.Merge(t.Name, one)
 	w.mu.Unlock()
 }
 
@@ -596,9 +595,14 @@ func (s *Supervisor) closeWorkers() {
 			close(w.reqCh)
 			<-w.done
 		}
-		if w.core.store != nil {
-			w.core.store.Close()
-			w.core.store = nil
-		}
+		s.closeStore(w)
+	}
+}
+
+// closeStore releases a stopped worker's WAL directory.
+func (s *Supervisor) closeStore(w *worker) {
+	if w.core.Store != nil {
+		w.core.Store.Close()
+		w.core.Store = nil
 	}
 }

@@ -2,10 +2,14 @@ package shard_test
 
 import (
 	"encoding/json"
+	"io"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/engine"
+	"repro/internal/core/output"
 	"repro/internal/core/process"
 	"repro/internal/core/shard"
 	"repro/internal/netsim"
@@ -397,5 +401,86 @@ func TestSupervisorTotalOutageRecordsDarkWindow(t *testing.T) {
 		if row.GapCount != 3 {
 			t.Errorf("%s gap count = %d, want 3 dark cycles", row.Target, row.GapCount)
 		}
+	}
+}
+
+// gateDialer parks every Dial on release after announcing it on
+// entered, so a test can hold a fleet cycle in flight.
+type gateDialer struct {
+	collect.Dialer
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (d gateDialer) Dial() (io.ReadWriteCloser, error) {
+	d.entered <- struct{}{}
+	<-d.release
+	return d.Dialer.Dial()
+}
+
+// TestStatsEndpointWhileCycleInFlight: /stats under the supervisor
+// (a 404 before EngineStats existed) answers with one engine view per
+// shard, read at request time — safe while the workers are mid-cycle.
+func TestStatsEndpointWhileCycleInFlight(t *testing.T) {
+	const shards = 2
+	n := newFleetNetwork(t)
+	s := newFleet(t, n, fleetConfig(shards, 0))
+	srv := output.NewServer(s.FleetProc())
+	srv.SetStats(func() any { return s.EngineStats() })
+	step(t, n, s)
+
+	// Re-register every target behind the gate; the next cycle parks in
+	// its first dials.
+	entered := make(chan struct{}, len(fleetTargets))
+	release := make(chan struct{})
+	for _, name := range fleetTargets {
+		s.Register(collect.Target{
+			Name:     name,
+			Dialer:   gateDialer{Dialer: collect.PipeDialer{Router: n.Router(name)}, entered: entered, release: release},
+			Password: "pw",
+			Prompt:   name + "> ",
+			Timeout:  5 * time.Second,
+		})
+	}
+	n.Step()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.RunCycle(n.Now())
+		done <- err
+	}()
+	// One worker-pool goroutine per shard: every shard that owns targets
+	// parks in its first dial.
+	status := s.Status()
+	for _, row := range status.Shards {
+		if len(row.Targets) > 0 {
+			<-entered
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != 200 {
+		t.Fatalf("/stats = %d: %s", rec.Code, rec.Body)
+	}
+	var stats []engine.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != shards {
+		t.Fatalf("/stats has %d entries, want one per shard (%d)", len(stats), shards)
+	}
+	targets := 0
+	for i, st := range stats {
+		if len(status.Shards[i].Targets) > 0 && st.Cycles != 1 {
+			t.Errorf("shard %d: %d completed cycles mid-flight, want 1", i, st.Cycles)
+		}
+		targets += len(st.Targets)
+	}
+	if targets != len(fleetTargets) {
+		t.Errorf("/stats covers %d targets, want %d", targets, len(fleetTargets))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/engine"
 	"repro/internal/core/process"
 	"repro/internal/core/tables"
 	"repro/internal/core/tsdb"
@@ -22,8 +23,13 @@ func (s *Supervisor) publish(merged *tables.Snapshot) {
 	st := s.buildStatus()
 	anoms := s.fleetAnomalies()
 	health := s.fleetHealth()
+	engines := make([]*engine.Engine, len(s.workers))
+	for i, w := range s.workers {
+		engines[i] = w.core.Engine
+	}
 
 	s.mu.Lock()
+	s.engines = engines
 	s.status = st
 	if merged != nil {
 		s.lastMerged = merged
@@ -95,7 +101,7 @@ func (s *Supervisor) fleetAnomalies() []process.Anomaly {
 		if len(owned) == 0 {
 			continue
 		}
-		for _, an := range w.core.proc.Anomalies() {
+		for _, an := range w.core.Proc.Anomalies() {
 			if !owned[an.Target] {
 				continue
 			}
@@ -136,13 +142,7 @@ func (s *Supervisor) fleetHealth() []TargetHealthView {
 		}
 		if sh, ok := s.assign[t.Name]; ok {
 			row.Shard = sh
-			w := s.workers[sh]
-			if h, hok := w.core.collector.TargetHealth(t.Name); hok {
-				row.TargetHealth = h
-			}
-			if sr := w.core.proc.Series(t.Name, process.MetricRoutes); sr != nil {
-				row.GapCount = sr.GapCount()
-			}
+			row.TargetHealth, row.GapCount = s.workers[sh].core.HealthRow(t.Name)
 		}
 		out = append(out, row)
 	}
@@ -181,6 +181,23 @@ func (s *Supervisor) FleetHealth() []TargetHealthView {
 	return s.lastHealth
 }
 
+// EngineStats returns each shard's cumulative engine instrumentation,
+// entry i for shard i (a dead shard's entry stops advancing until its
+// restart replaces the engine) — the /stats view under -shards. The
+// engines are the ones published after the last cycle; each is read at
+// call time under its own mutex, so this is safe from any goroutine,
+// including while a cycle is in flight, and costs the cycle nothing.
+func (s *Supervisor) EngineStats() []engine.Stats {
+	s.mu.Lock()
+	engines := s.engines
+	s.mu.Unlock()
+	out := make([]engine.Stats, len(engines))
+	for i, e := range engines {
+		out[i] = e.Stats()
+	}
+	return out
+}
+
 // FleetProc exposes the fleet-level processor (merged series, no
 // detectors). Driver goroutine only.
 func (s *Supervisor) FleetProc() *process.Processor { return s.fleetProc }
@@ -193,7 +210,7 @@ func (s *Supervisor) TargetSeries(name string, m process.Metric) *process.Series
 	if !ok {
 		return nil
 	}
-	return s.workers[sh].core.proc.Series(name, m)
+	return s.workers[sh].core.Proc.Series(name, m)
 }
 
 // SeriesView resolves a target's series through the last *published*
@@ -215,7 +232,7 @@ func (s *Supervisor) SeriesView(name string, m process.Metric) *process.Series {
 	if w == nil {
 		return nil
 	}
-	return w.core.proc.Series(name, m)
+	return w.core.Proc.Series(name, m)
 }
 
 // QueryFleet executes a store query across the fleet: each target is
@@ -256,7 +273,7 @@ func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
 	for _, name := range names {
 		store := s.fleetProc.Store()
 		if sh, ok := assign[name]; ok && sh >= 0 && sh < len(s.workers) && s.workers[sh] != nil {
-			store = s.workers[sh].core.proc.Store()
+			store = s.workers[sh].core.Proc.Store()
 		}
 		tr, err := store.QueryTarget(q, name)
 		if err != nil {
@@ -282,5 +299,5 @@ func (s *Supervisor) MaterializedView(name string, m process.Metric) *process.Se
 	if w == nil {
 		return nil
 	}
-	return w.core.proc.MaterializedSeries(name, m)
+	return w.core.Proc.MaterializedSeries(name, m)
 }

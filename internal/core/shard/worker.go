@@ -1,30 +1,30 @@
-// Shard workers: each one is a miniature monitor — its own resilient
-// collector, delta logger, processor and cycle engine, plus an optional
-// per-shard WAL store — driven over a request/response channel pair by
-// the supervisor. The worker goroutine owns its core exclusively while
-// a cycle is in flight; between cycles the supervisor may reach into an
-// idle core directly (handoff imports, exports), with the next
-// request/response pair providing the happens-before edge.
+// Shard workers: each one is a cycle.Core — the same collector, delta
+// logger, processor, stage wiring and WAL commit the unsharded Monitor
+// runs, plus an optional per-shard WAL store — under supervision: driven
+// over a request/response channel pair by the supervisor. The worker
+// goroutine owns its core exclusively while a cycle is in flight;
+// between cycles the supervisor may reach into an idle core directly
+// (handoff imports, exports), with the next request/response pair
+// providing the happens-before edge.
 //
-// WAL writes are group-committed: the in-memory logger is updated
-// stage-by-stage during the cycle, but store frames are buffered and
-// persisted only after the cycle completes and the worker passes its
-// kill check. A worker killed mid-cycle therefore persists nothing for
-// that cycle — the frame sequence on disk never contains a cycle the
-// supervisor saw fail, which is what keeps cross-shard replay free of
-// duplicate and out-of-order frames after a handoff.
+// WAL writes are group-committed, and the fence is where the worker
+// places Core.Commit: the in-memory logger is updated stage-by-stage
+// during the cycle, but store frames are buffered and committed only
+// after the cycle completes and the worker passes its kill check. A
+// worker killed mid-cycle therefore persists nothing for that cycle —
+// the frame sequence on disk never contains a cycle the supervisor saw
+// fail, which is what keeps cross-shard replay free of duplicate and
+// out-of-order frames after a handoff.
 package shard
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/cycle"
 	"repro/internal/core/engine"
 	"repro/internal/core/logger"
-	"repro/internal/core/process"
-	"repro/internal/core/tables"
 )
 
 // KillMode is a scripted worker fault, set by the chaos suite between
@@ -57,267 +57,21 @@ type cycleResp struct {
 	err    error
 }
 
-// checkpoint is a worker's per-target state export, captured after each
-// completed (and persisted) cycle. Handoff resumes moved targets from
-// here: anything the dead worker did after its last checkpoint was
-// never persisted, so the checkpoint plus gap markers for the blind
-// cycles is exactly the durable truth. asOf records, per target, the
-// last cycle stamp the exported state accounts for — later recorded
-// cycles are the target's blind window.
-type checkpoint struct {
-	asOf   map[string]time.Time
-	proc   map[string]*process.TargetState
-	logs   map[string]logger.TargetState
-	stab   map[string]*process.StabilityState
-	health map[string]collect.TargetHealth
-	latest map[string]*tables.Snapshot
-}
-
-func newCheckpoint() *checkpoint {
-	return &checkpoint{
-		asOf:   make(map[string]time.Time),
-		proc:   make(map[string]*process.TargetState),
-		logs:   make(map[string]logger.TargetState),
-		stab:   make(map[string]*process.StabilityState),
-		health: make(map[string]collect.TargetHealth),
-		latest: make(map[string]*tables.Snapshot),
-	}
-}
-
-// merge splices one target's entries from another checkpoint in —
-// used when a live import lands on a worker whose own checkpoint
-// predates the new target.
-func (ck *checkpoint) merge(name string, one *checkpoint) {
-	ck.asOf[name] = one.asOf[name]
-	if st, ok := one.proc[name]; ok {
-		ck.proc[name] = st
-	} else {
-		delete(ck.proc, name)
-	}
-	if ts, ok := one.logs[name]; ok {
-		ck.logs[name] = ts
-	} else {
-		delete(ck.logs, name)
-	}
-	if st, ok := one.stab[name]; ok {
-		ck.stab[name] = st
-	} else {
-		delete(ck.stab, name)
-	}
-	if h, ok := one.health[name]; ok {
-		ck.health[name] = h
-	} else {
-		delete(ck.health, name)
-	}
-	if sn, ok := one.latest[name]; ok {
-		ck.latest[name] = sn
-	} else {
-		delete(ck.latest, name)
-	}
-}
-
-type pendDelta struct {
-	target      string
-	rec         logger.CycleRecord
-	fullEntries uint64
-}
-
-type pendGap struct {
-	target string
-	at     time.Time
-	reason string
-}
-
-// shardCore is one worker's processing stack.
-type shardCore struct {
-	collector *collect.Collector
-	log       *logger.Logger
-	proc      *process.Processor
-	eng       *engine.Engine
-	store     *logger.Store
-	commands  []string
-	conc      int
-
-	// Cycle-local WAL buffers, flushed by persist after the kill check.
-	pendDeltas []pendDelta
-	pendGaps   []pendGap
-}
-
-func newCore(cfg Config, dir string) (*shardCore, error) {
-	c := &shardCore{
-		collector: collect.NewCollector(cfg.Policy),
-		log:       logger.New(),
-		proc:      process.New(),
-		commands:  cfg.Commands,
-		conc:      cfg.Concurrency,
-	}
-	if cfg.MaxAnomalies > 0 {
-		c.proc.MaxAnomalies = cfg.MaxAnomalies
-	}
-	if cfg.SeriesRetain > 0 {
-		c.proc.SetSeriesRetain(cfg.SeriesRetain)
-	}
-	c.eng = engine.New(c.stages(), cfg.Clock)
+// newCore builds one worker's cycle core: the same stage wiring and WAL
+// commit the unsharded Monitor runs, with no Publish hook (the fleet
+// fan-in publishes) and an optional per-shard store under dir.
+func newCore(cfg Config, dir string) (*cycle.Core, error) {
+	c := cycle.New(cfg.Policy, cfg.Commands, cfg.Clock)
+	c.Proc.MaxAnomalies = cfg.MaxAnomalies
+	c.Proc.SetSeriesRetain(cfg.SeriesRetain)
 	if dir != "" {
 		st, err := logger.OpenStore(dir, logger.StoreOptions{SyncEveryAppend: cfg.SyncEveryAppend})
 		if err != nil {
 			return nil, err
 		}
-		c.store = st
+		c.Store = st
 	}
 	return c, nil
-}
-
-// stages mirrors the Monitor's engine wiring, with one difference: the
-// durable-archive appends go to the cycle-local buffers instead of
-// straight to the store, so persistence can be fenced behind the kill
-// check.
-func (c *shardCore) stages() engine.Stages {
-	return engine.Stages{
-		Collect: func(it *engine.Item, now time.Time) {
-			it.Res = c.collector.Collect(it.Target, c.commands, now)
-		},
-		Normalize: func(it *engine.Item, now time.Time) {
-			sn, err := tables.BuildSnapshot(it.Res.Dumps)
-			if err != nil {
-				err = fmt.Errorf("collect %s: snapshot rejected: %w", it.Target.Name, err)
-				c.collector.RecordFailure(it.Target.Name, now, err)
-				it.Res.Status = collect.StatusDegraded
-				it.Res.Err = err
-				return
-			}
-			it.Snapshot = sn
-		},
-		Log: func(it *engine.Item, now time.Time) {
-			if it.Snapshot == nil {
-				reason := ""
-				if it.Res.Err != nil {
-					reason = it.Res.Err.Error()
-				}
-				c.log.MarkGap(it.Res.Target, now, reason)
-				c.pendGaps = append(c.pendGaps, pendGap{target: it.Res.Target, at: now, reason: reason})
-				return
-			}
-			rec := c.log.Append(it.Snapshot)
-			c.pendDeltas = append(c.pendDeltas, pendDelta{
-				target:      it.Snapshot.Target,
-				rec:         rec,
-				fullEntries: uint64(len(it.Snapshot.Pairs) + len(it.Snapshot.Routes)),
-			})
-		},
-		Ingest: func(it *engine.Item, now time.Time) {
-			if it.Snapshot == nil {
-				c.proc.MarkGap(it.Res.Target, now)
-				return
-			}
-			st := c.proc.Ingest(it.Snapshot)
-			it.Stats = &st
-		},
-		Publish: func(*engine.Item, time.Time) {},
-	}
-}
-
-// runCycle executes one engine cycle over the worker's assigned
-// targets, in-memory only; WAL frames land in the pending buffers.
-func (c *shardCore) runCycle(now time.Time, targets []collect.Target) []*engine.Item {
-	c.pendDeltas = c.pendDeltas[:0]
-	c.pendGaps = c.pendGaps[:0]
-	items, _, _ := c.eng.Run(now, targets, engine.Options{Concurrency: c.conc})
-	return items
-}
-
-// persist group-commits the buffered WAL frames for the cycle that just
-// completed. Items were buffered in registration order, so frame order
-// on disk matches the deterministic in-memory order.
-func (c *shardCore) persist() error {
-	if c.store == nil {
-		return nil
-	}
-	for _, d := range c.pendDeltas {
-		if err := c.store.AppendDelta(d.target, d.rec, d.fullEntries); err != nil {
-			return err
-		}
-	}
-	for _, g := range c.pendGaps {
-		if err := c.store.AppendGap(g.target, g.at, g.reason); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// export captures the core's per-target state for the given targets,
-// all current as of the cycle stamped at.
-func (c *shardCore) export(at time.Time, targets []collect.Target) *checkpoint {
-	ck := newCheckpoint()
-	for _, t := range targets {
-		c.exportInto(ck, t.Name)
-		ck.asOf[t.Name] = at
-	}
-	return ck
-}
-
-// exportOne captures a single live target's state — the failback
-// transfer path, where the source is alive and current. The caller
-// stamps asOf.
-func (c *shardCore) exportOne(name string) *checkpoint {
-	ck := newCheckpoint()
-	c.exportInto(ck, name)
-	return ck
-}
-
-//mantra:statetransfer root=handoff-export
-func (c *shardCore) exportInto(ck *checkpoint, name string) {
-	if st := c.proc.ExportTarget(name); st != nil {
-		ck.proc[name] = st
-	}
-	if ts, ok := c.log.ExportTarget(name); ok {
-		ck.logs[name] = ts
-	}
-	if rs := c.eng.Stability(name); rs != nil {
-		ck.stab[name] = rs.ExportState()
-	}
-	if h, ok := c.collector.TargetHealth(name); ok {
-		ck.health[name] = h
-	}
-	if sn := c.eng.Latest(name); sn != nil {
-		ck.latest[name] = sn
-	}
-}
-
-// importTarget splices one target's checkpointed state into this core —
-// the receiving side of a handoff. now anchors the restored breaker's
-// cooldown.
-//
-//mantra:statetransfer root=handoff-import
-func (c *shardCore) importTarget(name string, ck *checkpoint, now time.Time) {
-	c.proc.ImportTarget(name, ck.proc[name])
-	if ts, ok := ck.logs[name]; ok {
-		c.log.ImportTarget(name, ts)
-	}
-	if st, ok := ck.stab[name]; ok {
-		c.eng.SetStability(name, process.StabilityFromState(st))
-	} else {
-		c.eng.SetStability(name, nil)
-	}
-	c.collector.ResetTarget(name)
-	if h, ok := ck.health[name]; ok {
-		c.collector.RestoreHealth(h, now)
-	}
-	c.eng.SetLatest(name, ck.latest[name])
-}
-
-// removeTarget drops a target's live state after it moved elsewhere.
-// The delta logger keeps its (now stale) records — fleet views read
-// through the assignment map, so they are unreachable, and a later
-// re-import replaces them wholesale.
-//
-//mantra:statetransfer root=handoff-remove
-func (c *shardCore) removeTarget(name string) {
-	c.proc.ImportTarget(name, nil)
-	c.eng.SetStability(name, nil)
-	c.eng.SetLatest(name, nil)
-	c.collector.ResetTarget(name)
 }
 
 // worker is one supervised shard: a core, the goroutine driving it, and
@@ -326,7 +80,9 @@ type worker struct {
 	idx int
 	gen int
 
-	core   *shardCore
+	core *cycle.Core
+	// conc is the core's engine worker-pool bound.
+	conc   int
 	reqCh  chan cycleReq
 	respCh chan cycleResp
 	done   chan struct{}
@@ -336,7 +92,7 @@ type worker struct {
 	mu       sync.Mutex
 	kill     KillMode
 	lastBeat time.Time
-	ckpt     *checkpoint
+	ckpt     *cycle.Checkpoint
 
 	// Supervisor-owned lifecycle state (driver goroutine only).
 	alive     bool
@@ -357,18 +113,18 @@ func (w *worker) loop() {
 			return
 		case KillMidCycle:
 			// The cycle runs — in-memory state mutates, WAL buffers
-			// fill — and then the worker dies before persisting,
+			// fill — and then the worker dies before committing,
 			// checkpointing or responding. Nothing from this cycle
 			// survives it.
-			w.core.runCycle(req.now, req.targets)
+			w.core.Run(req.now, req.targets, engine.Options{Concurrency: w.conc})
 			return
 		case Wedge:
 			w.respCh <- cycleResp{wedged: true}
 			continue
 		}
-		items := w.core.runCycle(req.now, req.targets)
-		err := w.core.persist()
-		ck := w.core.export(req.now, req.targets)
+		items, _, _ := w.core.Run(req.now, req.targets, engine.Options{Concurrency: w.conc})
+		err := w.core.Commit()
+		ck := w.core.Export(req.now, req.targets)
 		w.mu.Lock()
 		w.lastBeat = req.now
 		w.ckpt = ck
@@ -405,7 +161,7 @@ func (w *worker) beatAt() time.Time {
 	return w.lastBeat
 }
 
-func (w *worker) checkpointRef() *checkpoint {
+func (w *worker) checkpointRef() *cycle.Checkpoint {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.ckpt

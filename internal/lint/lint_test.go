@@ -350,12 +350,12 @@ func TestHotRootsPinned(t *testing.T) {
 		sums = append(sums, Summarize(p))
 	}
 	want := []string{
-		"(*repro.Monitor).stageCollect",
-		"(*repro.Monitor).stageLog",
-		"(*repro.Monitor).stageNormalize",
 		"(*repro/internal/core/collect.Collector).Collect",
 		"(*repro/internal/core/collect.Session).readUntil",
 		"(*repro/internal/core/collect.Session).send",
+		"(*repro/internal/core/cycle.Core).stageCollect",
+		"(*repro/internal/core/cycle.Core).stageLog",
+		"(*repro/internal/core/cycle.Core).stageNormalize",
 		"(*repro/internal/core/engine.Engine).Run",
 		"(*repro/internal/core/engine.Engine).finishCycle",
 		"(*repro/internal/core/logger.Logger).Append",

@@ -18,6 +18,7 @@ import (
 // lock a worker needs to beat its heartbeat).
 var lockScopePkgs = map[string]bool{
 	"internal/core/engine": true,
+	"internal/core/cycle":  true,
 	"internal/core/output": true,
 	"internal/core/logger": true,
 	"internal/core/shard":  true,

@@ -16,6 +16,7 @@ var deterministicPkgs = map[string]bool{
 	"internal/core/process": true,
 	"internal/core/tables":  true,
 	"internal/core/engine":  true,
+	"internal/core/cycle":   true,
 	"internal/core/tsdb":    true,
 	"internal/dvmrp":        true,
 	"internal/pim":          true,

@@ -5,8 +5,9 @@ import (
 	"strings"
 )
 
-// walErrPkgs are the crash-safety surface: the WAL/checkpoint store and
-// the monitor's archive layer on top of it. The PR 2 contract is that a
+// walErrPkgs are the crash-safety surface: the WAL/checkpoint store, the
+// cycle core whose Commit appends to it, and the monitor's archive layer
+// on top of both. The PR 2 contract is that a
 // write-path error is either handled or recorded (degrade to
 // in-memory-only, surface through ArchiveStatus) — never dropped, because
 // a silently failed append is indistinguishable from a durable one until
@@ -14,6 +15,7 @@ import (
 var walErrPkgs = map[string]bool{
 	"":                     true, // module root: archive.go, the monitor's archive layer
 	"internal/core/logger": true,
+	"internal/core/cycle":  true,
 }
 
 // walErrAnalyzer flags discarded error returns from write-path calls —

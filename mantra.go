@@ -32,7 +32,7 @@ import (
 	"time"
 
 	"repro/internal/core/collect"
-	"repro/internal/core/engine"
+	"repro/internal/core/cycle"
 	"repro/internal/core/logger"
 	"repro/internal/core/output"
 	"repro/internal/core/process"
@@ -94,23 +94,20 @@ type Query = tsdb.Query
 // shard supervisor fanned the query across workers.
 type QueryResult = tsdb.Result
 
-// Monitor is a running Mantra instance.
+// Monitor is a running Mantra instance: one cycle core — the five
+// modules wired into the stage engine, shared with every shard worker —
+// plus the HTTP output server and the archive's checkpoint cadence.
 type Monitor struct {
 	// Commands is the dump set collected each cycle; defaults to the
 	// standard six show commands.
 	Commands []string
 
 	targets []Target
-	log     *logger.Logger
-	proc    *process.Processor
-	server  *output.Server
-	// collector is the resilient collection path: retries, per-target
-	// circuit breakers, dump validation, health ledger.
-	collector *collect.Collector
-	// engine schedules each cycle as the staged pipeline and owns the
-	// consolidated per-target state (latest snapshot, stability
-	// tracker, per-stage instrumentation).
-	engine *engine.Engine
+	// core owns the resilient collector, delta logger, data processor,
+	// the stage engine (with its consolidated per-target state) and the
+	// WAL commit.
+	core   *cycle.Core
+	server *output.Server
 	// lastResults holds the per-target outcomes of the latest cycle.
 	lastResults []CollectResult
 	// concurrency bounds the collection worker pool; see SetConcurrency.
@@ -125,15 +122,12 @@ type Monitor struct {
 // New returns an idle monitor with the paper's default configuration
 // (4 kbps sender threshold, standard command set).
 func New() *Monitor {
-	p := process.New()
 	m := &Monitor{
-		Commands:  append([]string(nil), collect.StandardCommands...),
-		log:       logger.New(),
-		proc:      p,
-		server:    output.NewServer(p),
-		collector: collect.NewCollector(collect.DefaultPolicy()),
+		Commands: append([]string(nil), collect.StandardCommands...),
+		core:     cycle.New(collect.DefaultPolicy(), nil, nil),
 	}
-	m.engine = engine.New(m.engineStages(), nil)
+	m.server = output.NewServer(m.core.Proc)
+	m.core.Publish = m.refreshTables
 	m.server.SetHealth(func() any { return m.HealthView() })
 	m.server.SetStats(func() any { return m.EngineStats() })
 	return m
@@ -146,7 +140,7 @@ func New() *Monitor {
 // and an inherited open breaker would silently delay the first
 // collection of a healthy replacement.
 func (m *Monitor) AddTarget(t Target) {
-	m.collector.ResetTarget(t.Name)
+	m.core.Collector.ResetTarget(t.Name)
 	for i := range m.targets {
 		if m.targets[i].Name == t.Name {
 			m.targets[i] = t
@@ -163,7 +157,7 @@ func (m *Monitor) RemoveTarget(name string) bool {
 	for i := range m.targets {
 		if m.targets[i].Name == name {
 			m.targets = append(m.targets[:i], m.targets[i+1:]...)
-			m.collector.ResetTarget(name)
+			m.core.Collector.ResetTarget(name)
 			return true
 		}
 	}
@@ -189,18 +183,20 @@ func (m *Monitor) Targets() []string {
 // target failed. RunCycle drives the stage engine with a single worker,
 // i.e. the serial schedule; see RunCycleConcurrent for the pipelined one.
 func (m *Monitor) RunCycle(now time.Time) ([]CycleStats, error) {
-	return m.runEngine(now, engine.Options{Concurrency: 1})
+	return m.runEngine(now, 1)
 }
 
 // RouteStability returns the per-prefix stability tracker of a target,
 // or nil before the first cycle — route lifetimes, availability and flap
 // counts (the route-monitoring outputs of §II-B).
 func (m *Monitor) RouteStability(target string) *process.RouteStability {
-	return m.engine.Stability(target)
+	return m.core.Engine.Stability(target)
 }
 
-// refreshTables rebuilds the published summary tables for a target.
-func (m *Monitor) refreshTables(name string, sn *tables.Snapshot) {
+// refreshTables rebuilds the published summary tables for the
+// snapshot's target — the core's Publish hook.
+func (m *Monitor) refreshTables(sn *tables.Snapshot) {
+	name := sn.Target
 	busiest := output.NewTable("busiest-"+name, "group", "density", "kbps", "protocol")
 	for _, s := range process.BusiestSessions(sn, 20) {
 		_ = busiest.AddRow(
@@ -237,7 +233,7 @@ func (m *Monitor) refreshTables(name string, sn *tables.Snapshot) {
 // ring over the most recent points; MaterializedSeries streams the full
 // history back out of the compressed store.
 func (m *Monitor) Series(target string, metric Metric) *process.Series {
-	return m.proc.Series(target, metric)
+	return m.core.Proc.Series(target, metric)
 }
 
 // MaterializedSeries reconstructs a target's full series from the
@@ -245,13 +241,13 @@ func (m *Monitor) Series(target string, metric Metric) *process.Series {
 // Compression is lossless, so the result is point-for-point identical
 // to what an unbounded in-memory series would hold.
 func (m *Monitor) MaterializedSeries(target string, metric Metric) *process.Series {
-	return m.proc.MaterializedSeries(target, metric)
+	return m.core.Proc.MaterializedSeries(target, metric)
 }
 
 // Query answers a series-store query — range, aggregate, or top-k —
 // over this monitor's targets; the programmatic form of /query.
 func (m *Monitor) Query(q Query) (QueryResult, error) {
-	return m.proc.Query(q)
+	return m.core.Proc.Query(q)
 }
 
 // SetSeriesRetain caps the in-memory hot ring of every series at n
@@ -259,48 +255,48 @@ func (m *Monitor) Query(q Query) (QueryResult, error) {
 // through the compressed store; the cap is clamped so anomaly
 // detection is unaffected. Long-running daemons set this via the
 // -series-retain flag.
-func (m *Monitor) SetSeriesRetain(n int) { m.proc.SetSeriesRetain(n) }
+func (m *Monitor) SetSeriesRetain(n int) { m.core.Proc.SetSeriesRetain(n) }
 
 // Latest returns the most recent normalized snapshot for a target, or nil.
 func (m *Monitor) Latest(target string) *tables.Snapshot {
-	return m.engine.Latest(target)
+	return m.core.Engine.Latest(target)
 }
 
 // Anomalies returns the retained anomalies in detection order; the ring
 // is capped (SetMaxAnomalies) and AnomalyRollup counts evictions.
 func (m *Monitor) Anomalies() []Anomaly {
-	return m.proc.Anomalies()
+	return m.core.Proc.Anomalies()
 }
 
 // OpenAnomalies returns the currently unresolved anomalies in detection
 // order.
 func (m *Monitor) OpenAnomalies() []Anomaly {
-	return m.proc.OpenAnomalies()
+	return m.core.Proc.OpenAnomalies()
 }
 
 // AnomalyRollup returns the aggregate anomaly counts — the rollup
 // served under /health alongside per-target collection health.
 func (m *Monitor) AnomalyRollup() AnomalyRollup {
-	return m.proc.Rollup()
+	return m.core.Proc.Rollup()
 }
 
 // CrossTargetIncidents correlates open anomalies across targets: kinds
 // currently open at two or more routers at once.
 func (m *Monitor) CrossTargetIncidents() []CrossTargetIncident {
-	return m.proc.CrossTarget()
+	return m.core.Proc.CrossTarget()
 }
 
 // SetMaxAnomalies caps the in-memory anomaly ring (0 restores the
 // default, process.DefaultMaxAnomalies). Evicted records are counted in
 // the rollup.
-func (m *Monitor) SetMaxAnomalies(n int) { m.proc.MaxAnomalies = n }
+func (m *Monitor) SetMaxAnomalies(n int) { m.core.Proc.MaxAnomalies = n }
 
 // Processor exposes the underlying data processor for advanced analysis
 // (distribution computations, custom thresholds).
-func (m *Monitor) Processor() *process.Processor { return m.proc }
+func (m *Monitor) Processor() *process.Processor { return m.core.Proc }
 
 // Log exposes the delta logger for off-line reconstruction and archival.
-func (m *Monitor) Log() *logger.Logger { return m.log }
+func (m *Monitor) Log() *logger.Logger { return m.core.Log }
 
 // Handler returns the HTTP handler serving results: series JSON, ASCII
 // graphs, interactive tables, and the anomaly feed.

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core/collect"
 	"repro/internal/core/engine"
-	"repro/internal/core/process"
-	"repro/internal/core/tables"
 )
 
 // DefaultConcurrencyCap bounds the default collection fan-out of
@@ -15,102 +12,18 @@ import (
 // workers, overridable with SetConcurrency.
 const DefaultConcurrencyCap = 8
 
-// engineStages wires the monitor's modules into the engine's stage
-// slots, preserving the exact per-target call sequence of the old
-// serial path: collect → build snapshot → delta-log/archive → ingest →
-// publish, with gaps handled stage-locally.
-func (m *Monitor) engineStages() engine.Stages {
-	return engine.Stages{
-		Collect:   m.stageCollect,
-		Normalize: m.stageNormalize,
-		Log:       m.stageLog,
-		Ingest:    m.stageIngest,
-		Publish:   m.stagePublish,
-		Aggregate: m.stageAggregate,
+// runEngine drives one cycle through the core on a pool of conc
+// workers, commits its WAL frames, and adapts the items to the monitor's
+// result types. The cycle errs (ErrAllTargetsFailed) only when every
+// target failed.
+func (m *Monitor) runEngine(now time.Time, conc int) ([]CycleStats, error) {
+	m.core.Commands = m.Commands
+	items, aggStats, _ := m.core.Run(now, m.targets, engine.Options{Concurrency: conc, Aggregate: m.aggregate})
+	// An archive failure degrades that record to in-memory only, never
+	// the cycle; it is surfaced through ArchiveStatus.
+	if err := m.core.Commit(); err != nil {
+		m.archive.lastAppendErr = err.Error()
 	}
-}
-
-// stageCollect runs the resilient collection of one target (breaker
-// check, retries, dump validation). Safe for concurrent use across
-// targets — the collector serializes its own bookkeeping.
-//
-//mantra:hotpath
-func (m *Monitor) stageCollect(it *engine.Item, now time.Time) {
-	it.Res = m.collector.Collect(it.Target, m.Commands, now)
-}
-
-// stageNormalize maps the raw dumps onto the local tables. A parse
-// failure counts against the target's breaker: a router emitting
-// unparseable dumps is as unhealthy as one refusing logins.
-//
-//mantra:hotpath budget=1
-func (m *Monitor) stageNormalize(it *engine.Item, now time.Time) {
-	sn, err := tables.BuildSnapshot(it.Res.Dumps)
-	if err != nil {
-		err = fmt.Errorf("collect %s: snapshot rejected: %w", it.Target.Name, err)
-		m.collector.RecordFailure(it.Target.Name, now, err)
-		it.Res.Status = collect.StatusDegraded
-		it.Res.Err = err
-		return
-	}
-	it.Snapshot = sn
-}
-
-// stageLog appends the cycle to the delta log and the durable archive;
-// a failed target gets an explicit gap marker instead.
-//
-//mantra:hotpath
-func (m *Monitor) stageLog(it *engine.Item, now time.Time) {
-	if it.Snapshot == nil {
-		reason := ""
-		if it.Res.Err != nil {
-			reason = it.Res.Err.Error()
-		}
-		m.log.MarkGap(it.Res.Target, now, reason)
-		m.archiveAppendGap(it.Res.Target, now, reason)
-		return
-	}
-	rec := m.log.Append(it.Snapshot)
-	m.archiveAppendDelta(it.Snapshot.Target, rec, uint64(len(it.Snapshot.Pairs)+len(it.Snapshot.Routes)))
-}
-
-// stageIngest feeds the snapshot into the data processor; failed
-// targets get a gap marker on their series instead.
-func (m *Monitor) stageIngest(it *engine.Item, now time.Time) {
-	if it.Snapshot == nil {
-		m.proc.MarkGap(it.Res.Target, now)
-		return
-	}
-	st := m.proc.Ingest(it.Snapshot)
-	it.Stats = &st
-}
-
-// stagePublish refreshes the HTTP summary tables from the snapshot.
-func (m *Monitor) stagePublish(it *engine.Item, _ time.Time) {
-	if it.Snapshot == nil {
-		return
-	}
-	m.refreshTables(it.Snapshot.Target, it.Snapshot)
-}
-
-// stageAggregate merges the cycle's successful snapshots into the
-// combined view and runs it through the same log/ingest/publish path.
-func (m *Monitor) stageAggregate(now time.Time, snaps []*tables.Snapshot) *process.CycleStats {
-	agg := MergeSnapshots(AggregateTarget, now, snaps...)
-	rec := m.log.Append(agg)
-	m.archiveAppendDelta(AggregateTarget, rec, uint64(len(agg.Pairs)+len(agg.Routes)))
-	st := m.proc.Ingest(agg)
-	m.engine.SetLatest(AggregateTarget, agg)
-	m.refreshTables(AggregateTarget, agg)
-	return &st
-}
-
-// runEngine drives one cycle through the engine and adapts its items to
-// the monitor's result types. The cycle errs (ErrAllTargetsFailed) only
-// when every target failed.
-func (m *Monitor) runEngine(now time.Time, opts engine.Options) ([]CycleStats, error) {
-	opts.Aggregate = m.aggregate
-	items, aggStats, _ := m.engine.Run(now, m.targets, opts)
 	var out []CycleStats
 	results := make([]CollectResult, 0, len(items))
 	failed := 0
@@ -141,7 +54,7 @@ func (m *Monitor) runEngine(now time.Time, opts engine.Options) ([]CycleStats, e
 }
 
 // SetConcurrency bounds the collection worker pool RunCycleConcurrent
-// and RunCycleBarrier fan out on. Values below 1 restore the default
+// fans out on. Values below 1 restore the default
 // min(DefaultConcurrencyCap, number of targets).
 func (m *Monitor) SetConcurrency(n int) { m.concurrency = n }
 
@@ -166,21 +79,12 @@ func (m *Monitor) Concurrency() int {
 // time; simulated deployments inject a virtual clock so the sim path
 // performs no wall-clock reads and instrumented timings reproduce
 // exactly. The clock must be safe for concurrent use.
-func (m *Monitor) SetCycleClock(c engine.Clock) { m.engine.SetClock(c) }
+func (m *Monitor) SetCycleClock(c engine.Clock) { m.core.Engine.SetClock(c) }
 
 // EngineStats returns the cycle engine's cumulative per-stage,
 // per-target instrumentation — the view served over HTTP at /stats.
-func (m *Monitor) EngineStats() engine.Stats { return m.engine.Stats() }
+func (m *Monitor) EngineStats() engine.Stats { return m.core.Engine.Stats() }
 
 // LastCycleReport returns the most recent cycle's per-stage timings and
 // queue-depth counters, or nil before the first cycle.
-func (m *Monitor) LastCycleReport() *engine.CycleReport { return m.engine.LastReport() }
-
-// RunCycleBarrier runs one cycle under the pre-pipeline two-phase
-// schedule: every target finishes collection (on the same bounded pool)
-// before any is processed. It exists so the pipelined schedule's gain
-// can be measured against it (BenchmarkCycleEngine); results are
-// identical to RunCycleConcurrent, only the overlap differs.
-func (m *Monitor) RunCycleBarrier(now time.Time) ([]CycleStats, error) {
-	return m.runEngine(now, engine.Options{Concurrency: m.Concurrency(), Barrier: true})
-}
+func (m *Monitor) LastCycleReport() *engine.CycleReport { return m.core.Engine.LastReport() }

@@ -1,14 +1,19 @@
 package mantra_test
 
-// Equivalence tests for the cycle engine: the pipelined and barrier
-// schedules must produce artifacts identical to the serial path — same
-// series, same anomalies, same health ledger, same delta log, same
-// archive WAL bytes — for the same fault-injected scenario. The reorder
-// buffer is what makes this hold; these tests are what keep it honest.
+// Equivalence tests for the cycle engine: the pipelined schedule must
+// produce artifacts identical to the serial path — same series, same
+// anomalies, same health ledger, same delta log, same archive WAL
+// bytes — for the same fault-injected scenario. The reorder buffer is
+// what makes this hold; these tests are what keep it honest.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,7 +23,9 @@ import (
 
 	mantra "repro"
 	"repro/internal/core/collect"
+	"repro/internal/core/logger"
 	"repro/internal/core/process"
+	"repro/internal/core/shard"
 	"repro/internal/router"
 	"repro/internal/sim"
 )
@@ -56,10 +63,49 @@ func walBytes(t *testing.T, dir string) []byte {
 	return out
 }
 
+// seriesDigest hashes every target/metric series of a run — name,
+// points (time, value bits) and gap stamps, in a fixed order.
+func seriesDigest(m *mantra.Monitor, targets []string) string {
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, target := range targets {
+		for _, metric := range process.AllMetrics {
+			fmt.Fprintf(h, "%s/%s\n", target, metric)
+			s := m.Series(target, metric)
+			if s == nil {
+				continue
+			}
+			put(uint64(len(s.Times)))
+			for i, at := range s.Times {
+				put(uint64(at.UnixNano()))
+				put(math.Float64bits(s.Values[i]))
+			}
+			put(uint64(len(s.Gaps)))
+			for _, at := range s.Gaps {
+				put(uint64(at.UnixNano()))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The serial leg's on-disk WAL bytes and in-memory series, hashed at
+// the commit before the Monitor moved onto cycle.Core (frames written
+// inside the Log stage). They pin that buffering frames in stage order
+// and committing after the engine run reproduces those bytes exactly.
+const (
+	pinnedWALDigest    = "5b6cf4e992221cb2d8c5b1c0beb679be9edc0aef7edada09be793ee469048f18"
+	pinnedSeriesDigest = "fbcbc68b3c8c682cee275c644864f4488bc73b6a09be4d1eef74411b60c126e3"
+)
+
 // TestPipelinedCycleMatchesSerial is the engine's golden equivalence
-// test: the same fault-injected two-router scenario run serially,
-// pipelined and under the barrier schedule must agree on every artifact
-// the monitor produces.
+// test: the same fault-injected two-router scenario run serially and
+// pipelined must agree on every artifact the monitor produces, and the
+// serial leg must reproduce the pinned bytes.
 func TestPipelinedCycleMatchesSerial(t *testing.T) {
 	profile := router.FaultProfile{
 		RefuseConn:  0.08,
@@ -82,7 +128,6 @@ func TestPipelinedCycleMatchesSerial(t *testing.T) {
 	runs := []run{
 		{"serial", func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) { return m.RunCycle(now) }},
 		{"pipelined", func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) { return m.RunCycleConcurrent(now) }},
-		{"barrier", func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) { return m.RunCycleBarrier(now) }},
 	}
 
 	const cycles = 60
@@ -113,6 +158,13 @@ func TestPipelinedCycleMatchesSerial(t *testing.T) {
 	}
 
 	ref := outcomes[0]
+	walSum := sha256.Sum256(walBytes(t, ref.dir))
+	if got := hex.EncodeToString(walSum[:]); got != pinnedWALDigest {
+		t.Errorf("serial WAL digest = %s, want pinned %s", got, pinnedWALDigest)
+	}
+	if got := seriesDigest(ref.mon, []string{"fixw", "ucsb-r1"}); got != pinnedSeriesDigest {
+		t.Errorf("serial series digest = %s, want pinned %s", got, pinnedSeriesDigest)
+	}
 	for ri := 1; ri < len(outcomes); ri++ {
 		name, o := runs[ri].name, outcomes[ri]
 
@@ -162,6 +214,96 @@ func TestPipelinedCycleMatchesSerial(t *testing.T) {
 		a, b := ref.mon.RouteStability("ucsb-r1"), o.mon.RouteStability("ucsb-r1")
 		if a == nil || b == nil || a.Cycles() != b.Cycles() || !reflect.DeepEqual(a.Summary(), b.Summary()) {
 			t.Errorf("%s: stability trackers diverge", name)
+		}
+	}
+}
+
+// walEvent is one recovered WAL frame, reduced to what orders it.
+type walEvent struct {
+	Target string
+	At     time.Time
+	Gap    bool
+}
+
+// recoveredEvents reopens an archive directory and lists its frames in
+// on-disk order.
+func recoveredEvents(t *testing.T, dir string) []walEvent {
+	t.Helper()
+	st, err := logger.OpenStore(dir, logger.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var out []walEvent
+	for _, ev := range st.Recover().Events {
+		out = append(out, walEvent{Target: ev.Target, At: ev.At.UTC(), Gap: ev.Gap})
+	}
+	return out
+}
+
+// TestShardWALMatchesMonitorFrameOrder: a Monitor and a one-shard
+// Supervisor run the same core, so the same fault-injected fleet must
+// leave the same frame sequence on disk. The shard path used to write
+// each cycle's deltas before its gaps — out of stage order whenever an
+// earlier-registered target failed.
+func TestShardWALMatchesMonitorFrameOrder(t *testing.T) {
+	profile := router.FaultProfile{RefuseConn: 0.2, RejectLogin: 0.1, Truncate: 0.1}
+	policy := collect.Policy{
+		MaxAttempts:      1,
+		BreakerThreshold: 3,
+		BreakerCooldown:  90 * time.Minute,
+		Sleep:            func(time.Duration) {},
+	}
+	const cycles = 40
+
+	monDir := t.TempDir()
+	n, m, _ := chaosMonitor(t, profile, policy)
+	if _, err := m.EnableArchive(archiveEquivCfg(monDir)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cycles; i++ {
+		n.Step()
+		m.RunCycle(n.Now())
+	}
+
+	// The same seeded network again, its targets registered on a
+	// one-shard supervisor in the same order.
+	shardDir := t.TempDir()
+	n, _, faulty := chaosMonitor(t, profile, policy)
+	s, err := shard.New(shard.Config{Shards: 1, Policy: policy, DataDir: shardDir, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Register(collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: faulty}, Password: "pw", Prompt: "fixw> ", Timeout: 100 * time.Millisecond})
+	s.Register(collect.Target{Name: "ucsb-r1", Dialer: collect.PipeDialer{Router: n.Router("ucsb-r1")}, Password: "pw", Prompt: "ucsb-r1> ", Timeout: 5 * time.Second})
+	for i := 0; i < cycles; i++ {
+		n.Step()
+		res, err := s.RunCycle(n.Now())
+		if err != nil || len(res.WALErrs) > 0 {
+			t.Fatalf("cycle %d: %v %v", i, err, res.WALErrs)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mon := recoveredEvents(t, monDir)
+	shd := recoveredEvents(t, filepath.Join(shardDir, "shard-00"))
+	gaps := 0
+	for _, ev := range mon {
+		if ev.Gap {
+			gaps++
+		}
+	}
+	if len(mon) != 2*cycles || gaps == 0 || gaps == len(mon) {
+		t.Fatalf("monitor archive has %d frames, %d gaps; want %d frames mixing both kinds", len(mon), gaps, 2*cycles)
+	}
+	if len(shd) != len(mon) {
+		t.Fatalf("shard archive has %d frames, monitor %d", len(shd), len(mon))
+	}
+	for i := range mon {
+		if mon[i] != shd[i] {
+			t.Fatalf("frame %d diverges: monitor %+v, shard %+v", i, mon[i], shd[i])
 		}
 	}
 }
