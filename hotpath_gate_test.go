@@ -12,6 +12,9 @@ package mantra_test
 // slice) trips the gate.
 
 import (
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,7 +91,11 @@ func TestHotpathAllocGates(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	allocGate(t, "BuildSnapshot", 5500, func() {
+	// One pass over the raw bytes: the snapshot, one exactly-sized table
+	// per non-empty dump, one scan state per parsed dump and one copy of
+	// each distinct flag string — nothing per row. (The gate was 5500
+	// when every row was split into fresh strings.)
+	allocGate(t, "BuildSnapshot", 11, func() {
 		if _, err := tables.BuildSnapshot(dumps); err != nil {
 			t.Fatal(err)
 		}
@@ -101,6 +108,74 @@ func TestHotpathAllocGates(t *testing.T) {
 	allocGate(t, "Policy.Backoff", 0, func() {
 		pol.Backoff("fixw", 3)
 	})
+}
+
+// cannedRouter serves recorded dumps over the session protocol of
+// router.HandleSession and renders nothing, so what a collection
+// allocates against it is the collector's own.
+type cannedRouter struct {
+	prompt []byte
+	out    map[string][]byte
+}
+
+func (c cannedRouter) HandleSession(rw io.ReadWriter) error {
+	var line [256]byte
+	for {
+		if _, err := rw.Write(c.prompt); err != nil {
+			return err
+		}
+		n, err := rw.Read(line[:])
+		if err != nil {
+			return err
+		}
+		cmd := strings.TrimSpace(string(line[:n]))
+		if cmd == "exit" {
+			return nil
+		}
+		if _, err := rw.Write(c.out[cmd]); err != nil {
+			return err
+		}
+	}
+}
+
+// TestCollectAllAllocBytes bounds what one collection allocates in
+// bytes: the dumps themselves, each copied once out of the pooled read
+// buffer at its exact size, plus a constant for the session and the
+// pipe. Read-buffer regrowth, a doubling builder or a second copy of
+// each dump would all land well outside the quarter allowed on top.
+// The figure is the least of several runs, so a garbage collection that
+// empties the buffer pool mid-test costs one run, not the gate.
+func TestCollectAllAllocBytes(t *testing.T) {
+	dumps := gateDumps(t)
+	canned := cannedRouter{prompt: []byte("fixw> "), out: make(map[string][]byte)}
+	dumpBytes := 0
+	for _, d := range dumps {
+		canned.out[d.Command] = []byte(d.Raw)
+		dumpBytes += len(d.Raw)
+	}
+	tgt := collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: canned}, Prompt: "fixw> ", Timeout: 5 * time.Second}
+	least := ^uint64(0)
+	for run := 0; run < 6; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := collect.CollectAll(tgt, collect.StandardCommands, time.Time{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range got {
+			if d.Raw != dumps[i].Raw {
+				t.Fatalf("%q replayed differently", d.Command)
+			}
+		}
+		if run > 0 { // the first run grows the pooled buffer
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if gate := uint64(dumpBytes)*5/4 + 8<<10; least > gate {
+		t.Errorf("CollectAll allocated %d bytes for %d bytes of dumps, gate is %d", least, dumpBytes, gate)
+	}
+	t.Logf("CollectAll: %d bytes allocated for %d bytes of dumps", least, dumpBytes)
 }
 
 // TestLoggerAppendSteadyStateAllocs pins logger.Append's steady state:

@@ -8,6 +8,7 @@
 package addr
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -47,21 +48,36 @@ func V4(a, b, c, d byte) IP {
 	return IP(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// Parse parses a dotted-quad IPv4 address such as "192.168.1.7".
+// Parse parses a dotted-quad IPv4 address such as "192.168.1.7". Octets
+// are decimal digits only: no sign, no leading zero, at most 255. It
+// scans the bytes in place and allocates nothing unless it fails.
 //
-//mantra:hotpath budget=2
+//mantra:hotpath
 func Parse(s string) (IP, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("addr: %q is not a dotted-quad IPv4 address", s)
-	}
 	var ip uint32
-	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 || (len(p) > 1 && p[0] == '0') {
-			return 0, fmt.Errorf("addr: invalid octet %q in %q", p, s)
+	parts := 0
+	badLo, badHi := -1, -1 // the first invalid octet is s[badLo:badHi]
+	for lo := 0; lo <= len(s); parts++ {
+		hi, v, ok := lo, uint32(0), true
+		for ; hi < len(s) && s[hi] != '.'; hi++ {
+			d := uint32(s[hi] - '0')
+			// A fourth digit or a digit after a leading zero is out of
+			// range whatever it is, so v never outgrows three digits.
+			if ok = ok && d <= 9 && hi-lo < 3 && (hi == lo || v != 0); ok {
+				v = v*10 + d
+			}
 		}
-		ip = ip<<8 | uint32(n)
+		if (!ok || hi == lo || v > 255) && badLo < 0 {
+			badLo, badHi = lo, hi
+		}
+		ip = ip<<8 | v
+		lo = hi + 1
+	}
+	if parts != 4 {
+		return 0, errors.New("addr: " + strconv.Quote(s) + " is not a dotted-quad IPv4 address")
+	}
+	if badLo >= 0 {
+		return 0, errors.New("addr: invalid octet " + strconv.Quote(s[badLo:badHi]) + " in " + strconv.Quote(s))
 	}
 	return IP(ip), nil
 }
@@ -134,7 +150,8 @@ func PrefixFrom(ip IP, bits int) Prefix {
 	return Prefix{Addr: ip & maskFor(bits), Len: bits}
 }
 
-// ParsePrefix parses CIDR notation such as "128.111.0.0/16".
+// ParsePrefix parses CIDR notation such as "128.111.0.0/16". The length
+// is decimal digits only, like the octets.
 //
 //mantra:hotpath budget=3
 func ParsePrefix(s string) (Prefix, error) {
@@ -146,8 +163,13 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
+	bits, ok := 0, slash+1 < len(s)
+	for i := slash + 1; i < len(s) && ok; i++ {
+		d := int(s[i] - '0')
+		bits = bits*10 + d
+		ok = d <= 9 && bits <= 32
+	}
+	if !ok {
 		return Prefix{}, fmt.Errorf("addr: invalid prefix length in %q", s)
 	}
 	if ip&maskFor(bits) != ip {

@@ -1,6 +1,9 @@
 package addr
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -28,7 +31,10 @@ func TestParseValid(t *testing.T) {
 }
 
 func TestParseInvalid(t *testing.T) {
-	for _, in := range []string{"", "1.2.3", "1.2.3.4.5", "256.0.0.1", "-1.2.3.4", "a.b.c.d", "01.2.3.4", "1..2.3"} {
+	for _, in := range []string{"", "1.2.3", "1.2.3.4.5", "256.0.0.1", "-1.2.3.4", "a.b.c.d", "01.2.3.4", "1..2.3",
+		// Signed octets: strconv.Atoi took these, so a garbled dump row
+		// could be logged as a real address.
+		"+1.2.3.4", "-0.1.2.3", "1.2.3.+4", "1.2.3.-0"} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)
 		}
@@ -94,7 +100,8 @@ func TestPrefixParse(t *testing.T) {
 }
 
 func TestPrefixParseInvalid(t *testing.T) {
-	for _, in := range []string{"128.111.0.0", "128.111.0.0/33", "128.111.0.0/-1", "128.111.0.1/16", "x/8"} {
+	for _, in := range []string{"128.111.0.0", "128.111.0.0/33", "128.111.0.0/-1", "128.111.0.1/16", "x/8",
+		"10.0.0.0/+8", "10.0.0.0/-0", "10.0.0.0/", "+10.0.0.0/8"} {
 		if _, err := ParsePrefix(in); err == nil {
 			t.Errorf("ParsePrefix(%q) succeeded, want error", in)
 		}
@@ -346,4 +353,73 @@ func TestGroupAllocatorPanicsOnUnicast(t *testing.T) {
 		}
 	}()
 	NewGroupAllocator(MustParsePrefix("10.0.0.0/8"))
+}
+
+// signed reports a numeral strconv.Atoi accepts and the parsers no longer
+// do: the one sanctioned divergence from splitAtoiParse below.
+func signed(p string) bool { return p != "" && (p[0] == '+' || p[0] == '-') }
+
+// splitAtoiParse and splitAtoiParsePrefix are Parse and ParsePrefix as
+// they stood before the in-place scanners, kept as the reference the
+// fuzz target compares against. The only edit is the signed() test.
+func splitAtoiParse(s string) (IP, error) {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, fmt.Errorf("addr: %q is not a dotted-quad IPv4 address", s)
+	}
+	var ip uint32
+	for _, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil || signed(p) || n < 0 || n > 255 || (len(p) > 1 && p[0] == '0') {
+			return 0, fmt.Errorf("addr: invalid octet %q in %q", p, s)
+		}
+		ip = ip<<8 | uint32(n)
+	}
+	return IP(ip), nil
+}
+
+func splitAtoiParsePrefix(s string) (Prefix, error) {
+	slash := strings.IndexByte(s, '/')
+	if slash < 0 {
+		return Prefix{}, fmt.Errorf("addr: %q is not CIDR notation", s)
+	}
+	ip, err := splitAtoiParse(s[:slash])
+	if err != nil {
+		return Prefix{}, err
+	}
+	bits, err := strconv.Atoi(s[slash+1:])
+	if err != nil || signed(s[slash+1:]) || bits < 0 || bits > 32 {
+		return Prefix{}, fmt.Errorf("addr: invalid prefix length in %q", s)
+	}
+	if ip&maskFor(bits) != ip {
+		return Prefix{}, fmt.Errorf("addr: %q has host bits set", s)
+	}
+	return Prefix{Addr: ip, Len: bits}, nil
+}
+
+// FuzzParse holds the in-place scanners to the Split+Atoi parsers they
+// replaced: same value, same error text, for every input but a signed
+// numeral.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"", ".", "...", "1.2.3.4", "255.255.255.255", "256.1.1.1", "1.2.3", "1.2.3.4.5",
+		"01.2.3.4", "0.0.0.0", "00.0.0.0", "1..2.3", "1.2.3.", "1.2.3.4 ", "1.2.3.x", "1.2.3.0004",
+		"99999999999999999999.1.1.1", "+1.2.3.4", "1.2.3.-0", "\xff.1.2.3", "1.2.3.4/",
+		"10.0.0.0/8", "10.0.0.0/08", "10.0.0.0/000000000000000000000008", "10.0.0.0/33",
+		"10.0.0.0/99999999999999999999", "10.0.0.1/8", "10.0.0.0/+8", "10.0.0.0/8/8", "0.0.0.0/0", "/8",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ip, err := Parse(s)
+		wantIP, wantErr := splitAtoiParse(s)
+		if ip != wantIP || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("Parse(%q) = %v, %v; reference %v, %v", s, ip, err, wantIP, wantErr)
+		}
+		p, err := ParsePrefix(s)
+		wantP, wantErr := splitAtoiParsePrefix(s)
+		if p != wantP || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("ParsePrefix(%q) = %v, %v; reference %v, %v", s, p, err, wantP, wantErr)
+		}
+	})
 }

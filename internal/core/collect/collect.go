@@ -11,12 +11,14 @@
 package collect
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -97,7 +99,54 @@ type Session struct {
 	prompt  string
 	timeout time.Duration
 	now     func() time.Time
-	buf     []byte
+	// buf is the read buffer, on loan from readBufs between the first
+	// read and release; what readUntil returns is a view into it.
+	buf *readBuf
+}
+
+// readBufs recycles session read buffers: a buffer grows to the largest
+// dump it has held and the next session starts from there, so a steady
+// cycle allocates one exactly-sized string per dump and no buffer. A
+// sync.Pool drops what goes unused across garbage collections, so an
+// idle collector retains nothing.
+var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
+
+// readBuf is what one readUntil has read so far.
+type readBuf struct {
+	b []byte
+	// searched is how much of b has been searched for the pattern.
+	searched int
+}
+
+// minRead is the least free space a read is offered; a buffer with less
+// doubles first.
+const minRead = 4096
+
+// spare returns the buffer's free space, growing the buffer first if
+// there is less than minRead of it.
+func (rb *readBuf) spare() []byte {
+	if cap(rb.b)-len(rb.b) < minRead {
+		rb.b = append(make([]byte, 0, 2*cap(rb.b)+minRead), rb.b...)
+	}
+	return rb.b[len(rb.b):cap(rb.b)]
+}
+
+// found reports whether pattern has arrived, searching only the bytes
+// read since the last call and the few before them a pattern split
+// across two reads could start in.
+func (rb *readBuf) found(pattern string) bool {
+	from := max(rb.searched-len(pattern)+1, 0)
+	rb.searched = len(rb.b)
+	return indexString(rb.b[from:], pattern) >= 0
+}
+
+// release returns the read buffer to the pool. Every string handed out
+// was copied from it, so nothing aliases what the next session reads.
+func (s *Session) release() {
+	if s.buf != nil {
+		readBufs.Put(s.buf)
+		s.buf = nil
+	}
 }
 
 // deadliner is implemented by net.Conn and net.Pipe ends.
@@ -111,16 +160,21 @@ type writeDeadliner interface {
 }
 
 // readUntil consumes the stream until pattern appears, returning
-// everything read including the pattern. The session timeout is enforced
-// for every transport: connections with native read deadlines use them,
-// and all others get a watchdog timer that closes the connection — the
-// only way to unblock a stuck Read — so a hung router can never wedge the
-// collector. A timed-out session is dead either way; callers retry with a
-// fresh login.
+// everything read including the pattern — as a view into the session's
+// read buffer, valid until the next readUntil or release. The session
+// timeout is enforced for every transport: connections with native read
+// deadlines use them, and all others get a watchdog timer that closes the
+// connection — the only way to unblock a stuck Read — so a hung router can
+// never wedge the collector. A timed-out session is dead either way;
+// callers retry with a fresh login.
 //
 //mantra:hotpath budget=3
-func (s *Session) readUntil(pattern string) (string, error) {
-	var sb strings.Builder
+func (s *Session) readUntil(pattern string) ([]byte, error) {
+	if s.buf == nil {
+		s.buf = readBufs.Get().(*readBuf)
+	}
+	rb := s.buf
+	rb.b, rb.searched = rb.b[:0], 0
 	deadline := s.now().Add(s.timeout)
 	if d, ok := s.conn.(deadliner); ok {
 		_ = d.SetReadDeadline(deadline)
@@ -129,26 +183,54 @@ func (s *Session) readUntil(pattern string) (string, error) {
 		watchdog := time.AfterFunc(s.timeout, func() { s.conn.Close() })
 		defer watchdog.Stop()
 	}
-	tmp := make([]byte, 4096)
 	for {
-		if strings.Contains(sb.String(), pattern) {
-			return sb.String(), nil
+		if rb.found(pattern) {
+			return rb.b, nil
 		}
 		if s.now().After(deadline) {
-			return sb.String(), fmt.Errorf("%w: %q", ErrTimeout, pattern)
+			return rb.b, fmt.Errorf("%w: %q", ErrTimeout, pattern)
 		}
-		n, err := s.conn.Read(tmp)
-		sb.Write(tmp[:n])
+		n, err := s.conn.Read(rb.spare())
+		rb.b = rb.b[:len(rb.b)+n]
 		if err != nil {
-			if strings.Contains(sb.String(), pattern) {
-				return sb.String(), nil
+			if rb.found(pattern) {
+				return rb.b, nil
 			}
 			if errors.Is(err, os.ErrDeadlineExceeded) || !s.now().Before(deadline) {
-				return sb.String(), fmt.Errorf("%w: %q (%v)", ErrTimeout, pattern, err)
+				return rb.b, fmt.Errorf("%w: %q (%v)", ErrTimeout, pattern, err)
 			}
-			return sb.String(), err
+			return rb.b, err
 		}
 	}
+}
+
+// indexString is bytes.Index for a string needle, without converting it.
+func indexString(b []byte, s string) int {
+	if s == "" {
+		return 0
+	}
+	for i := 0; ; i++ {
+		j := bytes.IndexByte(b[i:], s[0])
+		if j < 0 || i+j+len(s) > len(b) {
+			return -1
+		}
+		if i += j; hasPrefix(b[i:], s) {
+			return i
+		}
+	}
+}
+
+// hasPrefix is bytes.HasPrefix for a string prefix, without converting it.
+func hasPrefix(b []byte, s string) bool {
+	if len(b) < len(s) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if b[i] != s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // send writes one line under the session timeout. Writes need the same
@@ -205,7 +287,10 @@ func Login(t Target) (*Session, error) {
 }
 
 // Run issues one command and returns its raw output with the command echo
-// and trailing prompt stripped.
+// and trailing prompt stripped: one string, copied out of the read buffer
+// at exactly the dump's size.
+//
+//mantra:hotpath budget=1
 func (s *Session) Run(cmd string) (string, error) {
 	if err := s.send(cmd); err != nil {
 		return "", err
@@ -214,7 +299,7 @@ func (s *Session) Run(cmd string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return stripEcho(out, cmd, s.prompt), nil
+	return string(stripEcho(out, cmd, s.prompt)), nil
 }
 
 // stripEcho cleans one captured command output: the trailing prompt (with
@@ -222,30 +307,39 @@ func (s *Session) Run(cmd string) (string, error) {
 // leading echo of the command are removed, leaving only the dump body.
 // Shared by Session.Run and the expect-script capture path so both clean
 // identically.
-func stripEcho(out, cmd, prompt string) string {
+func stripEcho(out []byte, cmd, prompt string) []byte {
 	if prompt != "" {
-		trimmed := strings.TrimSuffix(out, prompt)
-		if trimmed == out {
-			trimmed = strings.TrimSuffix(strings.TrimRight(out, "\r"), prompt)
+		trimmed, ok := cutSuffix(out, prompt)
+		if !ok {
+			trimmed, _ = cutSuffix(bytes.TrimRight(out, "\r"), prompt)
 		}
 		out = trimmed
 	}
 	// Strip a leading echo of the command for LF, CRLF, and the interleaved
 	// LF-CR orderings some transports produce.
-	if cmd != "" {
-		for _, echo := range []string{cmd + "\r\n", cmd + "\n\r", cmd + "\n", cmd + "\r"} {
-			if rest, ok := strings.CutPrefix(out, echo); ok {
-				out = rest
-				break
+	if cmd != "" && hasPrefix(out, cmd) {
+		rest := out[len(cmd):]
+		for _, eol := range [...]string{"\r\n", "\n\r", "\n", "\r"} {
+			if hasPrefix(rest, eol) {
+				return rest[len(eol):]
 			}
 		}
 	}
 	return out
 }
 
-// Close logs out and closes the connection.
+// cutSuffix is bytes.CutSuffix for a string suffix, without converting it.
+func cutSuffix(b []byte, s string) ([]byte, bool) {
+	if n := len(b) - len(s); n >= 0 && hasPrefix(b[n:], s) {
+		return b[:n], true
+	}
+	return b, false
+}
+
+// Close logs out, closes the connection and gives the read buffer back.
 func (s *Session) Close() error {
 	_ = s.send("exit")
+	s.release()
 	return s.conn.Close()
 }
 

@@ -275,3 +275,77 @@ func TestSendTimesOutAgainstWedgedPeer(t *testing.T) {
 		t.Fatal("Run against a wedged peer blocked past the session timeout")
 	}
 }
+
+// chunkedRouter answers every command with the same output, one Write —
+// so, over a pipe, one Read at the collector — per chunk.
+type chunkedRouter struct{ chunks []string }
+
+func (c chunkedRouter) HandleSession(rw io.ReadWriter) error {
+	if _, err := io.WriteString(rw, "r> "); err != nil {
+		return err
+	}
+	line := make([]byte, 256)
+	for {
+		n, err := rw.Read(line)
+		if err != nil || strings.TrimSpace(string(line[:n])) == "exit" {
+			return err
+		}
+		for _, chunk := range c.chunks {
+			if _, err := io.WriteString(rw, chunk); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// TestPromptSplitAcrossReads: readUntil searches only the bytes it has
+// not searched yet, so a prompt that arrives in two reads — or one byte
+// at a time — must still be found, and a partial look-alike inside the
+// body must not end the dump early.
+func TestPromptSplitAcrossReads(t *testing.T) {
+	const body = "line one r>\nline two r>x r >\n"
+	for _, chunks := range [][]string{
+		{body + "r> "},
+		{body + "r", "> "},
+		{body, "r>", " "},
+		{"line one r", ">\nline two r", ">x r >\n", "r", ">", " "},
+		strings.Split(body+"r> ", ""),
+	} {
+		tgt := collect.Target{Name: "r", Dialer: collect.PipeDialer{Router: chunkedRouter{chunks}}, Prompt: "r> ", Timeout: 2 * time.Second}
+		dumps, err := collect.CollectAll(tgt, []string{"show a", "show b"}, time.Time{})
+		if err != nil {
+			t.Fatalf("chunks %q: %v", chunks, err)
+		}
+		for _, d := range dumps {
+			if d.Raw != body {
+				t.Errorf("chunks %q: %s = %q, want %q", chunks, d.Command, d.Raw, body)
+			}
+		}
+	}
+}
+
+// TestDumpsDoNotAliasReadBuffer: the read buffer is pooled and the next
+// session overwrites it, so every dump handed out must be a copy. Collect
+// one router, then another through the same pool, then compare the first
+// router's dumps with what it renders.
+func TestDumpsDoNotAliasReadBuffer(t *testing.T) {
+	n := testNetwork(t)
+	first, err := collect.CollectAll(target(n, "fixw", ""), collect.StandardCommands, n.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := collect.CollectAll(target(n, "ucsb-gw", ""), collect.StandardCommands, n.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		dumps []collect.Dump
+	}{{"fixw", first}, {"ucsb-gw", second}} {
+		for _, d := range c.dumps {
+			if want := n.Router(c.name).Execute(d.Command); d.Raw != want {
+				t.Errorf("%s %q changed after the buffer was reused:\n got %q\nwant %q", c.name, d.Command, d.Raw, want)
+			}
+		}
+	}
+}

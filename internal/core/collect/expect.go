@@ -54,6 +54,7 @@ func RunScriptClock(rw io.ReadWriter, script Script, timeout time.Duration, now 
 		timeout = 10 * time.Second
 	}
 	s := &Session{conn: sessionStream(rw), timeout: timeout, now: now}
+	defer s.release()
 	captures := make(map[string]string)
 	for i, step := range script {
 		if step.Expect != "" {
@@ -65,7 +66,7 @@ func RunScriptClock(rw io.ReadWriter, script Script, timeout time.Duration, now 
 				// LoginScript names each capture after the command that
 				// produced it, so the echo of that command is stripped the
 				// same way Session.Run does.
-				captures[step.Capture] = stripEcho(out, step.Capture, step.Expect)
+				captures[step.Capture] = string(stripEcho(out, step.Capture, step.Expect))
 			}
 		}
 		if step.Send != "" {

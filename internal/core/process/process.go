@@ -457,25 +457,31 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 		st.SavedFactor = unicastKbps / st.BandwidthKbps
 	}
 
-	// Route table size and churn against the previous cycle.
+	// Route table size and churn against the previous cycle. The
+	// target's route set is updated in place rather than rebuilt: a
+	// prefix in this table is marked false (a new one counts as churn),
+	// the sweep drops what is still true (churn again) and turns the
+	// marks back, so at rest every value is true.
 	st.Routes = len(sn.Routes)
-	cur := make(map[addr.Prefix]bool, len(sn.Routes))
+	set, seen := p.lastRoute[sn.Target]
+	if !seen {
+		set = make(map[addr.Prefix]bool, len(sn.Routes))
+		p.lastRoute[sn.Target] = set
+	}
 	for _, r := range sn.Routes {
-		cur[r.Prefix] = true
-	}
-	if prev, ok := p.lastRoute[sn.Target]; ok {
-		for pr := range cur {
-			if !prev[pr] {
-				st.RouteChurn++
-			}
+		if _, had := set[r.Prefix]; !had && seen {
+			st.RouteChurn++
 		}
-		for pr := range prev {
-			if !cur[pr] {
-				st.RouteChurn++
-			}
+		set[r.Prefix] = false
+	}
+	for pr, gone := range set {
+		if gone {
+			st.RouteChurn++
+			delete(set, pr)
+		} else {
+			set[pr] = true
 		}
 	}
-	p.lastRoute[sn.Target] = cur
 
 	st.SACache = saCache
 	st.MBGPRoutes = mbgpRoutes

@@ -2,6 +2,7 @@ package process
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -102,6 +103,44 @@ func TestRouteChurn(t *testing.T) {
 	}
 	if st.Routes != 2 {
 		t.Errorf("routes = %d", st.Routes)
+	}
+}
+
+// TestRouteChurnInPlace: the per-target route set is updated in place.
+// Churn must still be the size of the symmetric difference with the
+// previous table (a repeated prefix counting once), and the set at rest
+// — which ExportState copies into checkpoints value for value — must be
+// exactly this table's prefixes, all true.
+func TestRouteChurnInPlace(t *testing.T) {
+	p := New()
+	at := sim.Epoch
+	prev := map[addr.Prefix]bool{}
+	for c, routes := range churningTables(5, 60) {
+		cur := map[addr.Prefix]bool{}
+		for _, r := range routes {
+			cur[r.Prefix] = true
+		}
+		want := 0
+		if c > 0 {
+			for pr := range cur {
+				if !prev[pr] {
+					want++
+				}
+			}
+			for pr := range prev {
+				if !cur[pr] {
+					want++
+				}
+			}
+		}
+		if st := p.Ingest(snapAt(at, nil, routes)); st.RouteChurn != want {
+			t.Fatalf("cycle %d: churn = %d, want %d", c, st.RouteChurn, want)
+		}
+		if got := p.ExportState().LastRoute["fixw"]; !reflect.DeepEqual(got, cur) {
+			t.Fatalf("cycle %d: route set at rest = %v, want %v", c, got, cur)
+		}
+		prev = cur
+		at = at.Add(30 * time.Minute)
 	}
 }
 

@@ -16,7 +16,10 @@ type RouteStability struct {
 	byPrefix map[addr.Prefix]*prefixHistory
 	// cycles counts observations.
 	cycles int
-	last   map[addr.Prefix]bool
+	// last is the set of prefixes reachable in the latest table: only
+	// its keys are state. Every value is seen, the mark Observe flips.
+	last map[addr.Prefix]bool
+	seen bool
 }
 
 type prefixHistory struct {
@@ -39,14 +42,17 @@ func NewRouteStability() *RouteStability {
 	}
 }
 
-// Observe folds one cycle's route table into the tracker.
+// Observe folds one cycle's route table into the tracker. The set of
+// reachable prefixes is updated in place rather than rebuilt: the mark
+// flips each cycle, a prefix in this table takes the new mark, and the
+// sweep retires what still carries the old one.
 //
 //mantra:hotpath budget=2
 func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
 	rs.cycles++
-	cur := make(map[addr.Prefix]bool, len(routes))
+	rs.seen = !rs.seen
 	for _, r := range routes {
-		cur[r.Prefix] = true
+		rs.last[r.Prefix] = rs.seen
 		h := rs.byPrefix[r.Prefix]
 		if h == nil {
 			h = &prefixHistory{}
@@ -58,17 +64,17 @@ func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
 			h.currentSince = at.Add(-r.Uptime)
 		}
 	}
-	for p := range rs.last {
-		if !cur[p] {
-			h := rs.byPrefix[p]
-			if h != nil && h.up {
-				h.up = false
-				h.flaps++
-				h.lifetimes = append(h.lifetimes, at.Sub(h.currentSince))
-			}
+	for p, seen := range rs.last {
+		if seen == rs.seen {
+			continue
+		}
+		delete(rs.last, p)
+		if h := rs.byPrefix[p]; h != nil && h.up {
+			h.up = false
+			h.flaps++
+			h.lifetimes = append(h.lifetimes, at.Sub(h.currentSince))
 		}
 	}
-	rs.last = cur
 }
 
 // PrefixStats is the stability summary of one prefix.
@@ -150,13 +156,8 @@ func (rs *RouteStability) Summary() StabilitySummary {
 	}
 	// Sum in sorted prefix order: map iteration order varies run to run,
 	// and the floating-point accumulation must not.
-	keys := make([]addr.Prefix, 0, len(rs.byPrefix))
-	for p := range rs.byPrefix {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
 	availSum := 0.0
-	for _, p := range keys {
+	for _, p := range sortedPrefixes(rs.byPrefix) {
 		h := rs.byPrefix[p]
 		if h.flaps == 0 {
 			s.StablePrefixes++

@@ -1,6 +1,7 @@
 package process
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -94,5 +95,89 @@ func TestStabilityEmptySummary(t *testing.T) {
 	}
 	if got := rs.LeastStable(5); len(got) != 0 {
 		t.Errorf("LeastStable on empty = %v", got)
+	}
+}
+
+// observeRebuilt is Observe as it stood when it built a fresh prefix set
+// every cycle and swapped it in — the oracle for the in-place update.
+func observeRebuilt(rs *RouteStability, routes tables.RouteTable, at time.Time) {
+	rs.cycles++
+	cur := make(map[addr.Prefix]bool, len(routes))
+	for _, r := range routes {
+		cur[r.Prefix] = true
+		h := rs.byPrefix[r.Prefix]
+		if h == nil {
+			h = &prefixHistory{}
+			rs.byPrefix[r.Prefix] = h
+		}
+		h.present++
+		if !h.up {
+			h.up = true
+			h.currentSince = at.Add(-r.Uptime)
+		}
+	}
+	for p := range rs.last {
+		if !cur[p] {
+			h := rs.byPrefix[p]
+			if h != nil && h.up {
+				h.up = false
+				h.flaps++
+				h.lifetimes = append(h.lifetimes, at.Sub(h.currentSince))
+			}
+		}
+	}
+	rs.last = cur
+}
+
+// churningTables is a seeded run of route tables over a small prefix
+// pool: prefixes come, go, come back, and some rows repeat a prefix.
+func churningTables(seed int64, cycles int) []tables.RouteTable {
+	rng := sim.NewRNG(seed)
+	out := make([]tables.RouteTable, cycles)
+	for c := range out {
+		for i := 0; i < 40; i++ {
+			if rng.Intn(3) > 0 {
+				e := tables.RouteEntry{Prefix: addr.PrefixFrom(addr.V4(10, byte(i), 0, 0), 16), Uptime: time.Duration(rng.Intn(600)) * time.Second}
+				out[c] = append(out[c], e)
+				if rng.Intn(10) == 0 {
+					out[c] = append(out[c], e)
+				}
+			}
+		}
+	}
+	return out
+}
+
+func TestObserveInPlaceMatchesRebuiltSet(t *testing.T) {
+	got, want := NewRouteStability(), NewRouteStability()
+	at := sim.Epoch
+	for c, routes := range churningTables(11, 60) {
+		got.Observe(routes, at)
+		observeRebuilt(want, routes, at)
+		if g, w := encodeStability(t, got.ExportState()), encodeStability(t, want.ExportState()); !bytes.Equal(g, w) {
+			t.Fatalf("cycle %d: exported state differs from the rebuilt-set tracker", c)
+		}
+		at = at.Add(30 * time.Minute)
+	}
+	if got.Summary() != want.Summary() || got.Summary().TotalFlaps == 0 {
+		t.Fatalf("summary = %+v, want %+v with flaps", got.Summary(), want.Summary())
+	}
+}
+
+// TestExportStateReachableWithoutHistory: ExportState reads Last off the
+// sorted history keys; an imported state that lists a reachable prefix
+// with no history must still export it, in order.
+func TestExportStateReachableWithoutHistory(t *testing.T) {
+	in := &StabilityState{
+		Cycles:   3,
+		Last:     []addr.Prefix{addr.MustParsePrefix("9.0.0.0/8"), addr.MustParsePrefix("10.0.0.0/8"), addr.MustParsePrefix("12.0.0.0/8")},
+		Prefixes: []PrefixState{{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Present: 3, Up: true}},
+	}
+	out := StabilityFromState(in).ExportState()
+	if !bytes.Equal(encodeStability(t, out), encodeStability(t, in)) {
+		t.Fatalf("round trip = %+v, want %+v", out, in)
+	}
+	if empty := NewRouteStability().ExportState(); empty.Last != nil || empty.Prefixes != nil {
+		t.Errorf("empty tracker exports %+v, want nil slices", empty)
 	}
 }

@@ -9,6 +9,7 @@
 package process
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -211,18 +212,36 @@ type StabilityState struct {
 	Prefixes []PrefixState
 }
 
+// sortedPrefixes returns the keys of m in Prefix.Compare order.
+func sortedPrefixes[V any](m map[addr.Prefix]V) []addr.Prefix {
+	keys := make([]addr.Prefix, 0, len(m))
+	for p := range m {
+		keys = append(keys, p)
+	}
+	slices.SortFunc(keys, addr.Prefix.Compare)
+	return keys
+}
+
 // ExportState copies the tracker's accumulated state. Both slices are
 // sorted by prefix: the export gob-encodes straight into checkpoints, so
 // map-iteration order here would make checkpoint bytes differ run to run.
+// Only the 16-byte history keys are sorted; Last and Prefixes are both
+// emitted, into slices sized once, in one pass over that order.
 //
 //mantra:statetransfer component=stability seam=export
 func (rs *RouteStability) ExportState() *StabilityState {
 	st := &StabilityState{Cycles: rs.cycles}
-	for p := range rs.last {
-		st.Last = append(st.Last, p)
+	if len(rs.last) > 0 {
+		st.Last = make([]addr.Prefix, 0, len(rs.last))
 	}
-	sort.Slice(st.Last, func(i, j int) bool { return st.Last[i].Compare(st.Last[j]) < 0 })
-	for p, h := range rs.byPrefix {
+	if len(rs.byPrefix) > 0 {
+		st.Prefixes = make([]PrefixState, 0, len(rs.byPrefix))
+	}
+	for _, p := range sortedPrefixes(rs.byPrefix) {
+		if _, reachable := rs.last[p]; reachable {
+			st.Last = append(st.Last, p)
+		}
+		h := rs.byPrefix[p]
 		st.Prefixes = append(st.Prefixes, PrefixState{
 			Prefix:       p,
 			Present:      h.present,
@@ -232,7 +251,12 @@ func (rs *RouteStability) ExportState() *StabilityState {
 			Up:           h.up,
 		})
 	}
-	sort.Slice(st.Prefixes, func(i, j int) bool { return st.Prefixes[i].Prefix.Compare(st.Prefixes[j].Prefix) < 0 })
+	// Observe gives every reachable prefix a history, so the pass above
+	// met all of rs.last; only an imported state can list a prefix
+	// without one.
+	if len(st.Last) != len(rs.last) {
+		st.Last = sortedPrefixes(rs.last)
+	}
 	return st
 }
 
@@ -246,7 +270,7 @@ func StabilityFromState(st *StabilityState) *RouteStability {
 	}
 	rs.cycles = st.Cycles
 	for _, p := range st.Last {
-		rs.last[p] = true
+		rs.last[p] = rs.seen
 	}
 	for _, ps := range st.Prefixes {
 		rs.byPrefix[ps.Prefix] = &prefixHistory{

@@ -1,5 +1,5 @@
 // Package tables implements Mantra's Router-Table Processor: it maps
-// pre-processed raw router dumps onto the tool's local data format — the
+// raw router dumps onto the tool's local data format — the
 // four tables the paper defines (§III): the Pair table of (S,G) tuples,
 // the Participant table of hosts, the Session table of groups, and the
 // Route table of live routes.
@@ -11,10 +11,14 @@
 package tables
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/addr"
 	"repro/internal/core/collect"
@@ -133,224 +137,396 @@ type Snapshot struct {
 	MBGP   []MBGPEntry
 }
 
-// parseUptime parses the H:MM:SS uptime format.
+// parseUptime parses the H:MM:SS uptime format: three runs of decimal
+// digits, no signs, minutes and seconds at most 59.
 //
-//mantra:hotpath budget=2
+//mantra:hotpath
 func parseUptime(s string) (time.Duration, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return 0, fmt.Errorf("tables: malformed uptime %q", s)
+	var part [3]uint64
+	k, digits, ok := 0, 0, true
+	for i := 0; i < len(s) && ok; i++ {
+		if s[i] == ':' {
+			ok = digits > 0 && k < 2
+			k, digits = k+1, 0
+			continue
+		}
+		d := uint64(s[i] - '0')
+		if ok = d <= 9 && part[k] <= (math.MaxInt64-d)/10; ok {
+			part[k] = part[k]*10 + d
+			digits++
+		}
 	}
-	h, err1 := strconv.Atoi(parts[0])
-	m, err2 := strconv.Atoi(parts[1])
-	sec, err3 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil || err3 != nil || m > 59 || sec > 59 || h < 0 || m < 0 || sec < 0 {
-		return 0, fmt.Errorf("tables: malformed uptime %q", s)
+	if !ok || k != 2 || digits == 0 || part[1] > 59 || part[2] > 59 {
+		return 0, errors.New("tables: malformed uptime " + strconv.Quote(s))
 	}
-	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute + time.Duration(sec)*time.Second, nil
+	return time.Duration(part[0])*time.Hour + time.Duration(part[1])*time.Minute + time.Duration(part[2])*time.Second, nil
 }
 
-// headerCount extracts N from a "<title> - N entries"-style header line.
-func headerCount(line string) (int, bool) {
-	i := strings.LastIndex(line, "- ")
-	if i < 0 {
+// maxFields is how many fields of a line are split at a time. It is
+// wider than every fixed-width row (the forwarding table's eight
+// columns), so for those the field count alone tells a well-formed row;
+// only an MBGP AS path or a garbled line runs past it.
+const maxFields = 16
+
+// minRowBytes is shorter than any row of any table, so a dump of n bytes
+// holds fewer than n/minRowBytes rows whatever its header claims.
+const minRowBytes = 16
+
+// scan is one pass over a dump: the bytes not yet read, the current line
+// cut into white-space-separated fields — substrings of the dump, nothing
+// copied — and what a table's rows share from one line to the next.
+type scan struct {
+	// rest is the dump after the current line.
+	rest string
+	// line is the current line as captured, for error messages.
+	line string
+	// f[:n] are the line's first fields and more is the rest of a line
+	// that has others, still unsplit.
+	f    [maxFields]string
+	n    int
+	more string
+	// as is the backing array the MBGP table's AS paths are cut from.
+	as []int
+	// flags are the distinct flag strings the Pair table has kept so far.
+	flags  [8]string
+	nflags int
+}
+
+// internFlags returns a copy of s that does not alias the dump. A kept
+// substring would pin the whole dump for as long as the delta log holds
+// the entry; a table has a handful of distinct flag strings, so all but
+// the first row with each share one copy.
+func (r *scan) internFlags(s string) string {
+	for _, have := range r.flags[:r.nflags] {
+		if have == s {
+			return have
+		}
+	}
+	s = strings.Clone(s)
+	if r.nflags < len(r.flags) {
+		r.flags[r.nflags] = s
+		r.nflags++
+	}
+	return s
+}
+
+// splitFields cuts the leading fields of s into f, as strings.Fields
+// would — white space is unicode.IsSpace, invalid UTF-8 is one non-space
+// byte at a time — and returns how many it cut and what is left once f
+// is full ("" when s had no more than len(f) fields).
+func splitFields(s string, f *[maxFields]string) (n int, more string) {
+	start := -1 // where the field being read began; -1 between fields
+	for i := 0; i < len(s); {
+		c := s[i]
+		space, w := c == ' ' || c-'\t' < 5, 1 // \t \n \v \f \r
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			space, w = unicode.IsSpace(r), size
+		}
+		switch {
+		case space && start >= 0:
+			f[n] = s[start:i]
+			n++
+			start = -1
+		case !space && start < 0:
+			if n == len(f) {
+				return n, s[i:]
+			}
+			start = i
+		}
+		i += w
+	}
+	if start >= 0 {
+		f[n] = s[start:]
+		n++
+	}
+	return n, ""
+}
+
+// joined is the line as collect.Preprocess would have handed it over:
+// trimmed, with every run of white space collapsed to one space. Only
+// error messages need it.
+func (r *scan) joined() string { return strings.Join(strings.Fields(r.line), " ") }
+
+// hasPrefix reports whether the joined line starts with prefix, without
+// joining it. prefix has fewer than maxFields words.
+func (r *scan) hasPrefix(prefix string) bool {
+	for i, w := range r.f[:r.n] {
+		if i > 0 {
+			if prefix == "" {
+				return true
+			}
+			if prefix[0] != ' ' {
+				return false
+			}
+			prefix = prefix[1:]
+		}
+		if len(prefix) <= len(w) {
+			return strings.HasPrefix(w, prefix)
+		}
+		if !strings.HasPrefix(prefix, w) {
+			return false
+		}
+		prefix = prefix[len(w):]
+	}
+	return prefix == ""
+}
+
+// headerCount extracts N from a "<title> - N entries"-style header line:
+// the field after the last field that ends in a dash.
+func (r *scan) headerCount() (int, bool) {
+	count, dash := "", false
+	f, n, more := r.f, r.n, r.more
+	for {
+		for _, w := range f[:n] {
+			if dash {
+				count = w
+			}
+			dash = w[len(w)-1] == '-'
+		}
+		if more == "" {
+			break
+		}
+		n, more = splitFields(more, &f)
+	}
+	if count == "" {
 		return 0, false
 	}
-	fields := strings.Fields(line[i+2:])
-	if len(fields) < 1 {
+	v, err := strconv.Atoi(count)
+	return v, err == nil
+}
+
+// next moves to the dump's next line that is neither blank nor a "%" CLI
+// error remnant, and reports whether there was one.
+func (r *scan) next() bool {
+	for r.rest != "" {
+		r.line, r.rest, _ = strings.Cut(r.rest, "\n")
+		r.n, r.more = splitFields(r.line, &r.f)
+		if r.n > 0 && r.f[0][0] != '%' {
+			return true
+		}
+	}
+	return false
+}
+
+// declaredCount is the header count of a dump's first line.
+func declaredCount(raw string) (int, bool) {
+	first := scan{rest: raw}
+	if !first.next() {
 		return 0, false
 	}
-	n, err := strconv.Atoi(fields[0])
-	return n, err == nil
+	return first.headerCount()
+}
+
+// table is one dump layout: the prefixes of its title and column-header
+// lines, which are skipped wherever they appear, and the parser every
+// other line goes through.
+type table[E any] struct {
+	title, columns string
+	row            func(*scan) (E, error)
+}
+
+var (
+	routeTable = table[RouteEntry]{"DVMRP Routing Table", "Origin-Subnet", routeRow}
+	pairTable  = table[PairEntry]{"IP Multicast Forwarding Table", "Source ", pairRow}
+	igmpTable  = table[IGMPEntry]{"IGMP Group Membership", "Group ", igmpRow}
+	saTable    = table[SAEntry]{"MSDP Source-Active Cache", "Source ", saRow}
+	mbgpTable  = table[MBGPEntry]{"MBGP Table", "Network ", mbgpRow}
+)
+
+// parse maps a raw dump to its table in one pass. The first line's
+// declared entry count sizes the table before the first row is kept,
+// capped by what the dump's length could hold.
+//
+//mantra:hotpath budget=2
+func (t table[E]) parse(raw string) ([]E, error) {
+	most := len(raw) / minRowBytes
+	var out []E
+	r := scan{rest: raw}
+	for first := true; r.next(); first = false {
+		if first {
+			if n, ok := r.headerCount(); ok && n < most {
+				most = n
+			}
+		}
+		if r.hasPrefix(t.title) || r.hasPrefix(t.columns) {
+			continue
+		}
+		e, err := t.row(&r)
+		if err != nil {
+			return nil, err
+		}
+		if out == nil && most > 0 {
+			out = make([]E, 0, most)
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// routeRow parses one `show ip dvmrp route` row.
+//
+//mantra:hotpath budget=2
+func routeRow(r *scan) (RouteEntry, error) {
+	var e RouteEntry
+	if r.n != 4 {
+		return e, fmt.Errorf("tables: dvmrp row %q has %d fields", r.joined(), r.n+len(strings.Fields(r.more)))
+	}
+	var err error
+	if e.Prefix, err = addr.ParsePrefix(r.f[0]); err != nil {
+		return e, err
+	}
+	if r.f[1] == "local" {
+		e.Local = true
+	} else if e.Gateway, err = addr.Parse(r.f[1]); err != nil {
+		return e, err
+	}
+	if e.Metric, err = strconv.Atoi(r.f[2]); err != nil {
+		return e, fmt.Errorf("tables: dvmrp metric %q", r.f[2])
+	}
+	e.Uptime, err = parseUptime(r.f[3])
+	return e, err
+}
+
+// pairRow parses one `show ip mroute` row.
+//
+//mantra:hotpath budget=3
+func pairRow(r *scan) (PairEntry, error) {
+	var e PairEntry
+	if r.n != 8 {
+		return e, fmt.Errorf("tables: mroute row %q has %d fields", r.joined(), r.n+len(strings.Fields(r.more)))
+	}
+	var err error
+	if e.Source, err = addr.Parse(r.f[0]); err != nil {
+		return e, err
+	}
+	if e.Group, err = addr.Parse(r.f[1]); err != nil {
+		return e, err
+	}
+	e.Flags = r.internFlags(r.f[2])
+	if e.RateKbps, err = strconv.ParseFloat(r.f[5], 64); err != nil {
+		return e, fmt.Errorf("tables: mroute rate %q", r.f[5])
+	}
+	if e.Packets, err = strconv.ParseUint(r.f[6], 10, 64); err != nil {
+		return e, fmt.Errorf("tables: mroute packets %q", r.f[6])
+	}
+	e.Uptime, err = parseUptime(r.f[7])
+	return e, err
+}
+
+// igmpRow parses one `show ip igmp groups` row.
+//
+//mantra:hotpath budget=1
+func igmpRow(r *scan) (IGMPEntry, error) {
+	var e IGMPEntry
+	if r.n != 3 {
+		return e, fmt.Errorf("tables: igmp row %q", r.joined())
+	}
+	var err error
+	if e.Group, err = addr.Parse(r.f[0]); err != nil {
+		return e, err
+	}
+	if e.Host, err = addr.Parse(r.f[1]); err != nil {
+		return e, err
+	}
+	e.Uptime, err = parseUptime(r.f[2])
+	return e, err
+}
+
+// saRow parses one `show ip msdp sa-cache` row.
+//
+//mantra:hotpath budget=1
+func saRow(r *scan) (SAEntry, error) {
+	var e SAEntry
+	if r.n != 4 {
+		return e, fmt.Errorf("tables: msdp row %q", r.joined())
+	}
+	var err error
+	if e.Source, err = addr.Parse(r.f[0]); err != nil {
+		return e, err
+	}
+	if e.Group, err = addr.Parse(r.f[1]); err != nil {
+		return e, err
+	}
+	if r.f[2] != "-" {
+		if e.OriginRP, err = addr.Parse(r.f[2]); err != nil {
+			return e, err
+		}
+	}
+	e.Uptime, err = parseUptime(r.f[3])
+	return e, err
+}
+
+// mbgpRow parses one `show ip mbgp` row. The AS path is appended to the
+// table's one backing array and sub-sliced from it, capacity clipped so
+// an append to one path cannot run into the next.
+//
+//mantra:hotpath budget=3
+func mbgpRow(r *scan) (MBGPEntry, error) {
+	var e MBGPEntry
+	if r.n < 4 {
+		return e, fmt.Errorf("tables: mbgp row %q", r.joined())
+	}
+	var err error
+	if e.Prefix, err = addr.ParsePrefix(r.f[0]); err != nil {
+		return e, err
+	}
+	if r.f[1] == "local" {
+		e.Local = true
+	} else if e.NextHop, err = addr.Parse(r.f[1]); err != nil {
+		return e, err
+	}
+	if e.Uptime, err = parseUptime(r.f[2]); err != nil {
+		return e, err
+	}
+	start := len(r.as)
+	for path, more := r.f[3:r.n], r.more; ; {
+		for _, as := range path {
+			v, err := strconv.Atoi(as)
+			if err != nil {
+				return e, fmt.Errorf("tables: mbgp AS %q", as)
+			}
+			r.as = append(r.as, v)
+		}
+		if more == "" {
+			break
+		}
+		r.n, more = splitFields(more, &r.f)
+		path = r.f[:r.n]
+	}
+	e.ASPath = r.as[start:len(r.as):len(r.as)]
+	return e, nil
 }
 
 // ParseDVMRPRoutes maps a pre-processed `show ip dvmrp route` dump to the
 // Route table.
-//
-//mantra:hotpath budget=4
 func ParseDVMRPRoutes(lines []string) (RouteTable, error) {
-	var out RouteTable
-	for _, line := range lines {
-		if strings.HasPrefix(line, "DVMRP Routing Table") || strings.HasPrefix(line, "Origin-Subnet") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			return nil, fmt.Errorf("tables: dvmrp row %q has %d fields", line, len(f))
-		}
-		p, err := addr.ParsePrefix(f[0])
-		if err != nil {
-			return nil, err
-		}
-		e := RouteEntry{Prefix: p}
-		if f[1] == "local" {
-			e.Local = true
-		} else {
-			gw, err := addr.Parse(f[1])
-			if err != nil {
-				return nil, err
-			}
-			e.Gateway = gw
-		}
-		if e.Metric, err = strconv.Atoi(f[2]); err != nil {
-			return nil, fmt.Errorf("tables: dvmrp metric %q", f[2])
-		}
-		if e.Uptime, err = parseUptime(f[3]); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	return routeTable.parse(strings.Join(lines, "\n"))
 }
 
 // ParseMroute maps a pre-processed `show ip mroute` dump to the Pair table.
-//
-//mantra:hotpath budget=5
 func ParseMroute(lines []string) (PairTable, error) {
-	var out PairTable
-	for _, line := range lines {
-		if strings.HasPrefix(line, "IP Multicast Forwarding Table") || strings.HasPrefix(line, "Source ") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 8 {
-			return nil, fmt.Errorf("tables: mroute row %q has %d fields", line, len(f))
-		}
-		src, err := addr.Parse(f[0])
-		if err != nil {
-			return nil, err
-		}
-		grp, err := addr.Parse(f[1])
-		if err != nil {
-			return nil, err
-		}
-		rate, err := strconv.ParseFloat(f[5], 64)
-		if err != nil {
-			return nil, fmt.Errorf("tables: mroute rate %q", f[5])
-		}
-		pkts, err := strconv.ParseUint(f[6], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("tables: mroute packets %q", f[6])
-		}
-		up, err := parseUptime(f[7])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PairEntry{
-			Source: src, Group: grp, Flags: f[2],
-			RateKbps: rate, Packets: pkts, Uptime: up,
-		})
-	}
-	return out, nil
+	return pairTable.parse(strings.Join(lines, "\n"))
 }
 
 // ParseIGMP maps a pre-processed `show ip igmp groups` dump.
-//
-//mantra:hotpath budget=3
 func ParseIGMP(lines []string) ([]IGMPEntry, error) {
-	var out []IGMPEntry
-	for _, line := range lines {
-		if strings.HasPrefix(line, "IGMP Group Membership") || strings.HasPrefix(line, "Group ") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 3 {
-			return nil, fmt.Errorf("tables: igmp row %q", line)
-		}
-		g, err := addr.Parse(f[0])
-		if err != nil {
-			return nil, err
-		}
-		h, err := addr.Parse(f[1])
-		if err != nil {
-			return nil, err
-		}
-		up, err := parseUptime(f[2])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, IGMPEntry{Group: g, Host: h, Uptime: up})
-	}
-	return out, nil
+	return igmpTable.parse(strings.Join(lines, "\n"))
 }
 
 // ParseMSDP maps a pre-processed `show ip msdp sa-cache` dump.
-//
-//mantra:hotpath budget=3
 func ParseMSDP(lines []string) ([]SAEntry, error) {
-	var out []SAEntry
-	for _, line := range lines {
-		if strings.HasPrefix(line, "MSDP Source-Active Cache") || strings.HasPrefix(line, "Source ") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			return nil, fmt.Errorf("tables: msdp row %q", line)
-		}
-		s, err := addr.Parse(f[0])
-		if err != nil {
-			return nil, err
-		}
-		g, err := addr.Parse(f[1])
-		if err != nil {
-			return nil, err
-		}
-		var rp addr.IP
-		if f[2] != "-" {
-			if rp, err = addr.Parse(f[2]); err != nil {
-				return nil, err
-			}
-		}
-		up, err := parseUptime(f[3])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SAEntry{Source: s, Group: g, OriginRP: rp, Uptime: up})
-	}
-	return out, nil
+	return saTable.parse(strings.Join(lines, "\n"))
 }
 
 // ParseMBGP maps a pre-processed `show ip mbgp` dump.
-//
-//mantra:hotpath budget=5
 func ParseMBGP(lines []string) ([]MBGPEntry, error) {
-	var out []MBGPEntry
-	for _, line := range lines {
-		if strings.HasPrefix(line, "MBGP Table") || strings.HasPrefix(line, "Network ") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 4 {
-			return nil, fmt.Errorf("tables: mbgp row %q", line)
-		}
-		p, err := addr.ParsePrefix(f[0])
-		if err != nil {
-			return nil, err
-		}
-		e := MBGPEntry{Prefix: p}
-		if f[1] == "local" {
-			e.Local = true
-		} else if e.NextHop, err = addr.Parse(f[1]); err != nil {
-			return nil, err
-		}
-		if e.Uptime, err = parseUptime(f[2]); err != nil {
-			return nil, err
-		}
-		for _, as := range f[3:] {
-			v, err := strconv.Atoi(as)
-			if err != nil {
-				return nil, fmt.Errorf("tables: mbgp AS %q", as)
-			}
-			e.ASPath = append(e.ASPath, v)
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	return mbgpTable.parse(strings.Join(lines, "\n"))
 }
 
-// BuildSnapshot assembles one router's cycle snapshot from its dumps,
-// dispatching each dump to the right parser by command. Unknown commands
-// are skipped. Every dump must share the target and timestamp.
+// BuildSnapshot assembles one router's cycle snapshot from its raw
+// dumps, scanning each once into the table its command names. Unknown
+// commands are skipped. Every dump must share the target and timestamp.
 //
 //mantra:hotpath budget=4
 func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
@@ -362,19 +538,18 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 		if d.Target != sn.Target {
 			return nil, fmt.Errorf("tables: mixed targets %q and %q", sn.Target, d.Target)
 		}
-		lines := collect.Preprocess(d.Raw)
 		var err error
 		switch d.Command {
 		case "show ip dvmrp route":
-			sn.Routes, err = ParseDVMRPRoutes(lines)
+			sn.Routes, err = routeTable.parse(d.Raw)
 		case "show ip mroute":
-			sn.Pairs, err = ParseMroute(lines)
+			sn.Pairs, err = pairTable.parse(d.Raw)
 		case "show ip igmp groups":
-			sn.IGMP, err = ParseIGMP(lines)
+			sn.IGMP, err = igmpTable.parse(d.Raw)
 		case "show ip msdp sa-cache":
-			sn.SAs, err = ParseMSDP(lines)
+			sn.SAs, err = saTable.parse(d.Raw)
 		case "show ip mbgp":
-			sn.MBGP, err = ParseMBGP(lines)
+			sn.MBGP, err = mbgpTable.parse(d.Raw)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tables: %s %q: %w", d.Target, d.Command, err)
@@ -382,16 +557,10 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 	}
 	// Integrity check: the dump headers announce entry counts; a
 	// mismatch means a truncated capture (a dropped telnet session was
-	// a real failure mode for expect-driven collection).
+	// a real failure mode for expect-driven collection). It runs after
+	// every dump has parsed, so a malformed row anywhere is reported
+	// ahead of a short table, and re-reads only each dump's first line.
 	for _, d := range dumps {
-		lines := collect.Preprocess(d.Raw)
-		if len(lines) == 0 {
-			continue
-		}
-		want, ok := headerCount(lines[0])
-		if !ok {
-			continue
-		}
 		var got int
 		switch d.Command {
 		case "show ip dvmrp route":
@@ -405,7 +574,7 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 		default:
 			continue
 		}
-		if got != want {
+		if want, ok := declaredCount(d.Raw); ok && got != want {
 			return nil, fmt.Errorf("tables: %s %q truncated: header says %d entries, parsed %d",
 				d.Target, d.Command, want, got)
 		}

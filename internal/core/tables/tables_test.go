@@ -47,6 +47,12 @@ func TestParseDVMRPRoutesMalformed(t *testing.T) {
 		"1.2.3.4/8 gw 1",                // short row
 		"1.2.3.300/8 gw 1 0:00:00",      // bad prefix
 		"1.0.0.0/8 999.1.1.1 1 0:00:00", // bad gateway
+		// Signed numerals: strconv.Atoi took these, so a garbled row
+		// could be logged as a real route.
+		"1.0.0.0/8 1.1.1.1 1 0:+5:07",  // signed uptime part
+		"1.0.0.0/8 1.1.1.1 1 -0:05:07", // signed hours
+		"1.0.0.0/+8 1.1.1.1 1 0:05:07", // signed prefix length
+		"1.0.0.0/8 +1.1.1.1 1 0:05:07", // signed octet
 	} {
 		if _, err := tables.ParseDVMRPRoutes(pre(raw)); err == nil {
 			t.Errorf("parse of %q succeeded", raw)

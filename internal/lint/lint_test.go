@@ -351,6 +351,7 @@ func TestHotRootsPinned(t *testing.T) {
 	}
 	want := []string{
 		"(*repro/internal/core/collect.Collector).Collect",
+		"(*repro/internal/core/collect.Session).Run",
 		"(*repro/internal/core/collect.Session).readUntil",
 		"(*repro/internal/core/collect.Session).send",
 		"(*repro/internal/core/cycle.Core).stageCollect",
@@ -365,6 +366,7 @@ func TestHotRootsPinned(t *testing.T) {
 		"(*repro/internal/core/process.RouteStability).Observe",
 		"(*repro/internal/core/tsdb.Store).Append",
 		"(*repro/internal/core/tsdb.dirWriter).openSegment",
+		"(repro/internal/core/tables.table[E]).parse",
 		"repro/internal/addr.Parse",
 		"repro/internal/addr.ParsePrefix",
 		"repro/internal/core/collect.CollectAll",
@@ -374,12 +376,12 @@ func TestHotRootsPinned(t *testing.T) {
 		"repro/internal/core/logger.encodePayload",
 		"repro/internal/core/logger.segmentName",
 		"repro/internal/core/tables.BuildSnapshot",
-		"repro/internal/core/tables.ParseDVMRPRoutes",
-		"repro/internal/core/tables.ParseIGMP",
-		"repro/internal/core/tables.ParseMBGP",
-		"repro/internal/core/tables.ParseMSDP",
-		"repro/internal/core/tables.ParseMroute",
+		"repro/internal/core/tables.igmpRow",
+		"repro/internal/core/tables.mbgpRow",
+		"repro/internal/core/tables.pairRow",
 		"repro/internal/core/tables.parseUptime",
+		"repro/internal/core/tables.routeRow",
+		"repro/internal/core/tables.saRow",
 		"repro/internal/core/tsdb.segmentPath",
 	}
 	got := HotRoots(sums)
