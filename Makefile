@@ -108,14 +108,17 @@ bench-json:
 
 # Short fuzz passes over the dump validator, the pre-processor, the
 # one-pass table scanner and the address scanners (each against the
-# implementation it replaced: equal results, equal error text), and the
-# lint fact-summary extractor (no panics; byte-identical summaries
-# across independent parse/check passes).
+# implementation it replaced: equal results, equal error text), the
+# stability tracker replayed from delta-log records against the one that
+# observed every table (what a shard handoff relies on), and the lint
+# fact-summary extractor (no panics; byte-identical summaries across
+# independent parse/check passes).
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
 	$(GO) test ./internal/core/tables -fuzz FuzzBuildSnapshot -fuzztime 30s
 	$(GO) test ./internal/addr -fuzz FuzzParse -fuzztime 30s
+	$(GO) test ./internal/core/cycle -fuzz FuzzStabilityFromRecords -fuzztime 30s
 	$(GO) test ./internal/lint -fuzz FuzzSummaryExtract -fuzztime 30s
 
 # The chaos suite under the race detector with shuffled test order: the

@@ -12,6 +12,7 @@ package mantra_test
 // slice) trips the gate.
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -19,8 +20,11 @@ import (
 	"time"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/cycle"
+	"repro/internal/core/engine"
 	"repro/internal/core/logger"
 	"repro/internal/core/tables"
+	"repro/internal/core/tsdb"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -176,6 +180,95 @@ func TestCollectAllAllocBytes(t *testing.T) {
 		t.Errorf("CollectAll allocated %d bytes for %d bytes of dumps, gate is %d", least, dumpBytes, gate)
 	}
 	t.Logf("CollectAll: %d bytes allocated for %d bytes of dumps", least, dumpBytes)
+}
+
+// dvmrpRouteDump renders a DVMRP route table of n routes that have all
+// been up for uptime, in the format router.showDVMRPRoute emits.
+func dvmrpRouteDump(n int, uptime time.Duration) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, "DVMRP Routing Table - %d entries\n", n)
+	b.WriteString("Origin-Subnet       From-Gateway     Metric  Uptime\n")
+	secs := int64(uptime / time.Second)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%-19s %-16s %-7d %d:%02d:%02d\n",
+			fmt.Sprintf("10.%d.%d.0/24", i/256, i%256), "192.168.0.1", 3, secs/3600, secs/60%60, secs%60)
+	}
+	return []byte(b.String())
+}
+
+// TestWorkerCheckpointAllocBytes bounds what a shard worker's per-cycle
+// checkpoint (cycle.Core.Export) allocates. The checkpoint carries only
+// what cannot be derived from the rest of it, so its cost must depend
+// neither on the size of the target's route table nor, once the series
+// rings have filled, on how many cycles have been logged. (It used to
+// copy the stability tracker, the route set and the whole delta log:
+// about a hundred times more for the large target than for the small
+// one, and more every cycle.) The two cycles compared for history are
+// one tsdb block apart: the store's export copies each series' open
+// head, which grows to tsdb.BlockPoints and starts over, so only cycles
+// at the same point of that sawtooth compare like with like. Each
+// figure is the least of several exports, as in
+// TestCollectAllAllocBytes.
+func TestWorkerCheckpointAllocBytes(t *testing.T) {
+	const routeCmd = "show ip dvmrp route"
+	dumps := gateDumps(t)
+	sizes := map[string]int{"large": 4000, "small": 40}
+	routers := make(map[string]cannedRouter)
+	var targets []collect.Target
+	for _, name := range []string{"large", "small"} {
+		r := cannedRouter{prompt: []byte(name + "> "), out: make(map[string][]byte)}
+		for _, d := range dumps {
+			r.out[d.Command] = []byte(d.Raw)
+		}
+		routers[name] = r
+		targets = append(targets, collect.Target{Name: name, Dialer: collect.PipeDialer{Router: r}, Prompt: name + "> ", Timeout: 5 * time.Second})
+	}
+	core := cycle.New(collect.DefaultPolicy(), collect.StandardCommands, nil)
+	core.Proc.SetSeriesRetain(16)
+
+	exportBytes := func(at time.Time, tgt collect.Target) uint64 {
+		least := ^uint64(0)
+		for run := 0; run < 4; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ck := core.Export(at, []collect.Target{tgt})
+			runtime.ReadMemStats(&after)
+			if len(ck.Logs[tgt.Name].Records) == 0 || ck.Latest[tgt.Name] == nil || ck.Proc[tgt.Name] == nil {
+				t.Fatalf("%s: checkpoint is missing state: %+v", tgt.Name, ck)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+
+	const early, late = 20, 20 + tsdb.BlockPoints
+	var largeEarly uint64
+	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+	for c := 1; c <= late; c++ {
+		at = at.Add(30 * time.Minute)
+		for name, r := range routers {
+			r.out[routeCmd] = dvmrpRouteDump(sizes[name], time.Duration(c)*30*time.Minute)
+		}
+		items, _, _ := core.Run(at, targets, engine.Options{Concurrency: 1})
+		for _, it := range items {
+			if it.Failed() || len(it.Snapshot.Routes) != sizes[it.Target.Name] {
+				t.Fatalf("cycle %d: %s did not collect its %d routes: %v", c, it.Target.Name, sizes[it.Target.Name], it.Res.Err)
+			}
+		}
+		if c != early && c != late {
+			continue
+		}
+		large, small := exportBytes(at, targets[0]), exportBytes(at, targets[1])
+		t.Logf("cycle %d: Export allocates %d bytes for the 4000-route target, %d for the 40-route one", c, large, small)
+		if gate := small*5/4 + 4<<10; large > gate {
+			t.Errorf("cycle %d: Export allocated %d bytes for the 4000-route target and %d for the 40-route one; gate is %d — the checkpoint scales with table size", c, large, small, gate)
+		}
+		if c == early {
+			largeEarly = large
+		} else if gate := largeEarly * 5 / 4; large > gate {
+			t.Errorf("Export allocated %d bytes at cycle %d and %d at cycle %d; gate is %d — the checkpoint scales with history length", large, late, largeEarly, early, gate)
+		}
+	}
 }
 
 // TestLoggerAppendSteadyStateAllocs pins logger.Append's steady state:

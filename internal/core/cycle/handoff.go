@@ -13,11 +13,17 @@ import (
 // shard handoff moves targets through. AsOf records, per target, the
 // last cycle stamp the exported state accounts for — later recorded
 // cycles are the target's blind window.
+//
+// A worker takes one after every cycle and it is read only when the
+// worker dies, so it carries only what the rest of it does not
+// determine, at a cost independent of table size and history length:
+// Logs is a view of the append-only delta log, Latest a pointer. The
+// route-stability tracker and the processor's route set are derived at
+// import — from Logs' records and from Latest's table.
 type Checkpoint struct {
 	AsOf   map[string]time.Time
 	Proc   map[string]*process.TargetState
 	Logs   map[string]logger.TargetState
-	Stab   map[string]*process.StabilityState
 	Health map[string]collect.TargetHealth
 	Latest map[string]*tables.Snapshot
 }
@@ -28,7 +34,6 @@ func NewCheckpoint() *Checkpoint {
 		AsOf:   make(map[string]time.Time),
 		Proc:   make(map[string]*process.TargetState),
 		Logs:   make(map[string]logger.TargetState),
-		Stab:   make(map[string]*process.StabilityState),
 		Health: make(map[string]collect.TargetHealth),
 		Latest: make(map[string]*tables.Snapshot),
 	}
@@ -41,7 +46,6 @@ func (ck *Checkpoint) Merge(name string, one *Checkpoint) {
 	ck.AsOf[name] = one.AsOf[name]
 	splice(ck.Proc, one.Proc, name)
 	splice(ck.Logs, one.Logs, name)
-	splice(ck.Stab, one.Stab, name)
 	splice(ck.Health, one.Health, name)
 	splice(ck.Latest, one.Latest, name)
 }
@@ -71,9 +75,6 @@ func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
 		if ts, ok := c.Log.ExportTarget(name); ok {
 			ck.Logs[name] = ts
 		}
-		if rs := c.Engine.Stability(name); rs != nil {
-			ck.Stab[name] = rs.ExportState()
-		}
 		if h, ok := c.Collector.TargetHealth(name); ok {
 			ck.Health[name] = h
 		}
@@ -86,19 +87,18 @@ func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
 
 // ImportTarget splices one target's checkpointed state into this core —
 // the receiving side of a handoff. now anchors the restored breaker's
-// cooldown.
+// cooldown. The import is O(history): the logger replays every record to
+// rebuild its materialised tables, and the stability tracker is rebuilt
+// from the same records.
 //
 //mantra:statetransfer root=handoff-import
 func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
-	c.Proc.ImportTarget(name, ck.Proc[name])
-	if ts, ok := ck.Logs[name]; ok {
+	c.Proc.ImportTarget(name, ck.Proc[name], ck.Latest[name])
+	ts, ok := ck.Logs[name]
+	if ok {
 		c.Log.ImportTarget(name, ts)
 	}
-	if st, ok := ck.Stab[name]; ok {
-		c.Engine.SetStability(name, process.StabilityFromState(st))
-	} else {
-		c.Engine.SetStability(name, nil)
-	}
+	c.Engine.SetStability(name, stabilityFromRecords(ts.Records))
 	c.Collector.ResetTarget(name)
 	if h, ok := ck.Health[name]; ok {
 		c.Collector.RestoreHealth(h, now)
@@ -113,8 +113,24 @@ func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
 //
 //mantra:statetransfer root=handoff-remove
 func (c *Core) RemoveTarget(name string) {
-	c.Proc.ImportTarget(name, nil)
+	c.Proc.ImportTarget(name, nil, nil)
 	c.Engine.SetStability(name, nil)
 	c.Engine.SetLatest(name, nil)
 	c.Collector.ResetTarget(name)
+}
+
+// stabilityFromRecords rebuilds a target's route-stability tracker from
+// its delta-log records: every successful cycle appended one record and
+// observed one table, so replaying the records' route deltas yields the
+// tracker the exporter held. No records means no successful cycle, and
+// no tracker.
+func stabilityFromRecords(recs []logger.CycleRecord) *process.RouteStability {
+	if len(recs) == 0 {
+		return nil
+	}
+	rs := process.NewRouteStability()
+	for i := range recs {
+		rs.ObserveDelta(recs[i].At, recs[i].Routes.Upserted, recs[i].Routes.Removed)
+	}
+	return rs
 }

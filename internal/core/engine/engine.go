@@ -189,8 +189,6 @@ func (e *Engine) SetLatest(name string, sn *tables.Snapshot) {
 
 // Stability returns a target's route-stability tracker, or nil before
 // its first successful cycle.
-//
-//mantra:statetransfer component=engine seam=export
 func (e *Engine) Stability(name string) *process.RouteStability {
 	e.mu.Lock()
 	defer e.mu.Unlock()

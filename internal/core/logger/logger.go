@@ -430,8 +430,13 @@ func FromState(st *State) *Logger {
 
 // ExportTarget captures one target's serialized history — the shard
 // handoff transfer unit — or false if the logger has never seen it.
-// Slices are copied: the export must stay stable while the exporting
-// shard keeps appending.
+// The history is append-only, so the export is a view of it, not a
+// copy: the slices are clipped to their length, a later Append or
+// MarkGap on this logger lands beyond them (in place or in a regrown
+// array) and never inside, and an append to the view reallocates
+// instead of writing into the live log. The export therefore stays
+// stable while the exporting shard keeps appending, at a cost
+// independent of how long the history is.
 //
 //mantra:statetransfer component=logger seam=export
 func (l *Logger) ExportTarget(name string) (TargetState, bool) {
@@ -439,9 +444,10 @@ func (l *Logger) ExportTarget(name string) (TargetState, bool) {
 	if tl == nil {
 		return TargetState{}, false
 	}
+	nr, ng := len(tl.Records), len(tl.gaps)
 	return TargetState{
-		Records:     append([]CycleRecord(nil), tl.Records...),
-		Gaps:        append([]GapMark(nil), tl.gaps...),
+		Records:     tl.Records[:nr:nr],
+		Gaps:        tl.gaps[:ng:ng],
 		FullEntries: tl.fullEntries,
 	}, true
 }

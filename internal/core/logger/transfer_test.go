@@ -71,8 +71,8 @@ func TestLoggerExportImportTarget(t *testing.T) {
 		t.Fatalf("post-handoff delta diverged:\nsrc %+v\ndst %+v", recSrc, recDst)
 	}
 
-	// The export is a copy: mutating the source afterwards must not
-	// bleed into an import taken earlier.
+	// The export is a fixed view: the source growing afterwards must
+	// not bleed into an import taken earlier.
 	if len(ts.Records) != 2 {
 		t.Errorf("export grew with the source: %d records", len(ts.Records))
 	}
@@ -80,5 +80,56 @@ func TestLoggerExportImportTarget(t *testing.T) {
 	dst.ImportTarget("fixw", ts)
 	if dst.Cycles("fixw") != 2 {
 		t.Errorf("re-import cycles = %d, want 2", dst.Cycles("fixw"))
+	}
+}
+
+// TestExportTargetIsAStableView: ExportTarget hands out the append-only
+// history itself, clipped to its length, not a copy. The torn-cycle
+// fence depends on two things: what the exporter appends afterwards
+// lands beyond the view, and what anyone appends to the view never
+// lands in the exporter's log.
+func TestExportTargetIsAStableView(t *testing.T) {
+	l := New()
+	at := sim.Epoch
+	for i := 0; i < 5; i++ {
+		l.Append(snapFor("fixw", at, nil, tables.RouteTable{route("10.0.0.0/8", i+1)}))
+		l.MarkGap("fixw", at.Add(time.Minute), "dial timeout")
+		at = at.Add(time.Hour)
+	}
+	tl := l.targets["fixw"]
+	if cap(tl.Records) == len(tl.Records) || cap(tl.gaps) == len(tl.gaps) {
+		t.Fatalf("setup: the live slices have no spare capacity (%d/%d records, %d/%d gaps), so an in-place append cannot be told from a regrown one",
+			len(tl.Records), cap(tl.Records), len(tl.gaps), cap(tl.gaps))
+	}
+
+	view, _ := l.ExportTarget("fixw")
+	if &view.Records[0] != &tl.Records[0] || &view.Gaps[0] != &tl.gaps[0] {
+		t.Error("export copied the history instead of viewing it")
+	}
+	frozen := TargetState{
+		Records:     append([]CycleRecord(nil), view.Records...),
+		Gaps:        append([]GapMark(nil), view.Gaps...),
+		FullEntries: view.FullEntries,
+	}
+
+	// The exporter keeps going — a torn cycle, in the handoff's terms.
+	torn := l.Append(snapFor("fixw", at, nil, tables.RouteTable{route("11.0.0.0/8", 1)}))
+	l.MarkGap("fixw", at.Add(time.Minute), "torn")
+	if !reflect.DeepEqual(view, frozen) {
+		t.Errorf("the exporter's later append changed the exported view:\ngot  %+v\nwant %+v", view, frozen)
+	}
+
+	// An importer appending to the view reallocates; the exporter's
+	// sixth record and gap stay what it wrote.
+	grownR := append(view.Records, CycleRecord{At: at, SACache: 99})
+	grownG := append(view.Gaps, GapMark{At: at, Reason: "importer"})
+	if rec, _ := l.Record("fixw", 5); !reflect.DeepEqual(rec, torn) {
+		t.Errorf("appending to the view overwrote the live log's next record: %+v", rec)
+	}
+	if g := l.Gaps("fixw"); g[5].Reason != "torn" {
+		t.Errorf("appending to the view overwrote the live log's next gap: %+v", g[5])
+	}
+	if grownR[5].SACache != 99 || grownG[5].Reason != "importer" {
+		t.Errorf("the view's own append was lost: %+v %+v", grownR[5], grownG[5])
 	}
 }

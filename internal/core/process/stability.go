@@ -23,8 +23,12 @@ type RouteStability struct {
 }
 
 type prefixHistory struct {
-	// present counts cycles the prefix was reachable.
-	present int
+	// completed counts the reachable cycles of finished periods. The
+	// current period is run-length: while up it adds the cycles from
+	// upAt on, so a prefix that stays up costs nothing per cycle.
+	completed int
+	// upAt is the cycle index (RouteStability.cycles) of the current rise.
+	upAt int
 	// flaps counts disappearances (present -> absent transitions).
 	flaps int
 	// currentSince is when the current reachability period began.
@@ -32,6 +36,31 @@ type prefixHistory struct {
 	// lifetimes collects completed reachability periods.
 	lifetimes []time.Duration
 	up        bool
+}
+
+// present returns how many of the tracker's cycles the prefix was
+// reachable in.
+func (h *prefixHistory) present(cycles int) int {
+	if h.up {
+		return h.completed + cycles - h.upAt + 1
+	}
+	return h.completed
+}
+
+// rise opens a reachability period in cycle that began at since.
+func (h *prefixHistory) rise(cycle int, since time.Time) {
+	h.up = true
+	h.upAt = cycle
+	h.currentSince = since
+}
+
+// fall closes the current period: the prefix is absent from cycle,
+// observed at at.
+func (h *prefixHistory) fall(cycle int, at time.Time) {
+	h.up = false
+	h.flaps++
+	h.completed += cycle - h.upAt
+	h.lifetimes = append(h.lifetimes, at.Sub(h.currentSince))
 }
 
 // NewRouteStability returns an empty tracker.
@@ -45,9 +74,12 @@ func NewRouteStability() *RouteStability {
 // Observe folds one cycle's route table into the tracker. The set of
 // reachable prefixes is updated in place rather than rebuilt: the mark
 // flips each cycle, a prefix in this table takes the new mark, and the
-// sweep retires what still carries the old one.
+// sweep retires what still carries the old one. A prefix that stays up
+// is only re-marked: nothing is counted or written per cycle.
 //
-//mantra:hotpath budget=2
+// The budget is the history record a prefix gets on first sight.
+//
+//mantra:hotpath budget=1
 func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
 	rs.cycles++
 	rs.seen = !rs.seen
@@ -58,22 +90,55 @@ func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
 			h = &prefixHistory{}
 			rs.byPrefix[r.Prefix] = h
 		}
-		h.present++
 		if !h.up {
-			h.up = true
-			h.currentSince = at.Add(-r.Uptime)
+			h.rise(rs.cycles, at.Add(-r.Uptime))
 		}
 	}
 	for p, seen := range rs.last {
-		if seen == rs.seen {
-			continue
+		if seen != rs.seen {
+			rs.unreachable(p, at)
 		}
-		delete(rs.last, p)
-		if h := rs.byPrefix[p]; h != nil && h.up {
-			h.up = false
-			h.flaps++
-			h.lifetimes = append(h.lifetimes, at.Sub(h.currentSince))
+	}
+}
+
+// ObserveDelta folds one cycle in from its delta-log record instead of
+// its table: the cycle stamped at upserted these routes and removed
+// these prefixes relative to the cycle before. An upsert of a prefix
+// that is not up is a rise, a removal is a fall, and an upsert of a
+// prefix that is up (a metric or gateway change, an uptime reset) is no
+// transition — so replaying a target's records costs the sum of their
+// delta entries, not records × table, and leaves the tracker equal to
+// one that Observed every table. The equality relies on each upserted
+// entry's Since being its cycle's At − Uptime, which tables.BuildSnapshot
+// guarantees; FuzzStabilityFromRecords (internal/core/cycle) pins it.
+//
+// The budget is the history record a prefix gets on first sight.
+//
+//mantra:statetransfer component=stability seam=import
+//mantra:hotpath budget=1
+func (rs *RouteStability) ObserveDelta(at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
+	rs.cycles++
+	for _, e := range upserted {
+		rs.last[e.Prefix] = rs.seen
+		h := rs.byPrefix[e.Prefix]
+		if h == nil {
+			h = &prefixHistory{}
+			rs.byPrefix[e.Prefix] = h
 		}
+		if !h.up {
+			h.rise(rs.cycles, e.Since)
+		}
+	}
+	for _, p := range removed {
+		rs.unreachable(p, at)
+	}
+}
+
+// unreachable retires p from the reachable set in the current cycle.
+func (rs *RouteStability) unreachable(p addr.Prefix, at time.Time) {
+	delete(rs.last, p)
+	if h := rs.byPrefix[p]; h != nil && h.up {
+		h.fall(rs.cycles, at)
 	}
 }
 
@@ -102,7 +167,7 @@ func (rs *RouteStability) Stats() []PrefixStats {
 	for p, h := range rs.byPrefix {
 		st := PrefixStats{Prefix: p, Flaps: h.flaps}
 		if rs.cycles > 0 {
-			st.Availability = float64(h.present) / float64(rs.cycles)
+			st.Availability = float64(h.present(rs.cycles)) / float64(rs.cycles)
 		}
 		if len(h.lifetimes) > 0 {
 			var sum time.Duration
@@ -163,7 +228,7 @@ func (rs *RouteStability) Summary() StabilitySummary {
 			s.StablePrefixes++
 		}
 		s.TotalFlaps += h.flaps
-		availSum += float64(h.present) / float64(rs.cycles)
+		availSum += float64(h.present(rs.cycles)) / float64(rs.cycles)
 	}
 	s.MeanAvailability = availSum / float64(s.Prefixes)
 	return s

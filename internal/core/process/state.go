@@ -229,6 +229,7 @@ func sortedPrefixes[V any](m map[addr.Prefix]V) []addr.Prefix {
 // emitted, into slices sized once, in one pass over that order.
 //
 //mantra:statetransfer component=stability seam=export
+//mantralint:allow statecov handoff derives stability from the logger component's records (Core.ImportTarget → ObserveDelta); see FuzzStabilityFromRecords
 func (rs *RouteStability) ExportState() *StabilityState {
 	st := &StabilityState{Cycles: rs.cycles}
 	if len(rs.last) > 0 {
@@ -244,7 +245,7 @@ func (rs *RouteStability) ExportState() *StabilityState {
 		h := rs.byPrefix[p]
 		st.Prefixes = append(st.Prefixes, PrefixState{
 			Prefix:       p,
-			Present:      h.present,
+			Present:      h.present(rs.cycles),
 			Flaps:        h.flaps,
 			CurrentSince: h.currentSince,
 			Lifetimes:    append([]time.Duration(nil), h.lifetimes...),
@@ -273,13 +274,21 @@ func StabilityFromState(st *StabilityState) *RouteStability {
 		rs.last[p] = rs.seen
 	}
 	for _, ps := range st.Prefixes {
-		rs.byPrefix[ps.Prefix] = &prefixHistory{
-			present:      ps.Present,
+		h := &prefixHistory{
 			flaps:        ps.Flaps,
 			currentSince: ps.CurrentSince,
 			lifetimes:    append([]time.Duration(nil), ps.Lifetimes...),
 			up:           ps.Up,
 		}
+		// Present is a count and the live form run-length: an up prefix
+		// books every reachable cycle so far to its current period, as
+		// if it rose Present cycles ago.
+		if h.up {
+			h.upAt = st.Cycles - ps.Present + 1
+		} else {
+			h.completed = ps.Present
+		}
+		rs.byPrefix[ps.Prefix] = h
 	}
 	return rs
 }

@@ -6,19 +6,21 @@
 // checkpoint/recovery shape. Handoff is finer-grained: the new owner
 // already has live state for its own targets and must graft exactly one
 // more target in without disturbing them. ExportTarget captures one
-// target's series, route set, baseline anchor, anomaly history and open
-// episodes; ImportTarget splices them into another processor, assigning
-// fresh ring IDs (the anomaly ring's ID contiguity invariant forbids
-// inserting foreign IDs mid-ring). Fleet-level views dedup the
-// resulting cross-shard copies by ownership; RollupOf/CrossTargetOf are
-// the pure forms of the rollup computations, usable over any merged
-// anomaly slice.
+// target's series, baseline anchor, anomaly history and open episodes —
+// not its route set, which is the prefixes of the target's latest
+// snapshot and is rebuilt from that at import; ImportTarget splices them
+// into another processor, assigning fresh ring IDs (the anomaly ring's
+// ID contiguity invariant forbids inserting foreign IDs mid-ring).
+// Fleet-level views dedup the resulting cross-shard copies by ownership;
+// RollupOf/CrossTargetOf are the pure forms of the rollup computations,
+// usable over any merged anomaly slice.
 package process
 
 import (
 	"sort"
 
 	"repro/internal/addr"
+	"repro/internal/core/tables"
 	"repro/internal/core/tsdb"
 )
 
@@ -26,14 +28,13 @@ import (
 // transfer unit for shard handoff. All fields are plain data (gob-safe)
 // and deep-copied on export and import.
 //
-//mantra:codec pair=handoff-targetstate shape=88116d599d34e3ff
+//mantra:codec pair=handoff-targetstate shape=e1d91a44b9b6d12e
 type TargetState struct {
 	Target string
 	Series map[Metric]*Series
 	// Store carries the target's compressed long-horizon series, so a
 	// handoff moves full history, not just the hot rings.
-	Store     *tsdb.TargetState
-	LastRoute map[addr.Prefix]bool
+	Store *tsdb.TargetState
 	// BaseStart anchors the detection baseline window; HasBase records
 	// whether the target had one (index 0 is a valid anchor).
 	BaseStart int
@@ -62,9 +63,8 @@ type OpenTransfer struct {
 //mantra:statetransfer component=processor seam=export
 func (p *Processor) ExportTarget(target string) *TargetState {
 	ts, okSeries := p.series[target]
-	routes, okRoute := p.lastRoute[target]
 	base, okBase := p.baseStart[target]
-	if !okSeries && !okRoute && !okBase {
+	if !okSeries && !okBase {
 		return nil
 	}
 	st := &TargetState{Target: target, BaseStart: base, HasBase: okBase}
@@ -73,12 +73,6 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 		st.Series = make(map[Metric]*Series, len(ts))
 		for m, s := range ts {
 			st.Series[m] = copySeries(s)
-		}
-	}
-	if okRoute {
-		st.LastRoute = make(map[addr.Prefix]bool, len(routes))
-		for pr, v := range routes {
-			st.LastRoute[pr] = v
 		}
 	}
 	idx := make(map[int]int) // local ring ID -> index in st.Anomalies
@@ -111,8 +105,14 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 // stint) remain; fleet views dedup by (target, kind, open-time) keeping
 // the highest local ID. A nil st simply removes the target's state.
 //
+// latest is the last snapshot the exporter ingested for the target, nil
+// if it never ingested one. The route set the next cycle's churn is
+// counted against is that snapshot's prefixes, so it is rebuilt from
+// them rather than carried: a set exists exactly when a snapshot does,
+// an empty table included.
+//
 //mantra:statetransfer component=processor seam=import
-func (p *Processor) ImportTarget(target string, st *TargetState) {
+func (p *Processor) ImportTarget(target string, st *TargetState, latest *tables.Snapshot) {
 	delete(p.series, target)
 	delete(p.lastRoute, target)
 	delete(p.baseStart, target)
@@ -133,12 +133,12 @@ func (p *Processor) ImportTarget(target string, st *TargetState) {
 		}
 		p.series[target] = cp
 	}
-	if st.LastRoute != nil {
-		cp := make(map[addr.Prefix]bool, len(st.LastRoute))
-		for pr, v := range st.LastRoute {
-			cp[pr] = v
+	if latest != nil {
+		set := make(map[addr.Prefix]bool, len(latest.Routes))
+		for _, r := range latest.Routes {
+			set[r.Prefix] = true
 		}
-		p.lastRoute[target] = cp
+		p.lastRoute[target] = set
 	}
 	if st.HasBase {
 		p.baseStart[target] = st.BaseStart

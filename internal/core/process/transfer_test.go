@@ -12,16 +12,17 @@ import (
 // feed ingests one scripted fixw-style cycle at an explicit timestamp —
 // unlike the harness, the caller owns the clock, so two processors can
 // be driven through byte-identical histories.
-func feed(p *Processor, target string, at time.Time, routes int) {
-	p.Ingest(&tables.Snapshot{Target: target, At: at, Routes: routeTable(routes)})
+func feed(p *Processor, target string, at time.Time, routes int) CycleStats {
+	return p.Ingest(&tables.Snapshot{Target: target, At: at, Routes: routeTable(routes)})
 }
 
 func TestExportImportTargetHandoff(t *testing.T) {
 	// Shard handoff in miniature: processor A owns "fixw" and has an
 	// open route-injection episode; processor B owns "ucsb" with its own
 	// history. Moving fixw from A to B must carry the series, the
-	// baseline anchor and the open episode, leave ucsb untouched, and
-	// let B resolve the episode exactly as A would have.
+	// baseline anchor and the open episode, rebuild the route set from
+	// fixw's latest snapshot, leave ucsb untouched, and let B resolve the
+	// episode exactly as A would have.
 	a, b := New(), New()
 	at := sim.Epoch
 	for i := 0; i < 4; i++ {
@@ -29,8 +30,9 @@ func TestExportImportTargetHandoff(t *testing.T) {
 		feed(b, "ucsb", at, 300)
 		at = at.Add(30 * time.Minute)
 	}
-	feed(a, "fixw", at, 1400) // spike: opens route-injection on A
-	feed(b, "ucsb", at, 900)  // B raises its own episode too
+	latest := &tables.Snapshot{Target: "fixw", At: at, Routes: routeTable(1400)}
+	a.Ingest(latest)         // spike: opens route-injection on A
+	feed(b, "ucsb", at, 900) // B raises its own episode too
 	at = at.Add(30 * time.Minute)
 	if len(a.OpenAnomalies()) != 1 || len(b.OpenAnomalies()) != 1 {
 		t.Fatalf("setup: open = %d/%d, want 1/1", len(a.OpenAnomalies()), len(b.OpenAnomalies()))
@@ -44,7 +46,7 @@ func TestExportImportTargetHandoff(t *testing.T) {
 		t.Fatalf("exported anomalies = %+v open = %+v", st.Anomalies, st.Open)
 	}
 	ucsbBefore := b.ExportTarget("ucsb")
-	b.ImportTarget("fixw", st)
+	b.ImportTarget("fixw", st, latest)
 
 	if !reflect.DeepEqual(b.Series("fixw", MetricRoutes), a.Series("fixw", MetricRoutes)) {
 		t.Error("fixw route series did not transfer intact")
@@ -68,8 +70,10 @@ func TestExportImportTargetHandoff(t *testing.T) {
 
 	// Both processors see the incident subside on the next cycle; the
 	// episode must resolve on both at the same instant.
-	feed(a, "fixw", at, 500)
-	feed(b, "fixw", at, 500)
+	sa, sb := feed(a, "fixw", at, 500), feed(b, "fixw", at, 500)
+	if sa.RouteChurn != 900 || sb.RouteChurn != sa.RouteChurn {
+		t.Errorf("churn after the handoff = %d on B, %d on A, want 900 on both", sb.RouteChurn, sa.RouteChurn)
+	}
 	if n := len(openOfKind(a, KindRouteInjection)); n != 0 {
 		t.Errorf("A still has %d open route-injection episodes", n)
 	}
@@ -101,7 +105,7 @@ func TestImportTargetNilRemoves(t *testing.T) {
 		feed(p, "fixw", at, 500)
 		at = at.Add(30 * time.Minute)
 	}
-	p.ImportTarget("fixw", nil)
+	p.ImportTarget("fixw", nil, nil)
 	if p.ExportTarget("fixw") != nil {
 		t.Error("nil import should remove the target's state")
 	}
@@ -109,6 +113,32 @@ func TestImportTargetNilRemoves(t *testing.T) {
 	feed(p, "fixw", at, 5000)
 	if n := len(p.OpenAnomalies()); n != 0 {
 		t.Errorf("removed target fired on its first post-removal cycle: %+v", p.OpenAnomalies())
+	}
+}
+
+// TestImportTargetRouteSetFromLatest: the route set is not carried, it
+// is the latest snapshot's prefixes — and it exists exactly when a
+// snapshot does, so a target whose last table was empty counts its
+// first routes as churn while one that never had a cycle does not.
+func TestImportTargetRouteSetFromLatest(t *testing.T) {
+	src := New()
+	at := sim.Epoch
+	empty := &tables.Snapshot{Target: "fixw", At: at}
+	src.Ingest(empty)
+	st := src.ExportTarget("fixw")
+	at = at.Add(30 * time.Minute)
+
+	withEmpty, without := New(), New()
+	withEmpty.ImportTarget("fixw", st, empty)
+	without.ImportTarget("fixw", st, nil)
+	if got, want := feed(withEmpty, "fixw", at, 7).RouteChurn, feed(src, "fixw", at, 7).RouteChurn; got != want || want != 7 {
+		t.Errorf("churn against an imported empty table = %d, exporter counts %d, want 7", got, want)
+	}
+	if got := feed(without, "fixw", at, 7).RouteChurn; got != 0 {
+		t.Errorf("churn with no snapshot imported = %d, want 0 (first cycle)", got)
+	}
+	if got := withEmpty.ExportState().LastRoute["fixw"]; len(got) != 7 {
+		t.Errorf("route set after the cycle holds %d prefixes, want 7", len(got))
 	}
 }
 

@@ -213,7 +213,7 @@ func New(cfg Config) (*Supervisor, error) {
 	for i := range s.workers {
 		w, err := s.spawn(i, 0)
 		if err != nil {
-			s.closeWorkers()
+			_ = s.closeWorkers() //mantralint:allow walerr abandoning freshly opened stores on a path already returning the spawn error; nothing was written
 			return nil, err
 		}
 		s.workers[i] = w
@@ -307,8 +307,8 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 		s.cycleTimes = append(s.cycleTimes[:0:0], s.cycleTimes[len(s.cycleTimes)-4096:]...)
 	}
 	res := &CycleResult{At: now}
-	res.Handoffs = s.reap(now)
-	s.restartDue(now)
+	s.reap(now, res)
+	s.restartDue(now, res)
 
 	// Dispatch: every live worker gets a request (an empty one still
 	// heartbeats), targets in global registration order.
@@ -395,17 +395,16 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 	return res, nil
 }
 
-// reap declares dead workers and hands their targets off to survivors.
-func (s *Supervisor) reap(now time.Time) int {
-	events := 0
+// reap declares dead workers and hands their targets off to survivors,
+// counting the events in res.Handoffs.
+func (s *Supervisor) reap(now time.Time, res *CycleResult) {
 	for _, w := range s.workers {
 		if w == nil || !w.alive || !s.isDead(w, now) {
 			continue
 		}
-		s.handoff(w, now)
-		events++
+		s.handoff(w, now, res)
+		res.Handoffs++
 	}
-	return events
 }
 
 // isDead reports crash (goroutine exited) or heartbeat staleness on the
@@ -425,8 +424,9 @@ func (s *Supervisor) isDead(w *worker, now time.Time) bool {
 
 // handoff moves a dead worker's targets to the survivors, resuming each
 // from the dead shard's checkpoint with gap markers covering the blind
-// cycles, and schedules the restart.
-func (s *Supervisor) handoff(w *worker, now time.Time) {
+// cycles, and schedules the restart. What fails to persist on the way
+// goes into res.WALErrs.
+func (s *Supervisor) handoff(w *worker, now time.Time, res *CycleResult) {
 	w.alive = false
 	w.deadAt = now
 	w.restartAt = now.Add(w.backoff)
@@ -439,7 +439,9 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 	// for the eventual restart.
 	close(w.reqCh)
 	<-w.done
-	s.closeStore(w)
+	if err := s.closeStore(w); err != nil {
+		res.WALErrs = append(res.WALErrs, err)
+	}
 	s.handoffs++
 
 	ck := w.checkpointRef()
@@ -469,7 +471,9 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 		dst := assignTarget(ring, t.Name)
 		o := s.workers[dst]
 		o.core.ImportTarget(t.Name, ck, now)
-		s.markBlind(o, t.Name, ck.AsOf[t.Name], now)
+		if err := s.markBlind(o, t.Name, ck.AsOf[t.Name], now); err != nil {
+			res.WALErrs = append(res.WALErrs, err)
+		}
 		s.assign[t.Name] = dst
 		s.moved++
 		s.refreshCkpt(o, t, prev)
@@ -479,13 +483,15 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 // markBlind gap-marks the recorded cycles in (asOf, now) for a target
 // on its new owner: the fleet was blind to the target there, and the
 // record must say so explicitly — on the series, the delta log and the
-// WAL.
-func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) {
+// WAL. A marker the WAL refuses stays on the in-memory record; every
+// cycle is attempted and the last error returned, as Core.Commit does.
+func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) error {
 	if r := s.regAt[name]; r.After(asOf) {
 		// Never collected before its registration point; don't invent
 		// blindness for cycles that predate the target.
 		asOf = r
 	}
+	var last error
 	for _, ct := range s.cycleTimes {
 		if !ct.After(asOf) || !ct.Before(now) {
 			continue
@@ -493,14 +499,17 @@ func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) {
 		o.core.Proc.MarkGap(name, ct)
 		o.core.Log.MarkGap(name, ct, handoffGapReason)
 		if o.core.Store != nil {
-			o.core.Store.AppendGap(name, ct, handoffGapReason)
+			if err := o.core.Store.AppendGap(name, ct, handoffGapReason); err != nil {
+				last = fmt.Errorf("shard %d: handoff gap marker for %s: %w", o.idx, name, err)
+			}
 		}
 	}
+	return last
 }
 
 // restartDue restarts dead workers whose backoff expired and fails
 // their ring ranges back with a live transfer (no blind window).
-func (s *Supervisor) restartDue(now time.Time) {
+func (s *Supervisor) restartDue(now time.Time, res *CycleResult) {
 	for i, w := range s.workers {
 		if w == nil || w.alive || now.Before(w.restartAt) {
 			continue
@@ -538,7 +547,9 @@ func (s *Supervisor) restartDue(now time.Time) {
 			} else if lt, lost := s.lost[t.Name]; lost {
 				// The target sat unassigned after a total outage; its
 				// state is gone but the dark window goes on the record.
-				s.markBlind(s.workers[dst], t.Name, lt, now)
+				if err := s.markBlind(s.workers[dst], t.Name, lt, now); err != nil {
+					res.WALErrs = append(res.WALErrs, err)
+				}
 				s.refreshCkpt(s.workers[dst], t, prev)
 				delete(s.lost, t.Name)
 				movedAny = true
@@ -575,18 +586,19 @@ func (s *Supervisor) refreshCkpt(w *worker, t collect.Target, asOf time.Time) {
 	w.mu.Unlock()
 }
 
-// Close stops every worker goroutine and closes the WAL stores. The
-// supervisor cannot run further cycles afterwards.
+// Close stops every worker goroutine and closes the WAL stores,
+// returning what failed to close. The supervisor cannot run further
+// cycles afterwards.
 func (s *Supervisor) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	s.closeWorkers()
-	return nil
+	return s.closeWorkers()
 }
 
-func (s *Supervisor) closeWorkers() {
+func (s *Supervisor) closeWorkers() error {
+	var errs []error
 	for _, w := range s.workers {
 		if w == nil {
 			continue
@@ -595,14 +607,23 @@ func (s *Supervisor) closeWorkers() {
 			close(w.reqCh)
 			<-w.done
 		}
-		s.closeStore(w)
+		if err := s.closeStore(w); err != nil {
+			errs = append(errs, err)
+		}
 	}
+	return errors.Join(errs...)
 }
 
-// closeStore releases a stopped worker's WAL directory.
-func (s *Supervisor) closeStore(w *worker) {
-	if w.core.Store != nil {
-		w.core.Store.Close()
-		w.core.Store = nil
+// closeStore releases a stopped worker's WAL directory. Close syncs the
+// segment, so its error is a persistence error like any other.
+func (s *Supervisor) closeStore(w *worker) error {
+	if w.core.Store == nil {
+		return nil
 	}
+	err := w.core.Store.Close()
+	w.core.Store = nil
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", w.idx, err)
+	}
+	return nil
 }

@@ -17,19 +17,27 @@ import (
 	"repro/internal/workload"
 )
 
+const fleetTimeout = 5 * time.Second
+
 var fleetTargets = []string{"fixw", "ucsb-r1", "dom00-gw", "dom01-gw", "dom02-gw", "dom03-gw"}
 
 // newFleetNetwork builds the deterministic 4-domain internetwork every
 // supervisor test runs against. Random background faults are disabled:
 // these tests reason about scripted shard faults, not collection luck.
-func newFleetNetwork(t testing.TB) *netsim.Network {
+func newFleetNetwork(t testing.TB) *netsim.Network { return newFlappingFleetNetwork(t, 0) }
+
+// newFlappingFleetNetwork is newFleetNetwork with each DVMRP domain
+// flapping a route with probability flap per cycle (seeded, so two
+// networks built alike flap alike), for tests that need route tables
+// which move.
+func newFlappingFleetNetwork(t testing.TB, flap float64) *netsim.Network {
 	t.Helper()
 	cfg := topo.DefaultInternetConfig()
 	cfg.NumDomains = 4
 	inet := topo.BuildInternet(cfg)
 	wl := workload.New(workload.DefaultConfig(), inet.Topo)
 	ncfg := netsim.DefaultConfig()
-	ncfg.FlapPerDomainPerCycle = 0
+	ncfg.FlapPerDomainPerCycle = flap
 	ncfg.RestartPerCycle = 0
 	n := netsim.New(inet, wl, ncfg)
 	if err := n.Track(fleetTargets...); err != nil {
@@ -66,7 +74,7 @@ func newFleet(t testing.TB, n *netsim.Network, cfg shard.Config) *shard.Supervis
 			Dialer:   collect.PipeDialer{Router: n.Router(name)},
 			Password: "pw",
 			Prompt:   name + "> ",
-			Timeout:  5 * time.Second,
+			Timeout:  fleetTimeout,
 		})
 	}
 	return s

@@ -364,6 +364,7 @@ func TestHotRootsPinned(t *testing.T) {
 		"(*repro/internal/core/logger.Store).openSegment",
 		"(*repro/internal/core/logger.Store).rotate",
 		"(*repro/internal/core/process.RouteStability).Observe",
+		"(*repro/internal/core/process.RouteStability).ObserveDelta",
 		"(*repro/internal/core/tsdb.Store).Append",
 		"(*repro/internal/core/tsdb.dirWriter).openSegment",
 		"(repro/internal/core/tables.table[E]).parse",

@@ -6,8 +6,9 @@ import (
 )
 
 // walErrPkgs are the crash-safety surface: the WAL/checkpoint store, the
-// cycle core whose Commit appends to it, and the monitor's archive layer
-// on top of both. The PR 2 contract is that a
+// cycle core whose Commit appends to it, the shard supervisor, which
+// writes handoff gap markers to a worker's store directly, and the
+// monitor's archive layer on top. The PR 2 contract is that a
 // write-path error is either handled or recorded (degrade to
 // in-memory-only, surface through ArchiveStatus) — never dropped, because
 // a silently failed append is indistinguishable from a durable one until
@@ -16,6 +17,7 @@ var walErrPkgs = map[string]bool{
 	"":                     true, // module root: archive.go, the monitor's archive layer
 	"internal/core/logger": true,
 	"internal/core/cycle":  true,
+	"internal/core/shard":  true,
 }
 
 // walErrAnalyzer flags discarded error returns from write-path calls —
