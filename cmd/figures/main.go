@@ -5,9 +5,7 @@
 //
 // The figure series are thin wrappers over the monitor's compressed
 // long-horizon store: each panel streams out of the same range-query
-// engine the daemon serves at /query. -posthoc switches back to reading
-// the in-memory rings directly; the outputs are byte-identical (the
-// equivalence is enforced by test).
+// engine the daemon serves at /query.
 //
 //	figures -scale standard -out out/
 package main
@@ -26,7 +24,6 @@ import (
 func main() {
 	scale := flag.String("scale", "standard", "quick | standard | full")
 	out := flag.String("out", "out", "output directory")
-	postHoc := flag.Bool("posthoc", false, "read the in-memory rings directly instead of streaming from the compressed store")
 	flag.Parse()
 
 	var sc experiments.Scale
@@ -51,7 +48,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r.PostHoc = *postHoc
 		last := ""
 		if err := r.Run(func(i int, now time.Time) {
 			if d := now.Format("2006-01"); d != last {

@@ -4,9 +4,6 @@
 //
 //	mantralint ./...                        # whole module (the ./... is cosmetic)
 //	mantralint -checks mapiter,walerr
-//	mantralint -cache .mantralint-cache     # warm runs re-analyze changed packages only
-//	mantralint -baseline lint-baseline.json # fail only on findings not in the baseline
-//	mantralint -write-baseline lint-baseline.json
 //	mantralint -json
 //	mantralint -sarif mantralint.sarif ./...
 //	mantralint -hotroots                    # print the //mantra:hotpath root set
@@ -17,19 +14,6 @@
 // -sarif additionally writes a SARIF 2.1.0 log (GitHub code scanning's
 // ingest format) to the named file regardless of the stdout format.
 //
-// -cache names a directory of per-package entries keyed by a content
-// hash over each package's sources and its module-internal dependency
-// closure; a warm run loads and re-analyzes only packages whose hash
-// moved, and its findings are byte-identical to a cold run's. Delete the
-// directory to force a full re-analysis.
-//
-// -baseline diffs the run against a committed findings snapshot
-// (line-agnostic, multiset over file/check/message): only NEW findings
-// print and fail the run, so legacy findings can be burned down without
-// blocking unrelated changes. The SARIF log still carries the full
-// finding list. -write-baseline snapshots the current findings and exits
-// zero.
-//
 // A finding is silenced on its exact line by
 //
 //	//mantralint:allow <check> <reason>
@@ -38,7 +22,7 @@
 // off them):
 //
 //	0  the lint ran and found nothing
-//	1  the lint ran and reported findings (after baseline subtraction)
+//	1  the lint ran and reported findings
 //	2  the lint itself failed: bad flags, unknown check names, module
 //	   load errors, or unwritable output files
 //
@@ -74,14 +58,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	dir := fs.String("dir", ".", "directory inside the module to lint")
 	list := fs.Bool("list", false, "list registered checks and exit")
-	debug := fs.Bool("debug", false, "print type-check diagnostics (analysis is best-effort under them; disables -cache)")
+	debug := fs.Bool("debug", false, "print type-check diagnostics (analysis is best-effort under them)")
 	jsonOut := fs.Bool("json", false, "print findings as a JSON array instead of text")
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	cacheDir := fs.String("cache", "", "per-package finding/fact cache directory (empty: no cache)")
-	baselinePath := fs.String("baseline", "", "fail only on findings absent from this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	hotroots := fs.Bool("hotroots", false, "print the //mantra:hotpath root set and exit")
-	stats := fs.Bool("stats", false, "report package/cache-hit counts to stderr")
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
@@ -110,28 +90,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	cache := *cacheDir
-	if *debug {
-		// Diagnostics come from freshly loaded packages; a warm cache would
-		// hide them. Debug runs are always cold.
-		cache = ""
-	}
-	d := &lint.Driver{Mod: mod, CacheDir: cache, Analyzers: analyzers}
-	res, err := d.Run()
+	pkgs, err := mod.LoadAll()
 	if err != nil {
 		return fail(err)
 	}
 	if *debug {
-		for _, p := range mod.Loaded() {
+		for _, p := range pkgs {
 			for _, te := range p.TypeErrors {
 				fmt.Fprintf(stderr, "mantralint: typecheck %s: %v\n", p.RelPath, te)
 			}
 		}
 	}
-	if *debug || *stats {
-		fmt.Fprintf(stderr, "mantralint: %d package(s), %d cached, %d re-analyzed\n",
-			res.Stats.Packages, res.Stats.CacheHits, res.Stats.Reanalyzed)
-	}
+	res := lint.Run(pkgs, analyzers)
 
 	if *hotroots {
 		for _, r := range res.HotRoots {
@@ -141,22 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := res.Findings
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			return fail(err)
-		}
-		werr := lint.WriteJSON(f, findings)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fail(werr)
-		}
-		fmt.Fprintf(stderr, "mantralint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return exitClean
-	}
 
 	if *sarifPath != "" {
 		f, err := os.Create(*sarifPath)
@@ -172,23 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *baselinePath != "" {
-		bf, err := os.Open(*baselinePath)
-		if err != nil {
-			return fail(err)
-		}
-		baseline, err := lint.ReadBaseline(bf)
-		bf.Close()
-		if err != nil {
-			return fail(fmt.Errorf("baseline: %w", err))
-		}
-		newFindings, resolved := lint.DiffBaseline(findings, baseline)
-		if len(resolved) > 0 {
-			fmt.Fprintf(stderr, "mantralint: %d baseline finding(s) resolved — shrink the baseline\n", len(resolved))
-		}
-		findings = newFindings
-	}
-
 	if *jsonOut {
 		if err := lint.WriteJSON(stdout, findings); err != nil {
 			return fail(fmt.Errorf("json: %w", err))
@@ -199,11 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(findings) > 0 {
-		kind := "finding(s)"
-		if *baselinePath != "" {
-			kind = "new finding(s) not in baseline"
-		}
-		fmt.Fprintf(stderr, "mantralint: %d %s\n", len(findings), kind)
+		fmt.Fprintf(stderr, "mantralint: %d finding(s)\n", len(findings))
 		return exitFindings
 	}
 	return exitClean

@@ -292,8 +292,7 @@ func TestLoggerAppendSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkHotpathParsePath tracks the expect/dump parse chain —
 // Preprocess, ValidateDumps, BuildSnapshot over one scraped command set
-// — with allocs/op reported, so BENCH_lint.json records the numbers the
-// gates above bound.
+// — with allocs/op reported: the numbers the gates above bound.
 func BenchmarkHotpathParsePath(b *testing.B) {
 	dumps := gateDumps(b)
 	b.ReportAllocs()

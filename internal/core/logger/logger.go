@@ -12,9 +12,7 @@
 package logger
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -467,23 +465,6 @@ func (l *Logger) ImportTarget(name string, ts TargetState) {
 		l.ApplyRecord(name, rec, 0)
 	}
 	tl.fullEntries = ts.FullEntries
-}
-
-// Save writes the complete log to w (gob-encoded).
-//
-//mantra:sink serialization
-func (l *Logger) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(l.ExportState())
-}
-
-// Load reads a log written by Save and returns a logger positioned to
-// continue appending.
-func Load(r io.Reader) (*Logger, error) {
-	var st State
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("logger: load: %w", err)
-	}
-	return FromState(&st), nil
 }
 
 func sortPairs(p tables.PairTable) {

@@ -498,32 +498,6 @@ func mbgpRow(r *scan) (MBGPEntry, error) {
 	return e, nil
 }
 
-// ParseDVMRPRoutes maps a pre-processed `show ip dvmrp route` dump to the
-// Route table.
-func ParseDVMRPRoutes(lines []string) (RouteTable, error) {
-	return routeTable.parse(strings.Join(lines, "\n"))
-}
-
-// ParseMroute maps a pre-processed `show ip mroute` dump to the Pair table.
-func ParseMroute(lines []string) (PairTable, error) {
-	return pairTable.parse(strings.Join(lines, "\n"))
-}
-
-// ParseIGMP maps a pre-processed `show ip igmp groups` dump.
-func ParseIGMP(lines []string) ([]IGMPEntry, error) {
-	return igmpTable.parse(strings.Join(lines, "\n"))
-}
-
-// ParseMSDP maps a pre-processed `show ip msdp sa-cache` dump.
-func ParseMSDP(lines []string) ([]SAEntry, error) {
-	return saTable.parse(strings.Join(lines, "\n"))
-}
-
-// ParseMBGP maps a pre-processed `show ip mbgp` dump.
-func ParseMBGP(lines []string) ([]MBGPEntry, error) {
-	return mbgpTable.parse(strings.Join(lines, "\n"))
-}
-
 // BuildSnapshot assembles one router's cycle snapshot from its raw
 // dumps, scanning each once into the table its command names. Unknown
 // commands are skipped. Every dump must share the target and timestamp.

@@ -14,7 +14,10 @@ import (
 	"repro/internal/workload"
 )
 
-func pre(s string) []string { return collect.Preprocess(s) }
+// one parses a single-dump capture of command.
+func one(command, raw string) (*tables.Snapshot, error) {
+	return tables.BuildSnapshot([]collect.Dump{{Target: "r", Command: command, Raw: raw, At: sim.Epoch}})
+}
 
 func TestParseDVMRPRoutes(t *testing.T) {
 	raw := `DVMRP Routing Table - 2 entries
@@ -22,10 +25,11 @@ Origin-Subnet       From-Gateway     Metric  Uptime
 128.111.0.0/16      198.32.255.3     3       12:30:00
 10.0.0.0/8          local            0       100:00:05
 `
-	rt, err := tables.ParseDVMRPRoutes(pre(raw))
+	sn, err := one("show ip dvmrp route", raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt := sn.Routes
 	if len(rt) != 2 {
 		t.Fatalf("rows = %d", len(rt))
 	}
@@ -54,7 +58,7 @@ func TestParseDVMRPRoutesMalformed(t *testing.T) {
 		"1.0.0.0/+8 1.1.1.1 1 0:05:07", // signed prefix length
 		"1.0.0.0/8 +1.1.1.1 1 0:05:07", // signed octet
 	} {
-		if _, err := tables.ParseDVMRPRoutes(pre(raw)); err == nil {
+		if _, err := one("show ip dvmrp route", raw); err == nil {
 			t.Errorf("parse of %q succeeded", raw)
 		}
 	}
@@ -66,10 +70,11 @@ Source           Group            Flags  IIF  OIFs           Kbps      Pkts     
 128.111.41.2     224.2.0.1        DP     12   -              0.0       17          1:00:00
 130.207.8.4      224.2.0.1        ST     3    4,7            64.5      12345       0:30:00
 `
-	pt, err := tables.ParseMroute(pre(raw))
+	sn, err := one("show ip mroute", raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pt := sn.Pairs
 	if len(pt) != 2 {
 		t.Fatalf("rows = %d", len(pt))
 	}
@@ -83,31 +88,32 @@ Source           Group            Flags  IIF  OIFs           Kbps      Pkts     
 
 func TestParseUptimeValidation(t *testing.T) {
 	raw := "1.1.1.1 224.1.1.1 D 0 - 1.0 5 0:99:00"
-	if _, err := tables.ParseMroute(pre(raw)); err == nil {
+	if _, err := one("show ip mroute", raw); err == nil {
 		t.Error("minutes > 59 accepted")
 	}
 }
 
 func TestParseIGMPAndMSDPAndMBGP(t *testing.T) {
-	igmp, err := tables.ParseIGMP(pre(`IGMP Group Membership - 1 groups, 1 members
+	sn, err := one("show ip igmp groups", `IGMP Group Membership - 1 groups, 1 members
 Group            Host             Uptime
-224.2.0.1        128.111.41.10    0:30:00`))
-	if err != nil || len(igmp) != 1 || igmp[0].Host != addr.MustParse("128.111.41.10") {
-		t.Errorf("igmp = %+v err=%v", igmp, err)
+224.2.0.1        128.111.41.10    0:30:00`)
+	if err != nil || len(sn.IGMP) != 1 || sn.IGMP[0].Host != addr.MustParse("128.111.41.10") {
+		t.Errorf("igmp = %+v err=%v", sn, err)
 	}
-	sas, err := tables.ParseMSDP(pre(`MSDP Source-Active Cache - 1 entries
+	sn, err = one("show ip msdp sa-cache", `MSDP Source-Active Cache - 1 entries
 Source           Group            Origin-RP        Uptime
-128.111.41.2     224.2.0.1        198.32.255.3     1:00:00`))
-	if err != nil || len(sas) != 1 || sas[0].OriginRP != addr.MustParse("198.32.255.3") {
-		t.Errorf("msdp = %+v err=%v", sas, err)
+128.111.41.2     224.2.0.1        198.32.255.3     1:00:00`)
+	if err != nil || len(sn.SAs) != 1 || sn.SAs[0].OriginRP != addr.MustParse("198.32.255.3") {
+		t.Errorf("msdp = %+v err=%v", sn, err)
 	}
-	mb, err := tables.ParseMBGP(pre(`MBGP Table - 2 entries
+	sn, err = one("show ip mbgp", `MBGP Table - 2 entries
 Network             Next-Hop         Uptime    Path
 128.111.0.0/16      198.32.1.2       1:00:00   7001 131
-10.0.0.0/8          local            2:00:00   64001`))
-	if err != nil || len(mb) != 2 {
-		t.Fatalf("mbgp = %+v err=%v", mb, err)
+10.0.0.0/8          local            2:00:00   64001`)
+	if err != nil || len(sn.MBGP) != 2 {
+		t.Fatalf("mbgp = %+v err=%v", sn, err)
 	}
+	mb := sn.MBGP
 	if len(mb[0].ASPath) != 2 || mb[0].ASPath[1] != 131 {
 		t.Errorf("aspath = %v", mb[0].ASPath)
 	}

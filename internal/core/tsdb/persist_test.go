@@ -69,8 +69,16 @@ func TestOpenColdMatchesSealedHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pointsEqual(sealed, got) {
+	if len(got) == 0 || !pointsEqual(sealed, got) {
 		t.Fatalf("cold store has %d points, sealed history has %d", len(got), len(sealed))
+	}
+	// A bounded aggregate answers straight off the read-only mirror.
+	res, err := cold.Query(Query{Metric: "routes", Op: OpAvg, From: got[len(got)/2].T})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Targets) == 0 || res.Targets[0].Target != "fixw" || res.Targets[0].Agg == nil {
+		t.Fatalf("cold aggregate = %+v, want an aggregate for fixw", res.Targets)
 	}
 }
 

@@ -24,16 +24,11 @@ type FigureResult struct {
 	Notes  []string
 }
 
-// seriesOf resolves a figure's input series. The default path streams
-// the full history out of the compressed store (a materialized range
-// query — what the /query endpoint serves); PostHoc reads the live ring
-// directly. With unbounded rings the two are byte-identical, and with
-// bounded rings (-series-retain) only the streamed path still sees the
-// whole run — which is why it is the default.
+// seriesOf resolves a figure's input series: the full history streamed
+// out of the compressed store (a materialized range query — what the
+// /query endpoint serves), so a bounded hot ring (-series-retain) never
+// shortens a figure.
 func (r *Runner) seriesOf(target string, m process.Metric) *process.Series {
-	if r.PostHoc {
-		return r.Mon.Series(target, m)
-	}
 	return r.Mon.MaterializedSeries(target, m)
 }
 

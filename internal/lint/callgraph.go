@@ -45,7 +45,7 @@ type blockCause struct {
 }
 
 // CallGraph is the module-wide static call graph plus the derived
-// per-function facts. Built once per RunAnalyzers call and read-only
+// per-function facts. Built once per Run call and read-only
 // afterwards, so analyzers may consult it from concurrent goroutines.
 type CallGraph struct {
 	Nodes map[*types.Func]*FuncNode

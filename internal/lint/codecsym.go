@@ -22,14 +22,10 @@ import (
 // number that claims compatibility.
 //
 // The analysis is module-wide (a pair's halves may live in different
-// packages) and runs over the per-package fact summaries, cold or
-// cached alike.
+// packages) and runs over the per-package fact summaries.
 var codecSymAnalyzer = &Analyzer{
 	Name: "codecsym",
 	Doc:  "encode/decode halves of a //mantra:codec pair disagree about fields, order, or pinned shape",
-	Run: func(a *Analysis, p *Package) []Finding {
-		return filterCheck(a.globalFindings()[p.RelPath], "codecsym")
-	},
 }
 
 // codecPair collects one pair name's declarations across the module.
@@ -38,7 +34,7 @@ type codecPair struct {
 	pins           []*StructSum
 }
 
-func codecSymFindings(idx *sumIndex, add func(string, Finding)) {
+func codecSymFindings(idx *sumIndex, add func(Finding)) {
 	pairs := make(map[string]*codecPair)
 	at := func(name string) *codecPair {
 		if pairs[name] == nil {
@@ -76,19 +72,18 @@ func codecSymFindings(idx *sumIndex, add func(string, Finding)) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		checkCodecPair(idx, name, pairs[name], add)
+		checkCodecPair(name, pairs[name], add)
 	}
 }
 
-func checkCodecPair(idx *sumIndex, name string, pair *codecPair, add func(string, Finding)) {
-	emit := func(pos Pos, rel string, format string, args ...any) {
-		add(rel, Finding{Pos: posOf(pos), Check: "codecsym",
+func checkCodecPair(name string, pair *codecPair, add func(Finding)) {
+	emit := func(pos Pos, format string, args ...any) {
+		add(Finding{Pos: posOf(pos), Check: "codecsym",
 			Message: fmt.Sprintf(format, args...)})
 	}
-	relOfFunc := func(f *FuncSum) string { return idx.rel[f.Name] }
 
 	if len(pair.pins) > 0 && (len(pair.encode) > 0 || len(pair.decode) > 0) {
-		emit(pair.pins[0].Codec.Pos, idx.structRel[pair.pins[0].Name],
+		emit(pair.pins[0].Codec.Pos,
 			"codec pair %s has both function markers and a type pin; declare either an encode/decode pair or a pinned type shape, not both", quote(name))
 		return
 	}
@@ -96,7 +91,7 @@ func checkCodecPair(idx *sumIndex, name string, pair *codecPair, add func(string
 	// Type-pin pairs: the digest covers the declared field list.
 	if len(pair.pins) > 0 {
 		for _, extra := range pair.pins[1:] {
-			emit(extra.Codec.Pos, idx.structRel[extra.Name],
+			emit(extra.Codec.Pos,
 				"codec pair %s pinned on more than one type (also on %s); one pin per pair", quote(name), pair.pins[0].Name)
 		}
 		pin := pair.pins[0]
@@ -107,10 +102,10 @@ func checkCodecPair(idx *sumIndex, name string, pair *codecPair, add func(string
 		digest := shapeDigest(parts, pin.Codec.MagicValue)
 		switch {
 		case pin.Codec.Shape == "":
-			emit(pin.Codec.Pos, idx.structRel[pin.Name],
+			emit(pin.Codec.Pos,
 				"codec pair %s has no pinned shape; pin the current serialized shape of %s with shape=%s", quote(name), pin.Name, digest)
 		case pin.Codec.Shape != digest:
-			emit(pin.Codec.Pos, idx.structRel[pin.Name],
+			emit(pin.Codec.Pos,
 				"serialized shape of %s changed (computed %s, pinned %s); if the wire format moved, bump %s and re-pin shape=%s",
 				quote(name), digest, pin.Codec.Shape, magicDesc(pin.Codec), digest)
 		}
@@ -120,25 +115,25 @@ func checkCodecPair(idx *sumIndex, name string, pair *codecPair, add func(string
 	// Function pairs.
 	if len(pair.encode) > 1 {
 		for _, extra := range pair.encode[1:] {
-			emit(extra.Codec.Pos, relOfFunc(extra),
+			emit(extra.Codec.Pos,
 				"codec pair %s has more than one encode half (also %s); one function per role", quote(name), pair.encode[0].Short)
 		}
 	}
 	if len(pair.decode) > 1 {
 		for _, extra := range pair.decode[1:] {
-			emit(extra.Codec.Pos, relOfFunc(extra),
+			emit(extra.Codec.Pos,
 				"codec pair %s has more than one decode half (also %s); one function per role", quote(name), pair.decode[0].Short)
 		}
 	}
 	switch {
 	case len(pair.encode) == 0 && len(pair.decode) > 0:
 		dec := pair.decode[0]
-		emit(dec.Codec.Pos, relOfFunc(dec),
+		emit(dec.Codec.Pos,
 			"codec pair %s has a decode half (%s) but no encode half; mark the encoder with //mantra:codec pair=%s role=encode", quote(name), dec.Short, name)
 		return
 	case len(pair.decode) == 0 && len(pair.encode) > 0:
 		enc := pair.encode[0]
-		emit(enc.Codec.Pos, relOfFunc(enc),
+		emit(enc.Codec.Pos,
 			"codec pair %s has an encode half (%s) but no decode half; mark the decoder with //mantra:codec pair=%s role=decode", quote(name), enc.Short, name)
 		return
 	case len(pair.encode) == 0:
@@ -147,22 +142,22 @@ func checkCodecPair(idx *sumIndex, name string, pair *codecPair, add func(string
 	enc, dec := pair.encode[0], pair.decode[0]
 
 	if enc.Codec.TypeFull != "" && dec.Codec.TypeFull != "" && enc.Codec.TypeFull != dec.Codec.TypeFull {
-		emit(dec.Codec.Pos, relOfFunc(dec),
+		emit(dec.Codec.Pos,
 			"codec pair %s halves target different types (encode %s, decode %s)", quote(name), enc.Codec.TypeFull, dec.Codec.TypeFull)
 		return
 	}
 	if enc.Codec.MagicValue != "" && dec.Codec.MagicValue != "" && enc.Codec.MagicValue != dec.Codec.MagicValue {
-		emit(dec.Codec.Pos, relOfFunc(dec),
+		emit(dec.Codec.Pos,
 			"codec pair %s halves resolve different magic values (encode %s=%s, decode %s=%s); both halves must version against one constant",
 			quote(name), enc.Codec.Magic, enc.Codec.MagicValue, dec.Codec.Magic, dec.Codec.MagicValue)
 	}
 	if len(enc.FieldFlow) == 0 {
-		emit(enc.Codec.Pos, relOfFunc(enc),
+		emit(enc.Codec.Pos,
 			"encode half %s of pair %s has no extractable field events for %s; route every field through a call argument so the order is checkable", enc.Short, quote(name), enc.Codec.TypeFull)
 		return
 	}
 	if len(dec.FieldFlow) == 0 {
-		emit(dec.Codec.Pos, relOfFunc(dec),
+		emit(dec.Codec.Pos,
 			"decode half %s of pair %s has no extractable field events for %s; assign every field from a reader call so the order is checkable", dec.Short, quote(name), dec.Codec.TypeFull)
 		return
 	}
@@ -186,21 +181,21 @@ func checkCodecPair(idx *sumIndex, name string, pair *codecPair, add func(string
 	for _, p := range encFold {
 		if !decSet[p] {
 			asym = true
-			emit(dec.Codec.Pos, relOfFunc(dec),
+			emit(dec.Codec.Pos,
 				"codec pair %s: encode (%s, %s) writes %s but decode %s never reads it", quote(name), enc.Short, encAt, p, dec.Short)
 		}
 	}
 	for _, p := range decFold {
 		if !encSet[p] {
 			asym = true
-			emit(dec.Codec.Pos, relOfFunc(dec),
+			emit(dec.Codec.Pos,
 				"codec pair %s: decode %s reads %s but encode (%s, %s) never writes it", quote(name), dec.Short, p, enc.Short, encAt)
 		}
 	}
 	if !asym {
 		for i := range encFold {
 			if encFold[i] != decFold[i] {
-				emit(dec.Codec.Pos, relOfFunc(dec),
+				emit(dec.Codec.Pos,
 					"codec pair %s: field order diverges at position %d — encode (%s) writes %s, decode reads %s; the wire bytes will be misparsed silently",
 					quote(name), i+1, encAt, encFold[i], decFold[i])
 				break
@@ -217,10 +212,10 @@ func checkCodecPair(idx *sumIndex, name string, pair *codecPair, add func(string
 	digest := shapeDigest(parts, enc.Codec.MagicValue)
 	switch {
 	case enc.Codec.Shape == "":
-		emit(enc.Codec.Pos, relOfFunc(enc),
+		emit(enc.Codec.Pos,
 			"codec pair %s has no pinned shape; pin the current encode order with shape=%s", quote(name), digest)
 	case enc.Codec.Shape != digest:
-		emit(enc.Codec.Pos, relOfFunc(enc),
+		emit(enc.Codec.Pos,
 			"serialized shape of %s changed (computed %s, pinned %s); if the wire format moved, bump %s and re-pin shape=%s",
 			quote(name), digest, enc.Codec.Shape, magicDesc(enc.Codec), digest)
 	}

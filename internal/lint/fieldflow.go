@@ -9,8 +9,7 @@ import (
 
 // Per-struct field-flow extraction: the facts codecsym compares across
 // an encode/decode pair, and the field-access facts statecov's coverage
-// check consumes. Both are extracted during Summarize, so the warm
-// driver replays them from cache exactly like every other fact.
+// check consumes. Both are extracted during Summarize.
 //
 // The extraction rules are deliberately syntactic and symmetric:
 //

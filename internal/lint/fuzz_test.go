@@ -13,11 +13,11 @@ import (
 )
 
 // FuzzSummaryExtract drives the fact-summary extractor over arbitrary
-// Go sources. The extractor sits in front of the finding cache, so its
+// Go sources. The extractor feeds every module-wide check, so its
 // contract is strict: it must never panic, and summarizing the same
 // source twice — through two fully independent parse/type-check passes
-// — must yield byte-identical JSON, or warm cache entries would diverge
-// from cold runs.
+// — must yield byte-identical JSON, or global findings would differ
+// from run to run.
 
 // refuseImporter fails every import: fuzz inputs type-check best-effort
 // with unresolved imports recorded as type errors, the same degraded
@@ -62,11 +62,12 @@ func summarizeSource(src []byte) (out []byte, ok bool) {
 }
 
 func FuzzSummaryExtract(f *testing.F) {
-	// Seed with this module's own sources: the analyzer package itself
-	// plus every fixture — the richest available coverage of marker
-	// grammar, codec bodies and taint shapes.
+	// Seed with this module's own sources: the analyzer package itself,
+	// every fixture, and the delta logger, whose WAL and checkpoint codecs
+	// carry each marker kind in production form — the richest available
+	// coverage of marker grammar, codec bodies and taint shapes.
 	var seeds []string
-	for _, pat := range []string{"*.go", filepath.Join("testdata", "*", "*.go")} {
+	for _, pat := range []string{"*.go", filepath.Join("testdata", "*", "*.go"), filepath.Join("..", "core", "logger", "*.go")} {
 		m, err := filepath.Glob(pat)
 		if err != nil {
 			f.Fatal(err)

@@ -8,35 +8,19 @@ import (
 )
 
 // The global phase: the module-wide analyses (hotalloc, lockorder,
-// codecsym, statecov, sertaint) computed over per-package fact
-// summaries. Both the cold path (Analysis over loaded packages) and the
-// warm path (Driver over cached summaries) funnel through
-// GlobalFindings, so the two views cannot diverge.
+// codecsym, statecov, sertaint — the analyzers registered with a nil
+// Run) computed over per-package fact summaries, because a finding in
+// one package can depend on a marker or a call in another.
 
-// isGlobalCheck reports whether a check runs in the global phase — its
-// findings are recomputed from summaries every run and never cached
-// per-package (a reverse dependency can change them).
-func isGlobalCheck(name string) bool {
-	switch name {
-	case "hotalloc", "lockorder", "codecsym", "statecov", "sertaint":
-		return true
-	}
-	return false
-}
-
-// GlobalFindings runs the module-wide analyses over the summaries and
-// returns raw (pre-suppression) findings grouped by the RelPath of the
-// package each finding's function lives in.
-func GlobalFindings(sums []*PkgSummary) map[string][]Finding {
+// globalFindings runs the module-wide analyses over the summaries and
+// returns their raw (pre-suppression) findings, marker defects
+// included.
+func globalFindings(sums []*PkgSummary) []Finding {
 	idx := newSumIndex(sums)
-	out := make(map[string][]Finding)
-	add := func(rel string, f Finding) { out[rel] = append(out[rel], f) }
-	// Marker defects were pre-rendered at summary time; re-emitting them
-	// here puts the cold and warm paths on the same line.
+	var out []Finding
+	add := func(f Finding) { out = append(out, f) }
 	for _, s := range sums {
-		for _, f := range fromJSONFindings(s.Defects) {
-			add(s.RelPath, f)
-		}
+		out = append(out, s.Defects...)
 	}
 	hotAllocFindings(idx, add)
 	lockOrderFindings(idx, add)
@@ -46,10 +30,10 @@ func GlobalFindings(sums []*PkgSummary) map[string][]Finding {
 	return out
 }
 
-// HotRoots returns the sorted full names of every //mantra:hotpath
+// hotRoots returns the sorted full names of every //mantra:hotpath
 // annotated function — the declared root set the generated
 // testing.AllocsPerRun gates are pinned against.
-func HotRoots(sums []*PkgSummary) []string {
+func hotRoots(sums []*PkgSummary) []string {
 	var out []string
 	for _, s := range sums {
 		for _, f := range s.Funcs {
@@ -64,27 +48,20 @@ func HotRoots(sums []*PkgSummary) []string {
 
 // sumIndex is the name-keyed view of all summaries.
 type sumIndex struct {
-	funcs     map[string]*FuncSum   // FullName → summary
-	rel       map[string]string     // FullName → owning package RelPath
-	names     []string              // sorted FullNames, for deterministic iteration
-	structs   map[string]*StructSum // full type name → tracked struct
-	structRel map[string]string     // full type name → owning package RelPath
+	funcs   map[string]*FuncSum   // FullName → summary
+	names   []string              // sorted FullNames, for deterministic iteration
+	structs map[string]*StructSum // full type name → tracked struct
 }
 
 func newSumIndex(sums []*PkgSummary) *sumIndex {
-	idx := &sumIndex{
-		funcs: make(map[string]*FuncSum), rel: make(map[string]string),
-		structs: make(map[string]*StructSum), structRel: make(map[string]string),
-	}
+	idx := &sumIndex{funcs: make(map[string]*FuncSum), structs: make(map[string]*StructSum)}
 	for _, s := range sums {
 		for _, f := range s.Funcs {
 			idx.funcs[f.Name] = f
-			idx.rel[f.Name] = s.RelPath
 			idx.names = append(idx.names, f.Name)
 		}
 		for _, st := range s.Structs {
 			idx.structs[st.Name] = st
-			idx.structRel[st.Name] = s.RelPath
 		}
 	}
 	sort.Strings(idx.names)
@@ -101,7 +78,7 @@ func posOf(p Pos) token.Position {
 // a //mantra:hotpath root over the static call graph — and reports the
 // allocation sites of each hot function whose site count exceeds its
 // budget (0 unless the function carries its own annotated budget).
-func hotAllocFindings(idx *sumIndex, add func(string, Finding)) {
+func hotAllocFindings(idx *sumIndex, add func(Finding)) {
 	// BFS from the sorted root list; the first (smallest-named) root to
 	// reach a function becomes its reported witness.
 	witness := make(map[string]string)
@@ -145,7 +122,7 @@ func hotAllocFindings(idx *sumIndex, add func(string, Finding)) {
 			rootDesc = "reachable from //mantra:hotpath root " + idx.funcs[root].Short
 		}
 		for _, site := range f.Allocs {
-			add(idx.rel[name], Finding{
+			add(Finding{
 				Pos:   posOf(site.Pos),
 				Check: "hotalloc",
 				Message: fmt.Sprintf("%s in %s (%s; %d allocation site(s), budget %d); eliminate the allocation, or raise the function's budget with a reason",
@@ -174,7 +151,7 @@ type lockEdge struct {
 // reports (a) direct recursive acquisition of one mutex expression and
 // (b) every edge that participates in a cycle — the AB/BA inversion and
 // its longer cousins — as a potential deadlock.
-func lockOrderFindings(idx *sumIndex, add func(string, Finding)) {
+func lockOrderFindings(idx *sumIndex, add func(Finding)) {
 	// Transitive acquire sets, to fixpoint: which lock classes can a
 	// call into fn end up acquiring?
 	acquires := make(map[string]map[string]bool)
@@ -226,7 +203,7 @@ func lockOrderFindings(idx *sumIndex, add func(string, Finding)) {
 				}
 				if in.Class == ev.Class {
 					if in.Expr == ev.Expr {
-						add(idx.rel[name], Finding{
+						add(Finding{
 							Pos:   posOf(in.Pos),
 							Check: "lockorder",
 							Message: fmt.Sprintf("%s locked again in %s while already held (locked at line %d); sync mutexes are not reentrant — this deadlocks",
@@ -303,7 +280,7 @@ func lockOrderFindings(idx *sumIndex, add func(string, Finding)) {
 		if e.via != "" {
 			how = "acquired via call to " + e.via
 		}
-		add(idx.rel[e.fn], Finding{
+		add(Finding{
 			Pos:   posOf(e.site),
 			Check: "lockorder",
 			Message: fmt.Sprintf("%s %s while %s (%s) is held, but the module also acquires these locks in the opposite order (cycle: %s); pick one order — this can deadlock",

@@ -14,26 +14,8 @@ package lint
 // testing.AllocsPerRun gates generated from the same root set.
 //
 // The analysis is module-wide: the hot set and every finding are
-// computed once per Analysis over the per-package fact summaries, then
-// routed to the package each function lives in. The same computation
-// runs over cached summaries in the warm driver, so cached findings are
-// byte-identical to fresh ones.
+// computed once per run over the per-package fact summaries.
 var hotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "allocation site reachable from a //mantra:hotpath root beyond the function's allocation budget",
-	Run:  runHotAlloc,
-}
-
-func runHotAlloc(a *Analysis, p *Package) []Finding {
-	return filterCheck(a.globalFindings()[p.RelPath], "hotalloc")
-}
-
-func filterCheck(fs []Finding, check string) []Finding {
-	var out []Finding
-	for _, f := range fs {
-		if f.Check == check {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -10,16 +10,15 @@
 // The per-file syntactic checks (mapiter, floatsum, wallclock,
 // globalrand, walerr) inspect one package at a time. The concurrency
 // checks (lockheld, sharedmut, goleak, waltaint) are type-aware and
-// cross-function: RunAnalyzers first builds an Analysis — a static call
+// cross-function: Run first builds an Analysis — a static call
 // graph over every loaded package plus derived facts (which functions
 // block, which loop without a stop path) — and the analyzers consult it,
 // so a mutex held across a call chain ending in a channel send is found
 // even when the send is three frames down in another package. The
 // module-wide checks (hotalloc, lockorder, codecsym, statecov,
-// sertaint) run once per Analysis over per-package fact summaries —
+// sertaint) run once per Run over per-package fact summaries —
 // field-flow events, state-transfer marks and determinism-taint graphs
-// extracted alongside the call facts (DESIGN.md §15) — and route each
-// finding to the package it lives in.
+// extracted alongside the call facts (DESIGN.md §15).
 //
 // The suite is stdlib-only (go/parser, go/ast, go/types): the module has
 // zero dependencies and must stay buildable offline. Findings are
@@ -74,47 +73,18 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrors collects type-check diagnostics. Analysis proceeds on a
-	// best-effort basis when they are non-empty; the driver surfaces them
-	// under -debug.
+	// best-effort basis when they are non-empty; cmd/mantralint surfaces
+	// them under -debug.
 	TypeErrors []error
 }
 
-// Analysis is the module-wide context one RunAnalyzers call shares
-// across every analyzer: the packages under analysis plus the
-// cross-function artifacts (call graph, fact store) derived from them.
-// Analyzers that only need single-package syntax ignore it.
+// Analysis is the module-wide context one Run shares across every
+// analyzer: the packages under analysis plus the static call graph and
+// its derived facts. Analyzers that only need single-package syntax
+// ignore it.
 type Analysis struct {
 	Pkgs  []*Package
 	Graph *CallGraph
-
-	// The global phase (hotalloc hot-set reachability, the lockorder
-	// acquisition graph) runs once per Analysis over per-package fact
-	// summaries, lazily on first demand; per-package analyzer Runs then
-	// just pick out their slice. The warm driver feeds the identical
-	// computation cached summaries, so the two paths cannot diverge.
-	globalOnce sync.Once
-	global     map[string][]Finding
-}
-
-// globalFindings returns the module-wide analyzers' raw findings,
-// grouped by package RelPath, computing them on first call.
-func (a *Analysis) globalFindings() map[string][]Finding {
-	a.globalOnce.Do(func() {
-		sums := make([]*PkgSummary, 0, len(a.Pkgs))
-		for _, p := range a.Pkgs {
-			sums = append(sums, Summarize(p))
-		}
-		a.global = GlobalFindings(sums)
-	})
-	return a.global
-}
-
-// NewAnalysis builds the shared context: the static call graph over pkgs
-// and its derived facts. Fixture tests build one over a single package;
-// the driver builds one over the whole module, which is what makes the
-// concurrency checks cross-package.
-func NewAnalysis(pkgs []*Package) *Analysis {
-	return &Analysis{Pkgs: pkgs, Graph: buildCallGraph(pkgs)}
 }
 
 // An Analyzer checks one invariant over one package.
@@ -125,7 +95,8 @@ type Analyzer struct {
 	Doc string
 	// Run reports the analyzer's raw findings for one package, consulting
 	// the shared Analysis for cross-function facts; suppression comments
-	// are applied by the caller.
+	// are applied by the caller. It is nil for the module-wide checks,
+	// whose findings come out of the global phase (global.go).
 	Run func(a *Analysis, p *Package) []Finding
 }
 
@@ -184,15 +155,26 @@ func CheckNames() []string {
 	return out
 }
 
-// RunAnalyzers builds the shared Analysis over the packages, runs the
-// given analyzers (packages in parallel — every analyzer input is
-// read-only once the Analysis is built), applies the suppression
-// comments, and returns the surviving findings sorted by position.
-// Defective allow comments (unknown check, missing reason) are reported
-// alongside, as are stale ones: an allow for a check that ran but
-// suppressed nothing on its line is an "allowstale" finding, so a
-// suppression can never outlive the violation it justified.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
+// Result is one run's output.
+type Result struct {
+	// Findings is the post-suppression finding list, position-sorted.
+	Findings []Finding
+	// HotRoots is the sorted //mantra:hotpath root set — the list the
+	// testing.AllocsPerRun gates are pinned against.
+	HotRoots []string
+}
+
+// Run is mantralint's one front end: cmd/mantralint hands it the whole
+// module, a fixture test one package. It builds the shared Analysis,
+// runs the per-package analyzers (packages in parallel — every analyzer
+// input is read-only once the Analysis is built) and summarizes each
+// package, runs the module-wide checks once over the summaries, applies
+// the suppression comments, and returns the surviving findings sorted
+// by position. Defective allow comments (unknown check, missing reason)
+// are reported alongside, as are stale ones: an allow for a check that
+// ran but suppressed nothing on its line is an "allowstale" finding, so
+// a suppression can never outlive the violation it justified.
+func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 	valid := make(map[string]bool)
 	for _, a := range Analyzers() {
 		valid[a.Name] = true
@@ -204,12 +186,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
-	a := NewAnalysis(pkgs)
+	a := &Analysis{Pkgs: pkgs, Graph: buildCallGraph(pkgs)}
 
 	// Fan the packages out over the CPUs. Results land in a per-package
 	// slot, so the concurrency cannot perturb finding order; the final
 	// sort keys on position alone either way.
 	perPkg := make([][]Finding, len(pkgs))
+	sums := make([]*PkgSummary, len(pkgs))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, p := range pkgs {
@@ -218,29 +201,36 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		go func(i int, p *Package) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			allows, defects := collectAllows(p, valid)
 			var raw []Finding
 			for _, an := range analyzers {
-				raw = append(raw, an.Run(a, p)...)
-			}
-			out := defects
-			for _, f := range raw {
-				if !allows.suppresses(f) {
-					out = append(out, f)
+				if an.Run != nil {
+					raw = append(raw, an.Run(a, p)...)
 				}
 			}
-			out = append(out, allows.stale(ran)...)
-			perPkg[i] = out
+			perPkg[i], sums[i] = raw, Summarize(p)
 		}(i, p)
 	}
 	wg.Wait()
 
-	var out []Finding
-	for _, fs := range perPkg {
-		out = append(out, fs...)
+	allows := make(allowSet)
+	var out, raw []Finding
+	for i, p := range pkgs {
+		out = append(out, collectAllows(p, valid, allows)...)
+		raw = append(raw, perPkg[i]...)
 	}
+	for _, f := range globalFindings(sums) {
+		if ran[f.Check] {
+			raw = append(raw, f)
+		}
+	}
+	for _, f := range raw {
+		if !allows.suppresses(f) {
+			out = append(out, f)
+		}
+	}
+	out = append(out, allows.stale(ran)...)
 	sortFindings(out)
-	return out
+	return &Result{Findings: out, HotRoots: hotRoots(sums)}
 }
 
 func sortFindings(fs []Finding) {

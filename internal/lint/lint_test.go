@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -90,7 +91,7 @@ func collectWants(t *testing.T, p *Package) []want {
 func checkFixture(t *testing.T, fixture, rel string) {
 	t.Helper()
 	p := loadFixture(t, fixture, rel)
-	findings := RunAnalyzers([]*Package{p}, Analyzers())
+	findings := Run([]*Package{p}, Analyzers()).Findings
 	wants := collectWants(t, p)
 
 	matched := make([]bool, len(wants))
@@ -144,7 +145,7 @@ func TestAllowStaleFixture(t *testing.T) {
 func TestLockScopeSilent(t *testing.T) {
 	for _, fixture := range []string{"lockheld", "sharedmut", "waltaint"} {
 		p := loadFixture(t, fixture, "internal/netsim")
-		if fs := RunAnalyzers([]*Package{p}, Analyzers()); len(fs) != 0 {
+		if fs := Run([]*Package{p}, Analyzers()).Findings; len(fs) != 0 {
 			t.Errorf("%s outside its boundary packages produced findings: %v", fixture, fs)
 		}
 	}
@@ -154,7 +155,7 @@ func TestLockScopeSilent(t *testing.T) {
 // determinism-critical set; mapiter must stay silent there.
 func TestMapIterScoping(t *testing.T) {
 	p := loadFixture(t, "mapiterscope", "internal/netsim")
-	if fs := RunAnalyzers([]*Package{p}, Analyzers()); len(fs) != 0 {
+	if fs := Run([]*Package{p}, Analyzers()).Findings; len(fs) != 0 {
 		t.Fatalf("non-critical package produced findings: %v", fs)
 	}
 }
@@ -163,7 +164,7 @@ func TestMapIterScoping(t *testing.T) {
 // fixture loaded as a determinism-critical path must be flagged.
 func TestMapIterScopeApplies(t *testing.T) {
 	p := loadFixture(t, "mapiterscope", "internal/core/tables")
-	fs := RunAnalyzers([]*Package{p}, Analyzers())
+	fs := Run([]*Package{p}, Analyzers()).Findings
 	if len(fs) != 1 || fs[0].Check != "mapiter" {
 		t.Fatalf("findings = %v, want exactly one mapiter", fs)
 	}
@@ -183,7 +184,7 @@ func TestPR3RegressionShapes(t *testing.T) {
 	checkFixture(t, "pr3regress", "internal/core/logger")
 	p := loadFixture(t, "pr3regress", "internal/core/logger")
 	byCheck := make(map[string]int)
-	for _, f := range RunAnalyzers([]*Package{p}, Analyzers()) {
+	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
 		byCheck[f.Check]++
 	}
 	if byCheck["mapiter"] == 0 || byCheck["floatsum"] == 0 {
@@ -196,7 +197,7 @@ func TestPR3RegressionShapes(t *testing.T) {
 // so this fixture cannot self-annotate).
 func TestAllowDefects(t *testing.T) {
 	p := loadFixture(t, "allowdefects", "internal/netsim")
-	findings := RunAnalyzers([]*Package{p}, Analyzers())
+	findings := Run([]*Package{p}, Analyzers()).Findings
 	var allowMsgs []string
 	wallclock := 0
 	for _, f := range findings {
@@ -237,7 +238,7 @@ func TestEngineRegressShapes(t *testing.T) {
 	checkFixture(t, "engineregress", "internal/core/engine")
 	p := loadFixture(t, "engineregress", "internal/core/engine")
 	byCheck := make(map[string]int)
-	for _, f := range RunAnalyzers([]*Package{p}, Analyzers()) {
+	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
 		byCheck[f.Check]++
 	}
 	if byCheck["sharedmut"] < 2 || byCheck["lockheld"] < 1 {
@@ -253,7 +254,7 @@ func TestLockOrderRegress(t *testing.T) {
 	checkFixture(t, "lockorderregress", "internal/core/collect")
 	p := loadFixture(t, "lockorderregress", "internal/core/collect")
 	lockorder := 0
-	for _, f := range RunAnalyzers([]*Package{p}, Analyzers()) {
+	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
 		if f.Check == "lockorder" {
 			lockorder++
 		}
@@ -269,7 +270,7 @@ func TestLockOrderRegress(t *testing.T) {
 func TestHotpathDefects(t *testing.T) {
 	p := loadFixture(t, "hotpathdefects", "internal/netsim")
 	var msgs []string
-	for _, f := range RunAnalyzers([]*Package{p}, Analyzers()) {
+	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
 		if f.Check != "hotpath" {
 			t.Errorf("unexpected finding: %s", f)
 			continue
@@ -311,23 +312,42 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// The whole module is linted once for the two tests that need it.
+var (
+	selfOnce sync.Once
+	selfPkgs []*Package
+	selfRes  *Result
+	selfErr  error
+)
+
+func moduleRun(t *testing.T) ([]*Package, *Result) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	m := fixtureModule(t)
+	selfOnce.Do(func() {
+		if selfPkgs, selfErr = m.LoadAll(); selfErr == nil {
+			selfRes = Run(selfPkgs, Analyzers())
+		}
+	})
+	if selfErr != nil {
+		t.Fatal(selfErr)
+	}
+	return selfPkgs, selfRes
+}
+
 // TestModuleSelfClean is the enforced version of the self-clean pass:
 // every package in the repository must lint clean, so `make lint` exiting
 // zero is guaranteed by `go test` too.
 func TestModuleSelfClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	pkgs, err := fixtureModule(t).LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, res := moduleRun(t)
 	for _, p := range pkgs {
 		if len(p.TypeErrors) > 0 {
 			t.Errorf("package %q has type errors: %v", p.RelPath, p.TypeErrors[0])
 		}
 	}
-	for _, f := range RunAnalyzers(pkgs, Analyzers()) {
+	for _, f := range res.Findings {
 		t.Errorf("finding on clean tree: %s", f)
 	}
 }
@@ -338,17 +358,7 @@ func TestModuleSelfClean(t *testing.T) {
 // marker silently added, moved or dropped shows up as a diff here and
 // keeps the two views from drifting. Update both together.
 func TestHotRootsPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	pkgs, err := fixtureModule(t).LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := make([]*PkgSummary, 0, len(pkgs))
-	for _, p := range pkgs {
-		sums = append(sums, Summarize(p))
-	}
+	_, res := moduleRun(t)
 	want := []string{
 		"(*repro/internal/core/collect.Collector).Collect",
 		"(*repro/internal/core/collect.Session).Run",
@@ -385,7 +395,7 @@ func TestHotRootsPinned(t *testing.T) {
 		"repro/internal/core/tables.saRow",
 		"repro/internal/core/tsdb.segmentPath",
 	}
-	got := HotRoots(sums)
+	got := res.HotRoots
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("hot-path root set drifted:\ngot:\n%s\nwant:\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -404,7 +414,7 @@ func TestCodecSymRegressShape(t *testing.T) {
 	checkFixture(t, "codecsymregress", "internal/core/logger")
 	p := loadFixture(t, "codecsymregress", "internal/core/logger")
 	n := 0
-	for _, f := range RunAnalyzers([]*Package{p}, Analyzers()) {
+	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
 		if f.Check == "codecsym" {
 			n++
 		}
@@ -420,7 +430,7 @@ func TestStateCovRegressShape(t *testing.T) {
 	checkFixture(t, "statecovregress", "internal/core/shard")
 	p := loadFixture(t, "statecovregress", "internal/core/shard")
 	n := 0
-	for _, f := range RunAnalyzers([]*Package{p}, Analyzers()) {
+	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
 		if f.Check == "statecov" {
 			n++
 		}
@@ -436,7 +446,7 @@ func TestSerTaintRegressShape(t *testing.T) {
 	checkFixture(t, "sertaintregress", "internal/core/logger")
 	p := loadFixture(t, "sertaintregress", "internal/core/logger")
 	n := 0
-	for _, f := range RunAnalyzers([]*Package{p}, Analyzers()) {
+	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
 		if f.Check == "sertaint" {
 			n++
 		}
@@ -451,7 +461,7 @@ func TestSerTaintRegressShape(t *testing.T) {
 // argument parse, so this fixture cannot self-annotate).
 func TestMarkDefects(t *testing.T) {
 	p := loadFixture(t, "markdefects", "internal/netsim")
-	findings := RunAnalyzers([]*Package{p}, Analyzers())
+	findings := Run([]*Package{p}, Analyzers()).Findings
 	var msgs []string
 	for _, f := range findings {
 		msgs = append(msgs, fmt.Sprintf("[%s] %s", f.Check, f.Message))
@@ -476,5 +486,178 @@ func TestMarkDefects(t *testing.T) {
 		if !found {
 			t.Errorf("no defect containing %q in:\n%s", wantSub, strings.Join(msgs, "\n"))
 		}
+	}
+}
+
+// lintTree writes files as a throwaway module, lints it whole and
+// returns the rendered findings.
+func lintTree(t *testing.T, files map[string]string) []string {
+	t.Helper()
+	dir := t.TempDir()
+	files["go.mod"] = "module crosstest\n\ngo 1.21\n"
+	for rel, content := range files {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := m.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, f := range Run(pkgs, Analyzers()).Findings {
+		out = append(out, f.String())
+	}
+	return out
+}
+
+const crossHotDep = `package a
+
+import "fmt"
+
+// Render allocates through fmt; it is hot only while some root
+// reaches it.
+func Render(n int) string {
+	return fmt.Sprintf("%d", n)
+}
+`
+
+const crossHotRoot = `package b
+
+import "crosstest/a"
+
+//mantra:hotpath
+func Cycle() string {
+	return a.Render(1)
+}
+`
+
+const crossCodecEncode = `package a
+
+type Rec struct {
+	A uint64
+	B uint64
+}
+
+//mantra:codec pair=rec role=encode type=Rec
+func EncodeRec(r Rec) []byte {
+	b := append([]byte(nil), byte(r.A))
+	b = append(b, byte(r.B))
+	return b
+}
+`
+
+const crossCodecDecode = `package b
+
+import "crosstest/a"
+
+//mantra:codec pair=rec role=decode type=a.Rec
+func DecodeRec(buf []byte) a.Rec {
+	var r a.Rec
+	r.A = uint64(buf[0])
+	r.B = uint64(buf[1])
+	return r
+}
+`
+
+const crossStateComponent = `package a
+
+type Store struct {
+	data map[string][]byte
+}
+
+//mantra:statetransfer component=store seam=export
+func (s *Store) ExportTarget(name string) []byte {
+	return s.data[name]
+}
+
+//mantra:statetransfer component=store seam=import
+func (s *Store) ImportTarget(name string, b []byte) {
+	s.data[name] = b
+}
+`
+
+const crossStateRoots = `package b
+
+import "crosstest/a"
+
+//mantra:statetransfer root=checkpoint-export
+func CheckpointExport(s *a.Store, names []string) map[string][]byte {
+	out := make(map[string][]byte, len(names))
+	for _, n := range names {
+		out[n] = s.ExportTarget(n)
+	}
+	return out
+}
+
+//mantra:statetransfer root=checkpoint-import
+func CheckpointImport(s *a.Store, ck map[string][]byte) {
+	for n, b := range ck {
+		s.ImportTarget(n, b)
+	}
+}
+
+//mantra:statetransfer root=handoff-export
+func HandoffExport(s *a.Store, name string) []byte {
+	return s.ExportTarget(name)
+}
+
+//mantra:statetransfer root=handoff-import
+func HandoffImport(s *a.Store, name string, b []byte) {
+	s.ImportTarget(name, b)
+}
+`
+
+// TestCrossPackageGlobalPhase: the module-wide checks join facts across
+// package boundaries, which no single-package fixture can show. In each
+// case package b alone decides whether package a has a finding, and the
+// finding carries a's module-root-relative path.
+func TestCrossPackageGlobalPhase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks throwaway modules")
+	}
+	for _, tc := range []struct {
+		name     string
+		a, b     string
+		old, new string // the edit to b that flips a's finding
+		before   string // what the one finding before the edit says ("" = clean)
+		after    string // what a finding after the edit says ("" = clean)
+	}{
+		{"hotalloc root elsewhere", crossHotDep, crossHotRoot,
+			"//mantra:hotpath\n", "", "a/a.go:8:9: [hotalloc] fmt.Sprintf call (formats through interfaces, allocates) in a.Render (reachable from //mantra:hotpath root b.Cycle;", ""},
+		{"codecsym decode drifts", crossCodecEncode, crossCodecDecode,
+			"\tr.B = uint64(buf[1])\n", "", "a/a.go:9:6: [codecsym] codec pair \"rec\" has no pinned shape",
+			"b/b.go:6:6: [codecsym] codec pair \"rec\": encode (a.EncodeRec, a.go) writes B but decode b.DecodeRec never reads it"},
+		{"statecov root drops the seam", crossStateComponent, crossStateRoots,
+			"\treturn s.ExportTarget(name)\n", "\treturn nil\n", "",
+			"a/a.go:8:17: [statecov] component \"store\": no export seam is reachable from the handoff-export root"},
+	} {
+		check := func(step string, got []string, want string) {
+			t.Helper()
+			if want == "" {
+				if len(got) != 0 {
+					t.Errorf("%s, %s: findings = %v, want none", tc.name, step, got)
+				}
+				return
+			}
+			if !strings.Contains(strings.Join(got, "\n"), want) {
+				t.Errorf("%s, %s: no finding containing %q in %v", tc.name, step, want, got)
+			}
+		}
+		before := lintTree(t, map[string]string{"a/a.go": tc.a, "b/b.go": tc.b})
+		if tc.before != "" && len(before) != 1 {
+			t.Errorf("%s, before: findings = %v, want exactly one", tc.name, before)
+		}
+		check("before", before, tc.before)
+		edited := strings.Replace(tc.b, tc.old, tc.new, 1)
+		check("after", lintTree(t, map[string]string{"a/a.go": tc.a, "b/b.go": edited}), tc.after)
 	}
 }

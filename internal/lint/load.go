@@ -91,10 +91,10 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
-// PackageDirs enumerates every package directory under the module root,
+// packageDirs enumerates every package directory under the module root,
 // skipping testdata, vendor, hidden and underscore directories. The
 // result is sorted by RelPath ("" for the root package).
-func (m *Module) PackageDirs() ([]string, error) {
+func (m *Module) packageDirs() ([]string, error) {
 	var rels []string
 	err := filepath.WalkDir(m.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -134,7 +134,7 @@ func (m *Module) PackageDirs() ([]string, error) {
 // LoadAll loads every package directory under the module root. The
 // result is sorted by RelPath.
 func (m *Module) LoadAll() ([]*Package, error) {
-	rels, err := m.PackageDirs()
+	rels, err := m.packageDirs()
 	if err != nil {
 		return nil, err
 	}
@@ -147,26 +147,6 @@ func (m *Module) LoadAll() ([]*Package, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// LoadPackage loads (or returns the already-loaded) package at rel —
-// the driver's entry point for re-analyzing just the packages whose
-// cache entries went stale. Loading pulls the module-internal dependency
-// closure in for type information as a side effect.
-func (m *Module) LoadPackage(rel string) (*Package, error) { return m.load(rel) }
-
-// Loaded returns every package loaded so far, sorted by RelPath: the
-// explicitly requested ones plus the dependency closures pulled in to
-// type-check them.
-func (m *Module) Loaded() []*Package {
-	var out []*Package
-	for _, p := range m.pkgs {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RelPath < out[j].RelPath })
-	return out
 }
 
 func hasGoFiles(dir string) (bool, error) {
@@ -211,6 +191,8 @@ func (m *Module) load(rel string) (*Package, error) {
 }
 
 // check parses dir's non-test sources and type-checks them as rel.
+// Files are registered under their module-root-relative names, so every
+// position the linter reports is the same in any checkout.
 func (m *Module) check(dir, rel string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -223,7 +205,17 @@ func (m *Module) check(dir, rel string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		path := filepath.Join(dir, name)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if abs, err := filepath.Abs(path); err == nil {
+			if r, err := filepath.Rel(m.Root, abs); err == nil && !strings.HasPrefix(r, "..") {
+				path = filepath.ToSlash(r)
+			}
+		}
+		f, err := parser.ParseFile(m.Fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

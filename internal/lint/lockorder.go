@@ -20,9 +20,4 @@ package lint
 var lockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "mutex acquisition cycle across the module call graph (lock-order inversion, recursive acquisition) — potential deadlock",
-	Run:  runLockOrder,
-}
-
-func runLockOrder(a *Analysis, p *Package) []Finding {
-	return filterCheck(a.globalFindings()[p.RelPath], "lockorder")
 }

@@ -107,9 +107,9 @@ func TestWriteSARIF(t *testing.T) {
 	}
 }
 
-// BenchmarkMantralintModule times a full module lint — load, call-graph
-// and fact construction, all analyzers over all packages — the cost
-// `make lint` pays per invocation.
+// BenchmarkMantralintModule times a full module lint after the load —
+// call-graph and fact construction, all analyzers over all packages, the
+// global phase.
 func BenchmarkMantralintModule(b *testing.B) {
 	mod, err := NewModule(".")
 	if err != nil {
@@ -121,61 +121,8 @@ func BenchmarkMantralintModule(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if fs := RunAnalyzers(pkgs, Analyzers()); len(fs) != 0 {
+		if fs := Run(pkgs, Analyzers()).Findings; len(fs) != 0 {
 			b.Fatalf("module not clean: %v", fs[0])
-		}
-	}
-}
-
-// BenchmarkMantralintColdDriver is a full cold `make lint`: a fresh
-// module load plus the driver with no cache, per iteration — the
-// baseline the warm benchmark's ≥5× speedup floor is measured against.
-func BenchmarkMantralintColdDriver(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mod, err := NewModule(".")
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := &Driver{Mod: mod, Analyzers: Analyzers()}
-		res, err := d.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Findings) != 0 {
-			b.Fatalf("module not clean: %v", res.Findings[0])
-		}
-	}
-}
-
-// BenchmarkMantralintWarmDriver is the same invocation against a warmed
-// cache: every package hits, only the global phase and suppression
-// recompute. Each iteration still constructs the Module fresh, exactly
-// as a new mantralint process would.
-func BenchmarkMantralintWarmDriver(b *testing.B) {
-	cache := b.TempDir()
-	mod, err := NewModule(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := (&Driver{Mod: mod, CacheDir: cache, Analyzers: Analyzers()}).Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mod, err := NewModule(".")
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := &Driver{Mod: mod, CacheDir: cache, Analyzers: Analyzers()}
-		res, err := d.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stats.CacheHits != res.Stats.Packages {
-			b.Fatalf("warm run missed: %+v", res.Stats)
-		}
-		if len(res.Findings) != 0 {
-			b.Fatalf("module not clean: %v", res.Findings[0])
 		}
 	}
 }

@@ -17,22 +17,27 @@ import (
 // channel nodes — and every source is flood-filled to see whether a
 // sink is reachable, however many functions away.
 //
-// This subsumes the per-function mapiter/floatsum approximations: a
-// map-range value laundered through a helper's return value, or handed
-// across a channel, still taints the bytes the paper's recovery
-// protocol requires to be deterministic.
+// This complements the per-function mapiter/floatsum checks and
+// replaces neither. It sees what they cannot: a map-range value
+// laundered through a helper's return value, or handed across a
+// channel, still taints the bytes the paper's recovery protocol
+// requires to be deterministic. It is silent where they speak: it
+// reports only a flow that ends in a recognized sink (json/gob
+// encoders, an HTTP response, a //mantra:sink function), so run alone
+// over testdata/mapiter, mapiterscope and floatsum it reports none of
+// their seven want lines — an unsorted slice that is only returned, a
+// fmt.Fprintf into a *bytes.Buffer, a hash fold, a float sum handed to
+// the caller. Those are flagged where the order enters, by the lexical
+// checks only.
 //
 // Module sinks are declared with //mantra:sink serialization on the
 // function whose arguments become bytes; sort.* calls sanitize, and the
 // wallclock/globalrand allow comments double as declared clock/rand
 // seams. The analysis is module-wide and runs over the per-package fact
-// summaries, cold or cached alike.
+// summaries.
 var serTaintAnalyzer = &Analyzer{
 	Name: "sertaint",
 	Doc:  "nondeterministically ordered value (map range, select arm, goroutine, unseamed time/rand) flows into a serialization sink",
-	Run: func(a *Analysis, p *Package) []Finding {
-		return filterCheck(a.globalFindings()[p.RelPath], "sertaint")
-	},
 }
 
 // taintSink is one sink node's report data.
@@ -41,7 +46,7 @@ type taintSink struct {
 	pos  Pos
 }
 
-func serTaintFindings(idx *sumIndex, add func(string, Finding)) {
+func serTaintFindings(idx *sumIndex, add func(Finding)) {
 	adj := make(map[string][]string)
 	sinks := make(map[string]taintSink)
 	edge := func(from, to string) { adj[from] = append(adj[from], to) }
@@ -123,7 +128,7 @@ func serTaintFindings(idx *sumIndex, add func(string, Finding)) {
 			if !ok {
 				continue
 			}
-			add(idx.rel[name], Finding{
+			add(Finding{
 				Pos:   posOf(src.Pos),
 				Check: "sertaint",
 				Message: fmt.Sprintf("%s flows into %s (%s:%d); serialized bytes must not depend on nondeterministic order — sort, seam, or restructure before serializing",
@@ -134,9 +139,7 @@ func serTaintFindings(idx *sumIndex, add func(string, Finding)) {
 }
 
 // reachSink flood-fills from a source node and returns the minimal sink
-// witness reached — minimal by (description, file base, line, column),
-// which is identical between cold (absolute paths) and warm (relative
-// paths) runs.
+// witness reached — minimal by (description, file base, line, column).
 func reachSink(start string, adj map[string][]string, sinks map[string]taintSink) (taintSink, bool) {
 	seen := map[string]bool{start: true}
 	queue := []string{start}

@@ -23,13 +23,10 @@ import (
 // reported at the field's declaration.
 //
 // The analysis is module-wide and runs over the per-package fact
-// summaries, cold or cached alike.
+// summaries.
 var stateCovAnalyzer = &Analyzer{
 	Name: "statecov",
 	Doc:  "stateful component seam unreachable from the checkpoint or shard-handoff roots, or per-target state a transfer seam never touches",
-	Run: func(a *Analysis, p *Package) []Finding {
-		return filterCheck(a.globalFindings()[p.RelPath], "statecov")
-	},
 }
 
 // transferRequired maps a seam direction to the root flavors it must be
@@ -47,7 +44,7 @@ type transferComponent struct {
 	recvs map[string]bool       // receiver full type names
 }
 
-func stateCovFindings(idx *sumIndex, add func(string, Finding)) {
+func stateCovFindings(idx *sumIndex, add func(Finding)) {
 	rootsByFlavor := make(map[string][]string)
 	comps := make(map[string]*transferComponent)
 	for _, name := range idx.names {
@@ -86,8 +83,8 @@ func stateCovFindings(idx *sumIndex, add func(string, Finding)) {
 		}
 	}
 
-	emit := func(pos Pos, rel string, format string, args ...any) {
-		add(rel, Finding{Pos: posOf(pos), Check: "statecov",
+	emit := func(pos Pos, format string, args ...any) {
+		add(Finding{Pos: posOf(pos), Check: "statecov",
 			Message: fmt.Sprintf(format, args...)})
 	}
 
@@ -107,12 +104,12 @@ func stateCovFindings(idx *sumIndex, add func(string, Finding)) {
 				recvs = append(recvs, r)
 			}
 			sort.Strings(recvs)
-			emit(anchor.Transfer.Pos, idx.rel[anchor.Name],
+			emit(anchor.Transfer.Pos,
 				"component %s seams span multiple receiver types (%v); declare one component per stateful type", quote(name), recvs)
 		}
 		for _, dir := range []string{"export", "import"} {
 			if len(c.seams[dir]) == 0 {
-				emit(anchor.Transfer.Pos, idx.rel[anchor.Name],
+				emit(anchor.Transfer.Pos,
 					"component %s declares no %s seam; state that cannot round-trip is lost on recovery", quote(name), dir)
 			}
 		}
@@ -126,7 +123,7 @@ func stateCovFindings(idx *sumIndex, add func(string, Finding)) {
 				if len(rootsByFlavor[flavor]) == 0 {
 					if !missingRootReported[flavor] {
 						missingRootReported[flavor] = true
-						emit(anchor.Transfer.Pos, idx.rel[anchor.Name],
+						emit(anchor.Transfer.Pos,
 							"no //mantra:statetransfer root=%s declared anywhere in the module; statecov cannot verify the %s path", flavor, flavor)
 					}
 					continue
@@ -139,13 +136,13 @@ func stateCovFindings(idx *sumIndex, add func(string, Finding)) {
 					}
 				}
 				if !covered {
-					emit(seams[0].Transfer.Pos, idx.rel[seams[0].Name],
+					emit(seams[0].Transfer.Pos,
 						"component %s: no %s seam is reachable from the %s root; the component is silently dropped from that transfer path", quote(name), dir, flavor)
 				}
 			}
 			for _, s := range seams {
 				if !anyReach[s.Name] {
-					emit(s.Transfer.Pos, idx.rel[s.Name],
+					emit(s.Transfer.Pos,
 						"seam %s of component %s is reachable from no transfer root; dead transfer code, or a root is missing the call", s.Short, quote(name))
 				}
 			}
@@ -158,7 +155,7 @@ func stateCovFindings(idx *sumIndex, add func(string, Finding)) {
 // stateCovFields checks per-target field coverage for single-receiver
 // components: every string-keyed map field of the receiver type must be
 // touched in both the export and the import seam closures.
-func stateCovFields(idx *sumIndex, name string, c *transferComponent, emit func(Pos, string, string, ...any)) {
+func stateCovFields(idx *sumIndex, name string, c *transferComponent, emit func(Pos, string, ...any)) {
 	if len(c.recvs) != 1 {
 		return
 	}
@@ -197,7 +194,7 @@ func stateCovFields(idx *sumIndex, name string, c *transferComponent, emit func(
 			if len(c.seams[side.dir]) == 0 || side.set[field.Name] {
 				continue
 			}
-			emit(field.Pos, idx.structRel[recv],
+			emit(field.Pos,
 				"per-target field %s.%s is never touched by component %s's %s seams; new state silently misses %s on transfer",
 				shortClass(recv), field.Name, quote(name), side.dir, side.dir)
 		}

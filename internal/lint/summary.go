@@ -7,12 +7,10 @@ import (
 	"strings"
 )
 
-// This file is driver v3's fact layer: everything the module-wide
-// analyzers (hotalloc, lockorder) need from a package, extracted into a
-// plain serializable value. The cold path summarizes loaded ASTs; the
-// warm path decodes the same value from the content-hash cache — so the
-// global phase literally cannot tell a cached package from a fresh one,
-// which is what makes warm findings byte-identical to cold ones.
+// This file is the fact layer: everything the module-wide analyzers
+// (global.go) need from a package, extracted from its AST into a plain
+// value keyed by names and positions, so the global phase joins
+// packages without holding their syntax trees against each other.
 
 // Pos is a serializable source position. All events of one function live
 // in one file, so (Line, Column) ordering within a FuncSum is total.
@@ -99,8 +97,8 @@ type PkgSummary struct {
 	Structs []*StructSum `json:"structs,omitempty"`
 	// Defects are marker defects (dangling or malformed //mantra:codec,
 	// //mantra:statetransfer, //mantra:sink comments), pre-rendered as
-	// findings so the warm path replays them from cache.
-	Defects []jsonFinding `json:"markDefects,omitempty"`
+	// findings.
+	Defects []Finding `json:"markDefects,omitempty"`
 }
 
 // Summarize extracts a package's global-phase facts from its AST. The
@@ -112,7 +110,7 @@ func Summarize(p *Package) *PkgSummary {
 	marks := collectPkgMarks(p)
 	seamLines := seamAllowLines(p)
 	sum.Structs = marks.structs
-	sum.Defects = toJSONFindings(marks.defects)
+	sum.Defects = marks.defects
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

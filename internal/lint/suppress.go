@@ -96,31 +96,13 @@ func (s allowSet) stale(ran map[string]bool) []Finding {
 	return out
 }
 
-// AllowRec is one well-formed allow directive in serializable form —
-// what the driver's per-package cache stores so suppression can be
-// re-applied globally on a warm run without re-parsing the package.
-type AllowRec struct {
-	Check string `json:"check"`
-	Pos   Pos    `json:"pos"`
-}
-
-// newAllowSet materializes the live suppression set from records.
-func newAllowSet(recs []AllowRec) allowSet {
-	allows := make(allowSet, len(recs))
-	for _, r := range recs {
-		allows[allowKey{r.Pos.File, r.Pos.Line, r.Check}] = &allowEntry{pos: posOf(r.Pos)}
-	}
-	return allows
-}
-
-// collectAllowRecs scans a package's comments for allow directives. Each
-// well-formed directive registers a suppression; a directive naming an
-// unknown check or missing its reason is itself reported — the validity
-// set is every registered check plus the implicit ones, independent of
-// which checks run, so a suppression for a deselected check does not
-// suddenly become a defect.
-func collectAllowRecs(p *Package, validChecks map[string]bool) ([]AllowRec, []Finding) {
-	var recs []AllowRec
+// collectAllows scans a package's comments for allow directives. Each
+// well-formed directive registers a suppression in allows; a directive
+// naming an unknown check or missing its reason is itself reported —
+// the validity set is every registered check plus the implicit ones,
+// independent of which checks run, so a suppression for a deselected
+// check does not suddenly become a defect.
+func collectAllows(p *Package, validChecks map[string]bool, allows allowSet) []Finding {
 	var defects []Finding
 	for _, file := range p.Files {
 		for _, cg := range file.Comments {
@@ -151,17 +133,11 @@ func collectAllowRecs(p *Package, validChecks map[string]bool) ([]AllowRec, []Fi
 						Message: "allow comment for " + quote(check) + " has no reason; justify the suppression"})
 					continue
 				}
-				recs = append(recs, AllowRec{Check: check, Pos: Pos{File: pos.Filename, Line: pos.Line, Col: pos.Column}})
+				allows[allowKey{pos.Filename, pos.Line, check}] = &allowEntry{pos: pos}
 			}
 		}
 	}
-	return recs, defects
-}
-
-// collectAllows is the live-package form: scan and materialize in one go.
-func collectAllows(p *Package, validChecks map[string]bool) (allowSet, []Finding) {
-	recs, defects := collectAllowRecs(p, validChecks)
-	return newAllowSet(recs), defects
+	return defects
 }
 
 func quote(s string) string { return `"` + s + `"` }

@@ -34,8 +34,8 @@ type InternetConfig struct {
 	Seed int64
 	// LoopbackPool overrides the router-loopback address pool. The zero
 	// value keeps the historical 198.32.255.0/24, which caps a topology
-	// at ~250 routers; fleet-scale experiments (thousands of routers,
-	// bench-scale) supply a /16 so the builder does not exhaust it.
+	// at ~250 routers; fleet-scale experiments (thousands of routers)
+	// supply a /16 so the builder does not exhaust it.
 	LoopbackPool addr.Prefix
 }
 
@@ -60,8 +60,8 @@ func DefaultInternetConfig() InternetConfig {
 // behind DVMRP borders (so the DVMRP cloud holds only the borders and
 // per-cycle cost stays proportional to the monitored set, not the
 // router count), and a /16 loopback pool so the builder can address
-// thousands of routers. The bench-scale experiments use it to build
-// ~5k-router topologies.
+// thousands of routers. The bench/ harness's fleet workloads build on
+// it.
 func ScaleInternetConfig(numDomains, routersPerDomain int) InternetConfig {
 	cfg := DefaultInternetConfig()
 	cfg.NumDomains = numDomains

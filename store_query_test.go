@@ -7,10 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	mantra "repro"
 	"repro/internal/core/output"
+	"repro/internal/core/process"
 	"repro/internal/core/shard"
 	"repro/internal/experiments"
 )
@@ -29,10 +32,10 @@ func figureBytes(t *testing.T, fig experiments.FigureResult) []byte {
 }
 
 // TestFiguresStreamingEquivalence is the seed-equivalence proof for the
-// figure pipeline's move onto the compressed store: every usage figure
-// rendered from streamed store queries is byte-identical to the legacy
-// post-hoc ring read — and stays identical after the hot rings are
-// bounded, which the post-hoc path cannot survive.
+// figure pipeline's move onto the compressed store: every series the
+// store streams back is point-for-point the unbounded in-memory ring the
+// figures used to read, and every usage figure stays byte-identical
+// after the hot rings are bounded, which a ring read cannot survive.
 func TestFiguresStreamingEquivalence(t *testing.T) {
 	r, err := experiments.NewRunner(experiments.UsageConfig(experiments.Quick))
 	if err != nil {
@@ -45,15 +48,20 @@ func TestFiguresStreamingEquivalence(t *testing.T) {
 		"fig3": r.Figure3, "fig4": r.Figure4, "fig5": r.Figure5,
 		"fig6": r.Figure6, "fig7": r.Figure7,
 	}
+	for _, target := range r.Mon.Targets() {
+		for _, m := range process.AllMetrics {
+			ring, got := r.Mon.Series(target, m), r.Mon.MaterializedSeries(target, m)
+			if ring.Len() == 0 || ring.Dropped != 0 {
+				t.Fatalf("%s/%s: ring holds %d points, dropped %d; want the whole run", target, m, ring.Len(), ring.Dropped)
+			}
+			if !sameTimes(ring.Times, got.Times) || !sameTimes(ring.Gaps, got.Gaps) || !reflect.DeepEqual(ring.Values, got.Values) {
+				t.Errorf("%s/%s: streamed series differs from the ring", target, m)
+			}
+		}
+	}
 	streamed := map[string][]byte{}
 	for id, fig := range figs {
-		r.PostHoc = false
 		streamed[id] = figureBytes(t, fig())
-		r.PostHoc = true
-		if posthoc := figureBytes(t, fig()); !bytes.Equal(streamed[id], posthoc) {
-			t.Errorf("%s: streamed render differs from post-hoc ring read", id)
-		}
-		r.PostHoc = false
 	}
 
 	// Bound the hot rings to near the detection floor: the rings shrink,
@@ -64,6 +72,18 @@ func TestFiguresStreamingEquivalence(t *testing.T) {
 			t.Errorf("%s: streamed render changed after bounding the hot rings", id)
 		}
 	}
+}
+
+func sameTimes(a, b []time.Time) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestQueryEndpointShardInvariance pins the /query contract at the HTTP
