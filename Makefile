@@ -72,7 +72,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 27150
+LOC_CEILING = 27000
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -82,15 +82,19 @@ loc-check:
 # Short fuzz passes over the dump validator, the pre-processor, the
 # one-pass table scanner and the address scanners (each against the
 # implementation it replaced: equal results, equal error text), the
-# stability tracker replayed from delta-log records against the one that
-# observed every table (what a shard handoff relies on), and the lint
-# fact-summary extractor (no panics; byte-identical summaries across
-# independent parse/check passes).
+# delta logger's sorted walk against the map-based diff it replaced
+# (equal records on well-formed tables, equal materialised tables and
+# reconstructions always), the stability tracker driven by the Log stage
+# and the one replayed from delta-log records against one that observed
+# every table (live = handed off), and the lint fact-summary extractor
+# (no panics; byte-identical summaries across independent parse/check
+# passes).
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
 	$(GO) test ./internal/core/tables -fuzz FuzzBuildSnapshot -fuzztime 30s
 	$(GO) test ./internal/addr -fuzz FuzzParse -fuzztime 30s
+	$(GO) test ./internal/core/logger -fuzz FuzzAppendMatchesMapDiff -fuzztime 30s
 	$(GO) test ./internal/core/cycle -fuzz FuzzStabilityFromRecords -fuzztime 30s
 	$(GO) test ./internal/lint -fuzz FuzzSummaryExtract -fuzztime 30s
 

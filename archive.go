@@ -204,7 +204,7 @@ func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) er
 		if ev.Target != AggregateTarget {
 			// The aggregate view is synthetic: the live path gives it no
 			// stability tracker or health entry, so neither does replay.
-			m.core.Engine.ObserveStability(ev.Snapshot)
+			m.core.Engine.ObserveStability(ev.Target, ev.At, ev.Routes.Upserted, ev.Routes.Removed)
 			m.core.Collector.RecordSuccess(ev.Target, ev.At)
 		}
 	}

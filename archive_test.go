@@ -101,16 +101,23 @@ func compareMonitorState(t *testing.T, want, got *mantra.Monitor, targets []stri
 // TestArchiveCrashRecovery is the end-to-end crash test: run cycles with
 // the archive enabled, abandon the monitor without closing (the crash),
 // and verify a fresh monitor recovers the full pre-crash state and keeps
-// collecting.
+// collecting — ending where an uninterrupted twin without an archive
+// ends: series, route churn included, logs, stability statistics,
+// anomalies and health.
 func TestArchiveCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir, CheckpointEvery: 3}); err != nil {
 		t.Fatal(err)
 	}
+	twin := mantra.New()
+	rewire(twin, n, "fixw", "ucsb-r1")
 	for i := 0; i < 7; i++ {
 		n.Step()
 		if _, err := m1.RunCycle(n.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.RunCycle(n.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,10 +152,14 @@ func TestArchiveCrashRecovery(t *testing.T) {
 		if _, err := m2.RunCycle(n.Now()); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := twin.RunCycle(n.Now()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := m2.Series("fixw", mantra.MetricSessions).Len(); got != 9 {
 		t.Fatalf("series after resume = %d points, want 9", got)
 	}
+	compareMonitorState(t, twin, m2, []string{"fixw", "ucsb-r1"})
 	if err := m2.CloseArchive(n.Now()); err != nil {
 		t.Fatal(err)
 	}

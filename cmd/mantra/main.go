@@ -20,9 +20,10 @@
 // pre-crash values (at most the final partial record is lost).
 //
 // With -concurrent, collection runs through the pipelined cycle engine
-// on a bounded worker pool (-concurrency N, default min(8, targets));
-// -stats prints the engine's per-stage timings each cycle, and the same
-// instrumentation is served at /stats.
+// on a bounded worker pool of min(8, targets) workers; -concurrency N
+// (N > 0) sizes the pool and by itself selects the pipelined schedule,
+// as -aggregate does. -stats prints the engine's per-stage timings each
+// cycle, and the same instrumentation is served at /stats.
 //
 // Detected anomalies (route injection, RP loss, SA storms, route leaks,
 // route flapping) are logged once when they open and once when they
@@ -125,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	httpAddr := fs.String("http", "127.0.0.1:8080", "HTTP address serving results")
 	cycles := fs.Int("cycles", 0, "stop after N cycles (0 = run forever)")
 	concurrent := fs.Bool("concurrent", false, "collect targets on a bounded worker pool")
-	concurrency := fs.Int("concurrency", 0, "collection worker pool size with -concurrent (0 = min(8, targets))")
+	concurrency := fs.Int("concurrency", 0, "collection worker pool size; N > 0 implies -concurrent (0 = min(8, targets))")
 	showStats := fs.Bool("stats", false, "print per-cycle engine stage timings")
 	aggregate := fs.Bool("aggregate", false, "publish a combined multi-router view (implies -concurrent)")
 	retries := fs.Int("retries", 3, "collection attempts per target per cycle")
@@ -196,7 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		m.SetMaxAnomalies(*maxAnomalies)
 		m.SetSeriesRetain(*seriesRetain)
 		m.SetConcurrency(*concurrency)
-		d, err = monitorDaemon(logger, m, targets, *concurrent || *aggregate, mantra.ArchiveConfig{
+		d, err = monitorDaemon(logger, m, targets, *concurrent || *aggregate || *concurrency > 0, mantra.ArchiveConfig{
 			Dir:             *dataDir,
 			CheckpointEvery: *checkpointEvery,
 			SyncEveryAppend: *archiveSync,

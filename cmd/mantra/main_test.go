@@ -99,6 +99,29 @@ func TestDaemonBothModes(t *testing.T) {
 	}
 }
 
+// TestConcurrencyFlagSelectsPipelinedSchedule: an explicit -concurrency
+// is honoured by the unsharded daemon without -concurrent. It used to be
+// stored and then ignored: the serial schedule ran on one worker.
+func TestConcurrencyFlagSelectsPipelinedSchedule(t *testing.T) {
+	engineLine := regexp.MustCompile(`(?m)^\d\d:\d\d:\d\d engine cycle=1 workers=(\d+) targets=2 `)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "1"},
+		{[]string{"-concurrency", "4"}, "2"}, // clamped to the two targets
+		{[]string{"-concurrency", "1"}, "1"},
+		{[]string{"-concurrent"}, "2"},
+	} {
+		args := append([]string{"-cycles", "1", "-stats"}, c.args...)
+		code, out, errOut := runDaemon(append(args, serveRouters(t)...)...)
+		m := engineLine.FindStringSubmatch(out)
+		if code != 0 || m == nil || m[1] != c.want {
+			t.Errorf("%v: exit %d, engine line %q, want workers=%s\nstdout: %s\nstderr: %s", c.args, code, m, c.want, out, errOut)
+		}
+	}
+}
+
 // TestDaemonGivesUpInBothModes: -max-consecutive-failures is evaluated
 // over whichever mode's health rows. Under -shards it used to never
 // fire.

@@ -18,11 +18,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core/collect"
 	"repro/internal/core/cycle"
 	"repro/internal/core/engine"
 	"repro/internal/core/logger"
+	"repro/internal/core/process"
 	"repro/internal/core/tables"
 	"repro/internal/core/tsdb"
 	"repro/internal/netsim"
@@ -271,11 +273,15 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 	}
 }
 
-// TestLoggerAppendSteadyStateAllocs pins logger.Append's steady state:
-// with the topology quiet, a cycle's diff reuses the target's scratch
-// sets and appends no delta entries, so per-cycle allocations stay near
-// zero. (Regression: Append once built two fresh seen-maps per cycle
-// per target.)
+// TestLoggerAppendSteadyStateAllocs pins the Log stage's steady state:
+// with the topology quiet, a cycle walks the snapshot's tables against
+// the previous cycle's, finds nothing, and keeps the new tables by
+// reference, so it allocates nothing per cycle but the log's own growth.
+// (Regressions: Append once built two fresh seen-maps per cycle per
+// target; a copy of the retained table would be as bad.) The byte gate
+// bounds Append plus the stability update the stage drives from its
+// record at a tenth of the route table's size, averaged over enough
+// cycles to spread the record slice's regrowth.
 func TestLoggerAppendSteadyStateAllocs(t *testing.T) {
 	dumps := gateDumps(t)
 	sn, err := tables.BuildSnapshot(dumps)
@@ -283,10 +289,46 @@ func TestLoggerAppendSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := logger.New()
-	l.Append(sn) // full first cycle
-	l.Append(sn) // warm the scratch sets and record slices
-	allocGate(t, "Logger.Append steady state", 8, func() {
-		l.Append(sn)
+	rs := process.NewRouteStability()
+	cycle := func() {
+		rec := l.Append(sn)
+		rs.ObserveDelta(rec.At, rec.Routes.Upserted, rec.Routes.Removed)
+	}
+	cycle() // full first cycle
+	cycle()
+	allocGate(t, "Logger.Append + ObserveDelta steady state", 1, cycle)
+
+	const cycles = 512
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	tableBytes := uint64(len(sn.Routes)) * uint64(unsafe.Sizeof(tables.RouteEntry{}))
+	if gate := tableBytes / 10; perCycle > gate {
+		t.Errorf("Append + ObserveDelta allocated %d bytes a cycle over a %d-byte route table, gate is %d", perCycle, tableBytes, gate)
+	}
+	t.Logf("Append + ObserveDelta: %d bytes a cycle, route table %d bytes", perCycle, tableBytes)
+}
+
+// TestIngestSteadyStateAllocs holds Processor.Ingest to what it
+// allocated when route churn was counted against a hash set updated in
+// place: the session and participant tables it derives, nothing for the
+// route table, which it walks and keeps by reference.
+func TestIngestSteadyStateAllocs(t *testing.T) {
+	sn, err := tables.BuildSnapshot(gateDumps(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := process.New()
+	p.SetSeriesRetain(16)
+	for i := 0; i < 600; i++ { // fill the rings and seal the first store blocks
+		p.Ingest(sn)
+	}
+	allocGate(t, "Processor.Ingest steady state", 160, func() {
+		p.Ingest(sn)
 	})
 }
 

@@ -126,9 +126,6 @@ func (ip IP) IsAdminScopedMulticast() bool {
 	return ip >= AdminScopedBase && ip <= MulticastMax
 }
 
-// IsUnspecified reports whether the address is 0.0.0.0.
-func (ip IP) IsUnspecified() bool { return ip == 0 }
-
 // Next returns the numerically next address; it wraps at 255.255.255.255.
 func (ip IP) Next() IP { return ip + 1 }
 

@@ -305,8 +305,6 @@ func (s *Session) Run(cmd string) (string, error) {
 // stripEcho cleans one captured command output: the trailing prompt (with
 // any stray carriage returns a CRLF transport appends around it) and the
 // leading echo of the command are removed, leaving only the dump body.
-// Shared by Session.Run and the expect-script capture path so both clean
-// identically.
 func stripEcho(out []byte, cmd, prompt string) []byte {
 	if prompt != "" {
 		trimmed, ok := cutSuffix(out, prompt)

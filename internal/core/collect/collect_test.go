@@ -59,6 +59,14 @@ func TestLoginAndRun(t *testing.T) {
 	if strings.Contains(out, "fixw> ") {
 		t.Error("prompt not stripped")
 	}
+	// The capture is the dump body alone: no command echo at its head,
+	// no stray carriage return where the prompt was.
+	if strings.HasPrefix(strings.TrimLeft(out, "\r\n"), "show ip dvmrp route") {
+		t.Errorf("command echo leaked into the dump: %q", out[:40])
+	}
+	if strings.HasSuffix(out, "\r") {
+		t.Errorf("trailing carriage return left in the dump: %q", out)
+	}
 	// Second command on the same session.
 	out, err = s.Run("show ip mroute")
 	if err != nil {

@@ -141,7 +141,10 @@ func (c *Core) stageNormalize(it *engine.Item, now time.Time) {
 }
 
 // stageLog appends the cycle to the delta log and buffers its WAL
-// frame; a failed target gets an explicit gap marker instead.
+// frame; a failed target gets an explicit gap marker instead. The record
+// Append returns is the cycle's only comparison of the route table with
+// its predecessor, so the target's stability tracker is driven from it
+// here rather than from the table.
 //
 //mantra:hotpath
 func (c *Core) stageLog(it *engine.Item, now time.Time) {
@@ -156,15 +159,18 @@ func (c *Core) stageLog(it *engine.Item, now time.Time) {
 		}
 		return
 	}
-	c.logDelta(it.Snapshot)
+	rec := c.logDelta(it.Snapshot)
+	c.Engine.ObserveStability(it.Snapshot.Target, rec.At, rec.Routes.Upserted, rec.Routes.Removed)
 }
 
-// logDelta appends a snapshot to the delta log and buffers the record.
-func (c *Core) logDelta(sn *tables.Snapshot) {
+// logDelta appends a snapshot to the delta log, buffers the record and
+// returns it.
+func (c *Core) logDelta(sn *tables.Snapshot) logger.CycleRecord {
 	rec := c.Log.Append(sn)
 	if c.Store != nil {
 		c.frames = append(c.frames, frame{target: sn.Target, rec: rec, fullEntries: uint64(len(sn.Pairs) + len(sn.Routes))})
 	}
+	return rec
 }
 
 // stageIngest feeds the snapshot into the data processor; failed

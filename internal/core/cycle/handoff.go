@@ -18,8 +18,8 @@ import (
 // worker dies, so it carries only what the rest of it does not
 // determine, at a cost independent of table size and history length:
 // Logs is a view of the append-only delta log, Latest a pointer. The
-// route-stability tracker and the processor's route set are derived at
-// import — from Logs' records and from Latest's table.
+// route-stability tracker and the processor's previous route table are
+// derived at import — from Logs' records and from Latest's table.
 type Checkpoint struct {
 	AsOf   map[string]time.Time
 	Proc   map[string]*process.TargetState
@@ -120,10 +120,10 @@ func (c *Core) RemoveTarget(name string) {
 }
 
 // stabilityFromRecords rebuilds a target's route-stability tracker from
-// its delta-log records: every successful cycle appended one record and
-// observed one table, so replaying the records' route deltas yields the
-// tracker the exporter held. No records means no successful cycle, and
-// no tracker.
+// its delta-log records: the exporter's Log stage fed its tracker each
+// record's route delta as it appended it, so feeding a fresh tracker
+// the same deltas yields the one the exporter held. No records means no
+// successful cycle, and no tracker.
 func stabilityFromRecords(recs []logger.CycleRecord) *process.RouteStability {
 	if len(recs) == 0 {
 		return nil

@@ -1,28 +1,32 @@
 package cycle
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
-	"repro/internal/core/logger"
+	"repro/internal/core/collect"
+	"repro/internal/core/engine"
 	"repro/internal/core/process"
 	"repro/internal/core/tables"
 	"repro/internal/sim"
 )
 
-// The handoff carries no stability tracker: the importer rebuilds it
-// from the delta-log records. This drives one logger and one live
-// tracker with the same generated cycles and requires, after every
-// cycle, that the tracker replayed from the logger's exported records
-// equals the live one.
+// A target's stability tracker has one input, the route delta of each
+// logged record: the Log stage hands it over live, the handoff import
+// replays it from the exported records. This drives a core's Log stage
+// with generated cycles and, beside it, a reference tracker that
+// Observes every whole table, and requires after every cycle that the
+// engine's tracker, the one stabilityFromRecords rebuilds from the
+// logger's export, and the reference are equal.
 //
 // data scripts the run. Each cycle reads one control byte — a gap cycle
-// (a gap marker, no observation), an empty table, a round trip of the
-// live tracker through its archive form (StabilityFromState of an
-// export, so the run-length presence count crosses that path mid-run),
-// or a table — and a table reads one byte per pool prefix: absent,
+// (a gap marker, no observation), an empty table, a round trip of both
+// trackers through their archive form (StabilityFromState of an export,
+// so the run-length presence count crosses that path mid-run), or a
+// table — and a table reads one byte per pool prefix: absent,
 // unchanged, metric changed while up, uptime reset while up, or listed
 // twice. Every entry keeps Since == At − Uptime, as tables.BuildSnapshot
 // does; ObserveDelta relies on it.
@@ -40,43 +44,53 @@ func FuzzStabilityFromRecords(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const target = "fixw"
-		log := logger.New()
-		var live *process.RouteStability
+		core := New(collect.DefaultPolicy(), nil, nil)
+		var ref *process.RouteStability
 		since := make(map[addr.Prefix]time.Time)
 		at := sim.Epoch
 		for cycle := 0; len(data) > 0; cycle++ {
 			ctl := data[0] % 8
 			data = data[1:]
 			at = at.Add(30 * time.Minute)
+			it := &engine.Item{Target: collect.Target{Name: target}, Res: collect.Result{Target: target}}
 			if ctl == 0 {
-				log.MarkGap(target, at, "scripted gap")
+				it.Res.Err = errors.New("scripted gap")
 			} else {
-				if ctl == 2 && live != nil {
-					live = process.StabilityFromState(live.ExportState())
+				if ctl == 2 && ref != nil {
+					ref = process.StabilityFromState(ref.ExportState())
+					core.Engine.SetStability(target, process.StabilityFromState(core.Engine.Stability(target).ExportState()))
 				}
-				sn := &tables.Snapshot{Target: target, At: at}
+				it.Snapshot = &tables.Snapshot{Target: target, At: at}
 				if ctl == 1 {
 					clear(since)
 				} else {
-					sn.Routes, data = fuzzTable(data, since, at)
+					it.Snapshot.Routes, data = fuzzTable(data, since, at)
 				}
-				if live == nil {
-					live = process.NewRouteStability()
+				if ref == nil {
+					ref = process.NewRouteStability()
 				}
-				live.Observe(sn.Routes, sn.At)
-				log.Append(sn)
+				ref.Observe(it.Snapshot.Routes, at)
 			}
+			core.stageLog(it, at)
 
-			ts, _ := log.ExportTarget(target)
+			live := core.Engine.Stability(target)
+			ts, _ := core.Log.ExportTarget(target)
 			derived := stabilityFromRecords(ts.Records)
-			if live == nil || derived == nil {
+			if ref == nil {
 				if live != nil || derived != nil {
-					t.Fatalf("cycle %d: live tracker %v, derived %v: one exists without the other", cycle, live != nil, derived != nil)
+					t.Fatalf("cycle %d: nothing but gaps so far, yet live tracker %v, derived %v", cycle, live != nil, derived != nil)
 				}
 				continue
 			}
-			if got, want := derived.ExportState(), live.ExportState(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("cycle %d: tracker replayed from %d records differs from the live one\nderived: %+v\nlive:    %+v", cycle, len(ts.Records), got, want)
+			if live == nil || derived == nil {
+				t.Fatalf("cycle %d: live tracker %v, derived %v after a logged table", cycle, live != nil, derived != nil)
+			}
+			want := ref.ExportState()
+			if got := live.ExportState(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d: the Log stage's tracker differs from one that observed every table\nlive: %+v\nref:  %+v", cycle, got, want)
+			}
+			if got := derived.ExportState(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d: tracker replayed from %d records differs from one that observed every table\nderived: %+v\nref:     %+v", cycle, len(ts.Records), got, want)
 			}
 		}
 	})

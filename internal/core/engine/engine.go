@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/core/collect"
 	"repro/internal/core/process"
 	"repro/internal/core/tables"
@@ -131,8 +132,9 @@ type Engine struct {
 
 // New returns an engine over the given stage implementations. A nil
 // clock gets a real monotonic clock (NewMonotonicClock); simulations
-// inject a virtual one with SetClock so instrumentation stays
-// deterministic.
+// pass a virtual one so instrumentation stays deterministic. The clock
+// must be safe for concurrent use — the worker pool reads it from
+// several goroutines.
 func New(stages Stages, clock Clock) *Engine {
 	if clock == nil {
 		clock = NewMonotonicClock()
@@ -142,15 +144,6 @@ func New(stages Stages, clock Clock) *Engine {
 		clock:  clock,
 		states: make(map[string]*targetState),
 		totals: make(map[Stage]*StageStat),
-	}
-}
-
-// SetClock replaces the cycle clock; nil is ignored. The clock must be
-// safe for concurrent use — the worker pool reads it from several
-// goroutines.
-func (e *Engine) SetClock(c Clock) {
-	if c != nil {
-		e.clock = c
 	}
 }
 
@@ -198,21 +191,23 @@ func (e *Engine) Stability(name string) *process.RouteStability {
 	return nil
 }
 
-// ObserveStability folds a snapshot into its target's stability
-// tracker, creating the tracker on first use. Archive recovery replays
-// through the same entry point the live Ingest stage uses.
-func (e *Engine) ObserveStability(sn *tables.Snapshot) {
+// ObserveStability folds one logged cycle's route delta into the
+// target's stability tracker, creating the tracker on first use. The
+// core's Log stage calls it with the record it has just appended and
+// archive recovery with each WAL-tail record, so a live tracker and a
+// recovered one are driven by one function.
+func (e *Engine) ObserveStability(target string, at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
 	e.mu.Lock()
-	st := e.state(sn.Target)
+	st := e.state(target)
 	if st.stability == nil {
 		st.stability = process.NewRouteStability()
 	}
 	rs := st.stability
 	e.mu.Unlock()
-	// Observe outside the lock: the tracker is only ever driven from
-	// the single ordered-stage goroutine (or recovery, before cycles
-	// start), the lock guards just the state map.
-	rs.Observe(sn.Routes, sn.At)
+	// Outside the lock: the tracker is only ever driven from the single
+	// ordered-stage goroutine (or recovery, before cycles start), the
+	// lock guards just the state map.
+	rs.ObserveDelta(at, upserted, removed)
 }
 
 // StabilityTrackers returns the current per-target stability trackers —
@@ -333,7 +328,6 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 		e.stages.Ingest(it, now)
 		it.t.ingestEnd = clock()
 		if it.Snapshot != nil {
-			e.ObserveStability(it.Snapshot)
 			e.SetLatest(it.Snapshot.Target, it.Snapshot)
 		}
 		e.stages.Publish(it, now)

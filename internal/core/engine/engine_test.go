@@ -280,11 +280,12 @@ func TestGapFlow(t *testing.T) {
 			t.Errorf("%s: cycles=%d gaps=%d", ts.Target, ts.Cycles, ts.Gaps)
 		}
 	}
-	// The failed target must not acquire a latest snapshot or tracker.
-	if e.Latest("t01") != nil || e.Stability("t01") != nil {
+	// The failed target must not acquire a latest snapshot. (Trackers
+	// are the Log stage's to drive; see internal/core/cycle.)
+	if e.Latest("t01") != nil {
 		t.Error("failed target acquired state")
 	}
-	if e.Latest("t00") == nil || e.Stability("t00") == nil {
+	if e.Latest("t00") == nil {
 		t.Error("successful target missing state")
 	}
 }

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"repro/internal/core/tables"
-)
+import "time"
 
 // Stage identifies one pipeline stage in instrumentation output.
 type Stage string
@@ -204,18 +200,4 @@ func lessTargetStats(a, b TargetStats) bool {
 		return a.LastSeq < b.LastSeq
 	}
 	return a.Target < b.Target
-}
-
-// Latests returns every target with a recorded latest snapshot — the
-// recovery and debugging view.
-func (e *Engine) Latests() map[string]*tables.Snapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]*tables.Snapshot, len(e.states))
-	for name, st := range e.states {
-		if st.latest != nil {
-			out[name] = st.latest
-		}
-	}
-	return out
 }

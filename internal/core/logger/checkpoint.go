@@ -23,7 +23,7 @@ import (
 
 // ckptPayload is the serialized checkpoint contents.
 //
-//mantra:codec pair=ckpt-payload magic=ckptMagic shape=ffce7c983bc79249
+//mantra:codec pair=ckpt-payload magic=ckptMagic shape=ffcb12983bc4a854
 type ckptPayload struct {
 	// Seq is the last WAL sequence number the checkpoint covers.
 	Seq uint64
@@ -47,6 +47,9 @@ type ReplayEvent struct {
 	Snapshot   *tables.Snapshot
 	SACache    int
 	MBGPRoutes int
+	// Routes is the record's route delta, what the live Log stage drove
+	// the target's stability tracker with.
+	Routes RouteDelta
 	// Gap marks a failed cycle; Reason carries its recorded error.
 	Gap    bool
 	Reason string
@@ -92,6 +95,7 @@ func (s *Store) Recover() *RecoveredArchive {
 				Snapshot:   sn,
 				SACache:    r.Rec.SACache,
 				MBGPRoutes: r.Rec.MBGPRoutes,
+				Routes:     r.Rec.Routes,
 			})
 		case recGap:
 			ra.Logger.MarkGap(r.Target, r.At, r.Reason)

@@ -22,7 +22,7 @@ import (
 
 // pairKey identifies a pair-table entry.
 //
-//mantra:codec pair=ckpt-pairkey magic=ckptMagic shape=0d1f78c4141e06d8
+//mantra:codec pair=ckpt-pairkey magic=ckptMagic shape=0d2322c414215d8d
 type pairKey struct {
 	Source addr.IP
 	Group  addr.IP
@@ -43,7 +43,7 @@ type RouteDelta struct {
 
 // CycleRecord is one logged monitoring cycle for one target.
 //
-//mantra:codec pair=ckpt-cyclerecord magic=ckptMagic shape=fb72130746e3a759
+//mantra:codec pair=ckpt-cyclerecord magic=ckptMagic shape=fb6ea90746e0bd64
 type CycleRecord struct {
 	At     time.Time
 	Pairs  PairDelta
@@ -59,7 +59,7 @@ type CycleRecord struct {
 // GapMark records one failed collection cycle: no snapshot arrived at At,
 // so the delta chain has an explicit hole there instead of a silent one.
 //
-//mantra:codec pair=ckpt-gapmark magic=ckptMagic shape=79b9c1d781df45e6
+//mantra:codec pair=ckpt-gapmark magic=ckptMagic shape=79bd63d781e28f03
 type GapMark struct {
 	At     time.Time
 	Reason string
@@ -70,13 +70,13 @@ type targetLog struct {
 	Records []CycleRecord
 	// gaps lists the failed cycles interleaved with Records.
 	gaps []GapMark
-	// last* is the materialized latest state, used to compute deltas.
-	lastPairs  map[pairKey]tables.PairEntry
-	lastRoutes map[addr.Prefix]tables.RouteEntry
-	// seen* are Append's per-cycle scratch sets, kept here and cleared
-	// between cycles so the diff allocates no fresh maps at steady state.
-	seenP map[pairKey]bool
-	seenR map[addr.Prefix]bool
+	// pairs and routes are the tables as of the latest record, in key
+	// order and duplicate-free (the form tables' Walk returns): what the
+	// next cycle is compared with. After an Append they are the
+	// snapshot's own tables, shared with whoever else holds the snapshot
+	// and never written; their Uptime is that cycle's and is ignored.
+	pairs  tables.PairTable
+	routes tables.RouteTable
 	// fullEntries counts what full-snapshot storage would have used.
 	fullEntries  uint64
 	deltaEntries uint64
@@ -107,10 +107,7 @@ func normRoute(e tables.RouteEntry) tables.RouteEntry {
 func (l *Logger) target(name string) *targetLog {
 	tl := l.targets[name]
 	if tl == nil {
-		tl = &targetLog{
-			lastPairs:  make(map[pairKey]tables.PairEntry),
-			lastRoutes: make(map[addr.Prefix]tables.RouteEntry),
-		}
+		tl = &targetLog{}
 		l.targets[name] = tl
 	}
 	return tl
@@ -120,65 +117,33 @@ func (l *Logger) target(name string) *targetLog {
 // cycle of the same target. It returns the delta record it stored, so a
 // durable archive can persist exactly what the in-memory log holds.
 //
-// The budget covers the delta-set appends and sort closures — the
-// record being built is returned, so its slices cannot be pooled; the
-// per-cycle scratch maps are reused via targetLog.
+// The snapshot's tables are walked against the previous cycle's in key
+// order, so the record lists upserts and removals in key order with no
+// sorting, and are then kept — by reference, not copied — as the next
+// cycle's predecessor: a snapshot handed to Append must not be written
+// afterwards. The budget is the two visitors, which capture the record
+// being built; its slices are returned and cannot be pooled.
 //
-//mantra:hotpath budget=7
+//mantra:hotpath budget=2
 func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
 	tl := l.target(sn.Target)
 	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP)}
 
-	if tl.seenP == nil {
-		tl.seenP = make(map[pairKey]bool, len(sn.Pairs))
-		tl.seenR = make(map[addr.Prefix]bool, len(sn.Routes))
-	} else {
-		clear(tl.seenP)
-		clear(tl.seenR)
-	}
-	seenP, seenR := tl.seenP, tl.seenR
-	for _, e := range sn.Pairs {
-		e = normPair(e)
-		k := pairKey{Source: e.Source, Group: e.Group}
-		seenP[k] = true
-		if old, ok := tl.lastPairs[k]; !ok || old != e {
-			rec.Pairs.Upserted = append(rec.Pairs.Upserted, e)
-			tl.lastPairs[k] = e
+	tl.pairs = tl.pairs.Walk(sn.Pairs, func(old, cur *tables.PairEntry) {
+		switch {
+		case cur == nil:
+			rec.Pairs.Removed = append(rec.Pairs.Removed, pairKey{Source: old.Source, Group: old.Group})
+		case old == nil || normPair(*old) != normPair(*cur):
+			rec.Pairs.Upserted = append(rec.Pairs.Upserted, normPair(*cur))
 		}
-	}
-	for k := range tl.lastPairs {
-		if !seenP[k] {
-			rec.Pairs.Removed = append(rec.Pairs.Removed, k)
-			delete(tl.lastPairs, k)
-		}
-	}
-	// The removal sets come off map iteration; sort them so the record —
-	// and anything derived from it, like archive WAL frames — is
-	// byte-deterministic for a given history.
-	sort.Slice(rec.Pairs.Removed, func(i, j int) bool {
-		a, b := rec.Pairs.Removed[i], rec.Pairs.Removed[j]
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Source < b.Source
 	})
-
-	for _, e := range sn.Routes {
-		e = normRoute(e)
-		seenR[e.Prefix] = true
-		if old, ok := tl.lastRoutes[e.Prefix]; !ok || old != e {
-			rec.Routes.Upserted = append(rec.Routes.Upserted, e)
-			tl.lastRoutes[e.Prefix] = e
+	tl.routes = tl.routes.Walk(sn.Routes, func(old, cur *tables.RouteEntry) {
+		switch {
+		case cur == nil:
+			rec.Routes.Removed = append(rec.Routes.Removed, old.Prefix)
+		case old == nil || normRoute(*old) != normRoute(*cur):
+			rec.Routes.Upserted = append(rec.Routes.Upserted, normRoute(*cur))
 		}
-	}
-	for p := range tl.lastRoutes {
-		if !seenR[p] {
-			rec.Routes.Removed = append(rec.Routes.Removed, p)
-			delete(tl.lastRoutes, p)
-		}
-	}
-	sort.Slice(rec.Routes.Removed, func(i, j int) bool {
-		return rec.Routes.Removed[i].Compare(rec.Routes.Removed[j]) < 0
 	})
 
 	tl.Records = append(tl.Records, rec)
@@ -192,24 +157,59 @@ func deltaSize(rec CycleRecord) uint64 {
 		len(rec.Routes.Upserted) + len(rec.Routes.Removed))
 }
 
+// patch returns prev with one record's change set applied — the same
+// walk Append runs, twice: the upserts are walked in, then the removed
+// keys, as rows that hold only a key, are walked out. The result is a
+// new table unless the change set is empty; prev is never written.
+func patch[T ~[]E, E any](walk func(prev, cur T, visit func(old, cur *E)) T, prev, upserted, removed T) T {
+	if len(upserted) == 0 && len(removed) == 0 {
+		return prev
+	}
+	out := make(T, 0, len(prev)+len(upserted))
+	walk(prev, upserted, func(old, cur *E) {
+		if cur != nil {
+			old = cur
+		}
+		out = append(out, *old)
+	})
+	if len(removed) == 0 {
+		return out
+	}
+	// Filtering out in place is safe under the walk reading it: a kept
+	// row is written at or before the index it was read from.
+	kept := out[:0]
+	walk(out, removed, func(old, gone *E) {
+		if gone == nil {
+			kept = append(kept, *old)
+		}
+	})
+	return kept
+}
+
+func patchPairs(prev tables.PairTable, d PairDelta) tables.PairTable {
+	gone := make(tables.PairTable, len(d.Removed))
+	for i, k := range d.Removed {
+		gone[i] = tables.PairEntry{Source: k.Source, Group: k.Group}
+	}
+	return patch(tables.PairTable.Walk, prev, d.Upserted, gone)
+}
+
+func patchRoutes(prev tables.RouteTable, d RouteDelta) tables.RouteTable {
+	gone := make(tables.RouteTable, len(d.Removed))
+	for i, p := range d.Removed {
+		gone[i] = tables.RouteEntry{Prefix: p}
+	}
+	return patch(tables.RouteTable.Walk, prev, d.Upserted, gone)
+}
+
 // ApplyRecord appends a pre-computed delta record — the replay path of the
 // durable archive. The record must have been produced by Append against
 // the same history prefix; fullEntries is the full-snapshot entry count of
 // the cycle that produced it, restoring the storage-stats baseline.
 func (l *Logger) ApplyRecord(target string, rec CycleRecord, fullEntries uint64) {
 	tl := l.target(target)
-	for _, e := range rec.Pairs.Upserted {
-		tl.lastPairs[pairKey{Source: e.Source, Group: e.Group}] = e
-	}
-	for _, k := range rec.Pairs.Removed {
-		delete(tl.lastPairs, k)
-	}
-	for _, e := range rec.Routes.Upserted {
-		tl.lastRoutes[e.Prefix] = e
-	}
-	for _, p := range rec.Routes.Removed {
-		delete(tl.lastRoutes, p)
-	}
+	tl.pairs = patchPairs(tl.pairs, rec.Pairs)
+	tl.routes = patchRoutes(tl.routes, rec.Routes)
 	tl.Records = append(tl.Records, rec)
 	tl.fullEntries += fullEntries
 	tl.deltaEntries += deltaSize(rec)
@@ -241,26 +241,31 @@ func (l *Logger) Materialized(target string) (*tables.Snapshot, bool) {
 		return nil, false
 	}
 	at := tl.Records[len(tl.Records)-1].At
-	sn := &tables.Snapshot{Target: target, At: at}
-	sn.Pairs = make(tables.PairTable, 0, len(tl.lastPairs))
-	for _, e := range tl.lastPairs {
-		if !e.Since.IsZero() {
-			e.Uptime = at.Sub(e.Since)
+	return &tables.Snapshot{Target: target, At: at, Pairs: pairsAt(tl.pairs, at), Routes: routesAt(tl.routes, at)}, true
+}
+
+// pairsAt copies a retained pair table with every uptime as of at.
+func pairsAt(t tables.PairTable, at time.Time) tables.PairTable {
+	out := append(make(tables.PairTable, 0, len(t)), t...)
+	for i := range out {
+		out[i].Uptime = 0
+		if !out[i].Since.IsZero() {
+			out[i].Uptime = at.Sub(out[i].Since)
 		}
-		//mantralint:allow sertaint sortPairs below orders the table before the snapshot leaves
-		sn.Pairs = append(sn.Pairs, e)
 	}
-	sn.Routes = make(tables.RouteTable, 0, len(tl.lastRoutes))
-	for _, e := range tl.lastRoutes {
-		if !e.Since.IsZero() {
-			e.Uptime = at.Sub(e.Since)
+	return out
+}
+
+// routesAt copies a retained route table with every uptime as of at.
+func routesAt(t tables.RouteTable, at time.Time) tables.RouteTable {
+	out := append(make(tables.RouteTable, 0, len(t)), t...)
+	for i := range out {
+		out[i].Uptime = 0
+		if !out[i].Since.IsZero() {
+			out[i].Uptime = at.Sub(out[i].Since)
 		}
-		//mantralint:allow sertaint sortRoutes below orders the table before the snapshot leaves
-		sn.Routes = append(sn.Routes, e)
 	}
-	sortPairs(sn.Pairs)
-	sortRoutes(sn.Routes)
-	return sn, true
+	return out
 }
 
 // Targets returns the known collection points, sorted by name so callers
@@ -300,25 +305,11 @@ func (l *Logger) ReconstructPairs(target string, idx int) (tables.PairTable, err
 	if tl == nil || idx < 0 || idx >= len(tl.Records) {
 		return nil, fmt.Errorf("logger: no cycle %d for %q", idx, target)
 	}
-	state := make(map[pairKey]tables.PairEntry)
+	var state tables.PairTable
 	for i := 0; i <= idx; i++ {
-		for _, e := range tl.Records[i].Pairs.Upserted {
-			state[pairKey{Source: e.Source, Group: e.Group}] = e
-		}
-		for _, k := range tl.Records[i].Pairs.Removed {
-			delete(state, k)
-		}
+		state = patchPairs(state, tl.Records[i].Pairs)
 	}
-	at := tl.Records[idx].At
-	out := make(tables.PairTable, 0, len(state))
-	for _, e := range state {
-		if !e.Since.IsZero() {
-			e.Uptime = at.Sub(e.Since)
-		}
-		out = append(out, e)
-	}
-	sortPairs(out)
-	return out, nil
+	return pairsAt(state, tl.Records[idx].At), nil
 }
 
 // ReconstructRoutes replays deltas to materialize the route table at
@@ -328,25 +319,11 @@ func (l *Logger) ReconstructRoutes(target string, idx int) (tables.RouteTable, e
 	if tl == nil || idx < 0 || idx >= len(tl.Records) {
 		return nil, fmt.Errorf("logger: no cycle %d for %q", idx, target)
 	}
-	state := make(map[addr.Prefix]tables.RouteEntry)
+	var state tables.RouteTable
 	for i := 0; i <= idx; i++ {
-		for _, e := range tl.Records[i].Routes.Upserted {
-			state[e.Prefix] = e
-		}
-		for _, p := range tl.Records[i].Routes.Removed {
-			delete(state, p)
-		}
+		state = patchRoutes(state, tl.Records[i].Routes)
 	}
-	at := tl.Records[idx].At
-	out := make(tables.RouteTable, 0, len(state))
-	for _, e := range state {
-		if !e.Since.IsZero() {
-			e.Uptime = at.Sub(e.Since)
-		}
-		out = append(out, e)
-	}
-	sortRoutes(out)
-	return out, nil
+	return routesAt(state, tl.Records[idx].At), nil
 }
 
 // Record returns the raw delta record of cycle idx.
@@ -373,7 +350,7 @@ func (l *Logger) StorageStats(target string) (deltaEntries, fullEntries uint64, 
 
 // TargetState is one target's serialized history.
 //
-//mantra:codec pair=ckpt-loggertarget magic=ckptMagic shape=6f4556766cbca7d4
+//mantra:codec pair=ckpt-loggertarget magic=ckptMagic shape=6f48c0766cbf91c9
 type TargetState struct {
 	Records []CycleRecord
 	Gaps    []GapMark
@@ -384,7 +361,7 @@ type TargetState struct {
 // State is the complete serialized form of a Logger — the payload of the
 // durable archive's checkpoints.
 //
-//mantra:codec pair=ckpt-loggerstate magic=ckptMagic shape=2ba9fae4a5734fd2
+//mantra:codec pair=ckpt-loggerstate magic=ckptMagic shape=2bad1ce4a575bf6f
 type State struct {
 	Targets map[string]TargetState
 }
@@ -465,17 +442,4 @@ func (l *Logger) ImportTarget(name string, ts TargetState) {
 		l.ApplyRecord(name, rec, 0)
 	}
 	tl.fullEntries = ts.FullEntries
-}
-
-func sortPairs(p tables.PairTable) {
-	sort.Slice(p, func(i, j int) bool {
-		if p[i].Group != p[j].Group {
-			return p[i].Group < p[j].Group
-		}
-		return p[i].Source < p[j].Source
-	})
-}
-
-func sortRoutes(r tables.RouteTable) {
-	sort.Slice(r, func(i, j int) bool { return r[i].Prefix.Compare(r[j].Prefix) < 0 })
 }

@@ -32,7 +32,7 @@ import (
 
 const (
 	segMagic            = "MWAL0002"
-	ckptMagic           = "MCKP0002"
+	ckptMagic           = "MCKP0003"
 	defaultSegmentBytes = 4 << 20
 	// maxRecordBytes caps a frame's declared length so a corrupted length
 	// field cannot trigger a giant allocation.

@@ -236,8 +236,13 @@ type Processor struct {
 	// pre-outage values. 0 means DefaultGapResetCycles.
 	GapResetCycles int
 
-	series    map[string]map[Metric]*Series
-	lastRoute map[string]map[addr.Prefix]bool
+	series map[string]map[Metric]*Series
+	// prevRoutes is, per target, the route table of the last snapshot
+	// ingested, in the form RouteTable.Walk returns and held by
+	// reference: what the next cycle's churn is counted against. A
+	// target has an entry exactly when it has been ingested, an empty
+	// table included.
+	prevRoutes map[string]tables.RouteTable
 	// store mirrors every appended point into the compressed long-
 	// horizon layer; retain caps the in-memory hot rings (0 unbounded).
 	store  *tsdb.Store
@@ -269,7 +274,7 @@ func New() *Processor {
 		SpikeMinJump:        200,
 		Window:              12,
 		series:              make(map[string]map[Metric]*Series),
-		lastRoute:           make(map[string]map[addr.Prefix]bool),
+		prevRoutes:          make(map[string]tables.RouteTable),
 		store:               tsdb.New(),
 		open:                make(map[string]map[string]openEpisode),
 		baseStart:           make(map[string]int),
@@ -457,31 +462,8 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 		st.SavedFactor = unicastKbps / st.BandwidthKbps
 	}
 
-	// Route table size and churn against the previous cycle. The
-	// target's route set is updated in place rather than rebuilt: a
-	// prefix in this table is marked false (a new one counts as churn),
-	// the sweep drops what is still true (churn again) and turns the
-	// marks back, so at rest every value is true.
 	st.Routes = len(sn.Routes)
-	set, seen := p.lastRoute[sn.Target]
-	if !seen {
-		set = make(map[addr.Prefix]bool, len(sn.Routes))
-		p.lastRoute[sn.Target] = set
-	}
-	for _, r := range sn.Routes {
-		if _, had := set[r.Prefix]; !had && seen {
-			st.RouteChurn++
-		}
-		set[r.Prefix] = false
-	}
-	for pr, gone := range set {
-		if gone {
-			st.RouteChurn++
-			delete(set, pr)
-		} else {
-			set[pr] = true
-		}
-	}
+	st.RouteChurn = p.routeChurn(sn.Target, sn.Routes)
 
 	st.SACache = saCache
 	st.MBGPRoutes = mbgpRoutes
@@ -518,6 +500,22 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 
 	p.detect(sn.Target, sn.At, ts)
 	return st
+}
+
+// routeChurn counts the prefixes routes adds to and drops from the
+// target's previous table — a changed metric or gateway is not churn —
+// and keeps routes, by reference, as the table the next call compares
+// with. A target's first table has nothing to be compared with and
+// counts no churn.
+func (p *Processor) routeChurn(target string, routes tables.RouteTable) int {
+	prev, seen := p.prevRoutes[target]
+	churn := 0
+	p.prevRoutes[target] = prev.Walk(routes, func(old, cur *tables.RouteEntry) {
+		if seen && (old == nil || cur == nil) {
+			churn++
+		}
+	})
+	return churn
 }
 
 // DensityDistribution computes, for one snapshot, the fraction of

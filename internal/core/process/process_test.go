@@ -106,11 +106,11 @@ func TestRouteChurn(t *testing.T) {
 	}
 }
 
-// TestRouteChurnInPlace: the per-target route set is updated in place.
-// Churn must still be the size of the symmetric difference with the
-// previous table (a repeated prefix counting once), and the set at rest
-// — which ExportState copies into checkpoints value for value — must be
-// exactly this table's prefixes, all true.
+// TestRouteChurnInPlace: churn is counted by walking the table against
+// the previous one, kept by reference. It must still be the size of the
+// symmetric difference with the previous table (a repeated prefix
+// counting once), and what ExportState writes into checkpoints must be
+// exactly this table's distinct prefixes, in order.
 func TestRouteChurnInPlace(t *testing.T) {
 	p := New()
 	at := sim.Epoch
@@ -136,10 +136,52 @@ func TestRouteChurnInPlace(t *testing.T) {
 		if st := p.Ingest(snapAt(at, nil, routes)); st.RouteChurn != want {
 			t.Fatalf("cycle %d: churn = %d, want %d", c, st.RouteChurn, want)
 		}
-		if got := p.ExportState().LastRoute["fixw"]; !reflect.DeepEqual(got, cur) {
-			t.Fatalf("cycle %d: route set at rest = %v, want %v", c, got, cur)
+		if got := p.ExportState().LastRoute["fixw"]; !reflect.DeepEqual(got, sortedPrefixes(cur)) {
+			t.Fatalf("cycle %d: exported prefixes = %v, want %v", c, got, sortedPrefixes(cur))
 		}
 		prev = cur
+		at = at.Add(30 * time.Minute)
+	}
+}
+
+// TestRouteChurnCases: what the walk counts, case by case — and that a
+// processor restored through either state-transfer seam counts the next
+// table exactly as the one that kept running.
+func TestRouteChurnCases(t *testing.T) {
+	a, b, c, d, e := route("10.1.0.0/16", 1), route("10.2.0.0/16", 1), route("10.3.0.0/16", 1), route("10.4.0.0/16", 1), route("10.5.0.0/16", 1)
+	b9 := route("10.2.0.0/16", 9)
+	steps := []struct {
+		name   string
+		routes tables.RouteTable
+		want   int
+	}{
+		{"a target's first table has no predecessor", tables.RouteTable{a, b, c}, 0},
+		{"a prefix listed twice is one prefix", tables.RouteTable{a, b, b9, c}, 0},
+		{"an out-of-order table is the same table", tables.RouteTable{c, a, b}, 0},
+		{"a changed metric is not churn", tables.RouteTable{a, b9, c}, 0},
+		{"one prefix gone, one new", tables.RouteTable{a, c, d}, 2},
+		{"out of order, repeated and changed at once", tables.RouteTable{e, d, a, a}, 2},
+		{"an empty table after a full one", nil, 3},
+		{"an empty table after an empty one", nil, 0},
+		{"a full table after an empty one", tables.RouteTable{a, b}, 2},
+	}
+	p := New()
+	at := sim.Epoch
+	var latest *tables.Snapshot
+	for _, step := range steps {
+		viaState, viaTarget := New(), New()
+		viaState.ImportState(p.ExportState())
+		viaTarget.ImportTarget("fixw", p.ExportTarget("fixw"), latest)
+		given := append(tables.RouteTable(nil), step.routes...)
+		latest = snapAt(at, nil, step.routes)
+		for name, q := range map[string]*Processor{"live": p, "after ImportState": viaState, "after ImportTarget": viaTarget} {
+			if got := q.Ingest(latest).RouteChurn; got != step.want {
+				t.Errorf("%s (%s): churn = %d, want %d", step.name, name, got, step.want)
+			}
+		}
+		if !reflect.DeepEqual(step.routes, given) {
+			t.Fatalf("%s: Ingest wrote to the snapshot's route table", step.name)
+		}
 		at = at.Add(30 * time.Minute)
 	}
 }

@@ -16,10 +16,6 @@ type RouteStability struct {
 	byPrefix map[addr.Prefix]*prefixHistory
 	// cycles counts observations.
 	cycles int
-	// last is the set of prefixes reachable in the latest table: only
-	// its keys are state. Every value is seen, the mark Observe flips.
-	last map[addr.Prefix]bool
-	seen bool
 }
 
 type prefixHistory struct {
@@ -65,52 +61,19 @@ func (h *prefixHistory) fall(cycle int, at time.Time) {
 
 // NewRouteStability returns an empty tracker.
 func NewRouteStability() *RouteStability {
-	return &RouteStability{
-		byPrefix: make(map[addr.Prefix]*prefixHistory),
-		last:     make(map[addr.Prefix]bool),
-	}
+	return &RouteStability{byPrefix: make(map[addr.Prefix]*prefixHistory)}
 }
 
-// Observe folds one cycle's route table into the tracker. The set of
-// reachable prefixes is updated in place rather than rebuilt: the mark
-// flips each cycle, a prefix in this table takes the new mark, and the
-// sweep retires what still carries the old one. A prefix that stays up
-// is only re-marked: nothing is counted or written per cycle.
-//
-// The budget is the history record a prefix gets on first sight.
-//
-//mantra:hotpath budget=1
-func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
-	rs.cycles++
-	rs.seen = !rs.seen
-	for _, r := range routes {
-		rs.last[r.Prefix] = rs.seen
-		h := rs.byPrefix[r.Prefix]
-		if h == nil {
-			h = &prefixHistory{}
-			rs.byPrefix[r.Prefix] = h
-		}
-		if !h.up {
-			h.rise(rs.cycles, at.Add(-r.Uptime))
-		}
-	}
-	for p, seen := range rs.last {
-		if seen != rs.seen {
-			rs.unreachable(p, at)
-		}
-	}
-}
-
-// ObserveDelta folds one cycle in from its delta-log record instead of
-// its table: the cycle stamped at upserted these routes and removed
-// these prefixes relative to the cycle before. An upsert of a prefix
-// that is not up is a rise, a removal is a fall, and an upsert of a
-// prefix that is up (a metric or gateway change, an uptime reset) is no
-// transition — so replaying a target's records costs the sum of their
-// delta entries, not records × table, and leaves the tracker equal to
-// one that Observed every table. The equality relies on each upserted
-// entry's Since being its cycle's At − Uptime, which tables.BuildSnapshot
-// guarantees; FuzzStabilityFromRecords (internal/core/cycle) pins it.
+// ObserveDelta folds one cycle in from its delta-log record: the cycle
+// stamped at upserted these routes and removed these prefixes relative
+// to the cycle before. An upsert of a prefix that is not up is a rise,
+// a removal is a fall, and an upsert of a prefix that is up (a metric or
+// gateway change, an uptime reset) is no transition, so a cycle costs
+// its delta entries, not its table. It is the tracker's only input in
+// the product: the live Log stage, the WAL-tail replay and the handoff
+// import all hand it the record's route delta. A rise takes the entry's
+// Since as the start of the period, which tables.BuildSnapshot sets to
+// the cycle's At − Uptime.
 //
 // The budget is the history record a prefix gets on first sight.
 //
@@ -119,26 +82,45 @@ func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
 func (rs *RouteStability) ObserveDelta(at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
 	rs.cycles++
 	for _, e := range upserted {
-		rs.last[e.Prefix] = rs.seen
-		h := rs.byPrefix[e.Prefix]
-		if h == nil {
-			h = &prefixHistory{}
-			rs.byPrefix[e.Prefix] = h
-		}
-		if !h.up {
-			h.rise(rs.cycles, e.Since)
-		}
+		rs.rise(e.Prefix, e.Since)
 	}
 	for _, p := range removed {
-		rs.unreachable(p, at)
+		if h := rs.byPrefix[p]; h != nil && h.up {
+			h.fall(rs.cycles, at)
+		}
 	}
 }
 
-// unreachable retires p from the reachable set in the current cycle.
-func (rs *RouteStability) unreachable(p addr.Prefix, at time.Time) {
-	delete(rs.last, p)
-	if h := rs.byPrefix[p]; h != nil && h.up {
-		h.fall(rs.cycles, at)
+// rise opens a reachability period for p in the current cycle unless
+// one is open already.
+func (rs *RouteStability) rise(p addr.Prefix, since time.Time) {
+	h := rs.byPrefix[p]
+	if h == nil {
+		h = &prefixHistory{}
+		rs.byPrefix[p] = h
+	}
+	if !h.up {
+		h.rise(rs.cycles, since)
+	}
+}
+
+// Observe folds one cycle in from its whole route table: every listed
+// prefix that is not up rises, every up prefix the table does not list
+// falls. Nothing in the product calls it — the cycle has the delta
+// record and uses ObserveDelta. It is the table-form statement of what
+// the tracker computes: FuzzStabilityFromRecords holds ObserveDelta to
+// it, and the benchmark's layer walk times it.
+func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
+	rs.cycles++
+	listed := make(map[addr.Prefix]bool, len(routes))
+	for _, r := range routes {
+		listed[r.Prefix] = true
+		rs.rise(r.Prefix, at.Add(-r.Uptime))
+	}
+	for p, h := range rs.byPrefix {
+		if h.up && !listed[p] {
+			h.fall(rs.cycles, at)
+		}
 	}
 }
 

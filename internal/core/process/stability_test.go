@@ -96,11 +96,15 @@ func TestStabilityEmptySummary(t *testing.T) {
 	if got := rs.LeastStable(5); len(got) != 0 {
 		t.Errorf("LeastStable on empty = %v", got)
 	}
+	if st := rs.ExportState(); st.Prefixes != nil {
+		t.Errorf("empty tracker exports %+v, want a nil slice", st)
+	}
 }
 
 // rebuiltTracker is the tracker as it stood when it built a fresh prefix
 // set every cycle and counted presence one cycle at a time — the oracle
-// for the in-place set update and the run-length presence count.
+// for Observe's falls read off the histories and the run-length
+// presence count.
 type rebuiltTracker struct {
 	cycles int
 	last   map[addr.Prefix]bool
@@ -139,9 +143,6 @@ func (o *rebuiltTracker) observe(routes tables.RouteTable, at time.Time) {
 
 func (o *rebuiltTracker) export() *StabilityState {
 	st := &StabilityState{Cycles: o.cycles}
-	if len(o.last) > 0 {
-		st.Last = sortedPrefixes(o.last)
-	}
 	for _, p := range sortedPrefixes(o.hist) {
 		h := *o.hist[p]
 		h.Lifetimes = append([]time.Duration(nil), h.Lifetimes...)
@@ -183,23 +184,5 @@ func TestObserveInPlaceMatchesRebuiltSet(t *testing.T) {
 	}
 	if w := StabilityFromState(want.export()).Summary(); got.Summary() != w || w.TotalFlaps == 0 {
 		t.Fatalf("summary = %+v, want %+v with flaps", got.Summary(), w)
-	}
-}
-
-// TestExportStateReachableWithoutHistory: ExportState reads Last off the
-// sorted history keys; an imported state that lists a reachable prefix
-// with no history must still export it, in order.
-func TestExportStateReachableWithoutHistory(t *testing.T) {
-	in := &StabilityState{
-		Cycles:   3,
-		Last:     []addr.Prefix{addr.MustParsePrefix("9.0.0.0/8"), addr.MustParsePrefix("10.0.0.0/8"), addr.MustParsePrefix("12.0.0.0/8")},
-		Prefixes: []PrefixState{{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Present: 3, Up: true}},
-	}
-	out := StabilityFromState(in).ExportState()
-	if !bytes.Equal(encodeStability(t, out), encodeStability(t, in)) {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-	if empty := NewRouteStability().ExportState(); empty.Last != nil || empty.Prefixes != nil {
-		t.Errorf("empty tracker exports %+v, want nil slices", empty)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core/tables"
 	"repro/internal/core/tsdb"
 )
 
@@ -21,7 +22,7 @@ import (
 // so the state gob-encodes; Series pointers are deep-copied on export and
 // import, never shared with a live processor.
 //
-//mantra:codec pair=ckpt-procstate shape=eb07b6abc56b8bfd
+//mantra:codec pair=ckpt-procstate shape=5485c8907bd8cdcd
 type State struct {
 	SenderThresholdKbps float64
 	SpikeFactor         float64
@@ -34,8 +35,11 @@ type State struct {
 	Series map[string]map[Metric]*Series
 	// Store is the compressed long-horizon layer's state. Sealed blocks
 	// checkpoint far smaller than the raw Series export they replace.
-	Store     *tsdb.State
-	LastRoute map[string]map[addr.Prefix]bool
+	Store *tsdb.State
+	// LastRoute is, per target, the prefixes of the last table ingested,
+	// in Prefix.Compare order: what the next cycle's churn is counted
+	// against.
+	LastRoute map[string][]addr.Prefix
 	Anomalies []Anomaly
 	NextID    int
 	FirstID   int
@@ -81,7 +85,7 @@ func (p *Processor) ExportState() *State {
 		SeriesRetain:        p.retain,
 		Series:              make(map[string]map[Metric]*Series, len(p.series)),
 		Store:               p.store.Export(),
-		LastRoute:           make(map[string]map[addr.Prefix]bool, len(p.lastRoute)),
+		LastRoute:           make(map[string][]addr.Prefix, len(p.prevRoutes)),
 		Anomalies:           append([]Anomaly(nil), p.anomalies...),
 		NextID:              p.nextID,
 		FirstID:             p.firstID,
@@ -95,12 +99,12 @@ func (p *Processor) ExportState() *State {
 		}
 		st.Series[target] = cp
 	}
-	for target, routes := range p.lastRoute {
-		cp := make(map[addr.Prefix]bool, len(routes))
-		for pr, v := range routes {
-			cp[pr] = v
+	for target, routes := range p.prevRoutes {
+		prefixes := make([]addr.Prefix, len(routes))
+		for i := range routes {
+			prefixes[i] = routes[i].Prefix
 		}
-		st.LastRoute[target] = cp
+		st.LastRoute[target] = prefixes
 	}
 	for target, v := range p.baseStart {
 		st.BaseStart[target] = v
@@ -156,13 +160,13 @@ func (p *Processor) ImportState(st *State) {
 	// Self-exported store state always round-trips; the checkpoint blob
 	// carrying it is CRC-validated before it gets here.
 	_ = p.store.Import(st.Store)
-	p.lastRoute = make(map[string]map[addr.Prefix]bool, len(st.LastRoute))
-	for target, routes := range st.LastRoute {
-		cp := make(map[addr.Prefix]bool, len(routes))
-		for pr, v := range routes {
-			cp[pr] = v
+	p.prevRoutes = make(map[string]tables.RouteTable, len(st.LastRoute))
+	for target, prefixes := range st.LastRoute {
+		routes := make(tables.RouteTable, len(prefixes))
+		for i, pr := range prefixes {
+			routes[i].Prefix = pr
 		}
-		p.lastRoute[target] = cp
+		p.routeChurn(target, routes)
 	}
 	p.MaxAnomalies = st.MaxAnomalies
 	p.GapResetCycles = st.GapResetCycles
@@ -205,10 +209,9 @@ type PrefixState struct {
 
 // StabilityState is the exportable form of a RouteStability tracker.
 //
-//mantra:codec pair=ckpt-stabilitystate shape=e1eaa417f40abb62
+//mantra:codec pair=ckpt-stabilitystate shape=b5aa0852ed275288
 type StabilityState struct {
 	Cycles   int
-	Last     []addr.Prefix
 	Prefixes []PrefixState
 }
 
@@ -222,26 +225,19 @@ func sortedPrefixes[V any](m map[addr.Prefix]V) []addr.Prefix {
 	return keys
 }
 
-// ExportState copies the tracker's accumulated state. Both slices are
-// sorted by prefix: the export gob-encodes straight into checkpoints, so
-// map-iteration order here would make checkpoint bytes differ run to run.
-// Only the 16-byte history keys are sorted; Last and Prefixes are both
-// emitted, into slices sized once, in one pass over that order.
+// ExportState copies the tracker's accumulated state, sorted by prefix:
+// the export gob-encodes straight into checkpoints, so map-iteration
+// order here would make checkpoint bytes differ run to run. The
+// reachable set is the prefixes exported Up.
 //
 //mantra:statetransfer component=stability seam=export
 //mantralint:allow statecov handoff derives stability from the logger component's records (Core.ImportTarget → ObserveDelta); see FuzzStabilityFromRecords
 func (rs *RouteStability) ExportState() *StabilityState {
 	st := &StabilityState{Cycles: rs.cycles}
-	if len(rs.last) > 0 {
-		st.Last = make([]addr.Prefix, 0, len(rs.last))
-	}
 	if len(rs.byPrefix) > 0 {
 		st.Prefixes = make([]PrefixState, 0, len(rs.byPrefix))
 	}
 	for _, p := range sortedPrefixes(rs.byPrefix) {
-		if _, reachable := rs.last[p]; reachable {
-			st.Last = append(st.Last, p)
-		}
 		h := rs.byPrefix[p]
 		st.Prefixes = append(st.Prefixes, PrefixState{
 			Prefix:       p,
@@ -251,12 +247,6 @@ func (rs *RouteStability) ExportState() *StabilityState {
 			Lifetimes:    append([]time.Duration(nil), h.lifetimes...),
 			Up:           h.up,
 		})
-	}
-	// Observe gives every reachable prefix a history, so the pass above
-	// met all of rs.last; only an imported state can list a prefix
-	// without one.
-	if len(st.Last) != len(rs.last) {
-		st.Last = sortedPrefixes(rs.last)
 	}
 	return st
 }
@@ -270,9 +260,6 @@ func StabilityFromState(st *StabilityState) *RouteStability {
 		return rs
 	}
 	rs.cycles = st.Cycles
-	for _, p := range st.Last {
-		rs.last[p] = rs.seen
-	}
 	for _, ps := range st.Prefixes {
 		h := &prefixHistory{
 			flaps:        ps.Flaps,

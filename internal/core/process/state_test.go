@@ -22,8 +22,8 @@ func encodeStability(t *testing.T, st *StabilityState) []byte {
 }
 
 func TestStabilityExportStateDeterministicBytes(t *testing.T) {
-	// Regression for the mantralint mapiter finding in ExportState: Last
-	// and Prefixes used to be appended in map-iteration order, so the
+	// Regression for the mantralint mapiter finding in ExportState:
+	// Prefixes used to be appended in map-iteration order, so the
 	// gob bytes that land in checkpoints differed run to run. Repeated
 	// exports of the same tracker must now be byte-identical.
 	rs := NewRouteStability()
@@ -43,9 +43,6 @@ func TestStabilityExportStateDeterministicBytes(t *testing.T) {
 		}
 	}
 	st := rs.ExportState()
-	if !sort.SliceIsSorted(st.Last, func(i, j int) bool { return st.Last[i].Compare(st.Last[j]) < 0 }) {
-		t.Error("Last is not sorted by prefix")
-	}
 	if !sort.SliceIsSorted(st.Prefixes, func(i, j int) bool { return st.Prefixes[i].Prefix.Compare(st.Prefixes[j].Prefix) < 0 }) {
 		t.Error("Prefixes is not sorted by prefix")
 	}

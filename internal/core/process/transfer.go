@@ -7,10 +7,11 @@
 // already has live state for its own targets and must graft exactly one
 // more target in without disturbing them. ExportTarget captures one
 // target's series, baseline anchor, anomaly history and open episodes —
-// not its route set, which is the prefixes of the target's latest
-// snapshot and is rebuilt from that at import; ImportTarget splices them
-// into another processor, assigning fresh ring IDs (the anomaly ring's
-// ID contiguity invariant forbids inserting foreign IDs mid-ring).
+// not the route table its next churn is counted against, which is the
+// target's latest snapshot's and is taken from that at import;
+// ImportTarget splices them into another processor, assigning fresh
+// ring IDs (the anomaly ring's ID contiguity invariant forbids
+// inserting foreign IDs mid-ring).
 // Fleet-level views dedup the resulting cross-shard copies by ownership;
 // RollupOf/CrossTargetOf are the pure forms of the rollup computations,
 // usable over any merged anomaly slice.
@@ -19,7 +20,6 @@ package process
 import (
 	"sort"
 
-	"repro/internal/addr"
 	"repro/internal/core/tables"
 	"repro/internal/core/tsdb"
 )
@@ -106,15 +106,15 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 // the highest local ID. A nil st simply removes the target's state.
 //
 // latest is the last snapshot the exporter ingested for the target, nil
-// if it never ingested one. The route set the next cycle's churn is
-// counted against is that snapshot's prefixes, so it is rebuilt from
-// them rather than carried: a set exists exactly when a snapshot does,
-// an empty table included.
+// if it never ingested one. The table the next cycle's churn is counted
+// against is that snapshot's, so it is taken from there rather than
+// carried: one exists exactly when a snapshot does, an empty table
+// included.
 //
 //mantra:statetransfer component=processor seam=import
 func (p *Processor) ImportTarget(target string, st *TargetState, latest *tables.Snapshot) {
 	delete(p.series, target)
-	delete(p.lastRoute, target)
+	delete(p.prevRoutes, target)
 	delete(p.baseStart, target)
 	delete(p.open, target)
 	p.store.Remove(target)
@@ -134,11 +134,7 @@ func (p *Processor) ImportTarget(target string, st *TargetState, latest *tables.
 		p.series[target] = cp
 	}
 	if latest != nil {
-		set := make(map[addr.Prefix]bool, len(latest.Routes))
-		for _, r := range latest.Routes {
-			set[r.Prefix] = true
-		}
-		p.lastRoute[target] = set
+		p.routeChurn(target, latest.Routes)
 	}
 	if st.HasBase {
 		p.baseStart[target] = st.BaseStart

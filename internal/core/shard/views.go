@@ -283,21 +283,3 @@ func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
 	}
 	return tsdb.Assemble(q, parts), nil
 }
-
-// MaterializedView reads a target's full-history series from its owning
-// shard's store (or the aggregation processor's for fleet-level names),
-// through the published assignment — the sharded counterpart of
-// Monitor.MaterializedSeries, backing ranged /series reads.
-func (s *Supervisor) MaterializedView(name string, m process.Metric) *process.Series {
-	s.mu.Lock()
-	sh, ok := s.status.Assignment[name]
-	s.mu.Unlock()
-	if !ok || sh < 0 || sh >= len(s.workers) {
-		return s.fleetProc.MaterializedSeries(name, m)
-	}
-	w := s.workers[sh]
-	if w == nil {
-		return nil
-	}
-	return w.core.Proc.MaterializedSeries(name, m)
-}

@@ -71,18 +71,11 @@ func MergeSnapshots(name string, at time.Time, snaps ...*Snapshot) *Snapshot {
 	for _, e := range pairs {
 		out.Pairs = append(out.Pairs, e)
 	}
-	sort.Slice(out.Pairs, func(i, j int) bool {
-		if out.Pairs[i].Group != out.Pairs[j].Group {
-			return out.Pairs[i].Group < out.Pairs[j].Group
-		}
-		return out.Pairs[i].Source < out.Pairs[j].Source
-	})
+	sort.Slice(out.Pairs, func(i, j int) bool { return pairOrder(&out.Pairs[i], &out.Pairs[j]) < 0 })
 	for _, e := range routes {
 		out.Routes = append(out.Routes, e)
 	}
-	sort.Slice(out.Routes, func(i, j int) bool {
-		return out.Routes[i].Prefix.Compare(out.Routes[j].Prefix) < 0
-	})
+	sort.Slice(out.Routes, func(i, j int) bool { return routeOrder(&out.Routes[i], &out.Routes[j]) < 0 })
 	return out
 }
 

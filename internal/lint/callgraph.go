@@ -371,7 +371,7 @@ func loopHasExit(p *Package, loop *ast.ForStmt) bool {
 
 // shortFuncName renders a function for finding messages: method
 // receivers keep their type, package paths are trimmed to the last
-// element ("(*Store).append", "collect.RunScript").
+// element ("(*Store).append", "collect.CollectAll").
 func shortFuncName(fn *types.Func) string {
 	if fn == nil {
 		return "?"

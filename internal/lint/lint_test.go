@@ -373,7 +373,6 @@ func TestHotRootsPinned(t *testing.T) {
 		"(*repro/internal/core/logger.Store).append",
 		"(*repro/internal/core/logger.Store).openSegment",
 		"(*repro/internal/core/logger.Store).rotate",
-		"(*repro/internal/core/process.RouteStability).Observe",
 		"(*repro/internal/core/process.RouteStability).ObserveDelta",
 		"(*repro/internal/core/tsdb.Store).Append",
 		"(*repro/internal/core/tsdb.dirWriter).openSegment",
@@ -388,6 +387,7 @@ func TestHotRootsPinned(t *testing.T) {
 		"repro/internal/core/logger.segmentName",
 		"repro/internal/core/tables.BuildSnapshot",
 		"repro/internal/core/tables.igmpRow",
+		"repro/internal/core/tables.inOrder",
 		"repro/internal/core/tables.mbgpRow",
 		"repro/internal/core/tables.pairRow",
 		"repro/internal/core/tables.parseUptime",

@@ -280,12 +280,6 @@ func (m *Monitor) AnomalyRollup() AnomalyRollup {
 	return m.core.Proc.Rollup()
 }
 
-// CrossTargetIncidents correlates open anomalies across targets: kinds
-// currently open at two or more routers at once.
-func (m *Monitor) CrossTargetIncidents() []CrossTargetIncident {
-	return m.core.Proc.CrossTarget()
-}
-
 // SetMaxAnomalies caps the in-memory anomaly ring (0 restores the
 // default, process.DefaultMaxAnomalies). Evicted records are counted in
 // the rollup.

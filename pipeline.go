@@ -74,13 +74,6 @@ func (m *Monitor) Concurrency() int {
 	return n
 }
 
-// SetCycleClock injects the engine's monotonic cycle clock, which
-// stamps all per-stage instrumentation. The default is real monotonic
-// time; simulated deployments inject a virtual clock so the sim path
-// performs no wall-clock reads and instrumented timings reproduce
-// exactly. The clock must be safe for concurrent use.
-func (m *Monitor) SetCycleClock(c engine.Clock) { m.core.Engine.SetClock(c) }
-
 // EngineStats returns the cycle engine's cumulative per-stage,
 // per-target instrumentation — the view served over HTTP at /stats.
 func (m *Monitor) EngineStats() engine.Stats { return m.core.Engine.Stats() }
