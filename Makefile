@@ -72,7 +72,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 27000
+LOC_CEILING = 26850
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -86,9 +86,12 @@ loc-check:
 # (equal records on well-formed tables, equal materialised tables and
 # reconstructions always), the stability tracker driven by the Log stage
 # and the one replayed from delta-log records against one that observed
-# every table (live = handed off), and the lint fact-summary extractor
+# every table (live = handed off), the lint fact-summary extractor
 # (no panics; byte-identical summaries across independent parse/check
-# passes).
+# passes), and the segment log's frame scanner on arbitrary bytes under
+# the WAL's and the mirror's magics (no panics; payloads are slices of
+# the input within the frame cap; the prefix it calls intact rescans
+# clean).
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
@@ -97,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/core/logger -fuzz FuzzAppendMatchesMapDiff -fuzztime 30s
 	$(GO) test ./internal/core/cycle -fuzz FuzzStabilityFromRecords -fuzztime 30s
 	$(GO) test ./internal/lint -fuzz FuzzSummaryExtract -fuzztime 30s
+	$(GO) test ./internal/core/seglog -fuzz FuzzScan -fuzztime 30s
 
 # The chaos suite under the race detector with shuffled test order: the
 # 220-cycle fault-injection run, the breaker lifecycle, and the scripted

@@ -1,6 +1,6 @@
 // Checkpoints and restart recovery for the durable archive.
 //
-// A checkpoint is one atomic file (write-temp, fsync, rename) holding the
+// A checkpoint is one atomic framed file (seglog.WriteFile) holding the
 // gob-encoded full Logger state plus an opaque caller payload (the
 // monitor stores its processor series, stability trackers and health
 // ledger there), stamped with the WAL sequence number it covers. Recovery
@@ -12,12 +12,13 @@ package logger
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/core/seglog"
 	"repro/internal/core/tables"
 )
 
@@ -72,7 +73,8 @@ type RecoveredArchive struct {
 // checkpoint's Logger plus every surviving WAL-tail record applied in log
 // order. Each applied delta also yields a materialized snapshot so the
 // caller can re-ingest the tail cycles into its own consumers. Recover
-// may be called once per Open; the cached scan results are released.
+// may be called once per Open, before the first append; either releases
+// the cached scan results.
 func (s *Store) Recover() *RecoveredArchive {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,35 +125,19 @@ func (s *Store) WriteCheckpoint(l *Logger, extra []byte, now time.Time) error {
 	defer s.mu.Unlock()
 	// Records covered by the checkpoint may be pruned, so they must be
 	// durable first.
-	if s.seg != nil {
-		//mantralint:allow lockheld fsync under s.mu is the durability contract: the single-writer lock serializes append+sync so readers never see a segment ahead of stable storage
-		if err := s.seg.Sync(); err != nil {
-			return fmt.Errorf("logger: checkpoint: sync wal: %w", err)
-		}
+	//mantralint:allow lockheld fsync under s.mu is the durability contract: the single-writer lock serializes append+sync so readers never see a segment ahead of stable storage
+	if err := s.log.Sync(); err != nil {
+		return fmt.Errorf("logger: checkpoint: sync wal: %w", err)
 	}
 	pay := ckptPayload{Seq: s.seq, At: now, State: l.ExportState(), Extra: extra}
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(&pay); err != nil {
 		return fmt.Errorf("logger: checkpoint: encode: %w", err)
 	}
-	buf := make([]byte, 0, len(ckptMagic)+frameHeader+body.Len())
-	buf = append(buf, ckptMagic...)
-	var hdr [frameHeader]byte
-	putU32(hdr[0:], uint32(body.Len()))
-	putU32(hdr[4:], crc32.Checksum(body.Bytes(), castagnoli))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body.Bytes()...)
-
-	final := filepath.Join(s.dir, ckptName(pay.Seq))
-	tmp := final + ".tmp"
-	//mantralint:allow lockheld checkpoint durability: the tmp-file write+fsync must complete under s.mu so no append lands between the state export and the rename
-	if err := writeFileSync(tmp, buf); err != nil {
+	//mantralint:allow lockheld checkpoint durability: the tmp-file write+fsync, the rename and the directory fsync must complete under s.mu so no append lands between the state export and the rename
+	if err := seglog.WriteFile(filepath.Join(s.dir, ckptName(pay.Seq)), ckptMagic, body.Bytes()); err != nil {
 		return fmt.Errorf("logger: checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("logger: checkpoint: %w", err)
-	}
-	syncDir(s.dir) //mantralint:allow lockheld directory fsync under s.mu: the checkpoint is not durable until its directory entry is
 	s.stats.Checkpoints++
 	s.stats.CheckpointSeq = pay.Seq
 	s.stats.LastCheckpointAt = now
@@ -162,80 +148,31 @@ func (s *Store) WriteCheckpoint(l *Logger, extra []byte, now time.Time) error {
 // prune removes checkpoints beyond the retention count and segments whose
 // records are covered by every retained checkpoint; the caller holds s.mu.
 func (s *Store) prune() {
-	names, err := s.listFiles("ckpt-", ".ck")
+	ckpts, err := seglog.List(s.dir, ckptPrefix, ckptSuffix)
 	if err != nil {
 		return
 	}
-	keep := s.opts.KeepCheckpoints
-	if len(names) > keep {
-		for _, name := range names[:len(names)-keep] {
-			_ = os.Remove(filepath.Join(s.dir, name)) //mantralint:allow walerr retention pruning is best-effort; a surviving file is retried next prune and never corrupts state
+	if keep := s.opts.KeepCheckpoints; len(ckpts) > keep {
+		for _, seq := range ckpts[:len(ckpts)-keep] {
+			_ = os.Remove(filepath.Join(s.dir, ckptName(seq))) //mantralint:allow walerr retention pruning is best-effort; a surviving file is retried next prune and never corrupts state
 		}
-		names = names[len(names)-keep:]
+		ckpts = ckpts[len(ckpts)-keep:]
 	}
-	if len(names) == 0 {
+	if len(ckpts) == 0 {
 		return
 	}
 	// Segments are only safe to drop below the OLDEST retained checkpoint:
 	// if the newest is damaged, recovery falls back and needs the tail
-	// from the older one.
-	var minSeq uint64
-	fmt.Sscanf(names[0], "ckpt-%020d.ck", &minSeq)
-	kept := s.segments[:0]
-	for _, seg := range s.segments {
-		if seg.last != 0 && seg.last <= minSeq {
-			_ = os.Remove(filepath.Join(s.dir, seg.name)) //mantralint:allow walerr retention pruning is best-effort; a surviving segment is harmlessly re-scanned on restart
-			continue
-		}
-		kept = append(kept, seg)
-	}
-	s.segments = kept
-}
-
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	//mantralint:allow waltaint callers hand writeFileSync fully framed buffers (magic+length+CRC built in WriteCheckpoint); the checksum is computed one frame up
-	if _, err := f.Write(data); err != nil {
-		f.Close() //mantralint:allow walerr abandoning a failed write; the write error is already returned
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //mantralint:allow walerr abandoning a failed sync; the sync error is already returned
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so renames are durable; best effort on
-// platforms where directories cannot be synced.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()  //mantralint:allow walerr documented best-effort: directory fsync is unsupported on some platforms
-		_ = d.Close() //mantralint:allow walerr read-only directory handle; nothing to flush
-	}
+	// from the older one. A segment holds the sequence numbers ID to
+	// ID+Frames-1.
+	s.log.Prune(func(seg seglog.Segment) bool { return seg.ID+uint64(seg.Frames)-1 <= ckpts[0] })
 }
 
 // loadCheckpoint reads and validates one checkpoint file.
 func loadCheckpoint(path string) (*ckptPayload, error) {
-	data, err := os.ReadFile(path)
+	body, err := seglog.ReadFile(path, ckptMagic)
 	if err != nil {
 		return nil, err
-	}
-	if len(data) < len(ckptMagic)+frameHeader || string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("logger: checkpoint %s: bad magic", filepath.Base(path))
-	}
-	hdr := data[len(ckptMagic):]
-	ln := u32at(hdr, 0)
-	sum := u32at(hdr, 4)
-	body := hdr[frameHeader:]
-	if uint64(ln) != uint64(len(body)) {
-		return nil, fmt.Errorf("logger: checkpoint %s: truncated", filepath.Base(path))
-	}
-	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, fmt.Errorf("logger: checkpoint %s: checksum mismatch", filepath.Base(path))
 	}
 	var pay ckptPayload
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&pay); err != nil {
@@ -244,29 +181,33 @@ func loadCheckpoint(path string) (*ckptPayload, error) {
 	return &pay, nil
 }
 
-func u32at(b []byte, off int) uint32 {
-	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-}
+// What the scan's visitor rejects a checksummed frame for; the text is
+// the RecoveryStats.TailError an operator reads.
+var (
+	errUndecodable   = errors.New("undecodable record")
+	errDiscontinuity = errors.New("sequence discontinuity")
+)
 
 // scan is the open-time pass: locate the newest valid checkpoint, walk
 // every segment record by record, truncate a torn or corrupt tail at the
 // last valid record, and cache what survives for Recover.
 func (s *Store) scan() error {
 	// Leftover temp files are aborted checkpoint writes.
-	if tmps, err := s.listFiles("ckpt-", ".tmp"); err == nil {
-		for _, name := range tmps {
-			_ = os.Remove(filepath.Join(s.dir, name)) //mantralint:allow walerr leftover temp cleanup is best-effort; a survivor is ignored by recovery and retried next open
+	tmpSuffix := ckptSuffix + seglog.TempSuffix
+	if tmps, err := seglog.List(s.dir, ckptPrefix, tmpSuffix); err == nil {
+		for _, seq := range tmps {
+			_ = os.Remove(filepath.Join(s.dir, seglog.Name(ckptPrefix, seq, tmpSuffix))) //mantralint:allow walerr leftover temp cleanup is best-effort; a survivor is ignored by recovery and retried next open
 		}
 	}
 
 	// Newest valid checkpoint wins; damaged ones are counted and skipped.
-	ckpts, err := s.listFiles("ckpt-", ".ck")
+	ckpts, err := seglog.List(s.dir, ckptPrefix, ckptSuffix)
 	if err != nil {
 		return fmt.Errorf("logger: scan: %w", err)
 	}
 	var ckptSeq uint64
 	for i := len(ckpts) - 1; i >= 0; i-- {
-		pay, err := loadCheckpoint(filepath.Join(s.dir, ckpts[i]))
+		pay, err := loadCheckpoint(filepath.Join(s.dir, ckptName(ckpts[i])))
 		if err != nil {
 			s.stats.Recovery.CorruptCheckpoints++
 			continue
@@ -285,52 +226,33 @@ func (s *Store) scan() error {
 		}
 	}
 
-	segs, err := s.listFiles("wal-", ".seg")
+	// A frame that passes its checksum can still end the log: a payload
+	// that does not decode, or one out of sequence.
+	var prev uint64
+	log, rep, err := seglog.Open(s.dir, walPrefix, segMagic, s.opts.SegmentBytes, func(payload []byte) error {
+		rec, err := decodePayload(payload)
+		if err != nil {
+			return errUndecodable
+		}
+		if rec.Seq == 0 || (prev != 0 && rec.Seq != prev+1) {
+			return errDiscontinuity
+		}
+		prev = rec.Seq
+		if rec.Seq <= ckptSeq {
+			s.stats.Recovery.RecordsSkipped++
+		} else {
+			s.tail = append(s.tail, rec)
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("logger: scan: %w", err)
 	}
-	var prev uint64
-	dead := false // a corruption point drops everything after it
-	var scanned []segmentInfo
-	for _, name := range segs {
-		path := filepath.Join(s.dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("logger: scan %s: %w", name, err)
-		}
-		if dead {
-			s.stats.Recovery.TruncatedBytes += int64(len(data))
-			_ = os.Remove(path) //mantralint:allow walerr dropping segments past a corruption point is best-effort; the truncated-byte count already records the loss
-			continue
-		}
-		recs, valid, defect := scanSegment(data, &prev)
-		for _, r := range recs {
-			if r.Seq <= ckptSeq {
-				s.stats.Recovery.RecordsSkipped++
-				continue
-			}
-			s.tail = append(s.tail, r)
-		}
-		if defect != "" {
-			dead = true
-			s.stats.Recovery.TornTail = true
-			s.stats.Recovery.TailError = fmt.Sprintf("%s: %s", name, defect)
-			s.stats.Recovery.TruncatedBytes += int64(len(data)) - valid
-			if valid < int64(len(segMagic)) {
-				// Nothing usable, not even the header: drop the file.
-				_ = os.Remove(path) //mantralint:allow walerr best-effort drop of an empty corrupt file; recovery stats already record the torn tail
-				continue
-			}
-			if err := os.Truncate(path, valid); err != nil {
-				return fmt.Errorf("logger: repair %s: %w", name, err)
-			}
-		}
-		scanned = append(scanned, segmentInfo{
-			name:  name,
-			first: firstSeqOf(recs, prev),
-			last:  prev,
-			size:  valid,
-		})
+	s.log = log
+	if rep.Defect != "" {
+		s.stats.Recovery.TornTail = true
+		s.stats.Recovery.TailError = rep.Segment + ": " + rep.Defect
+		s.stats.Recovery.TruncatedBytes = rep.TruncatedBytes
 	}
 
 	// A hole between checkpoint and tail means the tail cannot be applied.
@@ -352,57 +274,5 @@ func (s *Store) scan() error {
 	if ckptSeq > s.seq {
 		s.seq = ckptSeq
 	}
-	if len(scanned) > 0 {
-		last := scanned[len(scanned)-1]
-		s.segments = scanned[:len(scanned)-1]
-		if err := s.resumeSegment(last); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-func firstSeqOf(recs []walRecord, fallback uint64) uint64 {
-	if len(recs) > 0 {
-		return recs[0].Seq
-	}
-	return fallback
-}
-
-// scanSegment walks one segment's frames, returning the valid records,
-// the byte offset up to which the file is intact, and a description of
-// the first defect found ("" when the segment is clean).
-func scanSegment(data []byte, prev *uint64) (recs []walRecord, valid int64, defect string) {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return nil, 0, "bad segment magic"
-	}
-	off := len(segMagic)
-	for off < len(data) {
-		if len(data)-off < frameHeader {
-			return recs, int64(off), "torn frame header"
-		}
-		ln := u32at(data, off)
-		sum := u32at(data, off+4)
-		if ln == 0 || ln > maxRecordBytes {
-			return recs, int64(off), "implausible record length"
-		}
-		if int64(off)+frameHeader+int64(ln) > int64(len(data)) {
-			return recs, int64(off), "torn record payload"
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(ln)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return recs, int64(off), "checksum mismatch"
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return recs, int64(off), "undecodable record"
-		}
-		if rec.Seq == 0 || (*prev != 0 && rec.Seq != *prev+1) {
-			return recs, int64(off), "sequence discontinuity"
-		}
-		*prev = rec.Seq
-		recs = append(recs, rec)
-		off += frameHeader + int(ln)
-	}
-	return recs, int64(len(data)), ""
 }

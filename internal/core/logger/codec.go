@@ -1,5 +1,5 @@
 // Binary payload codec for the write-ahead log. Records are encoded by
-// hand with encoding/binary primitives rather than gob: the format is
+// hand with seglog's payload primitives rather than gob: the format is
 // self-contained per record (a reader can start at any record boundary),
 // deterministic, and cheap enough that append throughput is bounded by
 // the disk, not the encoder. All integers are little-endian; variable
@@ -7,13 +7,13 @@
 package logger
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core/seglog"
 	"repro/internal/core/tables"
 )
 
@@ -52,27 +52,6 @@ var ErrBadRecord = errors.New("logger: malformed wal record")
 
 // --- encoding -------------------------------------------------------------
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
 // appendTime encodes an absolute instant: a zero flag byte for the zero
 // time, else unix seconds plus nanoseconds. Decoding restores UTC, which
 // is what every producer in the pipeline stamps.
@@ -81,8 +60,8 @@ func appendTime(b []byte, t time.Time) []byte {
 		return append(b, 0)
 	}
 	b = append(b, 1)
-	b = appendVarint(b, t.Unix())
-	return appendU32(b, uint32(t.Nanosecond()))
+	b = seglog.AppendVarint(b, t.Unix())
+	return seglog.AppendU32(b, uint32(t.Nanosecond()))
 }
 
 // boolByte is the codec's one-byte bool encoding. Routing the field
@@ -97,23 +76,23 @@ func boolByte(v bool) byte {
 
 //mantra:codec pair=walpair role=encode type=tables.PairEntry magic=segMagic shape=4691f57f4641d9b4
 func appendPair(b []byte, e tables.PairEntry) []byte {
-	b = appendU32(b, uint32(e.Source))
-	b = appendU32(b, uint32(e.Group))
-	b = appendString(b, e.Flags)
-	b = appendU64(b, math.Float64bits(e.RateKbps))
-	b = appendU64(b, e.Packets)
-	b = appendVarint(b, int64(e.Uptime))
+	b = seglog.AppendU32(b, uint32(e.Source))
+	b = seglog.AppendU32(b, uint32(e.Group))
+	b = seglog.AppendString(b, e.Flags)
+	b = seglog.AppendU64(b, math.Float64bits(e.RateKbps))
+	b = seglog.AppendU64(b, e.Packets)
+	b = seglog.AppendVarint(b, int64(e.Uptime))
 	return appendTime(b, e.Since)
 }
 
 //mantra:codec pair=walroute role=encode type=tables.RouteEntry magic=segMagic shape=2ae0e88bfd8eabb5
 func appendRoute(b []byte, e tables.RouteEntry) []byte {
-	b = appendU32(b, uint32(e.Prefix.Addr))
+	b = seglog.AppendU32(b, uint32(e.Prefix.Addr))
 	b = append(b, byte(e.Prefix.Len))
-	b = appendU32(b, uint32(e.Gateway))
+	b = seglog.AppendU32(b, uint32(e.Gateway))
 	b = append(b, boolByte(e.Local))
-	b = appendVarint(b, int64(e.Metric))
-	b = appendVarint(b, int64(e.Uptime))
+	b = seglog.AppendVarint(b, int64(e.Metric))
+	b = seglog.AppendVarint(b, int64(e.Uptime))
 	return appendTime(b, e.Since)
 }
 
@@ -123,36 +102,36 @@ func appendRoute(b []byte, e tables.RouteEntry) []byte {
 //mantra:codec pair=walrecord role=encode type=walRecord magic=segMagic shape=353c833e13fee140
 func encodePayload(r walRecord) []byte {
 	b := make([]byte, 0, 64)
-	b = appendUvarint(b, r.Seq)
+	b = seglog.AppendUvarint(b, r.Seq)
 	b = append(b, r.Kind)
-	b = appendString(b, r.Target)
+	b = seglog.AppendString(b, r.Target)
 	switch r.Kind {
 	case recDelta:
 		b = appendTime(b, r.Rec.At)
-		b = appendUvarint(b, r.FullEntries)
-		b = appendUvarint(b, uint64(r.Rec.SACache))
-		b = appendUvarint(b, uint64(r.Rec.MBGPRoutes))
-		b = appendUvarint(b, uint64(len(r.Rec.Pairs.Upserted)))
+		b = seglog.AppendUvarint(b, r.FullEntries)
+		b = seglog.AppendUvarint(b, uint64(r.Rec.SACache))
+		b = seglog.AppendUvarint(b, uint64(r.Rec.MBGPRoutes))
+		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Pairs.Upserted)))
 		for _, e := range r.Rec.Pairs.Upserted {
 			b = appendPair(b, e)
 		}
-		b = appendUvarint(b, uint64(len(r.Rec.Pairs.Removed)))
+		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Pairs.Removed)))
 		for _, k := range r.Rec.Pairs.Removed {
-			b = appendU32(b, uint32(k.Source))
-			b = appendU32(b, uint32(k.Group))
+			b = seglog.AppendU32(b, uint32(k.Source))
+			b = seglog.AppendU32(b, uint32(k.Group))
 		}
-		b = appendUvarint(b, uint64(len(r.Rec.Routes.Upserted)))
+		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Routes.Upserted)))
 		for _, e := range r.Rec.Routes.Upserted {
 			b = appendRoute(b, e)
 		}
-		b = appendUvarint(b, uint64(len(r.Rec.Routes.Removed)))
+		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Routes.Removed)))
 		for _, p := range r.Rec.Routes.Removed {
-			b = appendU32(b, uint32(p.Addr))
+			b = seglog.AppendU32(b, uint32(p.Addr))
 			b = append(b, byte(p.Len))
 		}
 	case recGap:
 		b = appendTime(b, r.At)
-		b = appendString(b, r.Reason)
+		b = seglog.AppendString(b, r.Reason)
 	case recMeta:
 		b = appendTime(b, r.FirstSeen)
 	}
@@ -161,105 +140,17 @@ func encodePayload(r walRecord) []byte {
 
 // --- decoding -------------------------------------------------------------
 
-// byteReader walks an immutable payload, latching the first error.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
+// byteReader is seglog's latched-error reader plus the record's own
+// value types.
+type byteReader struct{ *seglog.Reader }
 
-func (r *byteReader) fail() {
-	if r.err == nil {
-		r.err = ErrBadRecord
-	}
-}
-
-func (r *byteReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *byteReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *byteReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	c := r.b[r.off]
-	r.off++
-	return c
-}
-
-func (r *byteReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *byteReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *byteReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *byteReader) time() time.Time {
-	if r.byte() == 0 || r.err != nil {
+func (r byteReader) time() time.Time {
+	if r.Byte() == 0 || r.Err() != nil {
 		return time.Time{}
 	}
-	sec := r.varint()
-	nsec := r.u32()
-	if r.err != nil {
+	sec := r.Varint()
+	nsec := r.U32()
+	if r.Err() != nil {
 		return time.Time{}
 	}
 	return time.Unix(sec, int64(nsec)).UTC()
@@ -268,49 +159,49 @@ func (r *byteReader) time() time.Time {
 // count validates a declared element count against the bytes remaining so
 // a corrupted length cannot trigger a huge allocation; min is the smallest
 // possible encoded size of one element.
-func (r *byteReader) count(min int) int {
-	n := r.uvarint()
-	if r.err != nil {
+func (r byteReader) count(min int) int {
+	n := r.Uvarint()
+	if r.Err() != nil {
 		return 0
 	}
-	if min > 0 && n > uint64((len(r.b)-r.off)/min) {
-		r.fail()
+	if min > 0 && n > uint64(len(r.Rest())/min) {
+		r.Fail()
 		return 0
 	}
 	return int(n)
 }
 
 //mantra:codec pair=walpair role=decode type=tables.PairEntry magic=segMagic
-func (r *byteReader) pair() tables.PairEntry {
+func (r byteReader) pair() tables.PairEntry {
 	var e tables.PairEntry
-	e.Source = addr.IP(r.u32())
-	e.Group = addr.IP(r.u32())
-	e.Flags = r.str()
-	e.RateKbps = math.Float64frombits(r.u64())
-	e.Packets = r.u64()
-	e.Uptime = time.Duration(r.varint())
+	e.Source = addr.IP(r.U32())
+	e.Group = addr.IP(r.U32())
+	e.Flags = r.Str()
+	e.RateKbps = math.Float64frombits(r.U64())
+	e.Packets = r.U64()
+	e.Uptime = time.Duration(r.Varint())
 	e.Since = r.time()
 	return e
 }
 
-func (r *byteReader) prefix() addr.Prefix {
-	a := addr.IP(r.u32())
-	l := int(r.byte())
+func (r byteReader) prefix() addr.Prefix {
+	a := addr.IP(r.U32())
+	l := int(r.Byte())
 	if l > 32 {
-		r.fail()
+		r.Fail()
 		return addr.Prefix{}
 	}
 	return addr.Prefix{Addr: a, Len: l}
 }
 
 //mantra:codec pair=walroute role=decode type=tables.RouteEntry magic=segMagic
-func (r *byteReader) route() tables.RouteEntry {
+func (r byteReader) route() tables.RouteEntry {
 	var e tables.RouteEntry
 	e.Prefix = r.prefix()
-	e.Gateway = addr.IP(r.u32())
-	e.Local = r.byte() == 1
-	e.Metric = int(r.varint())
-	e.Uptime = time.Duration(r.varint())
+	e.Gateway = addr.IP(r.U32())
+	e.Local = r.Byte() == 1
+	e.Metric = int(r.Varint())
+	e.Uptime = time.Duration(r.Varint())
 	e.Since = r.time()
 	return e
 }
@@ -319,52 +210,52 @@ func (r *byteReader) route() tables.RouteEntry {
 //
 //mantra:codec pair=walrecord role=decode type=walRecord magic=segMagic
 func decodePayload(b []byte) (walRecord, error) {
-	r := &byteReader{b: b}
+	r := byteReader{seglog.NewReader(b, ErrBadRecord)}
 	var out walRecord
-	out.Seq = r.uvarint()
-	out.Kind = r.byte()
-	out.Target = r.str()
+	out.Seq = r.Uvarint()
+	out.Kind = r.Byte()
+	out.Target = r.Str()
 	switch out.Kind {
 	case recDelta:
 		out.Rec.At = r.time()
-		out.FullEntries = r.uvarint()
-		out.Rec.SACache = int(r.uvarint())
-		out.Rec.MBGPRoutes = int(r.uvarint())
+		out.FullEntries = r.Uvarint()
+		out.Rec.SACache = int(r.Uvarint())
+		out.Rec.MBGPRoutes = int(r.Uvarint())
 		if n := r.count(2); n > 0 {
 			out.Rec.Pairs.Upserted = make([]tables.PairEntry, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
+			for i := 0; i < n && r.Err() == nil; i++ {
 				out.Rec.Pairs.Upserted = append(out.Rec.Pairs.Upserted, r.pair())
 			}
 		}
 		if n := r.count(8); n > 0 {
 			out.Rec.Pairs.Removed = make([]pairKey, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				k := pairKey{Source: addr.IP(r.u32()), Group: addr.IP(r.u32())}
+			for i := 0; i < n && r.Err() == nil; i++ {
+				k := pairKey{Source: addr.IP(r.U32()), Group: addr.IP(r.U32())}
 				out.Rec.Pairs.Removed = append(out.Rec.Pairs.Removed, k)
 			}
 		}
 		if n := r.count(2); n > 0 {
 			out.Rec.Routes.Upserted = make([]tables.RouteEntry, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
+			for i := 0; i < n && r.Err() == nil; i++ {
 				out.Rec.Routes.Upserted = append(out.Rec.Routes.Upserted, r.route())
 			}
 		}
 		if n := r.count(5); n > 0 {
 			out.Rec.Routes.Removed = make([]addr.Prefix, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
+			for i := 0; i < n && r.Err() == nil; i++ {
 				out.Rec.Routes.Removed = append(out.Rec.Routes.Removed, r.prefix())
 			}
 		}
 	case recGap:
 		out.At = r.time()
-		out.Reason = r.str()
+		out.Reason = r.Str()
 	case recMeta:
 		out.FirstSeen = r.time()
 	default:
-		r.fail()
+		r.Fail()
 	}
-	if r.err == nil && r.off != len(b) {
-		r.err = fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(b)-r.off)
+	if n := len(r.Rest()); r.Err() == nil && n != 0 {
+		return out, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, n)
 	}
-	return out, r.err
+	return out, r.Err()
 }

@@ -4,43 +4,36 @@
 // archived router-table deltas analysed offline; an in-memory delta log
 // loses that archive on the first crash. The Store persists every record
 // the Logger appends — snapshot deltas, gap markers, per-target metadata
-// — into length-prefixed, CRC32C-checksummed frames across rotated
-// segment files, with periodic full-state checkpoints (checkpoint.go)
-// bounding recovery time. On open the Store scans the log, truncates any
-// torn or corrupt tail it finds, and exposes the surviving records for
-// replay; at most the final partial record is lost.
+// — as one frame each of a seglog segment log (internal/core/seglog owns
+// the framing, the rotation and the open-time repair), with periodic
+// full-state checkpoints (checkpoint.go) bounding recovery time. On open
+// the Store scans the log, has any torn or corrupt tail truncated, and
+// exposes the surviving records for replay; at most the final partial
+// record is lost.
 //
-// On-disk frame, after the 8-byte segment magic:
-//
-//	[u32 payload length][u32 CRC32C of payload][payload]
-//
-// Payload encoding is in codec.go. Sequence numbers are global across
-// segments and strictly increasing, which is what lets recovery stitch
-// checkpoint and WAL tail together and detect any stitching error.
+// What is the WAL's own is policy: the payload encoding (codec.go), and
+// sequence numbers that are global across segments and strictly
+// increasing — a segment is named by the first one it holds — which is
+// what lets recovery stitch checkpoint and WAL tail together and detect
+// any stitching error.
 package logger
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/core/seglog"
 )
 
 const (
-	segMagic            = "MWAL0002"
-	ckptMagic           = "MCKP0003"
-	defaultSegmentBytes = 4 << 20
-	// maxRecordBytes caps a frame's declared length so a corrupted length
-	// field cannot trigger a giant allocation.
-	maxRecordBytes = 64 << 20
-	frameHeader    = 8
+	segMagic   = "MWAL0002"
+	ckptMagic  = "MCKP0003"
+	walPrefix  = "wal-"
+	ckptPrefix = "ckpt-"
+	ckptSuffix = ".ck"
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // StoreOptions configures the durable archive.
 type StoreOptions struct {
@@ -58,7 +51,7 @@ type StoreOptions struct {
 
 func (o StoreOptions) withDefaults() StoreOptions {
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = defaultSegmentBytes
+		o.SegmentBytes = seglog.DefaultSegmentBytes
 	}
 	if o.KeepCheckpoints <= 0 {
 		o.KeepCheckpoints = 2
@@ -108,14 +101,6 @@ type StoreStats struct {
 	Recovery RecoveryStats `json:"recovery"`
 }
 
-// segmentInfo tracks one closed or active segment file.
-type segmentInfo struct {
-	name  string
-	first uint64 // first sequence number the segment may contain
-	last  uint64 // last sequence number written (0 while unknown/empty)
-	size  int64
-}
-
 // Store is the durable archive: WAL segments plus checkpoints in one
 // directory. Safe for concurrent use; appends are serialized.
 type Store struct {
@@ -123,14 +108,13 @@ type Store struct {
 	opts StoreOptions
 
 	mu       sync.Mutex
-	seg      *os.File // active segment, opened for append
-	segInfo  *segmentInfo
-	segments []segmentInfo // closed segments, oldest first
-	seq      uint64        // last assigned sequence number
+	log      *seglog.Log // segment ID = the first sequence number it holds
+	seq      uint64      // last assigned sequence number
 	stats    StoreStats
 	metaSeen map[string]bool
 
-	// recovery payload cached by the open-time scan until Recover.
+	// recovery payload cached by the open-time scan until Recover or
+	// the first append, whichever comes first.
 	ckpt *ckptPayload
 	tail []walRecord
 }
@@ -165,14 +149,9 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Segments = len(s.segments)
-	st.LiveBytes = 0
-	for _, seg := range s.segments {
-		st.LiveBytes += seg.size
-	}
-	if s.segInfo != nil {
-		st.Segments++
-		st.LiveBytes += s.segInfo.size
+	st.Segments = len(s.log.Segments())
+	for _, seg := range s.log.Segments() {
+		st.LiveBytes += seg.Size
 	}
 	st.LastSeq = s.seq
 	return st
@@ -182,25 +161,7 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seg == nil {
-		return nil
-	}
-	err := s.seg.Sync() //mantralint:allow lockheld fsync under s.mu is the durability contract: the single-writer lock serializes append+sync so readers never see a segment ahead of stable storage
-	if cerr := s.seg.Close(); err == nil {
-		err = cerr
-	}
-	s.seg = nil
-	return err
-}
-
-// Sync flushes the active segment to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seg == nil {
-		return nil
-	}
-	return s.seg.Sync() //mantralint:allow lockheld fsync under s.mu is the durability contract: the single-writer lock serializes append+sync so readers never see a segment ahead of stable storage
+	return s.log.Close() //mantralint:allow lockheld fsync under s.mu is the durability contract: the single-writer lock serializes append+sync so readers never see a segment ahead of stable storage
 }
 
 // AppendDelta persists one cycle's delta record for a target. The first
@@ -229,130 +190,36 @@ func (s *Store) AppendGap(target string, at time.Time, reason string) error {
 	return s.append(walRecord{Kind: recGap, Target: target, At: at, Reason: reason})
 }
 
-// append frames and writes one record; the caller holds s.mu.
+// append encodes and appends one record; the caller holds s.mu. An
+// error is counted and returned and the store keeps going: the next
+// append tries again from wherever the log stands.
 //
-// The budget covers the two error-path fmt.Errorf wraps; the frame
-// buffer itself is the one deliberate per-record allocation.
+// The budget covers the two error-path fmt.Errorf wraps.
 //
 //mantra:hotpath budget=2
 //mantra:sink serialization
 func (s *Store) append(rec walRecord) error {
-	if s.seg == nil {
-		if err := s.openSegment(s.seq + 1); err != nil {
-			s.stats.AppendErrors++
-			return err
-		}
-	}
+	// A store that has appended can no longer be recovered consistently,
+	// so the scan's decoded log is of no further use to anyone.
+	s.ckpt, s.tail = nil, nil
 	rec.Seq = s.seq + 1
-	payload := encodePayload(rec)
-	frame := make([]byte, frameHeader+len(payload))
-	putU32(frame[0:], uint32(len(payload)))
-	putU32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
-
-	if _, err := s.seg.Write(frame); err != nil {
-		// Best effort: cut the file back to the last whole record so a
-		// half-written frame does not poison the log.
-		_ = s.seg.Truncate(s.segInfo.size) //mantralint:allow walerr best-effort repair on a path already returning the append error; scan truncates torn tails anyway
+	n, err := s.log.Append(rec.Seq, encodePayload(rec))
+	if n > 0 {
+		s.seq = rec.Seq
+		s.stats.AppendedRecords++
+		s.stats.AppendedBytes += uint64(n)
+	}
+	if err != nil {
 		s.stats.AppendErrors++
 		return fmt.Errorf("logger: wal append: %w", err)
 	}
-	s.seq = rec.Seq
-	s.segInfo.size += int64(len(frame))
-	s.segInfo.last = rec.Seq
-	s.stats.AppendedRecords++
-	s.stats.AppendedBytes += uint64(len(frame))
 	if s.opts.SyncEveryAppend {
-		if err := s.seg.Sync(); err != nil {
+		if err := s.log.Sync(); err != nil {
 			s.stats.AppendErrors++
 			return fmt.Errorf("logger: wal sync: %w", err)
 		}
 	}
-	if s.segInfo.size >= s.opts.SegmentBytes {
-		return s.rotate()
-	}
 	return nil
 }
 
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-//mantra:hotpath budget=1
-func segmentName(first uint64) string { return fmt.Sprintf("wal-%020d.seg", first) }
-func ckptName(seq uint64) string      { return fmt.Sprintf("ckpt-%020d.ck", seq) }
-
-// openSegment creates a fresh segment whose first record will carry seq
-// first; the caller holds s.mu.
-//
-//mantra:hotpath budget=3
-func (s *Store) openSegment(first uint64) error {
-	path := filepath.Join(s.dir, segmentName(first))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("logger: new segment: %w", err)
-	}
-	//mantralint:allow waltaint the segment magic is the file header that framing is anchored to; it is fixed bytes, not archive payload
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close() //mantralint:allow walerr abandoning a segment whose header write failed; that error is already returned
-		return fmt.Errorf("logger: new segment: %w", err)
-	}
-	s.seg = f
-	s.segInfo = &segmentInfo{name: segmentName(first), first: first, size: int64(len(segMagic))}
-	return nil
-}
-
-// rotate closes the active segment (synced, so rotation is a durability
-// point) and retires it to the closed list; the caller holds s.mu.
-//
-//mantra:hotpath budget=1
-func (s *Store) rotate() error {
-	if s.seg == nil {
-		return nil
-	}
-	err := s.seg.Sync()
-	if cerr := s.seg.Close(); err == nil {
-		err = cerr
-	}
-	s.segments = append(s.segments, *s.segInfo)
-	s.seg = nil
-	s.segInfo = nil
-	if err != nil {
-		return fmt.Errorf("logger: rotate: %w", err)
-	}
-	return nil
-}
-
-// resumeSegment reopens the newest scanned segment for appending; the
-// caller holds s.mu and has already repaired the file.
-func (s *Store) resumeSegment(info segmentInfo) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, info.name), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("logger: resume segment: %w", err)
-	}
-	s.seg = f
-	cp := info
-	s.segInfo = &cp
-	return nil
-}
-
-// listFiles returns dir entries with a prefix/suffix, sorted by name
-// (which is sorted by sequence thanks to fixed-width naming).
-func (s *Store) listFiles(prefix, suffix string) ([]string, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
+func ckptName(seq uint64) string { return seglog.Name(ckptPrefix, seq, ckptSuffix) }

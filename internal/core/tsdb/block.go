@@ -17,10 +17,11 @@
 package tsdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/bits"
+
+	"repro/internal/core/seglog"
 )
 
 // ErrBadBlock reports a block that cannot be decoded: truncated,
@@ -147,115 +148,57 @@ func EncodeBlock(pts []Point) []byte {
 	stream := w.bytes()
 	out := make([]byte, 0, 64+len(stream))
 	out = append(out, blockVersion)
-	out = binary.AppendUvarint(out, uint64(info.Count))
-	out = binary.AppendUvarint(out, uint64(info.ValueCount))
-	out = appendU64(out, uint64(info.FirstT))
-	out = appendU64(out, uint64(info.LastT))
-	out = appendU64(out, uint64(info.FirstVT))
-	out = appendU64(out, uint64(info.LastVT))
-	out = appendU64(out, math.Float64bits(info.FirstV))
-	out = appendU64(out, math.Float64bits(info.LastV))
-	out = appendU64(out, math.Float64bits(info.Min))
-	out = appendU64(out, math.Float64bits(info.Max))
-	out = appendU64(out, math.Float64bits(info.Sum))
-	out = binary.AppendUvarint(out, uint64(len(stream)))
+	out = seglog.AppendUvarint(out, uint64(info.Count))
+	out = seglog.AppendUvarint(out, uint64(info.ValueCount))
+	out = seglog.AppendU64(out, uint64(info.FirstT))
+	out = seglog.AppendU64(out, uint64(info.LastT))
+	out = seglog.AppendU64(out, uint64(info.FirstVT))
+	out = seglog.AppendU64(out, uint64(info.LastVT))
+	out = seglog.AppendU64(out, math.Float64bits(info.FirstV))
+	out = seglog.AppendU64(out, math.Float64bits(info.LastV))
+	out = seglog.AppendU64(out, math.Float64bits(info.Min))
+	out = seglog.AppendU64(out, math.Float64bits(info.Max))
+	out = seglog.AppendU64(out, math.Float64bits(info.Sum))
+	out = seglog.AppendUvarint(out, uint64(len(stream)))
 	out = append(out, stream...)
 	return out
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// headerReader decodes the byte-aligned block header with a latched
-// error, mirroring logger's byteReader.
-type headerReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *headerReader) fail() {
-	if r.err == nil {
-		r.err = ErrBadBlock
-	}
-}
-
-func (r *headerReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *headerReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *headerReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
 }
 
 // decodeHeader reads the header, returning the info and the bitstream.
 //
 //mantra:codec pair=tsdbblock role=decode type=BlockInfo magic=blockVersion
 func decodeHeader(b []byte) (BlockInfo, []byte, error) {
-	r := &headerReader{b: b}
-	if v := r.byte(); r.err == nil && v != blockVersion {
+	r := seglog.NewReader(b, ErrBadBlock)
+	if v := r.Byte(); r.Err() == nil && v != blockVersion {
 		return BlockInfo{}, nil, ErrBadBlock
 	}
 	var info BlockInfo
-	count := r.uvarint()
-	values := r.uvarint()
+	count := r.Uvarint()
+	values := r.Uvarint()
 	info.Count = int(count)
 	info.ValueCount = int(values)
-	info.FirstT = int64(r.u64())
-	info.LastT = int64(r.u64())
-	info.FirstVT = int64(r.u64())
-	info.LastVT = int64(r.u64())
-	info.FirstV = math.Float64frombits(r.u64())
-	info.LastV = math.Float64frombits(r.u64())
-	info.Min = math.Float64frombits(r.u64())
-	info.Max = math.Float64frombits(r.u64())
-	info.Sum = math.Float64frombits(r.u64())
-	streamLen := r.uvarint()
-	if r.err != nil {
-		return BlockInfo{}, nil, r.err
+	info.FirstT = int64(r.U64())
+	info.LastT = int64(r.U64())
+	info.FirstVT = int64(r.U64())
+	info.LastVT = int64(r.U64())
+	info.FirstV = math.Float64frombits(r.U64())
+	info.LastV = math.Float64frombits(r.U64())
+	info.Min = math.Float64frombits(r.U64())
+	info.Max = math.Float64frombits(r.U64())
+	info.Sum = math.Float64frombits(r.U64())
+	streamLen := r.Uvarint()
+	if r.Err() != nil {
+		return BlockInfo{}, nil, r.Err()
 	}
 	// Sanity bounds: a count or length beyond what the buffer could
 	// possibly hold is corruption, not a big block.
 	if count > uint64(len(b))*8 || values > count || streamLen > uint64(len(b)) {
 		return BlockInfo{}, nil, ErrBadBlock
 	}
-	if r.off+int(streamLen) != len(b) {
+	if streamLen != uint64(len(r.Rest())) {
 		return BlockInfo{}, nil, ErrBadBlock
 	}
-	return info, b[r.off:], nil
+	return info, r.Rest(), nil
 }
 
 // DecodeBlockInfo decodes only the header — the sparse-index read path.

@@ -48,7 +48,7 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 func (w *bitWriter) bytes() []byte { return w.b }
 
 // bitReader consumes bits MSB-first, latching the first out-of-bounds
-// read as a sticky error — the same discipline as logger's byteReader.
+// read as a sticky error — the same discipline as seglog.Reader.
 type bitReader struct {
 	b    []byte
 	off  uint // bit offset from the start

@@ -1,8 +1,8 @@
-// Persistence: a write-behind on-disk mirror of every sealed block,
-// framed exactly like the WAL — "MTSB0001" segment magic, then
-// length-prefixed CRC32C frames, rotated segments, torn tails
-// truncated on open. A frame's payload is target + metric
-// (length-prefixed) followed by the block bytes.
+// Persistence: a write-behind on-disk mirror of every sealed block, one
+// frame each of a seglog segment log (internal/core/seglog owns the
+// framing, the rotation and the open-time repair) under the "MTSB0001"
+// segment magic. A frame's payload is target + metric (length-prefixed)
+// followed by the block bytes.
 //
 // The disk mirror is not the source of truth: the store is always
 // rebuilt from checkpoint + WAL replay on recovery, and AttachDir then
@@ -17,35 +17,23 @@
 package tsdb
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"repro/internal/core/seglog"
 )
 
 const (
-	segMagic = "MTSB0001"
-	// DefaultSegmentBytes rotates mirror segments, matching the WAL's
-	// default.
-	DefaultSegmentBytes = 4 << 20
-	maxFrameBytes       = 64 << 20
-	frameHeader         = 8
+	segMagic  = "MTSB0001"
+	segPrefix = "tsdb-"
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 type seriesKey struct{ target, metric string }
 
-// dirWriter appends sealed-block frames to the segment files.
+// dirWriter appends sealed-block frames to the mirror's log.
 type dirWriter struct {
-	dir  string
+	log  *seglog.Log // segment IDs count up from 0
 	sync bool
-
-	f    *os.File
-	seq  uint64
-	size int64
 	err  error
 
 	// written counts the blocks on disk per series, so reconciliation
@@ -53,99 +41,21 @@ type dirWriter struct {
 	written map[seriesKey]int
 }
 
-//mantra:hotpath budget=1
-func segmentPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("tsdb-%020d.seg", seq))
-}
-
-func listSegments(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if len(name) == len("tsdb-00000000000000000000.seg") &&
-			name[:5] == "tsdb-" && filepath.Ext(name) == ".seg" {
-			out = append(out, filepath.Join(dir, name))
+// visitFrames adapts fn to a seglog visitor: a payload whose strings or
+// block header do not decode is rejected, which ends the valid prefix.
+func visitFrames(fn func(target, metric string, blk []byte, info BlockInfo) error) seglog.Visitor {
+	return func(payload []byte) error {
+		r := seglog.NewReader(payload, ErrBadBlock)
+		target, metric := r.Str(), r.Str()
+		if r.Err() != nil {
+			return r.Err()
 		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func segmentSeq(path string) uint64 {
-	base := filepath.Base(path)
-	var seq uint64
-	fmt.Sscanf(base, "tsdb-%d.seg", &seq)
-	return seq
-}
-
-type frame struct {
-	target, metric string
-	block          []byte
-}
-
-// scanFrames walks one segment's bytes, returning the decoded frames of
-// the valid prefix and the offset at which that prefix ends. A bad
-// magic yields offset 0; a bad frame (short, CRC mismatch, undecodable
-// payload or block) ends the prefix there.
-func scanFrames(data []byte) (int64, []frame) {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return 0, nil
-	}
-	off := len(segMagic)
-	var frames []frame
-	for {
-		if off+frameHeader > len(data) {
-			break
+		info, err := DecodeBlockInfo(r.Rest())
+		if err != nil {
+			return err
 		}
-		ln := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if ln == 0 || ln > maxFrameBytes || off+frameHeader+ln > len(data) {
-			break
-		}
-		payload := data[off+frameHeader : off+frameHeader+ln]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break
-		}
-		fr, ok := decodeFramePayload(payload)
-		if !ok {
-			break
-		}
-		frames = append(frames, fr)
-		off += frameHeader + ln
+		return fn(target, metric, r.Rest(), info)
 	}
-	return int64(off), frames
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func readString(b []byte) (string, []byte, bool) {
-	ln, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < ln {
-		return "", nil, false
-	}
-	return string(b[n : n+int(ln)]), b[n+int(ln):], true
-}
-
-func decodeFramePayload(payload []byte) (frame, bool) {
-	target, rest, ok := readString(payload)
-	if !ok {
-		return frame{}, false
-	}
-	metric, blk, ok := readString(rest)
-	if !ok {
-		return frame{}, false
-	}
-	if _, err := DecodeBlockInfo(blk); err != nil {
-		return frame{}, false
-	}
-	return frame{target: target, metric: metric, block: blk}, true
 }
 
 // AttachDir starts mirroring sealed blocks under dir: existing segments
@@ -158,62 +68,16 @@ func (st *Store) AttachDir(dir string, syncEveryAppend bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	d := &dirWriter{dir: dir, sync: syncEveryAppend, written: make(map[seriesKey]int)}
-	segs, err := listSegments(dir)
+	d := &dirWriter{sync: syncEveryAppend, written: make(map[seriesKey]int)}
+	log, _, err := seglog.Open(dir, segPrefix, segMagic, seglog.DefaultSegmentBytes,
+		visitFrames(func(target, metric string, _ []byte, _ BlockInfo) error {
+			d.written[seriesKey{target, metric}]++
+			return nil
+		}))
 	if err != nil {
 		return err
 	}
-	var kept []string
-	for i, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			return err
-		}
-		valid, frames := scanFrames(data)
-		for _, fr := range frames {
-			d.written[seriesKey{fr.target, fr.metric}]++
-		}
-		if valid == 0 {
-			// Unreadable magic: the segment carries nothing usable.
-			if err := os.Remove(seg); err != nil {
-				return err
-			}
-		} else {
-			if valid < int64(len(data)) {
-				if err := os.Truncate(seg, valid); err != nil {
-					return err
-				}
-			}
-			kept = append(kept, seg)
-		}
-		if valid < int64(len(data)) || valid == 0 {
-			// Everything after a repaired tail is untrusted.
-			for _, later := range segs[i+1:] {
-				if err := os.Remove(later); err != nil {
-					return err
-				}
-			}
-			break
-		}
-	}
-	if len(kept) > 0 {
-		last := kept[len(kept)-1]
-		fi, err := os.Stat(last)
-		if err != nil {
-			return err
-		}
-		d.seq = segmentSeq(last)
-		if fi.Size() < DefaultSegmentBytes {
-			f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			d.f = f
-			d.size = fi.Size()
-		} else {
-			d.seq++
-		}
-	}
+	d.log = log
 	st.dir = d
 	st.reconcile()
 	return d.err
@@ -240,82 +104,26 @@ func (st *Store) reconcile() {
 	}
 }
 
+// appendBlock mirrors one sealed block; the first failure — a frame
+// not written, or written but its sync or rotation failed — detaches
+// the writer.
 func (d *dirWriter) appendBlock(target, metric string, blk []byte) {
 	if d.err != nil {
 		return
 	}
-	payload := appendString(nil, target)
-	payload = appendString(payload, metric)
+	payload := seglog.AppendString(nil, target)
+	payload = seglog.AppendString(payload, metric)
 	payload = append(payload, blk...)
-	d.writeFrame(payload)
+	var id uint64
+	if segs := d.log.Segments(); len(segs) > 0 {
+		id = segs[len(segs)-1].ID + 1
+	}
+	if _, d.err = d.log.Append(id, payload); d.err == nil && d.sync {
+		d.err = d.log.Sync()
+	}
 	if d.err == nil {
 		d.written[seriesKey{target, metric}]++
 	}
-}
-
-// writeFrame frames and appends one payload, computing the CRC it is
-// framed with; a failed or short write truncates the segment back to
-// the last frame boundary and detaches the writer.
-func (d *dirWriter) writeFrame(payload []byte) {
-	if d.f == nil {
-		if d.err = d.openSegment(); d.err != nil {
-			return
-		}
-	}
-	if d.size >= DefaultSegmentBytes {
-		if d.err = d.rotate(); d.err != nil {
-			return
-		}
-	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := d.f.Write(hdr[:]); err != nil {
-		_ = d.f.Truncate(d.size)
-		d.err = err
-		return
-	}
-	if _, err := d.f.Write(payload); err != nil {
-		_ = d.f.Truncate(d.size)
-		d.err = err
-		return
-	}
-	d.size += int64(frameHeader + len(payload))
-	if d.sync {
-		if err := d.f.Sync(); err != nil {
-			d.err = err
-		}
-	}
-}
-
-//mantra:hotpath budget=1
-func (d *dirWriter) openSegment() error {
-	f, err := os.OpenFile(segmentPath(d.dir, d.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	//mantralint:allow waltaint the fixed segment magic precedes the CRC-framed stream, exactly as in the WAL
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	d.f = f
-	d.size = int64(len(segMagic))
-	return nil
-}
-
-// rotate seals the current segment — sync+close is its durability
-// point — and opens the next.
-func (d *dirWriter) rotate() error {
-	if err := d.f.Sync(); err != nil {
-		return err
-	}
-	if err := d.f.Close(); err != nil {
-		return err
-	}
-	d.f = nil
-	d.seq++
-	return d.openSegment()
 }
 
 // PersistErr reports the first persistence error, nil while the mirror
@@ -332,14 +140,10 @@ func (st *Store) PersistErr() error {
 func (st *Store) CloseDir() error {
 	d := st.dir
 	st.dir = nil
-	if d == nil || d.f == nil {
+	if d == nil {
 		return nil
 	}
-	if err := d.f.Sync(); err != nil {
-		d.f.Close()
-		return err
-	}
-	return d.f.Close()
+	return d.log.Close()
 }
 
 // Open loads a mirror directory cold, read-only: every sealed block of
@@ -348,36 +152,15 @@ func (st *Store) CloseDir() error {
 // store answers queries over sealed history only.
 func Open(dir string) (*Store, error) {
 	st := New()
-	segs, err := listSegments(dir)
-	if err != nil {
+	if err := seglog.Scan(dir, segPrefix, segMagic, visitFrames(st.loadBlock)); err != nil {
 		return nil, err
-	}
-scan:
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			return nil, err
-		}
-		valid, frames := scanFrames(data)
-		for _, fr := range frames {
-			if err := st.loadBlock(fr.target, fr.metric, fr.block); err != nil {
-				return nil, err
-			}
-		}
-		if valid < int64(len(data)) {
-			break scan
-		}
 	}
 	return st, nil
 }
 
 // loadBlock grafts one sealed block onto a series, rebuilding index and
 // tiers.
-func (st *Store) loadBlock(target, metric string, blk []byte) error {
-	info, err := DecodeBlockInfo(blk)
-	if err != nil {
-		return err
-	}
+func (st *Store) loadBlock(target, metric string, blk []byte, info BlockInfo) error {
 	pts, err := DecodeBlock(blk)
 	if err != nil {
 		return err

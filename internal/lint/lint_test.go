@@ -371,11 +371,10 @@ func TestHotRootsPinned(t *testing.T) {
 		"(*repro/internal/core/engine.Engine).finishCycle",
 		"(*repro/internal/core/logger.Logger).Append",
 		"(*repro/internal/core/logger.Store).append",
-		"(*repro/internal/core/logger.Store).openSegment",
-		"(*repro/internal/core/logger.Store).rotate",
 		"(*repro/internal/core/process.RouteStability).ObserveDelta",
+		"(*repro/internal/core/seglog.Log).Append",
+		"(*repro/internal/core/seglog.Log).create",
 		"(*repro/internal/core/tsdb.Store).Append",
-		"(*repro/internal/core/tsdb.dirWriter).openSegment",
 		"(repro/internal/core/tables.table[E]).parse",
 		"repro/internal/addr.Parse",
 		"repro/internal/addr.ParsePrefix",
@@ -384,7 +383,7 @@ func TestHotRootsPinned(t *testing.T) {
 		"repro/internal/core/collect.Preprocess",
 		"repro/internal/core/collect.ValidateDump",
 		"repro/internal/core/logger.encodePayload",
-		"repro/internal/core/logger.segmentName",
+		"repro/internal/core/seglog.Name",
 		"repro/internal/core/tables.BuildSnapshot",
 		"repro/internal/core/tables.igmpRow",
 		"repro/internal/core/tables.inOrder",
@@ -393,7 +392,6 @@ func TestHotRootsPinned(t *testing.T) {
 		"repro/internal/core/tables.parseUptime",
 		"repro/internal/core/tables.routeRow",
 		"repro/internal/core/tables.saRow",
-		"repro/internal/core/tsdb.segmentPath",
 	}
 	got := res.HotRoots
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

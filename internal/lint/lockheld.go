@@ -21,6 +21,7 @@ var lockScopePkgs = map[string]bool{
 	"internal/core/cycle":  true,
 	"internal/core/output": true,
 	"internal/core/logger": true,
+	"internal/core/seglog": true,
 	"internal/core/shard":  true,
 	"internal/core/tsdb":   true,
 	"internal/snmp":        true,

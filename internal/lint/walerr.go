@@ -5,16 +5,18 @@ import (
 	"strings"
 )
 
-// walErrPkgs are the crash-safety surface: the WAL/checkpoint store, the
-// cycle core whose Commit appends to it, the shard supervisor, which
-// writes handoff gap markers to a worker's store directly, and the
-// monitor's archive layer on top. The PR 2 contract is that a
-// write-path error is either handled or recorded (degrade to
+// walErrPkgs are the crash-safety surface: the segment log every durable
+// byte goes through (the tsdb mirror's included), the WAL/checkpoint
+// store on it, the cycle core whose Commit appends to it, the shard
+// supervisor, which writes handoff gap markers to a worker's store
+// directly, and the monitor's archive layer on top. The PR 2 contract is
+// that a write-path error is either handled or recorded (degrade to
 // in-memory-only, surface through ArchiveStatus) — never dropped, because
 // a silently failed append is indistinguishable from a durable one until
 // the crash that needed it.
 var walErrPkgs = map[string]bool{
 	"":                     true, // module root: archive.go, the monitor's archive layer
+	"internal/core/seglog": true,
 	"internal/core/logger": true,
 	"internal/core/cycle":  true,
 	"internal/core/shard":  true,
@@ -33,7 +35,7 @@ var walErrAnalyzer = &Analyzer{
 }
 
 // writeVerbs match callee names case-insensitively by prefix: Sync,
-// syncDir, WriteCheckpoint, writeFileSync, AppendDelta, rotate, ...
+// WriteFile, WriteCheckpoint, AppendDelta, Close, ...
 var writeVerbs = []string{
 	"write", "sync", "close", "flush", "truncate", "remove", "rename",
 	"append", "checkpoint", "rotate", "encode", "save", "mkdir", "create",

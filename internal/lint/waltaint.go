@@ -11,7 +11,9 @@ import (
 // scanner must classify as corruption — silently shrinking the archive
 // on the next restart.
 //
-// In internal/core/logger:
+// In internal/core/seglog, which owns the frame writer, and in its two
+// callers internal/core/logger and internal/core/tsdb, which must not
+// grow a file write of their own:
 //
 //   - (*os.File).WriteString, (*os.File).WriteAt and os.WriteFile are
 //     always findings: frames are length-prefixed []byte, so these
@@ -21,13 +23,8 @@ import (
 //     signature of the frame writer itself, where checksum and bytes
 //     travel together.
 //
-// The two legitimate unframed writes (the 8-byte segment magic, the
-// checkpoint helper that receives caller-framed bytes) carry reasoned
-// allow comments; anything new is a finding first.
-//
-// internal/core/tsdb is in scope too: the block mirror under DataDir
-// reuses the same segment-magic + CRC-framed discipline, and its
-// open-time scan makes the same torn-tail-vs-corruption distinction.
+// The one legitimate unframed write (the 8-byte segment magic) carries
+// a reasoned allow comment; anything new is a finding first.
 var walTaintAnalyzer = &Analyzer{
 	Name: "waltaint",
 	Doc:  "direct file write on WAL/checkpoint paths bypassing the checksummed frame writer",
@@ -41,7 +38,9 @@ var rawWriteMethods = map[string]string{
 }
 
 func runWalTaint(a *Analysis, p *Package) []Finding {
-	if p.RelPath != "internal/core/logger" && p.RelPath != "internal/core/tsdb" {
+	switch p.RelPath {
+	case "internal/core/seglog", "internal/core/logger", "internal/core/tsdb":
+	default:
 		return nil
 	}
 	var out []Finding
