@@ -80,8 +80,10 @@ loc-check:
 	echo "make loc: $$t lines (ceiling $(LOC_CEILING))"
 
 # Short fuzz passes over the dump validator, the pre-processor, the
-# one-pass table scanner and the address scanners (each against the
-# implementation it replaced: equal results, equal error text), the
+# one-pass table scanner (its structural checks and its tables against
+# the validator and the parser it fused), the k-way snapshot merge and
+# the address scanners (each against the implementation it replaced:
+# equal results, equal error text), the
 # delta logger's sorted walk against the map-based diff it replaced
 # (equal records on well-formed tables, equal materialised tables and
 # reconstructions always), the stability tracker driven by the Log stage
@@ -96,6 +98,7 @@ fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
 	$(GO) test ./internal/core/tables -fuzz FuzzBuildSnapshot -fuzztime 30s
+	$(GO) test ./internal/core/tables -fuzz FuzzMergeSnapshots -fuzztime 30s
 	$(GO) test ./internal/addr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/core/logger -fuzz FuzzAppendMatchesMapDiff -fuzztime 30s
 	$(GO) test ./internal/core/cycle -fuzz FuzzStabilityFromRecords -fuzztime 30s

@@ -238,7 +238,7 @@ func BenchmarkAblationCLIScrape(b *testing.B) {
 
 // BenchmarkResilientCollectHappyPath measures the same collection as
 // BenchmarkAblationCLIScrape but through the resilient Collector — breaker
-// bookkeeping, dump validation and result recording included. The gap
+// bookkeeping, the one scan of the dumps and result recording included. The gap
 // between the two is the retry path's happy-case overhead, which must stay
 // negligible next to the session round trips themselves.
 func BenchmarkResilientCollectHappyPath(b *testing.B) {
@@ -254,11 +254,15 @@ func BenchmarkResilientCollectHappyPath(b *testing.B) {
 	now := r.Net.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := c.Collect(tgt, collect.StandardCommands, now)
+		var err error
+		res := c.Collect(tgt, collect.StandardCommands, now, func(dumps []collect.Dump) (defect error) {
+			_, err, defect = tables.ScanDumps(tgt.Prompt, dumps)
+			return defect
+		})
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
-		if _, err := tables.BuildSnapshot(res.Dumps); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,7 +58,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, fig := range figs(r) {
-			if err := writeFigure(*out, fig); err != nil {
+			if err := fig.WriteFiles(*out); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("figures: wrote %s (%s)\n", fig.ID, fig.Title)
@@ -122,21 +122,4 @@ func writeStability(dir string, r *experiments.Runner) {
 		fmt.Fprintln(f)
 	}
 	fmt.Printf("figures: wrote stability report\n")
-}
-
-func writeFigure(dir string, fig experiments.FigureResult) error {
-	csv, err := os.Create(filepath.Join(dir, fig.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer csv.Close()
-	if err := fig.WriteCSV(csv); err != nil {
-		return err
-	}
-	txt, err := os.Create(filepath.Join(dir, fig.ID+".txt"))
-	if err != nil {
-		return err
-	}
-	defer txt.Close()
-	return fig.RenderASCII(txt, 110, 16)
 }

@@ -103,7 +103,7 @@ func main() {
 		report = r.InjectionShape()
 	}
 	for _, fig := range figs {
-		if err := writeFigure(*out, fig); err != nil {
+		if err := fig.WriteFiles(*out); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -113,23 +113,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mantrasim: wrote %d figures and %s\n", len(figs), reportPath)
-}
-
-func writeFigure(dir string, fig experiments.FigureResult) error {
-	csv, err := os.Create(filepath.Join(dir, fig.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer csv.Close()
-	if err := fig.WriteCSV(csv); err != nil {
-		return err
-	}
-	txt, err := os.Create(filepath.Join(dir, fig.ID+".txt"))
-	if err != nil {
-		return err
-	}
-	defer txt.Close()
-	return fig.RenderASCII(txt, 110, 16)
 }
 
 // replayIncident drives one scripted incident from the netsim library

@@ -92,18 +92,15 @@ func TestHotpathAllocGates(t *testing.T) {
 			collect.Preprocess(d.Raw)
 		}
 	})
-	allocGate(t, "ValidateDumps", 40, func() {
-		if err := collect.ValidateDumps(prompt, dumps); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// One pass over the raw bytes: the snapshot, one exactly-sized table
-	// per non-empty dump, one scan state per parsed dump and one copy of
-	// each distinct flag string — nothing per row. (The gate was 5500
-	// when every row was split into fresh strings.)
-	allocGate(t, "BuildSnapshot", 11, func() {
-		if _, err := tables.BuildSnapshot(dumps); err != nil {
-			t.Fatal(err)
+	// The cycle's collect check: one pass over the raw bytes makes the
+	// structural checks and builds the snapshot: one exactly-sized table
+	// per non-empty dump and one copy of each distinct flag string —
+	// nothing per row. (Validation and the table parse were gated at 40
+	// and 11 when each read the dumps on its own; the parse at 5500 when
+	// every row was split into fresh strings.)
+	allocGate(t, "ScanDumps", 8, func() {
+		if _, err, defect := tables.ScanDumps(prompt, dumps); err != nil || defect != nil {
+			t.Fatal(err, defect)
 		}
 	})
 
@@ -182,6 +179,56 @@ func TestCollectAllAllocBytes(t *testing.T) {
 		t.Errorf("CollectAll allocated %d bytes for %d bytes of dumps, gate is %d", least, dumpBytes, gate)
 	}
 	t.Logf("CollectAll: %d bytes allocated for %d bytes of dumps", least, dumpBytes)
+}
+
+// TestMergeSnapshotsAllocBytes bounds the fleet fan-in's merge in bytes:
+// the two output tables, each allocated once at its length (plus an
+// eighth for the allocator's size classes), and a constant for the
+// per-input bookkeeping. The 22 inputs overlap the way
+// a fleet's routers see one routing domain — every key on several of
+// them, none on all — so a hash of the rows or an output that regrows
+// as it fills would land well outside the gate. (The map merge it
+// replaced allocated about ten times the output.)
+func TestMergeSnapshotsAllocBytes(t *testing.T) {
+	base, err := tables.BuildSnapshot(gateDumps(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := make([]*tables.Snapshot, 22)
+	for i := range snaps {
+		sn := &tables.Snapshot{Target: fmt.Sprintf("r%d", i), At: base.At}
+		for j, e := range base.Routes {
+			if (i+j)%3 != 0 {
+				e.Metric += i % 4
+				sn.Routes = append(sn.Routes, e)
+			}
+		}
+		for j, e := range base.Pairs {
+			if (i+j)%3 != 0 {
+				e.RateKbps += float64(i)
+				sn.Pairs = append(sn.Pairs, e)
+			}
+		}
+		snaps[i] = sn
+	}
+	least := ^uint64(0)
+	var out *tables.Snapshot
+	for run := 0; run < 4; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out = tables.MergeSnapshots("fleet", base.At, snaps...)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if len(out.Routes) != len(base.Routes) || len(out.Pairs) != len(base.Pairs) {
+		t.Fatalf("merged %d routes and %d pairs, want %d and %d", len(out.Routes), len(out.Pairs), len(base.Routes), len(base.Pairs))
+	}
+	tableBytes := uint64(cap(out.Routes))*uint64(unsafe.Sizeof(tables.RouteEntry{})) +
+		uint64(cap(out.Pairs))*uint64(unsafe.Sizeof(tables.PairEntry{}))
+	if gate := tableBytes*9/8 + 4<<10; least > gate {
+		t.Errorf("MergeSnapshots allocated %d bytes for %d bytes of output tables, gate is %d", least, tableBytes, gate)
+	}
+	t.Logf("MergeSnapshots: %d bytes allocated for %d bytes of output tables", least, tableBytes)
 }
 
 // dvmrpRouteDump renders a DVMRP route table of n routes that have all
@@ -333,8 +380,8 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkHotpathParsePath tracks the expect/dump parse chain —
-// Preprocess, ValidateDumps, BuildSnapshot over one scraped command set
-// — with allocs/op reported: the numbers the gates above bound.
+// Preprocess, then ScanDumps over one scraped command set — with
+// allocs/op reported: the numbers the gates above bound.
 func BenchmarkHotpathParsePath(b *testing.B) {
 	dumps := gateDumps(b)
 	b.ReportAllocs()
@@ -343,11 +390,8 @@ func BenchmarkHotpathParsePath(b *testing.B) {
 		for _, d := range dumps {
 			collect.Preprocess(d.Raw)
 		}
-		if err := collect.ValidateDumps("fixw> ", dumps); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tables.BuildSnapshot(dumps); err != nil {
-			b.Fatal(err)
+		if _, err, defect := tables.ScanDumps("fixw> ", dumps); err != nil || defect != nil {
+			b.Fatal(err, defect)
 		}
 	}
 }

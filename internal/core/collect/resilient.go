@@ -128,8 +128,8 @@ func (b *Breaker) State() BreakerState { return b.state }
 func (b *Breaker) Consecutive() int { return b.consecutive }
 
 // Policy configures the resilient collection path: per-cycle retries with
-// exponential backoff and deterministic jitter, circuit breaking, and dump
-// validation. The zero value means "all defaults" — see DefaultPolicy.
+// exponential backoff and deterministic jitter, and circuit breaking. The
+// zero value means "all defaults" — see DefaultPolicy.
 type Policy struct {
 	// MaxAttempts is the number of collection attempts per target per
 	// cycle; 0 means 3.
@@ -147,9 +147,6 @@ type Policy struct {
 	// BreakerCooldown is how long an open breaker waits before admitting
 	// a half-open probe; 0 means 5 minutes.
 	BreakerCooldown time.Duration
-	// DisableValidation skips the structural dump validation that rejects
-	// truncated or garbled output before parsing.
-	DisableValidation bool
 	// Sleep is the backoff clock, overridable in tests; nil means
 	// time.Sleep.
 	Sleep func(time.Duration)
@@ -157,7 +154,7 @@ type Policy struct {
 
 // DefaultPolicy returns the production defaults: 3 attempts, 100 ms base
 // backoff capped at 2 s, breaker opening after 5 failed cycles with a
-// 5-minute cooldown, validation on.
+// 5-minute cooldown.
 func DefaultPolicy() Policy { return Policy{}.withDefaults() }
 
 func (p Policy) withDefaults() Policy {
@@ -239,8 +236,6 @@ type Result struct {
 	Target   string
 	Status   Status
 	Attempts int
-	// Dumps holds the captured tables on success, nil otherwise.
-	Dumps []Dump
 	// Err is the last attempt's error when the cycle failed.
 	Err error
 	// Breaker is the target's breaker state after this cycle.
@@ -249,8 +244,8 @@ type Result struct {
 
 // Collector wraps CollectAll with the resilience the paper's Mantra needed
 // to run unattended for months against flaky routers: per-cycle retries
-// with backoff, structural dump validation, a per-target circuit breaker,
-// and a health ledger. It is safe for concurrent use across targets.
+// with backoff, a per-target circuit breaker, and a health ledger. It is
+// safe for concurrent use across targets.
 type Collector struct {
 	policy Policy
 
@@ -288,13 +283,14 @@ func (c *Collector) state(name string) *targetState {
 }
 
 // Collect performs one resilient collection of the target: breaker check,
-// up to MaxAttempts tries with backoff between them, and dump validation.
-// It never panics and never blocks past the per-step timeouts; a target
-// that cannot be collected comes back as StatusDegraded (or
-// StatusBreakerOpen when skipped) with the last error attached.
+// up to MaxAttempts tries with backoff between them, each capture handed
+// to check, whose error fails the attempt. It never panics and never
+// blocks past the per-step timeouts; a target that cannot be collected
+// comes back as StatusDegraded (or StatusBreakerOpen when skipped) with
+// the last error attached.
 //
 //mantra:hotpath budget=3
-func (c *Collector) Collect(t Target, commands []string, now time.Time) Result {
+func (c *Collector) Collect(t Target, commands []string, now time.Time, check func([]Dump) error) Result {
 	c.mu.Lock()
 	st := c.state(t.Name)
 	allowed := st.breaker.Allow(now)
@@ -320,8 +316,8 @@ func (c *Collector) Collect(t Target, commands []string, now time.Time) Result {
 		}
 		attempts++
 		dumps, err := CollectAll(t, commands, now)
-		if err == nil && !c.policy.DisableValidation {
-			err = ValidateDumps(t.Prompt, dumps)
+		if err == nil {
+			err = check(dumps)
 		}
 		if err == nil {
 			status := StatusOK
@@ -329,7 +325,7 @@ func (c *Collector) Collect(t Target, commands []string, now time.Time) Result {
 				status = StatusRetried
 			}
 			br := c.record(t.Name, now, status, "")
-			return Result{Target: t.Name, Status: status, Attempts: attempts, Dumps: dumps, Breaker: br}
+			return Result{Target: t.Name, Status: status, Attempts: attempts, Breaker: br}
 		}
 		lastErr = err
 	}

@@ -10,7 +10,17 @@ import (
 	"time"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/tables"
 )
+
+// structural is the check the monitoring cycle collects under: the table
+// scanner's structural checks reject a capture, a row error does not.
+func structural(prompt string) func([]collect.Dump) error {
+	return func(dumps []collect.Dump) error {
+		_, _, defect := tables.ScanDumps(prompt, dumps)
+		return defect
+	}
+}
 
 // dialerFunc adapts a function to the Dialer interface for scripted
 // failure sequences.
@@ -210,15 +220,19 @@ func TestCollectorRetriesTransientFailure(t *testing.T) {
 		BaseDelay:   50 * time.Millisecond,
 		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 	})
-	res := c.Collect(tgt, collect.StandardCommands, n.Now())
+	var dumps []collect.Dump
+	res := c.Collect(tgt, collect.StandardCommands, n.Now(), func(d []collect.Dump) error {
+		dumps = d
+		return structural(tgt.Prompt)(d)
+	})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if res.Status != collect.StatusRetried || res.Attempts != 2 {
 		t.Errorf("result = %s after %d attempts, want retried after 2", res.Status, res.Attempts)
 	}
-	if len(res.Dumps) != len(collect.StandardCommands) {
-		t.Errorf("dumps = %d", len(res.Dumps))
+	if len(dumps) != len(collect.StandardCommands) {
+		t.Errorf("dumps = %d", len(dumps))
 	}
 	if len(slept) != 1 || slept[0] < 25*time.Millisecond || slept[0] >= 50*time.Millisecond {
 		t.Errorf("backoff sleeps = %v", slept)
@@ -245,13 +259,13 @@ func TestCollectorBreakerLifecycle(t *testing.T) {
 	t0 := time.Unix(1000, 0).UTC()
 	// Two failed cycles open the breaker.
 	for i := 0; i < 2; i++ {
-		res := c.Collect(dead, nil, t0.Add(time.Duration(i)*time.Second))
+		res := c.Collect(dead, nil, t0.Add(time.Duration(i)*time.Second), structural(dead.Prompt))
 		if res.Status != collect.StatusDegraded || res.Attempts != 1 {
 			t.Fatalf("cycle %d = %+v", i, res)
 		}
 	}
 	// Within the cooldown the target is skipped without an attempt.
-	res := c.Collect(dead, nil, t0.Add(10*time.Second))
+	res := c.Collect(dead, nil, t0.Add(10*time.Second), structural(dead.Prompt))
 	if res.Status != collect.StatusBreakerOpen || res.Attempts != 0 {
 		t.Fatalf("cooldown cycle = %+v", res)
 	}
@@ -259,11 +273,11 @@ func TestCollectorBreakerLifecycle(t *testing.T) {
 		t.Errorf("err = %v, want ErrBreakerOpen", res.Err)
 	}
 	// After the cooldown a half-open probe runs — and fails, re-opening.
-	res = c.Collect(dead, nil, t0.Add(2*time.Minute))
+	res = c.Collect(dead, nil, t0.Add(2*time.Minute), structural(dead.Prompt))
 	if res.Status != collect.StatusDegraded || res.Attempts != 1 {
 		t.Fatalf("probe cycle = %+v", res)
 	}
-	res = c.Collect(dead, nil, t0.Add(2*time.Minute+time.Second))
+	res = c.Collect(dead, nil, t0.Add(2*time.Minute+time.Second), structural(dead.Prompt))
 	if res.Status != collect.StatusBreakerOpen {
 		t.Fatalf("failed probe did not re-open: %+v", res)
 	}
@@ -271,7 +285,7 @@ func TestCollectorBreakerLifecycle(t *testing.T) {
 	n := testNetwork(t)
 	healed := target(n, "fixw", "pw")
 	healed.Name = "dead"
-	res = c.Collect(healed, collect.StandardCommands, t0.Add(4*time.Minute))
+	res = c.Collect(healed, collect.StandardCommands, t0.Add(4*time.Minute), structural(healed.Prompt))
 	if res.Status != collect.StatusOK || res.Breaker != collect.BreakerClosed {
 		t.Fatalf("healed probe = %+v", res)
 	}
@@ -310,7 +324,8 @@ func (r scriptedRouter) HandleSession(rw io.ReadWriter) error {
 
 func TestCollectorRejectsInvalidDumps(t *testing.T) {
 	// The session protocol succeeds, but the dump is cut mid-line: only
-	// validation can catch this, and it must count as a degraded cycle.
+	// the structural checks can catch this. Every attempt is checked and
+	// retried, and the cycle ends degraded with the defect as its error.
 	tgt := collect.Target{
 		Name:    "s",
 		Dialer:  collect.PipeDialer{Router: scriptedRouter{out: "IP Multicast Forwarding Table - 5 entries\ncols\nrow1"}},
@@ -318,18 +333,19 @@ func TestCollectorRejectsInvalidDumps(t *testing.T) {
 		Timeout: time.Second,
 	}
 	c := collect.NewCollector(collect.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {}})
-	res := c.Collect(tgt, []string{"show ip mroute"}, time.Unix(0, 0))
-	if res.Status != collect.StatusDegraded || res.Attempts != 2 {
-		t.Fatalf("result = %+v", res)
+	checked := 0
+	res := c.Collect(tgt, []string{"show ip mroute"}, time.Unix(0, 0), func(dumps []collect.Dump) error {
+		checked++
+		return structural(tgt.Prompt)(dumps)
+	})
+	if res.Status != collect.StatusDegraded || res.Attempts != 2 || checked != 2 {
+		t.Fatalf("result = %+v after %d checks", res, checked)
 	}
 	if !errors.Is(res.Err, collect.ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", res.Err)
 	}
-	// With validation disabled the same dump passes through.
-	c = collect.NewCollector(collect.Policy{MaxAttempts: 2, DisableValidation: true, Sleep: func(time.Duration) {}})
-	res = c.Collect(tgt, []string{"show ip mroute"}, time.Unix(0, 0))
-	if res.Status != collect.StatusOK {
-		t.Errorf("validation-off result = %+v", res)
+	if h, _ := c.TargetHealth("s"); h.TotalFailures != 1 || h.LastStatus != collect.StatusDegraded || !strings.Contains(h.LastError, "cut mid-line") {
+		t.Errorf("health = %+v", h)
 	}
 }
 

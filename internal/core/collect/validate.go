@@ -3,7 +3,6 @@ package collect
 import (
 	"errors"
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 )
@@ -33,96 +32,94 @@ var tableHeaders = map[string]string{
 	"show ip mbgp":           "MBGP Table",
 }
 
-// headerCountRE extracts the declared counts from a table header line,
-// e.g. "... - 12 entries" or "... - 3 groups, 7 members".
-var headerCountRE = regexp.MustCompile(`- (\d+) (entries|neighbors|groups)(?:, (\d+) members)?$`)
-
-// ValidateDump checks the structural integrity of one raw table dump
-// before it reaches the table parsers: a mid-line cut, a row count short
-// of what the header declares, prompt echoes corrupting the body, or
-// non-printable garbage all reject the dump. Unknown commands get only
-// the generic checks; the standard show commands are additionally held to
-// their table layout.
+// CheckDump makes the structural checks that reject a capture a retry
+// may fix, given one raw dump and what a pass over it found: whether all
+// bytes were printable ASCII, space, tab, CR or LF, and the first and
+// the number of non-blank lines ("%" lines included). In order: an empty
+// table dump, a mid-line cut, a prompt echo, a non-printable byte, then
+// for the standard show commands a mangled header or row count.
 //
-//mantra:hotpath budget=9
-func ValidateDump(prompt, command, raw string) error {
+//mantra:hotpath budget=8
+func CheckDump(prompt, command, raw string, printable bool, first string, lines int) error {
 	header, known := tableHeaders[command]
-	// Whitespace-only responses (a bare CR, a prompt-only reply's leftover
-	// newline) are empty dumps, not mid-line cuts.
-	if strings.Trim(raw, " \t\r\n") == "" {
+	switch {
+	case strings.Trim(raw, " \t\r\n") == "":
+		// A bare CR or a prompt-only reply's leftover newline is an
+		// empty dump, not a mid-line cut.
 		if known {
 			return fmt.Errorf("%w: empty %q dump", ErrTruncated, command)
 		}
 		return nil
-	}
-	// Some transports interleave CRLF as LF-CR; trailing carriage returns
-	// after the final newline do not make the dump incomplete.
-	if !strings.HasSuffix(strings.TrimRight(raw, "\r"), "\n") {
+	case !strings.HasSuffix(strings.TrimRight(raw, "\r"), "\n"):
+		// Some transports interleave CRLF as LF-CR; trailing carriage
+		// returns after the final newline do not make the dump incomplete.
 		return fmt.Errorf("%w: %q output cut mid-line", ErrTruncated, command)
-	}
-	if prompt != "" && strings.Contains(raw, prompt) {
+	case prompt != "" && strings.Contains(raw, prompt):
 		return fmt.Errorf("%w: prompt echo inside %q dump", ErrGarbled, command)
-	}
-	// One fused byte scan checks printability and counts non-blank lines
-	// without materializing them; only the header line becomes a string.
-	// The dumps are ASCII, so byte checks suffice (any UTF-8 continuation
-	// byte is >0x7e and rejected just like a rune check would).
-	var first string
-	total := 0
-	start := 0
-	blank := true
-	for i := 0; i <= len(raw); i++ {
-		c := byte('\n')
-		if i < len(raw) {
-			c = raw[i]
-		}
-		switch {
-		case c == '\n':
-			if !blank {
-				if total == 0 {
-					first = strings.TrimRight(raw[start:i], "\r")
-				}
-				total++
-			}
-			start = i + 1
-			blank = true
-		case c == '\r' || c == '\t' || c == ' ':
-		case c < 0x20 || c > 0x7e:
-			return fmt.Errorf("%w: non-printable byte in %q dump", ErrGarbled, command)
-		default:
-			blank = false
-		}
-	}
-	if !known {
+	case !printable:
+		return fmt.Errorf("%w: non-printable byte in %q dump", ErrGarbled, command)
+	case !known:
 		return nil
 	}
-	if total == 0 {
-		return fmt.Errorf("%w: empty %q dump", ErrTruncated, command)
-	}
+	first = strings.TrimRight(first, "\r")
 	if !strings.HasPrefix(first, header) {
 		return fmt.Errorf("%w: %q header mangled: %q", ErrGarbled, command, first)
 	}
-	m := headerCountRE.FindStringSubmatch(first)
-	if m == nil {
+	declared, ok := declaredRows(first)
+	if !ok {
 		return fmt.Errorf("%w: %q header count unreadable: %q", ErrGarbled, command, first)
 	}
-	declared, _ := strconv.Atoi(m[1])
-	if m[3] != "" {
-		// IGMP declares "N groups, M members"; the body has one row per member.
-		declared, _ = strconv.Atoi(m[3])
-	}
-	if declared == 0 {
-		return nil
-	}
 	// Header line, column-header line, then exactly `declared` rows.
-	rows := total - 2
-	if rows < declared {
+	switch rows := lines - 2; {
+	case declared == 0 || rows == declared:
+		return nil
+	case rows < declared:
 		return fmt.Errorf("%w: %q table has %d of %d declared rows", ErrTruncated, command, rows, declared)
-	}
-	if rows > declared {
+	default:
 		return fmt.Errorf("%w: %q table has %d rows against %d declared", ErrGarbled, command, rows, declared)
 	}
-	return nil
+}
+
+// declaredRows reads N of a header's "- N entries|neighbors|groups", or M
+// of a following ", M members" (IGMP lists one row per member). A count
+// too large for an int reads as the largest int.
+func declaredRows(line string) (int, bool) {
+	i := strings.LastIndex(line, "- ") // the tail after it has no "- "
+	if i < 0 {
+		return 0, false
+	}
+	n, unit, _ := strings.Cut(line[i+2:], " ")
+	unit, m, members := strings.Cut(unit, ", ")
+	m, ok := strings.CutSuffix(m, " members")
+	if !digits(n) || unit != "entries" && unit != "neighbors" && unit != "groups" || members && !(ok && digits(m)) {
+		return 0, false
+	}
+	if members {
+		n = m
+	}
+	v, _ := strconv.Atoi(n)
+	return v, true
+}
+
+// digits reports whether s is a non-empty run of decimal digits.
+func digits(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
+
+// ValidateDump is CheckDump over a pass of its own. It and ValidateDumps
+// have no product caller (tables.ScanDumps checks in its one pass) and
+// are kept for bench/layers.go and bench/replay_test.go only, until the
+// benchmark's layer walk drops them along with Preprocess.
+func ValidateDump(prompt, command, raw string) error {
+	printable := strings.IndexFunc(raw, func(c rune) bool { return c > '~' || c < ' ' && c != '\t' && c != '\r' && c != '\n' }) < 0
+	first, lines := "", 0
+	for rest := raw; rest != ""; {
+		var line string
+		if line, rest, _ = strings.Cut(rest, "\n"); strings.Trim(line, " \t\r") != "" {
+			if lines++; lines == 1 {
+				first = line
+			}
+		}
+	}
+	return CheckDump(prompt, command, raw, printable, first, lines)
 }
 
 // ValidateDumps runs ValidateDump over a full cycle's dump set, returning

@@ -115,29 +115,33 @@ func (c *Core) Commit() error {
 }
 
 // stageCollect runs the resilient collection of one target (breaker
-// check, retries, dump validation). Safe for concurrent use across
-// targets — the collector serializes its own bookkeeping.
+// check, retries) and scans each capture into the local tables once; a
+// structural defect is retried and leaves no snapshot. Safe for
+// concurrent use across targets — the collector serializes its own
+// bookkeeping. The budget is the check closure.
 //
-//mantra:hotpath
+//mantra:hotpath budget=1
 func (c *Core) stageCollect(it *engine.Item, now time.Time) {
-	it.Res = c.Collector.Collect(it.Target, c.Commands, now)
+	it.Res = c.Collector.Collect(it.Target, c.Commands, now, func(dumps []collect.Dump) (defect error) {
+		if it.Snapshot, it.ParseErr, defect = tables.ScanDumps(it.Target.Prompt, dumps); defect != nil {
+			it.Snapshot = nil
+		}
+		return defect
+	})
 }
 
-// stageNormalize maps the raw dumps onto the local tables. A parse
+// stageNormalize degrades a target whose dumps did not parse. The
 // failure counts against the target's breaker: a router emitting
 // unparseable dumps is as unhealthy as one refusing logins.
 //
 //mantra:hotpath budget=1
 func (c *Core) stageNormalize(it *engine.Item, now time.Time) {
-	sn, err := tables.BuildSnapshot(it.Res.Dumps)
-	if err != nil {
+	if err := it.ParseErr; err != nil {
 		err = fmt.Errorf("collect %s: snapshot rejected: %w", it.Target.Name, err)
 		c.Collector.RecordFailure(it.Target.Name, now, err)
 		it.Res.Status = collect.StatusDegraded
 		it.Res.Err = err
-		return
 	}
-	it.Snapshot = sn
 }
 
 // stageLog appends the cycle to the delta log and buffers its WAL

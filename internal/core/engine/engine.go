@@ -46,6 +46,8 @@ type Item struct {
 	// normalization failed, in which case the item flows through the
 	// remaining stages as a gap.
 	Snapshot *tables.Snapshot
+	// ParseErr is why a sound capture did not parse, for Normalize.
+	ParseErr error
 	// Stats is set by the Ingest stage on success.
 	Stats *process.CycleStats
 

@@ -355,6 +355,7 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 			for _, it := range resp.items {
 				if it.Stats != nil {
 					statsOf[it.Target.Name] = *it.Stats
+					//mantralint:allow sertaint gathered in shard order, and MergeSnapshots' result does not depend on the order of its inputs
 					snaps = append(snaps, it.Snapshot)
 				} else {
 					degraded[it.Target.Name] = true

@@ -1,13 +1,16 @@
 package tables_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/addr"
 	"repro/internal/core/collect"
@@ -295,6 +298,104 @@ func refBuildSnapshot(dumps []collect.Dump) (*tables.Snapshot, error) {
 	return sn, nil
 }
 
+// refValidateDump and refValidateDumps are collect.ValidateDump and
+// ValidateDumps as they stood when they ran as a pass of their own ahead
+// of BuildSnapshot, kept verbatim but for their comments and the
+// sentinels' package: with refBuildSnapshot they are the oracle ScanDumps
+// is held to.
+var refHeaderCountRE = regexp.MustCompile(`- (\d+) (entries|neighbors|groups)(?:, (\d+) members)?$`)
+
+var refTableHeaders = map[string]string{
+	"show ip dvmrp route":    "DVMRP Routing Table",
+	"show ip dvmrp neighbor": "DVMRP Neighbor Table",
+	"show ip mroute":         "IP Multicast Forwarding Table",
+	"show ip igmp groups":    "IGMP Group Membership",
+	"show ip pim group":      "PIM Group Table",
+	"show ip pim neighbor":   "PIM Neighbor Table",
+	"show ip msdp sa-cache":  "MSDP Source-Active Cache",
+	"show ip mbgp":           "MBGP Table",
+}
+
+func refValidateDump(prompt, command, raw string) error {
+	ErrTruncated, ErrGarbled := collect.ErrTruncated, collect.ErrGarbled
+	header, known := refTableHeaders[command]
+	if strings.Trim(raw, " \t\r\n") == "" {
+		if known {
+			return fmt.Errorf("%w: empty %q dump", ErrTruncated, command)
+		}
+		return nil
+	}
+	if !strings.HasSuffix(strings.TrimRight(raw, "\r"), "\n") {
+		return fmt.Errorf("%w: %q output cut mid-line", ErrTruncated, command)
+	}
+	if prompt != "" && strings.Contains(raw, prompt) {
+		return fmt.Errorf("%w: prompt echo inside %q dump", ErrGarbled, command)
+	}
+	var first string
+	total := 0
+	start := 0
+	blank := true
+	for i := 0; i <= len(raw); i++ {
+		c := byte('\n')
+		if i < len(raw) {
+			c = raw[i]
+		}
+		switch {
+		case c == '\n':
+			if !blank {
+				if total == 0 {
+					first = strings.TrimRight(raw[start:i], "\r")
+				}
+				total++
+			}
+			start = i + 1
+			blank = true
+		case c == '\r' || c == '\t' || c == ' ':
+		case c < 0x20 || c > 0x7e:
+			return fmt.Errorf("%w: non-printable byte in %q dump", ErrGarbled, command)
+		default:
+			blank = false
+		}
+	}
+	if !known {
+		return nil
+	}
+	if total == 0 {
+		return fmt.Errorf("%w: empty %q dump", ErrTruncated, command)
+	}
+	if !strings.HasPrefix(first, header) {
+		return fmt.Errorf("%w: %q header mangled: %q", ErrGarbled, command, first)
+	}
+	m := refHeaderCountRE.FindStringSubmatch(first)
+	if m == nil {
+		return fmt.Errorf("%w: %q header count unreadable: %q", ErrGarbled, command, first)
+	}
+	declared, _ := strconv.Atoi(m[1])
+	if m[3] != "" {
+		declared, _ = strconv.Atoi(m[3])
+	}
+	if declared == 0 {
+		return nil
+	}
+	rows := total - 2
+	if rows < declared {
+		return fmt.Errorf("%w: %q table has %d of %d declared rows", ErrTruncated, command, rows, declared)
+	}
+	if rows > declared {
+		return fmt.Errorf("%w: %q table has %d rows against %d declared", ErrGarbled, command, rows, declared)
+	}
+	return nil
+}
+
+func refValidateDumps(prompt string, dumps []collect.Dump) error {
+	for _, d := range dumps {
+		if err := refValidateDump(prompt, d.Command, d.Raw); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ---- the differential ------------------------------------------------
 
 // fuzzCommands are the six standard commands plus one BuildSnapshot does
@@ -305,18 +406,45 @@ func fuzzDump(cmd uint8, raw string) collect.Dump {
 	return collect.Dump{Target: "r", Command: fuzzCommands[int(cmd)%len(fuzzCommands)], Raw: raw, At: sim.Epoch}
 }
 
-// sameAsReference fails t unless BuildSnapshot and the reference agree on
-// the snapshot (reflect.DeepEqual, so nil and empty tables differ) and on
-// the error text.
+// fuzzPrompt is the prompt ScanDumps looks for in the fuzzed dumps.
+const fuzzPrompt = "r> "
+
+// sameAsReference fails t unless ScanDumps' defect has the text and the
+// errors.Is class of refValidateDumps' error, and, over ASCII dumps,
+// BuildSnapshot and ScanDumps agree with refBuildSnapshot on the snapshot
+// (reflect.DeepEqual, so nil and empty tables differ) and on the error
+// text. A byte past ASCII garbles the capture whatever its fields, so
+// where the scanner cuts them there (as ASCII white space, not as
+// strings.Fields' Unicode white space) is not held to the reference.
 func sameAsReference(t *testing.T, dumps []collect.Dump) {
 	t.Helper()
-	got, gotErr := tables.BuildSnapshot(dumps)
+	got, gotErr, defect := tables.ScanDumps(fuzzPrompt, dumps)
+	wantDefect := refValidateDumps(fuzzPrompt, dumps)
+	same(t, "ScanDumps defect", dumps, nil, nil, defect, wantDefect)
+	same(t, "ValidateDumps", dumps, nil, nil, collect.ValidateDumps(fuzzPrompt, dumps), wantDefect)
+	for _, class := range []error{collect.ErrTruncated, collect.ErrGarbled} {
+		if errors.Is(defect, class) != errors.Is(wantDefect, class) {
+			t.Fatalf("ScanDumps: defect class differs on %v\n got: %v\nwant: %v\ndumps: %q", class, defect, wantDefect, dumps)
+		}
+	}
+	for _, d := range dumps {
+		if strings.IndexFunc(d.Raw, func(c rune) bool { return c >= utf8.RuneSelf }) >= 0 {
+			return
+		}
+	}
 	want, wantErr := refBuildSnapshot(dumps)
+	same(t, "ScanDumps", dumps, got, want, gotErr, wantErr)
+	got, gotErr = tables.BuildSnapshot(dumps)
+	same(t, "BuildSnapshot", dumps, got, want, gotErr, wantErr)
+}
+
+func same(t *testing.T, name string, dumps []collect.Dump, got, want *tables.Snapshot, gotErr, wantErr error) {
+	t.Helper()
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("error differs\n got: %v\nwant: %v\ndumps: %q", gotErr, wantErr, dumps)
+		t.Fatalf("%s: error differs\n got: %v\nwant: %v\ndumps: %q", name, gotErr, wantErr, dumps)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot differs\n got: %+v\nwant: %+v\ndumps: %q", got, want, dumps)
+		t.Fatalf("%s: snapshot differs\n got: %+v\nwant: %+v\ndumps: %q", name, got, want, dumps)
 	}
 }
 
@@ -416,6 +544,16 @@ func FuzzBuildSnapshot(f *testing.F) {
 	// Cross-dump precedence: a short table first, a malformed row second.
 	f.Add(uint8(dvmrp), "DVMRP Routing Table - 3 entries\n"+routes[32:], uint8(mroute), "not a table row here x y\n")
 	f.Add(uint8(dvmrp), routes, uint8(dvmrp), "DVMRP Routing Table - 1 entries\n") // same command twice
+	// Structural defects for ScanDumps: a prompt echo, a header that is
+	// readable to the scanner but not to the count check, counts the rows
+	// miss or overrun, a defect behind a malformed row, and a skipped
+	// command's dump.
+	f.Add(uint8(dvmrp), routes+fuzzPrompt+"\n", uint8(unknown), "\n")
+	f.Add(uint8(dvmrp), strings.Replace(routes, "- 2 entries", "-  2 entries", 1), uint8(unknown), "\n")
+	f.Add(uint8(igmp), "IGMP Group Membership - 1 groups, 2 members\nGroup\n224.2.0.1 128.111.41.2 0:05:00\n", uint8(unknown), "\n")
+	f.Add(uint8(dvmrp), "DVMRP Routing Table - 1 entries\n"+routes[32:], uint8(unknown), "\n")
+	f.Add(uint8(mroute), "not a table row here x y\n", uint8(dvmrp), routes+"\x01\n")
+	f.Add(uint8(pim), "PIM Group Table - 3 entries\nGroup\n", uint8(unknown), "up 3 days\n")
 
 	f.Fuzz(func(t *testing.T, cmd1 uint8, raw1 string, cmd2 uint8, raw2 string) {
 		sameAsReference(t, []collect.Dump{fuzzDump(cmd1, raw1), fuzzDump(cmd2, raw2)})
@@ -478,5 +616,26 @@ func TestBuildSnapshotAbsurdCount(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
 		t.Errorf("a %d-byte dump made BuildSnapshot allocate %d bytes", len(dumps[0].Raw), got)
+	}
+}
+
+// TestScanDumpsLongLineIsLinear: lines of 100 000 fields — a header's
+// count, an MBGP AS path, a skipped command's line — are each read once
+// however the scan splits them, and a bad byte at the end of one is
+// seen. Splitting such a line from each sixteenth field to its end again
+// took seconds; once through takes milliseconds, and the gate leaves
+// room for a race build on a busy machine.
+func TestScanDumpsLongLineIsLinear(t *testing.T) {
+	long := strings.Repeat(" 1", 100000)
+	raw := "MBGP Table -" + long + "\n10.0.0.0/8 local 2:00:00" + long + "\n" + long + "\x01\n"
+	for _, cmd := range []string{"show ip mbgp", "show ip pim group"} {
+		start := time.Now()
+		_, _, defect := tables.ScanDumps(fuzzPrompt, []collect.Dump{{Target: "r", Command: cmd, Raw: raw, At: sim.Epoch}})
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("%s: %d bytes took %v", cmd, len(raw), took)
+		}
+		if !errors.Is(defect, collect.ErrGarbled) || !strings.Contains(defect.Error(), "non-printable") {
+			t.Errorf("%s: defect = %.120v, want the non-printable byte at the last line's end", cmd, defect)
+		}
 	}
 }

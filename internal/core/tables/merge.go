@@ -4,10 +4,8 @@
 package tables
 
 import (
-	"sort"
+	"slices"
 	"time"
-
-	"repro/internal/addr"
 )
 
 // MergeSnapshots combines several routers' cycle snapshots into one
@@ -29,53 +27,102 @@ import (
 // produces an identical aggregate — which is what lets the pipelined
 // cycle engine and the shard fan-in merge snapshots without caring how
 // collection finished.
+//
+// Each table is merged as the sorted run it is (walk.go), by union.
 func MergeSnapshots(name string, at time.Time, snaps ...*Snapshot) *Snapshot {
-	out := &Snapshot{Target: name, At: at}
-	// Newest-sequence-wins per target: a stale duplicate (same target,
-	// older At) must not drag withdrawn entries back into the aggregate.
-	newest := make(map[string]time.Time)
-	for _, sn := range snaps {
-		if sn == nil || sn.Target == "" {
-			continue
-		}
-		if cur, ok := newest[sn.Target]; !ok || sn.At.After(cur) {
-			newest[sn.Target] = sn.At
+	pairs := make([]PairTable, 0, len(snaps))
+	routes := make([]RouteTable, 0, len(snaps))
+	foldPair := func(acc, e *PairEntry) { *acc = mergePair(*acc, *e) }
+	foldRoute := func(acc, e *RouteEntry) {
+		if routePreferred(*e, *acc) {
+			*acc = *e
 		}
 	}
-	type pk struct{ s, g addr.IP }
-	pairs := make(map[pk]PairEntry)
-	routes := make(map[addr.Prefix]RouteEntry)
+next:
 	for _, sn := range snaps {
-		if sn == nil {
-			continue
-		}
-		if sn.Target != "" && sn.At.Before(newest[sn.Target]) {
-			continue
-		}
-		for _, e := range sn.Pairs {
-			k := pk{s: e.Source, g: e.Group}
-			cur, ok := pairs[k]
-			if !ok {
-				pairs[k] = e
-				continue
-			}
-			pairs[k] = mergePair(cur, e)
-		}
-		for _, e := range sn.Routes {
-			cur, ok := routes[e.Prefix]
-			if !ok || routePreferred(e, cur) {
-				routes[e.Prefix] = e
+		for _, o := range snaps { // a newer snapshot of the target supersedes sn
+			if sn == nil || o != nil && sn.Target != "" && o.Target == sn.Target && o.At.After(sn.At) {
+				continue next
 			}
 		}
+		pairs = append(pairs, sorted(sn.Pairs, pairOrder, foldPair))
+		routes = append(routes, sorted(sn.Routes, routeOrder, foldRoute))
 	}
-	for _, e := range pairs {
-		out.Pairs = append(out.Pairs, e)
+	return &Snapshot{Target: name, At: at, Pairs: union(pairOrder, foldPair, pairs...), Routes: union(routeOrder, foldRoute, routes...)}
+}
+
+// sorted returns t if its keys strictly increase, otherwise a stably
+// sorted copy in which the rows sharing a key are folded into the first
+// in the order t lists them. The budget is the copy and its closure.
+//
+//mantra:hotpath budget=2
+func sorted[T ~[]E, E any](t T, order func(a, b *E) int, fold func(acc, e *E)) T {
+	for j := 1; j < len(t); j++ {
+		if order(&t[j-1], &t[j]) >= 0 {
+			s := slices.Clone(t)
+			slices.SortStableFunc(s, func(a, b E) int { return order(&a, &b) })
+			n := 1
+			for k := 1; k < len(s); k++ {
+				if order(&s[n-1], &s[k]) == 0 {
+					fold(&s[n-1], &s[k])
+				} else {
+					s[n] = s[k]
+					n++
+				}
+			}
+			return s[:n]
+		}
 	}
-	sort.Slice(out.Pairs, func(i, j int) bool { return pairOrder(&out.Pairs[i], &out.Pairs[j]) < 0 })
-	for _, e := range routes {
-		out.Routes = append(out.Routes, e)
+	return t
+}
+
+// union merges tables whose keys strictly increase into one table with a
+// row per key, in key order, folding the rows that share a key into the
+// first in table order, as the map it replaced did. A first pass counts
+// the keys, so the output (the budget: its make and appends) is allocated
+// once at its length; it is nil when empty.
+//
+//mantra:hotpath budget=2
+func union[T ~[]E, E any](order func(a, b *E) int, fold func(acc, e *E), ts ...T) T {
+	heads := make([]int, len(ts))
+	least := make([]int, len(ts)) // least[:m] hold the least key at their heads
+	var out T
+	for pass, n := 0, 0; pass < 2; pass++ {
+		out = slices.Grow(out, n) // n is 0 on the counting pass: out stays nil
+		clear(heads)
+		for ; ; n++ {
+			m := 0
+			for i, t := range ts {
+				if heads[i] == len(t) {
+					continue
+				}
+				c := -1
+				if m > 0 {
+					c = order(&t[heads[i]], &ts[least[0]][heads[least[0]]])
+				}
+				if c < 0 {
+					m = 0
+				}
+				if c <= 0 {
+					least[m] = i
+					m++
+				}
+			}
+			if m == 0 {
+				break
+			}
+			for k, i := range least[:m] {
+				switch {
+				case pass == 0:
+				case k == 0:
+					out = append(out, ts[i][heads[i]])
+				default:
+					fold(&out[len(out)-1], &ts[i][heads[i]])
+				}
+				heads[i]++
+			}
+		}
 	}
-	sort.Slice(out.Routes, func(i, j int) bool { return routeOrder(&out.Routes[i], &out.Routes[j]) < 0 })
 	return out
 }
 

@@ -17,8 +17,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/internal/addr"
 	"repro/internal/core/collect"
@@ -180,11 +178,17 @@ type scan struct {
 	rest string
 	// line is the current line as captured, for error messages.
 	line string
-	// f[:n] are the line's first fields and more is the rest of a line
-	// that has others, still unsplit.
-	f    [maxFields]string
-	n    int
-	more string
+	// f[:n] are the line's first fields, more the unsplit rest of a long
+	// line; next splits that into spare only to check its bytes.
+	f, spare [maxFields]string
+	n        int
+	more     string
+	// bad, first and lines are what collect.CheckDump needs (see split and
+	// next); count is what the first table line declares.
+	bad   bool
+	first string
+	lines int
+	count declared
 	// as is the backing array the MBGP table's AS paths are cut from.
 	as []int
 	// flags are the distinct flag strings the Pair table has kept so far.
@@ -210,37 +214,35 @@ func (r *scan) internFlags(s string) string {
 	return s
 }
 
-// splitFields cuts the leading fields of s into f, as strings.Fields
-// would — white space is unicode.IsSpace, invalid UTF-8 is one non-space
-// byte at a time — and returns how many it cut and what is left once f
-// is full ("" when s had no more than len(f) fields).
-func splitFields(s string, f *[maxFields]string) (n int, more string) {
-	start := -1 // where the field being read began; -1 between fields
-	for i := 0; i < len(s); {
+// split cuts the leading fields of s into f, as strings.Fields would over
+// ASCII white space, and returns how many it cut and what is left once f
+// is full ("" when s had no more than len(f) fields). It sets bad at a
+// byte it reads that is neither printable ASCII nor a space, tab or CR;
+// it does not read more, which its caller splits in turn or next checks.
+func (r *scan) split(s string, f *[maxFields]string) (n int, more string) {
+	start, bad := -1, false // where the field being read began; -1 between fields
+	for i := 0; i < len(s) && more == ""; i++ {
 		c := s[i]
-		space, w := c == ' ' || c-'\t' < 5, 1 // \t \n \v \f \r
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRuneInString(s[i:])
-			space, w = unicode.IsSpace(r), size
-		}
+		space := c == ' ' || c-'\t' < 5 // \t \n \v \f \r
+		bad = bad || c-' ' > '~'-' ' && c != '\t' && c != '\r'
 		switch {
 		case space && start >= 0:
 			f[n] = s[start:i]
 			n++
 			start = -1
-		case !space && start < 0:
-			if n == len(f) {
-				return n, s[i:]
-			}
+		case space || start >= 0:
+		case n < len(f):
 			start = i
+		default:
+			more = s[i:]
 		}
-		i += w
 	}
 	if start >= 0 {
 		f[n] = s[start:]
 		n++
 	}
-	return n, ""
+	r.bad = r.bad || bad
+	return n, more
 }
 
 // joined is the line as collect.Preprocess would have handed it over:
@@ -272,9 +274,15 @@ func (r *scan) hasPrefix(prefix string) bool {
 	return prefix == ""
 }
 
+// declared is a header's entry count, if it has one.
+type declared struct {
+	n  int
+	ok bool
+}
+
 // headerCount extracts N from a "<title> - N entries"-style header line:
 // the field after the last field that ends in a dash.
-func (r *scan) headerCount() (int, bool) {
+func (r *scan) headerCount() declared {
 	count, dash := "", false
 	f, n, more := r.f, r.n, r.more
 	for {
@@ -287,13 +295,10 @@ func (r *scan) headerCount() (int, bool) {
 		if more == "" {
 			break
 		}
-		n, more = splitFields(more, &f)
-	}
-	if count == "" {
-		return 0, false
+		n, more = r.split(more, &f)
 	}
 	v, err := strconv.Atoi(count)
-	return v, err == nil
+	return declared{v, err == nil}
 }
 
 // next moves to the dump's next line that is neither blank nor a "%" CLI
@@ -301,21 +306,19 @@ func (r *scan) headerCount() (int, bool) {
 func (r *scan) next() bool {
 	for r.rest != "" {
 		r.line, r.rest, _ = strings.Cut(r.rest, "\n")
-		r.n, r.more = splitFields(r.line, &r.f)
-		if r.n > 0 && r.f[0][0] != '%' {
-			return true
+		r.n, r.more = r.split(r.line, &r.f)
+		for more := r.more; more != ""; _, more = r.split(more, &r.spare) {
+		}
+		if r.n > 0 {
+			if r.lines++; r.lines == 1 {
+				r.first = r.line
+			}
+			if r.f[0][0] != '%' {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// declaredCount is the header count of a dump's first line.
-func declaredCount(raw string) (int, bool) {
-	first := scan{rest: raw}
-	if !first.next() {
-		return 0, false
-	}
-	return first.headerCount()
 }
 
 // table is one dump layout: the prefixes of its title and column-header
@@ -334,27 +337,27 @@ var (
 	mbgpTable  = table[MBGPEntry]{"MBGP Table", "Network ", mbgpRow}
 )
 
-// parse maps a raw dump to its table in one pass. The first line's
-// declared entry count sizes the table before the first row is kept,
-// capped by what the dump's length could hold.
+// parse maps the lines r has left of dump d to a table. The first line's
+// declared entry count, which it keeps in r, sizes the table before the
+// first row is kept, capped by what the dump's length could hold. It
+// stops at the first row that does not parse.
 //
-//mantra:hotpath budget=2
-func (t table[E]) parse(raw string) ([]E, error) {
-	most := len(raw) / minRowBytes
+//mantra:hotpath budget=3
+func (t table[E]) parse(r *scan, d collect.Dump) ([]E, error) {
+	most := len(r.rest) / minRowBytes
 	var out []E
-	r := scan{rest: raw}
 	for first := true; r.next(); first = false {
 		if first {
-			if n, ok := r.headerCount(); ok && n < most {
-				most = n
+			if r.count = r.headerCount(); r.count.ok && r.count.n < most {
+				most = r.count.n
 			}
 		}
 		if r.hasPrefix(t.title) || r.hasPrefix(t.columns) {
 			continue
 		}
-		e, err := t.row(&r)
+		e, err := t.row(r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tables: %s %q: %w", d.Target, d.Command, err)
 		}
 		if out == nil && most > 0 {
 			out = make([]E, 0, most)
@@ -491,50 +494,68 @@ func mbgpRow(r *scan) (MBGPEntry, error) {
 		if more == "" {
 			break
 		}
-		r.n, more = splitFields(more, &r.f)
+		r.n, more = r.split(more, &r.f)
 		path = r.f[:r.n]
 	}
 	e.ASPath = r.as[start:len(r.as):len(r.as)]
 	return e, nil
 }
 
-// BuildSnapshot assembles one router's cycle snapshot from its raw
-// dumps, scanning each once into the table its command names. Unknown
-// commands are skipped. Every dump must share the target and timestamp.
-//
-//mantra:hotpath budget=4
+// BuildSnapshot is ScanDumps without the structural checks.
 func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
+	sn, err, _ := ScanDumps("", dumps)
+	return sn, err
+}
+
+// ScanDumps assembles one router's cycle snapshot from its raw dumps,
+// scanning each once into the table its command names; unknown commands
+// are skipped. Every dump must share the target and timestamp. The same
+// pass holds every dump to collect.CheckDump: defect is the first dump's
+// ErrTruncated or ErrGarbled, which a retry may fix; sn and err do not
+// depend on it. The budget is the three error texts, the header count of
+// each dump past the eighth and the scan state, reset for each dump.
+//
+//mantra:hotpath budget=6
+func ScanDumps(prompt string, dumps []collect.Dump) (sn *Snapshot, err, defect error) {
 	if len(dumps) == 0 {
-		return nil, fmt.Errorf("tables: no dumps")
+		return nil, fmt.Errorf("tables: no dumps"), nil
 	}
-	sn := &Snapshot{Target: dumps[0].Target, At: dumps[0].At}
+	sn = &Snapshot{Target: dumps[0].Target, At: dumps[0].At}
+	counts := make([]declared, 0, 8)
+	var r scan
 	for _, d := range dumps {
-		if d.Target != sn.Target {
-			return nil, fmt.Errorf("tables: mixed targets %q and %q", sn.Target, d.Target)
+		r = scan{rest: d.Raw}
+		switch {
+		case err != nil:
+		case d.Target != sn.Target:
+			err = fmt.Errorf("tables: mixed targets %q and %q", sn.Target, d.Target)
+		case d.Command == "show ip dvmrp route":
+			sn.Routes, err = routeTable.parse(&r, d)
+		case d.Command == "show ip mroute":
+			sn.Pairs, err = pairTable.parse(&r, d)
+		case d.Command == "show ip igmp groups":
+			sn.IGMP, err = igmpTable.parse(&r, d)
+		case d.Command == "show ip msdp sa-cache":
+			sn.SAs, err = saTable.parse(&r, d)
+		case d.Command == "show ip mbgp":
+			sn.MBGP, err = mbgpTable.parse(&r, d)
 		}
-		var err error
-		switch d.Command {
-		case "show ip dvmrp route":
-			sn.Routes, err = routeTable.parse(d.Raw)
-		case "show ip mroute":
-			sn.Pairs, err = pairTable.parse(d.Raw)
-		case "show ip igmp groups":
-			sn.IGMP, err = igmpTable.parse(d.Raw)
-		case "show ip msdp sa-cache":
-			sn.SAs, err = saTable.parse(d.Raw)
-		case "show ip mbgp":
-			sn.MBGP, err = mbgpTable.parse(d.Raw)
+		for r.next() { // what a parse left, or a skipped command's dump
 		}
-		if err != nil {
-			return nil, fmt.Errorf("tables: %s %q: %w", d.Target, d.Command, err)
+		if defect == nil {
+			defect = collect.CheckDump(prompt, d.Command, d.Raw, !r.bad, r.first, r.lines)
 		}
+		counts = append(counts, r.count)
+	}
+	if err != nil {
+		return nil, err, defect
 	}
 	// Integrity check: the dump headers announce entry counts; a
 	// mismatch means a truncated capture (a dropped telnet session was
 	// a real failure mode for expect-driven collection). It runs after
 	// every dump has parsed, so a malformed row anywhere is reported
-	// ahead of a short table, and re-reads only each dump's first line.
-	for _, d := range dumps {
+	// ahead of a short table.
+	for i, d := range dumps {
 		var got int
 		switch d.Command {
 		case "show ip dvmrp route":
@@ -548,9 +569,9 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 		default:
 			continue
 		}
-		if want, ok := declaredCount(d.Raw); ok && got != want {
+		if want := counts[i]; want.ok && got != want.n {
 			return nil, fmt.Errorf("tables: %s %q truncated: header says %d entries, parsed %d",
-				d.Target, d.Command, want, got)
+				d.Target, d.Command, want.n, got), defect
 		}
 	}
 	// Anchor uptimes to absolute time so logged entries are stable
@@ -561,7 +582,7 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 	for i := range sn.Routes {
 		sn.Routes[i].Since = sn.At.Add(-sn.Routes[i].Uptime)
 	}
-	return sn, nil
+	return sn, nil, defect
 }
 
 // Participants derives the Participant table from the Pair table.

@@ -1,16 +1,14 @@
 // The sorted-table invariant and the one place a table is compared with
 // its predecessor. Routers render their tables in key order — routes by
-// prefix, pairs by (group, source) — and MergeSnapshots sorts the same
-// way, so two consecutive tables of one target differ by what a single
-// merge pass over both finds. The delta logger's Append and ApplyRecord
-// and the processor's route-churn count are all this pass with a
-// different visitor.
+// prefix, pairs by (group, source) — so two consecutive tables of one
+// target differ by what a single merge pass over both finds, and
+// MergeSnapshots folds many targets' tables into one in the same order by
+// a k-way pass over them (union, in merge.go). The delta logger's Append
+// and ApplyRecord and the processor's route-churn count are all the
+// two-table pass with a different visitor.
 package tables
 
-import (
-	"cmp"
-	"sort"
-)
+import "cmp"
 
 func routeOrder(a, b *RouteEntry) int { return a.Prefix.Compare(b.Prefix) }
 
@@ -26,8 +24,8 @@ func pairOrder(a, b *PairEntry) int {
 // one only cur holds, visit(old, new) for one both hold. prev must be a
 // table an earlier Walk returned (nil included). cur is checked first:
 // if a row is out of order or repeats a prefix, the walk runs over a
-// stably sorted copy in which the last row of each prefix wins — cur is
-// never written. Walk returns the table it walked as cur, the prev of
+// stably sorted copy in which the last row of each prefix wins — cur
+// is never written. Walk returns the table it walked as cur, the prev of
 // the next cycle.
 //
 // Both Walks stay out of line so that a caller's visitor stays on its
@@ -49,12 +47,7 @@ func (prev PairTable) Walk(cur PairTable, visit func(old, new *PairEntry)) PairT
 }
 
 func walk[T ~[]E, E any](prev, cur T, order func(a, b *E) int, visit func(old, new *E)) T {
-	for j := 1; j < len(cur); j++ {
-		if order(&cur[j-1], &cur[j]) >= 0 {
-			cur = inOrder(cur, order)
-			break
-		}
-	}
+	cur = sorted(cur, order, func(acc, e *E) { *acc = *e })
 	i, j := 0, 0
 	for i < len(prev) && j < len(cur) {
 		switch c := order(&prev[i], &cur[j]); {
@@ -77,22 +70,4 @@ func walk[T ~[]E, E any](prev, cur T, order func(a, b *E) int, visit func(old, n
 		visit(nil, &cur[j])
 	}
 	return cur
-}
-
-// inOrder returns a copy of t sorted by key, keeping of the rows that
-// share a key the one t lists last. It is on the hot path's call graph
-// but runs only for a table that arrived out of order; the budget is
-// the sort's comparison closure and the compaction append.
-//
-//mantra:hotpath budget=2
-func inOrder[T ~[]E, E any](t T, order func(a, b *E) int) T {
-	s := append(T(nil), t...)
-	sort.SliceStable(s, func(x, y int) bool { return order(&s[x], &s[y]) < 0 })
-	out := s[:0]
-	for k := range s {
-		if k+1 == len(s) || order(&s[k], &s[k+1]) != 0 {
-			out = append(out, s[k])
-		}
-	}
-	return out
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/core/output"
@@ -159,6 +161,25 @@ func (fr FigureResult) WriteCSV(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+// WriteFiles writes the figure into dir as <ID>.csv and, drawn 110 wide
+// and 16 high, as <ID>.txt.
+func (fr FigureResult) WriteFiles(dir string) error {
+	csv, err := os.Create(filepath.Join(dir, fr.ID+".csv"))
+	if err != nil {
+		return err
+	}
+	defer csv.Close()
+	if err := fr.WriteCSV(csv); err != nil {
+		return err
+	}
+	txt, err := os.Create(filepath.Join(dir, fr.ID+".txt"))
+	if err != nil {
+		return err
+	}
+	defer txt.Close()
+	return fr.RenderASCII(txt, 110, 16)
 }
 
 // RenderASCII draws every panel as an ASCII chart.

@@ -378,20 +378,21 @@ func TestHotRootsPinned(t *testing.T) {
 		"(repro/internal/core/tables.table[E]).parse",
 		"repro/internal/addr.Parse",
 		"repro/internal/addr.ParsePrefix",
+		"repro/internal/core/collect.CheckDump",
 		"repro/internal/core/collect.CollectAll",
 		"repro/internal/core/collect.Login",
 		"repro/internal/core/collect.Preprocess",
-		"repro/internal/core/collect.ValidateDump",
 		"repro/internal/core/logger.encodePayload",
 		"repro/internal/core/seglog.Name",
-		"repro/internal/core/tables.BuildSnapshot",
+		"repro/internal/core/tables.ScanDumps",
 		"repro/internal/core/tables.igmpRow",
-		"repro/internal/core/tables.inOrder",
 		"repro/internal/core/tables.mbgpRow",
 		"repro/internal/core/tables.pairRow",
 		"repro/internal/core/tables.parseUptime",
 		"repro/internal/core/tables.routeRow",
 		"repro/internal/core/tables.saRow",
+		"repro/internal/core/tables.sorted",
+		"repro/internal/core/tables.union",
 	}
 	got := res.HotRoots
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

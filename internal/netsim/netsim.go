@@ -158,28 +158,7 @@ func (n *Network) bootstrapOrigins() {
 		if d.Mode != topo.ModeDVMRP {
 			continue
 		}
-		owned := make(map[addr.Prefix]bool)
-		for _, id := range d.Routers {
-			r := n.Topo.Router(id)
-			if n.DVMRP.HasRouter(id) {
-				// PIM-DM interior routers are not in the cloud; the
-				// border originates their subnets below.
-				n.DVMRP.Originate(id, now, 0, r.LeafPrefixes...)
-				for _, p := range r.LeafPrefixes {
-					owned[p] = true
-				}
-			}
-		}
-		var rest []addr.Prefix
-		for _, p := range d.Prefixes {
-			if !owned[p] {
-				rest = append(rest, p)
-			}
-		}
-		if d.Aggregate {
-			rest = addr.Aggregate(d.Prefixes)
-		}
-		n.DVMRP.Originate(d.Border(), now, 1, rest...)
+		n.reoriginate(d, now)
 	}
 	// Native cores speak MBGP and host MSDP from the start, idle until
 	// domains transition onto them.
@@ -406,12 +385,15 @@ func (n *Network) faults(now time.Time) {
 	}
 }
 
-// reoriginate reinstalls a domain's originations after a restart.
+// reoriginate installs a domain's originations, at start and again after
+// a restart.
 func (n *Network) reoriginate(d *topo.Domain, now time.Time) {
 	owned := make(map[addr.Prefix]bool)
 	for _, id := range d.Routers {
 		r := n.Topo.Router(id)
 		if n.DVMRP.HasRouter(id) {
+			// PIM-DM interior routers are not in the cloud; the border
+			// originates their subnets below.
 			n.DVMRP.Originate(id, now, 0, r.LeafPrefixes...)
 			for _, p := range r.LeafPrefixes {
 				owned[p] = true
