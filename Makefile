@@ -72,7 +72,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 26850
+LOC_CEILING = 26930
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -84,9 +84,12 @@ loc-check:
 # the validator and the parser it fused), the k-way snapshot merge and
 # the address scanners (each against the implementation it replaced:
 # equal results, equal error text), the
-# delta logger's sorted walk against the map-based diff it replaced
-# (equal records on well-formed tables, equal materialised tables and
-# reconstructions always), the stability tracker driven by the Log stage
+# delta logger's sorted walk and counter column against the map-based
+# diff it replaced (on well-formed tables its upserts are the identity
+# upserts plus the moved counters; the tables, materialised and
+# reconstructed — live, exported, through the WAL codec and a
+# checkpoint — equal the input bit for bit always), the stability
+# tracker driven by the Log stage
 # and the one replayed from delta-log records against one that observed
 # every table (live = handed off), the lint fact-summary extractor
 # (no panics; byte-identical summaries across independent parse/check

@@ -12,6 +12,7 @@ import (
 
 	mantra "repro"
 	"repro/internal/core/collect"
+	"repro/internal/core/logger"
 	"repro/internal/core/process"
 	"repro/internal/netsim"
 	"repro/internal/router"
@@ -387,6 +388,64 @@ func TestArchiveRefusesSilentOverwrite(t *testing.T) {
 	}
 	if m3.Log().Cycles("fixw") != 1 {
 		t.Fatalf("cycles = %d after refused overwrite", m3.Log().Cycles("fixw"))
+	}
+}
+
+// TestArchiveRefusesAnotherFormatVersion: resuming an archive written in
+// an earlier format must fail with ErrArchiveVersion and leave every file
+// as it was, not repair the unreadable segments away and start empty.
+func TestArchiveRefusesAnotherFormatVersion(t *testing.T) {
+	dir := t.TempDir()
+	n, m1 := newMonitoredNetwork(t)
+	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		n.Step()
+		if _, err := m1.RunCycle(n.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m1.CloseArchive(n.Now()); err != nil {
+		t.Fatal(err)
+	}
+	// The archive as the previous format wrote it: the same frames under
+	// the older magics.
+	for glob, magic := range map[string]string{"wal-*.seg": "MWAL0002", "ckpt-*.ck": "MCKP0003"} {
+		paths, _ := filepath.Glob(filepath.Join(dir, glob))
+		if len(paths) == 0 {
+			t.Fatalf("no %s file to age", glob)
+		}
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, append([]byte(magic), data[len(magic):]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	files := func() map[string]string {
+		out := make(map[string]string)
+		filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				data, _ := os.ReadFile(path)
+				out[path] = string(data)
+			}
+			return err
+		})
+		return out
+	}
+	before := files()
+
+	m2 := mantra.New()
+	rewire(m2, n, "fixw", "ucsb-r1")
+	if _, err := m2.EnableArchive(mantra.ArchiveConfig{Dir: dir, Resume: true}); !errors.Is(err, logger.ErrArchiveVersion) {
+		t.Fatalf("err = %v, want ErrArchiveVersion", err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused resume changed the archive's files")
 	}
 }
 

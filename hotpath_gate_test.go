@@ -20,6 +20,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/addr"
 	"repro/internal/core/collect"
 	"repro/internal/core/cycle"
 	"repro/internal/core/engine"
@@ -358,6 +359,80 @@ func TestLoggerAppendSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Append + ObserveDelta allocated %d bytes a cycle over a %d-byte route table, gate is %d", perCycle, tableBytes, gate)
 	}
 	t.Logf("Append + ObserveDelta: %d bytes a cycle, route table %d bytes", perCycle, tableBytes)
+}
+
+// counterTables returns two versions of a pairs-row (S,G) table in key
+// order: b is a with every packet count advanced and every fifth rate
+// changed, as one cycle of active multicast moves them.
+func counterTables(pairs int) (a, b tables.PairTable) {
+	since := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < pairs; i++ {
+		e := tables.PairEntry{Source: addr.IP(0x0a000000 + uint32(i%50)), Group: addr.IP(0xe0020000 + uint32(i/50)),
+			Flags: "DT", RateKbps: float64(i%7) + 0.25, Packets: uint64(1000 * i), Since: since}
+		a = append(a, e)
+		e.Packets += uint64(1 + i%90)
+		if i%5 == 0 {
+			e.RateKbps += 1.5
+		}
+		b = append(b, e)
+	}
+	return a, b
+}
+
+// TestLoggerCounterColumnRetainedBytes gates what the delta log keeps
+// of a table whose identity stands still while every packet count moves
+// and a fifth of the rates change: 200 cycles of 2 000 pairs must be
+// held in a tenth of what logging every pair every cycle would take.
+// (When a pair's counters were part of its logged row, the log kept
+// every row of every cycle.) On the same table a steady-state Append
+// allocates at most once, the record's counter column, and a cycle in
+// which no counter moves stores no column at all.
+func TestLoggerCounterColumnRetainedBytes(t *testing.T) {
+	const pairs, cycles = 2000, 200
+	a, b := counterTables(pairs)
+	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+	next := func(c int) *tables.Snapshot {
+		at = at.Add(30 * time.Minute)
+		sn := &tables.Snapshot{Target: "rp", At: at, Pairs: append(tables.PairTable(nil), a...)}
+		for i := range sn.Pairs {
+			sn.Pairs[i].Packets += uint64(c) * (b[i].Packets - a[i].Packets)
+			if c%2 == 1 {
+				sn.Pairs[i].RateKbps = b[i].RateKbps
+			}
+		}
+		return sn
+	}
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := logger.New()
+	for c := 0; c < cycles; c++ {
+		l.Append(next(c))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if gate := int64(cycles * pairs * unsafe.Sizeof(tables.PairEntry{}) / 10); retained > gate {
+		t.Errorf("the log retains %d bytes after %d cycles of %d pairs, gate is %d", retained, cycles, pairs, gate)
+	}
+	t.Logf("log of %d cycles × %d pairs: %d bytes retained", cycles, pairs, retained)
+	runtime.KeepAlive(l)
+
+	snA, snB := &tables.Snapshot{Target: "rp", Pairs: a}, &tables.Snapshot{Target: "rp", Pairs: b}
+	steady := logger.New()
+	steady.Append(snA)
+	if rec := steady.Append(snA); rec.Pairs.Counters != nil || len(rec.Pairs.Upserted) != 0 {
+		t.Errorf("a cycle in which nothing moved logged %d upserts and a %d-byte column", len(rec.Pairs.Upserted), len(rec.Pairs.Counters))
+	}
+	flip := false
+	allocGate(t, "Logger.Append, every counter moving", 1, func() {
+		if flip = !flip; flip {
+			steady.Append(snB)
+		} else {
+			steady.Append(snA)
+		}
+	})
 }
 
 // TestIngestSteadyStateAllocs holds Processor.Ingest to what it

@@ -106,14 +106,14 @@ func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
 	c.Engine.SetLatest(name, ck.Latest[name])
 }
 
-// RemoveTarget drops a target's live state after it moved elsewhere.
-// The delta logger keeps its (now stale) records — fleet views read
-// through the assignment map, so they are unreachable, and a later
-// re-import replaces them wholesale.
+// RemoveTarget drops a target's state after it moved elsewhere, its
+// delta log included: the new owner imported the history, and a copy
+// left here would be one more for every handoff and failback.
 //
 //mantra:statetransfer root=handoff-remove
 func (c *Core) RemoveTarget(name string) {
 	c.Proc.ImportTarget(name, nil, nil)
+	c.Log.Remove(name)
 	c.Engine.SetStability(name, nil)
 	c.Engine.SetLatest(name, nil)
 	c.Collector.ResetTarget(name)

@@ -24,7 +24,7 @@ import (
 
 // ckptPayload is the serialized checkpoint contents.
 //
-//mantra:codec pair=ckpt-payload magic=ckptMagic shape=ffcb12983bc4a854
+//mantra:codec pair=ckpt-payload magic=ckptMagic shape=ffd584983bcdbe8f
 type ckptPayload struct {
 	// Seq is the last WAL sequence number the checkpoint covers.
 	Seq uint64
@@ -89,7 +89,9 @@ func (s *Store) Recover() *RecoveredArchive {
 	for _, r := range s.tail {
 		switch r.Kind {
 		case recDelta:
-			ra.Logger.ApplyRecord(r.Target, r.Rec, r.FullEntries)
+			if ra.Logger.ApplyRecord(r.Target, r.Rec, r.FullEntries) != nil {
+				ra.Stats.UnappliedCounters++
+			}
 			sn, _ := ra.Logger.Materialized(r.Target)
 			ra.Events = append(ra.Events, ReplayEvent{
 				Target:     r.Target,

@@ -7,6 +7,7 @@
 package logger
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -74,18 +75,17 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-//mantra:codec pair=walpair role=encode type=tables.PairEntry magic=segMagic shape=4691f57f4641d9b4
+// appendPair encodes an identity row: the counters travel in the column.
+//
+//mantra:codec pair=walpair role=encode type=tables.PairEntry magic=segMagic shape=9eec16c2163611f8
 func appendPair(b []byte, e tables.PairEntry) []byte {
 	b = seglog.AppendU32(b, uint32(e.Source))
 	b = seglog.AppendU32(b, uint32(e.Group))
 	b = seglog.AppendString(b, e.Flags)
-	b = seglog.AppendU64(b, math.Float64bits(e.RateKbps))
-	b = seglog.AppendU64(b, e.Packets)
-	b = seglog.AppendVarint(b, int64(e.Uptime))
 	return appendTime(b, e.Since)
 }
 
-//mantra:codec pair=walroute role=encode type=tables.RouteEntry magic=segMagic shape=2ae0e88bfd8eabb5
+//mantra:codec pair=walroute role=encode type=tables.RouteEntry magic=segMagic shape=2add3e8bfd8b5500
 func appendRoute(b []byte, e tables.RouteEntry) []byte {
 	b = seglog.AppendU32(b, uint32(e.Prefix.Addr))
 	b = append(b, byte(e.Prefix.Len))
@@ -96,10 +96,72 @@ func appendRoute(b []byte, e tables.RouteEntry) []byte {
 	return appendTime(b, e.Since)
 }
 
+// --- the counter column ---------------------------------------------------
+
+// A counter column is a uvarint row count, the length of the table its
+// record leaves, then a row per pair of it in key order: the uvarint
+// zigzag(Packets − predecessor's Packets)<<1 | rate-changed, then the new
+// rate's 8 raw Float64bits if it changed. Deltas wrap modulo 2^64; one
+// whose zigzag is too wide to shift is written as wideDelta followed by
+// its own 8 raw bytes. A new key's predecessor counts 0 packets at +0.
+const wideDelta = 1<<63 - 1
+
+func appendCounter(b []byte, d, rate uint64, rateChanged bool) []byte {
+	zz := uint64(int64(d)<<1) ^ uint64(int64(d)>>63)
+	b = seglog.AppendUvarint(b, min(zz, wideDelta)<<1|uint64(boolByte(rateChanged)))
+	if zz >= wideDelta {
+		b = seglog.AppendU64(b, d)
+	}
+	if rateChanged {
+		b = seglog.AppendU64(b, rate)
+	}
+	return b
+}
+
+// sealColumn puts the row count before the rows, in a slice allocated
+// at its length: the record keeps it, the rows' buffer is reused.
+func sealColumn(rows int, body []byte) []byte {
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(rows))
+	return append(append(make([]byte, 0, n+len(body)), hdr[:n]...), body...)
+}
+
+// readColumn parses a counter column and, with apply, advances the
+// counters of t row by row. A column that does not parse into its
+// declared row count, or with apply has not one row per row of t, is
+// ErrBadRecord; t is left alone if the count is what does not fit.
+func readColumn(col []byte, t tables.PairTable, apply bool) error {
+	r := byteReader{seglog.NewReader(col, ErrBadRecord)}
+	n := r.count(1)
+	if apply && n != len(t) {
+		r.Fail()
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		tag := r.Uvarint()
+		d := uint64(int64(tag>>2) ^ -int64(tag>>1&1))
+		if tag>>1 == wideDelta {
+			d = r.U64()
+		}
+		if tag&1 == 1 {
+			rate := r.U64()
+			if apply {
+				t[i].RateKbps = math.Float64frombits(rate)
+			}
+		}
+		if apply {
+			t[i].Packets += d
+		}
+	}
+	if len(r.Rest()) != 0 {
+		r.Fail()
+	}
+	return r.Err()
+}
+
 // encodePayload renders a record's payload (everything inside the frame).
 //
 //mantra:hotpath budget=1
-//mantra:codec pair=walrecord role=encode type=walRecord magic=segMagic shape=353c833e13fee140
+//mantra:codec pair=walrecord role=encode type=walRecord magic=segMagic shape=dc9f90f815931369
 func encodePayload(r walRecord) []byte {
 	b := make([]byte, 0, 64)
 	b = seglog.AppendUvarint(b, r.Seq)
@@ -120,6 +182,8 @@ func encodePayload(r walRecord) []byte {
 			b = seglog.AppendU32(b, uint32(k.Source))
 			b = seglog.AppendU32(b, uint32(k.Group))
 		}
+		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Pairs.Counters)))
+		b = append(b, r.Rec.Pairs.Counters...)
 		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Routes.Upserted)))
 		for _, e := range r.Rec.Routes.Upserted {
 			b = appendRoute(b, e)
@@ -177,11 +241,26 @@ func (r byteReader) pair() tables.PairEntry {
 	e.Source = addr.IP(r.U32())
 	e.Group = addr.IP(r.U32())
 	e.Flags = r.Str()
-	e.RateKbps = math.Float64frombits(r.U64())
-	e.Packets = r.U64()
-	e.Uptime = time.Duration(r.Varint())
 	e.Since = r.time()
 	return e
+}
+
+func (r byteReader) pairKey() pairKey {
+	return pairKey{Source: addr.IP(r.U32()), Group: addr.IP(r.U32())}
+}
+
+// readList reads a count-prefixed list of elements of at least min
+// bytes each; nil when it is empty.
+func readList[T any](r byteReader, min int, elem func() T) []T {
+	n := r.count(min)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, elem())
+	}
+	return out
 }
 
 func (r byteReader) prefix() addr.Prefix {
@@ -221,31 +300,16 @@ func decodePayload(b []byte) (walRecord, error) {
 		out.FullEntries = r.Uvarint()
 		out.Rec.SACache = int(r.Uvarint())
 		out.Rec.MBGPRoutes = int(r.Uvarint())
-		if n := r.count(2); n > 0 {
-			out.Rec.Pairs.Upserted = make([]tables.PairEntry, 0, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				out.Rec.Pairs.Upserted = append(out.Rec.Pairs.Upserted, r.pair())
+		out.Rec.Pairs.Upserted = readList(r, 2, r.pair)
+		out.Rec.Pairs.Removed = readList(r, 8, r.pairKey)
+		if col := r.Str(); col != "" {
+			out.Rec.Pairs.Counters = []byte(col) // not a slice of the segment's read buffer
+			if readColumn(out.Rec.Pairs.Counters, nil, false) != nil {
+				r.Fail()
 			}
 		}
-		if n := r.count(8); n > 0 {
-			out.Rec.Pairs.Removed = make([]pairKey, 0, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				k := pairKey{Source: addr.IP(r.U32()), Group: addr.IP(r.U32())}
-				out.Rec.Pairs.Removed = append(out.Rec.Pairs.Removed, k)
-			}
-		}
-		if n := r.count(2); n > 0 {
-			out.Rec.Routes.Upserted = make([]tables.RouteEntry, 0, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				out.Rec.Routes.Upserted = append(out.Rec.Routes.Upserted, r.route())
-			}
-		}
-		if n := r.count(5); n > 0 {
-			out.Rec.Routes.Removed = make([]addr.Prefix, 0, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				out.Rec.Routes.Removed = append(out.Rec.Routes.Removed, r.prefix())
-			}
-		}
+		out.Rec.Routes.Upserted = readList(r, 2, r.route)
+		out.Rec.Routes.Removed = readList(r, 5, r.prefix)
 	case recGap:
 		out.At = r.time()
 		out.Reason = r.Str()

@@ -1,6 +1,9 @@
 package logger
 
 import (
+	"bytes"
+	"encoding/gob"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,6 +13,13 @@ import (
 	"repro/internal/core/tables"
 	"repro/internal/sim"
 )
+
+// normPair is the row the reference logs: the whole pair, counters and
+// all, but for the per-cycle aging field the absolute Since carries.
+func normPair(e tables.PairEntry) tables.PairEntry {
+	e.Uptime = 0
+	return e
+}
 
 // refLog is the delta logger as it stood before the sorted walk: the
 // materialised tables are hash maps, a cycle is diffed by mark and sweep
@@ -161,22 +171,37 @@ var (
 		}
 		return out
 	}()
+	// fuzzFlags are the flag strings a pair's content counter cycles
+	// through: a content change is an identity change.
+	fuzzFlags = [...]string{"D", "DT", "DP"}
 )
 
-// fuzzRow is one pool entry's state across cycles: when it came up, and
-// a content counter a change bumps.
+// fuzzCounters picks a pair's counters off its scripted argument: a rate
+// that is ordinary (following the content counter), +0, −0 or one of two
+// NaNs, and a packet count that advances, stands still, is 0 or
+// MaxUint64, runs backwards (a counter reset) or sits 2^63 from 0.
+func fuzzCounters(arg byte, rev, cycle int) (float64, uint64) {
+	rates := [...]float64{float64(rev), 0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0abc), float64(rev) + 0.5}
+	packets := [...]uint64{uint64(cycle), 7, 0, math.MaxUint64, uint64(1000 - cycle), 1 << 63}
+	return rates[arg%6], packets[arg/6%6]
+}
+
+// fuzzRow is one pool entry's state across cycles: when it came up, a
+// content counter a change bumps, and the argument its last scripted
+// byte carried.
 type fuzzRow struct {
 	since time.Time
 	rev   int
 	up    bool
+	arg   byte
 }
 
 // fuzzTable reads one byte per pool entry off data — absent, unchanged,
 // content changed, uptime reset, listed twice with different contents,
-// or listed before its predecessor — updates the entries' state and
-// calls list(i, k) for the k-th row of entry i, in table order. It
-// reports whether the table came out in key order and whether it lists
-// a key twice.
+// or listed before its predecessor, in its low three bits; an argument
+// in the rest — updates the entries' state and calls list(i, k) for the
+// k-th row of entry i, in table order. It reports whether the table
+// came out in key order and whether it lists a key twice.
 func fuzzTable(data []byte, pool []fuzzRow, at time.Time, list func(i, k int), swapLastTwo func()) (rest []byte, sorted, duplicates bool) {
 	sorted = true
 	listed := 0
@@ -196,6 +221,7 @@ func fuzzTable(data []byte, pool []fuzzRow, at time.Time, list func(i, k int), s
 		if op == 2 {
 			r.rev++
 		}
+		r.arg = b >> 3
 		list(i, 0)
 		listed++
 		switch {
@@ -211,24 +237,51 @@ func fuzzTable(data []byte, pool []fuzzRow, at time.Time, list func(i, k int), s
 	return data, sorted, duplicates
 }
 
+// samePairs compares pair tables row for row. exact compares rates by
+// their bits, so ±0 and NaN payloads must match too; otherwise rates
+// compare by ==, as the reference compared them, except that a NaN
+// equals the same NaN.
+func samePairs(a, b tables.PairTable, exact bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.RateKbps) != math.Float64bits(y.RateKbps) && (exact || x.RateKbps != y.RateKbps) {
+			return false
+		}
+		x.RateKbps, y.RateKbps = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+func sameTables(a, b *tables.Snapshot, exact bool) bool {
+	return a.Target == b.Target && a.At == b.At && samePairs(a.Pairs, b.Pairs, exact) && reflect.DeepEqual(a.Routes, b.Routes)
+}
+
 // FuzzAppendMatchesMapDiff drives the logger and the map-based reference
 // it replaced through the same scripted history of one target and
-// compares them after every cycle.
+// compares what their records mean after every cycle.
 //
 // data scripts the run. Each cycle reads one control byte — a gap, empty
 // tables, whole-table turnover (every entry comes up afresh with new
 // content), or plain tables — and then one byte per pool entry; see
-// fuzzTable.
+// fuzzTable and fuzzCounters.
 //
-// A cycle whose tables are in key order and duplicate-free must log the
-// reference's record, entry for entry, whatever came before it. Always
-// equal: the materialised tables, every cycle's reconstruction, the
-// full-entry count, and the tables of a logger rebuilt from either
-// side's records (the reference's are what a WAL written before the
-// walk holds: upserts in arrival order, a key possibly twice). The
-// delta-entry count is compared until the first duplicate key: the
-// reference logged both rows of a key listed twice, the walk logs the
-// one that wins.
+// Always equal, rates by their bits: the tables a cycle hands Append (in
+// key order, the last row of a key winning) and the logger's
+// materialised tables, and every cycle's reconstruction from the live
+// logger and from loggers rebuilt from its export, from its records
+// after a WAL payload round trip and from a checkpoint gob round trip.
+// The reference compared rates with !=, so it logged no sign change of
+// a zero rate and logged a NaN every cycle; it must agree under ==. On
+// a cycle whose tables are in key order and duplicate-free, the
+// reference's record upserts exactly the keys the logger's identity
+// delta upserts plus those whose counters the reference saw change, and
+// removes and changes routes exactly as the logger does.
 func FuzzAppendMatchesMapDiff(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 5, 1, 6, 1, 0, 2, 3, 4, 6, 5, 1, 1, 1, 1, 1, 3, 0, 2, 1, 1, 0, 2, 1, 1, 1, 1, 3, 2, 1})
@@ -245,13 +298,60 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 	}
 	f.Add(long)
 
+	// The counter column's edge cases. A plain cycle leaves every route
+	// as it is and scripts pair i with row(arg, op); an argument picks
+	// rate arg%6 and packet count arg/6 of fuzzCounters' lists.
+	row := func(arg, op byte) byte { return arg<<3 | op }
+	plain := func(pairs ...byte) []byte { return append([]byte{3, 1, 1, 1, 1, 1, 1, 1, 1}, pairs...) }
+	script := func(cycles ...[]byte) []byte { return bytes.Join(cycles, nil) }
+	still := row(6, 1) // an ordinary rate over a packet count that stands still
+	// Rates: −0, +0 and two NaNs over still packets on one pair, a rate
+	// flipping back and forth on another.
+	var rates [][]byte
+	for c, a := range []byte{8, 7, 8, 9, 9, 10, 9, 7, 8, 8} {
+		rates = append(rates, plain(row(a, 1), row(6+5*byte(c%2), 1), still, still, still, still))
+	}
+	f.Add(script(rates...))
+	// Packets: running backwards, 0 ↔ MaxUint64, 0 ↔ 2^63 (the wide
+	// escape), MaxUint64 ↔ 2^63, advancing, and a pair coming and going.
+	var packets [][]byte
+	for c := byte(0); c < 10; c++ {
+		odd := c % 2
+		packets = append(packets, plain(row(25, 1), row(13+6*odd, 1), row(13+18*odd, 1), row(19+12*odd, 1), row(1, 1), row(1, odd)))
+	}
+	f.Add(script(packets...))
+	// Identity changes under counters that stand still: new flags, a
+	// new start instant, both, then nothing.
+	f.Add(script(
+		plain(row(7, 1), row(7, 1), row(7, 1), row(7, 1), row(7, 1), row(7, 1)),
+		plain(row(7, 2), row(7, 3), row(7, 1), row(7, 2), row(7, 1), row(7, 1)),
+		plain(row(7, 2), row(7, 2), row(7, 3), row(7, 1), row(7, 1), row(7, 1)),
+		plain(row(7, 1), row(7, 1), row(7, 1), row(7, 1), row(7, 1), row(7, 1)),
+	))
+	// Duplicate and out-of-order rows carrying the edge values, gaps,
+	// empty tables and whole-table turnover.
+	f.Add(script(
+		plain(row(8, 1), row(9, 5), row(19, 6), row(31, 1), row(10, 5), row(13, 6)),
+		[]byte{0},
+		plain(row(7, 5), row(8, 1), row(9, 6), row(13, 5), row(31, 6), row(19, 1)),
+		[]byte{1},
+		[]byte{1},
+		plain(row(25, 1), row(19, 1), row(8, 1), row(9, 1), row(0, 1), row(1, 1)),
+		[]byte{0, 0},
+		append([]byte{2, 1, 1, 1, 1, 1, 1, 1, 1}, row(9, 1), row(8, 5), row(31, 6), row(19, 1), row(10, 1), row(7, 6)),
+		plain(row(9, 1), row(8, 1), row(31, 1), row(19, 1), row(10, 1), row(7, 1)),
+	))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const target = "fixw"
 		got, want := New(), newRefLog()
 		routes := make([]fuzzRow, len(fuzzPrefixes))
 		pairs := make([]fuzzRow, len(fuzzPairKeys))
 		at := sim.Epoch
-		noDuplicates := true
+		// given holds each logged cycle's tables as Append takes them: in
+		// key order, the last row of a key winning, uptimes from Since.
+		var given []*tables.Snapshot
+		var prev tables.PairTable
 		for cycle := 0; len(data) > 0; cycle++ {
 			ctl := data[0] % 8
 			data = data[1:]
@@ -284,68 +384,108 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 				})
 				data, sortedP, dupP = fuzzTable(data, pairs, at, func(i, k int) {
 					r, key := pairs[i], fuzzPairKeys[i]
-					sn.Pairs = append(sn.Pairs, tables.PairEntry{Source: key.Source, Group: key.Group, Flags: "D", RateKbps: float64(r.rev + k), Packets: uint64(cycle), Since: r.since, Uptime: at.Sub(r.since)})
+					rate, packets := fuzzCounters(r.arg, r.rev+k, cycle)
+					sn.Pairs = append(sn.Pairs, tables.PairEntry{Source: key.Source, Group: key.Group, Flags: fuzzFlags[(r.rev+k)%3], RateKbps: rate, Packets: packets, Since: r.since, Uptime: at.Sub(r.since)})
 				}, func() {
 					m := len(sn.Pairs)
 					sn.Pairs[m-1], sn.Pairs[m-2] = sn.Pairs[m-2], sn.Pairs[m-1]
 				})
 				wellFormed = sortedR && sortedP && !dupR && !dupP
-				noDuplicates = noDuplicates && !dupR && !dupP
 			}
 			givenP, givenR := append(tables.PairTable(nil), sn.Pairs...), append(tables.RouteTable(nil), sn.Routes...)
 			gotRec, wantRec := got.Append(sn), want.Append(sn)
-			if !reflect.DeepEqual(sn.Pairs, givenP) || !reflect.DeepEqual(sn.Routes, givenR) {
+			if !samePairs(sn.Pairs, givenP, true) || !reflect.DeepEqual(sn.Routes, givenR) {
 				t.Fatalf("cycle %d: Append wrote to the snapshot's tables", cycle)
 			}
-			if wellFormed && !reflect.DeepEqual(gotRec, wantRec) {
-				t.Fatalf("cycle %d: record differs from the map diff's on well-formed input\ngot:  %+v\nwant: %+v", cycle, gotRec, wantRec)
+			cur := &tables.Snapshot{Target: target, At: at,
+				Pairs:  pairsAt(tables.PairTable(nil).Walk(givenP, func(_, _ *tables.PairEntry) {}), at),
+				Routes: routesAt(tables.RouteTable(nil).Walk(givenR, func(_, _ *tables.RouteEntry) {}), at)}
+			given = append(given, cur)
+
+			for _, e := range gotRec.Pairs.Upserted {
+				if e.RateKbps != 0 || math.Signbit(e.RateKbps) || e.Packets != 0 || e.Uptime != 0 {
+					t.Fatalf("cycle %d: identity upsert carries counters: %+v", cycle, e)
+				}
 			}
+			if wellFormed {
+				// The keys the reference upserted: the identity delta's,
+				// plus those whose counters it saw change.
+				ids := make(map[pairKey]bool)
+				for _, e := range gotRec.Pairs.Upserted {
+					ids[pairKey{Source: e.Source, Group: e.Group}] = true
+				}
+				last := make(map[pairKey]tables.PairEntry)
+				for _, e := range prev {
+					last[pairKey{Source: e.Source, Group: e.Group}] = e
+				}
+				var gotKeys, wantKeys []pairKey
+				for _, e := range cur.Pairs {
+					k := pairKey{Source: e.Source, Group: e.Group}
+					if old := last[k]; ids[k] || old.Packets != e.Packets || old.RateKbps != e.RateKbps {
+						gotKeys = append(gotKeys, k)
+					}
+				}
+				for _, e := range wantRec.Pairs.Upserted {
+					wantKeys = append(wantKeys, pairKey{Source: e.Source, Group: e.Group})
+				}
+				if !reflect.DeepEqual(gotKeys, wantKeys) || !reflect.DeepEqual(gotRec.Pairs.Removed, wantRec.Pairs.Removed) || !reflect.DeepEqual(gotRec.Routes, wantRec.Routes) {
+					t.Fatalf("cycle %d: record means something else than the map diff's on well-formed input\ngot:  %+v upserting %v\nwant: %+v upserting %v", cycle, gotRec, gotKeys, wantRec, wantKeys)
+				}
+			}
+			prev = cur.Pairs
 
 			gotSn, ok := got.Materialized(target)
-			if wantSn := want.Materialized(target); !ok || !reflect.DeepEqual(gotSn, wantSn) {
-				t.Fatalf("cycle %d: materialised tables differ\ngot:  %+v\nwant: %+v", cycle, gotSn, wantSn)
+			if !ok || !sameTables(gotSn, cur, true) || !sameTables(gotSn, want.Materialized(target), false) {
+				t.Fatalf("cycle %d: materialised tables differ\ngot:   %+v\ngiven: %+v\nref:   %+v", cycle, gotSn, cur, want.Materialized(target))
 			}
-			gotDelta, gotFull, gotRatio := got.StorageStats(target)
-			if gotFull != want.fullEntries {
+			if _, gotFull, _ := got.StorageStats(target); gotFull != want.fullEntries {
 				t.Fatalf("cycle %d: %d full entries, reference %d", cycle, gotFull, want.fullEntries)
 			}
-			if noDuplicates && (gotDelta != want.deltaEntries || gotDelta > 0 && gotRatio != float64(gotFull)/float64(gotDelta)) {
-				t.Fatalf("cycle %d: %d delta entries (ratio %v), reference %d", cycle, gotDelta, gotRatio, want.deltaEntries)
-			}
 		}
-		if len(want.Records) == 0 {
+		if len(given) == 0 {
 			return
 		}
 
-		// The logger rebuilt from its own export and from the reference's
-		// records, and reconstructions of the early cycles, every
-		// seventh after them, and the last.
-		own, fromRef := FromState(got.ExportState()), New()
-		for _, rec := range want.Records {
-			fromRef.ApplyRecord(target, rec, 0)
+		// The logger rebuilt from its own export, from its records sent
+		// through the WAL codec, and from a checkpoint's gob.
+		own, wal := FromState(got.ExportState()), New()
+		for idx := range given {
+			rec, _ := got.Record(target, idx)
+			r, err := decodePayload(encodePayload(walRecord{Seq: uint64(idx + 1), Kind: recDelta, Target: target, Rec: rec}))
+			if err != nil {
+				t.Fatalf("cycle %d: WAL round trip: %v", idx, err)
+			}
+			if err := wal.ApplyRecord(target, r.Rec, 0); err != nil {
+				t.Fatalf("cycle %d: the decoded record does not apply: %v", idx, err)
+			}
 		}
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(&ckptPayload{State: got.ExportState()}); err != nil {
+			t.Fatal(err)
+		}
+		var pay ckptPayload
+		if err := gob.NewDecoder(&body).Decode(&pay); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := FromState(pay.State)
 		loggers := []struct {
 			name string
 			l    *Logger
-		}{{"the live logger", got}, {"its own export", own}, {"the reference's records", fromRef}}
-		last := len(want.Records) - 1
-		for idx := range want.Records {
-			if idx > 16 && idx%7 != 0 && idx != last {
-				continue
-			}
-			wantSn := want.Reconstruct(target, idx)
+		}{{"the live logger", got}, {"its own export", own}, {"its WAL payloads", wal}, {"a checkpoint", ckpt}}
+		for idx, cur := range given {
+			ref := want.Reconstruct(target, idx)
 			for _, c := range loggers {
 				p, err1 := c.l.ReconstructPairs(target, idx)
 				r, err2 := c.l.ReconstructRoutes(target, idx)
-				if err1 != nil || err2 != nil || !reflect.DeepEqual(p, wantSn.Pairs) || !reflect.DeepEqual(r, wantSn.Routes) {
-					t.Fatalf("cycle %d reconstructed from %s differs (%v, %v)\ngot:  %+v %+v\nwant: %+v %+v", idx, c.name, err1, err2, p, r, wantSn.Pairs, wantSn.Routes)
+				sn := &tables.Snapshot{Target: target, At: cur.At, Pairs: p, Routes: r}
+				if err1 != nil || err2 != nil || !sameTables(sn, cur, true) || !sameTables(sn, ref, false) {
+					t.Fatalf("cycle %d reconstructed from %s differs (%v, %v)\ngot:   %+v\ngiven: %+v\nref:   %+v", idx, c.name, err1, err2, sn, cur, ref)
 				}
 			}
 		}
-		wantSn := want.Materialized(target)
 		for _, c := range loggers[1:] {
-			if sn, ok := c.l.Materialized(target); !ok || !reflect.DeepEqual(sn, wantSn) {
-				t.Fatalf("logger rebuilt from %s materialises differently\ngot:  %+v\nwant: %+v", c.name, sn, wantSn)
+			if sn, ok := c.l.Materialized(target); !ok || !sameTables(sn, given[len(given)-1], true) {
+				t.Fatalf("logger rebuilt from %s materialises differently\ngot:  %+v\nwant: %+v", c.name, sn, given[len(given)-1])
 			}
 		}
 		d1, f1, _ := got.StorageStats(target)

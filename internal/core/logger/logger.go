@@ -4,7 +4,9 @@
 //
 //   - deltas only: instead of whole tables, only the entries that were
 //     added, removed or changed since the previous cycle are stored
-//     (very effective for the slowly-changing route table);
+//     (very effective for the slowly-changing route table); a pair's
+//     counters move every cycle, so they go in a column of varint
+//     differences beside the delta of the pairs' identities;
 //   - no redundancy: the Participant and Session tables are derivable
 //     from the Pair table, so they are never logged at all.
 //
@@ -13,6 +15,8 @@ package logger
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,17 +26,20 @@ import (
 
 // pairKey identifies a pair-table entry.
 //
-//mantra:codec pair=ckpt-pairkey magic=ckptMagic shape=0d2322c414215d8d
+//mantra:codec pair=ckpt-pairkey magic=ckptMagic shape=0d0b18c4140cbaae
 type pairKey struct {
 	Source addr.IP
 	Group  addr.IP
 }
 
-// PairDelta is the pair-table change set of one cycle. Changed entries
-// appear in Upserted with their new contents.
+// PairDelta is the pair-table change set of one cycle. Upserted holds
+// the rows whose key is new or whose Flags or Since changed, counters
+// and Uptime zeroed; Counters is the column (codec.go) of every pair's
+// Packets and RateKbps against the previous cycle's, nil if none moved.
 type PairDelta struct {
 	Upserted []tables.PairEntry
 	Removed  []pairKey
+	Counters []byte
 }
 
 // RouteDelta is the route-table change set of one cycle.
@@ -43,7 +50,7 @@ type RouteDelta struct {
 
 // CycleRecord is one logged monitoring cycle for one target.
 //
-//mantra:codec pair=ckpt-cyclerecord magic=ckptMagic shape=fb6ea90746e0bd64
+//mantra:codec pair=ckpt-cyclerecord magic=ckptMagic shape=fb791b0746e9d39f
 type CycleRecord struct {
 	At     time.Time
 	Pairs  PairDelta
@@ -59,7 +66,7 @@ type CycleRecord struct {
 // GapMark records one failed collection cycle: no snapshot arrived at At,
 // so the delta chain has an explicit hole there instead of a silent one.
 //
-//mantra:codec pair=ckpt-gapmark magic=ckptMagic shape=79bd63d781e28f03
+//mantra:codec pair=ckpt-gapmark magic=ckptMagic shape=79ce61d781f0fed0
 type GapMark struct {
 	At     time.Time
 	Reason string
@@ -77,6 +84,7 @@ type targetLog struct {
 	// and never written; their Uptime is that cycle's and is ignored.
 	pairs  tables.PairTable
 	routes tables.RouteTable
+	column []byte // Append's scratch buffer for the counter rows
 	// fullEntries counts what full-snapshot storage would have used.
 	fullEntries  uint64
 	deltaEntries uint64
@@ -92,11 +100,10 @@ func New() *Logger {
 	return &Logger{targets: make(map[string]*targetLog)}
 }
 
-// normPair strips the per-cycle aging field: the absolute Since instant
-// carries the same information and is stable while the entry persists.
-func normPair(e tables.PairEntry) tables.PairEntry {
-	e.Uptime = 0
-	return e
+// identity strips a pair row to what Upserted logs. The absolute Since
+// carries the per-cycle Uptime and is stable while the entry persists.
+func identity(e tables.PairEntry) tables.PairEntry {
+	return tables.PairEntry{Source: e.Source, Group: e.Group, Flags: e.Flags, Since: e.Since}
 }
 
 func normRoute(e tables.RouteEntry) tables.RouteEntry {
@@ -121,22 +128,37 @@ func (l *Logger) target(name string) *targetLog {
 // order, so the record lists upserts and removals in key order with no
 // sorting, and are then kept — by reference, not copied — as the next
 // cycle's predecessor: a snapshot handed to Append must not be written
-// afterwards. The budget is the two visitors, which capture the record
-// being built; its slices are returned and cannot be pooled.
+// afterwards. The walk also writes the counter rows to a scratch buffer
+// the record gets a copy of if a counter moved. The budget is the two
+// visitors, which capture the record being built; its slices are
+// returned and cannot be pooled.
 //
 //mantra:hotpath budget=2
 func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
 	tl := l.target(sn.Target)
 	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP)}
 
+	col, moved := tl.column[:0], false
 	tl.pairs = tl.pairs.Walk(sn.Pairs, func(old, cur *tables.PairEntry) {
-		switch {
-		case cur == nil:
+		if cur == nil {
 			rec.Pairs.Removed = append(rec.Pairs.Removed, pairKey{Source: old.Source, Group: old.Group})
-		case old == nil || normPair(*old) != normPair(*cur):
-			rec.Pairs.Upserted = append(rec.Pairs.Upserted, normPair(*cur))
+			return
 		}
+		var packets, rate uint64 // a new key's predecessor counts nothing
+		if old != nil {
+			packets, rate = old.Packets, math.Float64bits(old.RateKbps)
+		}
+		if old == nil || identity(*old) != identity(*cur) {
+			rec.Pairs.Upserted = append(rec.Pairs.Upserted, identity(*cur))
+		}
+		d, r := cur.Packets-packets, math.Float64bits(cur.RateKbps)
+		col = appendCounter(col, d, r, r != rate)
+		moved = moved || d != 0 || r != rate
 	})
+	tl.column = col
+	if moved {
+		rec.Pairs.Counters = sealColumn(len(tl.pairs), col)
+	}
 	tl.routes = tl.routes.Walk(sn.Routes, func(old, cur *tables.RouteEntry) {
 		switch {
 		case cur == nil:
@@ -159,18 +181,22 @@ func deltaSize(rec CycleRecord) uint64 {
 
 // patch returns prev with one record's change set applied — the same
 // walk Append runs, twice: the upserts are walked in, then the removed
-// keys, as rows that hold only a key, are walked out. The result is a
-// new table unless the change set is empty; prev is never written.
-func patch[T ~[]E, E any](walk func(prev, cur T, visit func(old, cur *E)) T, prev, upserted, removed T) T {
+// keys, as rows that hold only a key, are walked out; keep, if set,
+// gives an upserted row what it lacks from the row it replaces. The
+// result is new unless the change set is empty; prev is never written.
+func patch[T ~[]E, E any](walk func(prev, cur T, visit func(old, cur *E)) T, prev, upserted, removed T, keep func(dst, old *E)) T {
 	if len(upserted) == 0 && len(removed) == 0 {
 		return prev
 	}
 	out := make(T, 0, len(prev)+len(upserted))
 	walk(prev, upserted, func(old, cur *E) {
-		if cur != nil {
-			old = cur
+		if cur == nil {
+			cur, old = old, nil
 		}
-		out = append(out, *old)
+		out = append(out, *cur)
+		if old != nil && keep != nil {
+			keep(&out[len(out)-1], old)
+		}
 	})
 	if len(removed) == 0 {
 		return out
@@ -186,12 +212,24 @@ func patch[T ~[]E, E any](walk func(prev, cur T, visit func(old, cur *E)) T, pre
 	return kept
 }
 
-func patchPairs(prev tables.PairTable, d PairDelta) tables.PairTable {
+// patchPairs applies the identity delta, then the counter column to the
+// table it leaves; prev is never written. A column that does not fit is
+// an error, the table returned as readColumn leaves it.
+func patchPairs(prev tables.PairTable, d PairDelta) (tables.PairTable, error) {
 	gone := make(tables.PairTable, len(d.Removed))
 	for i, k := range d.Removed {
 		gone[i] = tables.PairEntry{Source: k.Source, Group: k.Group}
 	}
-	return patch(tables.PairTable.Walk, prev, d.Upserted, gone)
+	next := patch(tables.PairTable.Walk, prev, d.Upserted, gone, func(dst, old *tables.PairEntry) {
+		dst.RateKbps, dst.Packets = old.RateKbps, old.Packets // the column's base
+	})
+	if d.Counters == nil {
+		return next, nil
+	}
+	if len(d.Upserted)+len(d.Removed) == 0 {
+		next = slices.Clone(prev) // patch handed back prev itself
+	}
+	return next, readColumn(d.Counters, next, true)
 }
 
 func patchRoutes(prev tables.RouteTable, d RouteDelta) tables.RouteTable {
@@ -199,20 +237,24 @@ func patchRoutes(prev tables.RouteTable, d RouteDelta) tables.RouteTable {
 	for i, p := range d.Removed {
 		gone[i] = tables.RouteEntry{Prefix: p}
 	}
-	return patch(tables.RouteTable.Walk, prev, d.Upserted, gone)
+	return patch(tables.RouteTable.Walk, prev, d.Upserted, gone, nil)
 }
 
 // ApplyRecord appends a pre-computed delta record — the replay path of the
 // durable archive. The record must have been produced by Append against
 // the same history prefix; fullEntries is the full-snapshot entry count of
-// the cycle that produced it, restoring the storage-stats baseline.
-func (l *Logger) ApplyRecord(target string, rec CycleRecord, fullEntries uint64) {
+// the cycle that produced it, restoring the storage-stats baseline. A
+// record whose counter column does not fit is logged all the same, its
+// pairs keeping their counters, and reported as ErrBadRecord.
+func (l *Logger) ApplyRecord(target string, rec CycleRecord, fullEntries uint64) error {
 	tl := l.target(target)
-	tl.pairs = patchPairs(tl.pairs, rec.Pairs)
+	var err error
+	tl.pairs, err = patchPairs(tl.pairs, rec.Pairs)
 	tl.routes = patchRoutes(tl.routes, rec.Routes)
 	tl.Records = append(tl.Records, rec)
 	tl.fullEntries += fullEntries
 	tl.deltaEntries += deltaSize(rec)
+	return err
 }
 
 // MarkGap records a failed collection cycle for target at time at.
@@ -307,7 +349,7 @@ func (l *Logger) ReconstructPairs(target string, idx int) (tables.PairTable, err
 	}
 	var state tables.PairTable
 	for i := 0; i <= idx; i++ {
-		state = patchPairs(state, tl.Records[i].Pairs)
+		state, _ = patchPairs(state, tl.Records[i].Pairs) // a misfit as ApplyRecord took it
 	}
 	return pairsAt(state, tl.Records[idx].At), nil
 }
@@ -336,7 +378,9 @@ func (l *Logger) Record(target string, idx int) (CycleRecord, error) {
 }
 
 // StorageStats reports entry counts stored as deltas versus what full
-// snapshots would have stored, and the resulting compression ratio.
+// snapshots would have stored, and the resulting compression ratio. It
+// counts identity entries, not the counter column: the log's byte cost
+// is what the archive appends, StoreStats.AppendedBytes.
 func (l *Logger) StorageStats(target string) (deltaEntries, fullEntries uint64, ratio float64) {
 	tl := l.targets[target]
 	if tl == nil {
@@ -350,7 +394,7 @@ func (l *Logger) StorageStats(target string) (deltaEntries, fullEntries uint64, 
 
 // TargetState is one target's serialized history.
 //
-//mantra:codec pair=ckpt-loggertarget magic=ckptMagic shape=6f48c0766cbf91c9
+//mantra:codec pair=ckpt-loggertarget magic=ckptMagic shape=6f4c26766cc274f2
 type TargetState struct {
 	Records []CycleRecord
 	Gaps    []GapMark
@@ -361,7 +405,7 @@ type TargetState struct {
 // State is the complete serialized form of a Logger — the payload of the
 // durable archive's checkpoints.
 //
-//mantra:codec pair=ckpt-loggerstate magic=ckptMagic shape=2bad1ce4a575bf6f
+//mantra:codec pair=ckpt-loggerstate magic=ckptMagic shape=2ba32ae4a56d82b4
 type State struct {
 	Targets map[string]TargetState
 }
@@ -395,7 +439,7 @@ func FromState(st *State) *Logger {
 		tl := l.target(name)
 		tl.gaps = ts.Gaps
 		for _, rec := range ts.Records {
-			l.ApplyRecord(name, rec, 0)
+			_ = l.ApplyRecord(name, rec, 0) // one logger's own records fit
 		}
 		// ApplyRecord counted no full entries; restore the recorded baseline.
 		tl.fullEntries = ts.FullEntries
@@ -439,7 +483,14 @@ func (l *Logger) ImportTarget(name string, ts TargetState) {
 	tl := l.target(name)
 	tl.gaps = append([]GapMark(nil), ts.Gaps...)
 	for _, rec := range ts.Records {
-		l.ApplyRecord(name, rec, 0)
+		_ = l.ApplyRecord(name, rec, 0) // the exporter's own records fit
 	}
 	tl.fullEntries = ts.FullEntries
+}
+
+// Remove drops one target's history — a handoff's old owner's side.
+//
+//mantra:statetransfer component=logger seam=remove
+func (l *Logger) Remove(name string) {
+	delete(l.targets, name)
 }

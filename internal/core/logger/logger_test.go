@@ -70,9 +70,14 @@ func TestDeltaCapturesChangesAndRemovals(t *testing.T) {
 	l.Append(snap(sim.Epoch.Add(time.Hour),
 		tables.PairTable{pair("1.1.1.1", "224.1.1.1", 9)},
 		tables.RouteTable{route("10.0.0.0/8", 1), route("12.0.0.0/8", 3)}))
+	// The rate change is a counter change: the identity delta has no
+	// upsert for it, the counter column carries the new rate.
 	rec, _ := l.Record("fixw", 1)
-	if len(rec.Pairs.Upserted) != 1 || rec.Pairs.Upserted[0].RateKbps != 9 {
-		t.Errorf("pair upserts: %+v", rec.Pairs.Upserted)
+	if len(rec.Pairs.Upserted) != 0 || rec.Pairs.Counters == nil {
+		t.Errorf("pair upserts: %+v, counters %x", rec.Pairs.Upserted, rec.Pairs.Counters)
+	}
+	if p, _ := l.ReconstructPairs("fixw", 1); len(p) != 1 || p[0].RateKbps != 9 {
+		t.Errorf("cycle 1 pairs: %+v", p)
 	}
 	if len(rec.Pairs.Removed) != 1 {
 		t.Errorf("pair removals: %+v", rec.Pairs.Removed)

@@ -10,12 +10,14 @@ import (
 )
 
 // One checkpoint file — name and bytes — hashed at the commit before
-// checkpoints moved onto internal/core/seglog. One target keeps the gob
-// body deterministic (a single map key); the pin is over the MCKP0003
-// magic, the frame header and the ckpt-%020d.ck name around it.
+// checkpoints moved onto internal/core/seglog, and re-pinned once when
+// pair records split into identity deltas and a counter column
+// (MCKP0004). One target keeps the gob body deterministic (a single map
+// key); the pin is over the magic, the frame header and the
+// ckpt-%020d.ck name around it.
 const (
 	pinnedCkptName   = "ckpt-00000000000000000009.ck"
-	pinnedCkptDigest = "3e5ab6a3d40e7af6e741fa59473c80699d8f5711a8e909c23de95833bd631bb4"
+	pinnedCkptDigest = "4d8bfd93de9b4048fcf8fd894226cf6e74abf31c01cec680ae3896a374998add"
 )
 
 func TestCheckpointBytesPinned(t *testing.T) {

@@ -19,8 +19,12 @@
 package logger
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,8 +32,8 @@ import (
 )
 
 const (
-	segMagic   = "MWAL0002"
-	ckptMagic  = "MCKP0003"
+	segMagic   = "MWAL0003"
+	ckptMagic  = "MCKP0004"
 	walPrefix  = "wal-"
 	ckptPrefix = "ckpt-"
 	ckptSuffix = ".ck"
@@ -78,6 +82,9 @@ type RecoveryStats struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 	// TailError describes the defect that caused the truncation.
 	TailError string `json:"tail_error,omitempty"`
+	// UnappliedCounters counts tail deltas whose counter column did not
+	// fit (ApplyRecord): a handoff began the chain elsewhere, or damage.
+	UnappliedCounters int `json:"unapplied_counters,omitempty"`
 }
 
 // StoreStats is the operator-facing view of the archive.
@@ -119,6 +126,35 @@ type Store struct {
 	tail []walRecord
 }
 
+// ErrArchiveVersion refuses a directory holding a WAL segment or
+// checkpoint in another format version, which the scan would delete.
+var ErrArchiveVersion = errors.New("logger: archive in another format version")
+
+// checkVersions refuses dir if a WAL segment or checkpoint in it starts
+// with the store's own tag under another 4-digit version.
+func checkVersions(dir string) error {
+	for _, f := range [][2]string{{walPrefix + "*.seg", segMagic}, {ckptPrefix + "*" + ckptSuffix, ckptMagic}} {
+		paths, _ := filepath.Glob(filepath.Join(dir, f[0]))
+		for _, path := range paths {
+			if v := header(path); v != f[1] && v[:4] == f[1][:4] && strings.Trim(v[4:], "0123456789") == "" {
+				return fmt.Errorf("%w: %s is %s, this build reads %s", ErrArchiveVersion, filepath.Base(path), v, f[1])
+			}
+		}
+	}
+	return nil
+}
+
+// header returns path's 8-byte header; what a short read leaves of
+// "????????" is no version.
+func header(path string) string {
+	hdr := []byte("????????")
+	if f, err := os.Open(path); err == nil {
+		_, _ = io.ReadFull(f, hdr)
+		f.Close() //mantralint:allow walerr read-only header probe; nothing to flush
+	}
+	return string(hdr)
+}
+
 // OpenStore opens (or creates) the archive in dir, scanning and repairing
 // the log: the newest valid checkpoint is located, every segment is
 // CRC-verified record by record, and a torn or corrupt tail is truncated
@@ -128,6 +164,9 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("logger: open store: %w", err)
+	}
+	if err := checkVersions(dir); err != nil {
+		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts, metaSeen: make(map[string]bool)}
 	s.stats.Dir = dir

@@ -161,3 +161,44 @@ func TestHandoffGapMarkerWALErrorSurfaces(t *testing.T) {
 		}
 	}
 }
+
+// TestFailbackDropsTheLenderLog: the shard that held targets through
+// their owner's outage hands them back with their delta log, and keeps
+// no copy of it — one more per handoff and failback, for the life of
+// the process, until this was fixed.
+func TestFailbackDropsTheLenderLog(t *testing.T) {
+	n := newFleetNetwork(t)
+	s := newFleet(t, n, fleetConfig(2, 0)) // restart backoff: two cycles
+	for i := 0; i < 3; i++ {
+		step(t, n, s)
+	}
+	victim, moved := victimShard(t, s)
+	lender := 1 - victim
+	s.Kill(victim, shard.KillBeforeCycle)
+	step(t, n, s) // the crash cycle
+	if res := step(t, n, s); res.Handoffs != 1 {
+		t.Fatalf("expected the handoff, got %+v", res)
+	}
+	for _, name := range moved {
+		if c := s.CoreOf(lender).Log.Cycles(name); c == 0 {
+			t.Fatalf("%s: the lender logs no cycles while it owns the target", name)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		step(t, n, s)
+	}
+	if st := s.Status(); st.Handoffs != 2 {
+		t.Fatalf("handoff events = %d, want the handoff and the failback", st.Handoffs)
+	}
+	for _, name := range moved {
+		if owner := s.Status().Assignment[name]; owner != victim {
+			t.Fatalf("%s failed back to shard %d, want %d", name, owner, victim)
+		}
+		if c := s.CoreOf(lender).Log.Cycles(name); c != 0 {
+			t.Errorf("%s: the shard that gave it back still logs %d cycles of it", name, c)
+		}
+		if c := s.CoreOf(victim).Log.Cycles(name); c == 0 {
+			t.Errorf("%s: its owner lost the history in the failback", name)
+		}
+	}
+}
