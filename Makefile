@@ -15,12 +15,13 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The project-specific analyzers: determinism (mapiter, floatsum),
-# clock injection (wallclock, globalrand), crash safety (walerr,
-# waltaint), cross-function concurrency (lockheld, sharedmut, goleak),
-# hot-path allocation budgets (hotalloc, hotpath) and module-wide lock
-# ordering (lockorder). See DESIGN.md §8–§9 and §14 for the invariants
-# and the suppression syntax. Exit codes: 0 clean, 1 findings,
+# The project-specific analyzers: determinism (mapiter, floatsum,
+# sertaint), clock injection (wallclock), crash safety (walerr),
+# cross-function concurrency (lockheld, sharedmut, goleak), hot-path
+# allocation budgets and their markers (hotalloc) and module-wide lock
+# ordering (lockorder). See DESIGN.md §8–§9, §14 and §15 for the
+# invariants, the suppression syntax and the evidence each check earns
+# its place with. Exit codes: 0 clean, 1 findings,
 # 2 internal/load error — CI distinguishes "fix the code" from "fix
 # the invocation" on that split.
 mantralint:
@@ -72,7 +73,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 26930
+LOC_CEILING = 25374
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -72,8 +72,6 @@ type ArchiveStatus struct {
 // archiveExtra is the monitor-level state a checkpoint carries beyond the
 // delta log itself, so recovery restores the processor series, stability
 // trackers and health ledger without re-ingesting the whole history.
-//
-//mantra:codec pair=ckpt-archiveextra shape=3b61f622dc615f26
 type archiveExtra struct {
 	Proc      *process.State
 	Stability map[string]*process.StabilityState
@@ -143,8 +141,6 @@ func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 }
 
 // recoverArchive rebuilds the monitor from a store's recovered state.
-//
-//mantra:statetransfer root=checkpoint-import
 func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) error {
 	ra := store.Recover()
 	report.Resumed = true
@@ -241,8 +237,6 @@ func (m *Monitor) archiveAfterCycle(now time.Time) {
 // Checkpoint writes a full-state checkpoint — delta log, processor
 // series, stability trackers, health ledger — stamped at now, bounding
 // the WAL tail a future recovery must replay. No-op without an archive.
-//
-//mantra:statetransfer root=checkpoint-export
 func (m *Monitor) Checkpoint(now time.Time) error {
 	if m.archive == nil {
 		return nil

@@ -122,8 +122,8 @@ func TestInformationalModesExitZero(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("-list: exit %d", code)
 	}
-	if !strings.Contains(out, "codecsym") || !strings.Contains(out, "sertaint") {
-		t.Fatalf("-list output missing v4 checks: %q", out)
+	if !strings.Contains(out, "hotalloc") || !strings.Contains(out, "sertaint") {
+		t.Fatalf("-list output missing the module-wide checks: %q", out)
 	}
 	if testing.Short() {
 		return

@@ -218,8 +218,6 @@ func (p Policy) Backoff(target string, attempt int) time.Duration {
 
 // TargetHealth is the operator-facing view of one target's collection
 // health, exposed through Monitor.Health and the HTTP /health endpoint.
-//
-//mantra:codec pair=ckpt-targethealth shape=7a261eb56e8020c6
 type TargetHealth struct {
 	Target              string       `json:"target"`
 	Breaker             BreakerState `json:"breaker"`
@@ -400,8 +398,6 @@ func (c *Collector) CarryState(old *Collector) {
 // with a fresh breaker window — without the reset, state carried across
 // policy swaps (CarryState) would hand the re-registered target a stale
 // open breaker or failure streak from its previous life.
-//
-//mantra:statetransfer component=health seam=remove
 func (c *Collector) ResetTarget(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -415,8 +411,6 @@ func (c *Collector) ResetTarget(name string) {
 // persisted), so a recovered deployment waits one full cooldown before
 // probing a previously-failing target. That errs toward caution: the
 // target was failing when the monitor died.
-//
-//mantra:statetransfer component=health seam=import
 func (c *Collector) RestoreHealth(h TargetHealth, now time.Time) {
 	if h.Target == "" {
 		return
@@ -457,8 +451,6 @@ func (c *Collector) record(name string, now time.Time, status Status, lastErr st
 
 // Health returns a snapshot of every tracked target's health, sorted by
 // target name.
-//
-//mantra:statetransfer component=health seam=export
 func (c *Collector) Health() []TargetHealth {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -472,8 +464,6 @@ func (c *Collector) Health() []TargetHealth {
 
 // TargetHealth returns one target's health and whether it has been
 // collected (or skipped) at least once.
-//
-//mantra:statetransfer component=health seam=export
 func (c *Collector) TargetHealth(name string) (TargetHealth, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -62,8 +62,6 @@ func splice[V any](dst, src map[string]V, name string) {
 
 // Export captures the core's per-target state for the given targets,
 // all current as of the cycle stamped at.
-//
-//mantra:statetransfer root=handoff-export
 func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
 	ck := NewCheckpoint()
 	for _, t := range targets {
@@ -90,8 +88,6 @@ func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
 // cooldown. The import is O(history): the logger replays every record to
 // rebuild its materialised tables, and the stability tracker is rebuilt
 // from the same records.
-//
-//mantra:statetransfer root=handoff-import
 func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
 	c.Proc.ImportTarget(name, ck.Proc[name], ck.Latest[name])
 	ts, ok := ck.Logs[name]
@@ -109,8 +105,6 @@ func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
 // RemoveTarget drops a target's state after it moved elsewhere, its
 // delta log included: the new owner imported the history, and a copy
 // left here would be one more for every handoff and failback.
-//
-//mantra:statetransfer root=handoff-remove
 func (c *Core) RemoveTarget(name string) {
 	c.Proc.ImportTarget(name, nil, nil)
 	c.Log.Remove(name)

@@ -127,7 +127,6 @@ type Engine struct {
 	conc   int
 	// Cumulative per-stage timing instrumentation — local to this
 	// engine's life, deliberately not part of any state transfer.
-	//mantralint:allow statecov stage timing totals are instrumentation, not monitoring state; transfers restart them
 	totals map[Stage]*StageStat
 	last   *CycleReport
 }
@@ -161,8 +160,6 @@ func (e *Engine) state(name string) *targetState {
 }
 
 // Latest returns the most recent snapshot recorded for a target, or nil.
-//
-//mantra:statetransfer component=engine seam=export
 func (e *Engine) Latest(name string) *tables.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -174,8 +171,6 @@ func (e *Engine) Latest(name string) *tables.Snapshot {
 
 // SetLatest records a target's most recent snapshot out of band — the
 // aggregate stage and archive recovery use it.
-//
-//mantra:statetransfer component=engine seam=import
 func (e *Engine) SetLatest(name string, sn *tables.Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -214,8 +209,6 @@ func (e *Engine) ObserveStability(target string, at time.Time, upserted []tables
 
 // StabilityTrackers returns the current per-target stability trackers —
 // the checkpoint export path.
-//
-//mantra:statetransfer component=engine seam=export
 func (e *Engine) StabilityTrackers() map[string]*process.RouteStability {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -232,8 +225,6 @@ func (e *Engine) StabilityTrackers() map[string]*process.RouteStability {
 // tracker, leaving every other target's untouched — the shard-handoff
 // transfer path, where a survivor engine grafts a moved target's
 // tracker in next to its own live ones.
-//
-//mantra:statetransfer component=engine seam=import
 func (e *Engine) SetStability(name string, rs *process.RouteStability) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -242,8 +233,6 @@ func (e *Engine) SetStability(name string, rs *process.RouteStability) {
 
 // ImportStability replaces targets' stability trackers wholesale — the
 // checkpoint recovery path.
-//
-//mantra:statetransfer component=engine seam=import
 func (e *Engine) ImportStability(trackers map[string]*process.RouteStability) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -23,8 +23,6 @@ import (
 )
 
 // ckptPayload is the serialized checkpoint contents.
-//
-//mantra:codec pair=ckpt-payload magic=ckptMagic shape=ffd584983bcdbe8f
 type ckptPayload struct {
 	// Seq is the last WAL sequence number the checkpoint covers.
 	Seq uint64

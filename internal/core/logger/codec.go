@@ -65,9 +65,7 @@ func appendTime(b []byte, t time.Time) []byte {
 	return seglog.AppendU32(b, uint32(t.Nanosecond()))
 }
 
-// boolByte is the codec's one-byte bool encoding. Routing the field
-// read through a call keeps it visible to codecsym's field-flow
-// extraction (a bare if-condition read emits no bytes by itself).
+// boolByte is the codec's one-byte bool encoding.
 func boolByte(v bool) byte {
 	if v {
 		return 1
@@ -76,8 +74,6 @@ func boolByte(v bool) byte {
 }
 
 // appendPair encodes an identity row: the counters travel in the column.
-//
-//mantra:codec pair=walpair role=encode type=tables.PairEntry magic=segMagic shape=9eec16c2163611f8
 func appendPair(b []byte, e tables.PairEntry) []byte {
 	b = seglog.AppendU32(b, uint32(e.Source))
 	b = seglog.AppendU32(b, uint32(e.Group))
@@ -85,7 +81,6 @@ func appendPair(b []byte, e tables.PairEntry) []byte {
 	return appendTime(b, e.Since)
 }
 
-//mantra:codec pair=walroute role=encode type=tables.RouteEntry magic=segMagic shape=2add3e8bfd8b5500
 func appendRoute(b []byte, e tables.RouteEntry) []byte {
 	b = seglog.AppendU32(b, uint32(e.Prefix.Addr))
 	b = append(b, byte(e.Prefix.Len))
@@ -161,7 +156,6 @@ func readColumn(col []byte, t tables.PairTable, apply bool) error {
 // encodePayload renders a record's payload (everything inside the frame).
 //
 //mantra:hotpath budget=1
-//mantra:codec pair=walrecord role=encode type=walRecord magic=segMagic shape=dc9f90f815931369
 func encodePayload(r walRecord) []byte {
 	b := make([]byte, 0, 64)
 	b = seglog.AppendUvarint(b, r.Seq)
@@ -235,7 +229,6 @@ func (r byteReader) count(min int) int {
 	return int(n)
 }
 
-//mantra:codec pair=walpair role=decode type=tables.PairEntry magic=segMagic
 func (r byteReader) pair() tables.PairEntry {
 	var e tables.PairEntry
 	e.Source = addr.IP(r.U32())
@@ -273,7 +266,6 @@ func (r byteReader) prefix() addr.Prefix {
 	return addr.Prefix{Addr: a, Len: l}
 }
 
-//mantra:codec pair=walroute role=decode type=tables.RouteEntry magic=segMagic
 func (r byteReader) route() tables.RouteEntry {
 	var e tables.RouteEntry
 	e.Prefix = r.prefix()
@@ -286,8 +278,6 @@ func (r byteReader) route() tables.RouteEntry {
 }
 
 // decodePayload parses one record payload.
-//
-//mantra:codec pair=walrecord role=decode type=walRecord magic=segMagic
 func decodePayload(b []byte) (walRecord, error) {
 	r := byteReader{seglog.NewReader(b, ErrBadRecord)}
 	var out walRecord

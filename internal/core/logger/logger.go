@@ -25,8 +25,6 @@ import (
 )
 
 // pairKey identifies a pair-table entry.
-//
-//mantra:codec pair=ckpt-pairkey magic=ckptMagic shape=0d0b18c4140cbaae
 type pairKey struct {
 	Source addr.IP
 	Group  addr.IP
@@ -49,8 +47,6 @@ type RouteDelta struct {
 }
 
 // CycleRecord is one logged monitoring cycle for one target.
-//
-//mantra:codec pair=ckpt-cyclerecord magic=ckptMagic shape=fb791b0746e9d39f
 type CycleRecord struct {
 	At     time.Time
 	Pairs  PairDelta
@@ -65,8 +61,6 @@ type CycleRecord struct {
 
 // GapMark records one failed collection cycle: no snapshot arrived at At,
 // so the delta chain has an explicit hole there instead of a silent one.
-//
-//mantra:codec pair=ckpt-gapmark magic=ckptMagic shape=79ce61d781f0fed0
 type GapMark struct {
 	At     time.Time
 	Reason string
@@ -393,8 +387,6 @@ func (l *Logger) StorageStats(target string) (deltaEntries, fullEntries uint64, 
 }
 
 // TargetState is one target's serialized history.
-//
-//mantra:codec pair=ckpt-loggertarget magic=ckptMagic shape=6f4c26766cc274f2
 type TargetState struct {
 	Records []CycleRecord
 	Gaps    []GapMark
@@ -404,15 +396,11 @@ type TargetState struct {
 
 // State is the complete serialized form of a Logger — the payload of the
 // durable archive's checkpoints.
-//
-//mantra:codec pair=ckpt-loggerstate magic=ckptMagic shape=2ba32ae4a56d82b4
 type State struct {
 	Targets map[string]TargetState
 }
 
 // ExportState captures the logger's full state for checkpointing.
-//
-//mantra:statetransfer component=logger seam=export
 func (l *Logger) ExportState() *State {
 	st := &State{Targets: make(map[string]TargetState, len(l.targets))}
 	for name, tl := range l.targets {
@@ -428,8 +416,6 @@ func (l *Logger) ExportState() *State {
 // FromState rebuilds a logger positioned to continue appending: the
 // materialized per-target tables and storage counters are replayed from
 // the recorded delta chain.
-//
-//mantra:statetransfer component=logger seam=import
 func FromState(st *State) *Logger {
 	l := New()
 	if st == nil {
@@ -456,8 +442,6 @@ func FromState(st *State) *Logger {
 // instead of writing into the live log. The export therefore stays
 // stable while the exporting shard keeps appending, at a cost
 // independent of how long the history is.
-//
-//mantra:statetransfer component=logger seam=export
 func (l *Logger) ExportTarget(name string) (TargetState, bool) {
 	tl := l.targets[name]
 	if tl == nil {
@@ -476,8 +460,6 @@ func (l *Logger) ExportTarget(name string) (TargetState, bool) {
 // materialized tables and storage counters are rebuilt by replaying the
 // recorded delta chain, exactly as FromState does for a whole logger,
 // so Append continues the chain seamlessly.
-//
-//mantra:statetransfer component=logger seam=import
 func (l *Logger) ImportTarget(name string, ts TargetState) {
 	delete(l.targets, name)
 	tl := l.target(name)
@@ -489,8 +471,6 @@ func (l *Logger) ImportTarget(name string, ts TargetState) {
 }
 
 // Remove drops one target's history — a handoff's old owner's side.
-//
-//mantra:statetransfer component=logger seam=remove
 func (l *Logger) Remove(name string) {
 	delete(l.targets, name)
 }

@@ -1,7 +1,9 @@
 package logger
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"math/rand"
 	"os"
@@ -44,5 +46,33 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != pinnedCkptDigest {
 		t.Fatalf("checkpoint digest = %s (%d bytes), want pinned %s", got, len(data), pinnedCkptDigest)
+	}
+}
+
+// ckptPayloadShape is gob's encoding of an empty checkpoint payload.
+// Gob writes the whole type tree ahead of any value, zero values
+// included, so these bytes change exactly when a type a checkpoint
+// carries gains, loses, renames or retypes an exported field — the WAL
+// record's tables.RouteEntry and tables.PairEntry among them. They are
+// taken at package initialisation, before any test runs, because gob
+// numbers types in the order a process first meets them.
+var ckptPayloadShape = func() []byte {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(ckptPayload{}); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}()
+
+const pinnedCkptShapeDigest = "d636b0b50cc553c01a85ad1d8b36c45d13a4d8233d3b0c514b2ce0c3fdbdfc66"
+
+// TestCheckpointGobShapePinned: TestCheckpointBytesPinned pins one
+// checkpoint's bytes, but only the fields its history fills; this pins
+// the shape of every type the checkpoint can carry.
+func TestCheckpointGobShapePinned(t *testing.T) {
+	sum := sha256.Sum256(ckptPayloadShape)
+	if got := hex.EncodeToString(sum[:]); got != pinnedCkptShapeDigest {
+		t.Fatalf("gob shape of ckptPayload = %s (%d bytes), pinned %s: a type a checkpoint carries changed shape. Re-pin, and bump ckptMagic if the change alters what an existing checkpoint decodes to",
+			got, len(ckptPayloadShape), pinnedCkptShapeDigest)
 	}
 }

@@ -77,7 +77,6 @@ func NewRouteStability() *RouteStability {
 //
 // The budget is the history record a prefix gets on first sight.
 //
-//mantra:statetransfer component=stability seam=import
 //mantra:hotpath budget=1
 func (rs *RouteStability) ObserveDelta(at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
 	rs.cycles++

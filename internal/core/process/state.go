@@ -21,8 +21,6 @@ import (
 // State is the exportable form of a Processor. All fields are plain data
 // so the state gob-encodes; Series pointers are deep-copied on export and
 // import, never shared with a live processor.
-//
-//mantra:codec pair=ckpt-procstate shape=5485c8907bd8cdcd
 type State struct {
 	SenderThresholdKbps float64
 	SpikeFactor         float64
@@ -51,8 +49,6 @@ type State struct {
 // OpenEpisodeState is the exportable form of one in-progress anomaly
 // episode: which ring entry it updates and the baseline frozen at
 // detection time that resolution is judged against.
-//
-//mantra:codec pair=ckpt-openepisode shape=e555d28bcb060756
 type OpenEpisodeState struct {
 	Target string
 	Kind   string
@@ -72,8 +68,6 @@ func copySeries(s *Series) *Series {
 }
 
 // ExportState deep-copies the processor's accumulated state.
-//
-//mantra:statetransfer component=processor seam=export
 func (p *Processor) ExportState() *State {
 	st := &State{
 		SenderThresholdKbps: p.SenderThresholdKbps,
@@ -135,8 +129,6 @@ func (p *Processor) ExportState() *State {
 // of st. It mutates the receiver in place — consumers holding the
 // *Processor (the HTTP server does) observe the restored state without
 // re-wiring.
-//
-//mantra:statetransfer component=processor seam=import
 func (p *Processor) ImportState(st *State) {
 	if st == nil {
 		return
@@ -196,8 +188,6 @@ func (p *Processor) ImportState(st *State) {
 
 // PrefixState is the exportable per-prefix history of a RouteStability
 // tracker.
-//
-//mantra:codec pair=ckpt-prefixstate shape=5ea21842285c6a93
 type PrefixState struct {
 	Prefix       addr.Prefix
 	Present      int
@@ -208,8 +198,6 @@ type PrefixState struct {
 }
 
 // StabilityState is the exportable form of a RouteStability tracker.
-//
-//mantra:codec pair=ckpt-stabilitystate shape=b5aa0852ed275288
 type StabilityState struct {
 	Cycles   int
 	Prefixes []PrefixState
@@ -229,9 +217,6 @@ func sortedPrefixes[V any](m map[addr.Prefix]V) []addr.Prefix {
 // the export gob-encodes straight into checkpoints, so map-iteration
 // order here would make checkpoint bytes differ run to run. The
 // reachable set is the prefixes exported Up.
-//
-//mantra:statetransfer component=stability seam=export
-//mantralint:allow statecov handoff derives stability from the logger component's records (Core.ImportTarget → ObserveDelta); see FuzzStabilityFromRecords
 func (rs *RouteStability) ExportState() *StabilityState {
 	st := &StabilityState{Cycles: rs.cycles}
 	if len(rs.byPrefix) > 0 {
@@ -252,8 +237,6 @@ func (rs *RouteStability) ExportState() *StabilityState {
 }
 
 // StabilityFromState rebuilds a tracker from exported state.
-//
-//mantra:statetransfer component=stability seam=import
 func StabilityFromState(st *StabilityState) *RouteStability {
 	rs := NewRouteStability()
 	if st == nil {

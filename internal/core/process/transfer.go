@@ -27,8 +27,6 @@ import (
 // TargetState is the exportable processing state of one target: the
 // transfer unit for shard handoff. All fields are plain data (gob-safe)
 // and deep-copied on export and import.
-//
-//mantra:codec pair=handoff-targetstate shape=e1d91a44b9b6d12e
 type TargetState struct {
 	Target string
 	Series map[Metric]*Series
@@ -49,8 +47,6 @@ type TargetState struct {
 // OpenTransfer is one in-progress episode in a TargetState: the index
 // of its record in the Anomalies slice and the frozen baseline it
 // resolves against.
-//
-//mantra:codec pair=handoff-opentransfer shape=abc195e293ebf3d7
 type OpenTransfer struct {
 	Kind   string
 	Index  int
@@ -59,8 +55,6 @@ type OpenTransfer struct {
 
 // ExportTarget deep-copies one target's processing state, or returns
 // nil if the processor has never seen the target.
-//
-//mantra:statetransfer component=processor seam=export
 func (p *Processor) ExportTarget(target string) *TargetState {
 	ts, okSeries := p.series[target]
 	base, okBase := p.baseStart[target]
@@ -110,8 +104,6 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 // against is that snapshot's, so it is taken from there rather than
 // carried: one exists exactly when a snapshot does, an empty table
 // included.
-//
-//mantra:statetransfer component=processor seam=import
 func (p *Processor) ImportTarget(target string, st *TargetState, latest *tables.Snapshot) {
 	delete(p.series, target)
 	delete(p.prevRoutes, target)

@@ -273,7 +273,6 @@ func (l *Log) create(id uint64) error {
 	if err != nil {
 		return fmt.Errorf("seglog: new segment: %w", err)
 	}
-	//mantralint:allow waltaint the segment magic is the file header that framing is anchored to; it is fixed bytes, not payload
 	if _, err := f.Write([]byte(l.magic)); err != nil {
 		f.Close() //mantralint:allow walerr abandoning a segment whose header write failed; that error is already returned
 		return fmt.Errorf("seglog: new segment: %w", err)

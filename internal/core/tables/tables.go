@@ -23,8 +23,6 @@ import (
 )
 
 // PairEntry is one (source, group) tuple with its traffic statistics.
-//
-//mantra:codec pair=wire-pairentry shape=a8af70008b65f247
 type PairEntry struct {
 	Source addr.IP
 	Group  addr.IP
@@ -46,8 +44,6 @@ type PairEntry struct {
 type PairTable []PairEntry
 
 // RouteEntry is one live route.
-//
-//mantra:codec pair=wire-routeentry shape=4c55178fc6135663
 type RouteEntry struct {
 	Prefix addr.Prefix
 	// Gateway is the next-hop address ("local" parses as the zero IP

@@ -62,8 +62,6 @@ type BlockInfo struct {
 // EncodeBlock seals pts into a block. Points are stored in slice order;
 // appends are time-monotonic in Mantra, which is what makes the
 // header's FirstT/LastT usable for range skipping.
-//
-//mantra:codec pair=tsdbblock role=encode type=BlockInfo magic=blockVersion shape=7fceb720dd01397c
 func EncodeBlock(pts []Point) []byte {
 	var w bitWriter
 	var (
@@ -165,8 +163,6 @@ func EncodeBlock(pts []Point) []byte {
 }
 
 // decodeHeader reads the header, returning the info and the bitstream.
-//
-//mantra:codec pair=tsdbblock role=decode type=BlockInfo magic=blockVersion
 func decodeHeader(b []byte) (BlockInfo, []byte, error) {
 	r := seglog.NewReader(b, ErrBadBlock)
 	if v := r.Byte(); r.Err() == nil && v != blockVersion {

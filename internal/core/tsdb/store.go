@@ -213,8 +213,6 @@ func (st *Store) Materialize(target, metric string) ([]Point, error) {
 // SeriesState is the exportable form of one compressed series. Sealed
 // block payloads are immutable after seal, so exports share them and
 // deep-copy only the head.
-//
-//mantra:codec pair=tsdb-seriesstate magic=segMagic shape=6b5f29a7f673acb4
 type SeriesState struct {
 	Blocks [][]byte
 	Head   []Point
@@ -222,8 +220,6 @@ type SeriesState struct {
 
 // TargetState is one target's store state: the shard-handoff transfer
 // unit, carried inside process.TargetState.
-//
-//mantra:codec pair=tsdb-targetstate magic=segMagic shape=389ba660b3a8f696
 type TargetState struct {
 	Target string
 	Series map[string]*SeriesState
@@ -231,15 +227,11 @@ type TargetState struct {
 
 // State is the whole-store export, carried inside process.State into
 // archive checkpoints.
-//
-//mantra:codec pair=tsdb-state magic=segMagic shape=1057fa7b204766b7
 type State struct {
 	Targets map[string]*TargetState
 }
 
 // ExportTarget copies one target's series state, nil when unseen.
-//
-//mantra:statetransfer component=tsdb seam=export
 func (st *Store) ExportTarget(target string) *TargetState {
 	tm := st.series[target]
 	if tm == nil {
@@ -258,8 +250,6 @@ func (st *Store) ExportTarget(target string) *TargetState {
 // ImportTarget replaces one target's series state, leaving other
 // targets untouched; nil removes the target. Sparse-index entries and
 // tier buckets are rebuilt from the imported blocks.
-//
-//mantra:statetransfer component=tsdb seam=import
 func (st *Store) ImportTarget(target string, ts *TargetState) error {
 	delete(st.series, target)
 	if ts == nil {
@@ -296,8 +286,6 @@ func (st *Store) ImportTarget(target string, ts *TargetState) error {
 }
 
 // Export copies the whole store's state.
-//
-//mantra:statetransfer component=tsdb seam=export
 func (st *Store) Export() *State {
 	out := &State{Targets: make(map[string]*TargetState, len(st.series))}
 	for target := range st.series {
@@ -307,8 +295,6 @@ func (st *Store) Export() *State {
 }
 
 // Import replaces the whole store's state; nil just clears it.
-//
-//mantra:statetransfer component=tsdb seam=import
 func (st *Store) Import(s *State) error {
 	st.series = make(map[string]map[string]*series)
 	if s == nil {
@@ -323,8 +309,6 @@ func (st *Store) Import(s *State) error {
 }
 
 // Remove drops one target's series.
-//
-//mantra:statetransfer component=tsdb seam=remove
 func (st *Store) Remove(target string) {
 	delete(st.series, target)
 }

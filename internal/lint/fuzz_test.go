@@ -63,11 +63,20 @@ func summarizeSource(src []byte) (out []byte, ok bool) {
 
 func FuzzSummaryExtract(f *testing.F) {
 	// Seed with this module's own sources: the analyzer package itself,
-	// every fixture, and the delta logger, whose WAL and checkpoint codecs
-	// carry each marker kind in production form — the richest available
-	// coverage of marker grammar, codec bodies and taint shapes.
+	// every fixture, and the core packages that carry both marker kinds
+	// in production form — the delta logger (sinks and hot paths), the
+	// table scanner, the segment log and the cycle core (hot-path roots
+	// with budgets) — the richest available coverage of marker grammar,
+	// allocation sites and taint shapes.
 	var seeds []string
-	for _, pat := range []string{"*.go", filepath.Join("testdata", "*", "*.go"), filepath.Join("..", "core", "logger", "*.go")} {
+	for _, pat := range []string{
+		"*.go",
+		filepath.Join("testdata", "*", "*.go"),
+		filepath.Join("..", "core", "logger", "*.go"),
+		filepath.Join("..", "core", "tables", "*.go"),
+		filepath.Join("..", "core", "seglog", "*.go"),
+		filepath.Join("..", "core", "cycle", "*.go"),
+	} {
 		m, err := filepath.Glob(pat)
 		if err != nil {
 			f.Fatal(err)

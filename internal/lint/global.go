@@ -8,9 +8,9 @@ import (
 )
 
 // The global phase: the module-wide analyses (hotalloc, lockorder,
-// codecsym, statecov, sertaint — the analyzers registered with a nil
-// Run) computed over per-package fact summaries, because a finding in
-// one package can depend on a marker or a call in another.
+// sertaint — the analyzers registered with a nil Run) computed over
+// per-package fact summaries, because a finding in one package can
+// depend on a marker or a call in another.
 
 // globalFindings runs the module-wide analyses over the summaries and
 // returns their raw (pre-suppression) findings, marker defects
@@ -24,8 +24,6 @@ func globalFindings(sums []*PkgSummary) []Finding {
 	}
 	hotAllocFindings(idx, add)
 	lockOrderFindings(idx, add)
-	codecSymFindings(idx, add)
-	stateCovFindings(idx, add)
 	serTaintFindings(idx, add)
 	return out
 }
@@ -48,20 +46,16 @@ func hotRoots(sums []*PkgSummary) []string {
 
 // sumIndex is the name-keyed view of all summaries.
 type sumIndex struct {
-	funcs   map[string]*FuncSum   // FullName → summary
-	names   []string              // sorted FullNames, for deterministic iteration
-	structs map[string]*StructSum // full type name → tracked struct
+	funcs map[string]*FuncSum // FullName → summary
+	names []string            // sorted FullNames, for deterministic iteration
 }
 
 func newSumIndex(sums []*PkgSummary) *sumIndex {
-	idx := &sumIndex{funcs: make(map[string]*FuncSum), structs: make(map[string]*StructSum)}
+	idx := &sumIndex{funcs: make(map[string]*FuncSum)}
 	for _, s := range sums {
 		for _, f := range s.Funcs {
 			idx.funcs[f.Name] = f
 			idx.names = append(idx.names, f.Name)
-		}
-		for _, st := range s.Structs {
-			idx.structs[st.Name] = st
 		}
 	}
 	sort.Strings(idx.names)

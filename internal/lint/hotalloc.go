@@ -14,8 +14,10 @@ package lint
 // testing.AllocsPerRun gates generated from the same root set.
 //
 // The analysis is module-wide: the hot set and every finding are
-// computed once per run over the per-package fact summaries.
+// computed once per run over the per-package fact summaries. A
+// malformed, duplicate or dangling //mantra:hotpath marker is a hotalloc
+// finding too (marks.go): it would silently shrink the root set.
 var hotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "allocation site reachable from a //mantra:hotpath root beyond the function's allocation budget",
+	Doc:  "allocation site reachable from a //mantra:hotpath root beyond the function's allocation budget, or a malformed or dangling //mantra:hotpath marker",
 }

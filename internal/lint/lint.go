@@ -2,23 +2,23 @@
 // enforcing the determinism, clock-injection, crash-safety and — since
 // the pipelined cycle engine — concurrency invariants this repository
 // has already been burned by. The schedule-equivalence guarantee
-// (serial == pipelined == barrier WAL bytes) rests on byte-deterministic
-// table state and on nothing mutating a snapshot after it crosses the
-// engine's stage boundary; these analyzers make both classes of defect a
-// build failure instead of a lucky test catch.
+// (serial == pipelined WAL bytes) rests on byte-deterministic table
+// state and on nothing mutating a snapshot after it crosses the engine's
+// stage boundary; these analyzers make both classes of defect a build
+// failure instead of a lucky test catch.
 //
-// The per-file syntactic checks (mapiter, floatsum, wallclock,
-// globalrand, walerr) inspect one package at a time. The concurrency
-// checks (lockheld, sharedmut, goleak, waltaint) are type-aware and
+// The per-file syntactic checks (mapiter, floatsum, wallclock, walerr)
+// inspect one package at a time. The concurrency
+// checks (lockheld, sharedmut, goleak) are type-aware and
 // cross-function: Run first builds an Analysis — a static call
 // graph over every loaded package plus derived facts (which functions
 // block, which loop without a stop path) — and the analyzers consult it,
 // so a mutex held across a call chain ending in a channel send is found
 // even when the send is three frames down in another package. The
-// module-wide checks (hotalloc, lockorder, codecsym, statecov,
-// sertaint) run once per Run over per-package fact summaries —
-// field-flow events, state-transfer marks and determinism-taint graphs
-// extracted alongside the call facts (DESIGN.md §15).
+// module-wide checks (hotalloc, lockorder, sertaint) run once per Run
+// over per-package fact summaries — hot-path and sink markers,
+// allocation sites, lock events and determinism-taint graphs extracted
+// alongside the call facts (DESIGN.md §15).
 //
 // The suite is stdlib-only (go/parser, go/ast, go/types): the module has
 // zero dependencies and must stay buildable offline. Findings are
@@ -103,21 +103,16 @@ type Analyzer struct {
 // Analyzers returns the full registry in stable (name) order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		codecSymAnalyzer,
 		floatSumAnalyzer,
-		globalRandAnalyzer,
 		goLeakAnalyzer,
 		hotAllocAnalyzer,
-		hotpathAnalyzer,
 		lockHeldAnalyzer,
 		lockOrderAnalyzer,
 		mapIterAnalyzer,
 		serTaintAnalyzer,
 		sharedMutAnalyzer,
-		stateCovAnalyzer,
 		walErrAnalyzer,
 		wallClockAnalyzer,
-		walTaintAnalyzer,
 	}
 }
 

@@ -117,17 +117,13 @@ func checkFixture(t *testing.T, fixture, rel string) {
 
 func TestMapIterFixture(t *testing.T)   { checkFixture(t, "mapiter", "internal/core/logger") }
 func TestWallClockFixture(t *testing.T) { checkFixture(t, "wallclock", "internal/core/engine") }
-func TestGlobalRandFixture(t *testing.T) {
-	checkFixture(t, "globalrand", "internal/netsim")
-}
-func TestWalErrFixture(t *testing.T)   { checkFixture(t, "walerr", "internal/core/logger") }
-func TestFloatSumFixture(t *testing.T) { checkFixture(t, "floatsum", "internal/netsim") }
-func TestLockHeldFixture(t *testing.T) { checkFixture(t, "lockheld", "internal/core/engine") }
+func TestWalErrFixture(t *testing.T)    { checkFixture(t, "walerr", "internal/core/logger") }
+func TestFloatSumFixture(t *testing.T)  { checkFixture(t, "floatsum", "internal/netsim") }
+func TestLockHeldFixture(t *testing.T)  { checkFixture(t, "lockheld", "internal/core/engine") }
 func TestSharedMutFixture(t *testing.T) {
 	checkFixture(t, "sharedmut", "internal/core/engine")
 }
 func TestGoLeakFixture(t *testing.T)   { checkFixture(t, "goleak", "internal/netsim") }
-func TestWalTaintFixture(t *testing.T) { checkFixture(t, "waltaint", "internal/core/logger") }
 func TestHotAllocFixture(t *testing.T) { checkFixture(t, "hotalloc", "internal/netsim") }
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "lockorder", "internal/netsim")
@@ -140,10 +136,10 @@ func TestAllowStaleFixture(t *testing.T) {
 }
 
 // TestLockScopeSilent loads the lock-boundary fixtures as a package
-// outside the engine/WAL boundary set; lockheld, sharedmut and waltaint
-// must all stay silent there.
+// outside the engine/WAL boundary set; lockheld and sharedmut must both
+// stay silent there.
 func TestLockScopeSilent(t *testing.T) {
-	for _, fixture := range []string{"lockheld", "sharedmut", "waltaint"} {
+	for _, fixture := range []string{"lockheld", "sharedmut"} {
 		p := loadFixture(t, fixture, "internal/netsim")
 		if fs := Run([]*Package{p}, Analyzers()).Findings; len(fs) != 0 {
 			t.Errorf("%s outside its boundary packages produced findings: %v", fixture, fs)
@@ -266,12 +262,13 @@ func TestLockOrderRegress(t *testing.T) {
 
 // TestHotpathDefects asserts the marker-defect cases directly (a want
 // annotation appended to a marker comment would parse as the marker's
-// argument, so that fixture cannot self-annotate).
+// argument, so that fixture cannot self-annotate). They report under
+// hotalloc, the check whose root set a defective marker would shrink.
 func TestHotpathDefects(t *testing.T) {
 	p := loadFixture(t, "hotpathdefects", "internal/netsim")
 	var msgs []string
 	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
-		if f.Check != "hotpath" {
+		if f.Check != "hotalloc" {
 			t.Errorf("unexpected finding: %s", f)
 			continue
 		}
@@ -303,9 +300,8 @@ func TestByName(t *testing.T) {
 	}
 	names := CheckNames()
 	wantNames := []string{
-		"codecsym", "floatsum", "globalrand", "goleak", "hotalloc",
-		"hotpath", "lockheld", "lockorder", "mapiter", "sertaint",
-		"sharedmut", "statecov", "walerr", "wallclock", "waltaint",
+		"floatsum", "goleak", "hotalloc", "lockheld", "lockorder",
+		"mapiter", "sertaint", "sharedmut", "walerr", "wallclock",
 	}
 	if strings.Join(names, ",") != strings.Join(wantNames, ",") {
 		t.Fatalf("CheckNames = %v, want %v", names, wantNames)
@@ -401,43 +397,7 @@ func TestHotRootsPinned(t *testing.T) {
 	}
 }
 
-func TestCodecSymFixture(t *testing.T) { checkFixture(t, "codecsym", "internal/netsim") }
-
-func TestStateCovFixture(t *testing.T) { checkFixture(t, "statecov", "internal/netsim") }
-
 func TestSerTaintFixture(t *testing.T) { checkFixture(t, "sertaint", "internal/netsim") }
-
-// TestCodecSymRegressShape keeps the codec-field-drift bug shape
-// permanently detectable against a miniature WAL record codec.
-func TestCodecSymRegressShape(t *testing.T) {
-	checkFixture(t, "codecsymregress", "internal/core/logger")
-	p := loadFixture(t, "codecsymregress", "internal/core/logger")
-	n := 0
-	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
-		if f.Check == "codecsym" {
-			n++
-		}
-	}
-	if n == 0 {
-		t.Fatal("codec drift shape no longer detected")
-	}
-}
-
-// TestStateCovRegressShape keeps the dropped-from-handoff bug shape
-// permanently detectable against a miniature shard core.
-func TestStateCovRegressShape(t *testing.T) {
-	checkFixture(t, "statecovregress", "internal/core/shard")
-	p := loadFixture(t, "statecovregress", "internal/core/shard")
-	n := 0
-	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
-		if f.Check == "statecov" {
-			n++
-		}
-	}
-	if n == 0 {
-		t.Fatal("handoff-drop shape no longer detected")
-	}
-}
 
 // TestSerTaintRegressShape keeps the map-order-into-checkpoint bug shape
 // permanently detectable across two call hops.
@@ -455,9 +415,9 @@ func TestSerTaintRegressShape(t *testing.T) {
 	}
 }
 
-// TestMarkDefects asserts the v4 marker-defect reports directly (a want
-// annotation appended to a marker comment would corrupt the marker's own
-// argument parse, so this fixture cannot self-annotate).
+// TestMarkDefects asserts the sink-marker defect reports directly (a
+// want annotation appended to a marker comment would corrupt the
+// marker's own argument parse, so this fixture cannot self-annotate).
 func TestMarkDefects(t *testing.T) {
 	p := loadFixture(t, "markdefects", "internal/netsim")
 	findings := Run([]*Package{p}, Analyzers()).Findings
@@ -465,15 +425,13 @@ func TestMarkDefects(t *testing.T) {
 	for _, f := range findings {
 		msgs = append(msgs, fmt.Sprintf("[%s] %s", f.Check, f.Message))
 	}
+	if len(msgs) != 3 {
+		t.Errorf("sink defects = %d, want 3:\n%s", len(msgs), strings.Join(msgs, "\n"))
+	}
 	for _, wantSub := range []string{
-		`[codecsym] dangling //mantra:codec`,
-		`[codecsym] bad //mantra:codec on defectNoType: missing type=<struct>`,
-		`[codecsym] bad //mantra:codec on defectBadRole: role must be encode or decode`,
-		`[codecsym] bad //mantra:codec on defectDecodeShape: shape= belongs on the encode marker`,
-		`[statecov] bad //mantra:statetransfer on defectRootAndComponent: `,
-		`[statecov] bad //mantra:statetransfer on defectBadSeam: `,
+		`[sertaint] dangling //mantra:sink`,
 		`[sertaint] bad //mantra:sink on defectBadSink: want exactly "serialization", got "compression"`,
-		`[codecsym] bad //mantra:codec on type defectPinned: role= is for function markers; a type pin is role-less`,
+		`[sertaint] duplicate //mantra:sink on defectDupSink`,
 	} {
 		found := false
 		for _, m := range msgs {
@@ -539,82 +497,6 @@ func Cycle() string {
 }
 `
 
-const crossCodecEncode = `package a
-
-type Rec struct {
-	A uint64
-	B uint64
-}
-
-//mantra:codec pair=rec role=encode type=Rec
-func EncodeRec(r Rec) []byte {
-	b := append([]byte(nil), byte(r.A))
-	b = append(b, byte(r.B))
-	return b
-}
-`
-
-const crossCodecDecode = `package b
-
-import "crosstest/a"
-
-//mantra:codec pair=rec role=decode type=a.Rec
-func DecodeRec(buf []byte) a.Rec {
-	var r a.Rec
-	r.A = uint64(buf[0])
-	r.B = uint64(buf[1])
-	return r
-}
-`
-
-const crossStateComponent = `package a
-
-type Store struct {
-	data map[string][]byte
-}
-
-//mantra:statetransfer component=store seam=export
-func (s *Store) ExportTarget(name string) []byte {
-	return s.data[name]
-}
-
-//mantra:statetransfer component=store seam=import
-func (s *Store) ImportTarget(name string, b []byte) {
-	s.data[name] = b
-}
-`
-
-const crossStateRoots = `package b
-
-import "crosstest/a"
-
-//mantra:statetransfer root=checkpoint-export
-func CheckpointExport(s *a.Store, names []string) map[string][]byte {
-	out := make(map[string][]byte, len(names))
-	for _, n := range names {
-		out[n] = s.ExportTarget(n)
-	}
-	return out
-}
-
-//mantra:statetransfer root=checkpoint-import
-func CheckpointImport(s *a.Store, ck map[string][]byte) {
-	for n, b := range ck {
-		s.ImportTarget(n, b)
-	}
-}
-
-//mantra:statetransfer root=handoff-export
-func HandoffExport(s *a.Store, name string) []byte {
-	return s.ExportTarget(name)
-}
-
-//mantra:statetransfer root=handoff-import
-func HandoffImport(s *a.Store, name string, b []byte) {
-	s.ImportTarget(name, b)
-}
-`
-
 // TestCrossPackageGlobalPhase: the module-wide checks join facts across
 // package boundaries, which no single-package fixture can show. In each
 // case package b alone decides whether package a has a finding, and the
@@ -632,12 +514,6 @@ func TestCrossPackageGlobalPhase(t *testing.T) {
 	}{
 		{"hotalloc root elsewhere", crossHotDep, crossHotRoot,
 			"//mantra:hotpath\n", "", "a/a.go:8:9: [hotalloc] fmt.Sprintf call (formats through interfaces, allocates) in a.Render (reachable from //mantra:hotpath root b.Cycle;", ""},
-		{"codecsym decode drifts", crossCodecEncode, crossCodecDecode,
-			"\tr.B = uint64(buf[1])\n", "", "a/a.go:9:6: [codecsym] codec pair \"rec\" has no pinned shape",
-			"b/b.go:6:6: [codecsym] codec pair \"rec\": encode (a.EncodeRec, a.go) writes B but decode b.DecodeRec never reads it"},
-		{"statecov root drops the seam", crossStateComponent, crossStateRoots,
-			"\treturn s.ExportTarget(name)\n", "\treturn nil\n", "",
-			"a/a.go:8:17: [statecov] component \"store\": no export seam is reachable from the handoff-export root"},
 	} {
 		check := func(step string, got []string, want string) {
 			t.Helper()

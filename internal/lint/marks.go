@@ -1,570 +1,159 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/types"
-	"hash/fnv"
-	"io"
-	"sort"
+	"strconv"
 	"strings"
 )
 
-// This file parses the v4 field-flow markers (DESIGN.md §15). All three
-// are doc-comment annotations of the form
+// The module's two doc-comment markers (DESIGN.md §14–§15), each owned
+// by the check it feeds:
 //
-//	//mantra:<kind> key=value key=value ...
+//	//mantra:hotpath               a hot-path root for hotalloc, budget 0
+//	//mantra:hotpath budget=3      a root allowed three allocation sites
+//	//mantra:sink serialization    a function whose arguments become
+//	                               serialized bytes, for sertaint
 //
-// codec declares one half of an encode/decode pair (on a function) or a
-// serialized-shape pin (on a struct type declaration):
+// hotalloc walks the static call graph from the declared roots, flagging
+// allocation sites in every function it can reach. The budget is the
+// number of allocation sites the annotated function itself is allowed;
+// functions reached transitively always have budget 0 unless they carry
+// their own marker. Budgets are pinned at the current site count, so any
+// *new* allocation on a hot path fails the build while the existing ones
+// are grandfathered explicitly rather than silently.
 //
-//	//mantra:codec pair=walrecord role=encode type=walRecord magic=segMagic shape=8f3a...
-//	//mantra:codec pair=walrecord role=decode type=walRecord
-//	//mantra:codec pair=ckptblob magic=ckptMagic shape=01ab...      (on a type)
-//
-// statetransfer declares the state-transfer coverage contract: roots are
-// the entry points of the checkpoint and shard-handoff paths, seams are
-// the per-component export/import/remove functions that must stay
-// reachable from them:
-//
-//	//mantra:statetransfer root=checkpoint-export
-//	//mantra:statetransfer component=processor seam=export
-//
-// sink declares a function whose arguments become serialized bytes, for
-// the determinism-taint analyzer:
-//
-//	//mantra:sink serialization
-//
-// Like //mantra:hotpath, a defective marker is itself a finding (under
-// the owning analyzer's check name): a marker that silently fails to
-// register would quietly shrink coverage.
+// A marker that silently fails to register would quietly shrink its
+// check's coverage, so every defect in one is a finding under the owning
+// check: a marker outside a function declaration's doc comment
+// (dangling), a malformed argument, a second marker on one function.
 const (
-	codecMarker    = "//mantra:codec"
-	transferMarker = "//mantra:statetransfer"
-	sinkMarker     = "//mantra:sink"
+	hotpathMarker = "//mantra:hotpath"
+	sinkMarker    = "//mantra:sink"
 )
 
-// transferRootFlavors is the closed set of declared transfer roots: the
-// two checkpoint directions plus the three shard-handoff operations.
-var transferRootFlavors = map[string]bool{
-	"checkpoint-export": true,
-	"checkpoint-import": true,
-	"handoff-export":    true,
-	"handoff-import":    true,
-	"handoff-remove":    true,
+// marker is one marker kind: the check its defects report under, and
+// the parser of its arguments, which returns a defect message or "".
+type marker struct {
+	prefix, check string
+	parse         func(args string) string
 }
 
-// CodecMark is one parsed //mantra:codec annotation, with its symbolic
-// references resolved so the global phase needs no type information.
-type CodecMark struct {
-	Pair string `json:"pair"`
-	// Role is "encode" or "decode" for function marks, "" for type pins.
-	Role string `json:"role,omitempty"`
-	// TypeFull is the resolved full name of the target type
-	// ("repro/internal/core/logger.walRecord").
-	TypeFull string `json:"type,omitempty"`
-	// Magic is the named format-version constant; MagicValue its resolved
-	// constant value (ExactString), "" when no magic is named.
-	Magic      string `json:"magic,omitempty"`
-	MagicValue string `json:"magicValue,omitempty"`
-	// Shape is the pinned hex16 digest of the serialized shape, "" when
-	// not yet pinned (codecsym then reports the value to pin).
-	Shape string `json:"shape,omitempty"`
-	Pos   Pos    `json:"pos"`
+var markers = []marker{
+	{hotpathMarker, "hotalloc", func(args string) string { _, msg := hotBudget(args); return msg }},
+	{sinkMarker, "sertaint", sinkArgs},
 }
 
-// TransferMark is one parsed //mantra:statetransfer annotation.
-type TransferMark struct {
-	// Root is the flavor for root marks ("checkpoint-export", ...).
-	Root string `json:"root,omitempty"`
-	// Component and Seam are set for seam marks; Seam is one of
-	// export/import/remove.
-	Component string `json:"component,omitempty"`
-	Seam      string `json:"seam,omitempty"`
-	// Recv is the receiver's full named type for method seams, "" for
-	// plain functions — the struct whose per-target fields statecov
-	// checks for coverage.
-	Recv string `json:"recv,omitempty"`
-	Pos  Pos    `json:"pos"`
-}
-
-// parseMarkArgs splits a marker comment into its key=value fields. ok is
-// false when text is not the given marker at all; defect carries a
-// message when it is ours but malformed. Order preserves the source
-// order of keys (shape digests and messages depend on nothing else).
-func parseMarkArgs(text, marker string) (args map[string]string, ok bool, defect string) {
-	if !strings.HasPrefix(text, marker) {
-		return nil, false, ""
+// sinkArgs checks a sink marker's one bare kind token.
+func sinkArgs(args string) string {
+	if kind := strings.TrimSpace(args); kind != "serialization" {
+		return "want exactly " + quote("serialization") + ", got " + quote(kind)
 	}
-	rest := strings.TrimPrefix(text, marker)
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false, "" // e.g. //mantra:codecs — not ours
+	return ""
+}
+
+// markArgs returns what follows the marker in a comment; ok is false
+// when the comment is not the marker at all (//mantra:hotpathy is not
+// ours).
+func markArgs(text, prefix string) (args string, ok bool) {
+	args, ok = strings.CutPrefix(text, prefix)
+	return args, ok && (args == "" || args[0] == ' ' || args[0] == '\t')
+}
+
+// hotBudget parses a hotpath marker's arguments: none, or budget=N.
+func hotBudget(args string) (budget int, errMsg string) {
+	fields := strings.Fields(args)
+	if len(fields) == 0 {
+		return 0, ""
 	}
-	args = make(map[string]string)
-	for _, field := range strings.Fields(rest) {
-		key, val, found := strings.Cut(field, "=")
-		if !found || key == "" || val == "" {
-			return args, true, "argument " + quote(field) + " is not key=value"
+	if len(fields) > 1 {
+		return 0, "marker takes at most one argument (budget=N)"
+	}
+	val, found := strings.CutPrefix(fields[0], "budget=")
+	if !found {
+		return 0, "unknown marker argument " + quote(fields[0]) + " (want budget=N)"
+	}
+	n, err := strconv.Atoi(val)
+	if err != nil || n < 0 {
+		return 0, "budget " + quote(val) + " is not a non-negative integer"
+	}
+	return n, ""
+}
+
+// funcHotMark returns the budget of the hot-path marker on a function's
+// doc comment, and whether there is one. A malformed marker still
+// registers (with a zero budget) so the defect report and the root set
+// cannot disagree about whether a root exists.
+func funcHotMark(fd *ast.FuncDecl) (budget int, ok bool) {
+	if fd.Doc == nil {
+		return 0, false
+	}
+	for _, c := range fd.Doc.List {
+		if args, ok := markArgs(c.Text, hotpathMarker); ok {
+			budget, _ := hotBudget(args)
+			return budget, true
 		}
-		if _, dup := args[key]; dup {
-			return args, true, "duplicate argument " + quote(key)
+	}
+	return 0, false
+}
+
+// funcSink reports whether a function's doc comment declares it a
+// serialization sink with a well-formed marker.
+func funcSink(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if args, ok := markArgs(c.Text, sinkMarker); ok && sinkArgs(args) == "" {
+			return true
 		}
-		args[key] = val
 	}
-	return args, true, ""
+	return false
 }
 
-// pkgMarks is everything collectPkgMarks extracts from one package's
-// comments: per-function marks, pinned/tracked structs, and the marker
-// defects (already findings).
-type pkgMarks struct {
-	funcs   map[*ast.FuncDecl]*funcMarks
-	structs []*StructSum
-	defects []Finding
-	// tracked is the set of struct full names whose field accesses are
-	// recorded as FieldUse facts: codec-pinned types and seam receivers.
-	tracked map[string]bool
-}
-
-type funcMarks struct {
-	codec    *CodecMark
-	transfer *TransferMark
-	sink     string
-}
-
-// collectPkgMarks walks a package's declarations, parsing and validating
-// every v4 marker. Function marks attach to FuncDecl doc comments; codec
-// pins attach to type declarations; anything else is dangling.
-func collectPkgMarks(p *Package) *pkgMarks {
-	pm := &pkgMarks{
-		funcs:   make(map[*ast.FuncDecl]*funcMarks),
-		tracked: make(map[string]bool),
-	}
+// markDefects reports every malformed, duplicate or dangling marker in a
+// package.
+func markDefects(p *Package) []Finding {
+	var out []Finding
 	for _, file := range p.Files {
+		// Comment groups attached as some FuncDecl's Doc are the valid
+		// anchor points; every marker elsewhere is dangling.
 		attached := make(map[*ast.CommentGroup]bool)
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Doc == nil {
-					continue
-				}
-				attached[d.Doc] = true
-				pm.funcMarksOf(p, d)
-			case *ast.GenDecl:
-				if d.Doc != nil {
-					attached[d.Doc] = true
-				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil {
+				continue
+			}
+			attached[fd.Doc] = true
+			for _, m := range markers {
+				seen := false
+				for _, c := range fd.Doc.List {
+					args, ok := markArgs(c.Text, m.prefix)
 					if !ok {
 						continue
 					}
-					if ts.Doc != nil {
-						attached[ts.Doc] = true
+					if msg := m.parse(args); msg != "" {
+						out = append(out, p.finding(m.check, c.Pos(), "bad %s on %s: %s", m.prefix, fd.Name.Name, msg))
 					}
-					for _, doc := range []*ast.CommentGroup{d.Doc, ts.Doc} {
-						if doc != nil {
-							pm.typePin(p, ts, doc)
-						}
+					if seen {
+						out = append(out, p.finding(m.check, c.Pos(), "duplicate %s on %s; one marker per function", m.prefix, fd.Name.Name))
 					}
+					seen = true
 				}
 			}
 		}
-		// Every marker in a comment group not attached to a declaration is
-		// dangling: it registers nothing and must fail the build.
 		for _, cg := range file.Comments {
 			if attached[cg] {
 				continue
 			}
 			for _, c := range cg.List {
-				for _, m := range []struct{ marker, check, anchor string }{
-					{codecMarker, "codecsym", "a function or type declaration"},
-					{transferMarker, "statecov", "a function declaration"},
-					{sinkMarker, "sertaint", "a function declaration"},
-				} {
-					if _, isMark, _ := parseMarkArgs(c.Text, m.marker); isMark {
-						pm.defect(p, m.check, c, "dangling %s: the marker must be part of %s's doc comment to register", m.marker, m.anchor)
+				for _, m := range markers {
+					if _, ok := markArgs(c.Text, m.prefix); ok {
+						out = append(out, p.finding(m.check, c.Pos(),
+							"dangling %s: the marker must be part of a function declaration's doc comment to register", m.prefix))
 					}
 				}
 			}
 		}
 	}
-	return pm
-}
-
-func (pm *pkgMarks) defect(p *Package, check string, c *ast.Comment, format string, args ...any) {
-	pm.defects = append(pm.defects, p.finding(check, c.Pos(), format, args...))
-}
-
-// funcMarksOf parses the codec/statetransfer/sink markers on one
-// function's doc comment.
-func (pm *pkgMarks) funcMarksOf(p *Package, fd *ast.FuncDecl) {
-	fm := &funcMarks{}
-	for _, c := range fd.Doc.List {
-		if args, ok, defect := parseMarkArgs(c.Text, codecMarker); ok {
-			if defect != "" {
-				pm.defect(p, "codecsym", c, "bad //mantra:codec on %s: %s", fd.Name.Name, defect)
-				continue
-			}
-			if fm.codec != nil {
-				pm.defect(p, "codecsym", c, "duplicate //mantra:codec on %s; one marker per function", fd.Name.Name)
-				continue
-			}
-			fm.codec = pm.codecFuncMark(p, fd, c, args)
-			continue
-		}
-		if args, ok, defect := parseMarkArgs(c.Text, transferMarker); ok {
-			if defect != "" {
-				pm.defect(p, "statecov", c, "bad //mantra:statetransfer on %s: %s", fd.Name.Name, defect)
-				continue
-			}
-			if fm.transfer != nil {
-				pm.defect(p, "statecov", c, "duplicate //mantra:statetransfer on %s; one marker per function", fd.Name.Name)
-				continue
-			}
-			fm.transfer = pm.transferMark(p, fd, c, args)
-			continue
-		}
-		if _, ok, _ := parseMarkArgs(c.Text, sinkMarker); ok {
-			// The sink marker takes one bare kind token, not key=value
-			// fields — parse the remainder directly.
-			kind := strings.TrimSpace(strings.TrimPrefix(c.Text, sinkMarker))
-			if kind != "serialization" {
-				pm.defect(p, "sertaint", c, "bad //mantra:sink on %s: want exactly %q, got %q", fd.Name.Name, "serialization", kind)
-				continue
-			}
-			if fm.sink != "" {
-				pm.defect(p, "sertaint", c, "duplicate //mantra:sink on %s", fd.Name.Name)
-				continue
-			}
-			fm.sink = "serialization"
-		}
-	}
-	if fm.codec != nil || fm.transfer != nil || fm.sink != "" {
-		pm.funcs[fd] = fm
-	}
-}
-
-// codecFuncMark validates and resolves one function-side codec marker.
-// A defective marker still registers (with whatever resolved) so the
-// defect report and the pair index cannot disagree about existence.
-func (pm *pkgMarks) codecFuncMark(p *Package, fd *ast.FuncDecl, c *ast.Comment, args map[string]string) *CodecMark {
-	// Findings anchor at the function name, not the marker comment:
-	// that is the line a fix lands on, and the line a trailing
-	// //mantralint:allow can share.
-	mark := &CodecMark{
-		Pair:  args["pair"],
-		Role:  args["role"],
-		Magic: args["magic"],
-		Shape: args["shape"],
-		Pos:   toPos(p, fd.Name.Pos()),
-	}
-	bad := func(format string, a ...any) {
-		pm.defect(p, "codecsym", c, "bad //mantra:codec on %s: %s", fd.Name.Name, fmt.Sprintf(format, a...))
-	}
-	for key := range args {
-		switch key {
-		case "pair", "role", "type", "magic", "shape":
-		default:
-			bad("unknown argument %s", quote(key))
-		}
-	}
-	if mark.Pair == "" {
-		bad("missing pair=<name>")
-	}
-	if mark.Role != "encode" && mark.Role != "decode" {
-		bad("role must be encode or decode on a function marker")
-	}
-	if mark.Role == "decode" && mark.Shape != "" {
-		bad("shape= belongs on the encode marker (the encode order is the wire format)")
-	}
-	typeName := args["type"]
-	if typeName == "" {
-		bad("missing type=<struct> (the value the codec reads and writes)")
-	} else if full, ok := resolveNamedType(p, typeName); ok {
-		mark.TypeFull = full
-	} else {
-		bad("type %s does not resolve to a named type in this package or its imports", quote(typeName))
-	}
-	if mark.Magic != "" {
-		if v, ok := resolveConst(p, mark.Magic); ok {
-			mark.MagicValue = v
-		} else {
-			bad("magic %s does not resolve to a package-level constant", quote(mark.Magic))
-		}
-	}
-	return mark
-}
-
-// transferMark validates one statetransfer marker: a root flavor XOR a
-// component seam.
-func (pm *pkgMarks) transferMark(p *Package, fd *ast.FuncDecl, c *ast.Comment, args map[string]string) *TransferMark {
-	mark := &TransferMark{
-		Root:      args["root"],
-		Component: args["component"],
-		Seam:      args["seam"],
-		Pos:       toPos(p, fd.Name.Pos()),
-	}
-	bad := func(format string, a ...any) {
-		pm.defect(p, "statecov", c, "bad //mantra:statetransfer on %s: %s", fd.Name.Name, fmt.Sprintf(format, a...))
-	}
-	for key := range args {
-		switch key {
-		case "root", "component", "seam":
-		default:
-			bad("unknown argument %s", quote(key))
-		}
-	}
-	switch {
-	case mark.Root != "":
-		if mark.Component != "" || mark.Seam != "" {
-			bad("a marker is either root=<flavor> or component=<name> seam=<dir>, not both")
-		}
-		if !transferRootFlavors[mark.Root] {
-			bad("unknown root flavor %s (want one of %s)", quote(mark.Root), strings.Join(sortedFlavors(), ", "))
-		}
-	case mark.Component != "" || mark.Seam != "":
-		if mark.Component == "" || mark.Seam == "" {
-			bad("seam markers need both component=<name> and seam=<dir>")
-		}
-		if mark.Seam != "export" && mark.Seam != "import" && mark.Seam != "remove" {
-			bad("seam must be export, import or remove")
-		}
-		if full := recvNamedType(p, fd); full != "" {
-			mark.Recv = full
-			pm.track(p, full)
-		}
-	default:
-		bad("marker declares neither root= nor component=/seam=")
-	}
-	return mark
-}
-
-// typePin parses a codec shape pin on a type declaration.
-func (pm *pkgMarks) typePin(p *Package, ts *ast.TypeSpec, doc *ast.CommentGroup) {
-	for _, c := range doc.List {
-		args, ok, defect := parseMarkArgs(c.Text, codecMarker)
-		if !ok {
-			continue
-		}
-		bad := func(format string, a ...any) {
-			pm.defect(p, "codecsym", c, "bad //mantra:codec on type %s: %s", ts.Name.Name, fmt.Sprintf(format, a...))
-		}
-		if defect != "" {
-			bad("%s", defect)
-			continue
-		}
-		mark := &CodecMark{Pair: args["pair"], Magic: args["magic"], Shape: args["shape"], Pos: toPos(p, ts.Name.Pos())}
-		for key := range args {
-			switch key {
-			case "pair", "magic", "shape":
-			case "role", "type":
-				bad("%s= is for function markers; a type pin is role-less", key)
-			default:
-				bad("unknown argument %s", quote(key))
-			}
-		}
-		if mark.Pair == "" {
-			bad("missing pair=<name>")
-		}
-		if mark.Magic != "" {
-			if v, ok := resolveConst(p, mark.Magic); ok {
-				mark.MagicValue = v
-			} else {
-				bad("magic %s does not resolve to a package-level constant", quote(mark.Magic))
-			}
-		}
-		ss := pm.structFor(p, ts.Name)
-		if ss == nil {
-			bad("the pinned declaration is not a struct type")
-			continue
-		}
-		if ss.Codec != nil {
-			bad("duplicate //mantra:codec pin on one type")
-			continue
-		}
-		ss.Codec = mark
-	}
-}
-
-// track ensures full's field accesses are recorded as FieldUse facts and
-// that its StructSum is in the summary (statecov needs the field list).
-func (pm *pkgMarks) track(p *Package, full string) {
-	if pm.tracked[full] {
-		return
-	}
-	pm.tracked[full] = true
-	for _, s := range pm.structs {
-		if s.Name == full {
-			return
-		}
-	}
-	// Find the declaring TypeSpec in this package (a seam receiver
-	// declared elsewhere is summarized by its own package).
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok {
-					if obj := p.Info.Defs[ts.Name]; obj != nil && typeFullName(obj.Type()) == full {
-						pm.structFor(p, ts.Name)
-						return
-					}
-				}
-			}
-		}
-	}
-}
-
-// structFor returns (building if needed) the StructSum for a type
-// declared in this package, nil when it is not a struct.
-func (pm *pkgMarks) structFor(p *Package, name *ast.Ident) *StructSum {
-	obj := p.Info.Defs[name]
-	if obj == nil {
-		return nil
-	}
-	full := typeFullName(obj.Type())
-	if full == "" {
-		return nil
-	}
-	for _, s := range pm.structs {
-		if s.Name == full {
-			return s
-		}
-	}
-	st, ok := obj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	ss := &StructSum{Name: full, Pos: toPos(p, name.Pos())}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		ss.Fields = append(ss.Fields, FieldDecl{
-			Name:      f.Name(),
-			Type:      types.TypeString(f.Type(), nil),
-			Pos:       toPos(p, f.Pos()),
-			StringMap: isStringKeyedMap(f.Type()),
-		})
-	}
-	pm.structs = append(pm.structs, ss)
-	pm.tracked[full] = true
-	return ss
-}
-
-// resolveNamedType resolves "Name" (package scope) or "pkg.Name" (an
-// import, matched by package name) to a named type's full name.
-func resolveNamedType(p *Package, name string) (string, bool) {
-	if p.Types == nil {
-		return "", false
-	}
-	scope := p.Types.Scope()
-	if pkgName, typeName, qualified := strings.Cut(name, "."); qualified {
-		scope = nil
-		for _, imp := range p.Types.Imports() {
-			if imp.Name() == pkgName {
-				scope = imp.Scope()
-				break
-			}
-		}
-		if scope == nil {
-			return "", false
-		}
-		name = typeName
-	}
-	tn, ok := scope.Lookup(name).(*types.TypeName)
-	if !ok {
-		return "", false
-	}
-	full := typeFullName(tn.Type())
-	return full, full != ""
-}
-
-// resolveConst resolves a package-level constant name to its exact value.
-func resolveConst(p *Package, name string) (string, bool) {
-	if p.Types == nil {
-		return "", false
-	}
-	c, ok := p.Types.Scope().Lookup(name).(*types.Const)
-	if !ok {
-		return "", false
-	}
-	return c.Val().ExactString(), true
-}
-
-// recvNamedType returns the full named type of fd's receiver (pointers
-// dereferenced), "" for plain functions.
-func recvNamedType(p *Package, fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := p.Info.TypeOf(fd.Recv.List[0].Type)
-	return typeFullName(t)
-}
-
-// typeFullName renders a (possibly pointer-to-)named type as
-// "pkgpath.Name", "" for anything else.
-func typeFullName(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() != nil {
-		return obj.Pkg().Path() + "." + obj.Name()
-	}
-	return obj.Name()
-}
-
-// isStringKeyedMap reports whether t's underlying type is a map with a
-// string-kind key — the per-target state shape statecov's field-coverage
-// check is about.
-func isStringKeyedMap(t types.Type) bool {
-	m, ok := t.Underlying().(*types.Map)
-	if !ok {
-		return false
-	}
-	b, ok := m.Key().Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func sortedFlavors() []string {
-	out := make([]string, 0, len(transferRootFlavors))
-	for f := range transferRootFlavors {
-		out = append(out, f)
-	}
-	sort.Strings(out)
 	return out
-}
-
-// shapeDigest is the hex16 fingerprint codecsym pins: fnv64a over the
-// given parts (encode-order field paths, or a struct's field list) with
-// the magic constant's value folded in, so bumping the magic always moves
-// the digest and forces a deliberate re-pin.
-func shapeDigest(parts []string, magicValue string) string {
-	h := fnv.New64a()
-	for _, s := range parts {
-		io.WriteString(h, s)
-		h.Write([]byte{'\n'})
-	}
-	io.WriteString(h, "magic="+magicValue)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// pathBase trims a (slash or native) path to its last element for
-// finding messages that reference the other half of a flow.
-func pathBase(p string) string {
-	p = strings.ReplaceAll(p, "\\", "/")
-	if i := strings.LastIndex(p, "/"); i >= 0 {
-		return p[i+1:]
-	}
-	return p
 }

@@ -12,7 +12,7 @@ var reportFixture = []Finding{
 	{Pos: token.Position{Filename: "internal/core/engine/engine.go", Line: 12, Column: 3},
 		Check: "lockheld", Message: "mu held across channel send"},
 	{Pos: token.Position{Filename: "internal/core/logger/wal.go", Line: 40, Column: 9},
-		Check: "waltaint", Message: "direct write bypasses framing"},
+		Check: "walerr", Message: "Sync error silently dropped"},
 }
 
 func TestWriteJSON(t *testing.T) {

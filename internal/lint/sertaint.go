@@ -32,9 +32,8 @@ import (
 //
 // Module sinks are declared with //mantra:sink serialization on the
 // function whose arguments become bytes; sort.* calls sanitize, and the
-// wallclock/globalrand allow comments double as declared clock/rand
-// seams. The analysis is module-wide and runs over the per-package fact
-// summaries.
+// wallclock allow comments double as declared clock seams. The analysis
+// is module-wide and runs over the per-package fact summaries.
 var serTaintAnalyzer = &Analyzer{
 	Name: "sertaint",
 	Doc:  "nondeterministically ordered value (map range, select arm, goroutine, unseamed time/rand) flows into a serialization sink",
@@ -106,7 +105,7 @@ func serTaintFindings(idx *sumIndex, add func(Finding)) {
 					}
 				}
 			}
-			if callee != nil && callee.Sink != "" {
+			if callee != nil && callee.Sink {
 				for _, j := range usedArgs[call.Index] {
 					sinks[qual(name, fmt.Sprintf("c%d.a%d", call.Index, j))] =
 						taintSink{desc: callee.Short + " (declared //mantra:sink serialization)", pos: call.Pos}
@@ -172,4 +171,14 @@ func reachSink(start string, adj map[string][]string, sinks map[string]taintSink
 		}
 	}
 	return best, found
+}
+
+// pathBase trims a (slash or native) path to its last element for
+// finding messages that reference the other half of a flow.
+func pathBase(p string) string {
+	p = strings.ReplaceAll(p, "\\", "/")
+	if i := strings.LastIndex(p, "/"); i >= 0 {
+		return p[i+1:]
+	}
+	return p
 }

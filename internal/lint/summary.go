@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file is the fact layer: everything the module-wide analyzers
@@ -70,21 +69,14 @@ type FuncSum struct {
 
 	Hot       bool `json:"hot,omitempty"`
 	HotBudget int  `json:"hotBudget,omitempty"`
-	HotLine   int  `json:"hotLine,omitempty"`
 
 	Calls  []CallRef   `json:"calls,omitempty"`
 	Allocs []AllocSite `json:"allocs,omitempty"`
 	Locks  []LockEv    `json:"locks,omitempty"`
 
-	// v4 field-flow facts (DESIGN.md §15).
-	Codec    *CodecMark    `json:"codec,omitempty"`
-	Transfer *TransferMark `json:"transfer,omitempty"`
-	Sink     string        `json:"sink,omitempty"`
-	// FieldFlow is the codec's ordered target-field event sequence.
-	FieldFlow []FieldEv `json:"fieldFlow,omitempty"`
-	// Fields records which tracked-struct fields the function touches.
-	Fields []FieldUse `json:"fields,omitempty"`
-	// Taint is the function's determinism-taint graph.
+	// Sink marks a //mantra:sink serialization function, and Taint is
+	// the function's determinism-taint graph (DESIGN.md §15).
+	Sink  bool      `json:"sink,omitempty"`
 	Taint *TaintSum `json:"taint,omitempty"`
 }
 
@@ -92,11 +84,8 @@ type FuncSum struct {
 type PkgSummary struct {
 	RelPath string     `json:"relPath"`
 	Funcs   []*FuncSum `json:"funcs"`
-	// Structs are the package's tracked structs: codec shape pins and
-	// transfer-seam receivers.
-	Structs []*StructSum `json:"structs,omitempty"`
-	// Defects are marker defects (dangling or malformed //mantra:codec,
-	// //mantra:statetransfer, //mantra:sink comments), pre-rendered as
+	// Defects are marker defects (dangling, malformed or duplicate
+	// //mantra:hotpath and //mantra:sink comments), pre-rendered as
 	// findings.
 	Defects []Finding `json:"markDefects,omitempty"`
 }
@@ -106,11 +95,8 @@ type PkgSummary struct {
 // their declaration, goroutine-launched literal bodies belong to the
 // spawned goroutine and are excluded.
 func Summarize(p *Package) *PkgSummary {
-	sum := &PkgSummary{RelPath: p.RelPath}
-	marks := collectPkgMarks(p)
+	sum := &PkgSummary{RelPath: p.RelPath, Defects: markDefects(p)}
 	seamLines := seamAllowLines(p)
-	sum.Structs = marks.structs
-	sum.Defects = marks.defects
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -126,20 +112,8 @@ func Summarize(p *Package) *PkgSummary {
 				Short: shortFuncName(fn),
 				End:   toPos(p, fd.Body.End()),
 			}
-			if mark, ok := funcHotMark(p, fd); ok {
-				fs.Hot = true
-				fs.HotBudget = mark.budget
-				fs.HotLine = mark.line
-			}
-			if fm := marks.funcs[fd]; fm != nil {
-				fs.Codec = fm.codec
-				fs.Transfer = fm.transfer
-				fs.Sink = fm.sink
-				if fm.codec != nil {
-					fs.FieldFlow = fieldFlowEvents(p, fd, fm.codec)
-				}
-			}
-			fs.Fields = fieldUses(p, fd, marks.tracked)
+			fs.HotBudget, fs.Hot = funcHotMark(fd)
+			fs.Sink = funcSink(fd)
 			fs.Taint = taintSummary(p, fd, seamLines)
 			summarizeBody(p, fd, fs)
 			sum.Funcs = append(sum.Funcs, fs)
@@ -421,9 +395,6 @@ func namedTypeOf(p *Package, e ast.Expr) string {
 		}
 		return obj.Name()
 	}
-	// A plain sync.Mutex receiver (mutex value itself): not named.
-	if strings.HasPrefix(t.String(), "sync.") {
-		return ""
-	}
+	// A plain sync.Mutex receiver (the mutex value itself) is not named.
 	return ""
 }

@@ -23,10 +23,10 @@ import (
 // accumulation (op-assign or a self-referential assignment like
 // x = append(x, k)) into a variable declared outside a map-range body, a
 // select arm, or a go-launched literal — plus calls into time/rand that
-// are not declared seams (an adjacent wallclock/globalrand allow marks a
-// site as deliberately seamed). The global phase stitches the
-// per-function graphs together along call edges and reports any source
-// that reaches a serialization sink.
+// are not declared seams (an adjacent wallclock allow marks a site as
+// deliberately seamed). The global phase stitches the per-function
+// graphs together along call edges and reports any source that reaches
+// a serialization sink.
 //
 // Precision choices, deliberately conservative in the quiet direction:
 // sort.* calls sanitize their (plain-variable) arguments; map-index
@@ -92,8 +92,8 @@ type taintExtract struct {
 	edgeSeen  map[TaintEdge]bool
 	sanitized map[string]bool
 	ctxs      []taintCtx
-	// seamLines marks lines sanctioned by a wallclock/globalrand allow
-	// (the allow line and the line it covers below).
+	// seamLines marks lines sanctioned by a wallclock allow (the allow
+	// line and the line it covers below).
 	seamLines map[string]map[int]bool
 }
 
@@ -451,8 +451,8 @@ func (tx *taintExtract) handleCall(call *ast.CallExpr) {
 }
 
 // seamed reports whether the call site carries (or sits under) a
-// wallclock/globalrand allow — the module's convention for a declared,
-// reviewed clock/rand seam.
+// wallclock allow — the module's convention for a declared, reviewed
+// clock seam.
 func (tx *taintExtract) seamed(call *ast.CallExpr) bool {
 	pos := tx.p.Fset.Position(call.Pos())
 	return tx.seamLines[pos.Filename][pos.Line]
@@ -542,9 +542,9 @@ func isResponseWriter(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "ResponseWriter"
 }
 
-// seamAllowLines collects, per file, the lines sanctioned by a
-// wallclock or globalrand allow comment: the comment's own line and the
-// line below it (the two positions an allow covers).
+// seamAllowLines collects, per file, the lines sanctioned by a wallclock
+// allow comment: the comment's own line and the line below it (the two
+// positions an allow covers).
 func seamAllowLines(p *Package) map[string]map[int]bool {
 	out := make(map[string]map[int]bool)
 	for _, file := range p.Files {
@@ -555,7 +555,7 @@ func seamAllowLines(p *Package) map[string]map[int]bool {
 				}
 				rest := strings.TrimPrefix(c.Text, allowPrefix)
 				fields := strings.Fields(rest)
-				if len(fields) < 2 || (fields[0] != "wallclock" && fields[0] != "globalrand") {
+				if len(fields) < 2 || fields[0] != "wallclock" {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
@@ -568,4 +568,24 @@ func seamAllowLines(p *Package) map[string]map[int]bool {
 		}
 	}
 	return out
+}
+
+// typeFullName renders a (possibly pointer-to-)named type as
+// "pkgpath.Name", "" for anything else.
+func typeFullName(t types.Type) string {
+	if t == nil {
+		return ""
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	obj := named.Obj()
+	if obj.Pkg() != nil {
+		return obj.Pkg().Path() + "." + obj.Name()
+	}
+	return obj.Name()
 }

@@ -17,7 +17,7 @@ func stale() int {
 
 // staleAbove: a standalone stale allow reports at its own line.
 func staleAbove() int {
-	//mantralint:allow globalrand nothing random below anymore // want `allow for "globalrand" suppresses nothing on its line`
+	//mantralint:allow floatsum nothing accumulates below anymore // want `allow for "floatsum" suppresses nothing on its line`
 	return 7
 }
 

@@ -1,47 +1,17 @@
-// Fixture for v4 marker defects: dangling markers, malformed codec
-// arguments, a shape pinned on the decode half, a statetransfer marker
-// claiming both root and component, and a bad sink token. Defects are
-// asserted directly by TestMarkDefects — a want annotation on a marker
-// line would corrupt the marker's own parse.
+// Fixture for sink-marker defects: a dangling marker, a bad kind token
+// and a duplicate. Defects are asserted directly by TestMarkDefects — a
+// want annotation on a marker line would corrupt the marker's own parse.
 package netsim
 
-// A dangling codec marker: attached to nothing.
+// A dangling sink marker: attached to nothing.
 //
-//mantra:codec pair=orphan role=encode type=int magic=x
+//mantra:sink serialization
 
 var _ = 0
-
-type defectRec struct {
-	V uint64
-}
-
-//mantra:codec pair=noType role=encode magic=defectMagic
-func defectNoType(e defectRec) uint64 {
-	return e.V
-}
-
-const defectMagic = "DEFT0001"
-
-//mantra:codec pair=badRole role=transcode type=defectRec
-func defectBadRole(e defectRec) uint64 {
-	return e.V
-}
-
-//mantra:codec pair=decShape role=decode type=defectRec shape=0011223344556677
-func defectDecodeShape() defectRec {
-	return defectRec{}
-}
-
-//mantra:statetransfer root=checkpoint-export component=both seam=export
-func defectRootAndComponent() {}
-
-//mantra:statetransfer component=c seam=sideways
-func defectBadSeam() {}
 
 //mantra:sink compression
 func defectBadSink([]byte) {}
 
-//mantra:codec pair=pinRole role=encode
-type defectPinned struct {
-	V uint64
-}
+//mantra:sink serialization
+//mantra:sink serialization
+func defectDupSink([]byte) {}

@@ -2,21 +2,22 @@
 // exactly its own line — never a different check, never a nearby line.
 package netsim
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// wrongCheck: the allow names globalrand, so the wallclock finding on the
+// wrongCheck: the allow names floatsum, so the wallclock finding on the
 // same line must still be reported.
 func wrongCheck() time.Time {
-	return time.Now() //mantralint:allow globalrand names the wrong check // want `time.Now reads the wall clock` `allow for "globalrand" suppresses nothing on its line`
+	return time.Now() //mantralint:allow floatsum names the wrong check // want `time.Now reads the wall clock` `allow for "floatsum" suppresses nothing on its line`
 }
 
 // sameLineBoth: two different checks fire on one line; the allow silences
-// only wallclock, so globalrand still reports.
-func sameLineBoth() int64 {
-	return time.Now().UnixNano() + int64(rand.Intn(7)) //mantralint:allow wallclock only the clock read is justified // want `global rand.Intn is unseedable per run`
+// only wallclock, so floatsum still reports.
+func sameLineBoth(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum += v * float64(time.Now().Unix()) //mantralint:allow wallclock only the clock read is justified // want `floating-point accumulation into sum in map-iteration order`
+	}
+	return sum
 }
 
 // lineAbove: a standalone allow on its own line covers the line below it.

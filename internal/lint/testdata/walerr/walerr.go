@@ -6,7 +6,7 @@ import "os"
 
 type seg struct{ f *os.File }
 
-func (s *seg) writeFrame(b []byte) error { _, err := s.f.Write(b); return err } // want `direct \(\*os\.File\)\.Write bypasses the checksummed frame writer`
+func (s *seg) writeFrame(b []byte) error { _, err := s.f.Write(b); return err }
 func (s *seg) syncAll() error            { return s.f.Sync() }
 func (s *seg) rotateSegment() error      { return nil }
 
