@@ -67,8 +67,8 @@ type archiveState struct {
 // snapshots are rebuilt to their pre-crash values before the call
 // returns; at most the final partially-written record is lost, and the
 // returned report says exactly what was repaired. The monitor's own
-// settings (SetMaxAnomalies, SetSeriesRetain) apply to what is restored,
-// so make them first. Call before the first cycle.
+// settings (SetMaxAnomalies) apply to what is restored, so make them
+// first. Call before the first cycle.
 func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 	if m.archive != nil {
 		return nil, errors.New("mantra: archive already enabled")

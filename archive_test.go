@@ -14,6 +14,8 @@ import (
 	"repro/internal/core/collect"
 	"repro/internal/core/logger"
 	"repro/internal/core/process"
+	"repro/internal/core/tables"
+	"repro/internal/core/tsdb"
 	"repro/internal/netsim"
 	"repro/internal/router"
 )
@@ -395,10 +397,13 @@ func TestArchiveRefusesSilentOverwrite(t *testing.T) {
 // an earlier format must fail with ErrArchiveVersion and leave every file
 // as it was, not repair the unreadable segments away and start empty.
 // Each kind of file is aged alone: the WAL segments, and the checkpoints
-// as the previous format wrote them (MCKP0004, whose caller payload this
-// build no longer decodes).
+// as the two previous formats wrote them (MCKP0004 and MCKP0005, whose
+// caller payloads this build no longer decodes).
 func TestArchiveRefusesAnotherFormatVersion(t *testing.T) {
-	for glob, magic := range map[string]string{"wal-*.seg": "MWAL0002", "ckpt-*.ck": "MCKP0004"} {
+	for _, aged := range []struct{ glob, magic string }{
+		{"wal-*.seg", "MWAL0002"}, {"ckpt-*.ck", "MCKP0004"}, {"ckpt-*.ck", "MCKP0005"},
+	} {
+		glob, magic := aged.glob, aged.magic
 		t.Run(magic, func(t *testing.T) {
 			dir := t.TempDir()
 			n, m1 := newMonitoredNetwork(t)
@@ -452,10 +457,10 @@ func TestArchiveRefusesAnotherFormatVersion(t *testing.T) {
 	}
 }
 
-// TestArchiveResumeKeepsLiveSettings: the ring cap and the hot-ring
-// retention are the resuming process's settings, not the ones the
-// previous process checkpointed — set before EnableArchive, they hold
-// after it and apply to what it restored.
+// TestArchiveResumeKeepsLiveSettings: the ring cap is the resuming
+// process's setting, not the one the previous process checkpointed —
+// set before EnableArchive, it holds after it and applies to what it
+// restored.
 func TestArchiveResumeKeepsLiveSettings(t *testing.T) {
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
@@ -475,18 +480,13 @@ func TestArchiveResumeKeepsLiveSettings(t *testing.T) {
 
 	m2 := mantra.New()
 	m2.SetMaxAnomalies(5)
-	m2.SetSeriesRetain(20)
 	rewire(m2, n, "fixw", "ucsb-r1")
 	if _, err := m2.EnableArchive(mantra.ArchiveConfig{Dir: dir, Resume: true}); err != nil {
 		t.Fatal(err)
 	}
 	p := m2.Processor()
-	if p.MaxAnomalies != 5 || p.SeriesRetain() != 20 {
-		t.Fatalf("after resume: MaxAnomalies %d, SeriesRetain %d; want 5 and 20", p.MaxAnomalies, p.SeriesRetain())
-	}
-	s := m2.Series("fixw", mantra.MetricSessions)
-	if s.Len() != 20 || s.TotalLen() != cycles {
-		t.Fatalf("restored series holds %d of %d points, want the last 20 of %d", s.Len(), s.TotalLen(), cycles)
+	if p.MaxAnomalies != 5 {
+		t.Fatalf("after resume: MaxAnomalies %d, want 5", p.MaxAnomalies)
 	}
 	if got := len(m2.Anomalies()); got > 5 {
 		t.Fatalf("restored ring holds %d anomalies, cap 5", got)
@@ -677,5 +677,50 @@ func TestArchiveAnomalyRecovery(t *testing.T) {
 	}
 	if err := m2.CloseArchive(n.Now()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArchiveMirrorBytesRepeat: two archived monitors fed the same
+// script write the same tsdb mirror bytes. The script puts a gap on
+// every series' BlockPoints-th point, so all of a target's series seal
+// inside one MarkGap and the mirror frames them in the order they seal.
+// Several pairs are compared, so an order that depends on map
+// iteration cannot pass by chance.
+func TestArchiveMirrorBytesRepeat(t *testing.T) {
+	mirror := func() map[string]string {
+		dir := t.TempDir()
+		m := mantra.New()
+		if _, err := m.EnableArchive(mantra.ArchiveConfig{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		p := m.Processor()
+		at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+		for i := 1; i < tsdb.BlockPoints; i++ {
+			p.Ingest(&tables.Snapshot{Target: "fixw", At: at})
+			at = at.Add(30 * time.Minute)
+		}
+		p.MarkGap("fixw", at)
+		if err := m.CloseArchive(at); err != nil {
+			t.Fatal(err)
+		}
+		paths, _ := filepath.Glob(filepath.Join(dir, "tsdb", "tsdb-*.seg"))
+		out := make(map[string]string)
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(path)] = string(data)
+		}
+		return out
+	}
+	want := mirror()
+	if len(want) == 0 {
+		t.Fatal("no mirror segment written")
+	}
+	for i := 0; i < 4; i++ {
+		if got := mirror(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d wrote different mirror bytes from the same script", i+2)
+		}
 	}
 }

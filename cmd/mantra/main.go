@@ -48,9 +48,8 @@
 // (-max-consecutive-failures tripped, archive or listener error), 2 on a
 // usage error.
 //
-// With -series-retain N the in-memory hot rings are bounded to the
-// newest N points; the compressed long-horizon store keeps full history
-// and backs /query and the ranged form of /series either way.
+// Every series point lives once, in the compressed store behind
+// /series, /graph and /query.
 //
 // Endpoints: /  /series/<target>/<metric>[?from=&to=&limit=]
 // /graph/<target>/<metric>  /tables/<name>  /anomalies  /health
@@ -142,7 +141,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxAnomalies := fs.Int("max-anomalies", 0, "cap on retained anomaly episodes, oldest resolved evicted first (0 = default cap)")
 	shards := fs.Int("shards", 1, "shard worker count; >1 runs the fault-tolerant shard supervisor")
 	shardHeartbeat := fs.Duration("shard-heartbeat", 0, "declare a shard dead when its last completed cycle is older than this (cycle time; 0 = crash detection only)")
-	seriesRetain := fs.Int("series-retain", 0, "bound the in-memory hot series rings to the newest N points; the compressed store retains full history (0 = unbounded rings)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -184,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Policy:           policy,
 			Concurrency:      *concurrency,
 			MaxAnomalies:     *maxAnomalies,
-			SeriesRetain:     *seriesRetain,
 			DataDir:          *dataDir,
 			SyncEveryAppend:  *archiveSync,
 		})
@@ -195,7 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			m.EnableAggregation()
 		}
 		m.SetMaxAnomalies(*maxAnomalies)
-		m.SetSeriesRetain(*seriesRetain)
 		m.SetConcurrency(*concurrency)
 		d, err = monitorDaemon(logger, m, targets, *concurrent || *aggregate || *concurrency > 0, mantra.ArchiveConfig{
 			Dir:             *dataDir,

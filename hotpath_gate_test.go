@@ -14,12 +14,14 @@ package mantra_test
 import (
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
+	mantra "repro"
 	"repro/internal/addr"
 	"repro/internal/core/collect"
 	"repro/internal/core/cycle"
@@ -249,8 +251,8 @@ func dvmrpRouteDump(n int, uptime time.Duration) []byte {
 // TestWorkerCheckpointAllocBytes bounds what a shard worker's per-cycle
 // checkpoint (cycle.Core.Export) allocates. The checkpoint carries only
 // what cannot be derived from the rest of it, so its cost must depend
-// neither on the size of the target's route table nor, once the series
-// rings have filled, on how many cycles have been logged. (It used to
+// neither on the size of the target's route table nor on how many
+// cycles have been logged. (It used to
 // copy the stability tracker, the route set and the whole delta log:
 // about a hundred times more for the large target than for the small
 // one, and more every cycle.) The two cycles compared for history are
@@ -274,7 +276,6 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 		targets = append(targets, collect.Target{Name: name, Dialer: collect.PipeDialer{Router: r}, Prompt: name + "> ", Timeout: 5 * time.Second})
 	}
 	core := cycle.New(collect.DefaultPolicy(), collect.StandardCommands, nil)
-	core.Proc.SetSeriesRetain(16)
 
 	exportBytes := func(at time.Time, tgt collect.Target) uint64 {
 		least := ^uint64(0)
@@ -317,6 +318,61 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 			largeEarly = large
 		} else if gate := largeEarly * 5 / 4; large > gate {
 			t.Errorf("Export allocated %d bytes at cycle %d and %d at cycle %d; gate is %d — the checkpoint scales with history length", large, late, largeEarly, early, gate)
+		}
+	}
+}
+
+// TestReadPathAllocBytesFlatInHistory holds the two read paths a
+// dashboard polls, /graph and /health, to what they allocate at a short
+// history: at four times the points per series a request may allocate
+// at most a quarter more, plus a constant. /graph draws the store's
+// blocks one at a time and /health counts gaps from the detection
+// windows; a copy of the series on either path grows with its length.
+// Each figure is the least of several requests.
+func TestReadPathAllocBytesFlatInHistory(t *testing.T) {
+	m := mantra.New()
+	m.AddTarget(collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: cannedRouter{prompt: []byte("fixw> ")}}, Prompt: "fixw> "})
+	h := m.Handler()
+	p := m.Processor()
+	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+	extend := func(points int) {
+		for i := 0; i < points; i++ {
+			at = at.Add(30 * time.Minute)
+			if i%50 == 49 {
+				p.MarkGap("fixw", at)
+				continue
+			}
+			p.Ingest(&tables.Snapshot{Target: "fixw", At: at, Routes: make(tables.RouteTable, 100+i%37)})
+		}
+	}
+	requestBytes := func(url string) uint64 {
+		least := ^uint64(0)
+		for run := 0; run < 4; run++ {
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+			runtime.ReadMemStats(&after)
+			if rec.Code != 200 {
+				t.Fatalf("GET %s: %d %s", url, rec.Code, rec.Body)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const n = 4 * tsdb.BlockPoints
+	urls := []string{"/graph/fixw/routes", "/health"}
+	extend(n)
+	short := make([]uint64, len(urls))
+	for i, url := range urls {
+		short[i] = requestBytes(url)
+	}
+	extend(3 * n)
+	for i, url := range urls {
+		long := requestBytes(url)
+		t.Logf("%s: %d bytes at %d points per series, %d at %d", url, short[i], n, long, 4*n)
+		if gate := short[i]*5/4 + 2<<10; long > gate {
+			t.Errorf("%s allocated %d bytes at %d points per series and %d at %d; gate is %d — the read path grows with history", url, short[i], n, long, 4*n, gate)
 		}
 	}
 }
@@ -445,8 +501,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := process.New()
-	p.SetSeriesRetain(16)
-	for i := 0; i < 600; i++ { // fill the rings and seal the first store blocks
+	for i := 0; i < 600; i++ { // fill the windows and seal the first store blocks
 		p.Ingest(sn)
 	}
 	allocGate(t, "Processor.Ingest steady state", 160, func() {

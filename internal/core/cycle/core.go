@@ -216,9 +216,5 @@ func (c *Core) aggregate(now time.Time, snaps []*tables.Snapshot) *process.Cycle
 func (c *Core) HealthRow(name string) (collect.TargetHealth, int) {
 	h, _ := c.Collector.TargetHealth(name)
 	h.Target = name
-	gaps := 0
-	if s := c.Proc.Series(name, process.MetricRoutes); s != nil {
-		gaps = s.GapCount()
-	}
-	return h, gaps
+	return h, c.Proc.GapCount(name)
 }

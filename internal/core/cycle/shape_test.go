@@ -24,7 +24,7 @@ var checkpointShape = func() []byte {
 	return b.Bytes()
 }()
 
-const pinnedCheckpointShapeDigest = "251845c42ec42456a7ad8ad796be39879c547bf2e23b0a4be0c645f16ce9a6a5"
+const pinnedCheckpointShapeDigest = "8bdd98b9e70b734e5933fdbc78fd704cd2bd6cd22bb77362a731046df4f4dddb"
 
 // TestCheckpointGobShapePinned: the crash-recovery and handoff tests
 // compare the fields they know of; this catches a field they do not,

@@ -14,13 +14,14 @@ import (
 // One checkpoint file — name and bytes — hashed at the commit before
 // checkpoints moved onto internal/core/seglog, and re-pinned once when
 // pair records split into identity deltas and a counter column
-// (MCKP0004), and once more for the magic alone when the caller payload
-// became the cycle core's per-target checkpoint (MCKP0005). One target
+// (MCKP0004), and for the magic alone when the caller payload became
+// the cycle core's per-target checkpoint (MCKP0005) and when that
+// payload stopped carrying in-memory series copies (MCKP0006). One target
 // keeps the gob body deterministic (a single map key); the pin is over
 // the magic, the frame header and the ckpt-%020d.ck name around it.
 const (
 	pinnedCkptName   = "ckpt-00000000000000000009.ck"
-	pinnedCkptDigest = "1df5f995296a13e5a36df91550589a2cb29b2832a7f09cff9c9f2043a37368d8"
+	pinnedCkptDigest = "bf5cb31de3ee06c64dc63665fc0f5bea82a942a8a2d0811dce14a1314f7ffc6c"
 )
 
 func TestCheckpointBytesPinned(t *testing.T) {

@@ -33,7 +33,7 @@ import (
 
 const (
 	segMagic   = "MWAL0003"
-	ckptMagic  = "MCKP0005"
+	ckptMagic  = "MCKP0006"
 	walPrefix  = "wal-"
 	ckptPrefix = "ckpt-"
 	ckptSuffix = ".ck"

@@ -8,12 +8,47 @@ import (
 	"time"
 
 	"repro/internal/core/process"
+	"repro/internal/core/tsdb"
 )
 
-// GraphSeries is one named line on a graph.
-type GraphSeries struct {
-	Name   string
-	Series *process.Series
+// line is one overlaid series as a graph reads it: extent boxes its
+// value points between two times (a zero time leaves that end open),
+// and each walks them in time order.
+type line struct {
+	name   string
+	extent func(from, to time.Time) extent
+	each   func(fn func(t time.Time, v float64))
+}
+
+// extent is the box around some value points: their earliest and latest
+// times and their least and greatest values. ok is false while it holds
+// none.
+type extent struct {
+	xMin, xMax time.Time
+	yMin, yMax float64
+	ok         bool
+}
+
+// add grows e to hold o.
+func (e *extent) add(o extent) {
+	switch {
+	case !o.ok:
+	case !e.ok:
+		*e = o
+	default:
+		if o.xMin.Before(e.xMin) {
+			e.xMin = o.xMin
+		}
+		if o.xMax.After(e.xMax) {
+			e.xMax = o.xMax
+		}
+		if o.yMin < e.yMin {
+			e.yMin = o.yMin
+		}
+		if o.yMax > e.yMax {
+			e.yMax = o.yMax
+		}
+	}
 }
 
 // Graph is the two-dimensional line graph model: multiple overlaid
@@ -21,7 +56,7 @@ type GraphSeries struct {
 type Graph struct {
 	Title  string
 	YLabel string
-	series []GraphSeries
+	series []line
 	// explicit ranges; zero values mean auto-scale.
 	xMin, xMax time.Time
 	yMin, yMax float64
@@ -36,7 +71,49 @@ func NewGraph(title, ylabel string) *Graph {
 // Overlay adds a series to the display — the paper's multi-graph overlay
 // feature for analyzing relationships among variables.
 func (g *Graph) Overlay(name string, s *process.Series) {
-	g.series = append(g.series, GraphSeries{Name: name, Series: s})
+	each := func(fn func(time.Time, float64)) {
+		for i, tm := range s.Times {
+			fn(tm, s.Values[i])
+		}
+	}
+	g.series = append(g.series, line{name: name, each: each, extent: func(from, to time.Time) (e extent) {
+		each(func(tm time.Time, v float64) {
+			if (from.IsZero() || !tm.Before(from)) && (to.IsZero() || !tm.After(to)) {
+				e.add(extent{tm, tm, v, v, true})
+			}
+		})
+		return e
+	}})
+}
+
+// overlayStored adds one series of a compressed store without copying
+// it out: the extent comes from the store's aggregate, which reads the
+// sealed blocks' headers, and each decodes a block at a time, so what a
+// graph of a long history costs stays flat in its length.
+func (g *Graph) overlayStored(name string, st *tsdb.Store, target, metric string) {
+	g.series = append(g.series, line{name: name, extent: func(from, to time.Time) extent {
+		q := tsdb.Query{Metric: metric, Op: tsdb.OpMax}
+		if !from.IsZero() {
+			q.From = from.UnixNano()
+		}
+		if !to.IsZero() {
+			q.To = to.UnixNano()
+		}
+		res, err := st.QueryTarget(q, target)
+		if a := res.Agg; err == nil && a != nil {
+			return extent{time.Unix(0, a.FirstT), time.Unix(0, a.LastT), a.Min, a.Max, true}
+		}
+		return extent{}
+	}, each: func(fn func(time.Time, float64)) {
+		// Self-sealed blocks always decode.
+		_ = st.Scan(target, metric, func(pts []tsdb.Point) {
+			for _, pt := range pts {
+				if !pt.Gap {
+					fn(time.Unix(0, pt.T), pt.V)
+				}
+			}
+		})
+	}})
 }
 
 // SeriesCount returns the number of overlaid series.
@@ -61,37 +138,14 @@ func (g *Graph) ResetZoom() {
 
 // bounds computes effective axis ranges.
 func (g *Graph) bounds() (xMin, xMax time.Time, yMin, yMax float64, ok bool) {
-	first := true
-	for _, gs := range g.series {
-		for i, tm := range gs.Series.Times {
-			if !g.xMin.IsZero() && tm.Before(g.xMin) {
-				continue
-			}
-			if !g.xMax.IsZero() && tm.After(g.xMax) {
-				continue
-			}
-			v := gs.Series.Values[i]
-			if first {
-				xMin, xMax, yMin, yMax, first = tm, tm, v, v, false
-				continue
-			}
-			if tm.Before(xMin) {
-				xMin = tm
-			}
-			if tm.After(xMax) {
-				xMax = tm
-			}
-			if v < yMin {
-				yMin = v
-			}
-			if v > yMax {
-				yMax = v
-			}
-		}
+	var all extent
+	for _, l := range g.series {
+		all.add(l.extent(g.xMin, g.xMax))
 	}
-	if first {
+	if !all.ok {
 		return time.Time{}, time.Time{}, 0, 0, false
 	}
+	xMin, xMax, yMin, yMax = all.xMin, all.xMax, all.yMin, all.yMax
 	if !g.xMin.IsZero() {
 		xMin = g.xMin
 	}
@@ -128,15 +182,11 @@ func (g *Graph) RenderASCII(w io.Writer, width, height int) error {
 		grid[i] = []byte(strings.Repeat(" ", width))
 	}
 	span := xMax.Sub(xMin)
-	for si, gs := range g.series {
+	for si, l := range g.series {
 		glyph := seriesGlyphs[si%len(seriesGlyphs)]
-		for i, tm := range gs.Series.Times {
-			if tm.Before(xMin) || tm.After(xMax) {
-				continue
-			}
-			v := gs.Series.Values[i]
-			if v < yMin || v > yMax {
-				continue
+		l.each(func(tm time.Time, v float64) {
+			if tm.Before(xMin) || tm.After(xMax) || v < yMin || v > yMax {
+				return
 			}
 			var x int
 			if span > 0 {
@@ -144,7 +194,7 @@ func (g *Graph) RenderASCII(w io.Writer, width, height int) error {
 			}
 			y := height - 1 - int(float64(height-1)*(v-yMin)/(yMax-yMin))
 			grid[y][x] = glyph
-		}
+		})
 	}
 	fmt.Fprintf(w, "%s\n", g.Title)
 	for i, row := range grid {
@@ -160,8 +210,8 @@ func (g *Graph) RenderASCII(w io.Writer, width, height int) error {
 	fmt.Fprintf(w, "%10s  %-*s%s\n", "", width-len(xMax.UTC().Format("01/02"))+1,
 		xMin.UTC().Format("2006-01-02"), xMax.UTC().Format("01/02"))
 	var legend []string
-	for si, gs := range g.series {
-		legend = append(legend, fmt.Sprintf("%c=%s", seriesGlyphs[si%len(seriesGlyphs)], gs.Name))
+	for si, l := range g.series {
+		legend = append(legend, fmt.Sprintf("%c=%s", seriesGlyphs[si%len(seriesGlyphs)], l.name))
 	}
 	fmt.Fprintf(w, "%10s  [%s] %s\n", "", strings.Join(legend, " "), g.YLabel)
 	return nil
@@ -181,16 +231,15 @@ func (g *Graph) Points(seriesIdx int) (xs []time.Time, ys []float64) {
 	if seriesIdx < 0 || seriesIdx >= len(g.series) {
 		return nil, nil
 	}
-	gs := g.series[seriesIdx]
-	for i, tm := range gs.Series.Times {
+	g.series[seriesIdx].each(func(tm time.Time, v float64) {
 		if !g.xMin.IsZero() && tm.Before(g.xMin) {
-			continue
+			return
 		}
 		if !g.xMax.IsZero() && tm.After(g.xMax) {
-			continue
+			return
 		}
 		xs = append(xs, tm)
-		ys = append(ys, gs.Series.Values[i])
-	}
+		ys = append(ys, v)
+	})
 	return xs, ys
 }

@@ -151,10 +151,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, idx)
 }
 
-// handleSeries serves /series/<target>/<metric> as JSON x-y data. With
-// any of ?from=, ?to= (RFC3339) or ?limit= present, the points come
-// from the long-horizon store via the query engine — reaching history
-// the bounded hot ring has already dropped — in the identical shape.
+// handleSeries serves /series/<target>/<metric> as JSON x-y data: the
+// whole series, or with any of ?from=, ?to= (RFC3339) or ?limit=
+// present, the points the query engine reads for that range, in the
+// identical shape.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/series/"), "/")
 	if len(parts) != 2 {
@@ -223,20 +223,34 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, fn())
 }
 
-// handleGraph serves /graph/<target>/<metric> as an ASCII chart.
+// handleGraph serves /graph/<target>/<metric> as an ASCII chart. From
+// the server's own processor it draws the store's blocks one at a time,
+// so a request allocates the same at any history length; through a
+// SetSeries source it draws the copy that source returns.
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/graph/"), "/")
 	if len(parts) != 2 {
 		http.Error(w, "use /graph/<target>/<metric>", http.StatusBadRequest)
 		return
 	}
-	series := s.lookupSeries(parts[0], process.Metric(parts[1]))
-	if series == nil {
+	g := NewGraph(parts[0]+": "+parts[1], parts[1])
+	s.mu.RLock()
+	fn := s.series
+	s.mu.RUnlock()
+	switch {
+	case fn != nil:
+		series := fn(parts[0], process.Metric(parts[1]))
+		if series == nil {
+			http.NotFound(w, r)
+			return
+		}
+		g.Overlay(parts[0], series)
+	case s.proc.Store().Len(parts[0], parts[1]) == 0:
 		http.NotFound(w, r)
 		return
+	default:
+		g.overlayStored(parts[0], s.proc.Store(), parts[0], parts[1])
 	}
-	g := NewGraph(parts[0]+": "+parts[1], parts[1])
-	g.Overlay(parts[0], series)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_ = g.RenderASCII(w, 100, 20)
 }

@@ -379,3 +379,36 @@ func TestAnomalyEndpointFilters(t *testing.T) {
 		t.Fatalf("cross = %+v", cross)
 	}
 }
+
+// TestGraphStreamsWhatACopyDraws: /graph draws a series straight from
+// the store's blocks, and must draw the chart a copy of the series
+// (Processor.Series) overlaid on a Graph draws, gaps and sealed blocks
+// included.
+func TestGraphStreamsWhatACopyDraws(t *testing.T) {
+	p := process.New()
+	routes := make(tables.RouteTable, 60)
+	for i := 0; i < 3*256+17; i++ {
+		at := sim.Epoch.Add(time.Duration(i) * 30 * time.Minute)
+		if i%41 == 40 {
+			p.MarkGap("fixw", at)
+			continue
+		}
+		p.Ingest(&tables.Snapshot{Target: "fixw", At: at, Routes: routes[:10+i*7%50]})
+	}
+	rec := httptest.NewRecorder()
+	NewServer(p).ServeHTTP(rec, httptest.NewRequest("GET", "/graph/fixw/routes", nil))
+	g := NewGraph("fixw: routes", "routes")
+	g.Overlay("fixw", p.Series("fixw", process.MetricRoutes))
+	var want strings.Builder
+	if err := g.RenderASCII(&want, 100, 20); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != 200 || rec.Body.String() != want.String() {
+		t.Errorf("/graph: %d\n%s\nwant\n%s", rec.Code, rec.Body, want.String())
+	}
+	rec = httptest.NewRecorder()
+	NewServer(p).ServeHTTP(rec, httptest.NewRequest("GET", "/graph/fixw/nope", nil))
+	if rec.Code != 404 {
+		t.Errorf("/graph of an unknown metric: %d, want 404", rec.Code)
+	}
+}

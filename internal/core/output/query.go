@@ -1,7 +1,7 @@
-// The /query endpoint: the HTTP face of the compressed long-horizon
-// series store. Where /series serves a target's hot ring verbatim,
-// /query executes range and aggregate queries over the full retained
-// history — sealed blocks plus head — and is the seam the figure and
+// The /query endpoint: the HTTP face of the compressed series store.
+// Where /series serves one target's series verbatim, /query executes
+// range and aggregate queries over the stored history — sealed blocks
+// plus head — and is the seam the figure and
 // mstat tooling consume, so its bytes must be deterministic: targets
 // sorted, timestamps RFC3339 UTC, values round-tripped losslessly.
 package output
@@ -165,10 +165,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // rangedSeries answers the ranged form of /series/<target>/<metric>
-// (any of from, to, limit present) through the query engine, so bounds
-// reach the full retained history rather than just the hot ring. The
-// output shape matches the unranged endpoint exactly; limit keeps the
-// newest n points. The bool reports whether ranged mode applied.
+// (any of from, to, limit present) through the query engine, which
+// decodes only the blocks the range meets. The output shape matches the
+// unranged endpoint exactly; limit keeps the newest n points. The bool
+// reports whether ranged mode applied.
 func (s *Server) rangedSeries(w http.ResponseWriter, r *http.Request, target string, m process.Metric) bool {
 	v := r.URL.Query()
 	if v.Get("from") == "" && v.Get("to") == "" && v.Get("limit") == "" {

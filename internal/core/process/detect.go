@@ -25,6 +25,8 @@ package process
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/core/tsdb"
 )
 
 // Anomaly kinds raised by the default detector set.
@@ -230,19 +232,52 @@ func (p *Processor) appendAnomaly(a Anomaly) {
 	}
 }
 
+// window is what the detectors read of one series: its newest values
+// and how many values and gaps it has recorded. Ingest and MarkGap feed
+// it through push, and an import replays the store's points through the
+// same push, so no checkpoint carries it.
+type window struct {
+	vals []float64 // the newest values, oldest first
+	n    int       // values pushed
+	gaps int       // gaps pushed
+	run  int       // gaps pushed since the newest value
+	// lastRun is the gaps pushed between the two newest values: the
+	// outage the newest value ended.
+	lastRun int
+}
+
+// push records one point, keeping the newest keep values.
+func (w *window) push(pt tsdb.Point, keep int) {
+	if pt.Gap {
+		w.gaps++
+		w.run++
+		return
+	}
+	w.n++
+	w.lastRun, w.run = w.run, 0
+	if len(w.vals) >= keep {
+		w.vals = w.vals[:copy(w.vals, w.vals[len(w.vals)-keep+1:])]
+	}
+	w.vals = append(w.vals, pt.V)
+}
+
+// win is the baseline length in cycles, at least 1.
+func (p *Processor) win() int { return max(p.Window, 1) }
+
+// keep is how many values a window holds: the current one and the
+// baseline before it, all detect reads.
+func (p *Processor) keep() int { return p.win() + 1 }
+
 // detect runs the registered detectors against the target's freshly
-// extended series. Called from Ingest only — collection gaps never
+// extended windows. Called from Ingest only — collection gaps never
 // reach here, which is what keeps open episodes from resolving while
 // the monitor is blind.
-func (p *Processor) detect(target string, at time.Time, ts map[Metric]*Series) {
-	ref := ts[MetricRoutes]
-	// Indices are absolute — positions in the full history — so the
-	// baseline anchor survives the retention ring trimming the front of
-	// the in-memory window; they are translated to ring positions only
-	// when slicing. The retention clamp (SetSeriesRetain keeps at least
-	// Window+2 points) guarantees the trailing baseline is resident,
-	// which is what makes detection byte-identical at any retention.
-	n := ref.TotalLen()
+func (p *Processor) detect(target string, at time.Time, ws map[Metric]*window) {
+	ref := ws[MetricRoutes]
+	// Indices are absolute — positions in the series' whole history — so
+	// the baseline anchor outlives the values the window has let go; they
+	// are translated to window positions only when slicing.
+	n := ref.n
 	if n == 0 {
 		return
 	}
@@ -256,16 +291,13 @@ func (p *Processor) detect(target string, at time.Time, ts map[Metric]*Series) {
 		p.baseStart[target] = n - 1
 		reset = true
 	}
-	win := p.Window
-	if win < 1 {
-		win = 1
-	}
+	win := p.win()
 	for _, d := range p.detectors {
-		s := ts[d.Observes()]
-		if s == nil || s.TotalLen() != n || s.Len() == 0 {
+		w := ws[d.Observes()]
+		if w == nil || w.n != n {
 			continue
 		}
-		cur := s.Values[s.Len()-1]
+		cur := w.vals[len(w.vals)-1]
 		if ep, ok := p.open[target][d.Kind()]; ok {
 			a := &p.anomalies[ep.ID-p.firstID]
 			if d.Cleared(cur, ep.Frozen) {
@@ -280,16 +312,10 @@ func (p *Processor) detect(target string, at time.Time, ts map[Metric]*Series) {
 		if reset {
 			continue
 		}
-		lo := p.baseStart[target]
-		if m := n - 1 - win; m > lo {
-			lo = m
-		}
-		// Translate the absolute window to ring positions.
-		phys := lo - s.Dropped
-		if phys < 0 {
-			phys = 0
-		}
-		base := s.Values[phys : s.Len()-1]
+		lo := max(p.baseStart[target], n-1-win)
+		// The window holds values n-len(w.vals) through n-1; a Window
+		// raised mid-run has not filled it yet.
+		base := w.vals[max(lo-(n-len(w.vals)), 0) : len(w.vals)-1]
 		need := d.MinBase()
 		if need < 1 {
 			need = 1
@@ -320,29 +346,13 @@ func (p *Processor) detect(target string, at time.Time, ts map[Metric]*Series) {
 }
 
 // staleBaseline reports whether GapResetCycles or more consecutive
-// collection gaps separate the newest point from the previous one. It
-// reads only the trailing edge of the ring, which the retention clamp
-// keeps resident.
-func (p *Processor) staleBaseline(s *Series) bool {
+// collection gaps separate the newest value from the previous one.
+func (p *Processor) staleBaseline(w *window) bool {
 	limit := p.GapResetCycles
 	if limit <= 0 {
 		limit = DefaultGapResetCycles
 	}
-	if s.Len() < 2 {
-		return false
-	}
-	prev := s.Times[s.Len()-2]
-	gaps := 0
-	for i := len(s.Gaps) - 1; i >= 0; i-- {
-		if !s.Gaps[i].After(prev) {
-			break
-		}
-		gaps++
-		if gaps >= limit {
-			return true
-		}
-	}
-	return false
+	return w.n >= 2 && w.lastRun >= limit
 }
 
 // meanOf averages a slice in index order (deterministic summation).

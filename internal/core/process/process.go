@@ -52,12 +52,9 @@ var AllMetrics = []Metric{
 	MetricSACache, MetricMBGPRoutes,
 }
 
-// Series is an x-y time series, the raw material of the output graphs.
-// By default it grows without bound; with a retention cap (see
-// Processor.SetSeriesRetain) it becomes the *hot ring* over the most
-// recent points, with full history living in the processor's
-// compressed store. Dropped/DroppedGaps record how much the ring has
-// trimmed, so indices into the full history (TotalLen) stay stable.
+// Series is an x-y time series, the raw material of the output graphs:
+// a copy of one series' history, read back out of the processor's
+// compressed store.
 type Series struct {
 	Times  []time.Time
 	Values []float64
@@ -65,65 +62,23 @@ type Series struct {
 	// value could be recorded — explicit markers so degraded cycles are
 	// visible in the outputs instead of silently missing.
 	Gaps []time.Time
-	// Dropped counts value points trimmed off the front by the
-	// retention ring; DroppedGaps counts trimmed gap markers. Both are
-	// zero while the series is unbounded.
-	Dropped     int
-	DroppedGaps int
-
-	retain int
 }
 
 // Append adds one point.
 func (s *Series) Append(t time.Time, v float64) {
 	s.Times = append(s.Times, t)
 	s.Values = append(s.Values, v)
-	s.trim()
 }
 
-// MarkGap records a failed cycle at time t.
-func (s *Series) MarkGap(t time.Time) {
-	s.Gaps = append(s.Gaps, t)
-	s.trim()
-}
+// GapCount returns the number of failed cycles recorded.
+func (s *Series) GapCount() int { return len(s.Gaps) }
 
-// trim enforces the retention cap: the oldest value points beyond
-// retain fall off the front (counted in Dropped), and gap markers older
-// than the remaining window — or beyond retain of them — follow.
-func (s *Series) trim() {
-	if s.retain <= 0 {
-		return
-	}
-	if n := len(s.Values) - s.retain; n > 0 {
-		s.Times = s.Times[n:]
-		s.Values = s.Values[n:]
-		s.Dropped += n
-	}
-	cut := 0
-	if len(s.Times) > 0 {
-		for cut < len(s.Gaps) && s.Gaps[cut].Before(s.Times[0]) {
-			cut++
-		}
-	}
-	if n := len(s.Gaps) - s.retain; n > cut {
-		cut = n
-	}
-	if cut > 0 {
-		s.Gaps = s.Gaps[cut:]
-		s.DroppedGaps += cut
-	}
-}
-
-// GapCount returns the number of failed cycles recorded over the whole
-// history, trimmed markers included.
-func (s *Series) GapCount() int { return s.DroppedGaps + len(s.Gaps) }
-
-// Len returns the number of points currently held in memory.
+// Len returns the number of value points.
 func (s *Series) Len() int { return len(s.Values) }
 
-// TotalLen returns the number of points over the whole history: the
-// in-memory window plus everything the retention ring has trimmed.
-func (s *Series) TotalLen() int { return s.Dropped + len(s.Values) }
+// TotalLen returns the number of value points, as Len does. No product
+// caller; kept for bench/run.go.
+func (s *Series) TotalLen() int { return len(s.Values) }
 
 // Last returns the most recent value, or 0 for an empty series.
 func (s *Series) Last() float64 {
@@ -236,17 +191,17 @@ type Processor struct {
 	// pre-outage values. 0 means DefaultGapResetCycles.
 	GapResetCycles int
 
-	series map[string]map[Metric]*Series
+	// windows holds, per target and metric, what the detectors read of
+	// the series; the store holds the series itself.
+	windows map[string]map[Metric]*window
 	// prevRoutes is, per target, the route table of the last snapshot
 	// ingested, in the form RouteTable.Walk returns and held by
 	// reference: what the next cycle's churn is counted against. A
 	// target has an entry exactly when it has been ingested, an empty
 	// table included.
 	prevRoutes map[string]tables.RouteTable
-	// store mirrors every appended point into the compressed long-
-	// horizon layer; retain caps the in-memory hot rings (0 unbounded).
-	store  *tsdb.Store
-	retain int
+	// store holds every series point, compressed.
+	store *tsdb.Store
 
 	// anomalies is the capped ring, ordered by ID; anomalies[i].ID ==
 	// firstID+i. nextID is the next ID to assign; evicted counts records
@@ -273,7 +228,7 @@ func New() *Processor {
 		SpikeFactor:         1.5,
 		SpikeMinJump:        200,
 		Window:              12,
-		series:              make(map[string]map[Metric]*Series),
+		windows:             make(map[string]map[Metric]*window),
 		prevRoutes:          make(map[string]tables.RouteTable),
 		store:               tsdb.New(),
 		open:                make(map[string]map[string]openEpisode),
@@ -283,60 +238,11 @@ func New() *Processor {
 	return p
 }
 
-// Series returns the named series for a target, or nil. With a
-// retention cap set this is the hot ring — the most recent points only;
-// MaterializedSeries reads the full history back out of the store.
+// Series reads a target's series back out of the compressed store,
+// nil for an unseen series. Compression is lossless, so the copy holds
+// every point ingested. It costs a decode of the whole history: a
+// reader that must not, such as /graph, scans Store instead.
 func (p *Processor) Series(target string, m Metric) *Series {
-	ts := p.series[target]
-	if ts == nil {
-		return nil
-	}
-	return ts[m]
-}
-
-// Store exposes the compressed long-horizon series store every ingested
-// point is mirrored into.
-func (p *Processor) Store() *tsdb.Store { return p.store }
-
-// SetSeriesRetain caps the in-memory hot rings at n points per series
-// (0 restores unbounded growth). The cap is clamped to Window+2 so the
-// anomaly detectors always see their full trailing baseline — detection
-// output is byte-identical at any retention. Existing series are
-// trimmed immediately.
-func (p *Processor) SetSeriesRetain(n int) {
-	if n > 0 {
-		win := p.Window
-		if win < 1 {
-			win = 1
-		}
-		if min := win + 2; n < min {
-			n = min
-		}
-	}
-	p.retain = n
-	for _, ts := range p.series {
-		for _, s := range ts {
-			s.retain = n
-			s.trim()
-		}
-	}
-}
-
-// SeriesRetain returns the hot-ring cap, 0 when unbounded.
-func (p *Processor) SeriesRetain() int { return p.retain }
-
-// Query answers a store query over this processor's targets: the
-// unsharded execution path behind /query.
-func (p *Processor) Query(q tsdb.Query) (tsdb.Result, error) {
-	return p.store.Query(q)
-}
-
-// MaterializedSeries reconstructs a target's full series from the
-// compressed store — the streamed counterpart of Series, unaffected by
-// the retention ring. Compression is lossless, so the result is
-// point-for-point identical to an unbounded hot ring. Returns nil for
-// an unseen series.
-func (p *Processor) MaterializedSeries(target string, m Metric) *Series {
 	pts, err := p.store.Materialize(target, string(m))
 	if err != nil || pts == nil {
 		return nil
@@ -346,22 +252,32 @@ func (p *Processor) MaterializedSeries(target string, m Metric) *Series {
 		if pt.Gap {
 			s.Gaps = append(s.Gaps, time.Unix(0, pt.T).UTC())
 		} else {
-			s.Times = append(s.Times, time.Unix(0, pt.T).UTC())
-			s.Values = append(s.Values, pt.V)
+			s.Append(time.Unix(0, pt.T).UTC(), pt.V)
 		}
 	}
 	return s
 }
 
-// Targets returns the targets seen so far, sorted.
-func (p *Processor) Targets() []string {
-	out := make([]string, 0, len(p.series))
-	for t := range p.series {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+// Store exposes the compressed store that holds every series point.
+func (p *Processor) Store() *tsdb.Store { return p.store }
+
+// Query answers a store query over this processor's targets: the
+// unsharded execution path behind /query.
+func (p *Processor) Query(q tsdb.Query) (tsdb.Result, error) {
+	return p.store.Query(q)
 }
+
+// GapCount returns how many collection gaps a target has recorded, 0
+// for an unseen target.
+func (p *Processor) GapCount(target string) int {
+	if w := p.windows[target]; w != nil {
+		return w[MetricRoutes].gaps
+	}
+	return 0
+}
+
+// Targets returns the targets seen so far, sorted.
+func (p *Processor) Targets() []string { return p.store.Targets() }
 
 // Anomalies returns the retained anomalies sorted by ID — detection
 // order, deterministic across runs. The slice is a copy; records
@@ -370,27 +286,30 @@ func (p *Processor) Anomalies() []Anomaly {
 	return append([]Anomaly(nil), p.anomalies...)
 }
 
-func (p *Processor) seriesFor(target string) map[Metric]*Series {
-	ts := p.series[target]
-	if ts == nil {
-		ts = make(map[Metric]*Series, len(AllMetrics))
+func (p *Processor) windowsFor(target string) map[Metric]*window {
+	w := p.windows[target]
+	if w == nil {
+		w = make(map[Metric]*window, len(AllMetrics))
 		for _, m := range AllMetrics {
-			ts[m] = &Series{retain: p.retain}
+			w[m] = &window{}
 		}
-		p.series[target] = ts
+		p.windows[target] = w
 	}
-	return ts
+	return w
 }
 
 // MarkGap records a failed collection cycle for a target at time at: every
 // series of that target gets an explicit gap marker, so downstream
 // consumers can distinguish "no data because the target was down" from
-// "series not yet started". The target's series are created if absent.
+// "series not yet started". The metrics go in AllMetrics order: a gap
+// can seal every series' block at once, and the mirror writes the
+// blocks in the order they seal.
 func (p *Processor) MarkGap(target string, at time.Time) {
-	ns := at.UnixNano()
-	for m, s := range p.seriesFor(target) {
-		s.MarkGap(at)
-		p.store.AppendGap(target, string(m), ns)
+	pt := tsdb.Point{T: at.UnixNano(), Gap: true}
+	w, keep := p.windowsFor(target), p.keep()
+	for _, m := range AllMetrics {
+		w[m].push(pt, keep)
+		p.store.AppendGap(target, string(m), pt.T)
 	}
 }
 
@@ -468,12 +387,11 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 	st.SACache = saCache
 	st.MBGPRoutes = mbgpRoutes
 
-	// Extend series: the in-memory hot ring and the compressed store
-	// both receive every point.
-	ts := p.seriesFor(sn.Target)
+	// Extend the series in the store and the detectors' windows.
+	w, keep := p.windowsFor(sn.Target), p.keep()
 	ns := sn.At.UnixNano()
 	app := func(m Metric, v float64) {
-		ts[m].Append(sn.At, v)
+		w[m].push(tsdb.Point{T: ns, V: v}, keep)
 		p.store.Append(sn.Target, string(m), ns, v)
 	}
 	app(MetricSessions, float64(st.Sessions))
@@ -498,7 +416,7 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 	app(MetricSACache, float64(st.SACache))
 	app(MetricMBGPRoutes, float64(st.MBGPRoutes))
 
-	p.detect(sn.Target, sn.At, ts)
+	p.detect(sn.Target, sn.At, w)
 	return st
 }
 

@@ -15,9 +15,7 @@ import (
 )
 
 // State is the exportable form of a Processor. All fields are plain data
-// so the state gob-encodes; Series pointers are deep-copied on export,
-// never shared with a live processor. No product caller; kept for
-// bench/layers.go.
+// so the state gob-encodes. No product caller; kept for bench/layers.go.
 type State struct {
 	SenderThresholdKbps float64
 	SpikeFactor         float64
@@ -25,11 +23,8 @@ type State struct {
 	Window              int
 	MaxAnomalies        int
 	GapResetCycles      int
-	SeriesRetain        int
 
-	Series map[string]map[Metric]*Series
-	// Store is the compressed long-horizon layer's state. Sealed blocks
-	// checkpoint far smaller than the raw Series export they replace.
+	// Store is the compressed store's state: every series point.
 	Store *tsdb.State
 	// LastRoute is, per target, the prefixes of the last table ingested,
 	// in Prefix.Compare order: what the next cycle's churn is counted
@@ -53,17 +48,6 @@ type OpenEpisodeState struct {
 	Frozen float64
 }
 
-func copySeries(s *Series) *Series {
-	return &Series{
-		Times:       append([]time.Time(nil), s.Times...),
-		Values:      append([]float64(nil), s.Values...),
-		Gaps:        append([]time.Time(nil), s.Gaps...),
-		Dropped:     s.Dropped,
-		DroppedGaps: s.DroppedGaps,
-		retain:      s.retain,
-	}
-}
-
 // ExportState deep-copies the processor's accumulated state. No product
 // caller; kept for bench/layers.go.
 func (p *Processor) ExportState() *State {
@@ -74,8 +58,6 @@ func (p *Processor) ExportState() *State {
 		Window:              p.Window,
 		MaxAnomalies:        p.MaxAnomalies,
 		GapResetCycles:      p.GapResetCycles,
-		SeriesRetain:        p.retain,
-		Series:              make(map[string]map[Metric]*Series, len(p.series)),
 		Store:               p.store.Export(),
 		LastRoute:           make(map[string][]addr.Prefix, len(p.prevRoutes)),
 		Anomalies:           append([]Anomaly(nil), p.anomalies...),
@@ -83,13 +65,6 @@ func (p *Processor) ExportState() *State {
 		FirstID:             p.firstID,
 		Evicted:             p.evicted,
 		BaseStart:           make(map[string]int, len(p.baseStart)),
-	}
-	for target, ts := range p.series {
-		cp := make(map[Metric]*Series, len(ts))
-		for m, s := range ts {
-			cp[m] = copySeries(s)
-		}
-		st.Series[target] = cp
 	}
 	for target, routes := range p.prevRoutes {
 		prefixes := make([]addr.Prefix, len(routes))

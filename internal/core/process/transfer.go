@@ -3,12 +3,13 @@
 // targets are reassigned to survivors, and a crash recovery, when a
 // restarted monitor reloads its checkpoint.
 //
-// ExportTarget captures one target's series, baseline anchor, anomaly
-// history and open episodes — not the route table its next churn is
-// counted against, which is the target's latest snapshot's and is taken
-// from that at import. ImportTarget splices them into another processor,
-// assigning fresh ring IDs (the anomaly ring's ID contiguity invariant
-// forbids inserting foreign IDs mid-ring); Restore installs every
+// ExportTarget captures one target's compressed series, baseline
+// anchor, anomaly history and open episodes — not the route table its
+// next churn is counted against, which is the target's latest
+// snapshot's and is taken from that at import. ImportTarget splices
+// them into another processor, assigning fresh ring IDs (the anomaly
+// ring's ID contiguity invariant forbids inserting foreign IDs
+// mid-ring); Restore installs every
 // target's the same way into a processor that has ingested nothing and
 // keeps the IDs, the checkpoint carrying the ring's counters (Ring).
 // Fleet-level views dedup the resulting cross-shard copies by ownership;
@@ -28,9 +29,8 @@ import (
 // and deep-copied on export and import.
 type TargetState struct {
 	Target string
-	Series map[Metric]*Series
-	// Store carries the target's compressed long-horizon series, so a
-	// handoff moves full history, not just the hot rings.
+	// Store carries the target's compressed series, its whole history:
+	// the importer rebuilds the detection windows from it.
 	Store *tsdb.TargetState
 	// BaseStart anchors the detection baseline window; HasBase records
 	// whether the target had one (index 0 is a valid anchor).
@@ -55,19 +55,12 @@ type OpenTransfer struct {
 // ExportTarget deep-copies one target's processing state, or returns
 // nil if the processor has never seen the target.
 func (p *Processor) ExportTarget(target string) *TargetState {
-	ts, okSeries := p.series[target]
+	store := p.store.ExportTarget(target)
 	base, okBase := p.baseStart[target]
-	if !okSeries && !okBase {
+	if store == nil && !okBase {
 		return nil
 	}
-	st := &TargetState{Target: target, BaseStart: base, HasBase: okBase}
-	st.Store = p.store.ExportTarget(target)
-	if okSeries {
-		st.Series = make(map[Metric]*Series, len(ts))
-		for m, s := range ts {
-			st.Series[m] = copySeries(s)
-		}
-	}
+	st := &TargetState{Target: target, Store: store, BaseStart: base, HasBase: okBase}
 	idx := make(map[int]int) // local ring ID -> index in st.Anomalies
 	for i := range p.anomalies {
 		a := p.anomalies[i]
@@ -138,8 +131,7 @@ func (p *Processor) Ring() Ring {
 // counters, so the restored ring reads byte for byte as the
 // checkpointed one did. latest gives each target's last ingested
 // snapshot as of the checkpoint. The processor's own configuration —
-// thresholds, the ring cap, the hot-ring retention — applies to what
-// it restores.
+// thresholds, the ring cap — applies to what it restores.
 func (p *Processor) Restore(ring Ring, states map[string]*TargetState, latest map[string]*tables.Snapshot) {
 	var all []Anomaly
 	for target, st := range states {
@@ -161,11 +153,13 @@ func (p *Processor) Restore(ring Ring, states map[string]*TargetState, latest ma
 	}
 }
 
-// install replaces one target's series, compressed store, baseline
-// anchor and churn baseline with st's, dropping its open episodes; the
-// anomaly ring is the caller's. A nil st just removes the target.
+// install replaces one target's compressed store, detection windows,
+// baseline anchor and churn baseline with st's, dropping its open
+// episodes; the anomaly ring is the caller's. The windows are rebuilt
+// by pushing the imported points through them as Ingest and MarkGap
+// did. A nil st just removes the target.
 func (p *Processor) install(target string, st *TargetState, latest *tables.Snapshot) {
-	delete(p.series, target)
+	delete(p.windows, target)
 	delete(p.prevRoutes, target)
 	delete(p.baseStart, target)
 	delete(p.open, target)
@@ -175,15 +169,15 @@ func (p *Processor) install(target string, st *TargetState, latest *tables.Snaps
 	}
 	// Self-exported store state always round-trips.
 	_ = p.store.ImportTarget(target, st.Store)
-	if st.Series != nil {
-		cp := make(map[Metric]*Series, len(st.Series))
-		for m, s := range st.Series {
-			sr := copySeries(s)
-			sr.retain = p.retain
-			sr.trim()
-			cp[m] = sr
+	if st.Store != nil {
+		w, keep := p.windowsFor(target), p.keep()
+		for _, m := range AllMetrics {
+			_ = p.store.Scan(target, string(m), func(pts []tsdb.Point) {
+				for _, pt := range pts {
+					w[m].push(pt, keep)
+				}
+			})
 		}
-		p.series[target] = cp
 	}
 	if latest != nil {
 		p.routeChurn(target, latest.Routes)

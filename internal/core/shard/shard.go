@@ -72,10 +72,6 @@ type Config struct {
 	Concurrency int
 	// MaxAnomalies caps each shard processor's episode ring.
 	MaxAnomalies int
-	// SeriesRetain bounds each shard processor's hot series rings; 0
-	// keeps them unbounded. The long-horizon tsdb store retains full
-	// history either way, so detection and queries are unaffected.
-	SeriesRetain int
 	// DataDir enables per-shard durable WALs under DataDir/shard-NN.
 	DataDir         string
 	SyncEveryAppend bool

@@ -63,7 +63,6 @@ type cycleResp struct {
 func newCore(cfg Config, dir string) (*cycle.Core, error) {
 	c := cycle.New(cfg.Policy, cfg.Commands, cfg.Clock)
 	c.Proc.MaxAnomalies = cfg.MaxAnomalies
-	c.Proc.SetSeriesRetain(cfg.SeriesRetain)
 	if dir != "" {
 		st, err := logger.OpenStore(dir, logger.StoreOptions{SyncEveryAppend: cfg.SyncEveryAppend})
 		if err != nil {

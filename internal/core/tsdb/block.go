@@ -20,6 +20,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core/seglog"
 )
@@ -204,13 +205,18 @@ func DecodeBlockInfo(b []byte) (BlockInfo, error) {
 }
 
 // DecodeBlock decodes a sealed block back into its points.
-func DecodeBlock(b []byte) ([]Point, error) {
+func DecodeBlock(b []byte) ([]Point, error) { return appendBlock(nil, b) }
+
+// appendBlock decodes a sealed block and appends its points to pts: the
+// one decode loop behind every reader, which passes a reused buffer
+// where it can.
+func appendBlock(pts []Point, b []byte) ([]Point, error) {
 	info, stream, err := decodeHeader(b)
 	if err != nil {
 		return nil, err
 	}
 	r := newBitReader(stream, ErrBadBlock)
-	pts := make([]Point, 0, info.Count)
+	pts = slices.Grow(pts, info.Count)
 	var (
 		prevT, prevDelta int64
 		prevV            uint64

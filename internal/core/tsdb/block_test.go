@@ -211,3 +211,26 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestReadBitsMatchesReadBit: readBits takes up to a byte at a time and
+// must read what as many single-bit reads would, across byte boundaries
+// and up to the end of the stream, where both latch the error.
+func TestReadBitsMatchesReadBit(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	stream := make([]byte, 40)
+	r.Read(stream)
+	for trial := 0; trial < 200; trial++ {
+		a, b := newBitReader(stream, ErrBadBlock), newBitReader(stream, ErrBadBlock)
+		for a.err == nil {
+			n := uint(r.Intn(65))
+			got := a.readBits(n)
+			var want uint64
+			for i := uint(0); i < n; i++ {
+				want = want<<1 | b.readBit()
+			}
+			if (a.err == nil) != (b.err == nil) || (a.err == nil && got != want) {
+				t.Fatalf("trial %d, bit %d: readBits(%d) = %#x (err %v), single bits %#x (err %v)", trial, b.off, n, got, a.err, want, b.err)
+			}
+		}
+	}
+}

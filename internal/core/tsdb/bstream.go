@@ -1,6 +1,5 @@
-// Package tsdb is Mantra's long-horizon series store: the compressed
-// time-series layer behind the hot in-memory rings of internal/core/
-// process. Every ingested point is mirrored here — delta-of-delta
+// Package tsdb is Mantra's series store: the one holder of every point
+// internal/core/process ingests, compressed — delta-of-delta
 // timestamps and XOR-compressed values (the Gorilla scheme) packed into
 // fixed-size sealed blocks whose byte-aligned headers double as a
 // sparse index — alongside incrementally maintained downsampling tiers
@@ -14,8 +13,7 @@
 // driver goroutine; HTTP readers rely on the same between-cycle
 // quiescence the /series endpoint already assumes. Compression is
 // lossless — timestamps round-trip as int64 unixnano and values as raw
-// float64 bits — which is what lets the streamed figure pipeline stay
-// byte-identical to the post-hoc one.
+// float64 bits — so a series read back is every point ingested.
 package tsdb
 
 // bitWriter packs bits MSB-first into a byte slice.
@@ -73,10 +71,22 @@ func (r *bitReader) readBit() uint64 {
 	return uint64(bit)
 }
 
+// readBits reads n bits, most significant first, up to a byte at a time.
 func (r *bitReader) readBits(n uint) uint64 {
 	var v uint64
-	for i := uint(0); i < n; i++ {
-		v = v<<1 | r.readBit()
+	for n > 0 {
+		if r.err != nil {
+			return 0
+		}
+		if int(r.off/8) >= len(r.b) {
+			r.err = r.fail
+			return 0
+		}
+		left := 8 - r.off%8 // unread bits in the current byte
+		take := min(left, n)
+		v = v<<take | uint64(r.b[r.off/8]>>(left-take))&(1<<take-1)
+		r.off += take
+		n -= take
 	}
 	return v
 }

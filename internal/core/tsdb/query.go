@@ -153,29 +153,15 @@ func tierRange(buckets []Bucket, lo, hi int64) []Point {
 
 func (sr *series) rawRange(lo, hi int64) ([]Point, error) {
 	var out []Point
-	for i, blk := range sr.blocks {
-		info := sr.infos[i]
-		if info.LastT < lo || info.FirstT > hi {
-			continue
-		}
-		pts, err := DecodeBlock(blk)
-		if err != nil {
-			return nil, err
-		}
-		if info.FirstT >= lo && info.LastT <= hi {
-			out = append(out, pts...)
-			continue
-		}
+	err := sr.scan(lo, hi, func(pts []Point) {
 		for _, pt := range pts {
 			if pt.T >= lo && pt.T <= hi {
 				out = append(out, pt)
 			}
 		}
-	}
-	for _, pt := range sr.head {
-		if pt.T >= lo && pt.T <= hi {
-			out = append(out, pt)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

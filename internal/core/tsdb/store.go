@@ -3,7 +3,10 @@
 // for sealed blocks (persist.go).
 package tsdb
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Bucket is one downsample-tier entry: the summary of ten (tier 10) or
 // a hundred (tier 100) consecutive points. Aggregate fields cover value
@@ -200,14 +203,43 @@ func (st *Store) Materialize(target, metric string) ([]Point, error) {
 		return nil, nil
 	}
 	out := make([]Point, 0, sr.total)
-	for _, blk := range sr.blocks {
-		pts, err := DecodeBlock(blk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pts...)
+	if err := sr.scan(math.MinInt64, math.MaxInt64, func(pts []Point) { out = append(out, pts...) }); err != nil {
+		return nil, err
 	}
-	return append(out, sr.head...), nil
+	return out, nil
+}
+
+// Scan hands fn one series' points in append order, a sealed block at
+// a time and then the head, without building the whole run: the reader
+// for paths that must not allocate with history. fn must neither keep
+// nor modify the slice. An unseen series calls fn never.
+func (st *Store) Scan(target, metric string, fn func(pts []Point)) error {
+	sr := st.lookup(target, metric)
+	if sr == nil {
+		return nil
+	}
+	return sr.scan(math.MinInt64, math.MaxInt64, fn)
+}
+
+// scan hands fn, in order, the points of every sealed block whose span
+// meets [lo, hi], each decoded into one reused buffer, and then the
+// head's. The points are the whole block's: fn filters.
+func (sr *series) scan(lo, hi int64, fn func(pts []Point)) error {
+	var buf []Point
+	for i, blk := range sr.blocks {
+		if info := sr.infos[i]; info.LastT < lo || info.FirstT > hi {
+			continue
+		}
+		var err error
+		if buf, err = appendBlock(buf[:0], blk); err != nil {
+			return err
+		}
+		fn(buf)
+	}
+	if len(sr.head) > 0 {
+		fn(sr.head)
+	}
+	return nil
 }
 
 // SeriesState is the exportable form of one compressed series. Sealed

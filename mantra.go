@@ -228,20 +228,10 @@ func (m *Monitor) refreshTables(sn *tables.Snapshot) {
 	m.server.RegisterTable(routes)
 }
 
-// Series returns the named result series for a target, or nil before the
-// first cycle. With a retention cap (SetSeriesRetain) this is the hot
-// ring over the most recent points; MaterializedSeries streams the full
-// history back out of the compressed store.
+// Series returns a copy of the named result series for a target, read
+// back out of the compressed store, or nil before the first cycle.
 func (m *Monitor) Series(target string, metric Metric) *process.Series {
 	return m.core.Proc.Series(target, metric)
-}
-
-// MaterializedSeries reconstructs a target's full series from the
-// compressed store, independent of the hot-ring retention cap.
-// Compression is lossless, so the result is point-for-point identical
-// to what an unbounded in-memory series would hold.
-func (m *Monitor) MaterializedSeries(target string, metric Metric) *process.Series {
-	return m.core.Proc.MaterializedSeries(target, metric)
 }
 
 // Query answers a series-store query — range, aggregate, or top-k —
@@ -249,13 +239,6 @@ func (m *Monitor) MaterializedSeries(target string, metric Metric) *process.Seri
 func (m *Monitor) Query(q Query) (QueryResult, error) {
 	return m.core.Proc.Query(q)
 }
-
-// SetSeriesRetain caps the in-memory hot ring of every series at n
-// points (0 restores unbounded growth). Full history stays queryable
-// through the compressed store; the cap is clamped so anomaly
-// detection is unaffected. Long-running daemons set this via the
-// -series-retain flag.
-func (m *Monitor) SetSeriesRetain(n int) { m.core.Proc.SetSeriesRetain(n) }
 
 // Latest returns the most recent normalized snapshot for a target, or nil.
 func (m *Monitor) Latest(target string) *tables.Snapshot {
