@@ -15,9 +15,8 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The project-specific analyzers: determinism (mapiter, floatsum,
-# sertaint), clock injection (wallclock), crash safety (walerr),
-# cross-function concurrency (lockheld, sharedmut), hot-path
+# The project-specific analyzers: determinism (mapiter, floatsum),
+# clock injection (wallclock), crash safety (walerr), hot-path
 # allocation budgets and their markers (hotalloc) and module-wide lock
 # ordering (lockorder). See DESIGN.md §8–§9, §14 and §15 for the
 # invariants, the suppression syntax and the evidence each check earns
@@ -73,7 +72,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 25091
+LOC_CEILING = 23698
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -19,10 +19,10 @@
 // and a restart recovers the series, tables and health ledger to their
 // pre-crash values (at most the final partial record is lost).
 //
-// With -concurrent, collection runs through the pipelined cycle engine
-// on a bounded worker pool of min(8, targets) workers; -concurrency N
-// (N > 0) sizes the pool and by itself selects the pipelined schedule,
-// as -aggregate does. -stats prints the engine's per-stage timings each
+// Collection runs through the pipelined cycle engine on a bounded
+// worker pool: -concurrency N sizes it, 0 (the default) means
+// min(8, targets) and 1 the serial schedule, whose output is
+// byte-identical. -stats prints the engine's per-stage timings each
 // cycle, and the same instrumentation is served at /stats.
 //
 // Detected anomalies (route injection, RP loss, SA storms, route leaks,
@@ -41,7 +41,7 @@
 // episodes intact, and the shard restarts under bounded backoff.
 // Per-shard liveness, assignment and handoff counts are served at
 // /shards, and /stats lists one engine view per shard. Flags that only
-// mean something to the single monitor (-aggregate, -stats, -concurrent,
+// mean something to the single monitor (-aggregate, -stats,
 // -checkpoint-every, -resume) are a startup error under -shards N.
 //
 // Exit codes: 0 after -cycles completed, 1 on a runtime failure
@@ -77,9 +77,8 @@ import (
 
 // monitorOnlyFlags mean nothing to the shard supervisor: it keeps no
 // aggregate view (the fleet view replaces it), has no single engine to
-// report on, always runs shards concurrently, and keeps WALs without
-// checkpoints or resume.
-var monitorOnlyFlags = []string{"aggregate", "stats", "concurrent", "checkpoint-every", "resume"}
+// report on, and keeps WALs without checkpoints or resume.
+var monitorOnlyFlags = []string{"aggregate", "stats", "checkpoint-every", "resume"}
 
 // daemon is what the loop drives: a Monitor or a shard Supervisor behind
 // the same five calls.
@@ -124,10 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Duration("interval", 5*time.Second, "polling interval (wall clock)")
 	httpAddr := fs.String("http", "127.0.0.1:8080", "HTTP address serving results")
 	cycles := fs.Int("cycles", 0, "stop after N cycles (0 = run forever)")
-	concurrent := fs.Bool("concurrent", false, "collect targets on a bounded worker pool")
-	concurrency := fs.Int("concurrency", 0, "collection worker pool size; N > 0 implies -concurrent (0 = min(8, targets))")
+	concurrency := fs.Int("concurrency", 0, "collection worker pool size (0 = min(8, targets), 1 = serial)")
 	showStats := fs.Bool("stats", false, "print per-cycle engine stage timings")
-	aggregate := fs.Bool("aggregate", false, "publish a combined multi-router view (implies -concurrent)")
+	aggregate := fs.Bool("aggregate", false, "publish a combined multi-router view")
 	retries := fs.Int("retries", 3, "collection attempts per target per cycle")
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "backoff before the first retry (doubles per retry)")
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive failed cycles before a target's circuit breaker opens")
@@ -193,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		m.SetMaxAnomalies(*maxAnomalies)
 		m.SetConcurrency(*concurrency)
-		d, err = monitorDaemon(logger, m, targets, *concurrent || *aggregate || *concurrency > 0, mantra.ArchiveConfig{
+		d, err = monitorDaemon(logger, m, targets, mantra.ArchiveConfig{
 			Dir:             *dataDir,
 			CheckpointEvery: *checkpointEvery,
 			SyncEveryAppend: *archiveSync,
@@ -290,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // monitorDaemon sets up the unsharded daemon: one Monitor, with the
 // durable archive when archive names a directory.
-func monitorDaemon(logger *log.Logger, m *mantra.Monitor, targets []mantra.Target, concurrent bool, archive mantra.ArchiveConfig) (*daemon, error) {
+func monitorDaemon(logger *log.Logger, m *mantra.Monitor, targets []mantra.Target, archive mantra.ArchiveConfig) (*daemon, error) {
 	for _, t := range targets {
 		m.AddTarget(t)
 	}
@@ -314,14 +312,10 @@ func monitorDaemon(logger *log.Logger, m *mantra.Monitor, targets []mantra.Targe
 			logger.Printf("mantra: archiving to %s (checkpoint every %d cycles)", archive.Dir, archive.CheckpointEvery)
 		}
 	}
-	runCycle := m.RunCycle
-	if concurrent {
-		runCycle = m.RunCycleConcurrent
-	}
 	return &daemon{
 		handler: m.Handler(),
 		cycle: func(now time.Time) ([]mantra.CycleStats, error) {
-			stats, err := runCycle(now)
+			stats, err := m.RunCycleConcurrent(now)
 			if err != nil {
 				// Every target failed; the daemon keeps polling.
 				logger.Printf("mantra: cycle degraded: %v", err)

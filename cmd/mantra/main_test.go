@@ -99,8 +99,9 @@ func TestDaemonBothModes(t *testing.T) {
 	}
 }
 
-// TestConcurrencyFlagSelectsPipelinedSchedule: an explicit -concurrency
-// is honoured by the unsharded daemon without -concurrent. It used to be
+// TestConcurrencyFlagSelectsPipelinedSchedule: the unsharded daemon
+// runs the pipelined schedule on min(8, targets) workers unless
+// -concurrency sizes the pool. An explicit -concurrency used to be
 // stored and then ignored: the serial schedule ran on one worker.
 func TestConcurrencyFlagSelectsPipelinedSchedule(t *testing.T) {
 	engineLine := regexp.MustCompile(`(?m)^\d\d:\d\d:\d\d engine cycle=1 workers=(\d+) targets=2 `)
@@ -108,10 +109,9 @@ func TestConcurrencyFlagSelectsPipelinedSchedule(t *testing.T) {
 		args []string
 		want string
 	}{
-		{nil, "1"},
+		{nil, "2"},                           // min(8, targets)
 		{[]string{"-concurrency", "4"}, "2"}, // clamped to the two targets
 		{[]string{"-concurrency", "1"}, "1"},
-		{[]string{"-concurrent"}, "2"},
 	} {
 		args := append([]string{"-cycles", "1", "-stats"}, c.args...)
 		code, out, errOut := runDaemon(append(args, serveRouters(t)...)...)

@@ -122,7 +122,7 @@ func TestInformationalModesExitZero(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("-list: exit %d", code)
 	}
-	if !strings.Contains(out, "hotalloc") || !strings.Contains(out, "sertaint") {
+	if !strings.Contains(out, "hotalloc") || !strings.Contains(out, "lockorder") {
 		t.Fatalf("-list output missing the module-wide checks: %q", out)
 	}
 	if testing.Short() {

@@ -114,14 +114,11 @@ func (s *Store) Recover() *RecoveredArchive {
 // guarantees this by checkpointing between cycles. After a successful
 // write, checkpoints beyond the retention count and segments covered by
 // every retained checkpoint are pruned.
-//
-//mantra:sink serialization
 func (s *Store) WriteCheckpoint(l *Logger, extra []byte, now time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Records covered by the checkpoint may be pruned, so they must be
 	// durable first.
-	//mantralint:allow lockheld fsync under s.mu is the durability contract: the single-writer lock serializes append+sync so readers never see a segment ahead of stable storage
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("logger: checkpoint: sync wal: %w", err)
 	}
@@ -130,7 +127,6 @@ func (s *Store) WriteCheckpoint(l *Logger, extra []byte, now time.Time) error {
 	if err := gob.NewEncoder(&body).Encode(&pay); err != nil {
 		return fmt.Errorf("logger: checkpoint: encode: %w", err)
 	}
-	//mantralint:allow lockheld checkpoint durability: the tmp-file write+fsync, the rename and the directory fsync must complete under s.mu so no append lands between the state export and the rename
 	if err := seglog.WriteFile(filepath.Join(s.dir, ckptName(pay.Seq)), ckptMagic, body.Bytes()); err != nil {
 		return fmt.Errorf("logger: checkpoint: %w", err)
 	}

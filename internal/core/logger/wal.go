@@ -114,6 +114,10 @@ type Store struct {
 	dir  string
 	opts StoreOptions
 
+	// mu is held across every append's write and fsync and across a
+	// checkpoint's write, rename and directory sync: the frame sequence
+	// is decided and made durable under it, so no append lands between
+	// a checkpoint's state export and its rename.
 	mu       sync.Mutex
 	log      *seglog.Log // segment ID = the first sequence number it holds
 	seq      uint64      // last assigned sequence number
@@ -200,7 +204,7 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.log.Close() //mantralint:allow lockheld fsync under s.mu is the durability contract: the single-writer lock serializes append+sync so readers never see a segment ahead of stable storage
+	return s.log.Close()
 }
 
 // AppendDelta persists one cycle's delta record for a target. The first
@@ -211,13 +215,11 @@ func (s *Store) AppendDelta(target string, rec CycleRecord, fullEntries uint64) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.metaSeen[target] {
-		//mantralint:allow lockheld append writes+fsyncs under s.mu by design: WAL ordering and the byte-identical-replay guarantee require the frame sequence to be decided under the lock
 		if err := s.append(walRecord{Kind: recMeta, Target: target, FirstSeen: rec.At}); err != nil {
 			return err
 		}
 		s.metaSeen[target] = true
 	}
-	//mantralint:allow lockheld append writes+fsyncs under s.mu by design: WAL ordering and the byte-identical-replay guarantee require the frame sequence to be decided under the lock
 	return s.append(walRecord{Kind: recDelta, Target: target, Rec: rec, FullEntries: fullEntries})
 }
 
@@ -225,7 +227,6 @@ func (s *Store) AppendDelta(target string, rec CycleRecord, fullEntries uint64) 
 func (s *Store) AppendGap(target string, at time.Time, reason string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//mantralint:allow lockheld append writes+fsyncs under s.mu by design: WAL ordering and the byte-identical-replay guarantee require the frame sequence to be decided under the lock
 	return s.append(walRecord{Kind: recGap, Target: target, At: at, Reason: reason})
 }
 
@@ -236,7 +237,6 @@ func (s *Store) AppendGap(target string, at time.Time, reason string) error {
 // The budget covers the two error-path fmt.Errorf wraps.
 //
 //mantra:hotpath budget=2
-//mantra:sink serialization
 func (s *Store) append(rec walRecord) error {
 	// A store that has appended can no longer be recovered consistently,
 	// so the scan's decoded log is of no further use to anyone.

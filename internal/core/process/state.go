@@ -76,9 +76,9 @@ func (p *Processor) ExportState() *State {
 	for target, v := range p.baseStart {
 		st.BaseStart[target] = v
 	}
-	// The open-episode map is exported sorted by target then kind: the
-	// export gob-encodes straight into checkpoints, so map-iteration
-	// order here would make checkpoint bytes differ run to run.
+	// The open-episode map is exported sorted by target then kind, so
+	// equal states export equal values. Checkpoint bytes are not held
+	// to that: gob writes the checkpoint's maps in iteration order.
 	for target, eps := range p.open {
 		for kind, ep := range eps {
 			st.Open = append(st.Open, OpenEpisodeState{

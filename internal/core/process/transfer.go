@@ -77,8 +77,9 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 		}
 		st.Open = append(st.Open, OpenTransfer{Kind: kind, Index: i, Frozen: ep.Frozen})
 	}
-	// Sorted by kind: exports gob-encode into checkpoints, and map
-	// iteration order must not leak into checkpoint bytes.
+	// Sorted by kind, so equal states export equal values, which the
+	// handoff and recovery twins compare; checkpoint bytes still vary
+	// (gob writes maps in iteration order).
 	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].Kind < st.Open[j].Kind })
 	return st
 }

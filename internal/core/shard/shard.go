@@ -242,11 +242,17 @@ func (s *Supervisor) spawn(idx, gen int) (*worker, error) {
 }
 
 // Register adds a target to the fleet, assigning it on the live ring.
-// Call between cycles (or before the first one).
+// Registering a name that is already present replaces its dial settings
+// in place and, as Monitor.AddTarget does, starts its breaker and health
+// ledger fresh on the owning shard: the operator swapped or fixed the
+// device. Call between cycles (or before the first one).
 func (s *Supervisor) Register(t collect.Target) {
 	for i := range s.targets {
 		if s.targets[i].Name == t.Name {
 			s.targets[i] = t
+			if sh, ok := s.assign[t.Name]; ok {
+				s.workers[sh].core.Collector.ResetTarget(t.Name)
+			}
 			return
 		}
 	}
@@ -351,7 +357,6 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 			for _, it := range resp.items {
 				if it.Stats != nil {
 					statsOf[it.Target.Name] = *it.Stats
-					//mantralint:allow sertaint gathered in shard order, and MergeSnapshots' result does not depend on the order of its inputs
 					snaps = append(snaps, it.Snapshot)
 				} else {
 					degraded[it.Target.Name] = true

@@ -426,15 +426,19 @@ func (d gateDialer) Dial() (io.ReadWriteCloser, error) {
 	return d.Dialer.Dial()
 }
 
-// TestStatsEndpointWhileCycleInFlight: /stats under the supervisor
-// (a 404 before EngineStats existed) answers with one engine view per
-// shard, read at request time — safe while the workers are mid-cycle.
+// TestStatsEndpointWhileCycleInFlight: the supervisor's published views
+// are safe from any goroutine while a cycle is in flight. With a 2-shard
+// cycle parked on its driver goroutine — every worker inside a session,
+// the driver gathering — each view and the server's /stats, /shards and
+// /health must answer within a few seconds: the view mutex held across
+// the gather would stall them all behind the slowest router. /stats (a
+// 404 before EngineStats existed) answers with one engine view per
+// shard, read at request time.
 func TestStatsEndpointWhileCycleInFlight(t *testing.T) {
 	const shards = 2
 	n := newFleetNetwork(t)
 	s := newFleet(t, n, fleetConfig(shards, 0))
-	srv := output.NewServer(s.FleetProc())
-	srv.SetStats(func() any { return s.EngineStats() })
+	srv := fleetServer(s)
 	step(t, n, s)
 
 	// Re-register every target behind the gate; the next cycle parks in
@@ -464,18 +468,33 @@ func TestStatsEndpointWhileCycleInFlight(t *testing.T) {
 			<-entered
 		}
 	}
+	// Let the driver reach its gather behind the parked sessions.
+	time.Sleep(50 * time.Millisecond)
 
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	var code int
+	var body string
+	readsAnswer(t, []read{
+		{"Status", func() { s.Status() }},
+		{"Merged", func() { s.Merged() }},
+		{"FleetAnomalies", func() { s.FleetAnomalies() }},
+		{"FleetHealth", func() { s.FleetHealth() }},
+		{"EngineStats", func() { s.EngineStats() }},
+		{"GET /shards", func() { get(srv, "/shards") }},
+		{"GET /health", func() { get(srv, "/health") }},
+		{"GET /stats", func() { code, body = get(srv, "/stats") }},
+	})
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if rec.Code != 200 {
-		t.Fatalf("/stats = %d: %s", rec.Code, rec.Body)
+	if t.Failed() {
+		return
+	}
+	if code != 200 {
+		t.Fatalf("/stats = %d: %s", code, body)
 	}
 	var stats []engine.Stats
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatal(err)
 	}
 	if len(stats) != shards {
@@ -491,4 +510,96 @@ func TestStatsEndpointWhileCycleInFlight(t *testing.T) {
 	if targets != len(fleetTargets) {
 		t.Errorf("/stats covers %d targets, want %d", targets, len(fleetTargets))
 	}
+}
+
+// read is one named mid-cycle read.
+type read struct {
+	name string
+	fn   func()
+}
+
+// readsAnswer runs every read concurrently and fails the test for each
+// one that has not returned within 3 s, so one blocked read does not
+// hide another.
+func readsAnswer(t *testing.T, reads []read) {
+	t.Helper()
+	done := make([]chan struct{}, len(reads))
+	for i, r := range reads {
+		done[i] = make(chan struct{})
+		go func() {
+			defer close(done[i])
+			r.fn()
+		}()
+	}
+	expired := make(chan struct{})
+	time.AfterFunc(3*time.Second, func() { close(expired) })
+	for i, r := range reads {
+		select {
+		case <-done[i]:
+		case <-expired:
+			select {
+			case <-done[i]: // answered as the bound ran out
+			default:
+				t.Errorf("%s did not answer within 3s while the cycle was parked in collection", r.name)
+			}
+		}
+	}
+}
+
+// TestReRegisterResetsBreaker: registering a name again means the
+// operator swapped or fixed the device, so — as Monitor.AddTarget does —
+// its breaker starts closed and the next cycle collects it instead of
+// skipping it as breaker-open.
+func TestReRegisterResetsBreaker(t *testing.T) {
+	n := newFleetNetwork(t)
+	cfg := fleetConfig(1, 0)
+	cfg.Policy.BreakerThreshold = 1
+	s, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	n.Router("fixw").Password = "pw"
+	target := func(down bool) collect.Target {
+		return collect.Target{
+			Name:     "fixw",
+			Dialer:   outageDialer{Dialer: collect.PipeDialer{Router: n.Router("fixw")}, down: &down},
+			Password: "pw",
+			Prompt:   "fixw> ",
+			Timeout:  fleetTimeout,
+		}
+	}
+	s.Register(target(true))
+	step(t, n, s)
+	if h := s.FleetHealth()[0]; h.Breaker != collect.BreakerOpen {
+		t.Fatalf("breaker after a failed cycle at threshold 1 = %v, want open", h.Breaker)
+	}
+	s.Register(target(false))
+	res := step(t, n, s)
+	if len(res.Stats) != 1 || len(res.Degraded) != 0 {
+		t.Fatalf("cycle after re-registration: stats %d, degraded %v; want fixw collected", len(res.Stats), res.Degraded)
+	}
+	if h := s.FleetHealth()[0]; h.Breaker != collect.BreakerClosed || h.ConsecutiveFailures != 0 {
+		t.Errorf("health after re-registration = %+v, want a closed breaker and no failure streak", h.TargetHealth)
+	}
+}
+
+// fleetServer serves a supervisor's views the way the -shards daemon
+// does.
+func fleetServer(s *shard.Supervisor) *output.Server {
+	srv := output.NewServer(s.FleetProc())
+	srv.SetShards(func() any { return s.Status() })
+	srv.SetHealth(func() any { return s.FleetHealth() })
+	srv.SetStats(func() any { return s.EngineStats() })
+	srv.SetAnomalies(func() []process.Anomaly { return s.FleetAnomalies() })
+	srv.SetSeries(s.SeriesView)
+	srv.SetQuery(s.QueryFleet)
+	return srv
+}
+
+// get serves one request and returns the status and body.
+func get(srv *output.Server, path string) (int, string) {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	return rec.Code, rec.Body.String()
 }

@@ -88,7 +88,11 @@ func union[T ~[]E, E any](order func(a, b *E) int, fold func(acc, e *E), ts ...T
 	least := make([]int, len(ts)) // least[:m] hold the least key at their heads
 	var out T
 	for pass, n := 0, 0; pass < 2; pass++ {
-		out = slices.Grow(out, n) // n is 0 on the counting pass: out stays nil
+		if pass == 1 && n > 0 {
+			// make, not slices.Grow: under -race the compiler keeps
+			// Grow's append of a throwaway n-row slice.
+			out = make(T, 0, n)
+		}
 		clear(heads)
 		for ; ; n++ {
 			m := 0

@@ -2,93 +2,17 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// This file is the cross-function layer the concurrency analyzers stand
-// on: a lightweight static call graph over the loaded packages plus a
-// fact store of per-function properties derived by fixpoint over it.
-//
-// The graph is deliberately modest — direct calls only. A call through a
-// function value or an interface method has no static callee and
-// contributes no edge; the analyzers that consume the graph are tuned so
-// that missing edges make them quieter, never wrong in the other
-// direction. Function literals fold into their enclosing declaration,
-// except literals launched with `go`: what a goroutine does is not what
-// its spawner does (a send inside `go func(){...}` does not block the
-// spawning frame), so those bodies are excluded from the enclosing
-// function's facts.
-
-// FuncNode is one function or method declared in the analyzed packages.
-type FuncNode struct {
-	Fn   *types.Func
-	Pkg  *Package
-	Decl *ast.FuncDecl
-	// Calls lists the statically resolvable callees, in source order.
-	Calls []CallSite
-}
-
-// CallSite is one static call edge.
-type CallSite struct {
-	Callee *types.Func
-	Pos    token.Pos
-}
-
-// blockCause records why a function is considered blocking: the nearest
-// operation (or call edge) responsible, plus a human-readable chain.
-type blockCause struct {
-	// desc is the chain description, e.g. "(*os.File).Sync" or
-	// "(*Store).append → (*os.File).Sync".
-	desc string
-	pos  token.Pos
-}
-
-// CallGraph is the module-wide static call graph plus the derived
-// per-function facts. Built once per Run call and read-only
-// afterwards, so analyzers may consult it from concurrent goroutines.
-type CallGraph struct {
-	Nodes map[*types.Func]*FuncNode
-
-	// blocking maps a function to the reason it may block the calling
-	// goroutine: it directly performs a channel operation, select, sleep,
-	// fsync or network I/O, or it (transitively) calls a function that
-	// does.
-	blocking map[*types.Func]*blockCause
-}
-
-// buildCallGraph constructs the graph and computes the fact store.
-func buildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{
-		Nodes:    make(map[*types.Func]*FuncNode),
-		blocking: make(map[*types.Func]*blockCause),
-	}
-	for _, p := range pkgs {
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := &FuncNode{Fn: fn, Pkg: p, Decl: fd}
-				inspectOwnCode(fd.Body, func(n ast.Node) {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if callee := staticCallee(p, call); callee != nil {
-							node.Calls = append(node.Calls, CallSite{Callee: callee, Pos: call.Pos()})
-						}
-					}
-				})
-				g.Nodes[fn] = node
-			}
-		}
-	}
-	g.computeBlocking()
-	return g
-}
+// The call-edge layer the fact summaries stand on: a call resolves to a
+// callee only when it is statically known, so a call through a function
+// value or an interface method contributes no edge. The module-wide
+// checks that consume the edges are tuned so that missing edges make
+// them quieter, never wrong in the other direction. Function literals
+// fold into their enclosing declaration, except literals launched with
+// `go`: what a goroutine does is not what its spawner does, so those
+// bodies are excluded from the enclosing function's facts.
 
 // inspectOwnCode walks a function body, excluding work that `go`
 // statements hand to other goroutines: a launched literal's body, and
@@ -128,118 +52,6 @@ func staticCallee(p *Package, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// blockingStdlib is the curated set of standard-library calls treated as
-// blocking the calling goroutine, keyed by types.Func.FullName. Fast
-// in-memory work (os.File.Write hits the page cache) is deliberately
-// absent; fsync, sleeps and network I/O are the latency cliffs the
-// lockheld invariant is about.
-var blockingStdlib = map[string]string{
-	"time.Sleep":                        "time.Sleep",
-	"net.Dial":                          "net.Dial",
-	"net.DialTimeout":                   "net.DialTimeout",
-	"net.Listen":                        "net.Listen",
-	"net.ListenPacket":                  "net.ListenPacket",
-	"net/http.ListenAndServe":           "http.ListenAndServe",
-	"(*net/http.Server).ListenAndServe": "(*http.Server).ListenAndServe",
-	"(*net/http.Client).Do":             "(*http.Client).Do",
-	"net/http.Get":                      "http.Get",
-	"net/http.Post":                     "http.Post",
-	"(*os.File).Sync":                   "(*os.File).Sync (fsync)",
-	"(*sync.WaitGroup).Wait":            "(*sync.WaitGroup).Wait",
-	"(*sync.Cond).Wait":                 "(*sync.Cond).Wait",
-	"(net.Conn).Read":                   "network read",
-	"(net.Conn).Write":                  "network write",
-	"(net.Listener).Accept":             "Accept",
-	"(net.PacketConn).ReadFrom":         "network read",
-	"(net.PacketConn).WriteTo":          "network write",
-	"(*net.TCPConn).Read":               "network read",
-	"(*net.TCPConn).Write":              "network write",
-	"(*net.UDPConn).Read":               "network read",
-	"(*net.UDPConn).Write":              "network write",
-	"(*net.UDPConn).ReadFrom":           "network read",
-	"(*net.UDPConn).WriteTo":            "network write",
-	"(*net.TCPListener).Accept":         "Accept",
-	"(*os/exec.Cmd).Run":                "(*exec.Cmd).Run",
-	"(*os/exec.Cmd).Wait":               "(*exec.Cmd).Wait",
-	"(*os/exec.Cmd).Output":             "(*exec.Cmd).Output",
-	"(*os/exec.Cmd).CombinedOutput":     "(*exec.Cmd).CombinedOutput",
-}
-
-// directBlockOp reports the blocking operation n itself performs, if
-// any: channel send/receive, select, range over a channel, or a call
-// into the blocking stdlib surface.
-func directBlockOp(p *Package, n ast.Node) (string, token.Pos, bool) {
-	switch x := n.(type) {
-	case *ast.SendStmt:
-		return "channel send", x.Arrow, true
-	case *ast.UnaryExpr:
-		if x.Op == token.ARROW {
-			return "channel receive", x.OpPos, true
-		}
-	case *ast.SelectStmt:
-		return "select", x.Select, true
-	case *ast.RangeStmt:
-		if t := p.Info.TypeOf(x.X); t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				return "range over channel", x.For, true
-			}
-		}
-	case *ast.CallExpr:
-		if fn := staticCallee(p, x); fn != nil {
-			if desc, ok := blockingStdlib[fn.FullName()]; ok {
-				return desc, x.Pos(), true
-			}
-		}
-	}
-	return "", token.NoPos, false
-}
-
-// computeBlocking seeds each node with its direct blocking operations,
-// then propagates through call edges to a fixpoint: a function that
-// calls a blocking function blocks, with the cause chain recorded for
-// the eventual finding message.
-func (g *CallGraph) computeBlocking() {
-	for fn, node := range g.Nodes {
-		p := node.Pkg
-		inspectOwnCode(node.Decl.Body, func(n ast.Node) {
-			if g.blocking[fn] != nil {
-				return
-			}
-			if desc, pos, ok := directBlockOp(p, n); ok {
-				g.blocking[fn] = &blockCause{desc: desc, pos: pos}
-			}
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, node := range g.Nodes {
-			if g.blocking[fn] != nil {
-				continue
-			}
-			for _, cs := range node.Calls {
-				cause := g.blocking[cs.Callee]
-				if cause == nil {
-					continue
-				}
-				g.blocking[fn] = &blockCause{
-					desc: shortFuncName(cs.Callee) + " → " + cause.desc,
-					pos:  cs.Pos,
-				}
-				changed = true
-				break
-			}
-		}
-	}
-}
-
-// BlockingCause returns why fn may block the calling goroutine, or nil.
-func (g *CallGraph) BlockingCause(fn *types.Func) *blockCause {
-	if fn == nil {
-		return nil
-	}
-	return g.blocking[fn]
 }
 
 // shortFuncName renders a function for finding messages: method

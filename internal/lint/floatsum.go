@@ -19,7 +19,7 @@ var floatSumAnalyzer = &Analyzer{
 	Run:  runFloatSum,
 }
 
-func runFloatSum(_ *Analysis, p *Package) []Finding {
+func runFloatSum(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -63,11 +63,12 @@ func summarizeSource(src []byte) (out []byte, ok bool) {
 
 func FuzzSummaryExtract(f *testing.F) {
 	// Seed with this module's own sources: the analyzer package itself,
-	// every fixture, and the core packages that carry both marker kinds
-	// in production form — the delta logger (sinks and hot paths), the
-	// table scanner, the segment log and the cycle core (hot-path roots
-	// with budgets) — the richest available coverage of marker grammar,
-	// allocation sites and taint shapes.
+	// every fixture, the core packages that carry the hot-path marker in
+	// production form — the delta logger, the table scanner, the segment
+	// log and the cycle core (roots with budgets) — and the engine, shard
+	// and collect packages, whose mutexes, channels and goroutines are
+	// the lock events the summaries record: the richest available
+	// coverage of marker grammar, allocation sites and lock shapes.
 	var seeds []string
 	for _, pat := range []string{
 		"*.go",
@@ -76,6 +77,9 @@ func FuzzSummaryExtract(f *testing.F) {
 		filepath.Join("..", "core", "tables", "*.go"),
 		filepath.Join("..", "core", "seglog", "*.go"),
 		filepath.Join("..", "core", "cycle", "*.go"),
+		filepath.Join("..", "core", "engine", "*.go"),
+		filepath.Join("..", "core", "shard", "*.go"),
+		filepath.Join("..", "core", "collect", "*.go"),
 	} {
 		m, err := filepath.Glob(pat)
 		if err != nil {

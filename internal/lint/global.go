@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// The global phase: the module-wide analyses (hotalloc, lockorder,
-// sertaint — the analyzers registered with a nil Run) computed over
+// The global phase: the module-wide analyses (hotalloc and lockorder,
+// the analyzers registered with a nil Run) computed over
 // per-package fact summaries, because a finding in one package can
 // depend on a marker or a call in another.
 
@@ -24,7 +24,6 @@ func globalFindings(sums []*PkgSummary) []Finding {
 	}
 	hotAllocFindings(idx, add)
 	lockOrderFindings(idx, add)
-	serTaintFindings(idx, add)
 	return out
 }
 

@@ -1,24 +1,18 @@
 // Package lint is mantralint: a project-specific static-analysis suite
-// enforcing the determinism, clock-injection, crash-safety and — since
-// the pipelined cycle engine — concurrency invariants this repository
-// has already been burned by. The schedule-equivalence guarantee
-// (serial == pipelined WAL bytes) rests on byte-deterministic table
-// state and on nothing mutating a snapshot after it crosses the engine's
-// stage boundary; these analyzers make both classes of defect a build
-// failure instead of a lucky test catch.
+// enforcing the determinism, clock-injection, crash-safety, hot-path
+// allocation and lock-order invariants this repository has already been
+// burned by. The schedule-equivalence guarantee (serial == pipelined WAL
+// bytes) rests on byte-deterministic table state; these analyzers make
+// the defects that break it a build failure instead of a lucky test
+// catch. The other concurrency invariants and the byte-for-byte
+// repetition of served output are held by tests that drive the code
+// (DESIGN.md §9, §15).
 //
 // The per-file syntactic checks (mapiter, floatsum, wallclock, walerr)
-// inspect one package at a time. The concurrency
-// checks (lockheld, sharedmut) are type-aware and
-// cross-function: Run first builds an Analysis — a static call
-// graph over every loaded package plus derived facts (which functions
-// block) — and the analyzers consult it,
-// so a mutex held across a call chain ending in a channel send is found
-// even when the send is three frames down in another package. The
-// module-wide checks (hotalloc, lockorder, sertaint) run once per Run
-// over per-package fact summaries — hot-path and sink markers,
-// allocation sites, lock events and determinism-taint graphs extracted
-// alongside the call facts (DESIGN.md §15).
+// inspect one package at a time. The module-wide checks (hotalloc,
+// lockorder) run once per Run over per-package fact summaries —
+// hot-path markers, call edges, allocation sites and lock events
+// extracted from each package's syntax (DESIGN.md §14).
 //
 // The suite is stdlib-only (go/parser, go/ast, go/types): the module has
 // zero dependencies and must stay buildable offline. Findings are
@@ -78,26 +72,17 @@ type Package struct {
 	TypeErrors []error
 }
 
-// Analysis is the module-wide context one Run shares across every
-// analyzer: the packages under analysis plus the static call graph and
-// its derived facts. Analyzers that only need single-package syntax
-// ignore it.
-type Analysis struct {
-	Pkgs  []*Package
-	Graph *CallGraph
-}
-
 // An Analyzer checks one invariant over one package.
 type Analyzer struct {
 	// Name is the check name used in findings and allow comments.
 	Name string
 	// Doc is a one-line description for -list output.
 	Doc string
-	// Run reports the analyzer's raw findings for one package, consulting
-	// the shared Analysis for cross-function facts; suppression comments
-	// are applied by the caller. It is nil for the module-wide checks,
-	// whose findings come out of the global phase (global.go).
-	Run func(a *Analysis, p *Package) []Finding
+	// Run reports the analyzer's raw findings for one package;
+	// suppression comments are applied by the caller. It is nil for the
+	// module-wide checks, whose findings come out of the global phase
+	// (global.go).
+	Run func(p *Package) []Finding
 }
 
 // Analyzers returns the full registry in stable (name) order.
@@ -105,11 +90,8 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		floatSumAnalyzer,
 		hotAllocAnalyzer,
-		lockHeldAnalyzer,
 		lockOrderAnalyzer,
 		mapIterAnalyzer,
-		serTaintAnalyzer,
-		sharedMutAnalyzer,
 		walErrAnalyzer,
 		wallClockAnalyzer,
 	}
@@ -159,10 +141,9 @@ type Result struct {
 }
 
 // Run is mantralint's one front end: cmd/mantralint hands it the whole
-// module, a fixture test one package. It builds the shared Analysis,
-// runs the per-package analyzers (packages in parallel — every analyzer
-// input is read-only once the Analysis is built) and summarizes each
-// package, runs the module-wide checks once over the summaries, applies
+// module, a fixture test one package. It runs the per-package analyzers
+// and summarizes each package (packages in parallel — every analyzer
+// input is read-only), runs the module-wide checks once over the summaries, applies
 // the suppression comments, and returns the surviving findings sorted
 // by position. Defective allow comments (unknown check, missing reason)
 // are reported alongside, as are stale ones: an allow for a check that
@@ -180,7 +161,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
-	a := &Analysis{Pkgs: pkgs, Graph: buildCallGraph(pkgs)}
 
 	// Fan the packages out over the CPUs. Results land in a per-package
 	// slot, so the concurrency cannot perturb finding order; the final
@@ -198,7 +178,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 			var raw []Finding
 			for _, an := range analyzers {
 				if an.Run != nil {
-					raw = append(raw, an.Run(a, p)...)
+					raw = append(raw, an.Run(p)...)
 				}
 			}
 			perPkg[i], sums[i] = raw, Summarize(p)

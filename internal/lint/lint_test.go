@@ -119,11 +119,7 @@ func TestMapIterFixture(t *testing.T)   { checkFixture(t, "mapiter", "internal/c
 func TestWallClockFixture(t *testing.T) { checkFixture(t, "wallclock", "internal/core/engine") }
 func TestWalErrFixture(t *testing.T)    { checkFixture(t, "walerr", "internal/core/logger") }
 func TestFloatSumFixture(t *testing.T)  { checkFixture(t, "floatsum", "internal/netsim") }
-func TestLockHeldFixture(t *testing.T)  { checkFixture(t, "lockheld", "internal/core/engine") }
-func TestSharedMutFixture(t *testing.T) {
-	checkFixture(t, "sharedmut", "internal/core/engine")
-}
-func TestHotAllocFixture(t *testing.T) { checkFixture(t, "hotalloc", "internal/netsim") }
+func TestHotAllocFixture(t *testing.T)  { checkFixture(t, "hotalloc", "internal/netsim") }
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "lockorder", "internal/netsim")
 }
@@ -132,18 +128,6 @@ func TestLockOrderFixture(t *testing.T) {
 // named check is itself reported, and the report is itself allowable.
 func TestAllowStaleFixture(t *testing.T) {
 	checkFixture(t, "allowstale", "internal/netsim")
-}
-
-// TestLockScopeSilent loads the lock-boundary fixtures as a package
-// outside the engine/WAL boundary set; lockheld and sharedmut must both
-// stay silent there.
-func TestLockScopeSilent(t *testing.T) {
-	for _, fixture := range []string{"lockheld", "sharedmut"} {
-		p := loadFixture(t, fixture, "internal/netsim")
-		if fs := Run([]*Package{p}, Analyzers()).Findings; len(fs) != 0 {
-			t.Errorf("%s outside its boundary packages produced findings: %v", fixture, fs)
-		}
-	}
 }
 
 // TestMapIterScoping loads the violating shape as a package outside the
@@ -224,27 +208,10 @@ func TestAllowDefects(t *testing.T) {
 	}
 }
 
-// TestEngineRegressShapes keeps the pipelined engine's two concurrency
-// bug shapes permanently detectable against a miniature engine:
-// mutation-after-publish (sharedmut) and lock-across-send (lockheld).
-// The fixture is loaded as internal/core/engine, so re-introducing
-// either shape in the real engine fails `make lint` identically.
-func TestEngineRegressShapes(t *testing.T) {
-	checkFixture(t, "engineregress", "internal/core/engine")
-	p := loadFixture(t, "engineregress", "internal/core/engine")
-	byCheck := make(map[string]int)
-	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
-		byCheck[f.Check]++
-	}
-	if byCheck["sharedmut"] < 2 || byCheck["lockheld"] < 1 {
-		t.Fatalf("engine bug shapes no longer detected: %v", byCheck)
-	}
-}
-
 // TestLockOrderRegress pins the PR 6 session-write wedge: an AB/BA
 // inversion between the session and write-queue mutexes, living in
-// internal/core/collect — outside lockheld's scoped package set, which
-// is exactly why lockorder runs module-wide. Both legs must report.
+// internal/core/collect, which a chaos test found before any check did.
+// Both legs must report.
 func TestLockOrderRegress(t *testing.T) {
 	checkFixture(t, "lockorderregress", "internal/core/collect")
 	p := loadFixture(t, "lockorderregress", "internal/core/collect")
@@ -299,8 +266,7 @@ func TestByName(t *testing.T) {
 	}
 	names := CheckNames()
 	wantNames := []string{
-		"floatsum", "hotalloc", "lockheld", "lockorder",
-		"mapiter", "sertaint", "sharedmut", "walerr", "wallclock",
+		"floatsum", "hotalloc", "lockorder", "mapiter", "walerr", "wallclock",
 	}
 	if strings.Join(names, ",") != strings.Join(wantNames, ",") {
 		t.Fatalf("CheckNames = %v, want %v", names, wantNames)
@@ -393,55 +359,6 @@ func TestHotRootsPinned(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("hot-path root set drifted:\ngot:\n%s\nwant:\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-}
-
-func TestSerTaintFixture(t *testing.T) { checkFixture(t, "sertaint", "internal/netsim") }
-
-// TestSerTaintRegressShape keeps the map-order-into-checkpoint bug shape
-// permanently detectable across two call hops.
-func TestSerTaintRegressShape(t *testing.T) {
-	checkFixture(t, "sertaintregress", "internal/core/logger")
-	p := loadFixture(t, "sertaintregress", "internal/core/logger")
-	n := 0
-	for _, f := range Run([]*Package{p}, Analyzers()).Findings {
-		if f.Check == "sertaint" {
-			n++
-		}
-	}
-	if n == 0 {
-		t.Fatal("map-order-into-checkpoint shape no longer detected")
-	}
-}
-
-// TestMarkDefects asserts the sink-marker defect reports directly (a
-// want annotation appended to a marker comment would corrupt the
-// marker's own argument parse, so this fixture cannot self-annotate).
-func TestMarkDefects(t *testing.T) {
-	p := loadFixture(t, "markdefects", "internal/netsim")
-	findings := Run([]*Package{p}, Analyzers()).Findings
-	var msgs []string
-	for _, f := range findings {
-		msgs = append(msgs, fmt.Sprintf("[%s] %s", f.Check, f.Message))
-	}
-	if len(msgs) != 3 {
-		t.Errorf("sink defects = %d, want 3:\n%s", len(msgs), strings.Join(msgs, "\n"))
-	}
-	for _, wantSub := range []string{
-		`[sertaint] dangling //mantra:sink`,
-		`[sertaint] bad //mantra:sink on defectBadSink: want exactly "serialization", got "compression"`,
-		`[sertaint] duplicate //mantra:sink on defectDupSink`,
-	} {
-		found := false
-		for _, m := range msgs {
-			if strings.Contains(m, wantSub) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no defect containing %q in:\n%s", wantSub, strings.Join(msgs, "\n"))
-		}
 	}
 }
 

@@ -59,7 +59,7 @@ var writePkgFuncs = map[string]int{ // value: index of the sink argument, -1 for
 	"crc32.Update":   -1,
 }
 
-func runMapIter(_ *Analysis, p *Package) []Finding {
+func runMapIter(p *Package) []Finding {
 	if !deterministicPkgs[p.RelPath] {
 		return nil
 	}

@@ -6,13 +6,11 @@ import (
 	"strings"
 )
 
-// The module's two doc-comment markers (DESIGN.md §14–§15), each owned
-// by the check it feeds:
+// The module's one doc-comment marker (DESIGN.md §14), owned by the
+// check it feeds:
 //
 //	//mantra:hotpath               a hot-path root for hotalloc, budget 0
 //	//mantra:hotpath budget=3      a root allowed three allocation sites
-//	//mantra:sink serialization    a function whose arguments become
-//	                               serialized bytes, for sertaint
 //
 // hotalloc walks the static call graph from the declared roots, flagging
 // allocation sites in every function it can reach. The budget is the
@@ -22,34 +20,11 @@ import (
 // *new* allocation on a hot path fails the build while the existing ones
 // are grandfathered explicitly rather than silently.
 //
-// A marker that silently fails to register would quietly shrink its
-// check's coverage, so every defect in one is a finding under the owning
-// check: a marker outside a function declaration's doc comment
-// (dangling), a malformed argument, a second marker on one function.
-const (
-	hotpathMarker = "//mantra:hotpath"
-	sinkMarker    = "//mantra:sink"
-)
-
-// marker is one marker kind: the check its defects report under, and
-// the parser of its arguments, which returns a defect message or "".
-type marker struct {
-	prefix, check string
-	parse         func(args string) string
-}
-
-var markers = []marker{
-	{hotpathMarker, "hotalloc", func(args string) string { _, msg := hotBudget(args); return msg }},
-	{sinkMarker, "sertaint", sinkArgs},
-}
-
-// sinkArgs checks a sink marker's one bare kind token.
-func sinkArgs(args string) string {
-	if kind := strings.TrimSpace(args); kind != "serialization" {
-		return "want exactly " + quote("serialization") + ", got " + quote(kind)
-	}
-	return ""
-}
+// A marker that silently fails to register would quietly shrink the
+// root set, so every defect in one is a hotalloc finding: a marker
+// outside a function declaration's doc comment (dangling), a malformed
+// argument, a second marker on one function.
+const hotpathMarker = "//mantra:hotpath"
 
 // markArgs returns what follows the marker in a comment; ok is false
 // when the comment is not the marker at all (//mantra:hotpathy is not
@@ -96,20 +71,6 @@ func funcHotMark(fd *ast.FuncDecl) (budget int, ok bool) {
 	return 0, false
 }
 
-// funcSink reports whether a function's doc comment declares it a
-// serialization sink with a well-formed marker.
-func funcSink(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if args, ok := markArgs(c.Text, sinkMarker); ok && sinkArgs(args) == "" {
-			return true
-		}
-	}
-	return false
-}
-
 // markDefects reports every malformed, duplicate or dangling marker in a
 // package.
 func markDefects(p *Package) []Finding {
@@ -124,21 +85,19 @@ func markDefects(p *Package) []Finding {
 				continue
 			}
 			attached[fd.Doc] = true
-			for _, m := range markers {
-				seen := false
-				for _, c := range fd.Doc.List {
-					args, ok := markArgs(c.Text, m.prefix)
-					if !ok {
-						continue
-					}
-					if msg := m.parse(args); msg != "" {
-						out = append(out, p.finding(m.check, c.Pos(), "bad %s on %s: %s", m.prefix, fd.Name.Name, msg))
-					}
-					if seen {
-						out = append(out, p.finding(m.check, c.Pos(), "duplicate %s on %s; one marker per function", m.prefix, fd.Name.Name))
-					}
-					seen = true
+			seen := false
+			for _, c := range fd.Doc.List {
+				args, ok := markArgs(c.Text, hotpathMarker)
+				if !ok {
+					continue
 				}
+				if _, msg := hotBudget(args); msg != "" {
+					out = append(out, p.finding("hotalloc", c.Pos(), "bad %s on %s: %s", hotpathMarker, fd.Name.Name, msg))
+				}
+				if seen {
+					out = append(out, p.finding("hotalloc", c.Pos(), "duplicate %s on %s; one marker per function", hotpathMarker, fd.Name.Name))
+				}
+				seen = true
 			}
 		}
 		for _, cg := range file.Comments {
@@ -146,11 +105,9 @@ func markDefects(p *Package) []Finding {
 				continue
 			}
 			for _, c := range cg.List {
-				for _, m := range markers {
-					if _, ok := markArgs(c.Text, m.prefix); ok {
-						out = append(out, p.finding(m.check, c.Pos(),
-							"dangling %s: the marker must be part of a function declaration's doc comment to register", m.prefix))
-					}
+				if _, ok := markArgs(c.Text, hotpathMarker); ok {
+					out = append(out, p.finding("hotalloc", c.Pos(),
+						"dangling %s: the marker must be part of a function declaration's doc comment to register", hotpathMarker))
 				}
 			}
 		}

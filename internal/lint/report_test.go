@@ -10,7 +10,7 @@ import (
 
 var reportFixture = []Finding{
 	{Pos: token.Position{Filename: "internal/core/engine/engine.go", Line: 12, Column: 3},
-		Check: "lockheld", Message: "mu held across channel send"},
+		Check: "mapiter", Message: "map iteration order reaches the output"},
 	{Pos: token.Position{Filename: "internal/core/logger/wal.go", Line: 40, Column: 9},
 		Check: "walerr", Message: "Sync error silently dropped"},
 }
@@ -27,7 +27,7 @@ func TestWriteJSON(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("decoded %d findings, want 2", len(got))
 	}
-	if got[0]["check"] != "lockheld" || got[0]["line"] != float64(12) ||
+	if got[0]["check"] != "mapiter" || got[0]["line"] != float64(12) ||
 		got[0]["file"] != "internal/core/engine/engine.go" {
 		t.Errorf("first finding = %v", got[0])
 	}

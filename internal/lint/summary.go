@@ -73,11 +73,6 @@ type FuncSum struct {
 	Calls  []CallRef   `json:"calls,omitempty"`
 	Allocs []AllocSite `json:"allocs,omitempty"`
 	Locks  []LockEv    `json:"locks,omitempty"`
-
-	// Sink marks a //mantra:sink serialization function, and Taint is
-	// the function's determinism-taint graph (DESIGN.md §15).
-	Sink  bool      `json:"sink,omitempty"`
-	Taint *TaintSum `json:"taint,omitempty"`
 }
 
 // PkgSummary is one package's facts for the global phase.
@@ -85,18 +80,16 @@ type PkgSummary struct {
 	RelPath string     `json:"relPath"`
 	Funcs   []*FuncSum `json:"funcs"`
 	// Defects are marker defects (dangling, malformed or duplicate
-	// //mantra:hotpath and //mantra:sink comments), pre-rendered as
-	// findings.
+	// //mantra:hotpath comments), pre-rendered as findings.
 	Defects []Finding `json:"markDefects,omitempty"`
 }
 
-// Summarize extracts a package's global-phase facts from its AST. The
-// walk mirrors buildCallGraph's conventions: function literals fold into
-// their declaration, goroutine-launched literal bodies belong to the
-// spawned goroutine and are excluded.
+// Summarize extracts a package's global-phase facts from its AST.
+// Function literals fold into their declaration, goroutine-launched
+// literal bodies belong to the spawned goroutine and are excluded
+// (inspectOwnCode).
 func Summarize(p *Package) *PkgSummary {
 	sum := &PkgSummary{RelPath: p.RelPath, Defects: markDefects(p)}
-	seamLines := seamAllowLines(p)
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -113,8 +106,6 @@ func Summarize(p *Package) *PkgSummary {
 				End:   toPos(p, fd.Body.End()),
 			}
 			fs.HotBudget, fs.Hot = funcHotMark(fd)
-			fs.Sink = funcSink(fd)
-			fs.Taint = taintSummary(p, fd, seamLines)
 			summarizeBody(p, fd, fs)
 			sum.Funcs = append(sum.Funcs, fs)
 		}

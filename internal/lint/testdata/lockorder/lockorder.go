@@ -1,7 +1,7 @@
 // Fixture for the lockorder analyzer: an AB/BA inversion seen once
 // directly and once through a call, plus a direct recursive
 // acquisition. Loaded as internal/netsim — lockorder is deliberately
-// unscoped, so it must fire even outside lockheld's package set.
+// unscoped, so it must fire in any package.
 package netsim
 
 import "sync"

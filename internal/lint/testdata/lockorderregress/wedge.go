@@ -2,9 +2,8 @@
 // send path held the session mutex while pushing into the write queue,
 // and the drain goroutine held the queue mutex while touching session
 // state — a classic AB/BA inversion that wedged live collectors. It
-// lived in internal/core/collect, OUTSIDE lockheld's scoped package
-// set, which is exactly why lockorder runs module-wide; this fixture
-// loads under that rel path to prove the check still fires there.
+// lived in internal/core/collect; this fixture loads under that rel path
+// to prove the module-wide check fires there.
 package collect
 
 import "sync"

@@ -51,7 +51,7 @@ func nameHasWriteVerb(name string) bool {
 	return false
 }
 
-func runWalErr(_ *Analysis, p *Package) []Finding {
+func runWalErr(p *Package) []Finding {
 	if !walErrPkgs[p.RelPath] {
 		return nil
 	}

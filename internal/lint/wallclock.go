@@ -21,7 +21,7 @@ var wallClockAnalyzer = &Analyzer{
 
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-func runWallClock(_ *Analysis, p *Package) []Finding {
+func runWallClock(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
