@@ -57,7 +57,7 @@ func appendAll(st *tsdb.Store, target string, pts []tsdb.Point) {
 }
 
 // BenchmarkStoreAppend measures raw ingest: one point through the
-// delta-of-delta/XOR encoder, block sealing and downsampling included.
+// delta-of-delta/XOR encoder, block sealing included.
 func BenchmarkStoreAppend(b *testing.B) {
 	pts := benchSeries(1, b.N)
 	st := tsdb.New()

@@ -41,7 +41,7 @@ func (s *Server) runQuery(q tsdb.Query) (tsdb.Result, error) {
 	if fn != nil {
 		return fn(q)
 	}
-	return s.proc.Query(q)
+	return s.proc.Store().Query(q)
 }
 
 // queryPoint mirrors the /series point shape so ranged query output is

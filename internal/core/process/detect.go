@@ -370,6 +370,8 @@ func meanOf(vs []float64) float64 {
 // OpenAnomalies returns the currently unresolved anomalies in detection
 // order.
 func (p *Processor) OpenAnomalies() []Anomaly {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	var out []Anomaly
 	for _, a := range p.anomalies {
 		if !a.Resolved {
@@ -381,7 +383,7 @@ func (p *Processor) OpenAnomalies() []Anomaly {
 
 // AnomaliesEvicted returns how many anomalies the capped ring has
 // dropped; Anomalies() holds the most recent MaxAnomalies records.
-func (p *Processor) AnomaliesEvicted() uint64 { return p.evicted }
+func (p *Processor) AnomaliesEvicted() uint64 { return p.Ring().Evicted }
 
 // KindCount is one kind's entry in the anomaly rollup.
 type KindCount struct {
@@ -407,6 +409,8 @@ type AnomalyRollup struct {
 // Rollup summarizes the anomaly ring, deterministically (ByKind sorted
 // by kind name).
 func (p *Processor) Rollup() AnomalyRollup {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return RollupOf(p.anomalies, p.evicted)
 }
 
@@ -424,5 +428,7 @@ type CrossTargetIncident struct {
 // deterministic: incidents sorted by kind, targets sorted by name,
 // FirstSeen the earliest open episode's first-seen time.
 func (p *Processor) CrossTarget() []CrossTargetIncident {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return CrossTargetOf(p.anomalies)
 }

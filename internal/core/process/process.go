@@ -14,6 +14,7 @@ package process
 import (
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/addr"
@@ -169,7 +170,9 @@ type Anomaly struct {
 	ResolvedAt time.Time `json:"resolved_at,omitzero"`
 }
 
-// Processor turns snapshots into series, summaries and anomalies.
+// Processor turns snapshots into series, summaries and anomalies. Its
+// read methods are safe mid-cycle: mu guards what they return, taken
+// before the store's lock and never inside a store call.
 type Processor struct {
 	// SenderThresholdKbps classifies senders vs passive participants.
 	SenderThresholdKbps float64
@@ -218,6 +221,8 @@ type Processor struct {
 
 	detectors       []Detector
 	customDetectors bool
+
+	mu sync.RWMutex
 }
 
 // New returns a processor with the paper's thresholds and the default
@@ -261,15 +266,11 @@ func (p *Processor) Series(target string, m Metric) *Series {
 // Store exposes the compressed store that holds every series point.
 func (p *Processor) Store() *tsdb.Store { return p.store }
 
-// Query answers a store query over this processor's targets: the
-// unsharded execution path behind /query.
-func (p *Processor) Query(q tsdb.Query) (tsdb.Result, error) {
-	return p.store.Query(q)
-}
-
 // GapCount returns how many collection gaps a target has recorded, 0
 // for an unseen target.
 func (p *Processor) GapCount(target string) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	if w := p.windows[target]; w != nil {
 		return w[MetricRoutes].gaps
 	}
@@ -283,6 +284,8 @@ func (p *Processor) Targets() []string { return p.store.Targets() }
 // order, deterministic across runs. The slice is a copy; records
 // evicted from the capped ring (AnomaliesEvicted) are not included.
 func (p *Processor) Anomalies() []Anomaly {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return append([]Anomaly(nil), p.anomalies...)
 }
 
@@ -305,12 +308,14 @@ func (p *Processor) windowsFor(target string) map[Metric]*window {
 // can seal every series' block at once, and the mirror writes the
 // blocks in the order they seal.
 func (p *Processor) MarkGap(target string, at time.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	pt := tsdb.Point{T: at.UnixNano(), Gap: true}
 	w, keep := p.windowsFor(target), p.keep()
 	for _, m := range AllMetrics {
 		w[m].push(pt, keep)
-		p.store.AppendGap(target, string(m), pt.T)
 	}
+	tsdb.AppendRow(p.store, target, AllMetrics, pt.T, nil)
 }
 
 // Ingest processes one cycle snapshot: computes the cycle statistics,
@@ -330,6 +335,8 @@ func (p *Processor) IngestCounts(sn *tables.Snapshot, saCache, mbgpRoutes int) C
 }
 
 func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	st := CycleStats{Target: sn.Target, At: sn.At}
 
 	sessions := sn.Pairs.Sessions()
@@ -387,12 +394,14 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 	st.SACache = saCache
 	st.MBGPRoutes = mbgpRoutes
 
-	// Extend the series in the store and the detectors' windows.
+	// Extend the detectors' windows, then the series in the store under
+	// one lock: app is called in AllMetrics order.
 	w, keep := p.windowsFor(sn.Target), p.keep()
 	ns := sn.At.UnixNano()
+	row := make([]float64, 0, 16)
 	app := func(m Metric, v float64) {
 		w[m].push(tsdb.Point{T: ns, V: v}, keep)
-		p.store.Append(sn.Target, string(m), ns, v)
+		row = append(row, v)
 	}
 	app(MetricSessions, float64(st.Sessions))
 	app(MetricParticipants, float64(st.Participants))
@@ -415,6 +424,7 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 	app(MetricRouteChurn, float64(st.RouteChurn))
 	app(MetricSACache, float64(st.SACache))
 	app(MetricMBGPRoutes, float64(st.MBGPRoutes))
+	tsdb.AppendRow(p.store, sn.Target, AllMetrics, ns, row)
 
 	p.detect(sn.Target, sn.At, w)
 	return st

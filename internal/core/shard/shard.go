@@ -164,8 +164,9 @@ var ErrClosed = errors.New("shard: supervisor closed")
 //
 // Register, RunCycle and Close must be called from one goroutine (the
 // cycle driver), exactly like Monitor.RunCycle; the published views
-// (Status, FleetAnomalies, FleetHealth, Merged, EngineStats) are safe
-// from any goroutine, including while a cycle is in flight.
+// (Status, FleetAnomalies, FleetHealth, Merged, EngineStats,
+// SeriesView, QueryFleet) are safe from any goroutine, including while
+// a cycle is in flight.
 type Supervisor struct {
 	cfg Config
 
@@ -189,6 +190,7 @@ type Supervisor struct {
 	lastAnoms  []process.Anomaly
 	lastHealth []TargetHealthView
 	engines    []*engine.Engine
+	procs      []*process.Processor
 }
 
 // New starts a supervisor with cfg.Shards live workers and no targets.

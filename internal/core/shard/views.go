@@ -24,12 +24,13 @@ func (s *Supervisor) publish(merged *tables.Snapshot) {
 	anoms := s.fleetAnomalies()
 	health := s.fleetHealth()
 	engines := make([]*engine.Engine, len(s.workers))
+	procs := make([]*process.Processor, len(s.workers))
 	for i, w := range s.workers {
-		engines[i] = w.core.Engine
+		engines[i], procs[i] = w.core.Engine, w.core.Proc
 	}
 
 	s.mu.Lock()
-	s.engines = engines
+	s.engines, s.procs = engines, procs
 	s.status = st
 	if merged != nil {
 		s.lastMerged = merged
@@ -203,8 +204,8 @@ func (s *Supervisor) EngineStats() []engine.Stats {
 func (s *Supervisor) FleetProc() *process.Processor { return s.fleetProc }
 
 // TargetSeries reads a target's metric series from its owning shard,
-// nil when the target is unassigned or unseen. Driver goroutine only —
-// the same rule as Monitor.Series.
+// nil when the target is unassigned or unseen. Driver goroutine only:
+// it reads the live assignment; SeriesView is the reader-safe form.
 func (s *Supervisor) TargetSeries(name string, m process.Metric) *process.Series {
 	sh, ok := s.assign[name]
 	if !ok {
@@ -214,25 +215,22 @@ func (s *Supervisor) TargetSeries(name string, m process.Metric) *process.Series
 }
 
 // SeriesView resolves a target's series through the last *published*
-// assignment, for HTTP readers: the live assign map may be mid-rewrite
-// during a handoff, but the published copy is mu-guarded and only
-// swaps between cycles. The series itself is read with the same
-// between-cycle quiescence contract Monitor.Series gives /series in
-// the unsharded daemon.
+// assignment and shard processors, for HTTP readers: the live assign
+// map and worker slice may be mid-rewrite during a handoff or a
+// restart, but the published copies are mu-guarded and only swap
+// between cycles. The series itself is read under the owning store's
+// lock, so this is safe from any goroutine, mid-cycle included.
 func (s *Supervisor) SeriesView(name string, m process.Metric) *process.Series {
 	s.mu.Lock()
 	sh, ok := s.status.Assignment[name]
+	procs := s.procs
 	s.mu.Unlock()
-	if !ok || sh < 0 || sh >= len(s.workers) {
+	if !ok || sh < 0 || sh >= len(procs) {
 		// Not a shard-owned target: the fleet-level series ("fleet")
 		// live in the aggregation processor.
 		return s.fleetProc.Series(name, m)
 	}
-	w := s.workers[sh]
-	if w == nil {
-		return nil
-	}
-	return w.core.Proc.Series(name, m)
+	return procs[sh].Series(name, m)
 }
 
 // QueryFleet executes a store query across the fleet: each target is
@@ -241,14 +239,14 @@ func (s *Supervisor) SeriesView(name string, m process.Metric) *process.Series {
 // rows are merged with tsdb.Assemble — the same split execution a
 // single store uses internally, so the result bytes are identical at
 // any shard count. Resolution goes through the last *published*
-// assignment like SeriesView, with the same between-cycle quiescence
-// contract for the store reads.
+// assignment and shard processors like SeriesView, and each store is
+// read under its own lock, so this is safe from any goroutine.
 func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
-	// The published assignment map is rebuilt wholesale each publish and
-	// never mutated afterwards, so holding the reference past the unlock
-	// is safe.
+	// The published assignment map and processor slice are rebuilt
+	// wholesale each publish and never mutated afterwards, so holding
+	// the references past the unlock is safe.
 	s.mu.Lock()
-	assign := s.status.Assignment
+	assign, procs := s.status.Assignment, s.procs
 	s.mu.Unlock()
 
 	names := q.Targets
@@ -272,8 +270,8 @@ func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
 	parts := make([]tsdb.TargetResult, 0, len(names))
 	for _, name := range names {
 		store := s.fleetProc.Store()
-		if sh, ok := assign[name]; ok && sh >= 0 && sh < len(s.workers) && s.workers[sh] != nil {
-			store = s.workers[sh].core.Proc.Store()
+		if sh, ok := assign[name]; ok && sh >= 0 && sh < len(procs) {
+			store = procs[sh].Store()
 		}
 		tr, err := store.QueryTarget(q, name)
 		if err != nil {

@@ -16,8 +16,8 @@ import (
 // Every lock the driver, the workers and the readers take is taken here
 // from all sides at once, so two of them acquired in opposite orders
 // deadlock; the watchdog then fails the test with every goroutine's
-// stack. /query joins from the driver between cycles: the stores it
-// reads are not safe mid-cycle.
+// stack. /query, /series and /graph read the shard stores the cycle is
+// writing, so under the race detector an unguarded read fails it too.
 func TestViewsUnderChaosWatchdog(t *testing.T) {
 	const (
 		cycles = 40
@@ -55,6 +55,10 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 		func() { get(srv, "/health") },
 		func() { get(srv, "/anomalies") },
 		func() { get(srv, "/anomalies?cross=1") },
+		func() { get(srv, "/query?metric=routes&op=avg") },
+		func() { get(srv, "/query?metric=routes&tier=10") },
+		func() { get(srv, "/series/fixw/routes") },
+		func() { get(srv, "/graph/dom01-gw/routes") },
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -93,9 +97,6 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 				driven <- err
 				return
 			}
-			// /query reads the shard stores, which only hold still
-			// between cycles (QueryFleet's contract), so it runs here.
-			get(srv, "/query?metric=routes&op=avg")
 		}
 		driven <- nil
 	}()

@@ -17,6 +17,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/bits"
@@ -144,7 +145,7 @@ func EncodeBlock(pts []Point) []byte {
 		info.LastV = pt.V
 		info.LastVT = pt.T
 	}
-	stream := w.bytes()
+	stream := w.b
 	out := make([]byte, 0, 64+len(stream))
 	out = append(out, blockVersion)
 	out = seglog.AppendUvarint(out, uint64(info.Count))
@@ -209,15 +210,20 @@ func DecodeBlock(b []byte) ([]Point, error) { return appendBlock(nil, b) }
 
 // appendBlock decodes a sealed block and appends its points to pts: the
 // one decode loop behind every reader, which passes a reused buffer
-// where it can.
+// where it can. The bitstream is read MSB-first through a 64-bit
+// window held in locals: win holds the next nb unread bits,
+// left-aligned, and rest the bytes after them. Reading past the end
+// drives nb negative, and the point that did is ErrBadBlock.
 func appendBlock(pts []Point, b []byte) ([]Point, error) {
-	info, stream, err := decodeHeader(b)
+	info, rest, err := decodeHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	r := newBitReader(stream, ErrBadBlock)
 	pts = slices.Grow(pts, info.Count)
 	var (
+		win              uint64
+		nb               int
+		v                uint64
 		prevT, prevDelta int64
 		prevV            uint64
 		prevLead         = ^uint(0)
@@ -226,51 +232,64 @@ func appendBlock(pts []Point, b []byte) ([]Point, error) {
 		values           int
 	)
 	for i := 0; i < info.Count; i++ {
-		var pt Point
-		pt.Gap = r.readBit() == 1
-		if i == 0 {
-			pt.T = int64(r.readBits(64))
-			prevT = pt.T
-		} else {
-			var dod int64
-			if r.readBit() == 1 {
-				if r.readBit() == 0 {
-					zz := r.readBits(32)
-					dod = int64(zz>>1) ^ -int64(zz&1)
-				} else {
-					dod = int64(r.readBits(64))
-				}
-			}
-			prevDelta += dod
-			prevT += prevDelta
-			pt.T = prevT
+		// The gap flag and the timestamp's control bits read straight
+		// off a refilled window.
+		if nb < 3 {
+			win, nb, rest = refill(win, nb, rest)
 		}
+		pt := Point{Gap: win>>63 != 0}
+		win, nb = win<<1, nb-1
+		switch {
+		case i == 0:
+			v, win, nb, rest = take(win, nb, rest, 64)
+			prevT = int64(v)
+		case win>>63 == 0: // delta repeats
+			win, nb = win<<1, nb-1
+			prevT += prevDelta
+		default:
+			wide := win>>62&1 != 0
+			win, nb = win<<2, nb-2
+			if wide {
+				v, win, nb, rest = take(win, nb, rest, 64)
+				prevDelta += int64(v)
+			} else {
+				v, win, nb, rest = take(win, nb, rest, 32)
+				prevDelta += int64(v>>1) ^ -int64(v&1)
+			}
+			prevT += prevDelta
+		}
+		pt.T = prevT
 		if !pt.Gap {
-			if !haveV {
-				prevV = r.readBits(64)
+			if nb < 2 {
+				win, nb, rest = refill(win, nb, rest)
+			}
+			switch {
+			case !haveV:
+				prevV, win, nb, rest = take(win, nb, rest, 64)
 				haveV = true
-			} else if r.readBit() == 1 {
-				var sig uint
-				if r.readBit() == 0 {
-					if prevLead == ^uint(0) {
-						return nil, ErrBadBlock
-					}
-					sig = 64 - prevLead - prevTrail
-				} else {
-					lead := uint(r.readBits(6))
-					sig = uint(r.readBits(6)) + 1
+			case win>>63 == 0: // value repeats
+				win, nb = win<<1, nb-1
+			default:
+				fresh := win>>62&1 != 0
+				win, nb = win<<2, nb-2
+				if fresh {
+					v, win, nb, rest = take(win, nb, rest, 12)
+					lead, sig := uint(v>>6), uint(v&0x3f)+1
 					if lead+sig > 64 {
 						return nil, ErrBadBlock
 					}
 					prevLead, prevTrail = lead, 64-lead-sig
+				} else if prevLead == ^uint(0) {
+					return nil, ErrBadBlock
 				}
-				prevV ^= r.readBits(sig) << prevTrail
+				v, win, nb, rest = take(win, nb, rest, int(64-prevLead-prevTrail))
+				prevV ^= v << prevTrail
 			}
 			pt.V = math.Float64frombits(prevV)
 			values++
 		}
-		if r.err != nil {
-			return nil, r.err
+		if nb < 0 {
+			return nil, ErrBadBlock
 		}
 		pts = append(pts, pt)
 	}
@@ -278,4 +297,35 @@ func appendBlock(pts []Point, b []byte) ([]Point, error) {
 		return nil, ErrBadBlock
 	}
 	return pts, nil
+}
+
+// refill tops the window up with whole bytes of rest, to at least 57
+// bits unless rest runs out. nb is negative only once rest has run out.
+func refill(win uint64, nb int, rest []byte) (uint64, int, []byte) {
+	if nb <= 56 && len(rest) >= 8 {
+		k := (64 - nb) >> 3
+		return win | binary.BigEndian.Uint64(rest)>>(64-8*k)<<(64-8*k-nb), nb + 8*k, rest[k:]
+	}
+	for nb <= 56 && len(rest) > 0 {
+		win |= uint64(rest[0]) << (56 - nb)
+		nb, rest = nb+8, rest[1:]
+	}
+	return win, nb, rest
+}
+
+// take reads the next n (1 to 64) bits off the window, refilling it
+// when short, wider reads than a refill guarantees in two parts; nb
+// comes back negative when the stream holds fewer.
+func take(win uint64, nb int, rest []byte, n int) (uint64, uint64, int, []byte) {
+	var hi uint64
+	if n > 57 {
+		hi, win, nb, rest = take(win, nb, rest, 32)
+		n -= 32
+	}
+	if nb < n {
+		if win, nb, rest = refill(win, nb, rest); nb < n {
+			return 0, win, -1, rest
+		}
+	}
+	return hi<<n | win>>(64-n), win << n, nb - n, rest
 }

@@ -1,10 +1,13 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/core/seglog"
 )
 
 // genPoints produces a randomized series shaped like the monitor's
@@ -154,32 +157,92 @@ func TestBlockEdgeCases(t *testing.T) {
 }
 
 // TestBlockDecodeNeverPanics exhaustively corrupts an encoded block —
-// every single-byte flip and every truncation length — and requires the
-// decoder to fail cleanly or return consistent data, never panic. The
-// frame CRC normally screens corruption out, but the decoder is the
-// last line of defense and must hold on its own.
+// every single-byte flip, every truncation length, and every length of
+// its bitstream under a header that agrees — and requires the decoder
+// to fail cleanly or return consistent data, never panic, and to answer
+// as the bit-at-a-time reference decoder does. The frame CRC normally
+// screens corruption out, but the decoder is the last line of defense
+// and must hold on its own.
 func TestBlockDecodeNeverPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	blk := EncodeBlock(genPoints(r, BlockPoints))
-	for i := range blk {
-		mut := append([]byte(nil), blk...)
-		mut[i] ^= 0xff
-		if pts, err := DecodeBlock(mut); err == nil {
-			if info, ierr := DecodeBlockInfo(mut); ierr == nil && len(pts) != info.Count {
-				t.Fatalf("flip %d: decoded %d points, header says %d", i, len(pts), info.Count)
+	same := func(what string, b []byte) {
+		t.Helper()
+		pts, err := DecodeBlock(b)
+		want, werr := refAppendBlock(nil, b)
+		if err != werr || !pointsEqual(pts, want) {
+			t.Fatalf("%s: decoded %d points (err %v), reference %d (err %v)", what, len(pts), err, len(want), werr)
+		}
+		if err == nil {
+			if info, ierr := DecodeBlockInfo(b); ierr == nil && len(pts) != info.Count {
+				t.Fatalf("%s: decoded %d points, header says %d", what, len(pts), info.Count)
 			}
 		}
 	}
+	for i := range blk {
+		mut := append([]byte(nil), blk...)
+		mut[i] ^= 0xff
+		same(fmt.Sprintf("flip %d", i), mut)
+	}
 	for l := 0; l < len(blk); l++ {
-		_, _ = DecodeBlock(blk[:l])
+		same(fmt.Sprintf("truncate %d", l), blk[:l])
 		_, _ = DecodeBlockInfo(blk[:l])
+	}
+	info, stream, err := decodeHeader(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 0; l < len(stream); l++ {
+		same(fmt.Sprintf("stream %d", l), reframe(info, stream[:l]))
+	}
+	for name, b := range craftedBlocks() {
+		same(name, b)
 	}
 }
 
-// FuzzBlockDecode fuzzes the block decoder. The corpus is seeded with
-// real sealed blocks: a store fed the same cycle-cadence counter shapes
-// a WAL replay produces (values, bursts, resets, gap markers), plus a
-// few deliberately broken variants.
+// craftedBlocks are bitstreams no encoder writes, each tripping one of
+// the decode loop's checks on its second point: a value that reuses the
+// XOR window before one was set, and a new window wider than 64 bits.
+func craftedBlocks() map[string][]byte {
+	second := func(ctl, bits uint64, n uint) []byte {
+		var w bitWriter
+		w.writeBits(0, 1)           // point 0: a value
+		w.writeBits(1e18, 64)       // its timestamp
+		w.writeBits(1<<62, 64)      // its value bits
+		w.writeBits(0, 2)           // point 1: a value, the delta repeats
+		w.writeBits(ctl, 2)         // value control
+		w.writeBits(bits, n)        // what follows it
+		w.writeBits(^uint64(0), 64) // and enough stream to read on
+		return reframe(BlockInfo{Count: 2, ValueCount: 2}, w.b)
+	}
+	return map[string][]byte{
+		"window reused before set": second(0b10, 0x5, 8),
+		"window wider than 64":     second(0b11, 40<<6|40, 12),
+	}
+}
+
+// reframe builds a block from a header and a bitstream that need not
+// agree with it, as EncodeBlock lays them out.
+func reframe(info BlockInfo, stream []byte) []byte {
+	out := []byte{blockVersion}
+	out = seglog.AppendUvarint(out, uint64(info.Count))
+	out = seglog.AppendUvarint(out, uint64(info.ValueCount))
+	for _, v := range []int64{info.FirstT, info.LastT, info.FirstVT, info.LastVT} {
+		out = seglog.AppendU64(out, uint64(v))
+	}
+	for _, v := range []float64{info.FirstV, info.LastV, info.Min, info.Max, info.Sum} {
+		out = seglog.AppendU64(out, math.Float64bits(v))
+	}
+	out = seglog.AppendUvarint(out, uint64(len(stream)))
+	return append(out, stream...)
+}
+
+// FuzzBlockDecode fuzzes the block decoder against the bit-at-a-time
+// decoder it replaced: on any bytes both return the same points, bit
+// for bit, or both ErrBadBlock. The corpus is seeded with real sealed
+// blocks: a store fed the same cycle-cadence counter shapes a WAL
+// replay produces (values, bursts, resets, gap markers), plus a few
+// deliberately broken variants.
 func FuzzBlockDecode(f *testing.F) {
 	st := New()
 	r := rand.New(rand.NewSource(2001))
@@ -196,6 +259,24 @@ func FuzzBlockDecode(f *testing.F) {
 			f.Add(append([]byte(nil), blk...))
 		}
 	}
+	// Bitstreams that end early under a header that agrees on their
+	// length, and flipped bits: the decode loop's own checks.
+	edge := EncodeBlock(genPoints(rand.New(rand.NewSource(5)), BlockPoints))
+	info, stream, err := decodeHeader(edge)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cut := range []int{len(stream) - 1, len(stream) - 9, len(stream) / 2, 5} {
+		f.Add(reframe(info, stream[:cut]))
+	}
+	for _, at := range []int{len(stream) - 1, len(stream) - 40, len(stream) / 3} {
+		flip := append([]byte(nil), stream...)
+		flip[at] ^= 0x5a
+		f.Add(reframe(info, flip))
+	}
+	for _, b := range craftedBlocks() {
+		f.Add(b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{blockVersion})
 	short := EncodeBlock([]Point{{T: 5, V: 5}})
@@ -209,28 +290,12 @@ func FuzzBlockDecode(f *testing.F) {
 		if derr == nil && len(pts) != info.Count {
 			t.Fatalf("decoded %d points, header says %d", len(pts), info.Count)
 		}
-	})
-}
-
-// TestReadBitsMatchesReadBit: readBits takes up to a byte at a time and
-// must read what as many single-bit reads would, across byte boundaries
-// and up to the end of the stream, where both latch the error.
-func TestReadBitsMatchesReadBit(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	stream := make([]byte, 40)
-	r.Read(stream)
-	for trial := 0; trial < 200; trial++ {
-		a, b := newBitReader(stream, ErrBadBlock), newBitReader(stream, ErrBadBlock)
-		for a.err == nil {
-			n := uint(r.Intn(65))
-			got := a.readBits(n)
-			var want uint64
-			for i := uint(0); i < n; i++ {
-				want = want<<1 | b.readBit()
-			}
-			if (a.err == nil) != (b.err == nil) || (a.err == nil && got != want) {
-				t.Fatalf("trial %d, bit %d: readBits(%d) = %#x (err %v), single bits %#x (err %v)", trial, b.off, n, got, a.err, want, b.err)
-			}
+		want, werr := refAppendBlock(nil, data)
+		if derr != werr {
+			t.Fatalf("decode error %v, reference decoder %v", derr, werr)
 		}
-	}
+		if !pointsEqual(pts, want) {
+			t.Fatalf("decoded %d points, reference decoder %d, and they differ", len(pts), len(want))
+		}
+	})
 }

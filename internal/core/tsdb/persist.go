@@ -65,6 +65,8 @@ func visitFrames(fn func(target, metric string, blk []byte, info BlockInfo) erro
 // mirror converges back to the pre-crash state. syncEveryAppend fsyncs
 // each frame; otherwise segments sync on rotation and Close.
 func (st *Store) AttachDir(dir string, syncEveryAppend bool) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -87,7 +89,7 @@ func (st *Store) AttachDir(dir string, syncEveryAppend bool) error {
 // in sorted series order so the mirror's frame order is deterministic.
 func (st *Store) reconcile() {
 	d := st.dir
-	for _, target := range st.Targets() {
+	for _, target := range st.targets() {
 		tm := st.series[target]
 		metrics := make([]string, 0, len(tm))
 		for m := range tm {
@@ -129,6 +131,8 @@ func (d *dirWriter) appendBlock(target, metric string, blk []byte) {
 // PersistErr reports the first persistence error, nil while the mirror
 // is healthy or when no directory is attached.
 func (st *Store) PersistErr() error {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	if st.dir == nil {
 		return nil
 	}
@@ -138,6 +142,8 @@ func (st *Store) PersistErr() error {
 // CloseDir syncs and closes the mirror; the store keeps serving from
 // memory.
 func (st *Store) CloseDir() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	d := st.dir
 	st.dir = nil
 	if d == nil {
@@ -147,7 +153,7 @@ func (st *Store) CloseDir() error {
 }
 
 // Open loads a mirror directory cold, read-only: every sealed block of
-// the valid segment prefix, with sparse index and tiers rebuilt. The
+// the valid segment prefix, with the sparse index rebuilt. The
 // unsealed heads are not here — they live in the WAL — so an opened
 // store answers queries over sealed history only.
 func Open(dir string) (*Store, error) {
@@ -158,19 +164,15 @@ func Open(dir string) (*Store, error) {
 	return st, nil
 }
 
-// loadBlock grafts one sealed block onto a series, rebuilding index and
-// tiers.
+// loadBlock grafts one sealed block onto a series once it decodes,
+// indexing it by its header.
 func (st *Store) loadBlock(target, metric string, blk []byte, info BlockInfo) error {
-	pts, err := DecodeBlock(blk)
-	if err != nil {
+	if _, err := DecodeBlock(blk); err != nil {
 		return err
 	}
 	sr := st.seriesFor(target, metric)
 	sr.blocks = append(sr.blocks, blk)
 	sr.infos = append(sr.infos, info)
-	for _, pt := range pts {
-		sr.addToTiers(pt)
-		sr.total++
-	}
+	sr.total += info.Count
 	return nil
 }

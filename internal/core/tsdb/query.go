@@ -104,51 +104,99 @@ func (q Query) bounds() (lo, hi int64) {
 // the per-shard execution half. Unseen targets produce an empty result
 // row, identically everywhere.
 func (st *Store) QueryTarget(q Query, target string) (TargetResult, error) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.queryTarget(q, target)
+}
+
+func (st *Store) queryTarget(q Query, target string) (TargetResult, error) {
 	res := TargetResult{Target: target}
 	sr := st.lookup(target, q.Metric)
 	if sr == nil {
 		return res, nil
 	}
 	lo, hi := q.bounds()
-	if q.Op == OpRange {
-		switch q.Tier {
-		case Tier10:
-			res.Points = tierRange(sr.t10, lo, hi)
-		case Tier100:
-			res.Points = tierRange(sr.t100, lo, hi)
-		default:
-			pts, err := sr.rawRange(lo, hi)
-			if err != nil {
-				return res, err
-			}
-			res.Points = pts
-		}
-		return res, nil
+	var err error
+	switch {
+	case q.Op != OpRange:
+		res.Agg, err = sr.aggregate(lo, hi)
+	case q.Tier == Tier10 || q.Tier == Tier100:
+		res.Points, err = sr.tierRange(q.Tier, lo, hi)
+	default:
+		res.Points, err = sr.rawRange(lo, hi)
 	}
-	agg, err := sr.aggregate(lo, hi)
-	if err != nil {
-		return res, err
-	}
-	res.Agg = agg
-	return res, nil
+	return res, err
 }
 
-// tierRange emits one averaged point per bucket whose first timestamp
-// falls in range; buckets holding only gaps become gap points.
-func tierRange(buckets []Bucket, lo, hi int64) []Point {
-	var out []Point
-	for i := range buckets {
-		b := &buckets[i]
-		if b.FirstT < lo || b.FirstT > hi {
-			continue
+// tierRange folds the series into buckets of tier points, bucket k
+// holding absolute indices [k·tier, (k+1)·tier), gaps included, and
+// emits one point per bucket whose first timestamp is in [lo, hi]: the
+// average of its value points, summed in append order, or a gap point.
+// Blocks wholly before lo are skipped on their headers' counts while
+// no bucket in range is open; the fold stops once one opens past hi.
+func (sr *series) tierRange(tier int, lo, hi int64) ([]Point, error) {
+	// Every bucket emitted opens on a point of the head or of a block
+	// that meets [lo, hi], so those points bound the output.
+	size := len(sr.head)
+	for _, info := range sr.infos {
+		if info.LastT >= lo && info.FirstT <= hi {
+			size += info.Count
 		}
-		if b.Count == 0 {
-			out = append(out, Point{T: b.FirstT, Gap: true})
-			continue
-		}
-		out = append(out, Point{T: b.FirstT, V: b.Sum / float64(b.Count)})
 	}
-	return out
+	var (
+		out   []Point
+		arr   [BlockPoints]Point // decode buffer
+		left  int                // points until the next bucket opens
+		first int64              // the open bucket's first timestamp
+		emit  bool               // it opened in range
+		n     int                // its value points
+		sum   float64            // their sum
+	)
+	for i := 0; i <= len(sr.blocks); i++ {
+		pts := sr.head
+		if i < len(sr.blocks) {
+			if c := sr.infos[i].Count; !emit && sr.infos[i].LastT < lo {
+				left = ((left-c)%tier + tier) % tier
+				continue
+			}
+			var err error
+			if pts, err = appendBlock(arr[:0], sr.blocks[i]); err != nil {
+				return nil, err
+			}
+		}
+		for j := range pts {
+			if left == 0 {
+				if emit {
+					out = appendBucket(out, first, n, sum, size/tier+1)
+				}
+				if pts[j].T > hi {
+					return out, nil
+				}
+				first, emit, n, sum, left = pts[j].T, pts[j].T >= lo, 0, 0, tier
+			}
+			left--
+			if !pts[j].Gap {
+				n++
+				sum += pts[j].V
+			}
+		}
+	}
+	if emit {
+		out = appendBucket(out, first, n, sum, size/tier+1)
+	}
+	return out, nil
+}
+
+// appendBucket emits one tier bucket, making out with room for size
+// points on the first.
+func appendBucket(out []Point, first int64, n int, sum float64, size int) []Point {
+	if out == nil {
+		out = make([]Point, 0, size)
+	}
+	if n == 0 {
+		return append(out, Point{T: first, Gap: true})
+	}
+	return append(out, Point{T: first, V: sum / float64(n)})
 }
 
 func (sr *series) rawRange(lo, hi int64) ([]Point, error) {
@@ -185,44 +233,43 @@ func (sr *series) aggregate(lo, hi int64) (*Agg, error) {
 		a.Sum += v
 		a.Last, a.LastT = v, t
 	}
-	for i, blk := range sr.blocks {
-		info := sr.infos[i]
-		if info.LastT < lo || info.FirstT > hi {
-			continue
-		}
-		if info.FirstT >= lo && info.LastT <= hi {
-			if info.ValueCount == 0 {
+	var arr [BlockPoints]Point // decode buffer
+	for i := 0; i <= len(sr.blocks); i++ {
+		pts := sr.head
+		if i < len(sr.blocks) {
+			info := sr.infos[i]
+			if info.LastT < lo || info.FirstT > hi {
 				continue
 			}
-			if a.Count == 0 {
-				a.Min, a.Max = info.Min, info.Max
-				a.First, a.FirstT = info.FirstV, info.FirstVT
-			} else {
-				if info.Min < a.Min {
-					a.Min = info.Min
+			if info.FirstT >= lo && info.LastT <= hi {
+				if info.ValueCount == 0 {
+					continue
 				}
-				if info.Max > a.Max {
-					a.Max = info.Max
+				if a.Count == 0 {
+					a.Min, a.Max = info.Min, info.Max
+					a.First, a.FirstT = info.FirstV, info.FirstVT
+				} else {
+					if info.Min < a.Min {
+						a.Min = info.Min
+					}
+					if info.Max > a.Max {
+						a.Max = info.Max
+					}
 				}
+				a.Count += info.ValueCount
+				a.Sum += info.Sum
+				a.Last, a.LastT = info.LastV, info.LastVT
+				continue
 			}
-			a.Count += info.ValueCount
-			a.Sum += info.Sum
-			a.Last, a.LastT = info.LastV, info.LastVT
-			continue
-		}
-		pts, err := DecodeBlock(blk)
-		if err != nil {
-			return nil, err
+			var err error
+			if pts, err = appendBlock(arr[:0], sr.blocks[i]); err != nil {
+				return nil, err
+			}
 		}
 		for _, pt := range pts {
 			if !pt.Gap && pt.T >= lo && pt.T <= hi {
 				fold(pt.T, pt.V)
 			}
-		}
-	}
-	for _, pt := range sr.head {
-		if !pt.Gap && pt.T >= lo && pt.T <= hi {
-			fold(pt.T, pt.V)
 		}
 	}
 	if a.Count == 0 {
@@ -238,13 +285,15 @@ func (sr *series) aggregate(lo, hi int64) (*Agg, error) {
 // Query answers q against this store alone: every requested target (or
 // all known ones) through QueryTarget, then Assemble.
 func (st *Store) Query(q Query) (Result, error) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	targets := q.Targets
 	if len(targets) == 0 {
-		targets = st.Targets()
+		targets = st.targets()
 	}
 	parts := make([]TargetResult, 0, len(targets))
 	for _, t := range targets {
-		tr, err := st.QueryTarget(q, t)
+		tr, err := st.queryTarget(q, t)
 		if err != nil {
 			return Result{}, err
 		}

@@ -1,52 +1,39 @@
-// Store: per-(target, metric) compressed series with downsampling
-// tiers, transfer/checkpoint state, and an optional persistence sink
-// for sealed blocks (persist.go).
+// Store: per-(target, metric) compressed series, transfer/checkpoint
+// state, and an optional persistence sink for sealed blocks
+// (persist.go).
 package tsdb
 
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
-// Bucket is one downsample-tier entry: the summary of ten (tier 10) or
-// a hundred (tier 100) consecutive points. Aggregate fields cover value
-// points; Gaps counts gap markers that fell in the bucket.
-type Bucket struct {
-	FirstT int64
-	LastT  int64
-	Count  int
-	Gaps   int
-	Min    float64
-	Max    float64
-	Sum    float64
-	First  float64
-	Last   float64
-}
-
-// Tier sizes: a tier-10 bucket summarizes 10 raw points, a tier-100
-// bucket 100. Bucket boundaries are fixed multiples of the absolute
-// point index, so two stores that ingested the same points hold the
-// same buckets regardless of seal or transfer history.
+// Tier sizes for downsampled range reads: a tier-10 point summarizes 10
+// raw points, a tier-100 point 100. Bucket boundaries are fixed
+// multiples of the absolute point index, so two stores that ingested
+// the same points answer the same buckets regardless of seal or
+// transfer history.
 const (
 	Tier10  = 10
 	Tier100 = 100
 )
 
 // series is one (target, metric) stream: sealed blocks with their
-// sparse-index entries, the unsealed head, and the downsample tiers.
+// sparse-index entries and the unsealed head.
 type series struct {
 	blocks [][]byte
 	infos  []BlockInfo
 	head   []Point
 	total  int // points ever appended (blocks + head)
-	t10    []Bucket
-	t100   []Bucket
 }
 
-// Store holds every compressed series. Driver-goroutine owned, like
-// process.Processor: writers run between cycles, HTTP readers rely on
-// the same quiescence contract as /series.
+// Store holds every compressed series. The cycle driver writes it and
+// HTTP readers query it at any time, mid-cycle included: mu guards the
+// series map, every series in it and the mirror, and no method calls
+// another exported one while holding it.
 type Store struct {
+	mu     sync.RWMutex
 	series map[string]map[string]*series
 
 	// persistence (persist.go); nil dir means memory-only.
@@ -72,13 +59,7 @@ func (st *Store) seriesFor(target, metric string) *series {
 	return sr
 }
 
-func (st *Store) lookup(target, metric string) *series {
-	tm := st.series[target]
-	if tm == nil {
-		return nil
-	}
-	return tm[metric]
-}
+func (st *Store) lookup(target, metric string) *series { return st.series[target][metric] }
 
 // Append records one value point. Timestamps are unixnano and must be
 // appended in nondecreasing order per series (Mantra's cycle clock
@@ -86,18 +67,34 @@ func (st *Store) lookup(target, metric string) *series {
 //
 //mantra:hotpath
 func (st *Store) Append(target, metric string, t int64, v float64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.appendPoint(target, metric, Point{T: t, V: v})
 }
 
 // AppendGap records a failed-collection marker.
 func (st *Store) AppendGap(target, metric string, t int64) {
-	st.appendPoint(target, metric, Point{T: t, Gap: true})
+	AppendRow(st, target, []string{metric}, t, nil)
+}
+
+// AppendRow records one point at t in each of a target's metrics, in
+// metrics order, under one lock: vals[i] in metrics[i], or a gap marker
+// in each when vals is nil. The order is the order blocks seal in.
+func AppendRow[M ~string](st *Store, target string, metrics []M, t int64, vals []float64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, m := range metrics {
+		pt := Point{T: t, Gap: vals == nil}
+		if vals != nil {
+			pt.V = vals[i]
+		}
+		st.appendPoint(target, string(m), pt)
+	}
 }
 
 func (st *Store) appendPoint(target, metric string, pt Point) {
 	sr := st.seriesFor(target, metric)
 	sr.head = append(sr.head, pt)
-	sr.addToTiers(pt)
 	sr.total++
 	if len(sr.head) >= BlockPoints {
 		st.seal(target, metric, sr)
@@ -122,45 +119,14 @@ func (st *Store) seal(target, metric string, sr *series) {
 	}
 }
 
-// addToTiers folds one point into the open tier buckets. The point's
-// absolute index is sr.total (pre-increment).
-func (sr *series) addToTiers(pt Point) {
-	if sr.total/Tier10 == len(sr.t10) {
-		sr.t10 = append(sr.t10, Bucket{})
-	}
-	foldBucket(&sr.t10[len(sr.t10)-1], pt)
-	if sr.total/Tier100 == len(sr.t100) {
-		sr.t100 = append(sr.t100, Bucket{})
-	}
-	foldBucket(&sr.t100[len(sr.t100)-1], pt)
-}
-
-func foldBucket(b *Bucket, pt Point) {
-	if b.Count+b.Gaps == 0 {
-		b.FirstT = pt.T
-	}
-	b.LastT = pt.T
-	if pt.Gap {
-		b.Gaps++
-		return
-	}
-	if b.Count == 0 {
-		b.Min, b.Max, b.First = pt.V, pt.V, pt.V
-	} else {
-		if pt.V < b.Min {
-			b.Min = pt.V
-		}
-		if pt.V > b.Max {
-			b.Max = pt.V
-		}
-	}
-	b.Count++
-	b.Sum += pt.V
-	b.Last = pt.V
-}
-
 // Targets returns every target with at least one series, sorted.
 func (st *Store) Targets() []string {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.targets()
+}
+
+func (st *Store) targets() []string {
 	out := make([]string, 0, len(st.series))
 	for t := range st.series {
 		out = append(out, t)
@@ -172,11 +138,12 @@ func (st *Store) Targets() []string {
 // Len returns the number of points (values and gaps) stored for one
 // series, 0 when unseen.
 func (st *Store) Len(target, metric string) int {
-	sr := st.lookup(target, metric)
-	if sr == nil {
-		return 0
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if sr := st.lookup(target, metric); sr != nil {
+		return sr.total
 	}
-	return sr.total
+	return 0
 }
 
 // CompressedBytes returns the in-memory size of one series: sealed
@@ -184,20 +151,23 @@ func (st *Store) Len(target, metric string) int {
 // flag) for the unsealed head. The number compression ratios are
 // quoted against; 0 when unseen.
 func (st *Store) CompressedBytes(target, metric string) int {
-	sr := st.lookup(target, metric)
-	if sr == nil {
-		return 0
-	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	n := 0
-	for _, blk := range sr.blocks {
-		n += len(blk)
+	if sr := st.lookup(target, metric); sr != nil {
+		for _, blk := range sr.blocks {
+			n += len(blk)
+		}
+		n += 17 * len(sr.head)
 	}
-	return n + 17*len(sr.head)
+	return n
 }
 
 // Materialize decodes one series back into its full point run, nil
 // when the series is unseen.
 func (st *Store) Materialize(target, metric string) ([]Point, error) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	sr := st.lookup(target, metric)
 	if sr == nil {
 		return nil, nil
@@ -212,13 +182,15 @@ func (st *Store) Materialize(target, metric string) ([]Point, error) {
 // Scan hands fn one series' points in append order, a sealed block at
 // a time and then the head, without building the whole run: the reader
 // for paths that must not allocate with history. fn must neither keep
-// nor modify the slice. An unseen series calls fn never.
+// nor modify the slice, and runs under the store's read lock, so it
+// must not call the store. An unseen series calls fn never.
 func (st *Store) Scan(target, metric string, fn func(pts []Point)) error {
-	sr := st.lookup(target, metric)
-	if sr == nil {
-		return nil
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if sr := st.lookup(target, metric); sr != nil {
+		return sr.scan(math.MinInt64, math.MaxInt64, fn)
 	}
-	return sr.scan(math.MinInt64, math.MaxInt64, fn)
+	return nil
 }
 
 // scan hands fn, in order, the points of every sealed block whose span
@@ -265,6 +237,12 @@ type State struct {
 
 // ExportTarget copies one target's series state, nil when unseen.
 func (st *Store) ExportTarget(target string) *TargetState {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.exportTarget(target)
+}
+
+func (st *Store) exportTarget(target string) *TargetState {
 	tm := st.series[target]
 	if tm == nil {
 		return nil
@@ -280,37 +258,34 @@ func (st *Store) ExportTarget(target string) *TargetState {
 }
 
 // ImportTarget replaces one target's series state, leaving other
-// targets untouched; nil removes the target. Sparse-index entries and
-// tier buckets are rebuilt from the imported blocks.
+// targets untouched; nil removes the target. Every imported block is
+// decoded once to validate it, and its sparse-index entry rebuilt from
+// its header.
 func (st *Store) ImportTarget(target string, ts *TargetState) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	delete(st.series, target)
 	if ts == nil {
 		return nil
 	}
 	tm := make(map[string]*series, len(ts.Series))
+	var buf []Point
 	for metric, ss := range ts.Series {
 		sr := &series{}
 		for _, blk := range ss.Blocks {
-			pts, err := DecodeBlock(blk)
-			if err != nil {
-				return err
-			}
 			info, err := DecodeBlockInfo(blk)
+			if err == nil {
+				buf, err = appendBlock(buf[:0], blk)
+			}
 			if err != nil {
 				return err
 			}
 			sr.blocks = append(sr.blocks, blk)
 			sr.infos = append(sr.infos, info)
-			for _, pt := range pts {
-				sr.addToTiers(pt)
-				sr.total++
-			}
+			sr.total += info.Count
 		}
-		for _, pt := range ss.Head {
-			sr.head = append(sr.head, pt)
-			sr.addToTiers(pt)
-			sr.total++
-		}
+		sr.head = append(sr.head, ss.Head...)
+		sr.total += len(ss.Head)
 		tm[metric] = sr
 	}
 	st.series[target] = tm
@@ -320,14 +295,18 @@ func (st *Store) ImportTarget(target string, ts *TargetState) error {
 // Export copies the whole store's state. No product caller; kept for
 // bench/layers.go.
 func (st *Store) Export() *State {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	out := &State{Targets: make(map[string]*TargetState, len(st.series))}
 	for target := range st.series {
-		out.Targets[target] = st.ExportTarget(target)
+		out.Targets[target] = st.exportTarget(target)
 	}
 	return out
 }
 
 // Remove drops one target's series.
 func (st *Store) Remove(target string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	delete(st.series, target)
 }

@@ -326,3 +326,15 @@ func TestCompressionRatio(t *testing.T) {
 	}
 	t.Logf("compression ratio %.1fx (csv %d bytes, store %d bytes)", ratio, csv.Len(), compressed)
 }
+
+// BenchmarkScan decodes a read-mix-sized history (9 100 points, 35
+// sealed blocks and a head) block by block.
+func BenchmarkScan(b *testing.B) {
+	st := New()
+	fill(st, "fixw", "routes", 12, 9100)
+	b.ReportAllocs()
+	for b.Loop() {
+		n := 0
+		_ = st.Scan("fixw", "routes", func(pts []Point) { n += len(pts) })
+	}
+}

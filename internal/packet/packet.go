@@ -1,15 +1,12 @@
 // Package packet defines binary wire encodings for the control messages of
-// the multicast protocol suite the paper's infrastructure runs: IGMPv2,
-// DVMRP, PIM-SM, MSDP and MBGP.
-//
-// Encodings follow the layouts of RFC 2236 (IGMPv2), the DVMRP draft
-// (IGMP type 0x13 subtypes), RFC 2362 (PIMv2), RFC 3618 (MSDP) and a
-// compact BGP4/MP-BGP-style UPDATE for MBGP. All encoders round-trip
-// through their decoders with checksum and truncation validation; the
-// simulator carries IGMP membership reports through the wire encoding on
-// the host-to-router path (internal/netsim), while the routing engines
-// exchange state at table granularity for efficiency and use these
-// formats at their protocol boundaries (tests assert the equivalence).
+// the multicast protocol suite the paper's infrastructure runs, after RFC
+// 2236 (IGMPv2), the DVMRP draft (IGMP type 0x13 subtypes), RFC 2362
+// (PIMv2), RFC 3618 (MSDP) and a compact BGP4/MP-BGP-style UPDATE for
+// MBGP, each round-tripping through its decoder with checksum and
+// truncation validation. Only IGMP has a caller: the simulator carries
+// membership reports through it on the host-to-router path
+// (internal/netsim); the routing engines exchange state at table
+// granularity.
 package packet
 
 import (
@@ -61,58 +58,6 @@ func verifyChecksum(b []byte, off int) error {
 func finishChecksum(b []byte, off int) {
 	b[off], b[off+1] = 0, 0
 	binary.BigEndian.PutUint16(b[off:off+2], Checksum(b))
-}
-
-// Protocol identifies which control protocol a raw message belongs to.
-type Protocol uint8
-
-// Protocol values carried by Classify.
-const (
-	ProtoUnknown Protocol = iota
-	ProtoIGMP
-	ProtoDVMRP
-	ProtoPIM
-	ProtoMSDP
-	ProtoMBGP
-)
-
-// String returns the conventional protocol name.
-func (p Protocol) String() string {
-	switch p {
-	case ProtoIGMP:
-		return "IGMP"
-	case ProtoDVMRP:
-		return "DVMRP"
-	case ProtoPIM:
-		return "PIM"
-	case ProtoMSDP:
-		return "MSDP"
-	case ProtoMBGP:
-		return "MBGP"
-	}
-	return "unknown"
-}
-
-// Classify inspects the first byte(s) of a raw message produced by this
-// package and reports which protocol encoder produced it. DVMRP shares the
-// IGMP header with type 0x13.
-func Classify(b []byte) Protocol {
-	if len(b) == 0 {
-		return ProtoUnknown
-	}
-	switch {
-	case b[0] == igmpTypeDVMRP:
-		return ProtoDVMRP
-	case b[0] == igmpTypeQuery || b[0] == igmpTypeReportV2 || b[0] == igmpTypeLeave:
-		return ProtoIGMP
-	case b[0]>>4 == 2 && b[0]&0x0F <= pimMaxType: // PIM ver 2
-		return ProtoPIM
-	case b[0] == msdpMagic:
-		return ProtoMSDP
-	case b[0] == mbgpMagic:
-		return ProtoMBGP
-	}
-	return ProtoUnknown
 }
 
 func appendPrefix(b []byte, p addr.Prefix) []byte {

@@ -353,41 +353,6 @@ func TestMBGPRejectsBadPrefixLen(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		b    []byte
-		want Protocol
-	}{
-		{(&IGMP{Kind: IGMPReport, Group: addr.AllSystems}).Marshal(), ProtoIGMP},
-		{(&IGMP{Kind: IGMPQuery}).Marshal(), ProtoIGMP},
-		{(&IGMP{Kind: IGMPLeave, Group: addr.AllSystems}).Marshal(), ProtoIGMP},
-		{(&DVMRPProbe{GenID: 1}).Marshal(), ProtoDVMRP},
-		{(&DVMRPReport{}).Marshal(), ProtoDVMRP},
-		{(&PIMHello{Holdtime: time.Minute}).Marshal(), ProtoPIM},
-		{(&MSDPSA{OriginRP: 1}).Marshal(), ProtoMSDP},
-		{(&MBGPUpdate{NextHop: 1}).Marshal(), ProtoMBGP},
-		{nil, ProtoUnknown},
-		{[]byte{0xFE}, ProtoUnknown},
-	}
-	for _, c := range cases {
-		if got := Classify(c.b); got != c.want {
-			t.Errorf("Classify(% x) = %v, want %v", c.b, got, c.want)
-		}
-	}
-}
-
-func TestProtocolString(t *testing.T) {
-	names := map[Protocol]string{
-		ProtoIGMP: "IGMP", ProtoDVMRP: "DVMRP", ProtoPIM: "PIM",
-		ProtoMSDP: "MSDP", ProtoMBGP: "MBGP", ProtoUnknown: "unknown",
-	}
-	for p, want := range names {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
-		}
-	}
-}
-
 func TestMarshalDeterministic(t *testing.T) {
 	j := &PIMJoinPrune{
 		Upstream: addr.MustParse("10.0.0.1"),

@@ -14,7 +14,6 @@ const (
 	pimTypeRegister     = 1
 	pimTypeRegisterStop = 2
 	pimTypeJoinPrune    = 3
-	pimMaxType          = 8
 )
 
 // PIMHello announces a PIM router on a link; Holdtime 0 means goodbye.

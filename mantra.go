@@ -237,7 +237,7 @@ func (m *Monitor) Series(target string, metric Metric) *process.Series {
 // Query answers a series-store query — range, aggregate, or top-k —
 // over this monitor's targets; the programmatic form of /query.
 func (m *Monitor) Query(q Query) (QueryResult, error) {
-	return m.core.Proc.Query(q)
+	return m.core.Proc.Store().Query(q)
 }
 
 // Latest returns the most recent normalized snapshot for a target, or nil.
