@@ -114,7 +114,7 @@ func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 	if err := m.core.Proc.Store().AttachDir(filepath.Join(cfg.Dir, "tsdb"), cfg.SyncEveryAppend); err != nil {
 		st.lastAppendErr = err.Error()
 	}
-	m.server.SetArchive(func() any { return m.ArchiveStatus() })
+	m.publish()
 	return report, nil
 }
 
@@ -125,7 +125,7 @@ func (m *Monitor) archiveAfterCycle(now time.Time) {
 	}
 	m.archive.cyclesSince++
 	if m.archive.cyclesSince >= m.archive.checkpointEvery {
-		if err := m.Checkpoint(now); err != nil {
+		if err := m.checkpoint(now); err != nil {
 			m.archive.lastAppendErr = err.Error()
 		}
 	}
@@ -136,6 +136,11 @@ func (m *Monitor) archiveAfterCycle(now time.Time) {
 // at now, bounding the WAL tail a future recovery must replay. No-op
 // without an archive.
 func (m *Monitor) Checkpoint(now time.Time) error {
+	defer m.publish()
+	return m.checkpoint(now)
+}
+
+func (m *Monitor) checkpoint(now time.Time) error {
 	if m.archive == nil {
 		return nil
 	}
@@ -146,12 +151,18 @@ func (m *Monitor) Checkpoint(now time.Time) error {
 	return nil
 }
 
-// ArchiveStatus returns the archive's operator view (served at /archive),
-// or the zero value when no archive is enabled.
+// ArchiveStatus returns the archive's operator view (served at /archive)
+// as last published, or the zero value when no archive is enabled.
 func (m *Monitor) ArchiveStatus() ArchiveStatus {
-	if m.archive == nil {
-		return ArchiveStatus{}
+	if st := m.published.Load().archive; st != nil {
+		return *st
 	}
+	return ArchiveStatus{}
+}
+
+// buildArchiveStatus builds the archive's operator view; the archive
+// must be enabled.
+func (m *Monitor) buildArchiveStatus() ArchiveStatus {
 	st := ArchiveStatus{
 		Store:           m.core.Store.Stats(),
 		Recovery:        m.archive.report,
@@ -169,7 +180,7 @@ func (m *Monitor) CloseArchive(now time.Time) error {
 	if m.archive == nil {
 		return nil
 	}
-	err := m.Checkpoint(now)
+	err := m.checkpoint(now)
 	if cerr := m.core.Store.Close(); err == nil {
 		err = cerr
 	}
@@ -177,5 +188,6 @@ func (m *Monitor) CloseArchive(now time.Time) error {
 		err = cerr
 	}
 	m.archive, m.core.Store = nil, nil
+	m.publish()
 	return err
 }

@@ -344,6 +344,7 @@ func TestReadPathAllocBytesFlatInHistory(t *testing.T) {
 			}
 			p.Ingest(&tables.Snapshot{Target: "fixw", At: at, Routes: make(tables.RouteTable, 100+i%37)})
 		}
+		p.Publish()
 	}
 	requestBytes := func(url string) uint64 {
 		least := ^uint64(0)

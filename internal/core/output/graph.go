@@ -86,11 +86,11 @@ func (g *Graph) Overlay(name string, s *process.Series) {
 	}})
 }
 
-// overlayStored adds one series of a compressed store without copying
+// overlayStored adds one series of a store view without copying
 // it out: the extent comes from the store's aggregate, which reads the
 // sealed blocks' headers, and each decodes a block at a time, so what a
 // graph of a long history costs stays flat in its length.
-func (g *Graph) overlayStored(name string, st *tsdb.Store, target, metric string) {
+func (g *Graph) overlayStored(name string, st *tsdb.View, target, metric string) {
 	g.series = append(g.series, line{name: name, extent: func(from, to time.Time) extent {
 		q := tsdb.Query{Metric: metric, Op: tsdb.OpMax}
 		if !from.IsZero() {

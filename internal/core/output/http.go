@@ -5,21 +5,29 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core/process"
 )
 
 // Server exposes Mantra's results over HTTP: the web-based presentation
-// layer (tables and graph data) of the paper's Output Interface. It is
-// safe to register tables and sources while the server is serving.
+// layer (tables and graph data) of the paper's Output Interface. Every
+// endpoint but /stats answers from the last published cycle, and no
+// handler takes a lock: by default the server reads the processor's
+// published View, the / index and /tables/* read the tables Publish
+// last swapped in with the View they were built with, and each Set*
+// source returns a view its owner published. /stats alone reads live
+// counters, to watch a cycle in flight. The Set* sources are wiring:
+// install them before the server serves.
 type Server struct {
 	mux  *http.ServeMux
 	proc *process.Processor
 
-	mu      sync.RWMutex
-	tables  map[string]*Table
+	// published is what Publish last swapped in, nil until then: the
+	// / index and /tables/* answer from it.
+	published atomic.Pointer[view]
+
 	health  func() any
 	archive func() any
 	stats   func() any
@@ -29,13 +37,19 @@ type Server struct {
 	query   QueryFunc
 }
 
-// NewServer returns a server over a processor's live series. Summary
-// tables are registered with RegisterTable.
+// view is one published cycle as the server serves it: the processor's
+// view and the summary tables built in the same cycle.
+type view struct {
+	proc   *process.View
+	tables map[string]*Table
+}
+
+// NewServer returns a server over a processor's published views.
+// Summary tables are published with Publish.
 func NewServer(p *process.Processor) *Server {
 	s := &Server{
-		mux:    http.NewServeMux(),
-		proc:   p,
-		tables: make(map[string]*Table),
+		mux:  http.NewServeMux(),
+		proc: p,
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/series/", s.handleSeries)
@@ -50,81 +64,66 @@ func NewServer(p *process.Processor) *Server {
 	return s
 }
 
+// Publish swaps in, whole, the summary tables and the processor view
+// they were built with, so the / index never pairs one cycle's targets
+// with another's tables. Neither may be modified afterwards.
+func (s *Server) Publish(pv *process.View, tables map[string]*Table) {
+	s.published.Store(&view{proc: pv, tables: tables})
+}
+
+// view returns what the / index and /tables/* answer from: the last
+// Publish, or before one the processor's view and no tables.
+func (s *Server) view() (*process.View, map[string]*Table) {
+	if v := s.published.Load(); v != nil {
+		return v.proc, v.tables
+	}
+	return s.proc.View(), nil
+}
+
 // SetHealth installs the health snapshot source served at /health — the
 // monitor wires its per-target collection health view here.
-func (s *Server) SetHealth(fn func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.health = fn
-}
+func (s *Server) SetHealth(fn func() any) { s.health = fn }
 
 // SetArchive installs the archive stats source served at /archive — the
 // monitor wires its durable-archive counters and recovery report here.
-func (s *Server) SetArchive(fn func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.archive = fn
-}
+// A source returning nil answers 404, as no source does.
+func (s *Server) SetArchive(fn func() any) { s.archive = fn }
 
 // SetStats installs the cycle-engine instrumentation source served at
 // /stats — per-stage, per-target timings and queue-depth counters.
-func (s *Server) SetStats(fn func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = fn
-}
+func (s *Server) SetStats(fn func() any) { s.stats = fn }
 
 // SetShards installs the shard-supervisor status source served at
 // /shards — per-shard liveness, assignment and handoff counters when
 // collection runs sharded.
-func (s *Server) SetShards(fn func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.shards = fn
-}
+func (s *Server) SetShards(fn func() any) { s.shards = fn }
 
 // SetAnomalies overrides the anomaly source backing /anomalies. By
-// default the server reads its processor's log directly; sharded
+// default the server reads its processor's published log; sharded
 // deployments install the merged fleet log here, where per-shard IDs
 // have been re-keyed into one fleet sequence.
-func (s *Server) SetAnomalies(fn func() []process.Anomaly) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.anoms = fn
-}
+func (s *Server) SetAnomalies(fn func() []process.Anomaly) { s.anoms = fn }
 
 // SetSeries overrides the series source backing /series and /graph. By
-// default the server reads its processor directly; sharded deployments
-// install a resolver that routes each target to its owning shard's
-// processor.
+// default the server reads its processor's published view; sharded
+// deployments install a resolver that routes each target to its owning
+// shard's view.
 func (s *Server) SetSeries(fn func(target string, m process.Metric) *process.Series) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.series = fn
 }
 
 // lookupSeries resolves a target's series through the installed
-// override, falling back to the server's own processor.
-func (s *Server) lookupSeries(target string, m process.Metric) *process.Series {
-	s.mu.RLock()
-	fn := s.series
-	s.mu.RUnlock()
-	if fn != nil {
-		return fn(target, m)
+// override, falling back to the processor view.
+func (s *Server) lookupSeries(pv *process.View, target string, m process.Metric) *process.Series {
+	if s.series != nil {
+		return s.series(target, m)
 	}
-	return s.proc.Series(target, m)
+	return pv.Series(target, m)
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// RegisterTable publishes (or replaces) a summary table under its name.
-func (s *Server) RegisterTable(t *Table) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tables[t.Name] = t
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -137,16 +136,15 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		Metrics []string `json:"metrics"`
 		Tables  []string `json:"tables"`
 	}
+	pv, tables := s.view()
 	var idx index
-	idx.Targets = s.proc.Targets()
+	idx.Targets = pv.Targets()
 	for _, m := range process.AllMetrics {
 		idx.Metrics = append(idx.Metrics, string(m))
 	}
-	s.mu.RLock()
-	for name := range s.tables {
+	for name := range tables {
 		idx.Tables = append(idx.Tables, name)
 	}
-	s.mu.RUnlock()
 	sort.Strings(idx.Tables)
 	writeJSON(w, idx)
 }
@@ -161,10 +159,11 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use /series/<target>/<metric>", http.StatusBadRequest)
 		return
 	}
-	if s.rangedSeries(w, r, parts[0], process.Metric(parts[1])) {
+	pv := s.proc.View()
+	if s.rangedSeries(w, r, pv, parts[0], process.Metric(parts[1])) {
 		return
 	}
-	series := s.lookupSeries(parts[0], process.Metric(parts[1]))
+	series := s.lookupSeries(pv, parts[0], process.Metric(parts[1]))
 	if series == nil {
 		http.NotFound(w, r)
 		return
@@ -186,46 +185,42 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, pts)
 }
 
-// handleHealth serves the per-target collection health view as JSON.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.health
-	s.mu.RUnlock()
-	if fn == nil {
+// serveSource answers with what an installed source returns as JSON,
+// 404 when none is installed or it returns nil.
+func serveSource(w http.ResponseWriter, r *http.Request, fn func() any) {
+	var v any
+	if fn != nil {
+		v = fn()
+	}
+	if v == nil {
 		http.NotFound(w, r)
 		return
 	}
-	writeJSON(w, fn())
+	writeJSON(w, v)
+}
+
+// handleHealth serves the per-target collection health view as JSON.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	serveSource(w, r, s.health)
 }
 
 // handleArchive serves the durable-archive stats view as JSON.
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.archive
-	s.mu.RUnlock()
-	if fn == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, fn())
+	serveSource(w, r, s.archive)
 }
 
 // handleStats serves the cycle engine's pipeline instrumentation —
-// per-stage timings, queue depth, per-target counters — as JSON.
+// per-stage timings, queue depth, per-target counters — as JSON. It is
+// the one endpoint that reads live state rather than a published
+// cycle: each engine's counters under the engine's own mutex, so a
+// cycle in flight can be watched.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.stats
-	s.mu.RUnlock()
-	if fn == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, fn())
+	serveSource(w, r, s.stats)
 }
 
 // handleGraph serves /graph/<target>/<metric> as an ASCII chart. From
-// the server's own processor it draws the store's blocks one at a time,
-// so a request allocates the same at any history length; through a
+// the processor view it draws the store view's blocks one at a time, so
+// a request allocates the same at any history length; through a
 // SetSeries source it draws the copy that source returns.
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/graph/"), "/")
@@ -234,22 +229,20 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := NewGraph(parts[0]+": "+parts[1], parts[1])
-	s.mu.RLock()
-	fn := s.series
-	s.mu.RUnlock()
+	pv := s.proc.View()
 	switch {
-	case fn != nil:
-		series := fn(parts[0], process.Metric(parts[1]))
+	case s.series != nil:
+		series := s.series(parts[0], process.Metric(parts[1]))
 		if series == nil {
 			http.NotFound(w, r)
 			return
 		}
 		g.Overlay(parts[0], series)
-	case s.proc.Store().Len(parts[0], parts[1]) == 0:
+	case pv.Store().Len(parts[0], parts[1]) == 0:
 		http.NotFound(w, r)
 		return
 	default:
-		g.overlayStored(parts[0], s.proc.Store(), parts[0], parts[1])
+		g.overlayStored(parts[0], pv.Store(), parts[0], parts[1])
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_ = g.RenderASCII(w, 100, 20)
@@ -259,9 +252,8 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 // ?q=substr query operations.
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/tables/")
-	s.mu.RLock()
-	t, ok := s.tables[name]
-	s.mu.RUnlock()
+	_, tables := s.view()
+	t, ok := tables[name]
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -289,16 +281,15 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 // to the cross-target incident view (kinds open at two or more targets
 // at once).
 func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
 	src := s.anoms
-	s.mu.RUnlock()
+	pv := s.proc.View()
 	q := r.URL.Query()
 	if q.Get("cross") != "" {
 		var ct []process.CrossTargetIncident
 		if src != nil {
 			ct = process.CrossTargetOf(src())
 		} else {
-			ct = s.proc.CrossTarget()
+			ct = pv.CrossTarget()
 		}
 		if ct == nil {
 			ct = []process.CrossTargetIncident{}
@@ -310,7 +301,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	if src != nil {
 		an = src()
 	} else {
-		an = s.proc.Anomalies()
+		an = pv.Anomalies()
 	}
 	openOnly := q.Get("open") != ""
 	target := q.Get("target")
@@ -333,14 +324,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 
 // handleShards serves the shard-supervisor status view as JSON.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.shards
-	s.mu.RUnlock()
-	if fn == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, fn())
+	serveSource(w, r, s.shards)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -206,7 +206,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	p := process.New()
 	ingestSample(p)
 	s := NewServer(p)
-	s.RegisterTable(sampleTable(t))
+	s.Publish(p.Publish(), map[string]*Table{"sessions": sampleTable(t)})
 
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -334,6 +334,7 @@ func spikeAnomalies(p *process.Processor) {
 func TestAnomalyEndpointFilters(t *testing.T) {
 	p := process.New()
 	spikeAnomalies(p)
+	p.Publish()
 	s := NewServer(p)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -395,6 +396,7 @@ func TestGraphStreamsWhatACopyDraws(t *testing.T) {
 		}
 		p.Ingest(&tables.Snapshot{Target: "fixw", At: at, Routes: routes[:10+i*7%50]})
 	}
+	p.Publish()
 	rec := httptest.NewRecorder()
 	NewServer(p).ServeHTTP(rec, httptest.NewRequest("GET", "/graph/fixw/routes", nil))
 	g := NewGraph("fixw: routes", "routes")

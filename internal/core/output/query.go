@@ -22,26 +22,19 @@ import (
 type QueryFunc func(q tsdb.Query) (tsdb.Result, error)
 
 // SetQuery overrides the query source backing /query and the ranged
-// form of /series. By default the server queries its own processor's
+// form of /series. By default the server queries the processor view's
 // store; sharded deployments install the supervisor's fleet merge,
 // which answers per-target on the owning shard and assembles the
 // results deterministically.
-func (s *Server) SetQuery(fn QueryFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.query = fn
-}
+func (s *Server) SetQuery(fn QueryFunc) { s.query = fn }
 
 // runQuery resolves the installed query source, falling back to the
-// server's own processor store.
-func (s *Server) runQuery(q tsdb.Query) (tsdb.Result, error) {
-	s.mu.RLock()
-	fn := s.query
-	s.mu.RUnlock()
-	if fn != nil {
-		return fn(q)
+// processor view's store.
+func (s *Server) runQuery(pv *process.View, q tsdb.Query) (tsdb.Result, error) {
+	if s.query != nil {
+		return s.query(q)
 	}
-	return s.proc.Store().Query(q)
+	return pv.Store().Query(q)
 }
 
 // queryPoint mirrors the /series point shape so ranged query output is
@@ -156,7 +149,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	res, err := s.runQuery(q)
+	pv := s.proc.View()
+	res, err := s.runQuery(pv, q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -169,7 +163,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // decodes only the blocks the range meets. The output shape matches the
 // unranged endpoint exactly; limit keeps the newest n points. The bool
 // reports whether ranged mode applied.
-func (s *Server) rangedSeries(w http.ResponseWriter, r *http.Request, target string, m process.Metric) bool {
+func (s *Server) rangedSeries(w http.ResponseWriter, r *http.Request, pv *process.View, target string, m process.Metric) bool {
 	v := r.URL.Query()
 	if v.Get("from") == "" && v.Get("to") == "" && v.Get("limit") == "" {
 		return false
@@ -191,7 +185,7 @@ func (s *Server) rangedSeries(w http.ResponseWriter, r *http.Request, target str
 			return true
 		}
 	}
-	res, err := s.runQuery(tsdb.Query{Targets: []string{target}, Metric: string(m), Op: tsdb.OpRange, From: from, To: to})
+	res, err := s.runQuery(pv, tsdb.Query{Targets: []string{target}, Metric: string(m), Op: tsdb.OpRange, From: from, To: to})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return true

@@ -2,7 +2,10 @@
 // summary tables and two-dimensional line graphs the paper serves through
 // Java applets, realized here as an in-memory model with search/sort/
 // column-algebra operations, an ASCII graph renderer with overlay and
-// zoom, and HTTP endpoints serving both as JSON and plain text.
+// zoom, and HTTP endpoints serving both as JSON and plain text. Like the
+// paper's presentation module, the endpoints show the last completed
+// monitoring cycle: every one but /stats reads views published whole at
+// the end of a cycle, and none takes a lock.
 package output
 
 import (

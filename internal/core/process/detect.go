@@ -369,11 +369,9 @@ func meanOf(vs []float64) float64 {
 
 // OpenAnomalies returns the currently unresolved anomalies in detection
 // order.
-func (p *Processor) OpenAnomalies() []Anomaly {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+func (l *anomalyLog) OpenAnomalies() []Anomaly {
 	var out []Anomaly
-	for _, a := range p.anomalies {
+	for _, a := range l.anomalies {
 		if !a.Resolved {
 			out = append(out, a)
 		}
@@ -383,7 +381,7 @@ func (p *Processor) OpenAnomalies() []Anomaly {
 
 // AnomaliesEvicted returns how many anomalies the capped ring has
 // dropped; Anomalies() holds the most recent MaxAnomalies records.
-func (p *Processor) AnomaliesEvicted() uint64 { return p.Ring().Evicted }
+func (l *anomalyLog) AnomaliesEvicted() uint64 { return l.evicted }
 
 // KindCount is one kind's entry in the anomaly rollup.
 type KindCount struct {
@@ -408,10 +406,8 @@ type AnomalyRollup struct {
 
 // Rollup summarizes the anomaly ring, deterministically (ByKind sorted
 // by kind name).
-func (p *Processor) Rollup() AnomalyRollup {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return RollupOf(p.anomalies, p.evicted)
+func (l *anomalyLog) Rollup() AnomalyRollup {
+	return RollupOf(l.anomalies, l.evicted)
 }
 
 // CrossTargetIncident is the cross-target correlation view: one anomaly
@@ -427,8 +423,6 @@ type CrossTargetIncident struct {
 // CrossTarget correlates open episodes across targets. Output is
 // deterministic: incidents sorted by kind, targets sorted by name,
 // FirstSeen the earliest open episode's first-seen time.
-func (p *Processor) CrossTarget() []CrossTargetIncident {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return CrossTargetOf(p.anomalies)
+func (l *anomalyLog) CrossTarget() []CrossTargetIncident {
+	return CrossTargetOf(l.anomalies)
 }

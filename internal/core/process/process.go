@@ -9,12 +9,18 @@
 // least one sender is *active*. Bandwidth saved is estimated as the
 // paper does: assuming every unicast path from a sender to each receiver
 // would cross the router, unicast cost is density × stream rate.
+//
+// A Processor belongs to the goroutine that drives its cycles, and its
+// own read methods are that goroutine's. Publish hands every other
+// goroutine a View: the series, the anomaly log and the gap counts as
+// they stood when it was called, immutable, read without a lock.
 package process
 
 import (
 	"math"
+	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/addr"
@@ -170,9 +176,10 @@ type Anomaly struct {
 	ResolvedAt time.Time `json:"resolved_at,omitzero"`
 }
 
-// Processor turns snapshots into series, summaries and anomalies. Its
-// read methods are safe mid-cycle: mu guards what they return, taken
-// before the store's lock and never inside a store call.
+// Processor turns snapshots into series, summaries and anomalies. It
+// belongs to one goroutine, the cycle driver: its methods, reads
+// included, are that goroutine's. Other goroutines read the View it
+// last published.
 type Processor struct {
 	// SenderThresholdKbps classifies senders vs passive participants.
 	SenderThresholdKbps float64
@@ -206,13 +213,8 @@ type Processor struct {
 	// store holds every series point, compressed.
 	store *tsdb.Store
 
-	// anomalies is the capped ring, ordered by ID; anomalies[i].ID ==
-	// firstID+i. nextID is the next ID to assign; evicted counts records
-	// dropped off the front.
-	anomalies []Anomaly
-	firstID   int
-	nextID    int
-	evicted   uint64
+	// anomalyLog is the capped anomaly ring.
+	anomalyLog
 	// open tracks in-progress episodes per target and kind; baseStart
 	// is the series index from which a target's baseline may draw
 	// (advanced past long outages).
@@ -222,8 +224,63 @@ type Processor struct {
 	detectors       []Detector
 	customDetectors bool
 
-	mu sync.RWMutex
+	// view is the last published View.
+	view atomic.Pointer[View]
 }
+
+// anomalyLog is the capped anomaly ring, ordered by ID: anomalies[i].ID
+// == firstID+i. nextID is the next ID to assign; evicted counts records
+// dropped off the front. A Processor holds the live ring and a View a
+// copy, and both answer the ring's reads through it.
+type anomalyLog struct {
+	anomalies []Anomaly
+	firstID   int
+	nextID    int
+	evicted   uint64
+}
+
+// View is what a Processor published: its series, anomaly log and gap
+// counts as they stood at Publish. It is immutable and safe from any
+// goroutine; its reads answer as the Processor's own did at that
+// instant.
+type View struct {
+	anomalyLog
+	store *tsdb.View
+	// gaps is each target's gap count.
+	gaps map[string]int
+}
+
+// Publish takes a View of the processor as it stands and makes it the
+// one View returns. The view shares the store's blocks (tsdb.Store.View)
+// and copies the anomaly ring, whose open records change in place.
+func (p *Processor) Publish() *View {
+	v := &View{anomalyLog: p.anomalyLog, store: p.store.View(), gaps: make(map[string]int, len(p.windows))}
+	v.anomalies = slices.Clone(p.anomalies)
+	for target, w := range p.windows {
+		v.gaps[target] = w[MetricRoutes].gaps
+	}
+	p.view.Store(v)
+	return v
+}
+
+// View returns the last published View. Safe from any goroutine.
+func (p *Processor) View() *View { return p.view.Load() }
+
+// Store exposes the store view the series reads answer from.
+func (v *View) Store() *tsdb.View { return v.store }
+
+// Series reads a target's series out of the view, as Processor.Series
+// does out of the live store.
+func (v *View) Series(target string, m Metric) *Series {
+	return seriesOf(v.store.Materialize(target, string(m)))
+}
+
+// GapCount returns how many collection gaps a target had recorded, 0
+// for an unseen target.
+func (v *View) GapCount(target string) int { return v.gaps[target] }
+
+// Targets returns the targets the view holds series for, sorted.
+func (v *View) Targets() []string { return v.store.Targets() }
 
 // New returns a processor with the paper's thresholds and the default
 // detector set.
@@ -240,6 +297,7 @@ func New() *Processor {
 		baseStart:           make(map[string]int),
 	}
 	p.detectors = DefaultDetectors(p.SpikeFactor, p.SpikeMinJump)
+	p.Publish()
 	return p
 }
 
@@ -248,7 +306,12 @@ func New() *Processor {
 // every point ingested. It costs a decode of the whole history: a
 // reader that must not, such as /graph, scans Store instead.
 func (p *Processor) Series(target string, m Metric) *Series {
-	pts, err := p.store.Materialize(target, string(m))
+	return seriesOf(p.store.Materialize(target, string(m)))
+}
+
+// seriesOf converts a materialized point run into a Series, nil for an
+// unseen series.
+func seriesOf(pts []tsdb.Point, err error) *Series {
 	if err != nil || pts == nil {
 		return nil
 	}
@@ -263,14 +326,14 @@ func (p *Processor) Series(target string, m Metric) *Series {
 	return s
 }
 
-// Store exposes the compressed store that holds every series point.
+// Store exposes the compressed store that holds every series point,
+// live: like the processor, it is the cycle driver's. Other goroutines
+// read View().Store().
 func (p *Processor) Store() *tsdb.Store { return p.store }
 
 // GapCount returns how many collection gaps a target has recorded, 0
 // for an unseen target.
 func (p *Processor) GapCount(target string) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if w := p.windows[target]; w != nil {
 		return w[MetricRoutes].gaps
 	}
@@ -283,10 +346,8 @@ func (p *Processor) Targets() []string { return p.store.Targets() }
 // Anomalies returns the retained anomalies sorted by ID — detection
 // order, deterministic across runs. The slice is a copy; records
 // evicted from the capped ring (AnomaliesEvicted) are not included.
-func (p *Processor) Anomalies() []Anomaly {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return append([]Anomaly(nil), p.anomalies...)
+func (l *anomalyLog) Anomalies() []Anomaly {
+	return append([]Anomaly(nil), l.anomalies...)
 }
 
 func (p *Processor) windowsFor(target string) map[Metric]*window {
@@ -308,14 +369,12 @@ func (p *Processor) windowsFor(target string) map[Metric]*window {
 // can seal every series' block at once, and the mirror writes the
 // blocks in the order they seal.
 func (p *Processor) MarkGap(target string, at time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	pt := tsdb.Point{T: at.UnixNano(), Gap: true}
 	w, keep := p.windowsFor(target), p.keep()
 	for _, m := range AllMetrics {
 		w[m].push(pt, keep)
+		p.store.AppendGap(target, string(m), pt.T)
 	}
-	tsdb.AppendRow(p.store, target, AllMetrics, pt.T, nil)
 }
 
 // Ingest processes one cycle snapshot: computes the cycle statistics,
@@ -335,8 +394,6 @@ func (p *Processor) IngestCounts(sn *tables.Snapshot, saCache, mbgpRoutes int) C
 }
 
 func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	st := CycleStats{Target: sn.Target, At: sn.At}
 
 	sessions := sn.Pairs.Sessions()
@@ -394,14 +451,15 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 	st.SACache = saCache
 	st.MBGPRoutes = mbgpRoutes
 
-	// Extend the detectors' windows, then the series in the store under
-	// one lock: app is called in AllMetrics order.
+	// Extend the detectors' windows and the series in the store. app
+	// is called in AllMetrics order: a cycle can seal every series'
+	// block at once, and the mirror writes blocks in the order they
+	// seal.
 	w, keep := p.windowsFor(sn.Target), p.keep()
 	ns := sn.At.UnixNano()
-	row := make([]float64, 0, 16)
 	app := func(m Metric, v float64) {
 		w[m].push(tsdb.Point{T: ns, V: v}, keep)
-		row = append(row, v)
+		p.store.Append(sn.Target, string(m), ns, v)
 	}
 	app(MetricSessions, float64(st.Sessions))
 	app(MetricParticipants, float64(st.Participants))
@@ -424,7 +482,6 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 	app(MetricRouteChurn, float64(st.RouteChurn))
 	app(MetricSACache, float64(st.SACache))
 	app(MetricMBGPRoutes, float64(st.MBGPRoutes))
-	tsdb.AppendRow(p.store, sn.Target, AllMetrics, ns, row)
 
 	p.detect(sn.Target, sn.At, w)
 	return st

@@ -51,8 +51,6 @@ type OpenEpisodeState struct {
 // ExportState deep-copies the processor's accumulated state. No product
 // caller; kept for bench/layers.go.
 func (p *Processor) ExportState() *State {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	st := &State{
 		SenderThresholdKbps: p.SenderThresholdKbps,
 		SpikeFactor:         p.SpikeFactor,

@@ -55,8 +55,6 @@ type OpenTransfer struct {
 // ExportTarget deep-copies one target's processing state, or returns
 // nil if the processor has never seen the target.
 func (p *Processor) ExportTarget(target string) *TargetState {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	store := p.store.ExportTarget(target)
 	base, okBase := p.baseStart[target]
 	if store == nil && !okBase {
@@ -100,8 +98,6 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 // carried: one exists exactly when a snapshot does, an empty table
 // included.
 func (p *Processor) ImportTarget(target string, st *TargetState, latest *tables.Snapshot) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.install(target, st, latest)
 	if st == nil {
 		return
@@ -127,8 +123,6 @@ type Ring struct {
 
 // Ring returns the anomaly ring's bookkeeping.
 func (p *Processor) Ring() Ring {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return Ring{FirstID: p.firstID, NextID: p.nextID, Evicted: p.evicted}
 }
 
@@ -140,8 +134,6 @@ func (p *Processor) Ring() Ring {
 // snapshot as of the checkpoint. The processor's own configuration —
 // thresholds, the ring cap — applies to what it restores.
 func (p *Processor) Restore(ring Ring, states map[string]*TargetState, latest map[string]*tables.Snapshot) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var all []Anomaly
 	for target, st := range states {
 		p.install(target, st, latest[target])

@@ -30,9 +30,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"time"
-
-	"sync"
 
 	"repro/internal/core/collect"
 	"repro/internal/core/cycle"
@@ -166,7 +165,7 @@ var ErrClosed = errors.New("shard: supervisor closed")
 // cycle driver), exactly like Monitor.RunCycle; the published views
 // (Status, FleetAnomalies, FleetHealth, Merged, EngineStats,
 // SeriesView, QueryFleet) are safe from any goroutine, including while
-// a cycle is in flight.
+// a cycle is in flight, and answer from the last published cycle.
 type Supervisor struct {
 	cfg Config
 
@@ -183,14 +182,8 @@ type Supervisor struct {
 	closed     bool
 	fleetProc  *process.Processor
 
-	// mu guards the published views below.
-	mu         sync.Mutex
-	status     FleetStatus
-	lastMerged *tables.Snapshot
-	lastAnoms  []process.Anomaly
-	lastHealth []TargetHealthView
-	engines    []*engine.Engine
-	procs      []*process.Processor
+	// view is the last published fleet view (views.go).
+	view atomic.Pointer[fleetView]
 }
 
 // New starts a supervisor with cfg.Shards live workers and no targets.
@@ -208,6 +201,7 @@ func New(cfg Config) (*Supervisor, error) {
 	// the per-shard processors, where each target's episode state lives
 	// and travels through handoffs.
 	s.fleetProc.SetDetectors()
+	s.view.Store(&fleetView{fleet: s.fleetProc.View()})
 	for i := range s.workers {
 		w, err := s.spawn(i, 0)
 		if err != nil {

@@ -1,10 +1,13 @@
 // Fan-in views: after every cycle the supervisor rebuilds the merged
 // fleet snapshot, the fleet anomaly log, the per-target health rows and
-// the /shards status, and publishes them under the view mutex for HTTP
-// readers. All four are deterministic functions of the per-shard state
-// and the assignment map — gathered in registration or sorted order,
-// never in map-iteration order — which is what keeps the fleet output
-// byte-identical across shard counts.
+// the /shards status, takes a view of every shard's processor and of
+// the fleet processor, and publishes them together as one immutable
+// fleetView behind an atomic pointer. Every reader loads that pointer
+// once and takes no lock, so a read made mid-cycle is the read made
+// after the previous cycle. The views are deterministic functions of
+// the per-shard state and the assignment map — gathered in registration
+// or sorted order, never in map-iteration order — which is what keeps
+// the fleet output byte-identical across shard counts.
 package shard
 
 import (
@@ -17,27 +20,52 @@ import (
 	"repro/internal/core/tsdb"
 )
 
-// publish recomputes and swaps in the reader-facing views. Driver
-// goroutine only; the workers are idle when it runs.
-func (s *Supervisor) publish(merged *tables.Snapshot) {
-	st := s.buildStatus()
-	anoms := s.fleetAnomalies()
-	health := s.fleetHealth()
-	engines := make([]*engine.Engine, len(s.workers))
-	procs := make([]*process.Processor, len(s.workers))
-	for i, w := range s.workers {
-		engines[i], procs[i] = w.core.Engine, w.core.Proc
-	}
+// fleetView is one published fleet cycle.
+type fleetView struct {
+	status FleetStatus
+	// merged is the last merged fleet snapshot, nil before the first
+	// successful cycle.
+	merged *tables.Snapshot
+	anoms  []process.Anomaly
+	health []TargetHealthView
+	// shards holds each shard processor's view, entry i for shard i;
+	// fleet the fleet processor's.
+	shards []*process.View
+	fleet  *process.View
+	// engines are the shard engines, read live by EngineStats.
+	engines []*engine.Engine
+}
 
-	s.mu.Lock()
-	s.engines, s.procs = engines, procs
-	s.status = st
-	if merged != nil {
-		s.lastMerged = merged
+// publish recomputes the reader-facing views and swaps them in as one.
+// Driver goroutine only; the workers are idle when it runs. A nil
+// merged keeps the previous cycle's.
+func (s *Supervisor) publish(merged *tables.Snapshot) {
+	v := &fleetView{
+		status:  s.buildStatus(),
+		merged:  merged,
+		anoms:   s.fleetAnomalies(),
+		health:  s.fleetHealth(),
+		shards:  make([]*process.View, len(s.workers)),
+		fleet:   s.fleetProc.Publish(),
+		engines: make([]*engine.Engine, len(s.workers)),
 	}
-	s.lastAnoms = anoms
-	s.lastHealth = health
-	s.mu.Unlock()
+	if merged == nil {
+		v.merged = s.view.Load().merged
+	}
+	for i, w := range s.workers {
+		v.engines[i], v.shards[i] = w.core.Engine, w.core.Proc.Publish()
+	}
+	s.view.Store(v)
+}
+
+// procFor returns the processor view that answers for a target: its
+// owning shard's under the published assignment, or the fleet
+// processor's for the fleet-level series ("fleet").
+func (v *fleetView) procFor(name string) *process.View {
+	if sh, ok := v.status.Assignment[name]; ok && sh >= 0 && sh < len(v.shards) {
+		return v.shards[sh]
+	}
+	return v.fleet
 }
 
 func (s *Supervisor) buildStatus() FleetStatus {
@@ -152,46 +180,28 @@ func (s *Supervisor) fleetHealth() []TargetHealthView {
 
 // Status returns the last published /shards view. Safe from any
 // goroutine.
-func (s *Supervisor) Status() FleetStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.status
-}
+func (s *Supervisor) Status() FleetStatus { return s.view.Load().status }
 
 // Merged returns the last merged fleet snapshot, nil before the first
 // successful cycle. Safe from any goroutine.
-func (s *Supervisor) Merged() *tables.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastMerged
-}
+func (s *Supervisor) Merged() *tables.Snapshot { return s.view.Load().merged }
 
 // FleetAnomalies returns the last published fleet anomaly log. Safe
 // from any goroutine.
-func (s *Supervisor) FleetAnomalies() []process.Anomaly {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastAnoms
-}
+func (s *Supervisor) FleetAnomalies() []process.Anomaly { return s.view.Load().anoms }
 
 // FleetHealth returns the last published per-target health rows. Safe
 // from any goroutine.
-func (s *Supervisor) FleetHealth() []TargetHealthView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastHealth
-}
+func (s *Supervisor) FleetHealth() []TargetHealthView { return s.view.Load().health }
 
 // EngineStats returns each shard's cumulative engine instrumentation,
 // entry i for shard i (a dead shard's entry stops advancing until its
 // restart replaces the engine) — the /stats view under -shards. The
-// engines are the ones published after the last cycle; each is read at
-// call time under its own mutex, so this is safe from any goroutine,
-// including while a cycle is in flight, and costs the cycle nothing.
+// engines are the ones published after the last cycle, but their
+// counters are live: each is read at call time under its own mutex, so
+// this is safe from any goroutine and a cycle in flight can be watched.
 func (s *Supervisor) EngineStats() []engine.Stats {
-	s.mu.Lock()
-	engines := s.engines
-	s.mu.Unlock()
+	engines := s.view.Load().engines
 	out := make([]engine.Stats, len(engines))
 	for i, e := range engines {
 		out[i] = e.Stats()
@@ -200,7 +210,7 @@ func (s *Supervisor) EngineStats() []engine.Stats {
 }
 
 // FleetProc exposes the fleet-level processor (merged series, no
-// detectors). Driver goroutine only.
+// detectors). Driver goroutine only, but for its View.
 func (s *Supervisor) FleetProc() *process.Processor { return s.fleetProc }
 
 // TargetSeries reads a target's metric series from its owning shard,
@@ -214,51 +224,36 @@ func (s *Supervisor) TargetSeries(name string, m process.Metric) *process.Series
 	return s.workers[sh].core.Proc.Series(name, m)
 }
 
-// SeriesView resolves a target's series through the last *published*
-// assignment and shard processors, for HTTP readers: the live assign
-// map and worker slice may be mid-rewrite during a handoff or a
-// restart, but the published copies are mu-guarded and only swap
-// between cycles. The series itself is read under the owning store's
-// lock, so this is safe from any goroutine, mid-cycle included.
+// SeriesView reads a target's series as the last published cycle left
+// it: from the owning shard's processor view under the published
+// assignment, or the fleet processor's for the fleet-level series. It
+// loads the published fleet view once and takes no lock, so it is safe
+// from any goroutine, and a read mid-cycle — mid-handoff included —
+// answers as a read after the previous cycle did.
 func (s *Supervisor) SeriesView(name string, m process.Metric) *process.Series {
-	s.mu.Lock()
-	sh, ok := s.status.Assignment[name]
-	procs := s.procs
-	s.mu.Unlock()
-	if !ok || sh < 0 || sh >= len(procs) {
-		// Not a shard-owned target: the fleet-level series ("fleet")
-		// live in the aggregation processor.
-		return s.fleetProc.Series(name, m)
-	}
-	return procs[sh].Series(name, m)
+	return s.view.Load().procFor(name).Series(name, m)
 }
 
-// QueryFleet executes a store query across the fleet: each target is
-// answered by its owning shard's long-horizon store (the fleet-level
-// synthetic targets by the aggregation processor's), and the per-target
-// rows are merged with tsdb.Assemble — the same split execution a
-// single store uses internally, so the result bytes are identical at
-// any shard count. Resolution goes through the last *published*
-// assignment and shard processors like SeriesView, and each store is
-// read under its own lock, so this is safe from any goroutine.
+// QueryFleet executes a store query across the fleet as the last
+// published cycle left it: each target is answered by its owning
+// shard's store view (the fleet-level synthetic targets by the
+// aggregation processor's), and the per-target rows are merged with
+// tsdb.Assemble — the same split execution a single store uses
+// internally, so the result bytes are identical at any shard count. It
+// reads one published fleet view and takes no lock, so it is safe from
+// any goroutine.
 func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
-	// The published assignment map and processor slice are rebuilt
-	// wholesale each publish and never mutated afterwards, so holding
-	// the references past the unlock is safe.
-	s.mu.Lock()
-	assign, procs := s.status.Assignment, s.procs
-	s.mu.Unlock()
-
+	v := s.view.Load()
 	names := q.Targets
 	if len(names) == 0 {
 		seen := make(map[string]bool)
-		for name := range assign {
+		for name := range v.status.Assignment {
 			if !seen[name] {
 				seen[name] = true
 				names = append(names, name)
 			}
 		}
-		for _, name := range s.fleetProc.Store().Targets() {
+		for _, name := range v.fleet.Targets() {
 			if !seen[name] {
 				seen[name] = true
 				names = append(names, name)
@@ -269,11 +264,7 @@ func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
 
 	parts := make([]tsdb.TargetResult, 0, len(names))
 	for _, name := range names {
-		store := s.fleetProc.Store()
-		if sh, ok := assign[name]; ok && sh >= 0 && sh < len(procs) {
-			store = procs[sh].Store()
-		}
-		tr, err := store.QueryTarget(q, name)
+		tr, err := v.procFor(name).Store().QueryTarget(q, name)
 		if err != nil {
 			return tsdb.Result{}, err
 		}

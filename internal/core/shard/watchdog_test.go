@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,11 +15,16 @@ import (
 // TestViewsUnderChaosWatchdog: readers hammer every published view and
 // the HTTP endpoints built on them while a 4-shard fleet runs cycles
 // through mid-cycle kills, wedges, handoffs, restarts and failbacks.
-// Every lock the driver, the workers and the readers take is taken here
-// from all sides at once, so two of them acquired in opposite orders
-// deadlock; the watchdog then fails the test with every goroutine's
-// stack. /query, /series and /graph read the shard stores the cycle is
-// writing, so under the race detector an unguarded read fails it too.
+// The contract is that every view answers from the last published
+// cycle: the driver records each reader's response before the first
+// cycle and after every cycle, and every response a reader got
+// mid-cycle — mid-handoff included — must be one of those, byte for
+// byte. EngineStats is the exception, live by design, and is only read.
+// Every lock the driver, the workers and the readers still take is
+// taken here from all sides at once, so two of them acquired in
+// opposite orders deadlock; the watchdog then fails the test with every
+// goroutine's stack. Under the race detector an unguarded read fails
+// it too.
 func TestViewsUnderChaosWatchdog(t *testing.T) {
 	const (
 		cycles = 40
@@ -43,26 +50,54 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 	}
 	srv := fleetServer(s)
 
-	// One goroutine per view, each in a tight loop, so every view's
-	// locks are held for as much of the run as the readers can manage.
-	reads := []func(){
-		func() { s.Status() },
-		func() { s.Merged() },
-		func() { s.FleetAnomalies() },
-		func() { s.FleetHealth() },
-		func() { s.EngineStats() },
-		func() { get(srv, "/shards") },
-		func() { get(srv, "/health") },
-		func() { get(srv, "/anomalies") },
-		func() { get(srv, "/anomalies?cross=1") },
-		func() { get(srv, "/query?metric=routes&op=avg") },
-		func() { get(srv, "/query?metric=routes&tier=10") },
-		func() { get(srv, "/series/fixw/routes") },
-		func() { get(srv, "/graph/dom01-gw/routes") },
+	asJSON := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return err.Error()
+		}
+		return string(b)
+	}
+	http := func(path string) func() string {
+		return func() string {
+			code, body := get(srv, path)
+			return fmt.Sprintf("%d %s", code, body)
+		}
+	}
+	// One goroutine per view, each in a loop with a short pause, so
+	// every view is read many times a cycle and the readers still leave
+	// the cycle the CPU.
+	reads := []struct {
+		name string
+		read func() string
+	}{
+		{"Status", func() string { return asJSON(s.Status()) }},
+		{"Merged", func() string { return fmt.Sprintf("%+v", s.Merged()) }},
+		{"FleetAnomalies", func() string { return asJSON(s.FleetAnomalies()) }},
+		{"FleetHealth", func() string { return asJSON(s.FleetHealth()) }},
+		{"EngineStats", func() string { s.EngineStats(); return "" }},
+		{"/", http("/")},
+		{"/shards", http("/shards")},
+		{"/health", http("/health")},
+		{"/anomalies", http("/anomalies")},
+		{"/anomalies?cross=1", http("/anomalies?cross=1")},
+		{"/query?metric=routes&op=avg", http("/query?metric=routes&op=avg")},
+		{"/query?metric=routes&tier=10", http("/query?metric=routes&tier=10")},
+		{"/series/fixw/routes", http("/series/fixw/routes")},
+		{"/series/fleet/routes", http("/series/fleet/routes")},
+		{"/graph/dom01-gw/routes", http("/graph/dom01-gw/routes")},
+	}
+	// between[i] and seen[i] hold the distinct responses of reads[i]
+	// made between cycles by the driver and at any time by its reader.
+	between, seen := make([]map[string]bool, len(reads)), make([]map[string]bool, len(reads))
+	record := func() {
+		for i, r := range reads {
+			between[i][r.read()] = true
+		}
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, read := range reads {
+	for i, r := range reads {
+		between[i], seen[i] = make(map[string]bool), make(map[string]bool)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -72,13 +107,15 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 					return
 				default:
 				}
-				read()
+				seen[i][r.read()] = true
+				time.Sleep(100 * time.Microsecond)
 			}
 		}()
 	}
 
 	driven := make(chan error, 1)
 	go func() {
+		record()
 		for c := 1; c <= cycles; c++ {
 			// Faults land on a shard that owns targets, so each one
 			// moves state: a crash after the cycle ran, then a wedge.
@@ -97,6 +134,7 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 				driven <- err
 				return
 			}
+			record()
 		}
 		driven <- nil
 	}()
@@ -114,6 +152,17 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 		// The supervisor is left open: closing it would wait on the
 		// deadlocked goroutines.
 		t.Fatalf("%d fleet cycles under concurrent readers did not finish within %v; goroutines:\n%s", cycles, limit, buf)
+	}
+	for i, r := range reads {
+		stray := 0
+		for body := range seen[i] {
+			if !between[i][body] {
+				stray++
+			}
+		}
+		if stray > 0 {
+			t.Errorf("%s: %d mid-cycle responses match no between-cycles response", r.name, stray)
+		}
 	}
 	st := s.Status()
 	if st.Handoffs == 0 {

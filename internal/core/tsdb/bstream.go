@@ -8,9 +8,10 @@
 // under the archive's DataDir with the same CRC-framed writer
 // discipline the WAL uses, and a small query engine (range, tiers,
 // aggregates, rate, top-k) answers without decoding history it can
-// skip. The cycle driver writes a Store while HTTP goroutines read it,
-// mid-cycle included, under its RWMutex. Compression is lossless, so a
-// series read back is every point ingested.
+// skip. A Store belongs to the goroutine that writes it; any other
+// goroutine reads a View, an immutable picture of the store that shares
+// its blocks and costs a slice header per series. Compression is
+// lossless, so a series read back is every point ingested.
 package tsdb
 
 // bitWriter packs bits MSB-first into a byte slice.

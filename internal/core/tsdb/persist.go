@@ -65,8 +65,6 @@ func visitFrames(fn func(target, metric string, blk []byte, info BlockInfo) erro
 // mirror converges back to the pre-crash state. syncEveryAppend fsyncs
 // each frame; otherwise segments sync on rotation and Close.
 func (st *Store) AttachDir(dir string, syncEveryAppend bool) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -89,7 +87,7 @@ func (st *Store) AttachDir(dir string, syncEveryAppend bool) error {
 // in sorted series order so the mirror's frame order is deterministic.
 func (st *Store) reconcile() {
 	d := st.dir
-	for _, target := range st.targets() {
+	for _, target := range st.Targets() {
 		tm := st.series[target]
 		metrics := make([]string, 0, len(tm))
 		for m := range tm {
@@ -131,8 +129,6 @@ func (d *dirWriter) appendBlock(target, metric string, blk []byte) {
 // PersistErr reports the first persistence error, nil while the mirror
 // is healthy or when no directory is attached.
 func (st *Store) PersistErr() error {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	if st.dir == nil {
 		return nil
 	}
@@ -142,8 +138,6 @@ func (st *Store) PersistErr() error {
 // CloseDir syncs and closes the mirror; the store keeps serving from
 // memory.
 func (st *Store) CloseDir() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	d := st.dir
 	st.dir = nil
 	if d == nil {

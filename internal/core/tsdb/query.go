@@ -103,15 +103,9 @@ func (q Query) bounds() (lo, hi int64) {
 // QueryTarget answers q for a single target from this store alone —
 // the per-shard execution half. Unseen targets produce an empty result
 // row, identically everywhere.
-func (st *Store) QueryTarget(q Query, target string) (TargetResult, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.queryTarget(q, target)
-}
-
-func (st *Store) queryTarget(q Query, target string) (TargetResult, error) {
+func (r *reader) QueryTarget(q Query, target string) (TargetResult, error) {
 	res := TargetResult{Target: target}
-	sr := st.lookup(target, q.Metric)
+	sr := r.lookup(target, q.Metric)
 	if sr == nil {
 		return res, nil
 	}
@@ -284,16 +278,14 @@ func (sr *series) aggregate(lo, hi int64) (*Agg, error) {
 
 // Query answers q against this store alone: every requested target (or
 // all known ones) through QueryTarget, then Assemble.
-func (st *Store) Query(q Query) (Result, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+func (r *reader) Query(q Query) (Result, error) {
 	targets := q.Targets
 	if len(targets) == 0 {
-		targets = st.targets()
+		targets = r.Targets()
 	}
 	parts := make([]TargetResult, 0, len(targets))
 	for _, t := range targets {
-		tr, err := st.queryTarget(q, t)
+		tr, err := r.QueryTarget(q, t)
 		if err != nil {
 			return Result{}, err
 		}

@@ -6,7 +6,6 @@ package tsdb
 import (
 	"math"
 	"sort"
-	"sync"
 )
 
 // Tier sizes for downsampled range reads: a tier-10 point summarizes 10
@@ -20,7 +19,10 @@ const (
 )
 
 // series is one (target, metric) stream: sealed blocks with their
-// sparse-index entries and the unsealed head.
+// sparse-index entries and the unsealed head. blocks, infos and head
+// only ever grow by append, and seal starts a fresh head, so a copy of
+// the struct with every slice capped at its length is an immutable
+// picture of the series: later appends land past its ends.
 type series struct {
 	blocks [][]byte
 	infos  []BlockInfo
@@ -28,13 +30,26 @@ type series struct {
 	total  int // points ever appended (blocks + head)
 }
 
-// Store holds every compressed series. The cycle driver writes it and
-// HTTP readers query it at any time, mid-cycle included: mu guards the
-// series map, every series in it and the mirror, and no method calls
-// another exported one while holding it.
-type Store struct {
-	mu     sync.RWMutex
+// reader is the read side of a series map, written once for the live
+// store and its views: Store and View both embed it.
+type reader struct {
 	series map[string]map[string]*series
+}
+
+// View is an immutable picture of a Store at the instant Store.View
+// took it. It shares the sealed blocks and the heads' backing arrays
+// with the store and copies no point, and it is safe to read from any
+// goroutine while the store goes on being written.
+type View struct {
+	reader
+}
+
+// Store holds every compressed series. It belongs to one goroutine,
+// the one that writes it — the cycle driver, or between cycles whoever
+// owns the driver — and its reads are that goroutine's too. Any other
+// goroutine reads a View.
+type Store struct {
+	reader
 
 	// persistence (persist.go); nil dir means memory-only.
 	dir *dirWriter
@@ -42,7 +57,32 @@ type Store struct {
 
 // New returns an empty, memory-only store.
 func New() *Store {
-	return &Store{series: make(map[string]map[string]*series)}
+	return &Store{reader: reader{series: make(map[string]map[string]*series)}}
+}
+
+// View returns an immutable picture of the store as it stands: per
+// series, the struct copied with its slices capped at their lengths.
+func (st *Store) View() *View {
+	n := 0
+	for _, tm := range st.series {
+		n += len(tm)
+	}
+	all := make([]series, 0, n)
+	out := make(map[string]map[string]*series, len(st.series))
+	for target, tm := range st.series {
+		vm := make(map[string]*series, len(tm))
+		for metric, sr := range tm {
+			all = append(all, series{ //mantralint:allow mapiter backing storage only; the maps index it, so its order is never read
+				blocks: sr.blocks[:len(sr.blocks):len(sr.blocks)],
+				infos:  sr.infos[:len(sr.infos):len(sr.infos)],
+				head:   sr.head[:len(sr.head):len(sr.head)],
+				total:  sr.total,
+			})
+			vm[metric] = &all[len(all)-1]
+		}
+		out[target] = vm
+	}
+	return &View{reader{series: out}}
 }
 
 func (st *Store) seriesFor(target, metric string) *series {
@@ -59,7 +99,7 @@ func (st *Store) seriesFor(target, metric string) *series {
 	return sr
 }
 
-func (st *Store) lookup(target, metric string) *series { return st.series[target][metric] }
+func (r *reader) lookup(target, metric string) *series { return r.series[target][metric] }
 
 // Append records one value point. Timestamps are unixnano and must be
 // appended in nondecreasing order per series (Mantra's cycle clock
@@ -67,29 +107,12 @@ func (st *Store) lookup(target, metric string) *series { return st.series[target
 //
 //mantra:hotpath
 func (st *Store) Append(target, metric string, t int64, v float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.appendPoint(target, metric, Point{T: t, V: v})
 }
 
 // AppendGap records a failed-collection marker.
 func (st *Store) AppendGap(target, metric string, t int64) {
-	AppendRow(st, target, []string{metric}, t, nil)
-}
-
-// AppendRow records one point at t in each of a target's metrics, in
-// metrics order, under one lock: vals[i] in metrics[i], or a gap marker
-// in each when vals is nil. The order is the order blocks seal in.
-func AppendRow[M ~string](st *Store, target string, metrics []M, t int64, vals []float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i, m := range metrics {
-		pt := Point{T: t, Gap: vals == nil}
-		if vals != nil {
-			pt.V = vals[i]
-		}
-		st.appendPoint(target, string(m), pt)
-	}
+	st.appendPoint(target, metric, Point{T: t, Gap: true})
 }
 
 func (st *Store) appendPoint(target, metric string, pt Point) {
@@ -120,15 +143,9 @@ func (st *Store) seal(target, metric string, sr *series) {
 }
 
 // Targets returns every target with at least one series, sorted.
-func (st *Store) Targets() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.targets()
-}
-
-func (st *Store) targets() []string {
-	out := make([]string, 0, len(st.series))
-	for t := range st.series {
+func (r *reader) Targets() []string {
+	out := make([]string, 0, len(r.series))
+	for t := range r.series {
 		out = append(out, t)
 	}
 	sort.Strings(out)
@@ -137,10 +154,8 @@ func (st *Store) targets() []string {
 
 // Len returns the number of points (values and gaps) stored for one
 // series, 0 when unseen.
-func (st *Store) Len(target, metric string) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if sr := st.lookup(target, metric); sr != nil {
+func (r *reader) Len(target, metric string) int {
+	if sr := r.lookup(target, metric); sr != nil {
 		return sr.total
 	}
 	return 0
@@ -150,11 +165,9 @@ func (st *Store) Len(target, metric string) int {
 // block bytes plus a raw-width bound (17 bytes: timestamp, value, gap
 // flag) for the unsealed head. The number compression ratios are
 // quoted against; 0 when unseen.
-func (st *Store) CompressedBytes(target, metric string) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+func (r *reader) CompressedBytes(target, metric string) int {
 	n := 0
-	if sr := st.lookup(target, metric); sr != nil {
+	if sr := r.lookup(target, metric); sr != nil {
 		for _, blk := range sr.blocks {
 			n += len(blk)
 		}
@@ -165,10 +178,8 @@ func (st *Store) CompressedBytes(target, metric string) int {
 
 // Materialize decodes one series back into its full point run, nil
 // when the series is unseen.
-func (st *Store) Materialize(target, metric string) ([]Point, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	sr := st.lookup(target, metric)
+func (r *reader) Materialize(target, metric string) ([]Point, error) {
+	sr := r.lookup(target, metric)
 	if sr == nil {
 		return nil, nil
 	}
@@ -182,12 +193,9 @@ func (st *Store) Materialize(target, metric string) ([]Point, error) {
 // Scan hands fn one series' points in append order, a sealed block at
 // a time and then the head, without building the whole run: the reader
 // for paths that must not allocate with history. fn must neither keep
-// nor modify the slice, and runs under the store's read lock, so it
-// must not call the store. An unseen series calls fn never.
-func (st *Store) Scan(target, metric string, fn func(pts []Point)) error {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if sr := st.lookup(target, metric); sr != nil {
+// nor modify the slice. An unseen series calls fn never.
+func (r *reader) Scan(target, metric string, fn func(pts []Point)) error {
+	if sr := r.lookup(target, metric); sr != nil {
 		return sr.scan(math.MinInt64, math.MaxInt64, fn)
 	}
 	return nil
@@ -237,12 +245,6 @@ type State struct {
 
 // ExportTarget copies one target's series state, nil when unseen.
 func (st *Store) ExportTarget(target string) *TargetState {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.exportTarget(target)
-}
-
-func (st *Store) exportTarget(target string) *TargetState {
 	tm := st.series[target]
 	if tm == nil {
 		return nil
@@ -262,8 +264,6 @@ func (st *Store) exportTarget(target string) *TargetState {
 // decoded once to validate it, and its sparse-index entry rebuilt from
 // its header.
 func (st *Store) ImportTarget(target string, ts *TargetState) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	delete(st.series, target)
 	if ts == nil {
 		return nil
@@ -295,18 +295,14 @@ func (st *Store) ImportTarget(target string, ts *TargetState) error {
 // Export copies the whole store's state. No product caller; kept for
 // bench/layers.go.
 func (st *Store) Export() *State {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	out := &State{Targets: make(map[string]*TargetState, len(st.series))}
 	for target := range st.series {
-		out.Targets[target] = st.exportTarget(target)
+		out.Targets[target] = st.ExportTarget(target)
 	}
 	return out
 }
 
 // Remove drops one target's series.
 func (st *Store) Remove(target string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	delete(st.series, target)
 }

@@ -53,13 +53,7 @@ func checkTierRange(t *testing.T, seed int64, n int, fromSel, toSel uint16) {
 	if err := live.AttachDir(mirror, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, pt := range pts {
-		if pt.Gap {
-			live.AppendGap("fixw", "routes", pt.T)
-		} else {
-			live.Append("fixw", "routes", pt.T, pt.V)
-		}
-	}
+	appendPoints(live, pts)
 	if err := live.CloseDir(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +89,96 @@ func checkTierRange(t *testing.T, seed int64, n int, fromSel, toSel uint16) {
 			}
 		}
 	}
+	k := int(uint64(seed) * 0x9e3779b9 % uint64(len(pts)+1))
+	checkViewFrozen(t, seed, pts, k, from, to)
+}
+
+// appendPoints writes pts to one series of st in order.
+func appendPoints(st *Store, pts []Point) {
+	for _, pt := range pts {
+		if pt.Gap {
+			st.AppendGap("fixw", "routes", pt.T)
+		} else {
+			st.Append("fixw", "routes", pt.T, pt.V)
+		}
+	}
+}
+
+// checkViewFrozen takes a View of a store after its first k points and
+// goes on writing the store: the rest of the points and a block more,
+// so at least one seal follows the view, then a handoff import over
+// the target, then its removal. Every read of the view — raw range,
+// aggregate, both tiers — must still answer exactly as over those k
+// points: raw against the points themselves, the aggregate against a
+// store that only ever held them, the tiers against the reference
+// buckets.
+func checkViewFrozen(t *testing.T, seed int64, pts []Point, k int, from, to int64) {
+	st, ref, later := New(), New(), New()
+	appendPoints(st, pts[:k])
+	appendPoints(ref, pts[:k])
+	v := st.View()
+	more := append([]Point(nil), pts[k:]...)
+	last := int64(0)
+	if len(pts) > 0 {
+		last = pts[len(pts)-1].T
+	}
+	for i := 1; i <= BlockPoints; i++ {
+		more = append(more, Point{T: last + int64(i)*1e9, V: float64(i)})
+	}
+	appendPoints(st, more)
+	appendPoints(later, more)
+	if err := st.ImportTarget("fixw", later.ExportTarget("fixw")); err != nil {
+		t.Fatal(err)
+	}
+	st.Remove("fixw")
+
+	if got := v.Len("fixw", "routes"); got != k {
+		t.Fatalf("seed %d: view of %d points holds %d", seed, k, got)
+	}
+	for _, q := range []Query{
+		{Metric: "routes", Op: OpRange, From: from, To: to},
+		{Metric: "routes", Op: OpMax, From: from, To: to},
+		{Metric: "routes", Op: OpRange, Tier: Tier10, From: from, To: to},
+		{Metric: "routes", Op: OpRange, Tier: Tier100, From: from, To: to},
+	} {
+		got, err := v.QueryTarget(q, "fixw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := q.bounds()
+		var want TargetResult
+		switch {
+		case q.Op != OpRange:
+			if want, err = ref.QueryTarget(q, "fixw"); err != nil {
+				t.Fatal(err)
+			}
+		case q.Tier != 0:
+			want.Target = "fixw"
+			if k > 0 {
+				want.Points = refTierRange(refTiers(pts[:k], q.Tier), lo, hi)
+			}
+		default:
+			want.Target = "fixw"
+			for _, pt := range pts[:k] {
+				if pt.T >= lo && pt.T <= hi {
+					want.Points = append(want.Points, pt)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, view after %d of %d points, %s tier %d, [%d, %d]:\ngot  %+v\nwant %+v",
+				seed, k, len(pts), q.Op, q.Tier, from, to, got, want)
+		}
+	}
 }
 
 // FuzzTierRange checks tier reads folded from the blocks at query time
 // against the bucket arrays the store used to keep: series of up to six
 // sealed blocks and a head, with gap runs, bounds anywhere in or
 // outside the history, both tiers, and the store live, handed off and
-// reopened from its mirror.
+// reopened from its mirror. Each input also takes a View part way
+// through the series and holds it to the points it was taken over
+// while the store goes on (checkViewFrozen).
 func FuzzTierRange(f *testing.F) {
 	for seed := int64(0); seed < 28; seed++ {
 		blocks := int(seed % 7)

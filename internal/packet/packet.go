@@ -1,8 +1,7 @@
 // Package packet defines binary wire encodings for the control messages of
 // the multicast protocol suite the paper's infrastructure runs, after RFC
-// 2236 (IGMPv2), the DVMRP draft (IGMP type 0x13 subtypes), RFC 2362
-// (PIMv2), RFC 3618 (MSDP) and a compact BGP4/MP-BGP-style UPDATE for
-// MBGP, each round-tripping through its decoder with checksum and
+// 2236 (IGMPv2), the DVMRP draft (IGMP type 0x13 subtypes) and RFC 2362
+// (PIMv2), each round-tripping through its decoder with checksum and
 // truncation validation. Only IGMP has a caller: the simulator carries
 // membership reports through it on the host-to-router path
 // (internal/netsim); the routing engines exchange state at table

@@ -268,91 +268,6 @@ func TestPIMChecksum(t *testing.T) {
 	}
 }
 
-func TestMSDPSARoundTrip(t *testing.T) {
-	sa := &MSDPSA{
-		OriginRP: addr.MustParse("198.32.233.33"),
-		Entries: []MSDPSAEntry{
-			{Source: addr.MustParse("128.111.41.2"), Group: addr.MustParse("224.2.0.1")},
-			{Source: addr.MustParse("130.207.8.4"), Group: addr.MustParse("224.2.0.2")},
-		},
-	}
-	got, err := UnmarshalMSDP(sa.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sa) {
-		t.Errorf("round trip %+v", got)
-	}
-}
-
-func TestMSDPEmpty(t *testing.T) {
-	sa := &MSDPSA{OriginRP: addr.MustParse("10.0.0.1")}
-	got, err := UnmarshalMSDP(sa.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 0 {
-		t.Errorf("entries = %v", got.Entries)
-	}
-}
-
-func TestMSDPTruncated(t *testing.T) {
-	sa := &MSDPSA{
-		OriginRP: addr.MustParse("10.0.0.1"),
-		Entries:  []MSDPSAEntry{{Source: 1, Group: addr.MulticastBase + 300}},
-	}
-	b := sa.Marshal()
-	if _, err := UnmarshalMSDP(b[:9]); err == nil {
-		t.Error("expected truncation error")
-	}
-}
-
-func TestMBGPRoundTrip(t *testing.T) {
-	u := &MBGPUpdate{
-		NextHop: addr.MustParse("198.32.233.50"),
-		ASPath:  []uint16{131, 701, 1},
-		Announced: []addr.Prefix{
-			addr.MustParsePrefix("128.111.0.0/16"),
-			addr.MustParsePrefix("171.64.0.0/14"),
-		},
-		Withdrawn: []addr.Prefix{addr.MustParsePrefix("192.31.7.0/24")},
-	}
-	got, err := UnmarshalMBGP(u.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, u) {
-		t.Errorf("round trip %+v", got)
-	}
-}
-
-func TestMBGPWithdrawOnly(t *testing.T) {
-	u := &MBGPUpdate{
-		NextHop:   addr.MustParse("10.0.0.1"),
-		Withdrawn: []addr.Prefix{addr.MustParsePrefix("10.5.0.0/16")},
-	}
-	got, err := UnmarshalMBGP(u.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Announced) != 0 || len(got.Withdrawn) != 1 {
-		t.Errorf("got %+v", got)
-	}
-}
-
-func TestMBGPRejectsBadPrefixLen(t *testing.T) {
-	u := &MBGPUpdate{
-		NextHop:   addr.MustParse("10.0.0.1"),
-		Announced: []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")},
-	}
-	b := u.Marshal()
-	// Corrupt the prefix length byte (first byte of the announced prefix).
-	b[len(b)-5] = 60
-	if _, err := UnmarshalMBGP(b); err == nil {
-		t.Error("expected prefix length error")
-	}
-}
-
 func TestMarshalDeterministic(t *testing.T) {
 	j := &PIMJoinPrune{
 		Upstream: addr.MustParse("10.0.0.1"),

@@ -28,7 +28,9 @@
 package mantra
 
 import (
+	"maps"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core/collect"
@@ -97,6 +99,13 @@ type QueryResult = tsdb.Result
 // Monitor is a running Mantra instance: one cycle core — the five
 // modules wired into the stage engine, shared with every shard worker —
 // plus the HTTP output server and the archive's checkpoint cadence.
+//
+// Its cycles, target and table registration and archive calls belong to
+// one goroutine. Its read methods — Series, Query, Anomalies,
+// OpenAnomalies, AnomalyRollup, HealthView, ArchiveStatus — and every
+// endpoint but /stats answer from the view the Monitor last published:
+// at the end of each cycle, and after each of those calls between
+// cycles. They are safe from any goroutine and never see half a cycle.
 type Monitor struct {
 	// Commands is the dump set collected each cycle; defaults to the
 	// standard six show commands.
@@ -117,6 +126,33 @@ type Monitor struct {
 	aggregate bool
 	// archive is the durable write-ahead archive, nil until EnableArchive.
 	archive *archiveState
+	// tables holds the summary tables as the cycle builds them; publish
+	// hands the server a copy.
+	tables map[string]*output.Table
+	// published is the view the read methods answer from.
+	published atomic.Pointer[view]
+}
+
+// view is one published Monitor state: the processor's view, and the
+// health and archive views built from the same instant.
+type view struct {
+	proc   *process.View
+	health HealthView
+	// archive is nil without an archive.
+	archive *ArchiveStatus
+}
+
+// publish builds the view of the Monitor as it stands and swaps it in,
+// with the summary tables, for every reader.
+func (m *Monitor) publish() {
+	pv := m.core.Proc.Publish()
+	m.server.Publish(pv, maps.Clone(m.tables))
+	v := &view{proc: pv, health: m.buildHealth(pv)}
+	if m.archive != nil {
+		st := m.buildArchiveStatus()
+		v.archive = &st
+	}
+	m.published.Store(v)
 }
 
 // New returns an idle monitor with the paper's default configuration
@@ -125,11 +161,19 @@ func New() *Monitor {
 	m := &Monitor{
 		Commands: append([]string(nil), collect.StandardCommands...),
 		core:     cycle.New(collect.DefaultPolicy(), nil, nil),
+		tables:   make(map[string]*output.Table),
 	}
 	m.server = output.NewServer(m.core.Proc)
 	m.core.Publish = m.refreshTables
-	m.server.SetHealth(func() any { return m.HealthView() })
+	m.server.SetHealth(func() any { return m.published.Load().health })
+	m.server.SetArchive(func() any {
+		if st := m.published.Load().archive; st != nil {
+			return st
+		}
+		return nil
+	})
 	m.server.SetStats(func() any { return m.EngineStats() })
+	m.publish()
 	return m
 }
 
@@ -141,6 +185,7 @@ func New() *Monitor {
 // collection of a healthy replacement.
 func (m *Monitor) AddTarget(t Target) {
 	m.core.Collector.ResetTarget(t.Name)
+	defer m.publish()
 	for i := range m.targets {
 		if m.targets[i].Name == t.Name {
 			m.targets[i] = t
@@ -158,6 +203,7 @@ func (m *Monitor) RemoveTarget(name string) bool {
 		if m.targets[i].Name == name {
 			m.targets = append(m.targets[:i], m.targets[i+1:]...)
 			m.core.Collector.ResetTarget(name)
+			m.publish()
 			return true
 		}
 	}
@@ -193,8 +239,8 @@ func (m *Monitor) RouteStability(target string) *process.RouteStability {
 	return m.core.Engine.Stability(target)
 }
 
-// refreshTables rebuilds the published summary tables for the
-// snapshot's target — the core's Publish hook.
+// refreshTables rebuilds the summary tables for the snapshot's target —
+// the core's Publish hook. They reach readers with the cycle's view.
 func (m *Monitor) refreshTables(sn *tables.Snapshot) {
 	name := sn.Target
 	busiest := output.NewTable("busiest-"+name, "group", "density", "kbps", "protocol")
@@ -206,7 +252,7 @@ func (m *Monitor) refreshTables(sn *tables.Snapshot) {
 			output.Str(s.Protocol),
 		)
 	}
-	m.server.RegisterTable(busiest)
+	m.tables[busiest.Name] = busiest
 
 	senders := output.NewTable("senders-"+name, "host", "groups", "max_kbps")
 	for _, p := range process.TopSenders(sn, 20) {
@@ -216,7 +262,7 @@ func (m *Monitor) refreshTables(sn *tables.Snapshot) {
 			output.Num(p.MaxRateKbps),
 		)
 	}
-	m.server.RegisterTable(senders)
+	m.tables[senders.Name] = senders
 
 	routes := output.NewTable("routes-"+name, "metric", "count")
 	rs := process.SummarizeRoutes(sn)
@@ -225,19 +271,21 @@ func (m *Monitor) refreshTables(sn *tables.Snapshot) {
 			_ = routes.AddRow(output.Num(float64(metric)), output.Num(float64(c)))
 		}
 	}
-	m.server.RegisterTable(routes)
+	m.tables[routes.Name] = routes
 }
 
 // Series returns a copy of the named result series for a target, read
-// back out of the compressed store, or nil before the first cycle.
+// back out of the compressed store as last published, or nil before
+// the first cycle.
 func (m *Monitor) Series(target string, metric Metric) *process.Series {
-	return m.core.Proc.Series(target, metric)
+	return m.published.Load().proc.Series(target, metric)
 }
 
 // Query answers a series-store query — range, aggregate, or top-k —
-// over this monitor's targets; the programmatic form of /query.
+// over this monitor's targets as last published; the programmatic form
+// of /query.
 func (m *Monitor) Query(q Query) (QueryResult, error) {
-	return m.core.Proc.Store().Query(q)
+	return m.published.Load().proc.Store().Query(q)
 }
 
 // Latest returns the most recent normalized snapshot for a target, or nil.
@@ -248,19 +296,19 @@ func (m *Monitor) Latest(target string) *tables.Snapshot {
 // Anomalies returns the retained anomalies in detection order; the ring
 // is capped (SetMaxAnomalies) and AnomalyRollup counts evictions.
 func (m *Monitor) Anomalies() []Anomaly {
-	return m.core.Proc.Anomalies()
+	return m.published.Load().proc.Anomalies()
 }
 
 // OpenAnomalies returns the currently unresolved anomalies in detection
 // order.
 func (m *Monitor) OpenAnomalies() []Anomaly {
-	return m.core.Proc.OpenAnomalies()
+	return m.published.Load().proc.OpenAnomalies()
 }
 
 // AnomalyRollup returns the aggregate anomaly counts — the rollup
 // served under /health alongside per-target collection health.
 func (m *Monitor) AnomalyRollup() AnomalyRollup {
-	return m.core.Proc.Rollup()
+	return m.published.Load().proc.Rollup()
 }
 
 // SetMaxAnomalies caps the in-memory anomaly ring (0 restores the
@@ -280,7 +328,10 @@ func (m *Monitor) Log() *logger.Logger { return m.core.Log }
 func (m *Monitor) Handler() http.Handler { return m.server }
 
 // RegisterTable publishes an additional summary table.
-func (m *Monitor) RegisterTable(t *output.Table) { m.server.RegisterTable(t) }
+func (m *Monitor) RegisterTable(t *output.Table) {
+	m.tables[t.Name] = t
+	m.publish()
+}
 
 // BusiestSessions returns a snapshot's top-n sessions by bandwidth — the
 // paper's "busiest multicast sessions" summary.

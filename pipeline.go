@@ -47,6 +47,7 @@ func (m *Monitor) runEngine(now time.Time, conc int) ([]CycleStats, error) {
 	}
 	m.archiveAfterCycle(now)
 	m.lastResults = results
+	m.publish()
 	if len(items) > 0 && failed == len(items) {
 		return out, fmt.Errorf("mantra: %w", ErrAllTargetsFailed)
 	}
@@ -76,6 +77,8 @@ func (m *Monitor) Concurrency() int {
 
 // EngineStats returns the cycle engine's cumulative per-stage,
 // per-target instrumentation — the view served over HTTP at /stats.
+// Unlike the Monitor's other reads it is live, taken under the engine's
+// own mutex, so a cycle in flight can be watched.
 func (m *Monitor) EngineStats() engine.Stats { return m.core.Engine.Stats() }
 
 // LastCycleReport returns the most recent cycle's per-stage timings and

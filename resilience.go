@@ -2,8 +2,10 @@ package mantra
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/process"
 )
 
 // ErrAllTargetsFailed reports a cycle in which no target produced a
@@ -47,6 +49,7 @@ func (m *Monitor) SetCollectPolicy(p collect.Policy) {
 // now opt-in.
 func (m *Monitor) ResetCollectState() {
 	m.core.Collector = collect.NewCollector(m.core.Collector.Policy())
+	m.publish()
 }
 
 // TargetHealthView is one /health target row: the collector's ledger —
@@ -67,14 +70,23 @@ type HealthView struct {
 	Anomalies AnomalyRollup      `json:"anomalies"`
 }
 
-// HealthView returns the combined health object served at /health.
+// HealthView returns the combined health object served at /health, as
+// last published.
 func (m *Monitor) HealthView() HealthView {
+	hv := m.published.Load().health
+	hv.Targets = slices.Clone(hv.Targets)
+	return hv
+}
+
+// buildHealth builds the health view of the registered targets, its
+// anomaly rollup from pv.
+func (m *Monitor) buildHealth(pv *process.View) HealthView {
 	rows := make([]TargetHealthView, 0, len(m.targets))
 	for _, t := range m.targets {
 		h, gaps := m.core.HealthRow(t.Name)
 		rows = append(rows, TargetHealthView{TargetHealth: h, GapCount: gaps})
 	}
-	return HealthView{Targets: rows, Anomalies: m.core.Proc.Rollup()}
+	return HealthView{Targets: rows, Anomalies: pv.Rollup()}
 }
 
 // Health returns every registered target's collection health, in
