@@ -72,10 +72,13 @@ func TestMergeSnapshotsOrderIndependent(t *testing.T) {
 		// field-wise while b's (Since, Flags) identity survives.
 		mk("c", 99, 150, 2*time.Hour, sim.Epoch.Add(-time.Hour), "DT", 1),
 		mk("d", 10, 400, 30*time.Minute, sim.Epoch.Add(-30*time.Minute), "P", 2),
+		// Same uptime and Since as b: only the flags break the tie, and
+		// the lesser wins whichever arrives first.
+		mk("e", 20, 50, 2*time.Hour, sim.Epoch.Add(-2*time.Hour), "C", 1),
 		nil,
 	}
 	ref := mantra.MergeSnapshots("aggregate", sim.Epoch, snaps...)
-	perm := []int{0, 1, 2, 3, 4}
+	perm := []int{0, 1, 2, 3, 4, 5}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -89,12 +92,13 @@ func TestMergeSnapshotsOrderIndependent(t *testing.T) {
 		}
 	}
 	// Sanity on the reference itself: one pair, rate/packets are maxima,
-	// uptime belongs to the dominant (longest-lived, earliest-Since) entry.
+	// uptime belongs to the dominant (longest-lived, earliest-Since,
+	// least-flags) entry.
 	if len(ref.Pairs) != 1 {
 		t.Fatalf("pairs = %d", len(ref.Pairs))
 	}
 	p := ref.Pairs[0]
-	if p.RateKbps != 99 || p.Packets != 400 || p.Uptime != 2*time.Hour || p.Flags != "D" {
+	if p.RateKbps != 99 || p.Packets != 400 || p.Uptime != 2*time.Hour || p.Flags != "C" {
 		t.Errorf("merged pair = %+v", p)
 	}
 	if len(ref.Routes) != 1 || ref.Routes[0].Metric != 1 || ref.Routes[0].Uptime != 2*time.Hour {

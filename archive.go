@@ -90,11 +90,11 @@ func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 	report := &RecoveryReport{}
 	if store.HasData() {
 		if !cfg.Resume {
-			store.Close() //mantralint:allow walerr abandoning the store on a path already returning an error; nothing was written
+			store.Close() // abandoning the store on a path already returning an error; nothing was written
 			return nil, fmt.Errorf("%w: %s", ErrArchiveExists, cfg.Dir)
 		}
 		if report, err = m.core.Recover(store); err != nil {
-			store.Close() //mantralint:allow walerr abandoning the store on a path already returning an error; nothing was written
+			store.Close() // abandoning the store on a path already returning an error; nothing was written
 			return nil, err
 		}
 		for _, target := range report.Targets {

@@ -43,7 +43,7 @@ func main() {
 
 	var all experiments.ShapeReport
 	run := func(name string, cfg experiments.Config, figs func(*experiments.Runner) []experiments.FigureResult, shape func(*experiments.Runner) experiments.ShapeReport) {
-		start := time.Now() //mantralint:allow wallclock operator-facing elapsed-time report; figure data itself runs on the simulated clock
+		start := time.Now() // operator-facing elapsed-time report; figure data itself runs on the simulated clock
 		r, err := experiments.NewRunner(cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -65,7 +65,7 @@ func main() {
 		}
 		rep := shape(r)
 		all.Checks = append(all.Checks, rep.Checks...)
-		fmt.Printf("figures: %s finished in %v\n", name, time.Since(start).Round(time.Second)) //mantralint:allow wallclock operator-facing elapsed-time report; not part of any figure output
+		fmt.Printf("figures: %s finished in %v\n", name, time.Since(start).Round(time.Second)) // operator-facing elapsed-time report; not part of any figure output
 	}
 
 	run("usage", experiments.UsageConfig(sc),

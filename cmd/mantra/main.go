@@ -215,7 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if i > 0 {
 			time.Sleep(*interval)
 		}
-		now := time.Now().UTC() //mantralint:allow wallclock composition root: live monitoring stamps cycles with real time and injects it downward
+		now := time.Now().UTC() // composition root: live monitoring stamps cycles with real time and injects it downward
 		stamp := now.Format("15:04:05")
 		stats, err := d.cycle(now)
 		if err != nil {
@@ -279,7 +279,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Every way out of the loop shuts down the same way: final
 	// checkpoint and archive close, or supervisor stop.
-	if err := d.close(time.Now().UTC()); err != nil { //mantralint:allow wallclock composition root: final checkpoint stamped with real time
+	if err := d.close(time.Now().UTC()); err != nil { // composition root: final checkpoint stamped with real time
 		logger.Printf("mantra: close: %v", err)
 		code = 1
 	}

@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	start := time.Now() //mantralint:allow wallclock operator-facing elapsed-time report; the simulation itself runs on virtual time
+	start := time.Now() // operator-facing elapsed-time report; the simulation itself runs on virtual time
 	progress := func(i int, now time.Time) {
 		if !*quiet && i%200 == 0 {
 			fmt.Fprintf(os.Stderr, "mantrasim: cycle %d, %s\r", i, now.Format("2006-01-02"))
@@ -82,7 +82,7 @@ func main() {
 	if err := r.Run(progress); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "\nmantrasim: %s/%s done in %v\n", *scenario, *scale, time.Since(start).Round(time.Second)) //mantralint:allow wallclock operator-facing elapsed-time report on stderr
+	fmt.Fprintf(os.Stderr, "\nmantrasim: %s/%s done in %v\n", *scenario, *scale, time.Since(start).Round(time.Second)) // operator-facing elapsed-time report on stderr
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)

@@ -74,7 +74,7 @@ func main() {
 		Prompt:   *prompt,
 		Timeout:  *timeout,
 	}
-	dumps, err := collect.CollectAll(tgt, commands, time.Now().UTC()) //mantralint:allow wallclock composition root: one-shot live scrape stamped with real time
+	dumps, err := collect.CollectAll(tgt, commands, time.Now().UTC()) // composition root: one-shot live scrape stamped with real time
 	if err != nil {
 		log.Fatalf("mstat: %v", err)
 	}

@@ -51,8 +51,6 @@ func V4(a, b, c, d byte) IP {
 // Parse parses a dotted-quad IPv4 address such as "192.168.1.7". Octets
 // are decimal digits only: no sign, no leading zero, at most 255. It
 // scans the bytes in place and allocates nothing unless it fails.
-//
-//mantra:hotpath
 func Parse(s string) (IP, error) {
 	var ip uint32
 	parts := 0
@@ -149,8 +147,6 @@ func PrefixFrom(ip IP, bits int) Prefix {
 
 // ParsePrefix parses CIDR notation such as "128.111.0.0/16". The length
 // is decimal digits only, like the octets.
-//
-//mantra:hotpath budget=3
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {

@@ -167,8 +167,6 @@ type writeDeadliner interface {
 // connection — the only way to unblock a stuck Read — so a hung router can
 // never wedge the collector. A timed-out session is dead either way;
 // callers retry with a fresh login.
-//
-//mantra:hotpath budget=3
 func (s *Session) readUntil(pattern string) ([]byte, error) {
 	if s.buf == nil {
 		s.buf = readBufs.Get().(*readBuf)
@@ -238,8 +236,6 @@ func hasPrefix(b []byte, s string) bool {
 // blocks until the peer reads, and a peer that timed out or wedged
 // mid-dump never will — without a deadline, sending "exit" to a stuck
 // session deadlocks both ends in Write forever.
-//
-//mantra:hotpath budget=1
 func (s *Session) send(line string) error {
 	if d, ok := s.conn.(writeDeadliner); ok {
 		_ = d.SetWriteDeadline(s.now().Add(s.timeout))
@@ -253,8 +249,6 @@ func (s *Session) send(line string) error {
 }
 
 // Login opens and authenticates a session against t.
-//
-//mantra:hotpath budget=2
 func Login(t Target) (*Session, error) {
 	conn, err := t.Dialer.Dial()
 	if err != nil {
@@ -266,7 +260,7 @@ func Login(t Target) (*Session, error) {
 	}
 	now := t.Clock
 	if now == nil {
-		now = time.Now //mantralint:allow wallclock live-target default; injected via Target.Clock everywhere else
+		now = time.Now // live-target default; injected via Target.Clock everywhere else
 	}
 	s := &Session{conn: conn, prompt: t.Prompt, timeout: timeout, now: now}
 	if t.Password != "" {
@@ -289,8 +283,6 @@ func Login(t Target) (*Session, error) {
 // Run issues one command and returns its raw output with the command echo
 // and trailing prompt stripped: one string, copied out of the read buffer
 // at exactly the dump's size.
-//
-//mantra:hotpath budget=1
 func (s *Session) Run(cmd string) (string, error) {
 	if err := s.send(cmd); err != nil {
 		return "", err
@@ -363,8 +355,6 @@ var StandardCommands = []string{
 
 // CollectAll logs into the target once and captures every command.
 // Dumps carry the collection timestamp now.
-//
-//mantra:hotpath budget=4
 func CollectAll(t Target, commands []string, now time.Time) ([]Dump, error) {
 	s, err := Login(t)
 	if err != nil {
@@ -385,8 +375,6 @@ func CollectAll(t Target, commands []string, now time.Time) ([]Dump, error) {
 // Preprocess cleans a raw dump into trimmed, non-empty lines: excess
 // whitespace collapsed, delimiters and prompt remnants removed — the
 // paper's pre-processing step ahead of table mapping.
-//
-//mantra:hotpath budget=1
 func Preprocess(raw string) []string {
 	var out []string
 	for _, line := range strings.Split(raw, "\n") {

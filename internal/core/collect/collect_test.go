@@ -197,7 +197,7 @@ func (silentDialer) Dial() (io.ReadWriteCloser, error) {
 }
 
 func TestLoginTimeoutUsesInjectedClock(t *testing.T) {
-	// Regression for the mantralint wallclock findings in readUntil: the
+	// Regression for the PR 4 bug in readUntil, which read time.Now: the
 	// expect deadline is anchored on Target.Clock, not time.Now. With a
 	// one-hour timeout and a fake clock that jumps two hours, login must
 	// fail immediately — if the wall clock were still consulted this test
@@ -226,6 +226,55 @@ func TestLoginTimeoutUsesInjectedClock(t *testing.T) {
 	}
 	if calls < 2 {
 		t.Fatalf("injected clock consulted %d times, want >= 2", calls)
+	}
+}
+
+// stampConn is one end of a pipe that takes write deadlines but never
+// enforces them: it records them, so a test can read the instant a
+// session anchored its write timeout on. It has no read deadline, so
+// reads run under the session's watchdog.
+type stampConn struct {
+	conn           net.Conn
+	writeDeadlines *[]time.Time
+}
+
+func (c stampConn) Read(p []byte) (int, error)  { return c.conn.Read(p) }
+func (c stampConn) Write(p []byte) (int, error) { return c.conn.Write(p) }
+func (c stampConn) Close() error                { return c.conn.Close() }
+func (c stampConn) SetWriteDeadline(t time.Time) error {
+	*c.writeDeadlines = append(*c.writeDeadlines, t)
+	return nil
+}
+
+// TestSessionTimeoutsUseInjectedClock holds the two other uses of the
+// session clock to Target.Clock. A write deadline is the injected
+// instant plus the timeout. And a read that fails before that instant,
+// by the injected clock, is the peer's error, not a timeout, even when
+// the wall clock is long past it.
+func TestSessionTimeoutsUseInjectedClock(t *testing.T) {
+	base := time.Unix(1_000_000, 0)
+	var stamps []time.Time
+	client, server := net.Pipe()
+	go func() {
+		io.WriteString(server, "Password: ")
+		buf := make([]byte, 64)
+		server.Read(buf)
+		server.Close() // hang up instead of printing a prompt
+	}()
+	tgt := collect.Target{
+		Name:     "hangup",
+		Dialer:   dialerFunc(func() (io.ReadWriteCloser, error) { return stampConn{client, &stamps}, nil }),
+		Password: "pw",
+		Prompt:   "hangup> ",
+		Timeout:  time.Hour,
+		Clock:    func() time.Time { return base },
+	}
+	_, err := collect.Login(tgt)
+	if err == nil || strings.Contains(err.Error(), "timed out") {
+		t.Errorf("Login after the peer hung up = %v, want the hang-up, not a timeout", err)
+	}
+	if len(stamps) == 0 || !stamps[0].Equal(base.Add(time.Hour)) {
+		t.Errorf("write deadlines %v, want the first at the injected %v plus the timeout", stamps, base)
 	}
 }
 

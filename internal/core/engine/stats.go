@@ -33,8 +33,8 @@ type Clock func() time.Duration
 // NewMonotonicClock returns a clock reading the process's monotonic
 // time relative to its creation instant.
 func NewMonotonicClock() Clock {
-	start := time.Now()                                      //mantralint:allow wallclock the documented live-clock seam; everything downstream consumes the injected Clock
-	return func() time.Duration { return time.Since(start) } //mantralint:allow wallclock same seam: monotonic delta from the anchor above
+	start := time.Now()                                      // the documented live-clock seam; everything downstream consumes the injected Clock
+	return func() time.Duration { return time.Since(start) } // same seam: monotonic delta from the anchor above
 }
 
 // StageStat aggregates a stage's observed executions.

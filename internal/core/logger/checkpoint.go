@@ -146,7 +146,7 @@ func (s *Store) prune() {
 	}
 	if keep := s.opts.KeepCheckpoints; len(ckpts) > keep {
 		for _, seq := range ckpts[:len(ckpts)-keep] {
-			_ = os.Remove(filepath.Join(s.dir, ckptName(seq))) //mantralint:allow walerr retention pruning is best-effort; a surviving file is retried next prune and never corrupts state
+			_ = os.Remove(filepath.Join(s.dir, ckptName(seq))) // retention pruning is best-effort; a surviving file is retried next prune and never corrupts state
 		}
 		ckpts = ckpts[len(ckpts)-keep:]
 	}
@@ -188,7 +188,7 @@ func (s *Store) scan() error {
 	tmpSuffix := ckptSuffix + seglog.TempSuffix
 	if tmps, err := seglog.List(s.dir, ckptPrefix, tmpSuffix); err == nil {
 		for _, seq := range tmps {
-			_ = os.Remove(filepath.Join(s.dir, seglog.Name(ckptPrefix, seq, tmpSuffix))) //mantralint:allow walerr leftover temp cleanup is best-effort; a survivor is ignored by recovery and retried next open
+			_ = os.Remove(filepath.Join(s.dir, seglog.Name(ckptPrefix, seq, tmpSuffix))) // leftover temp cleanup is best-effort; a survivor is ignored by recovery and retried next open
 		}
 	}
 

@@ -154,8 +154,6 @@ func readColumn(col []byte, t tables.PairTable, apply bool) error {
 }
 
 // encodePayload renders a record's payload (everything inside the frame).
-//
-//mantra:hotpath budget=1
 func encodePayload(r walRecord) []byte {
 	b := make([]byte, 0, 64)
 	b = seglog.AppendUvarint(b, r.Seq)

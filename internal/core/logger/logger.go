@@ -123,11 +123,7 @@ func (l *Logger) target(name string) *targetLog {
 // sorting, and are then kept — by reference, not copied — as the next
 // cycle's predecessor: a snapshot handed to Append must not be written
 // afterwards. The walk also writes the counter rows to a scratch buffer
-// the record gets a copy of if a counter moved. The budget is the two
-// visitors, which capture the record being built; its slices are
-// returned and cannot be pooled.
-//
-//mantra:hotpath budget=2
+// the record gets a copy of if a counter moved.
 func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
 	tl := l.target(sn.Target)
 	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP)}

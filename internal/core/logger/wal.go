@@ -154,7 +154,7 @@ func header(path string) string {
 	hdr := []byte("????????")
 	if f, err := os.Open(path); err == nil {
 		_, _ = io.ReadFull(f, hdr)
-		f.Close() //mantralint:allow walerr read-only header probe; nothing to flush
+		f.Close() // read-only header probe; nothing to flush
 	}
 	return string(hdr)
 }
@@ -233,10 +233,6 @@ func (s *Store) AppendGap(target string, at time.Time, reason string) error {
 // append encodes and appends one record; the caller holds s.mu. An
 // error is counted and returned and the store keeps going: the next
 // append tries again from wherever the log stands.
-//
-// The budget covers the two error-path fmt.Errorf wraps.
-//
-//mantra:hotpath budget=2
 func (s *Store) append(rec walRecord) error {
 	// A store that has appended can no longer be recovered consistently,
 	// so the scan's decoded log is of no further use to anyone.

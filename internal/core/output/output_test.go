@@ -2,6 +2,7 @@ package output
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -412,5 +413,61 @@ func TestGraphStreamsWhatACopyDraws(t *testing.T) {
 	NewServer(p).ServeHTTP(rec, httptest.NewRequest("GET", "/graph/fixw/nope", nil))
 	if rec.Code != 404 {
 		t.Errorf("/graph of an unknown metric: %d, want 404", rec.Code)
+	}
+}
+
+// TestSeriesPointsInTimeOrder holds /series to one time-ordered list of
+// values and gaps. The series keeps its gaps apart from its values, so
+// a body that stopped merging them would list every gap after the last
+// value.
+func TestSeriesPointsInTimeOrder(t *testing.T) {
+	p := process.New()
+	at := sim.Epoch
+	for i := 0; i < 6; i++ {
+		at = at.Add(30 * time.Minute)
+		if i == 2 || i == 3 {
+			p.MarkGap("fixw", at)
+			continue
+		}
+		p.Ingest(&tables.Snapshot{Target: "fixw", At: at, Routes: make(tables.RouteTable, 10+i)})
+	}
+	s := NewServer(p)
+	s.Publish(p.Publish(), nil)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/series/fixw/routes", nil))
+	var pts []struct {
+		T   time.Time `json:"t"`
+		Gap bool      `json:"gap"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &pts); err != nil || len(pts) != 6 {
+		t.Fatalf("series body: %v %s", err, rec.Body)
+	}
+	for i := 1; i < len(pts); i++ {
+		if !pts[i-1].T.Before(pts[i].T) {
+			t.Fatalf("points out of time order: %s", rec.Body)
+		}
+	}
+	if !pts[2].Gap || !pts[3].Gap || pts[4].Gap {
+		t.Errorf("gaps not at cycles 3 and 4: %s", rec.Body)
+	}
+}
+
+// TestSumColumnInRowOrder sums a column whose magnitudes differ by
+// sixteen orders, so any change in the order of the sum moves its low
+// bits: 200 calls must agree bit for bit with the sum in row order.
+func TestSumColumnInRowOrder(t *testing.T) {
+	tb := NewTable("rates", "kbps")
+	vals := []float64{1e16, 1.0, -1e16, 0.25, 3.5e-3, 7e9, -7e9, 0.125}
+	want := 0.0
+	for _, v := range vals {
+		if err := tb.AddRow(Num(v)); err != nil {
+			t.Fatal(err)
+		}
+		want += v
+	}
+	for i := 0; i < 200; i++ {
+		if got, err := tb.SumColumn("kbps"); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: sum %v, %v; want %v summed in row order", i, got, err, want)
+		}
 	}
 }

@@ -262,6 +262,39 @@ func TestSeriesStats(t *testing.T) {
 	}
 }
 
+// TestSeriesStatsOrderIndependent sums values whose magnitudes differ
+// by orders, so any change in the order of the sums moves the low bits
+// of the mean or the deviation: 200 calls must agree bit for bit with
+// sums in time order. In the second series the mean is exactly zero in
+// any order, and six squared deviations of 1 vanish beside two of 1e16
+// only when they come after them.
+func TestSeriesStatsOrderIndependent(t *testing.T) {
+	for _, vals := range [][]float64{
+		{1e16, 1.0, -1e16, 0.25, 3.5e-3, 7e9, -7e9, 0.125},
+		{1e8, -1e8, 1, -1, 1, -1, 1, -1},
+	} {
+		s := &Series{}
+		for i, v := range vals {
+			s.Append(sim.Epoch.Add(time.Duration(i)*time.Hour), v)
+		}
+		sum, varsum := 0.0, 0.0
+		for _, v := range vals {
+			sum += v
+		}
+		mean := sum / float64(len(vals))
+		for _, v := range vals {
+			varsum += (v - mean) * (v - mean)
+		}
+		stddev := math.Sqrt(varsum / float64(len(vals)))
+		for i := 0; i < 200; i++ {
+			m, _, sd, _, _ := s.Stats()
+			if math.Float64bits(m) != math.Float64bits(mean) || math.Float64bits(sd) != math.Float64bits(stddev) {
+				t.Fatalf("%v, call %d: mean %v stddev %v, want %v and %v summed in time order", vals, i, m, sd, mean, stddev)
+			}
+		}
+	}
+}
+
 func TestSeriesStatsEvenMedian(t *testing.T) {
 	s := &Series{}
 	for i, v := range []float64{4, 1, 3, 2} {

@@ -74,10 +74,6 @@ func NewRouteStability() *RouteStability {
 // import all hand it the record's route delta. A rise takes the entry's
 // Since as the start of the period, which tables.BuildSnapshot sets to
 // the cycle's At − Uptime.
-//
-// The budget is the history record a prefix gets on first sight.
-//
-//mantra:hotpath budget=1
 func (rs *RouteStability) ObserveDelta(at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
 	rs.cycles++
 	for _, e := range upserted {

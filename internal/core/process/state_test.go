@@ -22,7 +22,7 @@ func encodeStability(t *testing.T, st *StabilityState) []byte {
 }
 
 func TestStabilityExportStateDeterministicBytes(t *testing.T) {
-	// Regression for the mantralint mapiter finding in ExportState:
+	// Regression for the PR 4 bug in ExportState:
 	// Prefixes used to be appended in map-iteration order, so the
 	// gob bytes that land in checkpoints differed run to run. Repeated
 	// exports of the same tracker must now be byte-identical.

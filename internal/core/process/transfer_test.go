@@ -2,6 +2,7 @@ package process
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,5 +168,70 @@ func TestRollupOfCrossTargetOfPureForms(t *testing.T) {
 	}
 	if len(ct) != 1 || ct[0].Kind != KindRouteInjection || len(ct[0].Targets) != 2 {
 		t.Errorf("cross-target incident = %+v", ct)
+	}
+}
+
+// TestOpenEpisodeExportOrder holds both exports of open episodes to a
+// fixed order. The episodes live in a map per target, so an export that
+// stopped sorting would list them in map order, which changes from call
+// to call: equal states would export unequal values, and the handoff
+// and recovery twins, which compare exports, would compare noise.
+func TestOpenEpisodeExportOrder(t *testing.T) {
+	p := New()
+	kinds := []string{KindRouteFlap, KindRouteInjection, KindRouteLeak, KindRPLoss, KindSAStorm}
+	for _, target := range []string{"ucsb", "fixw", "mit"} {
+		st := &TargetState{Target: target, HasBase: true}
+		for i, k := range kinds {
+			st.Anomalies = append(st.Anomalies, Anomaly{Target: target, Kind: k, At: sim.Epoch})
+			st.Open = append(st.Open, OpenTransfer{Kind: k, Index: i, Frozen: float64(i)})
+		}
+		p.ImportTarget(target, st, nil)
+	}
+	wantTarget := p.ExportTarget("fixw")
+	for i, o := range wantTarget.Open {
+		if o.Kind != kinds[i] {
+			t.Fatalf("ExportTarget lists open episodes as %+v, want kind order", wantTarget.Open)
+		}
+	}
+	wantState := p.ExportState()
+	for i := 1; i < len(wantState.Open); i++ {
+		a, b := wantState.Open[i-1], wantState.Open[i]
+		if a.Target > b.Target || a.Target == b.Target && a.Kind >= b.Kind {
+			t.Fatalf("ExportState lists open episodes as %+v, want target then kind order", wantState.Open)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := p.ExportTarget("fixw"); !reflect.DeepEqual(got, wantTarget) {
+			t.Fatalf("export %d of one state differs:\n%+v\nwant\n%+v", i, got.Open, wantTarget.Open)
+		}
+		if got := p.ExportState(); !reflect.DeepEqual(got.Open, wantState.Open) {
+			t.Fatalf("state export %d of one state differs:\n%+v\nwant\n%+v", i, got.Open, wantState.Open)
+		}
+	}
+}
+
+// TestRollupAndCrossTargetOrder holds the pure forms to the orders they
+// document: ByKind and the incidents by kind name, an incident's
+// targets by name. The log below names kinds and targets in reverse, so
+// a form that kept first-seen order fails.
+func TestRollupAndCrossTargetOrder(t *testing.T) {
+	var log []Anomaly
+	for _, kind := range []string{KindSAStorm, KindRouteLeak, KindRouteInjection} {
+		for _, target := range []string{"ucsb", "mit", "fixw"} {
+			log = append(log, Anomaly{Target: target, Kind: kind, At: sim.Epoch})
+		}
+	}
+	r := RollupOf(log, 0)
+	ct := CrossTargetOf(log)
+	if len(r.ByKind) != 3 || len(ct) != 3 {
+		t.Fatalf("rollup %+v, incidents %+v", r.ByKind, ct)
+	}
+	for i, want := range []string{KindRouteInjection, KindRouteLeak, KindSAStorm} {
+		if r.ByKind[i].Kind != want || ct[i].Kind != want {
+			t.Errorf("row %d: rollup kind %s, incident kind %s, want %s", i, r.ByKind[i].Kind, ct[i].Kind, want)
+		}
+		if got := strings.Join(ct[i].Targets, ","); got != "fixw,mit,ucsb" {
+			t.Errorf("%s incident targets %s, want fixw,mit,ucsb", ct[i].Kind, got)
+		}
 	}
 }

@@ -50,8 +50,6 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Name is the fixed-width file name of id.
-//
-//mantra:hotpath budget=1
 func Name(prefix string, id uint64, suffix string) string {
 	return fmt.Sprintf("%s%0*d%s", prefix, idDigits, id, suffix)
 }
@@ -229,11 +227,6 @@ func (l *Log) Segments() []Segment { return l.segs }
 // boundary and returns 0. Otherwise the frame's size is returned, and a
 // non-nil error then means the frame is in the log but the rotation it
 // triggered failed to sync or close the segment.
-//
-// The budget is the frame buffer — the one deliberate per-frame
-// allocation — and the two error-path wraps.
-//
-//mantra:hotpath budget=3
 func (l *Log) Append(id uint64, payload []byte) (int, error) {
 	if len(payload) == 0 || len(payload) > MaxFrame {
 		return 0, fmt.Errorf("seglog: append: %d-byte payload, want 1..%d", len(payload), MaxFrame)
@@ -250,7 +243,7 @@ func (l *Log) Append(id uint64, payload []byte) (int, error) {
 
 	seg := &l.segs[len(l.segs)-1]
 	if _, err := l.f.Write(frame); err != nil {
-		_ = l.f.Truncate(seg.Size) //mantralint:allow walerr best-effort repair on a path already returning the append error; Open truncates torn tails anyway
+		_ = l.f.Truncate(seg.Size) // best-effort repair on a path already returning the append error; Open truncates torn tails anyway
 		return 0, fmt.Errorf("seglog: append: %w", err)
 	}
 	seg.Size += int64(len(frame))
@@ -261,10 +254,7 @@ func (l *Log) Append(id uint64, payload []byte) (int, error) {
 	return len(frame), nil
 }
 
-// create starts the segment named id. The budget is three error-path
-// wraps and the magic's []byte conversion; it runs once per rotation.
-//
-//mantra:hotpath budget=4
+// create starts the segment named id.
 func (l *Log) create(id uint64) error {
 	if n := len(l.segs); n > 0 && id <= l.segs[n-1].ID {
 		return fmt.Errorf("seglog: new segment %d would not sort after segment %d", id, l.segs[n-1].ID)
@@ -274,7 +264,7 @@ func (l *Log) create(id uint64) error {
 		return fmt.Errorf("seglog: new segment: %w", err)
 	}
 	if _, err := f.Write([]byte(l.magic)); err != nil {
-		f.Close() //mantralint:allow walerr abandoning a segment whose header write failed; that error is already returned
+		f.Close() // abandoning a segment whose header write failed; that error is already returned
 		return fmt.Errorf("seglog: new segment: %w", err)
 	}
 	l.f = f
@@ -353,8 +343,8 @@ func WriteFile(path, magic string, payload []byte) error {
 	// The rename is not durable until its directory entry is; best
 	// effort where directories cannot be synced.
 	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()  //mantralint:allow walerr documented best-effort: directory fsync is unsupported on some platforms
-		_ = d.Close() //mantralint:allow walerr read-only directory handle; nothing to flush
+		_ = d.Sync()  // documented best-effort: directory fsync is unsupported on some platforms
+		_ = d.Close() // read-only directory handle; nothing to flush
 	}
 	return nil
 }

@@ -36,7 +36,7 @@ type vnode struct {
 // finalizer scrambles every bit so the arcs interleave.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(s)) //mantralint:allow walerr hash.Hash.Write never returns an error; this is the ring hash, not a write path
+	h.Write([]byte(s)) // hash.Hash.Write never returns an error; this is the ring hash, not a write path
 	x := h.Sum64()
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

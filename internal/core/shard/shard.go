@@ -205,7 +205,7 @@ func New(cfg Config) (*Supervisor, error) {
 	for i := range s.workers {
 		w, err := s.spawn(i, 0)
 		if err != nil {
-			_ = s.closeWorkers() //mantralint:allow walerr abandoning freshly opened stores on a path already returning the spawn error; nothing was written
+			_ = s.closeWorkers() // abandoning freshly opened stores on a path already returning the spawn error; nothing was written
 			return nil, err
 		}
 		s.workers[i] = w

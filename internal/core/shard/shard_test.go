@@ -2,8 +2,10 @@ package shard_test
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -602,4 +604,55 @@ func get(srv *output.Server, path string) (int, string) {
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	return rec.Code, rec.Body.String()
+}
+
+// TestCycleResultListsSorted holds CycleResult.Degraded and Blind to
+// name order. Both are built from sets, so without their sort they come
+// out in map order, and the daemon's log line naming the blind targets
+// changes from run to run.
+func TestCycleResultListsSorted(t *testing.T) {
+	n := newFleetNetwork(t)
+	s := newFleet(t, n, fleetConfig(2, 0))
+	step(t, n, s)
+	bad := []string{"dom03-gw", "ucsb-r1", "dom01-gw", "fixw"}
+	for _, name := range bad {
+		s.Register(collect.Target{Name: name, Dialer: refusedDialer{}, Prompt: name + "> ", Timeout: fleetTimeout})
+	}
+	want := slices.Clone(bad)
+	slices.Sort(want)
+	for i := 0; i < 6; i++ {
+		if res := step(t, n, s); !slices.Equal(res.Degraded, want) {
+			t.Fatalf("cycle %d: degraded = %v, want %v", i, res.Degraded, want)
+		}
+	}
+	for _, name := range bad {
+		s.Register(collect.Target{Name: name, Dialer: collect.PipeDialer{Router: n.Router(name)}, Password: "pw", Prompt: name + "> ", Timeout: fleetTimeout})
+	}
+
+	// Kill the shard with more targets, then, after the handoff, the
+	// survivor that now owns all of them: both crash cycles are blind.
+	st := s.Status()
+	big := st.Shards[0]
+	if len(st.Shards[1].Targets) > len(big.Targets) {
+		big = st.Shards[1]
+	}
+	s.Kill(big.Index, shard.KillMidCycle)
+	if res := step(t, n, s); len(big.Targets) < 3 || !slices.Equal(res.Blind, big.Targets) {
+		t.Fatalf("crash cycle blind = %v, want the dead shard's %v in name order", res.Blind, big.Targets)
+	}
+	step(t, n, s)
+	s.Kill(1-big.Index, shard.KillMidCycle)
+	all := slices.Clone(fleetTargets)
+	slices.Sort(all)
+	if res := step(t, n, s); !slices.Equal(res.Blind, all) {
+		t.Fatalf("total-outage cycle blind = %v, want every target in name order", res.Blind)
+	}
+}
+
+// refusedDialer fails every dial at once, as a router that refuses the
+// connection does.
+type refusedDialer struct{}
+
+func (refusedDialer) Dial() (io.ReadWriteCloser, error) {
+	return nil, errors.New("connection refused")
 }

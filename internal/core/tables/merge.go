@@ -53,9 +53,7 @@ next:
 
 // sorted returns t if its keys strictly increase, otherwise a stably
 // sorted copy in which the rows sharing a key are folded into the first
-// in the order t lists them. The budget is the copy and its closure.
-//
-//mantra:hotpath budget=2
+// in the order t lists them.
 func sorted[T ~[]E, E any](t T, order func(a, b *E) int, fold func(acc, e *E)) T {
 	for j := 1; j < len(t); j++ {
 		if order(&t[j-1], &t[j]) >= 0 {
@@ -79,10 +77,8 @@ func sorted[T ~[]E, E any](t T, order func(a, b *E) int, fold func(acc, e *E)) T
 // union merges tables whose keys strictly increase into one table with a
 // row per key, in key order, folding the rows that share a key into the
 // first in table order, as the map it replaced did. A first pass counts
-// the keys, so the output (the budget: its make and appends) is allocated
-// once at its length; it is nil when empty.
-//
-//mantra:hotpath budget=2
+// the keys, so the output is allocated once at its length; it is nil
+// when empty.
 func union[T ~[]E, E any](order func(a, b *E) int, fold func(acc, e *E), ts ...T) T {
 	heads := make([]int, len(ts))
 	least := make([]int, len(ts)) // least[:m] hold the least key at their heads

@@ -133,8 +133,6 @@ type Snapshot struct {
 
 // parseUptime parses the H:MM:SS uptime format: three runs of decimal
 // digits, no signs, minutes and seconds at most 59.
-//
-//mantra:hotpath
 func parseUptime(s string) (time.Duration, error) {
 	var part [3]uint64
 	k, digits, ok := 0, 0, true
@@ -337,8 +335,6 @@ var (
 // declared entry count, which it keeps in r, sizes the table before the
 // first row is kept, capped by what the dump's length could hold. It
 // stops at the first row that does not parse.
-//
-//mantra:hotpath budget=3
 func (t table[E]) parse(r *scan, d collect.Dump) ([]E, error) {
 	most := len(r.rest) / minRowBytes
 	var out []E
@@ -364,8 +360,6 @@ func (t table[E]) parse(r *scan, d collect.Dump) ([]E, error) {
 }
 
 // routeRow parses one `show ip dvmrp route` row.
-//
-//mantra:hotpath budget=2
 func routeRow(r *scan) (RouteEntry, error) {
 	var e RouteEntry
 	if r.n != 4 {
@@ -388,8 +382,6 @@ func routeRow(r *scan) (RouteEntry, error) {
 }
 
 // pairRow parses one `show ip mroute` row.
-//
-//mantra:hotpath budget=3
 func pairRow(r *scan) (PairEntry, error) {
 	var e PairEntry
 	if r.n != 8 {
@@ -414,8 +406,6 @@ func pairRow(r *scan) (PairEntry, error) {
 }
 
 // igmpRow parses one `show ip igmp groups` row.
-//
-//mantra:hotpath budget=1
 func igmpRow(r *scan) (IGMPEntry, error) {
 	var e IGMPEntry
 	if r.n != 3 {
@@ -433,8 +423,6 @@ func igmpRow(r *scan) (IGMPEntry, error) {
 }
 
 // saRow parses one `show ip msdp sa-cache` row.
-//
-//mantra:hotpath budget=1
 func saRow(r *scan) (SAEntry, error) {
 	var e SAEntry
 	if r.n != 4 {
@@ -459,8 +447,6 @@ func saRow(r *scan) (SAEntry, error) {
 // mbgpRow parses one `show ip mbgp` row. The AS path is appended to the
 // table's one backing array and sub-sliced from it, capacity clipped so
 // an append to one path cannot run into the next.
-//
-//mantra:hotpath budget=3
 func mbgpRow(r *scan) (MBGPEntry, error) {
 	var e MBGPEntry
 	if r.n < 4 {
@@ -508,10 +494,7 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 // are skipped. Every dump must share the target and timestamp. The same
 // pass holds every dump to collect.CheckDump: defect is the first dump's
 // ErrTruncated or ErrGarbled, which a retry may fix; sn and err do not
-// depend on it. The budget is the three error texts, the header count of
-// each dump past the eighth and the scan state, reset for each dump.
-//
-//mantra:hotpath budget=6
+// depend on it.
 func ScanDumps(prompt string, dumps []collect.Dump) (sn *Snapshot, err, defect error) {
 	if len(dumps) == 0 {
 		return nil, fmt.Errorf("tables: no dumps"), nil

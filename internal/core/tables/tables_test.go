@@ -159,6 +159,30 @@ func TestDeriveSessions(t *testing.T) {
 	}
 }
 
+// TestDerivedTablesInFirstSeenOrder holds Sessions and Participants to
+// the order in which the pair table first names each group and source.
+// Both aggregate through a map, so a table emitted by ranging over it
+// would come out in a different order call by call.
+func TestDerivedTablesInFirstSeenOrder(t *testing.T) {
+	var pt tables.PairTable
+	for g := 1; g <= 8; g++ {
+		for src := 1; src <= 8; src++ {
+			pt = append(pt, tables.PairEntry{Source: addr.V4(10, 0, 0, byte(src)), Group: addr.V4(224, 0, 1, byte(g)), Flags: "D"})
+		}
+	}
+	for call := 0; call < 20; call++ {
+		ss, ps := pt.Sessions(), pt.Participants()
+		if len(ss) != 8 || len(ps) != 8 {
+			t.Fatalf("%d sessions and %d participants, want 8 of each", len(ss), len(ps))
+		}
+		for i := range ss {
+			if ss[i].Group != addr.V4(224, 0, 1, byte(i+1)) || ps[i].Host != addr.V4(10, 0, 0, byte(i+1)) {
+				t.Fatalf("call %d: sessions %v and participants %v out of first-seen order", call, ss, ps)
+			}
+		}
+	}
+}
+
 func TestDeriveSessionsMixedProtocol(t *testing.T) {
 	pt := tables.PairTable{
 		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.0.1.1"), Flags: "D"},

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -298,4 +299,32 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatalf("decoded %d points, reference decoder %d, and they differ", len(pts), len(want))
 		}
 	})
+}
+
+// TestBlockHeaderSumInTimeOrder encodes values whose magnitudes differ
+// by sixteen orders, so any change in the order of the header's sum
+// moves its low bits. Fully-contained blocks answer aggregates from that
+// sum, so it must be the time-order sum, and the block's bytes the same
+// on every encode.
+func TestBlockHeaderSumInTimeOrder(t *testing.T) {
+	vals := []float64{1e16, 1.0, -1e16, 0.25, 3.5e-3, 7e9, -7e9, 0.125}
+	var pts []Point
+	sum := 0.0
+	for i, v := range vals {
+		pts = append(pts, Point{T: int64(i) * 1e9, V: v})
+		sum += v
+	}
+	want := EncodeBlock(pts)
+	info, err := DecodeBlockInfo(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(info.Sum) != math.Float64bits(sum) {
+		t.Fatalf("header sum %v, want %v summed in time order", info.Sum, sum)
+	}
+	for i := 0; i < 100; i++ {
+		if got := EncodeBlock(pts); !bytes.Equal(got, want) {
+			t.Fatalf("encode %d of the same points differs", i)
+		}
+	}
 }

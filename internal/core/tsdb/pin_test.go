@@ -72,3 +72,33 @@ func TestMirrorBytesPinned(t *testing.T) {
 		t.Fatalf("mirror digest = %s over %v, want pinned %s", got, names, pinnedMirrorDigest)
 	}
 }
+
+// TestReconcileFrameOrderRepeats holds the mirror that AttachDir
+// reconciles from memory to one frame order. Series live in maps, so a
+// reconcile that stopped sorting them would write the sealed blocks of
+// a target's metrics in map order, and twin stores would leave
+// different mirrors.
+func TestReconcileFrameOrderRepeats(t *testing.T) {
+	var want string
+	for twin := 0; twin < 6; twin++ {
+		st := New()
+		for _, target := range []string{"ucsb-r1", "fixw"} {
+			for i, metric := range []string{"routes", "sessions", "participants", "senders", "bandwidth"} {
+				fill(st, target, metric, int64(i), BlockPoints+1)
+			}
+		}
+		dir := t.TempDir()
+		if err := st.AttachDir(dir, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CloseDir(); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := dirDigest(t, dir)
+		if twin == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("twin %d reconciled a different mirror: %s, want %s", twin, got, want)
+		}
+	}
+}

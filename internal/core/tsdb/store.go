@@ -72,7 +72,7 @@ func (st *Store) View() *View {
 	for target, tm := range st.series {
 		vm := make(map[string]*series, len(tm))
 		for metric, sr := range tm {
-			all = append(all, series{ //mantralint:allow mapiter backing storage only; the maps index it, so its order is never read
+			all = append(all, series{ // backing storage only; the maps index it, so its order is never read
 				blocks: sr.blocks[:len(sr.blocks):len(sr.blocks)],
 				infos:  sr.infos[:len(sr.infos):len(sr.infos)],
 				head:   sr.head[:len(sr.head):len(sr.head)],
@@ -104,8 +104,6 @@ func (r *reader) lookup(target, metric string) *series { return r.series[target]
 // Append records one value point. Timestamps are unixnano and must be
 // appended in nondecreasing order per series (Mantra's cycle clock
 // guarantees this; the codec itself tolerates anything).
-//
-//mantra:hotpath
 func (st *Store) Append(target, metric string, t int64, v float64) {
 	st.appendPoint(target, metric, Point{T: t, V: v})
 }

@@ -166,10 +166,10 @@ func TestRouterAccessor(t *testing.T) {
 }
 
 func TestTotalRateKbpsOrderIndependent(t *testing.T) {
-	// Regression for the mantralint floatsum finding: the total used to be
-	// accumulated in map-iteration order, so its low bits varied run to
-	// run. Rates with wildly different magnitudes make any order change
-	// visible; 200 repeated reads must be bit-identical.
+	// Regression for the PR 4 bug: the total used to be accumulated in
+	// map-iteration order, so its low bits varied run to run. Rates with
+	// wildly different magnitudes make any order change visible; 200
+	// repeated reads must be bit-identical.
 	tb := NewTable(1, 0)
 	now := sim.Epoch
 	rates := []float64{1e16, 1.0, -1e16, 0.25, 3.5e-3, 7e9, -7e9, 0.125}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // The call-edge layer the fact summaries stand on: a call resolves to a
@@ -68,4 +69,13 @@ func shortFuncName(fn *types.Func) string {
 		return pkgShort(fn.Pkg().Path()) + "." + fn.Name()
 	}
 	return fn.Name()
+}
+
+// pkgShort trims the import path from a package path or a qualified
+// name: "repro/internal/core/shard.Supervisor.mu" → "shard.Supervisor.mu".
+func pkgShort(path string) string {
+	if i := strings.LastIndex(path, "/"); i >= 0 {
+		return path[i+1:]
+	}
+	return path
 }

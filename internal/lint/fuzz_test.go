@@ -13,10 +13,10 @@ import (
 )
 
 // FuzzSummaryExtract drives the fact-summary extractor over arbitrary
-// Go sources. The extractor feeds every module-wide check, so its
+// Go sources. The extractor feeds the module-wide lockorder check, so its
 // contract is strict: it must never panic, and summarizing the same
 // source twice — through two fully independent parse/type-check passes
-// — must yield byte-identical JSON, or global findings would differ
+// — must yield byte-identical JSON, or lockorder findings would differ
 // from run to run.
 
 // refuseImporter fails every import: fuzz inputs type-check best-effort
@@ -62,13 +62,11 @@ func summarizeSource(src []byte) (out []byte, ok bool) {
 }
 
 func FuzzSummaryExtract(f *testing.F) {
-	// Seed with this module's own sources: the analyzer package itself,
-	// every fixture, the core packages that carry the hot-path marker in
-	// production form — the delta logger, the table scanner, the segment
-	// log and the cycle core (roots with budgets) — and the engine, shard
-	// and collect packages, whose mutexes, channels and goroutines are
-	// the lock events the summaries record: the richest available
-	// coverage of marker grammar, allocation sites and lock shapes.
+	// Seed with this module's own sources: the lint package itself, its
+	// fixtures, and the core packages — the delta logger, the table
+	// scanner, the segment log, the cycle core, the engine, shard and
+	// collect — whose mutexes, goroutines and cross-package calls are the
+	// lock events and call edges the summaries record.
 	var seeds []string
 	for _, pat := range []string{
 		"*.go",

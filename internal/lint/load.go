@@ -164,8 +164,8 @@ func hasGoFiles(dir string) (bool, error) {
 }
 
 // LoadDirAs parses and type-checks a single directory as if it were the
-// module package at rel — the fixture entry point: testdata packages are
-// loaded "as" a determinism-critical path to exercise scoped analyzers.
+// module package at rel — the fixture entry point: a testdata package is
+// loaded "as" the product package whose bug shape it reproduces.
 func (m *Module) LoadDirAs(dir, rel string) (*Package, error) {
 	return m.check(dir, rel)
 }

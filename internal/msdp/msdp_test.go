@@ -110,13 +110,21 @@ func TestReoriginationKeepsAlive(t *testing.T) {
 func TestSourcesFor(t *testing.T) {
 	m, ids := chainMesh(2)
 	now := sim.Epoch
-	m.Originate(ids[0], s1, g1, now)
-	m.Originate(ids[0], addr.MustParse("1.2.3.4"), g1, now)
+	for i := 8; i >= 1; i-- {
+		m.Originate(ids[0], addr.V4(1, 2, 3, byte(i)), g1, now)
+	}
 	m.Originate(ids[0], s1, g2, now)
 	m.Tick(now)
-	srcs := m.SourcesFor(ids[1], g1)
-	if len(srcs) != 2 {
-		t.Errorf("SourcesFor = %v", srcs)
+	for call := 0; call < 20; call++ {
+		srcs := m.SourcesFor(ids[1], g1)
+		if len(srcs) != 8 {
+			t.Fatalf("SourcesFor = %v", srcs)
+		}
+		for i, src := range srcs {
+			if src != addr.V4(1, 2, 3, byte(i+1)) {
+				t.Fatalf("SourcesFor = %v, want sorted", srcs)
+			}
+		}
 	}
 	if len(m.SourcesFor(ids[1], addr.MustParse("224.9.9.9"))) != 0 {
 		t.Error("unknown group should be empty")

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -420,5 +421,46 @@ func TestEntryRatesMatchSourceRates(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no entries with traffic to check")
+	}
+}
+
+// TestTwinTranscriptsRepeat builds two networks from one configuration,
+// with every domain but ucsb running native multicast so that DVMRP,
+// PIM, MSDP and MBGP all hold state, and after every step requires
+// every router to print byte for byte what its twin prints for every
+// CLI table, and the MSDP caches and both meshes' counters to match.
+// The protocol engines keep their state in maps; a table printed in map
+// order, or a tick that visits routers or peers in map order and so
+// changes what they learn from whom, makes the twins differ.
+func TestTwinTranscriptsRepeat(t *testing.T) {
+	commands := []string{
+		"show ip dvmrp route", "show ip dvmrp neighbor", "show ip mroute", "show ip igmp groups",
+		"show ip pim group", "show ip pim neighbor", "show ip msdp sa-cache", "show ip mbgp",
+	}
+	a, b := buildNet(t, 4), buildNet(t, 4)
+	for _, n := range []*Network{a, b} {
+		for _, d := range n.Topo.Domains() {
+			if d.Name != "ucsb" {
+				n.TransitionDomain(d.Name)
+			}
+		}
+	}
+	for step := 0; step < 8; step++ {
+		a.Step()
+		b.Step()
+		for _, r := range a.Topo.Routers() {
+			for _, cmd := range commands {
+				if x, y := a.Router(r.Name).Execute(cmd), b.Router(r.Name).Execute(cmd); x != y {
+					t.Fatalf("step %d: %s %q differs between twins:\n%s\nvs\n%s", step, r.Name, cmd, x, y)
+				}
+			}
+			if x, y := a.MSDP.Cache(r.ID), b.MSDP.Cache(r.ID); !reflect.DeepEqual(x, y) {
+				t.Fatalf("step %d: %s's SA cache differs between twins:\n%+v\nvs\n%+v", step, r.Name, x, y)
+			}
+		}
+		if a.MBGP.Stats() != b.MBGP.Stats() || a.MSDP.Stats() != b.MSDP.Stats() {
+			t.Fatalf("step %d: mesh counters differ between twins: %+v %+v vs %+v %+v",
+				step, a.MBGP.Stats(), a.MSDP.Stats(), b.MBGP.Stats(), b.MSDP.Stats())
+		}
 	}
 }

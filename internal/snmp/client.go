@@ -15,7 +15,7 @@ type Transport func(req []byte) ([]byte, error)
 // clock. Tests and simulations use UDPTransportClock with an injected
 // clock instead.
 func UDPTransport(addr string, timeout time.Duration) Transport {
-	return UDPTransportClock(addr, timeout, time.Now) //mantralint:allow wallclock live UDP transport seam; every other caller injects a clock
+	return UDPTransportClock(addr, timeout, time.Now) // live UDP transport seam; every other caller injects a clock
 }
 
 // UDPTransportClock is UDPTransport with an injected clock: now anchors

@@ -201,8 +201,8 @@ func TestValueString(t *testing.T) {
 }
 
 func TestUDPTransportClockInjectedDeadline(t *testing.T) {
-	// Regression for the mantralint wallclock finding in UDPTransport: the
-	// per-request I/O deadline is anchored on the injected clock. A clock
+	// Regression for the PR 4 bug in UDPTransport, whose per-request I/O
+	// deadline read time.Now: it is anchored on the injected clock. A clock
 	// returning the present makes the round trip succeed; a clock stuck in
 	// the deep past puts the deadline behind the wall clock and the same
 	// request must fail immediately instead of waiting out a real timeout.
