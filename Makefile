@@ -54,7 +54,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 22071
+LOC_CEILING = 21875
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -84,7 +84,11 @@ loc-check:
 # the bit-at-a-time decoder it replaced), and the tier-10/100 range
 # reads folded from the blocks at query time against the bucket arrays
 # the store once kept (random series with gap runs, bounds anywhere,
-# live, handed off and reopened from the mirror).
+# live, handed off and reopened from the mirror), and both halves of the
+# checkpoint decoder on arbitrary bytes (no panics; ErrBadCheckpoint or
+# a value that re-encodes to itself; no allocation for a count the bytes
+# cannot hold) with, for the cycle half, a scripted history's recovered
+# core writing the live core's checkpoint byte for byte.
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
@@ -97,6 +101,8 @@ fuzz:
 	$(GO) test ./internal/core/seglog -fuzz FuzzScan -fuzztime 30s
 	$(GO) test ./internal/core/tsdb -fuzz FuzzBlockDecode -fuzztime 30s
 	$(GO) test ./internal/core/tsdb -fuzz FuzzTierRange -fuzztime 30s
+	$(GO) test ./internal/core/logger -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 30s
+	$(GO) test ./internal/core/cycle -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 30s
 
 # The chaos suite under the race detector with shuffled test order: the
 # 220-cycle fault-injection run, the breaker lifecycle, and the scripted

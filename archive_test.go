@@ -397,11 +397,11 @@ func TestArchiveRefusesSilentOverwrite(t *testing.T) {
 // an earlier format must fail with ErrArchiveVersion and leave every file
 // as it was, not repair the unreadable segments away and start empty.
 // Each kind of file is aged alone: the WAL segments, and the checkpoints
-// as the two previous formats wrote them (MCKP0004 and MCKP0005, whose
-// caller payloads this build no longer decodes).
+// as the three previous formats wrote them (MCKP0004 to MCKP0006, gob
+// bodies this build no longer decodes).
 func TestArchiveRefusesAnotherFormatVersion(t *testing.T) {
 	for _, aged := range []struct{ glob, magic string }{
-		{"wal-*.seg", "MWAL0002"}, {"ckpt-*.ck", "MCKP0004"}, {"ckpt-*.ck", "MCKP0005"},
+		{"wal-*.seg", "MWAL0002"}, {"ckpt-*.ck", "MCKP0004"}, {"ckpt-*.ck", "MCKP0005"}, {"ckpt-*.ck", "MCKP0006"},
 	} {
 		glob, magic := aged.glob, aged.magic
 		t.Run(magic, func(t *testing.T) {

@@ -6,7 +6,7 @@ package mantra_test
 // function a cycle runs per target, per dump or per row: the session
 // and its expect loop, the one-pass dump scanner and its row parsers,
 // the engine and the cycle's stages, the delta log, the WAL write path,
-// the series store and the fleet merge. A count bound sits at today's
+// the checkpoint write, the series store and the fleet merge. A count bound sits at today's
 // figure wherever the gated call reaches a function only once, so one
 // new allocation there — a fmt detour, a boxed argument, a fresh map or
 // scratch slice — fails the suite; a byte bound holds a size that must
@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -473,6 +474,88 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 			largeEarly = large
 		} else if gate := largeEarly * 5 / 4; large > gate {
 			t.Errorf("Export allocated %d bytes at cycle %d and %d at cycle %d; gate is %d — the checkpoint scales with history length", large, late, largeEarly, early, gate)
+		}
+	}
+}
+
+// leastAllocBytes is the least of four calls' allocated bytes.
+func leastAllocBytes(fn func()) uint64 {
+	least := ^uint64(0)
+	for run := 0; run < 4; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestWriteFileAllocBytes: seglog.WriteFile writes the header and then
+// the caller's payload, so a 1 MiB payload costs the header, the path
+// strings and the file handles, not a second megabyte. (Regression: it
+// once copied header and payload into one buffer before writing.)
+func TestWriteFileAllocBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	payload := make([]byte, 1<<20)
+	got := leastAllocBytes(func() {
+		if err := seglog.WriteFile(path, "GATE0001", payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got >= 4<<10 {
+		t.Errorf("WriteFile of a 1 MiB payload allocated %d bytes, gate is %d", got, 4<<10)
+	}
+	t.Logf("WriteFile of a 1 MiB payload: %d bytes", got)
+}
+
+// TestCheckpointAllocFlatInHistory holds Store.WriteCheckpoint to a
+// fixed number of allocations whatever the history's length, and its
+// bytes to 1.3 times the file it writes plus 4 KiB for the paths, the
+// file handles and the directory listing: the body is encoded by hand
+// into one buffer sized from the previous checkpoint. (Regression: gob
+// allocated per record, and about seven times the file in bytes.)
+func TestCheckpointAllocFlatInHistory(t *testing.T) {
+	a, b := counterTables(40)
+	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+	routes := make(tables.RouteTable, 60)
+	for i := range routes {
+		routes[i] = tables.RouteEntry{Prefix: addr.PrefixFrom(addr.IP(uint32(i)<<16), 16), Metric: 1 + i%5, Since: at}
+	}
+	checkpoint := func(records int) (allocs float64, bytes, file uint64) {
+		st, err := logger.OpenStore(t.TempDir(), logger.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		l := logger.New()
+		for c := 0; c < records; c++ {
+			sn := &tables.Snapshot{Target: "rp", At: at.Add(time.Duration(c) * time.Minute), Pairs: a, Routes: routes}
+			if c%2 == 1 {
+				sn.Pairs = b
+				sn.Routes = routes[c%7:]
+			}
+			l.Append(sn)
+		}
+		write := func() {
+			if err := st.WriteCheckpoint(l, []byte("extra"), at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		allocs = testing.AllocsPerRun(10, write)
+		return allocs, leastAllocBytes(write), uint64(st.Stats().CheckpointBytes)
+	}
+	shortAllocs, shortBytes, shortFile := checkpoint(100)
+	longAllocs, longBytes, longFile := checkpoint(1000)
+	t.Logf("WriteCheckpoint: %.0f allocs and %d bytes for a %d-byte file at 100 records, %.0f and %d for %d at 1000",
+		shortAllocs, shortBytes, shortFile, longAllocs, longBytes, longFile)
+	if longAllocs > shortAllocs+2 {
+		t.Errorf("WriteCheckpoint made %.0f allocations at 100 records and %.0f at 1000; gate is %.0f", shortAllocs, longAllocs, shortAllocs+2)
+	}
+	for _, c := range [][2]uint64{{shortBytes, shortFile}, {longBytes, longFile}} {
+		if gate := c[1]*13/10 + 4<<10; c[0] > gate {
+			t.Errorf("WriteCheckpoint allocated %d bytes for a %d-byte file; gate is %d", c[0], c[1], gate)
 		}
 	}
 }

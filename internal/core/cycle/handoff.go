@@ -1,8 +1,6 @@
 package cycle
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -163,11 +161,7 @@ func (c *Core) WriteCheckpoint(at time.Time) error {
 	ck := c.Export(at, targets)
 	ck.Logs, ck.Latest = nil, nil
 	ck.Ring = c.Proc.Ring()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		return fmt.Errorf("cycle: checkpoint: %w", err)
-	}
-	return c.Store.WriteCheckpoint(c.Log, buf.Bytes(), at)
+	return c.Store.WriteCheckpoint(c.Log, appendCheckpoint(nil, ck), at)
 }
 
 // RecoveryReport summarizes what a recovery restored.
@@ -197,7 +191,8 @@ func (c *Core) Recover(store *logger.Store) (*RecoveryReport, error) {
 	ra := store.Recover()
 	ck := NewCheckpoint()
 	if len(ra.Extra) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(ra.Extra)).Decode(ck); err != nil {
+		var err error
+		if ck, err = decodeCheckpoint(ra.Extra); err != nil {
 			return nil, fmt.Errorf("cycle: checkpoint: %w", err)
 		}
 	}

@@ -22,7 +22,7 @@ var twinTargets = []string{"fixw", "ucsb-r1", "dom00-gw"}
 // evolve alike, and returns it with collection targets for it. The
 // handed-off target's sessions draw refusals, truncations, garbling and
 // drops from a fault stream forked at the same point in both twins.
-func twinNetwork(t *testing.T) (*netsim.Network, []collect.Target) {
+func twinNetwork(t testing.TB) (*netsim.Network, []collect.Target) {
 	t.Helper()
 	cfg := topo.DefaultInternetConfig()
 	cfg.NumDomains = 4

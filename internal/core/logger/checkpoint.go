@@ -1,17 +1,17 @@
 // Checkpoints and restart recovery for the durable archive.
 //
 // A checkpoint is one atomic framed file (seglog.WriteFile) holding the
-// gob-encoded full Logger state plus an opaque caller payload (the cycle
-// core stores every target's processor state and health row there),
-// stamped with the WAL sequence number it covers. Recovery
-// loads the newest valid checkpoint — falling back to an older one if the
-// newest is damaged — and replays only the WAL records past it. Segments
-// wholly covered by every retained checkpoint are pruned.
+// full Logger state plus an opaque caller payload (the cycle core stores
+// every target's processor state and health row there), stamped with
+// the WAL sequence number it covers. Its body is encoded by hand with
+// the WAL's own primitives, records included (appendDelta), so equal
+// states write equal bytes. Recovery loads the newest valid checkpoint —
+// falling back to an older one if the newest is damaged — and replays
+// only the WAL records past it. Segments wholly covered by every
+// retained checkpoint are pruned.
 package logger
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -22,16 +22,77 @@ import (
 	"repro/internal/core/tables"
 )
 
-// ckptPayload is the serialized checkpoint contents.
+// ckptPayload is a decoded checkpoint.
 type ckptPayload struct {
 	// Seq is the last WAL sequence number the checkpoint covers.
 	Seq uint64
 	// At is the checkpoint instant (cycle clock, not wall clock).
 	At time.Time
-	// State is the complete Logger state.
-	State *State
+	// Log is the complete Logger state, rebuilt record by record.
+	Log *Logger
 	// Extra is an opaque caller payload restored verbatim on recovery.
 	Extra []byte
+	// Size is the checkpoint file's length in bytes.
+	Size int64
+}
+
+// ErrBadCheckpoint reports a checkpoint body that passed its checksum
+// but does not decode.
+var ErrBadCheckpoint = errors.New("logger: malformed checkpoint")
+
+// appendCheckpoint encodes a checkpoint body: seq and at, then for each
+// target in Targets order its name, full-entry count, gaps and records,
+// then extra to the end.
+func appendCheckpoint(b []byte, seq uint64, at time.Time, l *Logger, extra []byte) []byte {
+	b = seglog.AppendUvarint(b, seq)
+	b = seglog.AppendTime(b, at)
+	names := l.Targets()
+	b = seglog.AppendUvarint(b, uint64(len(names)))
+	for _, name := range names {
+		tl := l.targets[name]
+		b = seglog.AppendString(b, name)
+		b = seglog.AppendUvarint(b, tl.fullEntries)
+		b = seglog.AppendUvarint(b, uint64(len(tl.gaps)))
+		for _, g := range tl.gaps {
+			b = seglog.AppendTime(b, g.At)
+			b = seglog.AppendString(b, g.Reason)
+		}
+		b = seglog.AppendUvarint(b, uint64(len(tl.Records)))
+		for _, rec := range tl.Records {
+			b = appendDelta(b, rec, 0)
+		}
+	}
+	return append(b, extra...)
+}
+
+// decodeCheckpoint rebuilds a Logger from a checkpoint body by applying
+// its records in order, as the live log took them; a record whose
+// counter column does not fit the table is kept all the same, as
+// ApplyRecord keeps it. Extra is a slice of b.
+func decodeCheckpoint(b []byte) (*ckptPayload, error) {
+	r := byteReader{seglog.NewReader(b, ErrBadCheckpoint)}
+	pay := &ckptPayload{Seq: r.Uvarint(), At: r.Time(), Log: New()}
+	for n := r.Count(4); n > 0 && r.Err() == nil; n-- {
+		name := r.Str()
+		if pay.Log.targets[name] != nil {
+			r.Fail()
+			break
+		}
+		tl := pay.Log.target(name)
+		full := r.Uvarint()
+		tl.gaps = seglog.ReadList(r.Reader, 2, func() GapMark { return GapMark{At: r.Time(), Reason: r.Str()} })
+		for m := r.Count(9); m > 0 && r.Err() == nil; m-- {
+			if rec, _ := r.delta(); r.Err() == nil {
+				_ = pay.Log.ApplyRecord(name, rec, 0) // a misfit is kept, as the live log kept it
+			}
+		}
+		tl.fullEntries = full
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	pay.Extra = r.Rest()
+	return pay, nil
 }
 
 // ReplayEvent is one WAL-tail record recovery hands back for re-ingestion
@@ -75,7 +136,7 @@ func (s *Store) Recover() *RecoveredArchive {
 	defer s.mu.Unlock()
 	ra := &RecoveredArchive{Stats: s.stats.Recovery}
 	if s.ckpt != nil {
-		ra.Logger = FromState(s.ckpt.State)
+		ra.Logger = s.ckpt.Log
 		ra.Extra = s.ckpt.Extra
 		ra.CheckpointAt = s.ckpt.At
 	} else {
@@ -122,16 +183,17 @@ func (s *Store) WriteCheckpoint(l *Logger, extra []byte, now time.Time) error {
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("logger: checkpoint: sync wal: %w", err)
 	}
-	pay := ckptPayload{Seq: s.seq, At: now, State: l.ExportState(), Extra: extra}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&pay); err != nil {
-		return fmt.Errorf("logger: checkpoint: encode: %w", err)
-	}
-	if err := seglog.WriteFile(filepath.Join(s.dir, ckptName(pay.Seq)), ckptMagic, body.Bytes()); err != nil {
+	// A fresh buffer a little larger than the last checkpoint: the
+	// history only grows, and one that outlived the write would hold a
+	// checkpoint's worth of heap between writes.
+	hint := s.stats.CheckpointBytes
+	body := appendCheckpoint(make([]byte, 0, hint+hint/8), s.seq, now, l, extra)
+	if err := seglog.WriteFile(filepath.Join(s.dir, ckptName(s.seq)), ckptMagic, body); err != nil {
 		return fmt.Errorf("logger: checkpoint: %w", err)
 	}
+	s.stats.CheckpointBytes = ckptSize(body)
 	s.stats.Checkpoints++
-	s.stats.CheckpointSeq = pay.Seq
+	s.stats.CheckpointSeq = s.seq
 	s.stats.LastCheckpointAt = now
 	s.prune()
 	return nil
@@ -160,17 +222,21 @@ func (s *Store) prune() {
 	s.log.Prune(func(seg seglog.Segment) bool { return seg.ID+uint64(seg.Frames)-1 <= ckpts[0] })
 }
 
-// loadCheckpoint reads and validates one checkpoint file.
+// ckptSize is the length of the file that holds body.
+func ckptSize(body []byte) int64 { return int64(len(ckptMagic) + seglog.FrameHeader + len(body)) }
+
+// loadCheckpoint reads and decodes one checkpoint file.
 func loadCheckpoint(path string) (*ckptPayload, error) {
 	body, err := seglog.ReadFile(path, ckptMagic)
 	if err != nil {
 		return nil, err
 	}
-	var pay ckptPayload
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&pay); err != nil {
-		return nil, fmt.Errorf("logger: checkpoint %s: decode: %w", filepath.Base(path), err)
+	pay, err := decodeCheckpoint(body)
+	if err != nil {
+		return nil, fmt.Errorf("logger: checkpoint %s: %w", filepath.Base(path), err)
 	}
-	return &pay, nil
+	pay.Size = ckptSize(body)
+	return pay, nil
 }
 
 // What the scan's visitor rejects a checksummed frame for; the text is
@@ -210,12 +276,11 @@ func (s *Store) scan() error {
 		s.stats.Recovery.CheckpointSeq = pay.Seq
 		s.stats.CheckpointSeq = pay.Seq
 		s.stats.LastCheckpointAt = pay.At
-		break
-	}
-	if s.ckpt != nil {
-		for name := range s.ckpt.State.Targets {
+		s.stats.CheckpointBytes = pay.Size
+		for name := range pay.Log.targets {
 			s.metaSeen[name] = true
 		}
+		break
 	}
 
 	// A frame that passes its checksum can still end the log: a payload

@@ -1,9 +1,10 @@
 // Binary payload codec for the write-ahead log. Records are encoded by
-// hand with seglog's payload primitives rather than gob: the format is
-// self-contained per record (a reader can start at any record boundary),
-// deterministic, and cheap enough that append throughput is bounded by
-// the disk, not the encoder. All integers are little-endian; variable
-// integers use the uvarint/varint encodings of encoding/binary.
+// hand with seglog's payload primitives: the format is self-contained
+// per record (a reader can start at any record boundary), deterministic,
+// and cheap enough that append throughput is bounded by the disk, not
+// the encoder. A checkpoint (checkpoint.go) writes its records with the
+// same delta body. All integers are little-endian; variable integers use
+// the uvarint/varint encodings of encoding/binary.
 package logger
 
 import (
@@ -53,42 +54,22 @@ var ErrBadRecord = errors.New("logger: malformed wal record")
 
 // --- encoding -------------------------------------------------------------
 
-// appendTime encodes an absolute instant: a zero flag byte for the zero
-// time, else unix seconds plus nanoseconds. Decoding restores UTC, which
-// is what every producer in the pipeline stamps.
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = seglog.AppendVarint(b, t.Unix())
-	return seglog.AppendU32(b, uint32(t.Nanosecond()))
-}
-
-// boolByte is the codec's one-byte bool encoding.
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 // appendPair encodes an identity row: the counters travel in the column.
 func appendPair(b []byte, e tables.PairEntry) []byte {
 	b = seglog.AppendU32(b, uint32(e.Source))
 	b = seglog.AppendU32(b, uint32(e.Group))
 	b = seglog.AppendString(b, e.Flags)
-	return appendTime(b, e.Since)
+	return seglog.AppendTime(b, e.Since)
 }
 
 func appendRoute(b []byte, e tables.RouteEntry) []byte {
 	b = seglog.AppendU32(b, uint32(e.Prefix.Addr))
 	b = append(b, byte(e.Prefix.Len))
 	b = seglog.AppendU32(b, uint32(e.Gateway))
-	b = append(b, boolByte(e.Local))
+	b = seglog.AppendBool(b, e.Local)
 	b = seglog.AppendVarint(b, int64(e.Metric))
 	b = seglog.AppendVarint(b, int64(e.Uptime))
-	return appendTime(b, e.Since)
+	return seglog.AppendTime(b, e.Since)
 }
 
 // --- the counter column ---------------------------------------------------
@@ -103,7 +84,11 @@ const wideDelta = 1<<63 - 1
 
 func appendCounter(b []byte, d, rate uint64, rateChanged bool) []byte {
 	zz := uint64(int64(d)<<1) ^ uint64(int64(d)>>63)
-	b = seglog.AppendUvarint(b, min(zz, wideDelta)<<1|uint64(boolByte(rateChanged)))
+	tag := min(zz, wideDelta) << 1
+	if rateChanged {
+		tag |= 1
+	}
+	b = seglog.AppendUvarint(b, tag)
 	if zz >= wideDelta {
 		b = seglog.AppendU64(b, d)
 	}
@@ -126,8 +111,8 @@ func sealColumn(rows int, body []byte) []byte {
 // declared row count, or with apply has not one row per row of t, is
 // ErrBadRecord; t is left alone if the count is what does not fit.
 func readColumn(col []byte, t tables.PairTable, apply bool) error {
-	r := byteReader{seglog.NewReader(col, ErrBadRecord)}
-	n := r.count(1)
+	r := seglog.NewReader(col, ErrBadRecord)
+	n := r.Count(1)
 	if apply && n != len(t) {
 		r.Fail()
 	}
@@ -153,6 +138,38 @@ func readColumn(col []byte, t tables.PairTable, apply bool) error {
 	return r.Err()
 }
 
+// appendDelta encodes a delta record's body, the part a WAL frame and a
+// checkpoint share: the instant, the cycle's full-snapshot entry count,
+// the two table magnitudes, then the pair delta — upserts, removals, the
+// counter column — and the route delta.
+func appendDelta(b []byte, rec CycleRecord, fullEntries uint64) []byte {
+	b = seglog.AppendTime(b, rec.At)
+	b = seglog.AppendUvarint(b, fullEntries)
+	b = seglog.AppendUvarint(b, uint64(rec.SACache))
+	b = seglog.AppendUvarint(b, uint64(rec.MBGPRoutes))
+	b = seglog.AppendUvarint(b, uint64(len(rec.Pairs.Upserted)))
+	for _, e := range rec.Pairs.Upserted {
+		b = appendPair(b, e)
+	}
+	b = seglog.AppendUvarint(b, uint64(len(rec.Pairs.Removed)))
+	for _, k := range rec.Pairs.Removed {
+		b = seglog.AppendU32(b, uint32(k.Source))
+		b = seglog.AppendU32(b, uint32(k.Group))
+	}
+	b = seglog.AppendUvarint(b, uint64(len(rec.Pairs.Counters)))
+	b = append(b, rec.Pairs.Counters...)
+	b = seglog.AppendUvarint(b, uint64(len(rec.Routes.Upserted)))
+	for _, e := range rec.Routes.Upserted {
+		b = appendRoute(b, e)
+	}
+	b = seglog.AppendUvarint(b, uint64(len(rec.Routes.Removed)))
+	for _, p := range rec.Routes.Removed {
+		b = seglog.AppendU32(b, uint32(p.Addr))
+		b = append(b, byte(p.Len))
+	}
+	return b
+}
+
 // encodePayload renders a record's payload (everything inside the frame).
 func encodePayload(r walRecord) []byte {
 	b := make([]byte, 0, 64)
@@ -161,35 +178,12 @@ func encodePayload(r walRecord) []byte {
 	b = seglog.AppendString(b, r.Target)
 	switch r.Kind {
 	case recDelta:
-		b = appendTime(b, r.Rec.At)
-		b = seglog.AppendUvarint(b, r.FullEntries)
-		b = seglog.AppendUvarint(b, uint64(r.Rec.SACache))
-		b = seglog.AppendUvarint(b, uint64(r.Rec.MBGPRoutes))
-		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Pairs.Upserted)))
-		for _, e := range r.Rec.Pairs.Upserted {
-			b = appendPair(b, e)
-		}
-		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Pairs.Removed)))
-		for _, k := range r.Rec.Pairs.Removed {
-			b = seglog.AppendU32(b, uint32(k.Source))
-			b = seglog.AppendU32(b, uint32(k.Group))
-		}
-		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Pairs.Counters)))
-		b = append(b, r.Rec.Pairs.Counters...)
-		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Routes.Upserted)))
-		for _, e := range r.Rec.Routes.Upserted {
-			b = appendRoute(b, e)
-		}
-		b = seglog.AppendUvarint(b, uint64(len(r.Rec.Routes.Removed)))
-		for _, p := range r.Rec.Routes.Removed {
-			b = seglog.AppendU32(b, uint32(p.Addr))
-			b = append(b, byte(p.Len))
-		}
+		b = appendDelta(b, r.Rec, r.FullEntries)
 	case recGap:
-		b = appendTime(b, r.At)
+		b = seglog.AppendTime(b, r.At)
 		b = seglog.AppendString(b, r.Reason)
 	case recMeta:
-		b = appendTime(b, r.FirstSeen)
+		b = seglog.AppendTime(b, r.FirstSeen)
 	}
 	return b
 }
@@ -200,58 +194,17 @@ func encodePayload(r walRecord) []byte {
 // value types.
 type byteReader struct{ *seglog.Reader }
 
-func (r byteReader) time() time.Time {
-	if r.Byte() == 0 || r.Err() != nil {
-		return time.Time{}
-	}
-	sec := r.Varint()
-	nsec := r.U32()
-	if r.Err() != nil {
-		return time.Time{}
-	}
-	return time.Unix(sec, int64(nsec)).UTC()
-}
-
-// count validates a declared element count against the bytes remaining so
-// a corrupted length cannot trigger a huge allocation; min is the smallest
-// possible encoded size of one element.
-func (r byteReader) count(min int) int {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return 0
-	}
-	if min > 0 && n > uint64(len(r.Rest())/min) {
-		r.Fail()
-		return 0
-	}
-	return int(n)
-}
-
 func (r byteReader) pair() tables.PairEntry {
 	var e tables.PairEntry
 	e.Source = addr.IP(r.U32())
 	e.Group = addr.IP(r.U32())
 	e.Flags = r.Str()
-	e.Since = r.time()
+	e.Since = r.Time()
 	return e
 }
 
 func (r byteReader) pairKey() pairKey {
 	return pairKey{Source: addr.IP(r.U32()), Group: addr.IP(r.U32())}
-}
-
-// readList reads a count-prefixed list of elements of at least min
-// bytes each; nil when it is empty.
-func readList[T any](r byteReader, min int, elem func() T) []T {
-	n := r.count(min)
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, elem())
-	}
-	return out
 }
 
 func (r byteReader) prefix() addr.Prefix {
@@ -268,11 +221,30 @@ func (r byteReader) route() tables.RouteEntry {
 	var e tables.RouteEntry
 	e.Prefix = r.prefix()
 	e.Gateway = addr.IP(r.U32())
-	e.Local = r.Byte() == 1
+	e.Local = r.Bool()
 	e.Metric = int(r.Varint())
 	e.Uptime = time.Duration(r.Varint())
-	e.Since = r.time()
+	e.Since = r.Time()
 	return e
+}
+
+// delta reads an appendDelta body.
+func (r byteReader) delta() (rec CycleRecord, fullEntries uint64) {
+	rec.At = r.Time()
+	fullEntries = r.Uvarint()
+	rec.SACache = int(r.Uvarint())
+	rec.MBGPRoutes = int(r.Uvarint())
+	rec.Pairs.Upserted = seglog.ReadList(r.Reader, 2, r.pair)
+	rec.Pairs.Removed = seglog.ReadList(r.Reader, 8, r.pairKey)
+	if col := r.Str(); col != "" {
+		rec.Pairs.Counters = []byte(col) // not a slice of the segment's read buffer
+		if readColumn(rec.Pairs.Counters, nil, false) != nil {
+			r.Fail()
+		}
+	}
+	rec.Routes.Upserted = seglog.ReadList(r.Reader, 2, r.route)
+	rec.Routes.Removed = seglog.ReadList(r.Reader, 5, r.prefix)
+	return rec, fullEntries
 }
 
 // decodePayload parses one record payload.
@@ -284,25 +256,12 @@ func decodePayload(b []byte) (walRecord, error) {
 	out.Target = r.Str()
 	switch out.Kind {
 	case recDelta:
-		out.Rec.At = r.time()
-		out.FullEntries = r.Uvarint()
-		out.Rec.SACache = int(r.Uvarint())
-		out.Rec.MBGPRoutes = int(r.Uvarint())
-		out.Rec.Pairs.Upserted = readList(r, 2, r.pair)
-		out.Rec.Pairs.Removed = readList(r, 8, r.pairKey)
-		if col := r.Str(); col != "" {
-			out.Rec.Pairs.Counters = []byte(col) // not a slice of the segment's read buffer
-			if readColumn(out.Rec.Pairs.Counters, nil, false) != nil {
-				r.Fail()
-			}
-		}
-		out.Rec.Routes.Upserted = readList(r, 2, r.route)
-		out.Rec.Routes.Removed = readList(r, 5, r.prefix)
+		out.Rec, out.FullEntries = r.delta()
 	case recGap:
-		out.At = r.time()
+		out.At = r.Time()
 		out.Reason = r.Str()
 	case recMeta:
-		out.FirstSeen = r.time()
+		out.FirstSeen = r.Time()
 	default:
 		r.Fail()
 	}

@@ -2,14 +2,18 @@ package logger
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core/seglog"
 	"repro/internal/core/tables"
 	"repro/internal/sim"
 )
@@ -275,7 +279,7 @@ func sameTables(a, b *tables.Snapshot, exact bool) bool {
 // key order, the last row of a key winning) and the logger's
 // materialised tables, and every cycle's reconstruction from the live
 // logger and from loggers rebuilt from its export, from its records
-// after a WAL payload round trip and from a checkpoint gob round trip.
+// after a WAL payload round trip and from a checkpoint round trip.
 // The reference compared rates with !=, so it logged no sign change of
 // a zero rate and logged a NaN every cycle; it must agree under ==. On
 // a cycle whose tables are in key order and duplicate-free, the
@@ -447,8 +451,11 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 		}
 
 		// The logger rebuilt from its own export, from its records sent
-		// through the WAL codec, and from a checkpoint's gob.
-		own, wal := FromState(got.ExportState()), New()
+		// through the WAL codec, and from a checkpoint.
+		own, wal := New(), New()
+		if ts, ok := got.ExportTarget(target); ok {
+			own.ImportTarget(target, ts)
+		}
 		for idx := range given {
 			rec, _ := got.Record(target, idx)
 			r, err := decodePayload(encodePayload(walRecord{Seq: uint64(idx + 1), Kind: recDelta, Target: target, Rec: rec}))
@@ -459,15 +466,11 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 				t.Fatalf("cycle %d: the decoded record does not apply: %v", idx, err)
 			}
 		}
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(&ckptPayload{State: got.ExportState()}); err != nil {
-			t.Fatal(err)
+		pay, err := decodeCheckpoint(appendCheckpoint(nil, uint64(len(given)), given[len(given)-1].At, got, nil))
+		if err != nil {
+			t.Fatalf("checkpoint round trip: %v", err)
 		}
-		var pay ckptPayload
-		if err := gob.NewDecoder(&body).Decode(&pay); err != nil {
-			t.Fatal(err)
-		}
-		ckpt := FromState(pay.State)
+		ckpt := pay.Log
 		loggers := []struct {
 			name string
 			l    *Logger
@@ -489,9 +492,68 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 			}
 		}
 		d1, f1, _ := got.StorageStats(target)
-		d2, f2, _ := own.StorageStats(target)
-		if d1 != d2 || f1 != f2 || !reflect.DeepEqual(own.Gaps(target), got.Gaps(target)) {
-			t.Fatalf("FromState(ExportState()) changed the storage stats or gaps: %d/%d vs %d/%d", d2, f2, d1, f1)
+		for _, c := range []struct {
+			name string
+			l    *Logger
+		}{{"its own export", own}, {"a checkpoint", ckpt}} {
+			d2, f2, _ := c.l.StorageStats(target)
+			if d1 != d2 || f1 != f2 || !reflect.DeepEqual(c.l.Gaps(target), got.Gaps(target)) {
+				t.Fatalf("the logger rebuilt from %s changed the storage stats or gaps: %d/%d vs %d/%d", c.name, d2, f2, d1, f1)
+			}
+		}
+	})
+}
+
+// FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint decoder,
+// seeded with real checkpoints of one and of three targets. They decode
+// or are ErrBadCheckpoint, never a panic, and what decodes encodes to
+// bytes that decode and encode to themselves. A declared count larger
+// than the bytes left is refused before anything is allocated for it.
+func FuzzCheckpointDecode(f *testing.F) {
+	// One target "x" declaring a million gaps and holding no bytes for
+	// them.
+	huge := seglog.AppendUvarint([]byte{1, 0, 1, 1, 'x', 0}, 1<<20)
+	least := ^uint64(0)
+	for run := 0; run < 4; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeCheckpoint(huge)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadCheckpoint) {
+			f.Fatalf("a checkpoint declaring a million gaps in no bytes decoded with %v", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4<<10 {
+		f.Fatalf("refusing a checkpoint that declares a million gaps allocated %d bytes", least)
+	}
+	f.Add([]byte{})
+	for n := 1; n <= 3; n += 2 {
+		l := New()
+		for i := 0; i < n; i++ {
+			target := fmt.Sprint("r", i)
+			for _, sn := range genHistory(rand.New(rand.NewSource(int64(i))), target, 6) {
+				l.Append(sn)
+			}
+			l.MarkGap(target, sim.Epoch.Add(time.Hour), "refused")
+		}
+		f.Add(appendCheckpoint(nil, uint64(n), sim.Epoch, l, []byte("extra")))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pay, err := decodeCheckpoint(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("decode failed with %v, not ErrBadCheckpoint", err)
+			}
+			return
+		}
+		once := appendCheckpoint(nil, pay.Seq, pay.At, pay.Log, pay.Extra)
+		again, err := decodeCheckpoint(once)
+		if err != nil {
+			t.Fatalf("a decoded checkpoint re-encodes to bytes that do not decode: %v", err)
+		}
+		if twice := appendCheckpoint(nil, again.Seq, again.At, again.Log, again.Extra); !bytes.Equal(twice, once) {
+			t.Fatal("a decoded checkpoint does not re-encode to the same bytes")
 		}
 	})
 }

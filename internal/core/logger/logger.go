@@ -382,51 +382,13 @@ func (l *Logger) StorageStats(target string) (deltaEntries, fullEntries uint64, 
 	return tl.deltaEntries, tl.fullEntries, float64(tl.fullEntries) / float64(tl.deltaEntries)
 }
 
-// TargetState is one target's serialized history.
+// TargetState is one target's history: the shard handoff's transfer
+// unit.
 type TargetState struct {
 	Records []CycleRecord
 	Gaps    []GapMark
 	// FullEntries is the full-snapshot storage baseline counter.
 	FullEntries uint64
-}
-
-// State is the complete serialized form of a Logger — the payload of the
-// durable archive's checkpoints.
-type State struct {
-	Targets map[string]TargetState
-}
-
-// ExportState captures the logger's full state for checkpointing.
-func (l *Logger) ExportState() *State {
-	st := &State{Targets: make(map[string]TargetState, len(l.targets))}
-	for name, tl := range l.targets {
-		st.Targets[name] = TargetState{
-			Records:     tl.Records,
-			Gaps:        tl.gaps,
-			FullEntries: tl.fullEntries,
-		}
-	}
-	return st
-}
-
-// FromState rebuilds a logger positioned to continue appending: the
-// materialized per-target tables and storage counters are replayed from
-// the recorded delta chain.
-func FromState(st *State) *Logger {
-	l := New()
-	if st == nil {
-		return l
-	}
-	for name, ts := range st.Targets {
-		tl := l.target(name)
-		tl.gaps = ts.Gaps
-		for _, rec := range ts.Records {
-			_ = l.ApplyRecord(name, rec, 0) // one logger's own records fit
-		}
-		// ApplyRecord counted no full entries; restore the recorded baseline.
-		tl.fullEntries = ts.FullEntries
-	}
-	return l
 }
 
 // ExportTarget captures one target's serialized history — the shard
@@ -454,8 +416,8 @@ func (l *Logger) ExportTarget(name string) (TargetState, bool) {
 // ImportTarget replaces one target's history with ts, leaving every
 // other target untouched — the receiving side of a shard handoff. The
 // materialized tables and storage counters are rebuilt by replaying the
-// recorded delta chain, exactly as FromState does for a whole logger,
-// so Append continues the chain seamlessly.
+// recorded delta chain, exactly as a checkpoint's decoder does for every
+// target, so Append continues the chain seamlessly.
 func (l *Logger) ImportTarget(name string, ts TargetState) {
 	delete(l.targets, name)
 	tl := l.target(name)

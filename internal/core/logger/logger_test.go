@@ -151,7 +151,11 @@ func TestExportStateRoundTrip(t *testing.T) {
 		tables.PairTable{pair("1.1.1.1", "224.1.1.1", 6)},
 		tables.RouteTable{route("10.0.0.0/8", 1), route("11.0.0.0/8", 2)}))
 
-	l2 := FromState(l.ExportState())
+	pay, err := decodeCheckpoint(appendCheckpoint(nil, 2, sim.Epoch.Add(time.Hour), l, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := pay.Log
 	if l2.Cycles("fixw") != 2 {
 		t.Fatalf("loaded cycles = %d", l2.Cycles("fixw"))
 	}

@@ -1,27 +1,27 @@
 package logger
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
-// One checkpoint file — name and bytes — hashed at the commit before
-// checkpoints moved onto internal/core/seglog, and re-pinned once when
-// pair records split into identity deltas and a counter column
-// (MCKP0004), and for the magic alone when the caller payload became
-// the cycle core's per-target checkpoint (MCKP0005) and when that
-// payload stopped carrying in-memory series copies (MCKP0006). One target
-// keeps the gob body deterministic (a single map key); the pin is over
-// the magic, the frame header and the ckpt-%020d.ck name around it.
+// One checkpoint file — name and bytes — of three targets' histories,
+// gaps and a caller payload. Checkpoints moved onto
+// internal/core/seglog, then pair records split into identity deltas
+// and a counter column (MCKP0004), the caller payload became the cycle
+// core's per-target checkpoint (MCKP0005) and stopped carrying
+// in-memory series copies (MCKP0006); MCKP0007 encodes the body by hand
+// with the WAL's primitives instead of gob, so every byte of it repeats
+// and a pin over many targets holds. The pin is over the magic, the
+// frame header, the body and the ckpt-%020d.ck name around it.
 const (
-	pinnedCkptName   = "ckpt-00000000000000000009.ck"
-	pinnedCkptDigest = "bf5cb31de3ee06c64dc63665fc0f5bea82a942a8a2d0811dce14a1314f7ffc6c"
+	pinnedCkptName   = "ckpt-00000000000000000030.ck"
+	pinnedCkptDigest = "8ba8aa4ed315ed55cf1ee50d197f0bcdde1233cbc96562c4223ee5e668a003a5"
 )
 
 func TestCheckpointBytesPinned(t *testing.T) {
@@ -32,9 +32,18 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 	defer s.Close()
 	l := New()
-	history := genHistory(rand.New(rand.NewSource(11)), "fixw", 8)
-	appendAll(t, s, l, history)
-	if err := s.WriteCheckpoint(l, []byte("monitor-state"), history[7].At); err != nil {
+	var last time.Time
+	for i, target := range []string{"fixw", "ucsb-r1", "dom00-gw"} {
+		history := genHistory(rand.New(rand.NewSource(int64(11+i))), target, 8)
+		appendAll(t, s, l, history)
+		at := history[len(history)-1].At.Add(time.Hour)
+		l.MarkGap(target, at, "collect "+target+": connection refused")
+		if err := s.AppendGap(target, at, "collect "+target+": connection refused"); err != nil {
+			t.Fatal(err)
+		}
+		last = at
+	}
+	if err := s.WriteCheckpoint(l, []byte("monitor-state"), last); err != nil {
 		t.Fatal(err)
 	}
 	ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*"))
@@ -45,36 +54,22 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := s.Stats().CheckpointBytes; got != int64(len(data)) {
+		t.Errorf("StoreStats.CheckpointBytes = %d after the write, the file is %d", got, len(data))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Stats().CheckpointBytes; got != int64(len(data)) {
+		t.Errorf("StoreStats.CheckpointBytes = %d after the load, the file is %d", got, len(data))
+	}
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != pinnedCkptDigest {
 		t.Fatalf("checkpoint digest = %s (%d bytes), want pinned %s", got, len(data), pinnedCkptDigest)
-	}
-}
-
-// ckptPayloadShape is gob's encoding of an empty checkpoint payload.
-// Gob writes the whole type tree ahead of any value, zero values
-// included, so these bytes change exactly when a type a checkpoint
-// carries gains, loses, renames or retypes an exported field — the WAL
-// record's tables.RouteEntry and tables.PairEntry among them. They are
-// taken at package initialisation, before any test runs, because gob
-// numbers types in the order a process first meets them.
-var ckptPayloadShape = func() []byte {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(ckptPayload{}); err != nil {
-		panic(err)
-	}
-	return b.Bytes()
-}()
-
-const pinnedCkptShapeDigest = "d636b0b50cc553c01a85ad1d8b36c45d13a4d8233d3b0c514b2ce0c3fdbdfc66"
-
-// TestCheckpointGobShapePinned: TestCheckpointBytesPinned pins one
-// checkpoint's bytes, but only the fields its history fills; this pins
-// the shape of every type the checkpoint can carry.
-func TestCheckpointGobShapePinned(t *testing.T) {
-	sum := sha256.Sum256(ckptPayloadShape)
-	if got := hex.EncodeToString(sum[:]); got != pinnedCkptShapeDigest {
-		t.Fatalf("gob shape of ckptPayload = %s (%d bytes), pinned %s: a type a checkpoint carries changed shape. Re-pin, and bump ckptMagic if the change alters what an existing checkpoint decodes to",
-			got, len(ckptPayloadShape), pinnedCkptShapeDigest)
 	}
 }

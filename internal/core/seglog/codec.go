@@ -1,10 +1,14 @@
 package seglog
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"time"
+)
 
-// The payload primitives the WAL record, the mirror frame and the block
-// header are built from: little-endian fixed integers, the uvarint and
-// varint encodings of encoding/binary, and length-prefixed strings.
+// The payload primitives the WAL record, the checkpoint, the mirror
+// frame and the block header are built from: little-endian fixed
+// integers, the uvarint and varint encodings of encoding/binary,
+// length-prefixed strings, one-byte bools and instants.
 
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 func AppendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
@@ -14,6 +18,25 @@ func AppendU64(b []byte, v uint64) []byte     { return binary.LittleEndian.Appen
 func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// AppendTime encodes an absolute instant: a zero flag byte for the zero
+// time, else unix seconds plus nanoseconds. Time restores UTC, which is
+// what every producer in the pipeline stamps.
+func AppendTime(b []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = AppendVarint(b, t.Unix())
+	return AppendU32(b, uint32(t.Nanosecond()))
 }
 
 // Reader walks an immutable payload, latching the first error: a short
@@ -106,4 +129,49 @@ func (r *Reader) Str() string {
 		return ""
 	}
 	return string(r.take(int(n)))
+}
+
+// Bool reads AppendBool's byte: 1 is true, anything else false.
+func (r *Reader) Bool() bool { return r.Byte() == 1 }
+
+// Time reads an AppendTime instant, in UTC.
+func (r *Reader) Time() time.Time {
+	if r.Byte() == 0 || r.err != nil {
+		return time.Time{}
+	}
+	sec := r.Varint()
+	nsec := r.U32()
+	if r.err != nil {
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
+}
+
+// Count reads a declared element count and checks it against the bytes
+// remaining, so a corrupted length cannot trigger a huge allocation;
+// min is the smallest possible encoded size of one element.
+func (r *Reader) Count(min int) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if min > 0 && n > uint64(len(r.b)-r.off)/uint64(min) {
+		r.Fail()
+		return 0
+	}
+	return int(n)
+}
+
+// ReadList reads a count-prefixed list of elements of at least min bytes
+// each; nil when it is empty.
+func ReadList[T any](r *Reader, min int, elem func() T) []T {
+	n := r.Count(min)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, elem())
+	}
+	return out
 }

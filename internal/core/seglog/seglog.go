@@ -314,20 +314,24 @@ func (l *Log) Prune(drop func(Segment) bool) {
 }
 
 // WriteFile atomically replaces path with magic and one frame holding
-// payload: temp file, fsync, rename, directory fsync.
+// payload: temp file, fsync, rename, directory fsync. The header and the
+// payload are written one after the other, so the payload is never
+// copied.
 func WriteFile(path, magic string, payload []byte) error {
-	buf := make([]byte, 0, len(magic)+FrameHeader+len(payload))
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = append(buf, payload...)
+	hdr := make([]byte, 0, len(magic)+FrameHeader)
+	hdr = append(hdr, magic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, castagnoli))
 
 	tmp := path + TempSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(buf)
+	_, err = f.Write(hdr)
+	if err == nil {
+		_, err = f.Write(payload)
+	}
 	if err == nil {
 		err = f.Sync()
 	}

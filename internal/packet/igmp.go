@@ -7,12 +7,11 @@ import (
 	"repro/internal/addr"
 )
 
-// IGMP message types (RFC 2236). DVMRP rides on IGMP type 0x13.
+// IGMP message types (RFC 2236).
 const (
 	igmpTypeQuery    = 0x11
 	igmpTypeReportV2 = 0x16
 	igmpTypeLeave    = 0x17
-	igmpTypeDVMRP    = 0x13
 )
 
 // IGMPKind distinguishes the IGMPv2 message variants.

@@ -1,17 +1,14 @@
-// Package packet defines binary wire encodings for the control messages of
-// the multicast protocol suite the paper's infrastructure runs, after RFC
-// 2236 (IGMPv2), the DVMRP draft (IGMP type 0x13 subtypes) and RFC 2362
-// (PIMv2), each round-tripping through its decoder with checksum and
-// truncation validation. Only IGMP has a caller: the simulator carries
-// membership reports through it on the host-to-router path
-// (internal/netsim); the routing engines exchange state at table
-// granularity.
+// Package packet defines the IGMPv2 wire encoding (RFC 2236), which
+// round-trips through its decoder with checksum and truncation
+// validation. The simulator carries membership reports through it on
+// the host-to-router path (internal/netsim); the routing engines
+// exchange state at table granularity, so no other protocol has a wire
+// codec.
 package packet
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/addr"
 )
@@ -23,7 +20,7 @@ var ErrTruncated = errors.New("packet: truncated message")
 var ErrBadChecksum = errors.New("packet: bad checksum")
 
 // Checksum computes the 16-bit one's-complement internet checksum used by
-// IGMP, DVMRP and PIM messages.
+// IGMP messages.
 func Checksum(b []byte) uint16 {
 	var sum uint32
 	for i := 0; i+1 < len(b); i += 2 {
@@ -57,22 +54,4 @@ func verifyChecksum(b []byte, off int) error {
 func finishChecksum(b []byte, off int) {
 	b[off], b[off+1] = 0, 0
 	binary.BigEndian.PutUint16(b[off:off+2], Checksum(b))
-}
-
-func appendPrefix(b []byte, p addr.Prefix) []byte {
-	b = append(b, byte(p.Len))
-	var four [4]byte
-	putIP(four[:], p.Addr)
-	return append(b, four[:]...)
-}
-
-func readPrefix(b []byte) (addr.Prefix, []byte, error) {
-	if len(b) < 5 {
-		return addr.Prefix{}, nil, ErrTruncated
-	}
-	l := int(b[0])
-	if l > 32 {
-		return addr.Prefix{}, nil, fmt.Errorf("packet: prefix length %d out of range", l)
-	}
-	return addr.PrefixFrom(getIP(b[1:5]), l), b[5:], nil
 }

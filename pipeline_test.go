@@ -30,9 +30,9 @@ import (
 	"repro/internal/sim"
 )
 
-// archiveEquivCfg disables checkpoints (their gob-encoded maps are not
-// byte-deterministic) and fsyncs every append, so the WAL segments on
-// disk are the complete, comparable archive of the run.
+// archiveEquivCfg disables checkpoints (each prunes the segments behind
+// it) and fsyncs every append, so the WAL segments on disk are the
+// complete, comparable archive of the run.
 func archiveEquivCfg(dir string) mantra.ArchiveConfig {
 	return mantra.ArchiveConfig{
 		Dir:             dir,
