@@ -42,7 +42,8 @@
 // Per-shard liveness, assignment and handoff counts are served at
 // /shards, and /stats lists one engine view per shard. Flags that only
 // mean something to the single monitor (-aggregate, -stats,
-// -checkpoint-every, -resume) are a startup error under -shards N.
+// -checkpoint-every, -resume) are a startup error under -shards N, as
+// are -shard-heartbeat without it, -shards below 1 and negative -cycles.
 //
 // Exit codes: 0 after -cycles completed, 1 on a runtime failure
 // (-max-consecutive-failures tripped, archive or listener error), 2 on a
@@ -157,6 +158,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BreakerCooldown:  *breakerCooldown,
 	}
 
+	// A flag the chosen mode would drop, or a count it would read as
+	// something else, is a usage error that names the flag.
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var usage string
+	switch {
+	case *shards < 1:
+		usage = fmt.Sprintf("-shards %d has no meaning (want 1 or more)", *shards)
+	case *cycles < 0:
+		usage = fmt.Sprintf("-cycles %d has no meaning (want 0 to run forever, or more)", *cycles)
+	case *shards == 1 && set["shard-heartbeat"]:
+		usage = "-shard-heartbeat has no meaning with -shards 1"
+	}
+	for _, name := range monitorOnlyFlags {
+		if usage == "" && *shards > 1 && set[name] {
+			usage = fmt.Sprintf("-%s has no meaning with -shards %d", name, *shards)
+		}
+	}
+	if usage != "" {
+		logger.Printf("mantra: %s", usage)
+		return 2
+	}
+
 	ln, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
 		logger.Printf("mantra: http: %v", err)
@@ -166,14 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var d *daemon
 	if *shards > 1 {
-		set := make(map[string]bool)
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for _, name := range monitorOnlyFlags {
-			if set[name] {
-				logger.Printf("mantra: -%s has no meaning with -shards %d", name, *shards)
-				return 2
-			}
-		}
 		d, err = shardDaemon(logger, targets, shard.Config{
 			Shards:           *shards,
 			HeartbeatTimeout: *shardHeartbeat,

@@ -152,3 +152,26 @@ func TestDaemonRejectsMonitorOnlyFlagsUnderShards(t *testing.T) {
 		t.Errorf("bad -target: exit %d, want 2\nstderr: %s", code, errOut)
 	}
 }
+
+// TestDaemonRejectsFlagsOutOfMode: a shard flag without -shards, and a
+// shard or cycle count the loop would read as something else, are usage
+// errors that name the flag. Each used to run one cycle of the
+// unsharded monitor (or none, for -cycles -1) and exit 0.
+func TestDaemonRejectsFlagsOutOfMode(t *testing.T) {
+	dead := append([]string{"-retries", "1"}, deadTargets(t)...)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cycles", "1", "-shard-heartbeat", "30s"}, "-shard-heartbeat has no meaning with -shards 1"},
+		{[]string{"-cycles", "1", "-shards", "1", "-shard-heartbeat", "30s"}, "-shard-heartbeat has no meaning with -shards 1"},
+		{[]string{"-cycles", "1", "-shards", "0"}, "-shards 0 has no meaning"},
+		{[]string{"-cycles", "1", "-shards", "-3"}, "-shards -3 has no meaning"},
+		{[]string{"-cycles", "-1"}, "-cycles -1 has no meaning"},
+	} {
+		code, _, errOut := runDaemon(append(c.args, dead...)...)
+		if code != 2 || !strings.Contains(errOut, c.want) {
+			t.Errorf("%v: exit %d, want 2 with %q\nstderr: %s", c.args, code, c.want, errOut)
+		}
+	}
+}

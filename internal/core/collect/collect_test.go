@@ -2,8 +2,10 @@ package collect_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -403,6 +405,71 @@ func TestDumpsDoNotAliasReadBuffer(t *testing.T) {
 			if want := n.Router(c.name).Execute(d.Command); d.Raw != want {
 				t.Errorf("%s %q changed after the buffer was reused:\n got %q\nwant %q", c.name, d.Command, d.Raw, want)
 			}
+		}
+	}
+}
+
+// TestSessionsConcurrentUnderDeadline runs many sessions at once against
+// two simulated routers for a second: each logs in, runs every standard
+// dump, checks it against what the router renders and logs out, round
+// after round. Sessions share the read-buffer pool and nothing else, so
+// none may wait on another. A lock taken in opposite orders by two paths
+// of the session code (send and a goroutine Login starts, say, as in the
+// session write-queue wedge) deadlocks somewhere in the thousands of
+// sends, and the watchdog fails the test with every goroutine's stack
+// instead of leaving it to hang until go test's own timeout.
+func TestSessionsConcurrentUnderDeadline(t *testing.T) {
+	n := testNetwork(t)
+	routers := []string{"fixw", "ucsb-gw"}
+	targets := make(map[string]collect.Target)
+	want := make(map[string]string)
+	for _, name := range routers {
+		targets[name] = target(n, name, "pw")
+		for _, cmd := range collect.StandardCommands {
+			want[name+"|"+cmd] = n.Router(name).Execute(cmd)
+		}
+	}
+	const sessions, watchdog = 8, 10 * time.Second
+	stop := time.Now().Add(time.Second)
+	done := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		go func() {
+			for r := 0; r < 2 || time.Now().Before(stop); r++ {
+				name := routers[(i+r)%len(routers)]
+				s, err := collect.Login(targets[name])
+				if err != nil {
+					done <- err
+					return
+				}
+				for _, cmd := range collect.StandardCommands {
+					out, err := s.Run(cmd)
+					if err == nil && out != want[name+"|"+cmd] {
+						err = fmt.Errorf("%s %q: another session's bytes or a torn dump", name, cmd)
+					}
+					if err != nil {
+						s.Close()
+						done <- err
+						return
+					}
+				}
+				if err := s.Close(); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	deadline := time.After(time.Until(stop) + watchdog)
+	for i := 0; i < sessions; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d of %d sessions still running %s after the last round began:\n%s", sessions-i, sessions, watchdog, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }
