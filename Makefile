@@ -19,8 +19,8 @@ fmt-check:
 # ceiling, the same steps as CI's lint job. The determinism, clock,
 # crash-safety, allocation and locking invariants are held by tests
 # (DESIGN.md §8, §14 and §15), not by static checks: the mutexes are
-# pinned by TestMutexInventory, and the concurrency tests named in §14
-# drive each one's owner from several goroutines under a deadline.
+# pinned by TestMutexInventory, and the ownership of the cycle state is
+# held by the race detector over the concurrency tests §14 names.
 lint: fmt-check vet loc-check
 
 # -shuffle randomizes test order every run, dynamically flushing
@@ -55,7 +55,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 20861
+LOC_CEILING = 20801
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -12,11 +12,13 @@ import (
 	"repro/internal/core/tables"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
 func TestMergeSnapshotsDedup(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	s1 := &tables.Snapshot{Target: "a", At: sim.Epoch, Pairs: tables.PairTable{
 		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.1.1.1"), RateKbps: 64, Packets: 100, Uptime: time.Hour},
 		{Source: addr.MustParse("2.2.2.2"), Group: addr.MustParse("224.1.1.1"), RateKbps: 1},
@@ -56,6 +58,7 @@ func TestMergeSnapshotsDedup(t *testing.T) {
 // The inputs deliberately include every tie the merge breaks: equal
 // uptimes with different Since, equal metrics, field-wise max races.
 func TestMergeSnapshotsOrderIndependent(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	src := addr.MustParse("1.1.1.1")
 	grp := addr.MustParse("224.1.1.1")
 	mk := func(target string, rate float64, pkts uint64, up time.Duration, since time.Time, flags string, metric int) *tables.Snapshot {
@@ -113,6 +116,7 @@ func TestMergeSnapshotsOrderIndependent(t *testing.T) {
 // must not reappear in the aggregate — and the result must stay
 // order-independent.
 func TestMergeSnapshotsHandoffRace(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	src := addr.MustParse("1.1.1.1")
 	gone := addr.MustParse("9.9.9.9")
 	grp := addr.MustParse("224.1.1.1")
@@ -181,6 +185,7 @@ func TestMergeSnapshotsHandoffRace(t *testing.T) {
 }
 
 func TestConcurrentCollectionWithAggregation(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	m.EnableAggregation()
 	for i := 0; i < 4; i++ {
@@ -223,6 +228,7 @@ func TestConcurrentCollectionWithAggregation(t *testing.T) {
 }
 
 func TestConcurrentCollectionMatchesSequential(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	// The same network monitored concurrently and sequentially must
 	// produce identical statistics (collection itself is read-only).
 	n1, m1 := newMonitoredNetwork(t)
@@ -250,6 +256,7 @@ func TestConcurrentCollectionMatchesSequential(t *testing.T) {
 }
 
 func TestAggregationRecoversPostTransitionCoverage(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	// The paper's concluding observation: after the sparse-mode
 	// transition, no single vantage tracks global usage; results must be
 	// aggregated from multiple collection points. Monitor FIXW, the UCSB
@@ -307,6 +314,7 @@ func TestAggregationRecoversPostTransitionCoverage(t *testing.T) {
 }
 
 func TestMonitorRouteStability(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	for i := 0; i < 12; i++ {
 		n.Step()

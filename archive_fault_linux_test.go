@@ -18,6 +18,7 @@ import (
 // gets a monitor of its own, because ArchiveStatus keeps the last error
 // it saw.
 func TestArchiveSurfacesDiskFaults(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, _ := newMonitoredNetwork(t)
 	archived := func(cfg mantra.ArchiveConfig) *mantra.Monitor {
 		t.Helper()

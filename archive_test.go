@@ -18,6 +18,7 @@ import (
 	"repro/internal/core/tsdb"
 	"repro/internal/netsim"
 	"repro/internal/router"
+	"repro/internal/testfault"
 )
 
 // rewire registers the network's routers as targets on a fresh monitor —
@@ -108,6 +109,7 @@ func compareMonitorState(t *testing.T, want, got *mantra.Monitor, targets []stri
 // ends: series, route churn included, logs, stability statistics,
 // anomalies and health.
 func TestArchiveCrashRecovery(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir, CheckpointEvery: 3}); err != nil {
@@ -180,6 +182,7 @@ func TestArchiveCrashRecovery(t *testing.T) {
 // fault-injected target so the archive carries gap markers, failure
 // health and open breakers across the crash.
 func TestArchiveCrashRecoveryWithFaults(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1, _ := chaosMonitor(t, router.FaultProfile{RefuseConn: 1}, collect.Policy{
 		MaxAttempts:      1,
@@ -235,6 +238,7 @@ func firstHealth(m *mantra.Monitor, target string) (mantra.TargetHealth, bool) {
 // crash does — a partial record at the tail — and verifies recovery
 // repairs it, reports it, and loses nothing but that partial record.
 func TestArchiveTornTailRecovery(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir}); err != nil {
@@ -298,6 +302,7 @@ func TestArchiveTornTailRecovery(t *testing.T) {
 // segment — torn mid-record — and verifies the recovered state is a clean
 // prefix and the monitor keeps running.
 func TestArchiveTruncatedTailLosesAtMostOneCycle(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir}); err != nil {
@@ -364,6 +369,7 @@ func TestArchiveTruncatedTailLosesAtMostOneCycle(t *testing.T) {
 // TestArchiveRefusesSilentOverwrite pins the operator-safety contract:
 // existing data plus Resume=false is an error, not a wipe.
 func TestArchiveRefusesSilentOverwrite(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir}); err != nil {
@@ -400,6 +406,7 @@ func TestArchiveRefusesSilentOverwrite(t *testing.T) {
 // as the three previous formats wrote them (MCKP0004 to MCKP0006, gob
 // bodies this build no longer decodes).
 func TestArchiveRefusesAnotherFormatVersion(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	for _, aged := range []struct{ glob, magic string }{
 		{"wal-*.seg", "MWAL0002"}, {"ckpt-*.ck", "MCKP0004"}, {"ckpt-*.ck", "MCKP0005"}, {"ckpt-*.ck", "MCKP0006"},
 	} {
@@ -462,6 +469,7 @@ func TestArchiveRefusesAnotherFormatVersion(t *testing.T) {
 // set before EnableArchive, it holds after it and applies to what it
 // restored.
 func TestArchiveResumeKeepsLiveSettings(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir}); err != nil {
@@ -501,6 +509,7 @@ func TestArchiveResumeKeepsLiveSettings(t *testing.T) {
 // after the removal must carry them to the recovered monitor, which
 // never registers the target again.
 func TestArchiveRemovedTargetSurvivesCrash(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir, CheckpointEvery: 3}); err != nil {
@@ -535,6 +544,7 @@ func TestArchiveRemovedTargetSurvivesCrash(t *testing.T) {
 // TestArchiveAggregateAcrossCrash verifies the synthetic aggregate view
 // survives recovery like any real target.
 func TestArchiveAggregateAcrossCrash(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	m1.EnableAggregation()
@@ -567,6 +577,7 @@ func TestArchiveAggregateAcrossCrash(t *testing.T) {
 // recovery — even with a torn tail — and the recovered monitor then
 // finishes the open episode exactly as an uncrashed one would.
 func TestArchiveAnomalyRecovery(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := incidentMonitor(t, nil, "")
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir, CheckpointEvery: 3}); err != nil {
@@ -687,6 +698,7 @@ func TestArchiveAnomalyRecovery(t *testing.T) {
 // Several pairs are compared, so an order that depends on map
 // iteration cannot pass by chance.
 func TestArchiveMirrorBytesRepeat(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	mirror := func() map[string]string {
 		dir := t.TempDir()
 		m := mantra.New()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core/tsdb"
+	"repro/internal/testfault"
 )
 
 // benchSeries generates a cycle-cadence series shaped like the
@@ -96,6 +97,7 @@ const tenYears = 175_000
 // TestStoreCompressionFloor holds ten years of 30-minute cycles to the
 // store's acceptance floor: 5x smaller than the raw CSV (measured 9.1x).
 func TestStoreCompressionFloor(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	if ratio := csvToStoreRatio(benchSeries(2, tenYears)); ratio < 5 {
 		t.Fatalf("compression ratio %.2fx below the 5x floor", ratio)
 	}

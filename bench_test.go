@@ -251,6 +251,7 @@ func BenchmarkResilientCollectHappyPath(b *testing.B) {
 	}
 	rt.Password = ""
 	c := collect.NewCollector(collect.DefaultPolicy())
+	c.Track(tgt.Name)
 	now := r.Net.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

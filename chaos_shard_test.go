@@ -24,6 +24,7 @@ import (
 	"repro/internal/core/process"
 	"repro/internal/core/shard"
 	"repro/internal/netsim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -81,6 +82,7 @@ func shardIncidentFleet(t testing.TB, mut func(*shard.Config)) (*netsim.Network,
 }
 
 func TestChaosShardKillDuringIncident(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	const duration = 6
 	sc, err := netsim.LibraryScenario("sa-storm", 1, duration)
 	if err != nil {
@@ -306,6 +308,7 @@ func TestChaosShardKillDuringIncident(t *testing.T) {
 // under an active incident: the same scripted timeline at 1, 4 and 16
 // shards must publish byte-identical merged snapshots and anomaly logs.
 func TestChaosShardCountFleetIdentity(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	run := func(shards int) (merged, anoms []byte, detected int) {
 		sc, err := netsim.LibraryScenario("unicast-injection", 1, 4)
 		if err != nil {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core/collect"
 	"repro/internal/netsim"
 	"repro/internal/router"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -61,6 +62,7 @@ func chaosMonitor(t *testing.T, profile router.FaultProfile, policy collect.Poli
 }
 
 func TestChaosCollection(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	profile := router.FaultProfile{
 		RefuseConn:  0.06,
 		RejectLogin: 0.05,
@@ -147,6 +149,7 @@ func TestChaosCollection(t *testing.T) {
 // cooldown skips, a failed half-open probe re-opening it, then recovery to
 // closed once the router heals.
 func TestChaosBreakerLifecycle(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m, faulty := chaosMonitor(t, router.FaultProfile{RefuseConn: 1}, collect.Policy{
 		MaxAttempts:      1,
 		BreakerThreshold: 3,
@@ -394,6 +397,7 @@ func runIncidentScenario(t testing.TB, name string, profile *router.FaultProfile
 // every library scenario must satisfy its detection contract under both
 // clean and degraded collection.
 func TestChaosIncidentDetection(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	profiles := []struct {
 		name    string
 		profile *router.FaultProfile
@@ -417,6 +421,7 @@ func TestChaosIncidentDetection(t *testing.T) {
 // engine, one by the pipelined engine — must produce byte-identical
 // anomaly logs and health rollups.
 func TestChaosSerialPipelinedAnomalyIdentity(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	run := func(pipelined bool) []byte {
 		sc, err := netsim.LibraryScenario("sa-storm", 1, 4)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -72,6 +73,7 @@ var (
 // line shapes whether it drives a Monitor or a Supervisor, and exits 0
 // after -cycles.
 func TestDaemonBothModes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	targets := serveRouters(t)
 	for _, mode := range [][]string{nil, {"-shards", "2"}} {
 		code, out, errOut := runDaemon(append(append([]string{"-cycles", "2"}, mode...), targets...)...)
@@ -104,6 +106,7 @@ func TestDaemonBothModes(t *testing.T) {
 // -concurrency sizes the pool. An explicit -concurrency used to be
 // stored and then ignored: the serial schedule ran on one worker.
 func TestConcurrencyFlagSelectsPipelinedSchedule(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	engineLine := regexp.MustCompile(`(?m)^\d\d:\d\d:\d\d engine cycle=1 workers=(\d+) targets=2 `)
 	for _, c := range []struct {
 		args []string
@@ -126,6 +129,7 @@ func TestConcurrencyFlagSelectsPipelinedSchedule(t *testing.T) {
 // over whichever mode's health rows. Under -shards it used to never
 // fire.
 func TestDaemonGivesUpInBothModes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	for _, mode := range [][]string{nil, {"-shards", "2"}} {
 		args := append([]string{"-cycles", "5", "-retries", "1", "-breaker-threshold", "1", "-max-consecutive-failures", "1"}, mode...)
 		code, _, errOut := runDaemon(append(args, deadTargets(t)...)...)

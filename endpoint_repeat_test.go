@@ -18,6 +18,7 @@ import (
 	"repro/internal/core/process"
 	"repro/internal/core/shard"
 	"repro/internal/netsim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -148,6 +149,7 @@ func scheduleIncidents(t *testing.T, n *netsim.Network) {
 // archive on serve byte-identical bodies on every endpoint, fetch after
 // fetch, while an incident is open.
 func TestMonitorEndpointBytesRepeat(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	type twin struct {
 		n *netsim.Network
 		m *mantra.Monitor
@@ -188,6 +190,7 @@ func TestMonitorEndpointBytesRepeat(t *testing.T) {
 // byte-identical bodies on every endpoint, fetch after fetch, while an
 // incident is open.
 func TestFleetEndpointBytesRepeat(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	type twin struct {
 		n   *netsim.Network
 		s   *shard.Supervisor

@@ -35,6 +35,7 @@ import (
 	"repro/internal/core/tables"
 	"repro/internal/core/tsdb"
 	"repro/internal/netsim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -140,6 +141,7 @@ func allocGate(t *testing.T, name string, max float64, fn func()) {
 }
 
 func TestHotpathAllocGates(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dumps := gateDumps(t)
 	full := fullGateDumps(t)
 	prompt := "fixw> "
@@ -183,6 +185,7 @@ func TestHotpathAllocGates(t *testing.T) {
 	}
 	tgt := collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: canned}, Prompt: prompt, Timeout: 5 * time.Second}
 	col := collect.NewCollector(pol)
+	col.Track(tgt.Name)
 	allocGate(t, "Collector.Collect", 64, func() {
 		if res := col.Collect(tgt, collect.StandardCommands, time.Time{}, func([]collect.Dump) error { return nil }); res.Err != nil {
 			t.Fatal(res.Err)
@@ -308,6 +311,7 @@ func (c cannedRouter) HandleSession(rw io.ReadWriter) error {
 // The figure is the least of several runs, so a garbage collection that
 // empties the buffer pool mid-test costs one run, not the gate.
 func TestCollectAllAllocBytes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dumps := gateDumps(t)
 	canned := cannedRouter{prompt: []byte("fixw> "), out: make(map[string][]byte)}
 	dumpBytes := 0
@@ -349,6 +353,7 @@ func TestCollectAllAllocBytes(t *testing.T) {
 // as it fills would land well outside the gate. (The map merge it
 // replaced allocated about ten times the output.)
 func TestMergeSnapshotsAllocBytes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	base, err := tables.BuildSnapshot(gateDumps(t))
 	if err != nil {
 		t.Fatal(err)
@@ -418,6 +423,7 @@ func dvmrpRouteDump(n int, uptime time.Duration) []byte {
 // figure is the least of several exports, as in
 // TestCollectAllAllocBytes.
 func TestWorkerCheckpointAllocBytes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	const routeCmd = "show ip dvmrp route"
 	dumps := gateDumps(t)
 	sizes := map[string]int{"large": 4000, "small": 40}
@@ -496,6 +502,7 @@ func leastAllocBytes(fn func()) uint64 {
 // strings and the file handles, not a second megabyte. (Regression: it
 // once copied header and payload into one buffer before writing.)
 func TestWriteFileAllocBytes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	path := filepath.Join(t.TempDir(), "ckpt")
 	payload := make([]byte, 1<<20)
 	got := leastAllocBytes(func() {
@@ -516,6 +523,7 @@ func TestWriteFileAllocBytes(t *testing.T) {
 // into one buffer sized from the previous checkpoint. (Regression: gob
 // allocated per record, and about seven times the file in bytes.)
 func TestCheckpointAllocFlatInHistory(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	a, b := counterTables(40)
 	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
 	routes := make(tables.RouteTable, 60)
@@ -568,6 +576,7 @@ func TestCheckpointAllocFlatInHistory(t *testing.T) {
 // windows; a copy of the series on either path grows with its length.
 // Each figure is the least of several requests.
 func TestReadPathAllocBytesFlatInHistory(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	m := mantra.New()
 	m.AddTarget(collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: cannedRouter{prompt: []byte("fixw> ")}}, Prompt: "fixw> "})
 	h := m.Handler()
@@ -626,6 +635,7 @@ func TestReadPathAllocBytesFlatInHistory(t *testing.T) {
 // record at a tenth of the route table's size, averaged over enough
 // cycles to spread the record slice's regrowth.
 func TestLoggerAppendSteadyStateAllocs(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dumps := gateDumps(t)
 	sn, err := tables.BuildSnapshot(dumps)
 	if err != nil {
@@ -683,6 +693,7 @@ func counterTables(pairs int) (a, b tables.PairTable) {
 // allocates at most once, the record's counter column, and a cycle in
 // which no counter moves stores no column at all.
 func TestLoggerCounterColumnRetainedBytes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	const pairs, cycles = 2000, 200
 	a, b := counterTables(pairs)
 	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
@@ -735,6 +746,7 @@ func TestLoggerCounterColumnRetainedBytes(t *testing.T) {
 // place: the session and participant tables it derives, nothing for the
 // route table, which it walks and keeps by reference.
 func TestIngestSteadyStateAllocs(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	sn, err := tables.BuildSnapshot(gateDumps(t))
 	if err != nil {
 		t.Fatal(err)

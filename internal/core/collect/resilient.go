@@ -3,9 +3,7 @@ package collect
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -76,8 +74,8 @@ func (s *BreakerState) UnmarshalJSON(b []byte) error {
 // admits a single half-open probe: success closes it, failure re-opens
 // it for another cooldown. Time comes from the cycle timestamps the
 // caller supplies, so breakers work identically under virtual sim time
-// and wall clocks. Breaker is not safe for concurrent use; the Collector
-// serializes access.
+// and wall clocks. Breaker is not safe for concurrent use: only the
+// goroutine collecting its target touches it.
 type Breaker struct {
 	threshold   int
 	cooldown    time.Duration
@@ -242,12 +240,17 @@ type Result struct {
 
 // Collector wraps CollectAll with the resilience the paper's Mantra needed
 // to run unattended for months against flaky routers: per-cycle retries
-// with backoff, a per-target circuit breaker, and a health ledger. It is
-// safe for concurrent use across targets.
+// with backoff, a per-target circuit breaker, and a health ledger.
+//
+// A Collector belongs to the goroutine that owns its cycle core, and its
+// per-target map changes only there, between cycles: Track, ResetTarget,
+// RestoreHealth, RecordSuccess, RecordSkipped and CarryState. Inside a
+// cycle, Collect and RecordFailure run on the pool workers, each for its
+// own target: they look the target's entry up, which Track made before
+// the cycle, and never insert one.
 type Collector struct {
 	policy Policy
 
-	mu      sync.Mutex
 	targets map[string]*targetState
 }
 
@@ -268,6 +271,12 @@ func NewCollector(policy Policy) *Collector {
 // Policy returns the collector's normalized policy.
 func (c *Collector) Policy() Policy { return c.policy }
 
+// Track makes sure a target has its entry, fresh if it had none. The
+// core tracks every target of a cycle before the cycle starts.
+func (c *Collector) Track(name string) { c.state(name) }
+
+// state returns a target's entry, inserting a fresh one if it has none.
+// Owning goroutine only, between cycles.
 func (c *Collector) state(name string) *targetState {
 	st := c.targets[name]
 	if st == nil {
@@ -280,29 +289,34 @@ func (c *Collector) state(name string) *targetState {
 	return st
 }
 
+// entry returns a tracked target's entry. It never inserts: a pool
+// worker calls it for its own target while others read the map.
+func (c *Collector) entry(name string) *targetState {
+	st := c.targets[name]
+	if st == nil {
+		panic("collect: " + name + " has no entry: Track it before the cycle")
+	}
+	return st
+}
+
 // Collect performs one resilient collection of the target: breaker check,
 // up to MaxAttempts tries with backoff between them, each capture handed
-// to check, whose error fails the attempt. It never panics and never
-// blocks past the per-step timeouts; a target that cannot be collected
-// comes back as StatusDegraded (or StatusBreakerOpen when skipped) with
-// the last error attached.
+// to check, whose error fails the attempt. It never blocks past the
+// per-step timeouts; a target that cannot be collected comes back as
+// StatusDegraded (or StatusBreakerOpen when skipped) with the last error
+// attached. The target must be tracked (Track).
 func (c *Collector) Collect(t Target, commands []string, now time.Time, check func([]Dump) error) Result {
-	c.mu.Lock()
-	st := c.state(t.Name)
-	allowed := st.breaker.Allow(now)
-	if !allowed {
+	st := c.entry(t.Name)
+	if !st.breaker.Allow(now) {
 		st.health.TotalCycles++
 		st.health.LastStatus = StatusBreakerOpen
-		res := Result{
+		return Result{
 			Target:  t.Name,
 			Status:  StatusBreakerOpen,
 			Err:     fmt.Errorf("%w: %s skipped", ErrBreakerOpen, t.Name),
 			Breaker: st.breaker.State(),
 		}
-		c.mu.Unlock()
-		return res
 	}
-	c.mu.Unlock()
 
 	var lastErr error
 	attempts := 0
@@ -320,12 +334,12 @@ func (c *Collector) Collect(t Target, commands []string, now time.Time, check fu
 			if attempt > 0 {
 				status = StatusRetried
 			}
-			br := c.record(t.Name, now, status, "")
+			br := st.record(now, status, "")
 			return Result{Target: t.Name, Status: status, Attempts: attempts, Breaker: br}
 		}
 		lastErr = err
 	}
-	br := c.record(t.Name, now, StatusDegraded, lastErr.Error())
+	br := st.record(now, StatusDegraded, lastErr.Error())
 	return Result{
 		Target:   t.Name,
 		Status:   StatusDegraded,
@@ -338,28 +352,26 @@ func (c *Collector) Collect(t Target, commands []string, now time.Time, check fu
 // RecordFailure feeds an out-of-band per-target failure — e.g. a snapshot
 // parse error downstream of collection — into the breaker and health
 // ledger, so corrupted cycles count toward opening the breaker even when
-// the CLI session itself succeeded.
+// the CLI session itself succeeded. The target must be tracked (Track).
 func (c *Collector) RecordFailure(name string, now time.Time, err error) {
 	detail := ""
 	if err != nil {
 		detail = err.Error()
 	}
-	c.record(name, now, StatusDegraded, detail)
+	c.entry(name).record(now, StatusDegraded, detail)
 }
 
 // RecordSuccess feeds an out-of-band per-target success into the breaker
 // and health ledger — used by archive recovery when replaying WAL-tail
 // cycles that succeeded before the crash.
 func (c *Collector) RecordSuccess(name string, now time.Time) {
-	c.record(name, now, StatusOK, "")
+	c.state(name).record(now, StatusOK, "")
 }
 
 // RecordSkipped notes a cycle skipped by an open breaker without counting
 // a new failure — the replay counterpart of the breaker-open fast path in
 // Collect, used by archive recovery.
 func (c *Collector) RecordSkipped(name string, now time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := c.state(name)
 	st.health.TotalCycles++
 	st.health.LastStatus = StatusBreakerOpen
@@ -373,27 +385,13 @@ func (c *Collector) RecordSkipped(name string, now time.Time) {
 // thresholds and cooldowns apply from the next breaker transition;
 // current streaks, totals and an open breaker's opening instant carry
 // over unchanged (an open breaker keeps cooling down on its original
-// schedule rather than restarting). The entries are copied out under
-// old's lock and applied under c's, never with both held, so two
-// collectors carrying each other's state at once cannot deadlock.
+// schedule rather than restarting). Both collectors belong to the
+// caller.
 func (c *Collector) CarryState(old *Collector) {
 	if old == nil || old == c {
 		return
 	}
-	type carried struct {
-		health  TargetHealth
-		breaker Breaker
-	}
-	old.mu.Lock()
-	from := make(map[string]carried, len(old.targets))
 	for name, ost := range old.targets {
-		from[name] = carried{ost.health, *ost.breaker}
-	}
-	old.mu.Unlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for name, ost := range from {
 		st := c.state(name)
 		st.health = ost.health
 		st.breaker.state = ost.breaker.state
@@ -408,8 +406,6 @@ func (c *Collector) CarryState(old *Collector) {
 // policy swaps (CarryState) would hand the re-registered target a stale
 // open breaker or failure streak from its previous life.
 func (c *Collector) ResetTarget(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	delete(c.targets, name)
 }
 
@@ -424,8 +420,6 @@ func (c *Collector) RestoreHealth(h TargetHealth, now time.Time) {
 	if h.Target == "" {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := c.state(h.Target)
 	st.health = h
 	st.breaker.consecutive = h.ConsecutiveFailures
@@ -437,10 +431,7 @@ func (c *Collector) RestoreHealth(h TargetHealth, now time.Time) {
 
 // record updates breaker and health for one finished cycle and returns the
 // breaker state after the transition.
-func (c *Collector) record(name string, now time.Time, status Status, lastErr string) BreakerState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.state(name)
+func (st *targetState) record(now time.Time, status Status, lastErr string) BreakerState {
 	st.health.TotalCycles++
 	st.health.LastStatus = status
 	switch status {
@@ -458,24 +449,9 @@ func (c *Collector) record(name string, now time.Time, status Status, lastErr st
 	return st.breaker.State()
 }
 
-// Health returns a snapshot of every tracked target's health, sorted by
-// target name.
-func (c *Collector) Health() []TargetHealth {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]TargetHealth, 0, len(c.targets))
-	for _, st := range c.targets {
-		out = append(out, st.health)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
-	return out
-}
-
 // TargetHealth returns one target's health and whether it has been
 // collected (or skipped) at least once.
 func (c *Collector) TargetHealth(name string) (TargetHealth, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st, ok := c.targets[name]
 	if !ok {
 		return TargetHealth{Target: name}, false

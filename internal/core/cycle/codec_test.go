@@ -20,6 +20,7 @@ import (
 	"repro/internal/core/logger"
 	"repro/internal/core/tables"
 	"repro/internal/netsim"
+	"repro/internal/testfault"
 )
 
 // deadDialer is a router that refuses every session.
@@ -80,6 +81,7 @@ const pinnedCoreCkptDigest = "a83d8e9800dcc82771091de26113ac92da2b6add49c24027c6
 // TestCheckpointBytesPinned pins a real checkpoint that carries every
 // table kind, gaps, open and resolved anomalies and an open breaker.
 func TestCheckpointBytesPinned(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	c, data := pinnedRun(t, t.TempDir())
 	var sa, mbgp, pairs, routes bool
 	for _, name := range c.Log.Targets() {
@@ -107,6 +109,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 
 // TestCheckpointBytesRepeat: two identical runs write the same bytes.
 func TestCheckpointBytesRepeat(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	_, a := pinnedRun(t, t.TempDir())
 	_, b := pinnedRun(t, t.TempDir())
 	if !bytes.Equal(a, b) {
@@ -173,6 +176,7 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 // must parse, and an open episode indexes one of its target's
 // anomalies.
 func TestCheckpointEveryFieldRoundTrip(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	var n int
 	want := &Checkpoint{}
 	fill(t, reflect.ValueOf(want).Elem(), &n)
@@ -326,6 +330,7 @@ func scriptedCore(t *testing.T, dir string, script []byte) (*Core, time.Time) {
 		c.stageLog(it, at)
 		c.stageIngest(it, at)
 		if it.Res.Err != nil {
+			c.Collector.Track(name)
 			c.Collector.RecordFailure(name, at, it.Res.Err)
 		} else {
 			c.Collector.RecordSuccess(name, at)

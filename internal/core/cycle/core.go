@@ -43,8 +43,11 @@ type frame struct {
 // Core owns one processing stack and its engine. The exported fields
 // are the modules themselves: owners read them between cycles and may
 // replace Collector, Log and Store (policy swap, archive recovery,
-// store shutdown) — the stages read the fields at call time. Run and
-// Commit must not be called concurrently with each other or themselves.
+// store shutdown) — the stages read the fields at call time. A Core,
+// its modules included, belongs to one goroutine at a time: the
+// Monitor's driver, or a shard worker while its cycle is in flight and
+// the supervisor between cycles. Readers elsewhere read what the owner
+// published.
 type Core struct {
 	Collector *collect.Collector
 	Log       *logger.Logger
@@ -85,9 +88,14 @@ func New(policy collect.Policy, commands []string, clock engine.Clock) *Core {
 
 // Run drives one cycle over targets through the engine, in memory only:
 // the cycle's WAL frames wait in the buffer for Commit. Frames a
-// previous Run left uncommitted are dropped.
+// previous Run left uncommitted are dropped. Every target gets its
+// collector entry here, before the pool starts, so the pool workers
+// only look their own up.
 func (c *Core) Run(now time.Time, targets []collect.Target, opts engine.Options) ([]*engine.Item, *process.CycleStats, *engine.CycleReport) {
 	c.frames = c.frames[:0]
+	for _, t := range targets {
+		c.Collector.Track(t.Name)
+	}
 	return c.Engine.Run(now, targets, opts)
 }
 
@@ -117,8 +125,8 @@ func (c *Core) Commit() error {
 // stageCollect runs the resilient collection of one target (breaker
 // check, retries) and scans each capture into the local tables once; a
 // structural defect is retried and leaves no snapshot. Safe for
-// concurrent use across targets — the collector serializes its own
-// bookkeeping.
+// concurrent use across targets: each touches only its own target's
+// collector entry.
 func (c *Core) stageCollect(it *engine.Item, now time.Time) {
 	it.Res = c.Collector.Collect(it.Target, c.Commands, now, func(dumps []collect.Dump) (defect error) {
 		if it.Snapshot, it.ParseErr, defect = tables.ScanDumps(it.Target.Prompt, dumps); defect != nil {

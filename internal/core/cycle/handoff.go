@@ -245,6 +245,7 @@ func (c *Core) Recover(store *logger.Store) (*RecoveryReport, error) {
 				// monitor showed before the crash.
 				c.Collector.RecordSkipped(ev.Target, ev.At)
 			default:
+				c.Collector.Track(ev.Target)
 				c.Collector.RecordFailure(ev.Target, ev.At, errors.New(ev.Reason))
 			}
 			continue

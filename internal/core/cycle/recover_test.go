@@ -10,6 +10,7 @@ import (
 	"repro/internal/core/logger"
 	"repro/internal/core/process"
 	"repro/internal/netsim"
+	"repro/internal/testfault"
 )
 
 // TestRecoverLockStepTwin is the crash-recovery counterpart of
@@ -22,6 +23,7 @@ import (
 // anomaly ring byte for byte, IDs included. The last recovery then
 // collects A's network on, and must keep holding what B holds.
 func TestRecoverLockStepTwin(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	const cycles, every, after = 16, 4, 8
 	opts := engine.Options{Aggregate: true}
 	na, ta := twinNetwork(t)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core/process"
 	"repro/internal/netsim"
 	"repro/internal/router"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -103,6 +104,7 @@ func exportSansIDs(c *Core, at time.Time, t collect.Target) *Checkpoint {
 // anomalies. A route-leak episode is open at fixw across the transfer
 // and resolves after it.
 func TestHandoffLockStepTwin(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	const k, after = 12, 10
 	na, ta := twinNetwork(t)
 	nb, tb := twinNetwork(t)

@@ -114,14 +114,15 @@ type targetState struct {
 }
 
 // Engine runs monitoring cycles through the staged pipeline and owns
-// the per-target state and instrumentation. An Engine is safe for
-// concurrent state reads (Latest, Stability, Stats) while a cycle runs;
-// Run itself must not be called concurrently with another Run.
+// the per-target state and instrumentation. An Engine belongs to the
+// goroutine that calls Run: every method is called from it, and every
+// state write happens there — the ordered stages and finishCycle run on
+// it, and the pool workers Run starts touch no engine state. Readers on
+// other goroutines read the Stats their owner published.
 type Engine struct {
 	stages Stages
 	clock  Clock
 
-	mu     sync.Mutex
 	states map[string]*targetState
 	cycles int
 	conc   int
@@ -149,7 +150,6 @@ func New(stages Stages, clock Clock) *Engine {
 }
 
 // state returns (creating if needed) a target's consolidated state.
-// Callers must hold e.mu.
 func (e *Engine) state(name string) *targetState {
 	st := e.states[name]
 	if st == nil {
@@ -161,8 +161,6 @@ func (e *Engine) state(name string) *targetState {
 
 // Latest returns the most recent snapshot recorded for a target, or nil.
 func (e *Engine) Latest(name string) *tables.Snapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if st := e.states[name]; st != nil {
 		return st.latest
 	}
@@ -172,16 +170,12 @@ func (e *Engine) Latest(name string) *tables.Snapshot {
 // SetLatest records a target's most recent snapshot out of band — the
 // aggregate stage and archive recovery use it.
 func (e *Engine) SetLatest(name string, sn *tables.Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.state(name).latest = sn
 }
 
 // Stability returns a target's route-stability tracker, or nil before
 // its first successful cycle.
 func (e *Engine) Stability(name string) *process.RouteStability {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if st := e.states[name]; st != nil {
 		return st.stability
 	}
@@ -192,16 +186,11 @@ func (e *Engine) Stability(name string) *process.RouteStability {
 // target's stability tracker, creating the tracker on first use. The
 // core's Log stage calls it with the record it has just appended.
 func (e *Engine) ObserveStability(target string, at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
-	e.mu.Lock()
 	st := e.state(target)
 	if st.stability == nil {
 		st.stability = process.NewRouteStability()
 	}
-	rs := st.stability
-	e.mu.Unlock()
-	// Outside the lock: the tracker is only ever driven from the single
-	// ordered-stage goroutine, the lock guards just the state map.
-	rs.ObserveDelta(at, upserted, removed)
+	st.stability.ObserveDelta(at, upserted, removed)
 }
 
 // SetStability installs (or, with nil, clears) one target's stability
@@ -209,8 +198,6 @@ func (e *Engine) ObserveStability(target string, at time.Time, upserted []tables
 // a shard handoff and of a crash recovery, which rebuild the tracker
 // from the target's delta log.
 func (e *Engine) SetStability(name string, rs *process.RouteStability) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.state(name).stability = rs
 }
 
@@ -327,8 +314,6 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 // finishCycle folds one cycle's item timings into the report and the
 // engine's cumulative per-target and per-stage totals.
 func (e *Engine) finishCycle(items []*Item, report *CycleReport) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.cycles++
 	e.conc = report.Concurrency
 	report.Cycle = e.cycles

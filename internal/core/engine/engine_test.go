@@ -389,7 +389,7 @@ func TestStatsAccumulate(t *testing.T) {
 			t.Errorf("%s ingest count = %d", ts.Target, ts.Stages[StageIngest].Count)
 		}
 	}
-	if rep := e.LastReport(); rep == nil || rep.Cycle != cycles {
+	if rep := st.LastCycle; rep == nil || rep.Cycle != cycles {
 		t.Errorf("last report = %+v", rep)
 	}
 }

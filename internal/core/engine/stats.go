@@ -133,12 +133,11 @@ type Stats struct {
 	LastCycle   *CycleReport        `json:"last_cycle,omitempty"`
 }
 
-// Stats snapshots the engine's cumulative instrumentation. Safe to call
-// while a cycle runs; per-target entries are ordered by last seen
-// registration index, then name.
+// Stats snapshots the engine's cumulative instrumentation, for its
+// owner to publish: the snapshot shares nothing the engine later
+// writes. Per-target entries are ordered by last seen registration
+// index, then name.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := Stats{
 		Cycles:      e.cycles,
 		Concurrency: e.conc,
@@ -170,21 +169,6 @@ func (e *Engine) Stats() Stats {
 	}
 	sortTargetStats(out.Targets)
 	return out
-}
-
-// LastReport returns the most recent cycle's instrumentation, or nil
-// before the first cycle.
-func (e *Engine) LastReport() *CycleReport {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.last
-}
-
-// Cycles returns how many cycles the engine has run.
-func (e *Engine) Cycles() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cycles
 }
 
 func sortTargetStats(ts []TargetStats) {

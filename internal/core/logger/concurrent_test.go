@@ -3,9 +3,10 @@ package logger
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/testfault"
 )
 
 // TestStoreConcurrentUse drives one store from several goroutines at
@@ -14,12 +15,13 @@ import (
 // few records, while a reader loops on Stats and HasData. The store's
 // mutex is the only lock any of them takes, so nothing may wait for
 // long; a second lock taken around it in opposite orders deadlocks here,
-// and the watchdog fails the test with every goroutine's stack. After
+// and the deadline fails the test with every goroutine's stack. After
 // the writers finish, a reopened store must recover every target's
 // history record for record: an append outside the mutex tears or
 // duplicates frames.
 func TestStoreConcurrentUse(t *testing.T) {
-	const writers, cycles, watchdog = 4, 40, 10 * time.Second
+	testfault.Deadline(t, 10*time.Second)
+	const writers, cycles = 4, 40
 	dir := t.TempDir()
 	s, err := OpenStore(dir, StoreOptions{SegmentBytes: 4 << 10})
 	if err != nil {
@@ -63,16 +65,9 @@ func TestStoreConcurrentUse(t *testing.T) {
 			}
 		}
 	}()
-	deadline := time.After(watchdog)
 	for w := 0; w < writers; w++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-deadline:
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d of %d writers still appending after %v:\n%s", writers-w, writers, watchdog, buf[:runtime.Stack(buf, true)])
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(stop)

@@ -13,13 +13,12 @@ import (
 
 // Server exposes Mantra's results over HTTP: the web-based presentation
 // layer (tables and graph data) of the paper's Output Interface. Every
-// endpoint but /stats answers from the last published cycle, and no
-// handler takes a lock: by default the server reads the processor's
-// published View, the / index and /tables/* read the tables Publish
-// last swapped in with the View they were built with, and each Set*
-// source returns a view its owner published. /stats alone reads live
-// counters, to watch a cycle in flight. The Set* sources are wiring:
-// install them before the server serves.
+// endpoint answers from the last published cycle, and no handler takes
+// a lock: by default the server reads the processor's published View,
+// the / index and /tables/* read the tables Publish last swapped in
+// with the View they were built with, and each Set* source returns a
+// view its owner published. The Set* sources are wiring: install them
+// before the server serves.
 type Server struct {
 	mux  *http.ServeMux
 	proc *process.Processor
@@ -210,10 +209,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats serves the cycle engine's pipeline instrumentation —
-// per-stage timings, queue depth, per-target counters — as JSON. It is
-// the one endpoint that reads live state rather than a published
-// cycle: each engine's counters under the engine's own mutex, so a
-// cycle in flight can be watched.
+// per-stage timings, queue depth, per-target counters — as JSON.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	serveSource(w, r, s.stats)
 }

@@ -7,4 +7,4 @@ import "repro/internal/core/cycle"
 func (s *Supervisor) CoreOf(idx int) *cycle.Core { return s.workers[idx].core }
 
 // CheckpointOf exposes the checkpoint shard idx's worker last took.
-func (s *Supervisor) CheckpointOf(idx int) *cycle.Checkpoint { return s.workers[idx].checkpointRef() }
+func (s *Supervisor) CheckpointOf(idx int) *cycle.Checkpoint { return s.workers[idx].ckpt }

@@ -39,6 +39,9 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 	}
 
 	c := collect.NewCollector(fleetConfig(1, 0).Policy)
+	for _, tgt := range targets {
+		c.Track(tgt.Name)
+	}
 	for i := 0; i < 3; i++ {
 		n.Step()
 		for _, tgt := range targets {

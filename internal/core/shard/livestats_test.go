@@ -1,26 +1,25 @@
 package shard_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core/collect"
 	"repro/internal/core/shard"
+	"repro/internal/testfault"
 )
 
-// TestLiveStatsWhileFleetCycles reads what the supervisor serves live
-// rather than from the published view, EngineStats and /stats (each
-// shard engine's counters under the engine's mutex), from goroutines in
-// tight loops while a 2-shard fleet runs cycles back to back for a
-// second. A cycle in flight holds the engine's mutex now and then, so a
-// mutex of the worker's or the supervisor's taken around those counters,
-// and the same mutex taken by a stage while the engine's is held,
-// deadlock here within a few cycles. The watchdog then fails the test
-// with every goroutine's stack.
+// TestLiveStatsWhileFleetCycles reads EngineStats and /stats from
+// goroutines in tight loops while a 2-shard fleet, three pool workers a
+// shard, runs cycles back to back for a second. Both answer from the
+// published view, so the readers share nothing with a cycle in flight
+// but the view pointer: under the race detector a read that reaches an
+// engine, or a worker write that no request or response orders before
+// the supervisor's read, fails the test, and a reader that blocks the
+// cycle trips the deadline, which fails it with every goroutine's stack.
 func TestLiveStatsWhileFleetCycles(t *testing.T) {
-	const watchdog = 10 * time.Second
+	testfault.Deadline(t, 10*time.Second)
 	n := newFleetNetwork(t)
 	cfg := fleetConfig(2, 0)
 	cfg.Concurrency = 3
@@ -59,32 +58,20 @@ func TestLiveStatsWhileFleetCycles(t *testing.T) {
 			}
 		}()
 	}
-	driven := make(chan error, 1)
-	go func() {
-		until := time.Now().Add(time.Second)
-		for c := 0; c < 2 || time.Now().Before(until); c++ {
-			n.Step()
-			if _, err := s.RunCycle(n.Now()); err != nil {
-				driven <- err
-				return
-			}
-		}
-		driven <- nil
-	}()
-	select {
-	case err := <-driven:
+	halt := sync.OnceFunc(func() {
 		close(stop)
 		wg.Wait()
-		if err != nil {
+	})
+	defer halt()
+	until := time.Now().Add(time.Second)
+	for c := 0; c < 2 || time.Now().Before(until); c++ {
+		n.Step()
+		if _, err := s.RunCycle(n.Now()); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second + watchdog):
-		buf := make([]byte, 8<<20)
-		// The supervisor is left open: closing it would wait on the
-		// deadlocked goroutines.
-		t.Fatalf("fleet cycles under live-stats readers did not finish %v after the last began; goroutines:\n%s", watchdog, buf[:runtime.Stack(buf, true)])
+	}
+	halt()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

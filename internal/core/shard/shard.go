@@ -161,8 +161,8 @@ var ErrClosed = errors.New("shard: supervisor closed")
 
 // Supervisor owns the shard workers and drives fleet cycles.
 //
-// Register, RunCycle and Close must be called from one goroutine (the
-// cycle driver), exactly like Monitor.RunCycle; the published views
+// Register, Kill, RunCycle and Close must be called from one goroutine
+// (the cycle driver), exactly like Monitor.RunCycle; the published views
 // (Status, FleetAnomalies, FleetHealth, Merged, EngineStats,
 // SeriesView, QueryFleet) are safe from any goroutine, including while
 // a cycle is in flight, and answer from the last published cycle.
@@ -201,7 +201,7 @@ func New(cfg Config) (*Supervisor, error) {
 	// the per-shard processors, where each target's episode state lives
 	// and travels through handoffs.
 	s.fleetProc.SetDetectors()
-	s.view.Store(&fleetView{fleet: s.fleetProc.View()})
+	s.view.Store(&fleetView{fleet: s.fleetProc.View(), stats: []engine.Stats{}})
 	for i := range s.workers {
 		w, err := s.spawn(i, 0)
 		if err != nil {
@@ -281,15 +281,12 @@ func (s *Supervisor) liveShards() []int {
 }
 
 // Kill scripts a fault on a shard worker, taking effect at its next
-// dispatch — the chaos suite's entry point.
+// dispatch — the chaos suite's entry point. Call it from the cycle
+// driver, between cycles, as Register.
 func (s *Supervisor) Kill(idx int, mode KillMode) {
-	w := s.workers[idx]
-	if w == nil {
-		return
+	if w := s.workers[idx]; w != nil {
+		w.kill = mode
 	}
-	w.mu.Lock()
-	w.kill = mode
-	w.mu.Unlock()
 }
 
 // RunCycle drives one fleet cycle stamped at now: detect and hand off
@@ -324,9 +321,17 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 		if w == nil || !w.alive {
 			continue
 		}
-		w.markDispatch(now)
+		if w.lastBeat.IsZero() {
+			// Staleness runs from a worker's first dispatch, not from zero.
+			w.lastBeat = now
+		}
 		dispatched[i] = true
-		w.reqCh <- cycleReq{now: now, targets: byShard[i]}
+		w.reqCh <- cycleReq{now: now, targets: byShard[i], kill: w.kill}
+		if w.kill != Wedge {
+			// Crash modes are one-shot; a wedge lasts until the worker
+			// is declared dead.
+			w.kill = killNone
+		}
 	}
 
 	// Gather in shard order; per-target results keyed for the final
@@ -347,6 +352,7 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 				continue
 			}
 			w.cycles++
+			w.lastBeat, w.ckpt = now, resp.ckpt
 			if resp.err != nil {
 				res.WALErrs = append(res.WALErrs, fmt.Errorf("shard %d: %w", i, resp.err))
 			}
@@ -416,8 +422,7 @@ func (s *Supervisor) isDead(w *worker, now time.Time) bool {
 	if s.cfg.HeartbeatTimeout <= 0 {
 		return false
 	}
-	beat := w.beatAt()
-	return !beat.IsZero() && now.Sub(beat) > s.cfg.HeartbeatTimeout
+	return !w.lastBeat.IsZero() && now.Sub(w.lastBeat) > s.cfg.HeartbeatTimeout
 }
 
 // handoff moves a dead worker's targets to the survivors, resuming each
@@ -442,7 +447,7 @@ func (s *Supervisor) handoff(w *worker, now time.Time, res *CycleResult) {
 	}
 	s.handoffs++
 
-	ck := w.checkpointRef()
+	ck := w.ckpt
 	if ck == nil {
 		ck = cycle.NewCheckpoint()
 	}
@@ -575,13 +580,10 @@ func (s *Supervisor) prevCycleTime(now time.Time) time.Time {
 // in-memory checkpoint, so a death before its next completed cycle
 // still hands the target off with state instead of losing it.
 func (s *Supervisor) refreshCkpt(w *worker, t collect.Target, asOf time.Time) {
-	one := w.core.Export(asOf, []collect.Target{t})
-	w.mu.Lock()
 	if w.ckpt == nil {
 		w.ckpt = cycle.NewCheckpoint()
 	}
-	w.ckpt.Merge(t.Name, one)
-	w.mu.Unlock()
+	w.ckpt.Merge(t.Name, w.core.Export(asOf, []collect.Target{t}))
 }
 
 // Close stops every worker goroutine and closes the WAL stores,

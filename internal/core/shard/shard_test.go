@@ -435,7 +435,7 @@ func (d gateDialer) Dial() (io.ReadWriteCloser, error) {
 // /health must answer within a few seconds: the view mutex held across
 // the gather would stall them all behind the slowest router. /stats (a
 // 404 before EngineStats existed) answers with one engine view per
-// shard, read at request time.
+// shard, as the last published cycle left it.
 func TestStatsEndpointWhileCycleInFlight(t *testing.T) {
 	const shards = 2
 	n := newFleetNetwork(t)

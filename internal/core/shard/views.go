@@ -1,8 +1,9 @@
 // Fan-in views: after every cycle the supervisor rebuilds the merged
 // fleet snapshot, the fleet anomaly log, the per-target health rows and
 // the /shards status, takes a view of every shard's processor and of
-// the fleet processor, and publishes them together as one immutable
-// fleetView behind an atomic pointer. Every reader loads that pointer
+// the fleet processor and a snapshot of every shard's engine counters,
+// and publishes them together as one immutable fleetView behind an
+// atomic pointer. Every reader loads that pointer
 // once and takes no lock, so a read made mid-cycle is the read made
 // after the previous cycle. The views are deterministic functions of
 // the per-shard state and the assignment map — gathered in registration
@@ -32,8 +33,8 @@ type fleetView struct {
 	// fleet the fleet processor's.
 	shards []*process.View
 	fleet  *process.View
-	// engines are the shard engines, read live by EngineStats.
-	engines []*engine.Engine
+	// stats holds each shard engine's counters, entry i for shard i.
+	stats []engine.Stats
 }
 
 // publish recomputes the reader-facing views and swaps them in as one.
@@ -41,19 +42,19 @@ type fleetView struct {
 // merged keeps the previous cycle's.
 func (s *Supervisor) publish(merged *tables.Snapshot) {
 	v := &fleetView{
-		status:  s.buildStatus(),
-		merged:  merged,
-		anoms:   s.fleetAnomalies(),
-		health:  s.fleetHealth(),
-		shards:  make([]*process.View, len(s.workers)),
-		fleet:   s.fleetProc.Publish(),
-		engines: make([]*engine.Engine, len(s.workers)),
+		status: s.buildStatus(),
+		merged: merged,
+		anoms:  s.fleetAnomalies(),
+		health: s.fleetHealth(),
+		shards: make([]*process.View, len(s.workers)),
+		fleet:  s.fleetProc.Publish(),
+		stats:  make([]engine.Stats, len(s.workers)),
 	}
 	if merged == nil {
 		v.merged = s.view.Load().merged
 	}
 	for i, w := range s.workers {
-		v.engines[i], v.shards[i] = w.core.Engine, w.core.Proc.Publish()
+		v.stats[i], v.shards[i] = w.core.Engine.Stats(), w.core.Proc.Publish()
 	}
 	s.view.Store(v)
 }
@@ -86,7 +87,7 @@ func (s *Supervisor) buildStatus() FleetStatus {
 			row.Generation = w.gen
 			row.Restarts = w.restarts
 			row.Cycles = w.cycles
-			row.LastBeat = w.beatAt()
+			row.LastBeat = w.lastBeat
 			row.DeadSince = w.deadAt
 			row.RestartAt = w.restartAt
 		}
@@ -194,20 +195,11 @@ func (s *Supervisor) FleetAnomalies() []process.Anomaly { return s.view.Load().a
 // from any goroutine.
 func (s *Supervisor) FleetHealth() []TargetHealthView { return s.view.Load().health }
 
-// EngineStats returns each shard's cumulative engine instrumentation,
-// entry i for shard i (a dead shard's entry stops advancing until its
-// restart replaces the engine) — the /stats view under -shards. The
-// engines are the ones published after the last cycle, but their
-// counters are live: each is read at call time under its own mutex, so
-// this is safe from any goroutine and a cycle in flight can be watched.
-func (s *Supervisor) EngineStats() []engine.Stats {
-	engines := s.view.Load().engines
-	out := make([]engine.Stats, len(engines))
-	for i, e := range engines {
-		out[i] = e.Stats()
-	}
-	return out
-}
+// EngineStats returns each shard's cumulative engine instrumentation as
+// the last published cycle left it, entry i for shard i (a dead shard's
+// entry stops advancing until its restart replaces the engine) — the
+// /stats view under -shards. Safe from any goroutine.
+func (s *Supervisor) EngineStats() []engine.Stats { return s.view.Load().stats }
 
 // FleetProc exposes the fleet-level processor (merged series, no
 // detectors). Driver goroutine only, but for its View.

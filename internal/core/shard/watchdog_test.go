@@ -3,13 +3,13 @@ package shard_test
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core/collect"
 	"repro/internal/core/shard"
+	"repro/internal/testfault"
 )
 
 // TestViewsUnderChaosWatchdog: readers hammer every published view and
@@ -19,17 +19,14 @@ import (
 // cycle: the driver records each reader's response before the first
 // cycle and after every cycle, and every response a reader got
 // mid-cycle — mid-handoff included — must be one of those, byte for
-// byte. EngineStats is the exception, live by design, and is only read.
-// Every lock the driver, the workers and the readers still take is
-// taken here from all sides at once, so two of them acquired in
-// opposite orders deadlock; the watchdog then fails the test with every
-// goroutine's stack. Under the race detector an unguarded read fails
-// it too.
+// byte. A reader blocking the cycle trips the deadline, which fails the
+// test with every goroutine's stack. Under the race detector an
+// unguarded read fails it too: the workers, the supervisor and the
+// readers share state only through the request/response channels and
+// the published view.
 func TestViewsUnderChaosWatchdog(t *testing.T) {
-	const (
-		cycles = 40
-		limit  = 60 * time.Second
-	)
+	testfault.Deadline(t, time.Minute)
+	const cycles = 40
 	n := newFleetNetwork(t)
 	// 45-minute heartbeat over 30-minute cycles catches a wedge on its
 	// second cycle; an hour's backoff restarts a dead shard two cycles
@@ -74,9 +71,10 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 		{"Merged", func() string { return fmt.Sprintf("%+v", s.Merged()) }},
 		{"FleetAnomalies", func() string { return asJSON(s.FleetAnomalies()) }},
 		{"FleetHealth", func() string { return asJSON(s.FleetHealth()) }},
-		{"EngineStats", func() string { s.EngineStats(); return "" }},
+		{"EngineStats", func() string { return asJSON(s.EngineStats()) }},
 		{"/", http("/")},
 		{"/shards", http("/shards")},
+		{"/stats", http("/stats")},
 		{"/health", http("/health")},
 		{"/anomalies", http("/anomalies")},
 		{"/anomalies?cross=1", http("/anomalies?cross=1")},
@@ -113,46 +111,33 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 		}()
 	}
 
-	driven := make(chan error, 1)
-	go func() {
-		record()
-		for c := 1; c <= cycles; c++ {
-			// Faults land on a shard that owns targets, so each one
-			// moves state: a crash after the cycle ran, then a wedge.
-			switch c % 8 {
-			case 2:
-				if idx, ok := ownerShard(s); ok {
-					s.Kill(idx, shard.KillMidCycle)
-				}
-			case 6:
-				if idx, ok := ownerShard(s); ok {
-					s.Kill(idx, shard.Wedge)
-				}
-			}
-			n.Step()
-			if _, err := s.RunCycle(n.Now()); err != nil {
-				driven <- err
-				return
-			}
-			record()
-		}
-		driven <- nil
-	}()
-
-	select {
-	case err := <-driven:
+	halt := sync.OnceFunc(func() {
 		close(stop)
 		wg.Wait()
-		if err != nil {
+	})
+	defer halt()
+
+	record()
+	for c := 1; c <= cycles; c++ {
+		// Faults land on a shard that owns targets, so each one moves
+		// state: a crash after the cycle ran, then a wedge.
+		switch c % 8 {
+		case 2:
+			if idx, ok := ownerShard(s); ok {
+				s.Kill(idx, shard.KillMidCycle)
+			}
+		case 6:
+			if idx, ok := ownerShard(s); ok {
+				s.Kill(idx, shard.Wedge)
+			}
+		}
+		n.Step()
+		if _, err := s.RunCycle(n.Now()); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(limit):
-		buf := make([]byte, 8<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		// The supervisor is left open: closing it would wait on the
-		// deadlocked goroutines.
-		t.Fatalf("%d fleet cycles under concurrent readers did not finish within %v; goroutines:\n%s", cycles, limit, buf)
+		record()
 	}
+	halt()
 	for i, r := range reads {
 		stray := 0
 		for body := range seen[i] {

@@ -5,7 +5,10 @@
 // goroutine owns its core exclusively while a cycle is in flight;
 // between cycles the supervisor may reach into an idle core directly
 // (handoff imports, exports), with the next request/response pair
-// providing the happens-before edge.
+// providing the happens-before edge. Everything else the two share
+// travels on that pair: the scripted kill in the request, the cycle's
+// checkpoint in the response. The heartbeat is the supervisor's own,
+// stamped when a response arrives.
 //
 // WAL writes are group-committed, and the fence is where the worker
 // places Core.Commit: the in-memory logger is updated stage-by-stage
@@ -18,7 +21,6 @@
 package shard
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core/collect"
@@ -28,7 +30,7 @@ import (
 )
 
 // KillMode is a scripted worker fault, set by the chaos suite between
-// cycles and consumed at the worker's next request.
+// cycles and carried by the worker's next request.
 type KillMode int
 
 const (
@@ -49,10 +51,13 @@ const (
 type cycleReq struct {
 	now     time.Time
 	targets []collect.Target
+	kill    KillMode
 }
 
 type cycleResp struct {
-	items  []*engine.Item
+	items []*engine.Item
+	// ckpt is the checkpoint the worker took after the cycle.
+	ckpt   *cycle.Checkpoint
 	wedged bool
 	err    error
 }
@@ -86,14 +91,13 @@ type worker struct {
 	respCh chan cycleResp
 	done   chan struct{}
 
-	// mu guards the fields shared between the worker goroutine and the
-	// supervisor: the scripted kill, the heartbeat and the checkpoint.
-	mu       sync.Mutex
-	kill     KillMode
-	lastBeat time.Time
-	ckpt     *cycle.Checkpoint
-
-	// Supervisor-owned lifecycle state (driver goroutine only).
+	// Supervisor-owned state (driver goroutine only): the fault the next
+	// dispatch carries, the heartbeat — the last cycle the worker
+	// completed, seeded at its first dispatch — the checkpoint its last
+	// response carried, and the lifecycle.
+	kill      KillMode
+	lastBeat  time.Time
+	ckpt      *cycle.Checkpoint
 	alive     bool
 	deadAt    time.Time
 	restartAt time.Time
@@ -107,7 +111,7 @@ type worker struct {
 func (w *worker) loop() {
 	defer close(w.done)
 	for req := range w.reqCh {
-		switch w.takeKill() {
+		switch req.kill {
 		case KillBeforeCycle:
 			return
 		case KillMidCycle:
@@ -123,45 +127,6 @@ func (w *worker) loop() {
 		}
 		items, _, _ := w.core.Run(req.now, req.targets, engine.Options{Concurrency: w.conc})
 		err := w.core.Commit()
-		ck := w.core.Export(req.now, req.targets)
-		w.mu.Lock()
-		w.lastBeat = req.now
-		w.ckpt = ck
-		w.mu.Unlock()
-		w.respCh <- cycleResp{items: items, err: err}
+		w.respCh <- cycleResp{items: items, ckpt: w.core.Export(req.now, req.targets), err: err}
 	}
-}
-
-// takeKill reads the scripted fault. Crash modes are one-shot; Wedge
-// persists until the supervisor declares the worker dead.
-func (w *worker) takeKill() KillMode {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	k := w.kill
-	if k == KillBeforeCycle || k == KillMidCycle {
-		w.kill = killNone
-	}
-	return k
-}
-
-// markDispatch seeds the heartbeat for a worker that has never beaten,
-// so staleness is measured from its first dispatch, not from zero.
-func (w *worker) markDispatch(now time.Time) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.lastBeat.IsZero() {
-		w.lastBeat = now
-	}
-}
-
-func (w *worker) beatAt() time.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastBeat
-}
-
-func (w *worker) checkpointRef() *cycle.Checkpoint {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ckpt
 }

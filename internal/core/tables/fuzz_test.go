@@ -18,6 +18,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -564,6 +565,7 @@ func FuzzBuildSnapshot(f *testing.F) {
 // across dumps. The strings reach /health last_error and WAL gap
 // reasons, so which of two defects is named is observable.
 func TestBuildSnapshotErrorPrecedence(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	const (
 		short   = "DVMRP Routing Table - 3 entries\n10.0.0.0/8 local 0 0:00:05\n"
 		badRow  = "IP Multicast Forwarding Table - 1 entries\nnot a table row here x y\n"
@@ -605,6 +607,7 @@ func TestBuildSnapshotErrorPrecedence(t *testing.T) {
 // TestBuildSnapshotAbsurdCount: a header may claim any count; what is
 // allocated for the table is bounded by the bytes the dump has.
 func TestBuildSnapshotAbsurdCount(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dumps := []collect.Dump{{Target: "r", Command: "show ip dvmrp route", At: sim.Epoch,
 		Raw: "DVMRP Routing Table - 999999999999 entries\n10.0.0.0/8 local 0 0:00:05\n"}}
 	var before, after runtime.MemStats
@@ -626,6 +629,7 @@ func TestBuildSnapshotAbsurdCount(t *testing.T) {
 // took seconds; once through takes milliseconds, and the gate leaves
 // room for a race build on a busy machine.
 func TestScanDumpsLongLineIsLinear(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	long := strings.Repeat(" 1", 100000)
 	raw := "MBGP Table -" + long + "\n10.0.0.0/8 local 2:00:00" + long + "\n" + long + "\x01\n"
 	for _, cmd := range []string{"show ip mbgp", "show ip pim group"} {

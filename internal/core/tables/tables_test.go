@@ -10,6 +10,7 @@ import (
 	"repro/internal/core/tables"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -20,6 +21,7 @@ func one(command, raw string) (*tables.Snapshot, error) {
 }
 
 func TestParseDVMRPRoutes(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	raw := `DVMRP Routing Table - 2 entries
 Origin-Subnet       From-Gateway     Metric  Uptime
 128.111.0.0/16      198.32.255.3     3       12:30:00
@@ -45,6 +47,7 @@ Origin-Subnet       From-Gateway     Metric  Uptime
 }
 
 func TestParseDVMRPRoutesMalformed(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	for _, raw := range []string{
 		"1.2.3.4/8 gw x 0:00:00",        // bad metric
 		"1.2.3.4/8 gw 1 xx",             // bad uptime
@@ -65,6 +68,7 @@ func TestParseDVMRPRoutesMalformed(t *testing.T) {
 }
 
 func TestParseMroute(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	raw := `IP Multicast Forwarding Table - 2 entries
 Source           Group            Flags  IIF  OIFs           Kbps      Pkts        Uptime
 128.111.41.2     224.2.0.1        DP     12   -              0.0       17          1:00:00
@@ -87,6 +91,7 @@ Source           Group            Flags  IIF  OIFs           Kbps      Pkts     
 }
 
 func TestParseUptimeValidation(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	raw := "1.1.1.1 224.1.1.1 D 0 - 1.0 5 0:99:00"
 	if _, err := one("show ip mroute", raw); err == nil {
 		t.Error("minutes > 59 accepted")
@@ -94,6 +99,7 @@ func TestParseUptimeValidation(t *testing.T) {
 }
 
 func TestParseIGMPAndMSDPAndMBGP(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	sn, err := one("show ip igmp groups", `IGMP Group Membership - 1 groups, 1 members
 Group            Host             Uptime
 224.2.0.1        128.111.41.10    0:30:00`)
@@ -194,6 +200,7 @@ func TestDeriveSessionsMixedProtocol(t *testing.T) {
 }
 
 func TestBuildSnapshotEndToEnd(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	// Collect real dumps from a simulated router and normalize them.
 	cfg := topo.DefaultInternetConfig()
 	cfg.NumDomains = 3
@@ -251,6 +258,7 @@ func TestBuildSnapshotEndToEnd(t *testing.T) {
 }
 
 func TestBuildSnapshotErrors(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	if _, err := tables.BuildSnapshot(nil); err == nil {
 		t.Error("empty dumps accepted")
 	}

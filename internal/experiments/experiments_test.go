@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core/process"
+	"repro/internal/testfault"
 )
 
 // runQuickUsage runs the Quick usage scenario once per test binary.
@@ -28,6 +29,7 @@ func usageRunner(t *testing.T) *Runner {
 }
 
 func TestUsageScenarioRuns(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	r := usageRunner(t)
 	if len(r.Stats["fixw"]) == 0 || len(r.Stats["ucsb-r1"]) == 0 {
 		t.Fatal("no stats collected")
@@ -39,6 +41,7 @@ func TestUsageScenarioRuns(t *testing.T) {
 }
 
 func TestUsageShapeQuick(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	r := usageRunner(t)
 	rep := r.UsageShape()
 	t.Logf("\n%s", rep)
@@ -61,6 +64,7 @@ func TestUsageShapeQuick(t *testing.T) {
 }
 
 func TestRouteShapeQuick(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	r := usageRunner(t)
 	rep := r.RouteShape()
 	t.Logf("\n%s", rep)
@@ -70,6 +74,7 @@ func TestRouteShapeQuick(t *testing.T) {
 }
 
 func TestFiguresProduceData(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	r := usageRunner(t)
 	for _, fig := range []FigureResult{r.Figure3(), r.Figure4(), r.Figure5(), r.Figure6(), r.Figure7()} {
 		for _, p := range fig.Panels {
@@ -97,6 +102,7 @@ func TestFiguresProduceData(t *testing.T) {
 }
 
 func TestInjectionScenario(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	r, err := NewRunner(InjectionConfig(Quick))
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +122,7 @@ func TestInjectionScenario(t *testing.T) {
 }
 
 func TestLongTermScenario(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	r, err := NewRunner(LongTermConfig(Quick))
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +138,7 @@ func TestLongTermScenario(t *testing.T) {
 }
 
 func TestRunnerProgressCallback(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	cfg := InjectionConfig(Quick)
 	cfg.End = cfg.Start.Add(5 * cfg.Cycle)
 	cfg.InjectAt = cfg.Start.Add(2 * cfg.Cycle)
@@ -148,6 +156,7 @@ func TestRunnerProgressCallback(t *testing.T) {
 }
 
 func TestMonitorFromDelaysCollection(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	cfg := InjectionConfig(Quick)
 	cfg.End = cfg.Start.Add(10 * cfg.Cycle)
 	cfg.InjectAt = cfg.Start.Add(3 * cfg.Cycle)

@@ -21,11 +21,8 @@ import (
 // between mutexes already listed is left to the deadline tests §14 names.
 func TestMutexInventory(t *testing.T) {
 	want := []string{
-		"collect.Collector.mu",
-		"engine.Engine.mu",
 		"logger.Store.mu",
 		"router.FaultyRouter.mu",
-		"shard.worker.mu",
 		"snmp.Agent.mu",
 	}
 	var got []string

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/core/collect"
 	"repro/internal/core/cycle"
+	"repro/internal/core/engine"
 	"repro/internal/core/logger"
 	"repro/internal/core/output"
 	"repro/internal/core/process"
@@ -101,11 +102,13 @@ type QueryResult = tsdb.Result
 // plus the HTTP output server and the archive's checkpoint cadence.
 //
 // Its cycles, target and table registration and archive calls belong to
-// one goroutine. Its read methods — Series, Query, Anomalies,
-// OpenAnomalies, AnomalyRollup, HealthView, ArchiveStatus — and every
-// endpoint but /stats answer from the view the Monitor last published:
-// at the end of each cycle, and after each of those calls between
-// cycles. They are safe from any goroutine and never see half a cycle.
+// one goroutine, and so do the reads of its modules' own state (Latest,
+// RouteStability, Health, LastResults, Processor, Log). Its read methods
+// — Series, Query, Anomalies, OpenAnomalies, AnomalyRollup, HealthView,
+// ArchiveStatus, EngineStats, LastCycleReport — and every endpoint answer
+// from the view the Monitor last published: at the end of each cycle,
+// and after each of those calls between cycles. They are safe from any
+// goroutine and never see half a cycle.
 type Monitor struct {
 	// Commands is the dump set collected each cycle; defaults to the
 	// standard six show commands.
@@ -134,10 +137,11 @@ type Monitor struct {
 }
 
 // view is one published Monitor state: the processor's view, and the
-// health and archive views built from the same instant.
+// health, engine and archive views built from the same instant.
 type view struct {
 	proc   *process.View
 	health HealthView
+	stats  engine.Stats
 	// archive is nil without an archive.
 	archive *ArchiveStatus
 }
@@ -147,7 +151,7 @@ type view struct {
 func (m *Monitor) publish() {
 	pv := m.core.Proc.Publish()
 	m.server.Publish(pv, maps.Clone(m.tables))
-	v := &view{proc: pv, health: m.buildHealth(pv)}
+	v := &view{proc: pv, health: m.buildHealth(pv), stats: m.core.Engine.Stats()}
 	if m.archive != nil {
 		st := m.buildArchiveStatus()
 		v.archive = &st

@@ -11,6 +11,7 @@ import (
 	mantra "repro"
 	"repro/internal/core/collect"
 	"repro/internal/netsim"
+	"repro/internal/testfault"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -41,6 +42,7 @@ func newMonitoredNetwork(t *testing.T) (*netsim.Network, *mantra.Monitor) {
 }
 
 func TestMonitorRunCycle(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	if got := m.Targets(); len(got) != 2 || got[0] != "fixw" {
 		t.Fatalf("targets = %v", got)
@@ -76,6 +78,7 @@ func TestMonitorRunCycle(t *testing.T) {
 }
 
 func TestMonitorClassificationConsistency(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	for i := 0; i < 6; i++ {
 		n.Step()
@@ -97,6 +100,7 @@ func TestMonitorClassificationConsistency(t *testing.T) {
 }
 
 func TestMonitorHTTPEndToEnd(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	for i := 0; i < 3; i++ {
 		n.Step()
@@ -126,6 +130,7 @@ func TestMonitorHTTPEndToEnd(t *testing.T) {
 }
 
 func TestMonitorFailedTargetDegrades(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	m.SetCollectPolicy(collect.Policy{
 		MaxAttempts: 2,
@@ -176,6 +181,7 @@ func TestMonitorFailedTargetDegrades(t *testing.T) {
 }
 
 func TestMonitorReRegistrationResetsBreaker(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	m.SetCollectPolicy(collect.Policy{
 		MaxAttempts:      1,
@@ -254,6 +260,7 @@ func TestMonitorReRegistrationResetsBreaker(t *testing.T) {
 }
 
 func TestMonitorAllTargetsFailed(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	m := mantra.New()
 	m.SetCollectPolicy(collect.Policy{
 		MaxAttempts: 1,
@@ -278,6 +285,7 @@ func TestMonitorAllTargetsFailed(t *testing.T) {
 }
 
 func TestMonitorHealthEndpoint(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	n.Step()
 	if _, err := m.RunCycle(n.Now()); err != nil {
@@ -309,6 +317,7 @@ func TestMonitorHealthEndpoint(t *testing.T) {
 }
 
 func TestMonitorDeltaLogReconstruction(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	for i := 0; i < 4; i++ {
 		n.Step()

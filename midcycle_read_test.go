@@ -4,35 +4,33 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	mantra "repro"
+	"repro/internal/testfault"
 )
 
 // TestMonitorViewsUnderCycleWatchdog is the unsharded twin of the shard
 // package's TestViewsUnderChaosWatchdog. Readers hammer every endpoint
-// of Monitor.Handler() but /stats — /query, /series and /graph over the
-// store, /anomalies and /health over the anomaly ring and gap counts,
-// the / index and /tables/* over the summary tables, /archive over the
-// archive counters — while pipelined cycles with aggregation, the
-// archive and scripted incidents write them; half way through, the
-// archive directory is removed, so a checkpoint fails and /archive
-// reports the error the cycle recorded. The contract is that every
-// endpoint answers from the last published cycle: the driver records
-// each path's response before the first cycle and after every cycle,
-// and every response a reader got mid-cycle must be one of those, byte
-// for byte. Under the race detector an unguarded read fails the test
-// too, and a reader blocking the cycle trips the deadline, which prints
-// every goroutine's stack.
+// of Monitor.Handler() — /query, /series and /graph over the store,
+// /anomalies and /health over the anomaly ring and gap counts, the /
+// index and /tables/* over the summary tables, /archive over the
+// archive counters, /stats over the engine's counters — while
+// pipelined cycles with aggregation, the archive and scripted incidents
+// write them; half way through, the archive directory is removed, so a
+// checkpoint fails and /archive reports the error the cycle recorded.
+// The contract is that every endpoint answers from the last published
+// cycle: the driver records each path's response before the first
+// cycle and after every cycle, and every response a reader got
+// mid-cycle must be one of those, byte for byte. Under the race
+// detector an unguarded read fails the test too, and a reader blocking
+// the cycle trips the deadline, which prints every goroutine's stack.
 func TestMonitorViewsUnderCycleWatchdog(t *testing.T) {
-	const (
-		cycles = 16
-		limit  = 60 * time.Second
-	)
+	testfault.Deadline(t, time.Minute)
+	const cycles = 16
 	n, targets := repeatNetwork(t)
 	m := mantra.New()
 	m.SetCollectPolicy(repeatPolicy)
@@ -60,6 +58,7 @@ func TestMonitorViewsUnderCycleWatchdog(t *testing.T) {
 		"/anomalies?cross=1",
 		"/health",
 		"/archive",
+		"/stats",
 	}
 	read := func(path string) string {
 		rec := httptest.NewRecorder()
@@ -94,39 +93,27 @@ func TestMonitorViewsUnderCycleWatchdog(t *testing.T) {
 		}()
 	}
 
-	driven := make(chan error, 1)
-	go func() {
-		record()
-		for c := 1; c <= cycles; c++ {
-			if c == repeatWarmup+1 {
-				scheduleIncidents(t, n)
-				if err := os.RemoveAll(dir); err != nil {
-					driven <- err
-					return
-				}
-			}
-			n.Step()
-			if _, err := m.RunCycleConcurrent(n.Now()); err != nil {
-				driven <- err
-				return
-			}
-			record()
-		}
-		driven <- nil
-	}()
-
-	select {
-	case err := <-driven:
+	halt := sync.OnceFunc(func() {
 		close(stop)
 		wg.Wait()
-		if err != nil {
+	})
+	defer halt()
+
+	record()
+	for c := 1; c <= cycles; c++ {
+		if c == repeatWarmup+1 {
+			scheduleIncidents(t, n)
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Step()
+		if _, err := m.RunCycleConcurrent(n.Now()); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(limit):
-		buf := make([]byte, 8<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Fatalf("%d cycles under concurrent readers did not finish within %v; goroutines:\n%s", cycles, limit, buf)
+		record()
 	}
+	halt()
 	if mixed := strays(paths, seen, between); len(mixed) > 0 {
 		t.Errorf("mid-cycle responses matching no between-cycles response: %s", strings.Join(mixed, ", "))
 	}

@@ -76,11 +76,11 @@ func (m *Monitor) Concurrency() int {
 }
 
 // EngineStats returns the cycle engine's cumulative per-stage,
-// per-target instrumentation — the view served over HTTP at /stats.
-// Unlike the Monitor's other reads it is live, taken under the engine's
-// own mutex, so a cycle in flight can be watched.
-func (m *Monitor) EngineStats() engine.Stats { return m.core.Engine.Stats() }
+// per-target instrumentation as last published — the view served over
+// HTTP at /stats.
+func (m *Monitor) EngineStats() engine.Stats { return m.published.Load().stats }
 
 // LastCycleReport returns the most recent cycle's per-stage timings and
-// queue-depth counters, or nil before the first cycle.
-func (m *Monitor) LastCycleReport() *engine.CycleReport { return m.core.Engine.LastReport() }
+// queue-depth counters as last published, or nil before the first
+// cycle.
+func (m *Monitor) LastCycleReport() *engine.CycleReport { return m.published.Load().stats.LastCycle }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/core/shard"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/testfault"
 )
 
 // archiveEquivCfg disables checkpoints (each prunes the segments behind
@@ -163,6 +164,7 @@ const (
 // pipelined must agree on every artifact the monitor produces, and the
 // serial leg must reproduce the pinned bytes.
 func TestPipelinedCycleMatchesSerial(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	profile := router.FaultProfile{
 		RefuseConn:  0.08,
 		RejectLogin: 0.06,
@@ -306,6 +308,7 @@ func recoveredEvents(t *testing.T, dir string) []walEvent {
 // each cycle's deltas before its gaps — out of stage order whenever an
 // earlier-registered target failed.
 func TestShardWALMatchesMonitorFrameOrder(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	profile := router.FaultProfile{RefuseConn: 0.2, RejectLogin: 0.1, Truncate: 0.1}
 	policy := collect.Policy{
 		MaxAttempts:      1,
@@ -410,6 +413,7 @@ func (downDialer) Dial() (io.ReadWriteCloser, error) {
 // them into the new collector. ResetCollectState keeps the old wipe as
 // an explicit operation.
 func TestSetCollectPolicyCarriesState(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	m := mantra.New()
 	m.SetCollectPolicy(collect.Policy{
 		MaxAttempts:      1,
@@ -474,6 +478,7 @@ func TestSetCollectPolicyCarriesState(t *testing.T) {
 // TestEngineStatsExposed: the /stats instrumentation reflects the
 // cycles run and carries per-stage observations for every target.
 func TestEngineStatsExposed(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
 	const cycles = 4
 	for i := 0; i < cycles; i++ {

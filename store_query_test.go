@@ -15,6 +15,7 @@ import (
 	"repro/internal/core/output"
 	"repro/internal/core/shard"
 	"repro/internal/experiments"
+	"repro/internal/testfault"
 )
 
 // figureBytes renders a figure's CSV and ASCII chart into one buffer.
@@ -46,6 +47,7 @@ var pinnedFigureDigests = map[string]string{
 // series the compressed store streams back, is byte for byte the figure
 // pinned above.
 func TestFiguresStreamingEquivalence(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	r, err := experiments.NewRunner(experiments.UsageConfig(experiments.Quick))
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +69,7 @@ func TestFiguresStreamingEquivalence(t *testing.T) {
 // per-shard execution plus Assemble must be indistinguishable from one
 // store holding everything.
 func TestQueryEndpointShardInvariance(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	queries := []string{
 		"/query?metric=routes&op=range",
 		"/query?metric=routes&op=range&tier=10",
@@ -155,6 +158,7 @@ func storeQueries(t *testing.T, m *mantra.Monitor) map[string][]byte {
 // monitor answers every query byte-identically to the pre-crash
 // monitor, and the mirror self-heals.
 func TestArchiveStoreCrashRecovery(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
 	dir := t.TempDir()
 	n, m1 := newMonitoredNetwork(t)
 	if _, err := m1.EnableArchive(mantra.ArchiveConfig{Dir: dir, CheckpointEvery: 3}); err != nil {
