@@ -254,17 +254,15 @@ func BenchmarkResilientCollectHappyPath(b *testing.B) {
 	c.Track(tgt.Name)
 	now := r.Net.Now()
 	b.ResetTimer()
+	var buf collect.ReadBuffer
 	for i := 0; i < b.N; i++ {
-		var err error
-		res := c.Collect(tgt, collect.StandardCommands, now, func(dumps []collect.Dump) (defect error) {
-			_, err, defect = tables.ScanDumps(tgt.Prompt, dumps)
-			return defect
-		})
+		sc := tables.Scanner{Target: tgt.Name, Prompt: tgt.Prompt, At: now}
+		res := c.Collect(tgt, collect.StandardCommands, now, &buf, &sc)
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
-		if err != nil {
-			b.Fatal(err)
+		if sc.ParseErr != nil {
+			b.Fatal(sc.ParseErr)
 		}
 	}
 	b.StopTimer()

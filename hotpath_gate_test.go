@@ -175,19 +175,18 @@ func TestHotpathAllocGates(t *testing.T) {
 		pol.Backoff("fixw", 3)
 	})
 
-	// One resilient collection against a router that renders nothing:
-	// the pipe and its session, the expect loop's reads and one string
-	// per dump. Login, Run, send and readUntil each run at least once a
-	// call, so one more allocation in any of them fails the gate.
-	canned := cannedRouter{prompt: []byte(prompt), out: make(map[string][]byte)}
-	for _, d := range dumps {
-		canned.out[d.Command] = []byte(d.Raw)
-	}
-	tgt := collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: canned}, Prompt: prompt, Timeout: 5 * time.Second}
+	// One resilient collection against a canned router, into a sink that
+	// keeps nothing, on a read buffer a first collection has made: the
+	// session and the expect loop's reads. Login, Run, send and readUntil
+	// each run at least once a call, so one more allocation in any of
+	// them fails the gate. (64 when each dump was copied into a string of
+	// its own and the router sat behind a pipe and a goroutine.)
+	tgt := collect.Target{Name: "fixw", Dialer: newCanned(prompt, dumps), Prompt: prompt, Timeout: 5 * time.Second}
 	col := collect.NewCollector(pol)
 	col.Track(tgt.Name)
-	allocGate(t, "Collector.Collect", 64, func() {
-		if res := col.Collect(tgt, collect.StandardCommands, time.Time{}, func([]collect.Dump) error { return nil }); res.Err != nil {
+	var buf collect.ReadBuffer
+	allocGate(t, "Collector.Collect", 16, func() {
+		if res := col.Collect(tgt, collect.StandardCommands, time.Time{}, &buf, discard{}); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	})
@@ -207,7 +206,7 @@ func TestHotpathAllocGates(t *testing.T) {
 	// nothing: the items, the report and its per-target rows, the
 	// channels and the two goroutines of the serial schedule.
 	noop := func(*engine.Item, time.Time) {}
-	eng := engine.New(engine.Stages{Collect: noop, Normalize: noop, Log: noop, Ingest: noop, Publish: noop}, nil)
+	eng := engine.New(engine.Stages{Collect: func(*engine.Item, time.Time, int) {}, Normalize: noop, Log: noop, Ingest: noop, Publish: noop}, nil)
 	four := []collect.Target{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}
 	allocGate(t, "Engine.Run", 17, func() {
 		eng.Run(sn.At, four, engine.Options{Concurrency: 1})
@@ -258,8 +257,9 @@ func TestHotpathAllocGates(t *testing.T) {
 	})
 
 	// One steady-state cycle of one target through the cycle core: the
-	// collection above plus the scan, the stages (stageCollect's check
-	// closure among them), the delta log, the processor and the engine.
+	// collection above plus the scanner it streams into, the pool slot's
+	// read buffer, the stages, the delta log, the processor and the
+	// engine. (259 with a string per dump, a pipe and its goroutine.)
 	core := cycle.New(pol, collect.StandardCommands, nil)
 	at := sn.At
 	one := []collect.Target{tgt}
@@ -267,7 +267,7 @@ func TestHotpathAllocGates(t *testing.T) {
 		at = at.Add(time.Minute)
 		core.Run(at, one, engine.Options{Concurrency: 1})
 	}
-	allocGate(t, "cycle.Core.Run", 259, func() {
+	allocGate(t, "cycle.Core.Run", 213, func() {
 		at = at.Add(time.Minute)
 		if items, _, _ := core.Run(at, one, engine.Options{Concurrency: 1}); items[0].Failed() {
 			t.Fatal(items[0].Res.Err)
@@ -275,73 +275,112 @@ func TestHotpathAllocGates(t *testing.T) {
 	})
 }
 
-// cannedRouter serves recorded dumps over the session protocol of
-// router.HandleSession and renders nothing, so what a collection
-// allocates against it is the collector's own.
-type cannedRouter struct {
-	prompt []byte
-	out    map[string][]byte
+// cannedDialer serves recorded dumps, password-free, over a synchronous
+// in-memory connection: no goroutine, no pipe, no timer and nothing
+// rendered, so what a collection allocates against it is the
+// collector's own. out holds each command's reply, prompt included.
+type cannedDialer struct {
+	prompt string
+	out    map[string]string
 }
 
-func (c cannedRouter) HandleSession(rw io.ReadWriter) error {
-	var line [256]byte
-	for {
-		if _, err := rw.Write(c.prompt); err != nil {
-			return err
-		}
-		n, err := rw.Read(line[:])
-		if err != nil {
-			return err
-		}
-		cmd := strings.TrimSpace(string(line[:n]))
-		if cmd == "exit" {
-			return nil
-		}
-		if _, err := rw.Write(c.out[cmd]); err != nil {
-			return err
-		}
+func newCanned(prompt string, dumps []collect.Dump) cannedDialer {
+	c := cannedDialer{prompt: prompt, out: make(map[string]string)}
+	for _, d := range dumps {
+		c.out[d.Command] = d.Raw + prompt
 	}
+	return c
 }
 
-// TestCollectAllAllocBytes bounds what one collection allocates in
-// bytes: the dumps themselves, each copied once out of the pooled read
-// buffer at its exact size, plus a constant for the session and the
-// pipe. Read-buffer regrowth, a doubling builder or a second copy of
-// each dump would all land well outside the quarter allowed on top.
-// The figure is the least of several runs, so a garbage collection that
-// empties the buffer pool mid-test costs one run, not the gate.
+func (c cannedDialer) Dial() (io.ReadWriteCloser, error) {
+	return &cannedConn{c, c.prompt}, nil
+}
+
+// cannedConn is one canned session: the reply not yet read.
+type cannedConn struct {
+	cannedDialer
+	pending string
+}
+
+func (c *cannedConn) Read(p []byte) (int, error) {
+	if c.pending == "" {
+		return 0, io.EOF
+	}
+	n := copy(p, c.pending)
+	c.pending = c.pending[n:]
+	return n, nil
+}
+
+// Write takes one command line a call, as a session sends them; "exit"
+// and unknown commands get no reply.
+func (c *cannedConn) Write(p []byte) (int, error) {
+	c.pending = c.out[string(p[:len(p)-1])]
+	return len(p), nil
+}
+
+func (c *cannedConn) Close() error                     { return nil }
+func (c *cannedConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *cannedConn) SetWriteDeadline(time.Time) error { return nil }
+
+// discard is a collect.Sink that keeps nothing.
+type discard struct{}
+
+func (discard) Begin()              {}
+func (discard) Dump(string, []byte) {}
+func (discard) End() error          { return nil }
+
+// TestCollectAllAllocBytes bounds in bytes what the cycle's collection of
+// one target allocates: Collector.Collect streaming into the cycle's
+// scanner, on a read buffer made before the measured call, as a pool
+// slot's is by its first read. That is the snapshot's tables plus a
+// constant for the session and the scanner, measured in one pass; a copy
+// of each dump (what a Dump string costs) or a buffer regrown per session
+// would land well outside it. CollectAll, which makes that copy on
+// purpose, must still hand over every dump byte for byte.
 func TestCollectAllAllocBytes(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	dumps := gateDumps(t)
-	canned := cannedRouter{prompt: []byte("fixw> "), out: make(map[string][]byte)}
 	dumpBytes := 0
 	for _, d := range dumps {
-		canned.out[d.Command] = []byte(d.Raw)
 		dumpBytes += len(d.Raw)
 	}
-	tgt := collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: canned}, Prompt: "fixw> ", Timeout: 5 * time.Second}
-	least := ^uint64(0)
-	for run := 0; run < 6; run++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got, err := collect.CollectAll(tgt, collect.StandardCommands, time.Time{})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range got {
-			if d.Raw != dumps[i].Raw {
-				t.Fatalf("%q replayed differently", d.Command)
-			}
-		}
-		if run > 0 { // the first run grows the pooled buffer
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
+	tgt := collect.Target{Name: "fixw", Dialer: newCanned("fixw> ", dumps), Prompt: "fixw> ", Timeout: 5 * time.Second}
+	got, err := collect.CollectAll(tgt, collect.StandardCommands, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range got {
+		if d.Raw != dumps[i].Raw {
+			t.Fatalf("%q replayed differently", d.Command)
 		}
 	}
-	if gate := uint64(dumpBytes)*5/4 + 8<<10; least > gate {
-		t.Errorf("CollectAll allocated %d bytes for %d bytes of dumps, gate is %d", least, dumpBytes, gate)
+
+	col := collect.NewCollector(collect.DefaultPolicy())
+	col.Track(tgt.Name)
+	var buf collect.ReadBuffer
+	collectOnce := func() *tables.Scanner {
+		sc := &tables.Scanner{Target: tgt.Name, Prompt: tgt.Prompt}
+		if res := col.Collect(tgt, collect.StandardCommands, time.Time{}, &buf, sc); res.Err != nil || sc.ParseErr != nil {
+			t.Fatal(res.Err, sc.ParseErr)
+		}
+		return sc
 	}
-	t.Logf("CollectAll: %d bytes allocated for %d bytes of dumps", least, dumpBytes)
+	collectOnce() // makes the read buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sc := collectOnce()
+	runtime.ReadMemStats(&after)
+	sn := sc.Snapshot
+	tableBytes := uint64(cap(sn.Routes))*uint64(unsafe.Sizeof(tables.RouteEntry{})) +
+		uint64(cap(sn.Pairs))*uint64(unsafe.Sizeof(tables.PairEntry{})) +
+		uint64(cap(sn.IGMP))*uint64(unsafe.Sizeof(tables.IGMPEntry{})) +
+		uint64(cap(sn.SAs))*uint64(unsafe.Sizeof(tables.SAEntry{})) +
+		uint64(cap(sn.MBGP))*uint64(unsafe.Sizeof(tables.MBGPEntry{}))
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if gate := tableBytes*9/8 + 8<<10; allocated > gate {
+		t.Errorf("Collector.Collect allocated %d bytes for %d bytes of tables (%d bytes of dumps), gate is %d", allocated, tableBytes, dumpBytes, gate)
+	}
+	t.Logf("Collector.Collect: %d bytes allocated for %d bytes of tables, %d bytes of dumps", allocated, tableBytes, dumpBytes)
 }
 
 // TestMergeSnapshotsAllocBytes bounds the fleet fan-in's merge in bytes:
@@ -427,15 +466,11 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 	const routeCmd = "show ip dvmrp route"
 	dumps := gateDumps(t)
 	sizes := map[string]int{"large": 4000, "small": 40}
-	routers := make(map[string]cannedRouter)
+	routers := make(map[string]cannedDialer)
 	var targets []collect.Target
 	for _, name := range []string{"large", "small"} {
-		r := cannedRouter{prompt: []byte(name + "> "), out: make(map[string][]byte)}
-		for _, d := range dumps {
-			r.out[d.Command] = []byte(d.Raw)
-		}
-		routers[name] = r
-		targets = append(targets, collect.Target{Name: name, Dialer: collect.PipeDialer{Router: r}, Prompt: name + "> ", Timeout: 5 * time.Second})
+		routers[name] = newCanned(name+"> ", dumps)
+		targets = append(targets, collect.Target{Name: name, Dialer: routers[name], Prompt: name + "> ", Timeout: 5 * time.Second})
 	}
 	core := cycle.New(collect.DefaultPolicy(), collect.StandardCommands, nil)
 
@@ -460,7 +495,7 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 	for c := 1; c <= late; c++ {
 		at = at.Add(30 * time.Minute)
 		for name, r := range routers {
-			r.out[routeCmd] = dvmrpRouteDump(sizes[name], time.Duration(c)*30*time.Minute)
+			r.out[routeCmd] = string(dvmrpRouteDump(sizes[name], time.Duration(c)*30*time.Minute)) + r.prompt
 		}
 		items, _, _ := core.Run(at, targets, engine.Options{Concurrency: 1})
 		for _, it := range items {
@@ -578,7 +613,7 @@ func TestCheckpointAllocFlatInHistory(t *testing.T) {
 func TestReadPathAllocBytesFlatInHistory(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	m := mantra.New()
-	m.AddTarget(collect.Target{Name: "fixw", Dialer: collect.PipeDialer{Router: cannedRouter{prompt: []byte("fixw> ")}}, Prompt: "fixw> "})
+	m.AddTarget(collect.Target{Name: "fixw", Dialer: newCanned("fixw> ", nil), Prompt: "fixw> "})
 	h := m.Handler()
 	p := m.Processor()
 	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)

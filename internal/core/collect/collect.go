@@ -18,7 +18,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -99,23 +98,18 @@ type Session struct {
 	prompt  string
 	timeout time.Duration
 	now     func() time.Time
-	// buf is the read buffer, on loan from readBufs between the first
-	// read and release; what readUntil returns is a view into it.
-	buf *readBuf
+	// buf is the read buffer; what readUntil returns is a view into it.
+	buf *ReadBuffer
 }
 
-// readBufs recycles session read buffers: a buffer grows to the largest
-// dump it has held and the next session starts from there, so a steady
-// cycle allocates one exactly-sized string per dump and no buffer. A
-// sync.Pool drops what goes unused across garbage collections, so an
-// idle collector retains nothing.
-var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
-
-// readBuf is what one readUntil has read so far.
-type readBuf struct {
-	b []byte
-	// searched is how much of b has been searched for the pattern.
-	searched int
+// ReadBuffer is the memory a session reads into: every read starts over
+// at its front, so what one read returned is valid until the next. It is
+// made at Size bytes (plus a read's free space) by the first read; Peak
+// is the most a read has held. The zero value is ready.
+type ReadBuffer struct {
+	Size, Peak int
+	b          []byte
+	searched   int // how much of b has been searched for the pattern
 }
 
 // minRead is the least free space a read is offered; a buffer with less
@@ -124,7 +118,7 @@ const minRead = 4096
 
 // spare returns the buffer's free space, growing the buffer first if
 // there is less than minRead of it.
-func (rb *readBuf) spare() []byte {
+func (rb *ReadBuffer) spare() []byte {
 	if cap(rb.b)-len(rb.b) < minRead {
 		rb.b = append(make([]byte, 0, 2*cap(rb.b)+minRead), rb.b...)
 	}
@@ -133,20 +127,13 @@ func (rb *readBuf) spare() []byte {
 
 // found reports whether pattern has arrived, searching only the bytes
 // read since the last call and the few before them a pattern split
-// across two reads could start in.
-func (rb *readBuf) found(pattern string) bool {
+// across two reads could start in. Every read is followed by a call, so
+// it also keeps Peak.
+func (rb *ReadBuffer) found(pattern string) bool {
 	from := max(rb.searched-len(pattern)+1, 0)
 	rb.searched = len(rb.b)
+	rb.Peak = max(rb.Peak, len(rb.b))
 	return indexString(rb.b[from:], pattern) >= 0
-}
-
-// release returns the read buffer to the pool. Every string handed out
-// was copied from it, so nothing aliases what the next session reads.
-func (s *Session) release() {
-	if s.buf != nil {
-		readBufs.Put(s.buf)
-		s.buf = nil
-	}
 }
 
 // deadliner is implemented by net.Conn and net.Pipe ends.
@@ -161,17 +148,17 @@ type writeDeadliner interface {
 
 // readUntil consumes the stream until pattern appears, returning
 // everything read including the pattern — as a view into the session's
-// read buffer, valid until the next readUntil or release. The session
-// timeout is enforced for every transport: connections with native read
-// deadlines use them, and all others get a watchdog timer that closes the
-// connection — the only way to unblock a stuck Read — so a hung router can
-// never wedge the collector. A timed-out session is dead either way;
+// read buffer, valid until the next readUntil. The session timeout is
+// enforced for every transport: connections with native read deadlines
+// use them, and all others get a watchdog timer that closes the
+// connection — the only way to unblock a stuck Read — so a hung router
+// can never wedge the collector. A timed-out session is dead either way;
 // callers retry with a fresh login.
 func (s *Session) readUntil(pattern string) ([]byte, error) {
-	if s.buf == nil {
-		s.buf = readBufs.Get().(*readBuf)
-	}
 	rb := s.buf
+	if rb.b == nil {
+		rb.b = make([]byte, 0, rb.Size+minRead)
+	}
 	rb.b, rb.searched = rb.b[:0], 0
 	deadline := s.now().Add(s.timeout)
 	if d, ok := s.conn.(deadliner); ok {
@@ -248,8 +235,8 @@ func (s *Session) send(line string) error {
 	return err
 }
 
-// Login opens and authenticates a session against t.
-func Login(t Target) (*Session, error) {
+// Login opens and authenticates a session against t that reads into buf.
+func Login(t Target, buf *ReadBuffer) (*Session, error) {
 	conn, err := t.Dialer.Dial()
 	if err != nil {
 		return nil, err
@@ -262,7 +249,7 @@ func Login(t Target) (*Session, error) {
 	if now == nil {
 		now = time.Now // live-target default; injected via Target.Clock everywhere else
 	}
-	s := &Session{conn: conn, prompt: t.Prompt, timeout: timeout, now: now}
+	s := &Session{conn: conn, prompt: t.Prompt, timeout: timeout, now: now, buf: buf}
 	if t.Password != "" {
 		if _, err := s.readUntil("Password: "); err != nil {
 			conn.Close()
@@ -280,18 +267,18 @@ func Login(t Target) (*Session, error) {
 	return s, nil
 }
 
-// Run issues one command and returns its raw output with the command echo
-// and trailing prompt stripped: one string, copied out of the read buffer
-// at exactly the dump's size.
-func (s *Session) Run(cmd string) (string, error) {
+// Run issues one command and returns its raw output with the command
+// echo and trailing prompt stripped: a view into the session's read
+// buffer, valid until the session reads again.
+func (s *Session) Run(cmd string) ([]byte, error) {
 	if err := s.send(cmd); err != nil {
-		return "", err
+		return nil, err
 	}
 	out, err := s.readUntil(s.prompt)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return string(stripEcho(out, cmd, s.prompt)), nil
+	return stripEcho(out, cmd, s.prompt), nil
 }
 
 // stripEcho cleans one captured command output: the trailing prompt (with
@@ -326,10 +313,9 @@ func cutSuffix(b []byte, s string) ([]byte, bool) {
 	return b, false
 }
 
-// Close logs out, closes the connection and gives the read buffer back.
+// Close logs out and closes the connection.
 func (s *Session) Close() error {
 	_ = s.send("exit")
-	s.release()
 	return s.conn.Close()
 }
 
@@ -354,22 +340,35 @@ var StandardCommands = []string{
 }
 
 // CollectAll logs into the target once and captures every command.
-// Dumps carry the collection timestamp now.
+// Dumps carry the collection timestamp now; each is copied out of the
+// session's read buffer into a string of its own.
 func CollectAll(t Target, commands []string, now time.Time) ([]Dump, error) {
-	s, err := Login(t)
+	dumps := make([]Dump, 0, len(commands))
+	err := stream(t, commands, new(ReadBuffer), func(cmd string, raw []byte) {
+		dumps = append(dumps, Dump{Target: t.Name, Command: cmd, Raw: string(raw), At: now})
+	})
+	return dumps, err
+}
+
+// stream logs into the target once, reading into buf, and hands each
+// command's output to dump the moment its prompt arrives: a view into
+// buf, valid until dump returns. It stops at the first session error;
+// the commands before it have been handed over, and the session still
+// logs out.
+func stream(t Target, commands []string, buf *ReadBuffer, dump func(cmd string, raw []byte)) error {
+	s, err := Login(t, buf)
 	if err != nil {
-		return nil, fmt.Errorf("collect %s: %w", t.Name, err)
+		return fmt.Errorf("collect %s: %w", t.Name, err)
 	}
 	defer s.Close()
-	dumps := make([]Dump, 0, len(commands))
 	for _, cmd := range commands {
 		raw, err := s.Run(cmd)
 		if err != nil {
-			return dumps, fmt.Errorf("collect %s %q: %w", t.Name, cmd, err)
+			return fmt.Errorf("collect %s %q: %w", t.Name, cmd, err)
 		}
-		dumps = append(dumps, Dump{Target: t.Name, Command: cmd, Raw: raw, At: now})
+		dump(cmd, raw)
 	}
-	return dumps, nil
+	return nil
 }
 
 // Preprocess cleans a raw dump into trimmed, non-empty lines: excess

@@ -46,15 +46,16 @@ func target(n *netsim.Network, name, password string) collect.Target {
 
 func TestLoginAndRun(t *testing.T) {
 	n := testNetwork(t)
-	s, err := collect.Login(target(n, "fixw", "pw"))
+	s, err := collect.Login(target(n, "fixw", "pw"), new(collect.ReadBuffer))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	out, err := s.Run("show ip dvmrp route")
+	view, err := s.Run("show ip dvmrp route")
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := string(view)
 	if !strings.Contains(out, "DVMRP Routing Table") {
 		t.Errorf("missing table header")
 	}
@@ -70,11 +71,11 @@ func TestLoginAndRun(t *testing.T) {
 		t.Errorf("trailing carriage return left in the dump: %q", out)
 	}
 	// Second command on the same session.
-	out, err = s.Run("show ip mroute")
+	view, err = s.Run("show ip mroute")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Forwarding Table") {
+	if !strings.Contains(string(view), "Forwarding Table") {
 		t.Error("second command failed")
 	}
 }
@@ -84,7 +85,7 @@ func TestLoginWrongPassword(t *testing.T) {
 	tgt := target(n, "fixw", "right")
 	tgt.Password = "wrong"
 	tgt.Timeout = 500 * time.Millisecond
-	if _, err := collect.Login(tgt); err == nil {
+	if _, err := collect.Login(tgt, new(collect.ReadBuffer)); err == nil {
 		t.Fatal("login succeeded with wrong password")
 	}
 }
@@ -92,7 +93,7 @@ func TestLoginWrongPassword(t *testing.T) {
 func TestLoginNoPassword(t *testing.T) {
 	n := testNetwork(t)
 	tgt := target(n, "fixw", "")
-	s, err := collect.Login(tgt)
+	s, err := collect.Login(tgt, new(collect.ReadBuffer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestLoginTimeoutUsesInjectedClock(t *testing.T) {
 			return base.Add(2 * time.Hour)
 		},
 	}
-	_, err := collect.Login(tgt)
+	_, err := collect.Login(tgt, new(collect.ReadBuffer))
 	if !errors.Is(err, collect.ErrLogin) {
 		t.Fatalf("Login error = %v, want ErrLogin", err)
 	}
@@ -271,7 +272,7 @@ func TestSessionTimeoutsUseInjectedClock(t *testing.T) {
 		Timeout:  time.Hour,
 		Clock:    func() time.Time { return base },
 	}
-	_, err := collect.Login(tgt)
+	_, err := collect.Login(tgt, new(collect.ReadBuffer))
 	if err == nil || strings.Contains(err.Error(), "timed out") {
 		t.Errorf("Login after the peer hung up = %v, want the hang-up, not a timeout", err)
 	}
@@ -316,7 +317,7 @@ func TestSendTimesOutAgainstWedgedPeer(t *testing.T) {
 		Prompt:   "wedged> ",
 		Timeout:  100 * time.Millisecond,
 	}
-	s, err := collect.Login(tgt)
+	s, err := collect.Login(tgt, new(collect.ReadBuffer))
 	if err != nil {
 		t.Fatalf("Login: %v", err)
 	}
@@ -374,10 +375,10 @@ func TestPromptSplitAcrossReads(t *testing.T) {
 	}
 }
 
-// TestDumpsDoNotAliasReadBuffer: the read buffer is pooled and the next
-// session overwrites it, so every dump handed out must be a copy. Collect
-// one router, then another through the same pool, then compare the first
-// router's dumps with what it renders.
+// TestDumpsDoNotAliasReadBuffer: every read of a session starts over at
+// the front of its read buffer, so every dump CollectAll hands out must
+// be a copy. Collect two routers, then compare each dump with what its
+// router renders.
 func TestDumpsDoNotAliasReadBuffer(t *testing.T) {
 	n := testNetwork(t)
 	first, err := collect.CollectAll(target(n, "fixw", ""), collect.StandardCommands, n.Now())
@@ -403,12 +404,12 @@ func TestDumpsDoNotAliasReadBuffer(t *testing.T) {
 // TestSessionsConcurrentUnderDeadline runs many sessions at once against
 // two simulated routers for a second: each logs in, runs every standard
 // dump, checks it against what the router renders and logs out, round
-// after round. Sessions share the read-buffer pool and nothing else, so
-// none may wait on another. A lock taken in opposite orders by two paths
-// of the session code (send and a goroutine Login starts, say, as in the
-// session write-queue wedge) deadlocks somewhere in the thousands of
-// sends, and the deadline fails the test with every goroutine's stack
-// instead of leaving it to hang until go test's own timeout.
+// after round. Sessions share nothing, so none may wait on another. A
+// lock taken in opposite orders by two paths of the session code (send
+// and a goroutine Login starts, say, as in the session write-queue
+// wedge) deadlocks somewhere in the thousands of sends, and the deadline
+// fails the test with every goroutine's stack instead of leaving it to
+// hang until go test's own timeout.
 func TestSessionsConcurrentUnderDeadline(t *testing.T) {
 	testfault.Deadline(t, 11*time.Second)
 	n := testNetwork(t)
@@ -428,14 +429,14 @@ func TestSessionsConcurrentUnderDeadline(t *testing.T) {
 		go func() {
 			for r := 0; r < 2 || time.Now().Before(stop); r++ {
 				name := routers[(i+r)%len(routers)]
-				s, err := collect.Login(targets[name])
+				s, err := collect.Login(targets[name], new(collect.ReadBuffer))
 				if err != nil {
 					done <- err
 					return
 				}
 				for _, cmd := range collect.StandardCommands {
 					out, err := s.Run(cmd)
-					if err == nil && out != want[name+"|"+cmd] {
+					if err == nil && string(out) != want[name+"|"+cmd] {
 						err = fmt.Errorf("%s %q: another session's bytes or a torn dump", name, cmd)
 					}
 					if err != nil {

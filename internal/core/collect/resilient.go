@@ -238,9 +238,10 @@ type Result struct {
 	Breaker BreakerState
 }
 
-// Collector wraps CollectAll with the resilience the paper's Mantra needed
-// to run unattended for months against flaky routers: per-cycle retries
-// with backoff, a per-target circuit breaker, and a health ledger.
+// Collector wraps the collection session with the resilience the
+// paper's Mantra needed to run unattended for months against flaky
+// routers: per-cycle retries with backoff, a per-target circuit breaker,
+// and a health ledger.
 //
 // A Collector belongs to the goroutine that owns its cycle core, and its
 // per-target map changes only there, between cycles: Track, ResetTarget,
@@ -299,13 +300,26 @@ func (c *Collector) entry(name string) *targetState {
 	return st
 }
 
+// A Sink takes a target's dumps as Collect captures them. An attempt
+// opens with Begin and hands Dump each command's output as its prompt
+// arrives — echo and prompt stripped, a view into the read buffer valid
+// until Dump returns. If its session delivered every dump, End judges
+// it: an error, a defect a retry may fix, fails the attempt.
+type Sink interface {
+	Begin()
+	Dump(command string, raw []byte)
+	End() error
+}
+
 // Collect performs one resilient collection of the target: breaker check,
-// up to MaxAttempts tries with backoff between them, each capture handed
-// to check, whose error fails the attempt. It never blocks past the
-// per-step timeouts; a target that cannot be collected comes back as
-// StatusDegraded (or StatusBreakerOpen when skipped) with the last error
-// attached. The target must be tracked (Track).
-func (c *Collector) Collect(t Target, commands []string, now time.Time, check func([]Dump) error) Result {
+// up to MaxAttempts tries with backoff between them, each capture
+// streamed to sink through buf. Every command of an attempt is sent even
+// when a dump turns out defective, so the router sees the whole session.
+// It never blocks past the per-step timeouts; a target that cannot be
+// collected comes back as StatusDegraded (or StatusBreakerOpen when
+// skipped) with the last error attached. The target must be tracked
+// (Track).
+func (c *Collector) Collect(t Target, commands []string, now time.Time, buf *ReadBuffer, sink Sink) Result {
 	st := c.entry(t.Name)
 	if !st.breaker.Allow(now) {
 		st.health.TotalCycles++
@@ -325,9 +339,10 @@ func (c *Collector) Collect(t Target, commands []string, now time.Time, check fu
 			c.policy.Sleep(c.policy.Backoff(t.Name, attempt))
 		}
 		attempts++
-		dumps, err := CollectAll(t, commands, now)
+		sink.Begin()
+		err := stream(t, commands, buf, sink.Dump)
 		if err == nil {
-			err = check(dumps)
+			err = sink.End()
 		}
 		if err == nil {
 			status := StatusOK

@@ -14,14 +14,23 @@ import (
 	"repro/internal/testfault"
 )
 
-// structural is the check the monitoring cycle collects under: the table
-// scanner's structural checks reject a capture, a row error does not.
-func structural(prompt string) func([]collect.Dump) error {
-	return func(dumps []collect.Dump) error {
-		_, _, defect := tables.ScanDumps(prompt, dumps)
-		return defect
-	}
+// structural is the sink the monitoring cycle collects into: the table
+// scanner, whose structural checks reject a capture and whose row errors
+// do not.
+func structural(t collect.Target) *tables.Scanner {
+	return &tables.Scanner{Target: t.Name, Prompt: t.Prompt}
 }
+
+// counted passes a collection on to its sink, counting the dumps of the
+// last attempt and the attempts that reached End.
+type counted struct {
+	collect.Sink
+	dumps, ends int
+}
+
+func (c *counted) Begin()                      { c.dumps = 0; c.Sink.Begin() }
+func (c *counted) Dump(cmd string, raw []byte) { c.dumps++; c.Sink.Dump(cmd, raw) }
+func (c *counted) End() error                  { c.ends++; return c.Sink.End() }
 
 // dialerFunc adapts a function to the Dialer interface for scripted
 // failure sequences.
@@ -66,7 +75,7 @@ func TestReadUntilWatchdog(t *testing.T) {
 		Timeout:  200 * time.Millisecond,
 	}
 	start := time.Now()
-	_, err := collect.Login(tgt)
+	_, err := collect.Login(tgt, new(collect.ReadBuffer))
 	if err == nil {
 		t.Fatal("login against a silent peer succeeded")
 	}
@@ -115,15 +124,16 @@ func TestRunStripsCRLFEchoAndPrompt(t *testing.T) {
 		Prompt:  "crlf> ",
 		Timeout: 2 * time.Second,
 	}
-	s, err := collect.Login(tgt)
+	s, err := collect.Login(tgt, new(collect.ReadBuffer))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	out, err := s.Run("show version")
+	view, err := s.Run("show version")
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := string(view)
 	if strings.Contains(out, "show version") {
 		t.Errorf("CRLF command echo not stripped: %q", out)
 	}
@@ -214,19 +224,16 @@ func TestCollectorRetriesTransientFailure(t *testing.T) {
 		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 	})
 	c.Track(tgt.Name)
-	var dumps []collect.Dump
-	res := c.Collect(tgt, collect.StandardCommands, n.Now(), func(d []collect.Dump) error {
-		dumps = d
-		return structural(tgt.Prompt)(d)
-	})
+	sink := &counted{Sink: structural(tgt)}
+	res := c.Collect(tgt, collect.StandardCommands, n.Now(), new(collect.ReadBuffer), sink)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if res.Status != collect.StatusRetried || res.Attempts != 2 {
 		t.Errorf("result = %s after %d attempts, want retried after 2", res.Status, res.Attempts)
 	}
-	if len(dumps) != len(collect.StandardCommands) {
-		t.Errorf("dumps = %d", len(dumps))
+	if sink.dumps != len(collect.StandardCommands) {
+		t.Errorf("dumps = %d", sink.dumps)
 	}
 	if len(slept) != 1 || slept[0] < 25*time.Millisecond || slept[0] >= 50*time.Millisecond {
 		t.Errorf("backoff sleeps = %v", slept)
@@ -254,13 +261,13 @@ func TestCollectorBreakerLifecycle(t *testing.T) {
 	t0 := time.Unix(1000, 0).UTC()
 	// Two failed cycles open the breaker.
 	for i := 0; i < 2; i++ {
-		res := c.Collect(dead, nil, t0.Add(time.Duration(i)*time.Second), structural(dead.Prompt))
+		res := c.Collect(dead, nil, t0.Add(time.Duration(i)*time.Second), new(collect.ReadBuffer), structural(dead))
 		if res.Status != collect.StatusDegraded || res.Attempts != 1 {
 			t.Fatalf("cycle %d = %+v", i, res)
 		}
 	}
 	// Within the cooldown the target is skipped without an attempt.
-	res := c.Collect(dead, nil, t0.Add(10*time.Second), structural(dead.Prompt))
+	res := c.Collect(dead, nil, t0.Add(10*time.Second), new(collect.ReadBuffer), structural(dead))
 	if res.Status != collect.StatusBreakerOpen || res.Attempts != 0 {
 		t.Fatalf("cooldown cycle = %+v", res)
 	}
@@ -268,11 +275,11 @@ func TestCollectorBreakerLifecycle(t *testing.T) {
 		t.Errorf("err = %v, want ErrBreakerOpen", res.Err)
 	}
 	// After the cooldown a half-open probe runs — and fails, re-opening.
-	res = c.Collect(dead, nil, t0.Add(2*time.Minute), structural(dead.Prompt))
+	res = c.Collect(dead, nil, t0.Add(2*time.Minute), new(collect.ReadBuffer), structural(dead))
 	if res.Status != collect.StatusDegraded || res.Attempts != 1 {
 		t.Fatalf("probe cycle = %+v", res)
 	}
-	res = c.Collect(dead, nil, t0.Add(2*time.Minute+time.Second), structural(dead.Prompt))
+	res = c.Collect(dead, nil, t0.Add(2*time.Minute+time.Second), new(collect.ReadBuffer), structural(dead))
 	if res.Status != collect.StatusBreakerOpen {
 		t.Fatalf("failed probe did not re-open: %+v", res)
 	}
@@ -280,7 +287,7 @@ func TestCollectorBreakerLifecycle(t *testing.T) {
 	n := testNetwork(t)
 	healed := target(n, "fixw", "pw")
 	healed.Name = "dead"
-	res = c.Collect(healed, collect.StandardCommands, t0.Add(4*time.Minute), structural(healed.Prompt))
+	res = c.Collect(healed, collect.StandardCommands, t0.Add(4*time.Minute), new(collect.ReadBuffer), structural(healed))
 	if res.Status != collect.StatusOK || res.Breaker != collect.BreakerClosed {
 		t.Fatalf("healed probe = %+v", res)
 	}
@@ -329,13 +336,10 @@ func TestCollectorRejectsInvalidDumps(t *testing.T) {
 	}
 	c := collect.NewCollector(collect.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {}})
 	c.Track(tgt.Name)
-	checked := 0
-	res := c.Collect(tgt, []string{"show ip mroute"}, time.Unix(0, 0), func(dumps []collect.Dump) error {
-		checked++
-		return structural(tgt.Prompt)(dumps)
-	})
-	if res.Status != collect.StatusDegraded || res.Attempts != 2 || checked != 2 {
-		t.Fatalf("result = %+v after %d checks", res, checked)
+	sink := &counted{Sink: structural(tgt)}
+	res := c.Collect(tgt, []string{"show ip mroute"}, time.Unix(0, 0), new(collect.ReadBuffer), sink)
+	if res.Status != collect.StatusDegraded || res.Attempts != 2 || sink.ends != 2 {
+		t.Fatalf("result = %+v after %d checks", res, sink.ends)
 	}
 	if !errors.Is(res.Err, collect.ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", res.Err)

@@ -64,6 +64,11 @@ type Core struct {
 
 	// frames is the current cycle's WAL records in stage order.
 	frames []frame
+	// slots are the running cycle's read buffers, one per pool slot, nil
+	// between cycles; readMax, the most one read held last cycle, sizes
+	// them, and falls again after an incident has inflated a table.
+	slots   []collect.ReadBuffer
+	readMax int
 }
 
 // New returns a core with fresh modules under the given resilience
@@ -90,13 +95,23 @@ func New(policy collect.Policy, commands []string, clock engine.Clock) *Core {
 // the cycle's WAL frames wait in the buffer for Commit. Frames a
 // previous Run left uncommitted are dropped. Every target gets its
 // collector entry here, before the pool starts, so the pool workers
-// only look their own up.
+// only look their own up; every pool slot gets its read buffer.
 func (c *Core) Run(now time.Time, targets []collect.Target, opts engine.Options) ([]*engine.Item, *process.CycleStats, *engine.CycleReport) {
 	c.frames = c.frames[:0]
 	for _, t := range targets {
 		c.Collector.Track(t.Name)
 	}
-	return c.Engine.Run(now, targets, opts)
+	c.slots = make([]collect.ReadBuffer, max(opts.Concurrency, 1))
+	for i := range c.slots {
+		c.slots[i].Size = c.readMax
+	}
+	items, agg, report := c.Engine.Run(now, targets, opts)
+	c.readMax = 0
+	for _, b := range c.slots {
+		c.readMax = max(c.readMax, b.Peak)
+	}
+	c.slots = nil
+	return items, agg, report
 }
 
 // Commit writes the buffered frames to the store in stage order. A
@@ -123,17 +138,15 @@ func (c *Core) Commit() error {
 }
 
 // stageCollect runs the resilient collection of one target (breaker
-// check, retries) and scans each capture into the local tables once; a
-// structural defect is retried and leaves no snapshot. Safe for
-// concurrent use across targets: each touches only its own target's
-// collector entry.
-func (c *Core) stageCollect(it *engine.Item, now time.Time) {
-	it.Res = c.Collector.Collect(it.Target, c.Commands, now, func(dumps []collect.Dump) (defect error) {
-		if it.Snapshot, it.ParseErr, defect = tables.ScanDumps(it.Target.Prompt, dumps); defect != nil {
-			it.Snapshot = nil
-		}
-		return defect
-	})
+// check, retries) on its pool slot's read buffer, scanning each dump
+// into the local tables as its prompt arrives; a structural defect is
+// retried and leaves no snapshot. Safe for concurrent use across
+// targets: each touches only its own target's collector entry and its
+// own slot.
+func (c *Core) stageCollect(it *engine.Item, now time.Time, slot int) {
+	sc := tables.Scanner{Target: it.Target.Name, Prompt: it.Target.Prompt, At: now}
+	it.Res = c.Collector.Collect(it.Target, c.Commands, now, &c.slots[slot], &sc)
+	it.Snapshot, it.ParseErr = sc.Snapshot, sc.ParseErr
 }
 
 // stageNormalize degrades a target whose dumps did not parse. The

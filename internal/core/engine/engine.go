@@ -75,12 +75,13 @@ type itemTimings struct {
 // Stages supplies the monitor-side implementations of the pipeline
 // stages. Collect and Normalize are called concurrently across targets
 // from the worker pool and must be safe for concurrent use across
-// distinct targets. Log, Ingest, Publish and Aggregate are invoked from
-// a single goroutine, in registration order, and need no locking
-// against one another. Normalize is skipped when Collect failed; Log,
+// distinct targets; Collect is told its pool slot, below
+// Options.Concurrency, which no other worker uses meanwhile. Log,
+// Ingest, Publish and Aggregate are invoked from a single goroutine, in
+// registration order, and need no locking against one another. Normalize is skipped when Collect failed; Log,
 // Ingest and Publish always run so gap handling stays stage-local.
 type Stages struct {
-	Collect   func(it *Item, now time.Time)
+	Collect   func(it *Item, now time.Time, slot int)
 	Normalize func(it *Item, now time.Time)
 	Log       func(it *Item, now time.Time)
 	Ingest    func(it *Item, now time.Time)
@@ -242,7 +243,7 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 			defer wg.Done()
 			for it := range jobs {
 				it.t.collectStart = clock()
-				e.stages.Collect(it, now)
+				e.stages.Collect(it, now, w)
 				it.t.collectEnd = clock()
 				if it.Res.Err == nil {
 					e.stages.Normalize(it, now)

@@ -28,7 +28,7 @@ func fakeTargets(n int) []collect.Target {
 
 // okCollect fabricates a successful collection; okNormalize attaches a
 // minimal snapshot.
-func okCollect(it *Item, _ time.Time) {
+func okCollect(it *Item, _ time.Time, _ int) {
 	it.Res = collect.Result{Target: it.Target.Name, Status: collect.StatusOK, Attempts: 1}
 }
 
@@ -52,9 +52,9 @@ func TestOrderingUnderRandomCompletion(t *testing.T) {
 	var mu sync.Mutex
 	var logOrder, ingestOrder, publishOrder []int
 	e := New(Stages{
-		Collect: func(it *Item, now time.Time) {
+		Collect: func(it *Item, now time.Time, slot int) {
 			time.Sleep(delays[it.Seq])
-			okCollect(it, now)
+			okCollect(it, now, slot)
 		},
 		Normalize: okNormalize,
 		Log: func(it *Item, _ time.Time) {
@@ -102,7 +102,7 @@ func TestBoundedPool(t *testing.T) {
 	const n, conc = 40, 4
 	var inflight, peak int64
 	e := New(Stages{
-		Collect: func(it *Item, now time.Time) {
+		Collect: func(it *Item, now time.Time, slot int) {
 			cur := atomic.AddInt64(&inflight, 1)
 			for {
 				p := atomic.LoadInt64(&peak)
@@ -112,7 +112,7 @@ func TestBoundedPool(t *testing.T) {
 			}
 			time.Sleep(200 * time.Microsecond)
 			atomic.AddInt64(&inflight, -1)
-			okCollect(it, now)
+			okCollect(it, now, slot)
 		},
 		Normalize: okNormalize,
 		Log:       noop, Ingest: noop, Publish: noop,
@@ -134,12 +134,12 @@ func TestPipelinedOverlap(t *testing.T) {
 	var slowDone atomic.Bool
 	var early int64
 	e := New(Stages{
-		Collect: func(it *Item, now time.Time) {
+		Collect: func(it *Item, now time.Time, slot int) {
 			if it.Seq == n-1 {
 				time.Sleep(5 * time.Millisecond)
 				slowDone.Store(true)
 			}
-			okCollect(it, now)
+			okCollect(it, now, slot)
 		},
 		Normalize: okNormalize,
 		Log: func(it *Item, _ time.Time) {
@@ -161,11 +161,11 @@ func TestPipelinedOverlap(t *testing.T) {
 func TestQueueDepth(t *testing.T) {
 	const n = 6
 	e := New(Stages{
-		Collect: func(it *Item, now time.Time) {
+		Collect: func(it *Item, now time.Time, slot int) {
 			if it.Seq == 0 {
 				time.Sleep(5 * time.Millisecond)
 			}
-			okCollect(it, now)
+			okCollect(it, now, slot)
 		},
 		Normalize: okNormalize,
 		Log:       noop, Ingest: noop, Publish: noop,
@@ -235,7 +235,7 @@ func TestDeterministicClock(t *testing.T) {
 func TestGapFlow(t *testing.T) {
 	var normalized, logged, ingested int64
 	e := New(Stages{
-		Collect: func(it *Item, now time.Time) {
+		Collect: func(it *Item, now time.Time, slot int) {
 			if it.Seq == 1 {
 				it.Res = collect.Result{
 					Target: it.Target.Name, Status: collect.StatusDegraded,
@@ -243,7 +243,7 @@ func TestGapFlow(t *testing.T) {
 				}
 				return
 			}
-			okCollect(it, now)
+			okCollect(it, now, slot)
 		},
 		Normalize: func(it *Item, now time.Time) {
 			atomic.AddInt64(&normalized, 1)
@@ -296,12 +296,12 @@ func TestGapFlow(t *testing.T) {
 func TestAggregateStage(t *testing.T) {
 	var got [][]string
 	stages := Stages{
-		Collect: func(it *Item, now time.Time) {
+		Collect: func(it *Item, now time.Time, slot int) {
 			if it.Seq == 2 {
 				it.Res = collect.Result{Target: it.Target.Name, Err: errors.New("down")}
 				return
 			}
-			okCollect(it, now)
+			okCollect(it, now, slot)
 		},
 		Normalize: okNormalize,
 		Log:       noop, Ingest: noop, Publish: noop,
@@ -342,7 +342,7 @@ func TestAggregateStage(t *testing.T) {
 
 	// All targets failed: nothing to merge.
 	e3 := New(Stages{
-		Collect: func(it *Item, _ time.Time) {
+		Collect: func(it *Item, _ time.Time, _ int) {
 			it.Res = collect.Result{Target: it.Target.Name, Err: errors.New("down")}
 		},
 		Normalize: okNormalize,
@@ -419,9 +419,9 @@ func TestZeroTargets(t *testing.T) {
 // and the supervisor's workers to the same rule.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	e := New(Stages{
-		Collect: func(it *Item, now time.Time) {
+		Collect: func(it *Item, now time.Time, slot int) {
 			time.Sleep(50 * time.Microsecond)
-			okCollect(it, now)
+			okCollect(it, now, slot)
 		},
 		Normalize: okNormalize,
 		Log:       noop, Ingest: noop, Publish: noop,
@@ -444,5 +444,31 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCollectSlotsAreExclusive: Collect is told its pool slot, below
+// Options.Concurrency, and no two Collect calls in flight share one — the
+// guarantee that lets the cycle core give each slot one read buffer.
+func TestCollectSlotsAreExclusive(t *testing.T) {
+	const workers = 4
+	busy := make([]atomic.Bool, workers)
+	var bad atomic.Int32
+	e := New(Stages{
+		Collect: func(it *Item, now time.Time, slot int) {
+			if slot < 0 || slot >= workers || busy[slot].Swap(true) {
+				bad.Add(1)
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+			busy[slot].Store(false)
+			okCollect(it, now, slot)
+		},
+		Normalize: okNormalize,
+		Log:       noop, Ingest: noop, Publish: noop,
+	}, nil)
+	e.Run(sim.Epoch, fakeTargets(24), Options{Concurrency: workers})
+	if bad.Load() != 0 {
+		t.Fatalf("%d Collect calls on a slot out of range or in use", bad.Load())
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core/collect"
 	"repro/internal/core/shard"
+	"repro/internal/core/tables"
 )
 
 // TestGoroutinesReturnToBaseline: every goroutine the collector, the
@@ -48,7 +49,7 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 			if _, err := collect.CollectAll(tgt, collect.StandardCommands, n.Now()); err != nil {
 				t.Fatal(err)
 			}
-			if res := c.Collect(tgt, collect.StandardCommands, n.Now(), func([]collect.Dump) error { return nil }); res.Err != nil {
+			if res := c.Collect(tgt, collect.StandardCommands, n.Now(), new(collect.ReadBuffer), &tables.Scanner{Target: tgt.Name, Prompt: tgt.Prompt}); res.Err != nil {
 				t.Fatal(res.Err)
 			}
 		}

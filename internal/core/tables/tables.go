@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/addr"
 	"repro/internal/core/collect"
@@ -183,8 +184,10 @@ type scan struct {
 	first string
 	lines int
 	count declared
-	// as is the backing array the MBGP table's AS paths are cut from.
+	// as is the backing array the MBGP table's AS paths are cut from; at
+	// is the snapshot time the Since of a route or pair is anchored to.
 	as []int
+	at time.Time
 	// flags are the distinct flag strings the Pair table has kept so far.
 	flags  [8]string
 	nflags int
@@ -331,11 +334,12 @@ var (
 	mbgpTable  = table[MBGPEntry]{"MBGP Table", "Network ", mbgpRow}
 )
 
-// parse maps the lines r has left of dump d to a table. The first line's
-// declared entry count, which it keeps in r, sizes the table before the
-// first row is kept, capped by what the dump's length could hold. It
-// stops at the first row that does not parse.
-func (t table[E]) parse(r *scan, d collect.Dump) ([]E, error) {
+// parse maps the lines r has left of target's dump of command to a
+// table. The first line's declared entry count, which it keeps in r,
+// sizes the table before the first row is kept, capped by what the
+// dump's length could hold. It stops at the first row that does not
+// parse.
+func (t table[E]) parse(r *scan, target, command string) ([]E, error) {
 	most := len(r.rest) / minRowBytes
 	var out []E
 	for first := true; r.next(); first = false {
@@ -349,7 +353,7 @@ func (t table[E]) parse(r *scan, d collect.Dump) ([]E, error) {
 		}
 		e, err := t.row(r)
 		if err != nil {
-			return nil, fmt.Errorf("tables: %s %q: %w", d.Target, d.Command, err)
+			return nil, fmt.Errorf("tables: %s %q: %w", target, command, err)
 		}
 		if out == nil && most > 0 {
 			out = make([]E, 0, most)
@@ -378,6 +382,7 @@ func routeRow(r *scan) (RouteEntry, error) {
 		return e, fmt.Errorf("tables: dvmrp metric %q", r.f[2])
 	}
 	e.Uptime, err = parseUptime(r.f[3])
+	e.Since = r.at.Add(-e.Uptime)
 	return e, err
 }
 
@@ -402,6 +407,7 @@ func pairRow(r *scan) (PairEntry, error) {
 		return e, fmt.Errorf("tables: mroute packets %q", r.f[6])
 	}
 	e.Uptime, err = parseUptime(r.f[7])
+	e.Since = r.at.Add(-e.Uptime)
 	return e, err
 }
 
@@ -496,47 +502,111 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 // ErrTruncated or ErrGarbled, which a retry may fix; sn and err do not
 // depend on it.
 func ScanDumps(prompt string, dumps []collect.Dump) (sn *Snapshot, err, defect error) {
-	if len(dumps) == 0 {
+	s := Scanner{Prompt: prompt}
+	for i, d := range dumps {
+		if i == 0 {
+			s.Target, s.At = d.Target, d.At
+			s.Begin()
+		}
+		s.scan(d.Target, d.Command, d.Raw)
+	}
+	return s.finish()
+}
+
+// Scanner is ScanDumps a dump at a time, as the collect.Sink the Collect
+// stage streams each dump into straight from the session's read buffer.
+// Target and At stamp the snapshot; Prompt is what CheckDump looks for.
+// Snapshot and ParseErr are what the last End found: nil when a defect
+// failed the attempt, and why a sound capture did not parse.
+type Scanner struct {
+	Target, Prompt string
+	At             time.Time
+	Snapshot       *Snapshot
+	ParseErr       error
+
+	// The attempt so far: the tables, the first row error and defect,
+	// and each dump's declared count (in countBuf for up to eight dumps).
+	sn          *Snapshot
+	err, defect error
+	counts      []count
+	countBuf    [8]count
+	r           scan
+}
+
+// count is what the header of a dump of command declares.
+type count struct {
+	command string
+	declared
+}
+
+// Begin implements collect.Sink: it starts an attempt.
+func (s *Scanner) Begin() {
+	s.sn, s.err, s.defect, s.counts = &Snapshot{Target: s.Target, At: s.At}, nil, nil, s.countBuf[:0]
+}
+
+// Dump implements collect.Sink: it scans a dump in the read buffer
+// through a string that aliases it. Nothing the scan keeps points into
+// it: the kept Flags are copies (internFlags), and fmt and strconv copy
+// what an error quotes.
+func (s *Scanner) Dump(command string, raw []byte) {
+	s.scan(s.Target, command, unsafe.String(unsafe.SliceData(raw), len(raw)))
+}
+
+// End implements collect.Sink: it finishes the attempt, whose defect
+// leaves no snapshot.
+func (s *Scanner) End() error {
+	sn, err, defect := s.finish()
+	if defect != nil {
+		sn = nil
+	}
+	s.Snapshot, s.ParseErr = sn, err
+	return defect
+}
+
+// scan parses one dump into the table its command names unless a row
+// has failed already, checks it unless a defect was found already, and
+// keeps its declared count.
+func (s *Scanner) scan(target, command, raw string) {
+	s.r = scan{rest: raw, at: s.At}
+	r := &s.r
+	switch {
+	case s.err != nil:
+	case target != s.sn.Target:
+		s.err = fmt.Errorf("tables: mixed targets %q and %q", s.sn.Target, target)
+	case command == "show ip dvmrp route":
+		s.sn.Routes, s.err = routeTable.parse(r, target, command)
+	case command == "show ip mroute":
+		s.sn.Pairs, s.err = pairTable.parse(r, target, command)
+	case command == "show ip igmp groups":
+		s.sn.IGMP, s.err = igmpTable.parse(r, target, command)
+	case command == "show ip msdp sa-cache":
+		s.sn.SAs, s.err = saTable.parse(r, target, command)
+	case command == "show ip mbgp":
+		s.sn.MBGP, s.err = mbgpTable.parse(r, target, command)
+	}
+	for r.next() { // what a parse left, or a skipped command's dump
+	}
+	if s.defect == nil {
+		s.defect = collect.CheckDump(s.Prompt, command, raw, !r.bad, r.first, r.lines)
+	}
+	s.counts = append(s.counts, count{command, r.count})
+}
+
+// finish checks the declared counts once every dump has parsed, so a
+// malformed row anywhere is reported ahead of a short table: a count
+// mismatch means a truncated capture (a dropped telnet session was a
+// real failure mode for expect-driven collection).
+func (s *Scanner) finish() (sn *Snapshot, err, defect error) {
+	if len(s.counts) == 0 {
 		return nil, fmt.Errorf("tables: no dumps"), nil
 	}
-	sn = &Snapshot{Target: dumps[0].Target, At: dumps[0].At}
-	counts := make([]declared, 0, 8)
-	var r scan
-	for _, d := range dumps {
-		r = scan{rest: d.Raw}
-		switch {
-		case err != nil:
-		case d.Target != sn.Target:
-			err = fmt.Errorf("tables: mixed targets %q and %q", sn.Target, d.Target)
-		case d.Command == "show ip dvmrp route":
-			sn.Routes, err = routeTable.parse(&r, d)
-		case d.Command == "show ip mroute":
-			sn.Pairs, err = pairTable.parse(&r, d)
-		case d.Command == "show ip igmp groups":
-			sn.IGMP, err = igmpTable.parse(&r, d)
-		case d.Command == "show ip msdp sa-cache":
-			sn.SAs, err = saTable.parse(&r, d)
-		case d.Command == "show ip mbgp":
-			sn.MBGP, err = mbgpTable.parse(&r, d)
-		}
-		for r.next() { // what a parse left, or a skipped command's dump
-		}
-		if defect == nil {
-			defect = collect.CheckDump(prompt, d.Command, d.Raw, !r.bad, r.first, r.lines)
-		}
-		counts = append(counts, r.count)
+	if s.err != nil {
+		return nil, s.err, s.defect
 	}
-	if err != nil {
-		return nil, err, defect
-	}
-	// Integrity check: the dump headers announce entry counts; a
-	// mismatch means a truncated capture (a dropped telnet session was
-	// a real failure mode for expect-driven collection). It runs after
-	// every dump has parsed, so a malformed row anywhere is reported
-	// ahead of a short table.
-	for i, d := range dumps {
+	sn = s.sn
+	for _, c := range s.counts {
 		var got int
-		switch d.Command {
+		switch c.command {
 		case "show ip dvmrp route":
 			got = len(sn.Routes)
 		case "show ip mroute":
@@ -548,20 +618,12 @@ func ScanDumps(prompt string, dumps []collect.Dump) (sn *Snapshot, err, defect e
 		default:
 			continue
 		}
-		if want := counts[i]; want.ok && got != want.n {
+		if c.ok && got != c.n {
 			return nil, fmt.Errorf("tables: %s %q truncated: header says %d entries, parsed %d",
-				d.Target, d.Command, want.n, got), defect
+				sn.Target, c.command, c.n, got), s.defect
 		}
 	}
-	// Anchor uptimes to absolute time so logged entries are stable
-	// across cycles.
-	for i := range sn.Pairs {
-		sn.Pairs[i].Since = sn.At.Add(-sn.Pairs[i].Uptime)
-	}
-	for i := range sn.Routes {
-		sn.Routes[i].Since = sn.At.Add(-sn.Routes[i].Uptime)
-	}
-	return sn, nil, defect
+	return sn, nil, s.defect
 }
 
 // Participants derives the Participant table from the Pair table.

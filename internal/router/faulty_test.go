@@ -37,7 +37,7 @@ func newFaulty(t *testing.T, profile router.FaultProfile) *router.FaultyRouter {
 
 func TestFaultRefuseConn(t *testing.T) {
 	f := newFaulty(t, router.FaultProfile{RefuseConn: 1})
-	if _, err := collect.Login(faultyTarget(f, time.Second)); err == nil {
+	if _, err := collect.Login(faultyTarget(f, time.Second), new(collect.ReadBuffer)); err == nil {
 		t.Fatal("login succeeded against a refusing router")
 	}
 	if got := f.Injected()["refuse"]; got != 1 {
@@ -47,7 +47,7 @@ func TestFaultRefuseConn(t *testing.T) {
 
 func TestFaultRejectLogin(t *testing.T) {
 	f := newFaulty(t, router.FaultProfile{RejectLogin: 1})
-	_, err := collect.Login(faultyTarget(f, time.Second))
+	_, err := collect.Login(faultyTarget(f, time.Second), new(collect.ReadBuffer))
 	if !errors.Is(err, collect.ErrLogin) {
 		t.Fatalf("err = %v, want ErrLogin", err)
 	}
