@@ -55,7 +55,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 20891
+LOC_CEILING = 20847
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -91,7 +91,8 @@ loc-check:
 # capture: recorded sessions, faulty ones among them, replayed under any
 # read chunking through the collector's scan sink and through a verbatim
 # copy of the copy-then-scan session it replaced (equal results,
-# snapshots, row errors and defects).
+# snapshots, row errors and defects; with bytes after a prompt, which
+# the old session misfiled by read size, one outcome at every chunking).
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s

@@ -146,6 +146,14 @@ func TestArchiveCrashRecovery(t *testing.T) {
 		t.Fatalf("report = %+v", report)
 	}
 	compareMonitorState(t, m1, m2, []string{"fixw", "ucsb-r1"})
+	// A recovered target's latest snapshot is the tables the recovered
+	// delta log holds as of its last cycle.
+	for _, name := range report.Targets {
+		want, ok := m2.Log().Materialized(name)
+		if got := m2.Latest(name); !ok || got == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: latest snapshot after recovery is %+v, want the log's materialized tables %+v", name, got, want)
+		}
+	}
 	if m2.Latest("fixw") == nil || m2.Latest("ucsb-r1") == nil {
 		t.Fatal("latest snapshots not restored")
 	}

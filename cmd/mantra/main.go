@@ -225,8 +225,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger.Printf("mantra: serving results on http://%s/", ln.Addr())
 
 	code := 0
-	lastAnomalyID := -1
-	resolvedPrinted := make(map[int]bool)
+	episodes := make(episodeLog)
 	for i := 0; code == 0 && (*cycles == 0 || i < *cycles); i++ {
 		if i > 0 {
 			time.Sleep(*interval)
@@ -246,11 +245,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *showStats {
 			if rep := d.report(); rep != nil {
-				fmt.Fprintf(stdout, "%s engine cycle=%d workers=%d targets=%d failed=%d wall=%s queue_peak=%d collect=%s normalize=%s log=%s ingest=%s publish=%s\n",
+				fmt.Fprintf(stdout, "%s engine cycle=%d workers=%d targets=%d failed=%d wall=%s queue_peak=%d collect=%s log=%s ingest=%s publish=%s\n",
 					stamp, rep.Cycle, rep.Concurrency, rep.Targets, rep.Failed,
 					rep.Wall().Round(time.Microsecond), rep.MaxQueueDepth,
 					rep.StageTotal(engine.StageCollect).Round(time.Microsecond),
-					rep.StageTotal(engine.StageNormalize).Round(time.Microsecond),
 					rep.StageTotal(engine.StageLog).Round(time.Microsecond),
 					rep.StageTotal(engine.StageIngest).Round(time.Microsecond),
 					rep.StageTotal(engine.StagePublish).Round(time.Microsecond))
@@ -275,19 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stdout, line)
 			}
 		}
-		// Anomalies are episodes, not events: print each once when it
-		// opens and once when it resolves, rather than re-logging every
-		// open episode every cycle.
-		for _, a := range d.anomalies() {
-			if a.ID > lastAnomalyID {
-				lastAnomalyID = a.ID
-				logger.Printf("mantra: ANOMALY #%d %s %s at %s: %s", a.ID, a.Severity, a.Kind, a.Target, a.Detail)
-			}
-			if a.Resolved && !resolvedPrinted[a.ID] {
-				resolvedPrinted[a.ID] = true
-				logger.Printf("mantra: RESOLVED #%d %s at %s after %s", a.ID, a.Kind, a.Target, a.ResolvedAt.Sub(a.At))
-			}
-		}
+		episodes.print(logger, d.anomalies())
 		if *maxConsecFail > 0 && allBreakerOpen(health, *maxConsecFail) {
 			logger.Printf("mantra: every target is breaker-open with >=%d consecutive failures; giving up", *maxConsecFail)
 			code = 1
@@ -300,6 +286,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code = 1
 	}
 	return code
+}
+
+// episodeKey identifies an anomaly episode across cycles: the fleet
+// log's own dedup key. A fleet ID is a sorted position, renumbered at
+// every publish, so it shifts once a shard's ring evicts.
+type episodeKey struct {
+	target, kind string
+	at           int64
+}
+
+// episodeLog prints each anomaly episode once when it opens and once
+// when it resolves; it maps an episode printed to whether its
+// resolution was.
+type episodeLog map[episodeKey]bool
+
+func (l episodeLog) print(logger *log.Logger, anomalies []mantra.Anomaly) {
+	for _, a := range anomalies {
+		k := episodeKey{a.Target, a.Kind, a.At.UnixNano()}
+		resolved, seen := l[k]
+		if !seen {
+			logger.Printf("mantra: ANOMALY #%d %s %s at %s: %s", a.ID, a.Severity, a.Kind, a.Target, a.Detail)
+		}
+		if a.Resolved && !resolved {
+			logger.Printf("mantra: RESOLVED #%d %s at %s after %s", a.ID, a.Kind, a.Target, a.ResolvedAt.Sub(a.At))
+		}
+		l[k] = resolved || a.Resolved
+	}
 }
 
 // monitorDaemon sets up the unsharded daemon: one Monitor, with the
@@ -371,6 +384,7 @@ func shardDaemon(logger *log.Logger, targets []mantra.Target, cfg shard.Config) 
 	srv.SetStats(func() any { return s.EngineStats() })
 	srv.SetAnomalies(func() []process.Anomaly { return s.FleetAnomalies() })
 	srv.SetSeries(s.SeriesView)
+	srv.SetTargets(s.SeriesTargets)
 	srv.SetQuery(s.QueryFleet)
 	return &daemon{
 		handler: srv,

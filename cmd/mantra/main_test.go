@@ -2,11 +2,21 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"log"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	mantra "repro"
+	"repro/internal/core/collect"
+	"repro/internal/core/shard"
 	"repro/internal/netsim"
 	"repro/internal/testfault"
 	"repro/internal/topo"
@@ -177,5 +187,107 @@ func TestDaemonRejectsFlagsOutOfMode(t *testing.T) {
 		if code != 2 || !strings.Contains(errOut, c.want) {
 			t.Errorf("%v: exit %d, want 2 with %q\nstderr: %s", c.args, code, c.want, errOut)
 		}
+	}
+}
+
+// simTargets returns in-process targets for four simulated routers.
+func simTargets(t *testing.T) []mantra.Target {
+	t.Helper()
+	cfg := topo.DefaultInternetConfig()
+	cfg.NumDomains = 3
+	inet := topo.BuildInternet(cfg)
+	n := netsim.New(inet, workload.New(workload.DefaultConfig(), inet.Topo), netsim.DefaultConfig())
+	var targets []mantra.Target
+	for _, name := range []string{"fixw", "ucsb-r1", "dom00-gw", "dom01-gw"} {
+		if err := n.Track(name); err != nil {
+			t.Fatal(err)
+		}
+		n.Router(name).Password = "pw"
+		targets = append(targets, mantra.Target{Name: name, Dialer: collect.PipeDialer{Router: n.Router(name)},
+			Password: "pw", Prompt: name + "> ", Timeout: 5 * time.Second})
+	}
+	n.Step()
+	return targets
+}
+
+// TestShardIndexListsFleetTargets: under -shards the / index lists every
+// target the fleet serves series for, and fleet, sorted, as the
+// Monitor's index lists its own. It used to list only fleet, the one
+// target whose series live in the fleet processor.
+func TestShardIndexListsFleetTargets(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
+	targets := simTargets(t)
+	want := []string{"dom00-gw", "dom01-gw", "fixw", shard.FleetTarget, "ucsb-r1"}
+	logger := log.New(io.Discard, "", 0)
+	for _, shards := range []int{1, 4} {
+		d, err := shardDaemon(logger, targets, shard.Config{Shards: shards, Policy: collect.Policy{MaxAttempts: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+		for c := 0; c < 2; c++ {
+			now = now.Add(time.Minute)
+			if _, err := d.cycle(now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := httptest.NewRecorder()
+		d.handler.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+		var idx struct{ Targets []string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(idx.Targets, want) {
+			t.Errorf("%d shards: / lists %v, want %v", shards, idx.Targets, want)
+		}
+		for _, name := range idx.Targets {
+			rec := httptest.NewRecorder()
+			d.handler.ServeHTTP(rec, httptest.NewRequest("GET", "/series/"+name+"/routes", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%d shards: / lists %s, but /series/%s/routes answers %d", shards, name, name, rec.Code)
+			}
+		}
+		if err := d.close(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEpisodeLogFollowsEpisodesNotIDs: the printed ANOMALY and RESOLVED
+// lines follow episodes through a fleet log whose IDs shift down when a
+// shard's ring evicts. Keyed by ID, the loop printed no new episode once
+// the IDs shifted, and printed resolutions against the wrong episode.
+func TestEpisodeLogFollowsEpisodesNotIDs(t *testing.T) {
+	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
+	ep := func(id int, target, kind string, opened int, resolved bool) mantra.Anomaly {
+		a := mantra.Anomaly{ID: id, Target: target, Kind: kind, Severity: "warning", At: at.Add(time.Duration(opened) * time.Minute)}
+		if resolved {
+			a.Resolved, a.ResolvedAt = true, a.At.Add(time.Minute)
+		}
+		return a
+	}
+	cycles := [][]mantra.Anomaly{
+		{ep(1, "fixw", "route-leak", 0, false), ep(2, "ucsb-r1", "rp-failure", 1, false)},
+		// fixw's episode resolves.
+		{ep(1, "fixw", "route-leak", 0, true), ep(2, "ucsb-r1", "rp-failure", 1, false)},
+		// The ring evicts it; a new episode takes ID 2.
+		{ep(1, "ucsb-r1", "rp-failure", 1, false), ep(2, "fixw", "prune-storm", 2, false)},
+		// ucsb-r1's resolves under ID 1, which fixw's resolution had.
+		{ep(1, "ucsb-r1", "rp-failure", 1, true), ep(2, "fixw", "prune-storm", 2, false)},
+	}
+	var out strings.Builder
+	l := make(episodeLog)
+	for _, an := range cycles {
+		l.print(log.New(&out, "", 0), an)
+	}
+	want := []string{
+		"mantra: ANOMALY #1 warning route-leak at fixw: ",
+		"mantra: ANOMALY #2 warning rp-failure at ucsb-r1: ",
+		"mantra: RESOLVED #1 route-leak at fixw after 1m0s",
+		"mantra: ANOMALY #2 warning prune-storm at fixw: ",
+		"mantra: RESOLVED #1 rp-failure at ucsb-r1 after 1m0s",
+	}
+	if got := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"); !slices.Equal(got, want) {
+		t.Errorf("printed\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -206,7 +206,7 @@ func TestHotpathAllocGates(t *testing.T) {
 	// nothing: the items, the report and its per-target rows, the
 	// channels and the two goroutines of the serial schedule.
 	noop := func(*engine.Item, time.Time) {}
-	eng := engine.New(engine.Stages{Collect: func(*engine.Item, time.Time, int) {}, Normalize: noop, Log: noop, Ingest: noop, Publish: noop}, nil)
+	eng := engine.New(engine.Stages{Collect: func(*engine.Item, time.Time, int) {}, Log: noop, Ingest: noop, Publish: noop}, nil)
 	four := []collect.Target{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}
 	allocGate(t, "Engine.Run", 17, func() {
 		eng.Run(sn.At, four, engine.Options{Concurrency: 1})
@@ -450,17 +450,17 @@ func dvmrpRouteDump(n int, uptime time.Duration) []byte {
 
 // TestWorkerCheckpointAllocBytes bounds what a shard worker's per-cycle
 // checkpoint (cycle.Core.Export) allocates. The checkpoint carries only
-// what cannot be derived from the rest of it, so its cost must depend
-// neither on the size of the target's route table nor on how many
-// cycles have been logged. (It used to
-// copy the stability tracker, the route set and the whole delta log:
-// about a hundred times more for the large target than for the small
-// one, and more every cycle.) The two cycles compared for history are
-// one tsdb block apart: the store's export copies each series' open
-// head, which grows to tsdb.BlockPoints and starts over, so only cycles
-// at the same point of that sawtooth compare like with like. Each
-// figure is the least of several exports, as in
-// TestCollectAllAllocBytes.
+// what cannot be derived from the rest of it and copies nothing the
+// core will not write again, so its cost must depend neither on the
+// size of the target's route table nor on how many cycles have been
+// logged. (It used to copy the stability tracker, the route set and the
+// whole delta log: about a hundred times more for the large target than
+// for the small one, and more every cycle.) History is held at two
+// cycles beside cycle 20: one tsdb block later, the same point of the
+// series heads' sawtooth (they grow to tsdb.BlockPoints points and
+// start over), and cycle 250, whose heads are almost full, so an export
+// that copies the heads fails it (10.2 KB at cycle 20 against 84 KB at
+// cycle 250 when it did). Each figure is the least of several exports.
 func TestWorkerCheckpointAllocBytes(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	const routeCmd = "show ip dvmrp route"
@@ -481,7 +481,7 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			ck := core.Export(at, []collect.Target{tgt})
 			runtime.ReadMemStats(&after)
-			if len(ck.Logs[tgt.Name].Records) == 0 || ck.Latest[tgt.Name] == nil || ck.Proc[tgt.Name] == nil {
+			if len(ck.Logs[tgt.Name].Records) == 0 || ck.Proc[tgt.Name] == nil {
 				t.Fatalf("%s: checkpoint is missing state: %+v", tgt.Name, ck)
 			}
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
@@ -489,7 +489,7 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 		return least
 	}
 
-	const early, late = 20, 20 + tsdb.BlockPoints
+	const early, full, late = 20, 250, 20 + tsdb.BlockPoints
 	var largeEarly uint64
 	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
 	for c := 1; c <= late; c++ {
@@ -503,7 +503,7 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 				t.Fatalf("cycle %d: %s did not collect its %d routes: %v", c, it.Target.Name, sizes[it.Target.Name], it.Res.Err)
 			}
 		}
-		if c != early && c != late {
+		if c != early && c != full && c != late {
 			continue
 		}
 		large, small := exportBytes(at, targets[0]), exportBytes(at, targets[1])
@@ -514,7 +514,7 @@ func TestWorkerCheckpointAllocBytes(t *testing.T) {
 		if c == early {
 			largeEarly = large
 		} else if gate := largeEarly * 5 / 4; large > gate {
-			t.Errorf("Export allocated %d bytes at cycle %d and %d at cycle %d; gate is %d — the checkpoint scales with history length", large, late, largeEarly, early, gate)
+			t.Errorf("Export allocated %d bytes at cycle %d and %d at cycle %d; gate is %d — the checkpoint scales with history length", large, c, largeEarly, early, gate)
 		}
 	}
 }

@@ -102,14 +102,15 @@ type Session struct {
 	buf *ReadBuffer
 }
 
-// ReadBuffer is the memory a session reads into: every read starts over
-// at its front, so what one read returned is valid until the next. It is
-// made at Size bytes (plus a read's free space) by the first read; Peak
-// is the most a read has held. The zero value is ready.
+// ReadBuffer is the memory a session reads into: every readUntil starts
+// over at its front, so what one returned is valid until the next. It
+// is made at Size bytes (plus a read's free space) by the first read;
+// Peak is the most it has held. The zero value is ready.
 type ReadBuffer struct {
 	Size, Peak int
 	b          []byte
 	searched   int // how much of b has been searched for the pattern
+	next       int // where the bytes read past the last capture start
 }
 
 // minRead is the least free space a read is offered; a buffer with less
@@ -125,15 +126,18 @@ func (rb *ReadBuffer) spare() []byte {
 	return rb.b[len(rb.b):cap(rb.b)]
 }
 
-// found reports whether pattern has arrived, searching only the bytes
-// read since the last call and the few before them a pattern split
-// across two reads could start in. Every read is followed by a call, so
-// it also keeps Peak.
-func (rb *ReadBuffer) found(pattern string) bool {
+// found returns where the first pattern in the buffer ends, or -1 if it
+// has not arrived, searching only the bytes read since the last call
+// and the few before them a pattern split across two reads could start
+// in. Every read is followed by a call, so it also keeps Peak.
+func (rb *ReadBuffer) found(pattern string) int {
 	from := max(rb.searched-len(pattern)+1, 0)
 	rb.searched = len(rb.b)
 	rb.Peak = max(rb.Peak, len(rb.b))
-	return indexString(rb.b[from:], pattern) >= 0
+	if i := indexString(rb.b[from:], pattern); i >= 0 {
+		return from + i + len(pattern)
+	}
+	return -1
 }
 
 // deadliner is implemented by net.Conn and net.Pipe ends.
@@ -147,8 +151,10 @@ type writeDeadliner interface {
 }
 
 // readUntil consumes the stream until pattern appears, returning
-// everything read including the pattern — as a view into the session's
-// read buffer, valid until the next readUntil. The session timeout is
+// everything read through its first appearance — as a view into the
+// session's read buffer, capped there and valid until the next
+// readUntil, which starts with the bytes a read took in past it, however
+// the transport split them. The session timeout is
 // enforced for every transport: connections with native read deadlines
 // use them, and all others get a watchdog timer that closes the
 // connection — the only way to unblock a stuck Read — so a hung router
@@ -159,7 +165,7 @@ func (s *Session) readUntil(pattern string) ([]byte, error) {
 	if rb.b == nil {
 		rb.b = make([]byte, 0, rb.Size+minRead)
 	}
-	rb.b, rb.searched = rb.b[:0], 0
+	rb.b, rb.searched = rb.b[:copy(rb.b, rb.b[rb.next:])], 0
 	deadline := s.now().Add(s.timeout)
 	if d, ok := s.conn.(deadliner); ok {
 		_ = d.SetReadDeadline(deadline)
@@ -169,8 +175,9 @@ func (s *Session) readUntil(pattern string) ([]byte, error) {
 		defer watchdog.Stop()
 	}
 	for {
-		if rb.found(pattern) {
-			return rb.b, nil
+		if end := rb.found(pattern); end >= 0 {
+			rb.next = end
+			return rb.b[:end:end], nil
 		}
 		if s.now().After(deadline) {
 			return rb.b, fmt.Errorf("%w: %q", ErrTimeout, pattern)
@@ -178,8 +185,9 @@ func (s *Session) readUntil(pattern string) ([]byte, error) {
 		n, err := s.conn.Read(rb.spare())
 		rb.b = rb.b[:len(rb.b)+n]
 		if err != nil {
-			if rb.found(pattern) {
-				return rb.b, nil
+			if end := rb.found(pattern); end >= 0 {
+				rb.next = end
+				return rb.b[:end:end], nil
 			}
 			if errors.Is(err, os.ErrDeadlineExceeded) || !s.now().Before(deadline) {
 				return rb.b, fmt.Errorf("%w: %q (%v)", ErrTimeout, pattern, err)
@@ -249,6 +257,7 @@ func Login(t Target, buf *ReadBuffer) (*Session, error) {
 	if now == nil {
 		now = time.Now // live-target default; injected via Target.Clock everywhere else
 	}
+	buf.next = len(buf.b) // nothing another session read is this one's
 	s := &Session{conn: conn, prompt: t.Prompt, timeout: timeout, now: now, buf: buf}
 	if t.Password != "" {
 		if _, err := s.readUntil("Password: "); err != nil {
@@ -282,9 +291,11 @@ func (s *Session) Run(cmd string) ([]byte, error) {
 }
 
 // stripEcho cleans one captured command output: the trailing prompt (with
-// any stray carriage returns a CRLF transport appends around it) and the
-// leading echo of the command are removed, leaving only the dump body.
+// any stray carriage returns a CRLF transport appends around it, those
+// after the previous prompt heading this capture) and the leading echo
+// of the command are removed, leaving only the dump body.
 func stripEcho(out []byte, cmd, prompt string) []byte {
+	out = bytes.TrimLeft(out, "\r")
 	if prompt != "" {
 		trimmed, ok := cutSuffix(out, prompt)
 		if !ok {

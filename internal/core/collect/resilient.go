@@ -245,7 +245,7 @@ type Result struct {
 //
 // A Collector belongs to the goroutine that owns its cycle core, and its
 // per-target map changes only there, between cycles: Track, ResetTarget,
-// RestoreHealth, RecordSuccess, RecordSkipped and CarryState. Inside a
+// RestoreHealth, RecordSuccess, RecordSkipped and SetPolicy. Inside a
 // cycle, Collect and RecordFailure run on the pool workers, each for its
 // own target: they look the target's entry up, which Track made before
 // the cycle, and never insert one.
@@ -394,31 +394,24 @@ func (c *Collector) RecordSkipped(name string, now time.Time) {
 	st.health.ConsecutiveFailures = st.breaker.Consecutive()
 }
 
-// CarryState imports every target's health ledger and breaker position
-// from old, so a policy swap mid-run keeps the accumulated failure
-// history instead of silently amnesia-ing it. The new policy's
-// thresholds and cooldowns apply from the next breaker transition;
-// current streaks, totals and an open breaker's opening instant carry
-// over unchanged (an open breaker keeps cooling down on its original
-// schedule rather than restarting). Both collectors belong to the
-// caller.
-func (c *Collector) CarryState(old *Collector) {
-	if old == nil || old == c {
-		return
-	}
-	for name, ost := range old.targets {
-		st := c.state(name)
-		st.health = ost.health
-		st.breaker.state = ost.breaker.state
-		st.breaker.consecutive = ost.breaker.consecutive
-		st.breaker.openedAt = ost.breaker.openedAt
+// SetPolicy replaces the collector's policy in place (zero fields take
+// the defaults of DefaultPolicy), so a policy swap mid-run keeps every
+// target's health ledger and breaker position. Every breaker takes the
+// new threshold and cooldown, which apply from its next transition;
+// current streaks, totals and an open breaker's opening instant stay
+// as they are (an open breaker keeps cooling down from when it opened).
+// Owning goroutine only, between cycles.
+func (c *Collector) SetPolicy(p Policy) {
+	c.policy = p.withDefaults()
+	for _, st := range c.targets {
+		st.breaker.threshold, st.breaker.cooldown = c.policy.BreakerThreshold, c.policy.BreakerCooldown
 	}
 }
 
 // ResetTarget drops any accumulated health ledger and breaker state
 // for name. A target that is removed and later re-registered must start
-// with a fresh breaker window — without the reset, state carried across
-// policy swaps (CarryState) would hand the re-registered target a stale
+// with a fresh breaker window — without the reset, state kept across
+// policy swaps (SetPolicy) would hand the re-registered target a stale
 // open breaker or failure streak from its previous life.
 func (c *Collector) ResetTarget(name string) {
 	delete(c.targets, name)

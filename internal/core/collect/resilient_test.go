@@ -364,7 +364,7 @@ func TestCollectorRecordFailure(t *testing.T) {
 func TestCollectorResetTarget(t *testing.T) {
 	// A target removed and re-registered must not inherit its previous
 	// life's open breaker: ResetTarget drops the ledger entirely, and
-	// the stale state must not resurface through CarryState either.
+	// the stale state must not resurface through SetPolicy either.
 	c := collect.NewCollector(collect.Policy{BreakerThreshold: 2, BreakerCooldown: time.Hour})
 	t0 := time.Unix(0, 0).UTC()
 	c.Track("fixw")
@@ -385,15 +385,52 @@ func TestCollectorResetTarget(t *testing.T) {
 	if !ok || h.Breaker != collect.BreakerClosed || h.ConsecutiveFailures != 1 {
 		t.Errorf("post-reset health = %+v, want closed breaker with 1 failure", h)
 	}
-	// CarryState after a reset must not resurrect the dropped target
-	// from an old collector snapshot taken before the reset.
-	old := collect.NewCollector(collect.Policy{BreakerThreshold: 2, BreakerCooldown: time.Hour})
-	old.Track("ghost")
-	old.RecordFailure("ghost", t0, errors.New("down"))
-	old.RecordFailure("ghost", t0.Add(time.Second), errors.New("down"))
-	c.CarryState(old)
+	// A policy swap after a reset must not resurrect the dropped target.
+	c.Track("ghost")
+	c.RecordFailure("ghost", t0, errors.New("down"))
+	c.RecordFailure("ghost", t0.Add(time.Second), errors.New("down"))
 	c.ResetTarget("ghost")
+	c.SetPolicy(collect.Policy{BreakerThreshold: 3, BreakerCooldown: time.Hour})
 	if _, ok := c.TargetHealth("ghost"); ok {
-		t.Error("ghost survived reset after CarryState")
+		t.Error("ghost survived reset after SetPolicy")
+	}
+}
+
+// TestCollectorSetPolicyUpdatesBreakers: a policy set in place keeps
+// every target's ledger and breaker position, and every breaker takes
+// the new threshold and cooldown from its next transition on.
+func TestCollectorSetPolicyUpdatesBreakers(t *testing.T) {
+	c := collect.NewCollector(collect.Policy{BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	t0 := time.Unix(0, 0).UTC()
+	down := errors.New("down")
+	c.Track("open")
+	c.Track("closed")
+	c.RecordFailure("open", t0, down)
+	c.RecordFailure("open", t0, down)
+	c.RecordFailure("closed", t0, down)
+
+	c.SetPolicy(collect.Policy{MaxAttempts: 1, BreakerThreshold: 3, BreakerCooldown: time.Minute, Sleep: func(time.Duration) {}})
+	if got := c.Policy().BreakerThreshold; got != 3 {
+		t.Fatalf("policy threshold = %d, want 3", got)
+	}
+	if h, _ := c.TargetHealth("open"); h.Breaker != collect.BreakerOpen || h.ConsecutiveFailures != 2 || h.TotalFailures != 2 {
+		t.Fatalf("SetPolicy changed an open breaker's ledger: %+v", h)
+	}
+	// The new threshold: a second failure (2 < 3) leaves the breaker
+	// closed, a third opens it.
+	c.RecordFailure("closed", t0, down)
+	if h, _ := c.TargetHealth("closed"); h.Breaker != collect.BreakerClosed {
+		t.Errorf("breaker opened at the old threshold: %+v", h)
+	}
+	c.RecordFailure("closed", t0, down)
+	if h, _ := c.TargetHealth("closed"); h.Breaker != collect.BreakerOpen {
+		t.Errorf("breaker did not open at the new threshold: %+v", h)
+	}
+	// The new cooldown, counted from when the breaker opened: a minute
+	// later it admits a probe, where the old hour would not.
+	tgt := collect.Target{Name: "open", Dialer: dialerFunc(func() (io.ReadWriteCloser, error) { return nil, down })}
+	res := c.Collect(tgt, nil, t0.Add(time.Minute), new(collect.ReadBuffer), structural(tgt))
+	if res.Status == collect.StatusBreakerOpen || res.Attempts != 1 {
+		t.Errorf("open breaker ignored the new cooldown: %+v", res)
 	}
 }

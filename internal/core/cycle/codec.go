@@ -13,9 +13,9 @@ import (
 
 // The crash form of a Checkpoint, encoded by hand with the WAL's
 // primitives: AsOf, Proc and Health, each a count and then its entries
-// in key order, then Ring. Logs and Latest are not written; the store's
-// own checkpoint of the delta log determines both. Equal checkpoints
-// encode to equal bytes.
+// in key order, then Ring. Logs is not written; the store's own
+// checkpoint of the delta log determines it. Equal checkpoints encode to
+// equal bytes.
 
 func appendCheckpoint(b []byte, ck *Checkpoint) []byte {
 	b = appendMap(b, ck.AsOf, seglog.AppendTime)

@@ -82,7 +82,6 @@ func New(policy collect.Policy, commands []string, clock engine.Clock) *Core {
 	}
 	c.Engine = engine.New(engine.Stages{
 		Collect:   c.stageCollect,
-		Normalize: c.stageNormalize,
 		Log:       c.stageLog,
 		Ingest:    c.stageIngest,
 		Publish:   c.stagePublish,
@@ -140,21 +139,17 @@ func (c *Core) Commit() error {
 // stageCollect runs the resilient collection of one target (breaker
 // check, retries) on its pool slot's read buffer, scanning each dump
 // into the local tables as its prompt arrives; a structural defect is
-// retried and leaves no snapshot. Safe for concurrent use across
-// targets: each touches only its own target's collector entry and its
-// own slot.
+// retried and leaves no snapshot. A sound capture whose dumps did not
+// parse degrades the target and counts against its breaker: a router
+// emitting unparseable dumps is as unhealthy as one refusing logins.
+// Safe for concurrent use across targets: each touches only its own
+// target's collector entry and its own slot.
 func (c *Core) stageCollect(it *engine.Item, now time.Time, slot int) {
 	sc := tables.Scanner{Target: it.Target.Name, Prompt: it.Target.Prompt, At: now}
 	it.Res = c.Collector.Collect(it.Target, c.Commands, now, &c.slots[slot], &sc)
-	it.Snapshot, it.ParseErr = sc.Snapshot, sc.ParseErr
-}
-
-// stageNormalize degrades a target whose dumps did not parse. The
-// failure counts against the target's breaker: a router emitting
-// unparseable dumps is as unhealthy as one refusing logins.
-func (c *Core) stageNormalize(it *engine.Item, now time.Time) {
-	if err := it.ParseErr; err != nil {
-		err = fmt.Errorf("collect %s: snapshot rejected: %w", it.Target.Name, err)
+	it.Snapshot = sc.Snapshot
+	if it.Res.Err == nil && sc.ParseErr != nil {
+		err := fmt.Errorf("collect %s: snapshot rejected: %w", it.Target.Name, sc.ParseErr)
 		c.Collector.RecordFailure(it.Target.Name, now, err)
 		it.Res.Status = collect.StatusDegraded
 		it.Res.Err = err
@@ -164,8 +159,8 @@ func (c *Core) stageNormalize(it *engine.Item, now time.Time) {
 // stageLog appends the cycle to the delta log and buffers its WAL
 // frame; a failed target gets an explicit gap marker instead. The record
 // Append returns is the cycle's only comparison of the route table with
-// its predecessor, so the target's stability tracker is driven from it
-// here rather than from the table.
+// its predecessor, so the processor's stability tracker for the target
+// is driven from it here rather than from the table.
 func (c *Core) stageLog(it *engine.Item, now time.Time) {
 	if it.Snapshot == nil {
 		reason := ""
@@ -179,7 +174,7 @@ func (c *Core) stageLog(it *engine.Item, now time.Time) {
 		return
 	}
 	rec := c.logDelta(it.Snapshot)
-	c.Engine.ObserveStability(it.Snapshot.Target, rec.At, rec.Routes.Upserted, rec.Routes.Removed)
+	c.Proc.ObserveStability(it.Snapshot.Target, rec.At, rec.Routes.Upserted, rec.Routes.Removed)
 }
 
 // logDelta appends a snapshot to the delta log, buffers the record and
@@ -217,7 +212,6 @@ func (c *Core) aggregate(now time.Time, snaps []*tables.Snapshot) *process.Cycle
 	agg := tables.MergeSnapshots(AggregateTarget, now, snaps...)
 	c.logDelta(agg)
 	st := c.Proc.Ingest(agg)
-	c.Engine.SetLatest(AggregateTarget, agg)
 	if c.Publish != nil {
 		c.Publish(agg)
 	}

@@ -20,21 +20,22 @@ import (
 //
 // A worker takes one after every cycle and it is read only when the
 // worker dies, so it carries only what the rest of it does not
-// determine, at a cost independent of table size and history length:
-// Logs is a view of the append-only delta log, Latest a pointer. The
-// route-stability tracker and the processor's previous route table are
-// derived at import — from Logs' records and from Latest's table.
+// determine, and copies nothing its core will not write again, at a
+// cost independent of table size and history length: Logs is a view of
+// the append-only delta log, and Proc shares the series store's sealed
+// blocks and heads (tsdb.Store.ExportTarget). The route-stability
+// tracker and the processor's previous route table are derived at
+// import, both from Logs' records.
 //
-// A crash checkpoint leaves Logs and Latest out, the store's own
-// checkpoint of the delta log determining both, and sets Ring: the
-// recovered processor keeps its anomaly IDs, where a handoff re-keys
-// them into the receiver's ring.
+// A crash checkpoint leaves Logs out, the store's own checkpoint of the
+// delta log determining it, and sets Ring: the recovered processor
+// keeps its anomaly IDs, where a handoff re-keys them into the
+// receiver's ring.
 type Checkpoint struct {
 	AsOf   map[string]time.Time
 	Proc   map[string]*process.TargetState
 	Logs   map[string]logger.TargetState
 	Health map[string]collect.TargetHealth
-	Latest map[string]*tables.Snapshot
 	Ring   process.Ring
 }
 
@@ -45,7 +46,6 @@ func NewCheckpoint() *Checkpoint {
 		Proc:   make(map[string]*process.TargetState),
 		Logs:   make(map[string]logger.TargetState),
 		Health: make(map[string]collect.TargetHealth),
-		Latest: make(map[string]*tables.Snapshot),
 	}
 }
 
@@ -57,7 +57,6 @@ func (ck *Checkpoint) Merge(name string, one *Checkpoint) {
 	splice(ck.Proc, one.Proc, name)
 	splice(ck.Logs, one.Logs, name)
 	splice(ck.Health, one.Health, name)
-	splice(ck.Latest, one.Latest, name)
 }
 
 // splice copies src's entry for name over dst's, or deletes dst's when
@@ -86,9 +85,6 @@ func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
 		if h, ok := c.Collector.TargetHealth(name); ok {
 			ck.Health[name] = h
 		}
-		if sn := c.Engine.Latest(name); sn != nil {
-			ck.Latest[name] = sn
-		}
 	}
 	return ck
 }
@@ -96,24 +92,30 @@ func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
 // ImportTarget splices one target's checkpointed state into this core —
 // the receiving side of a handoff. now anchors the restored breaker's
 // cooldown. The import is O(history): the logger replays every record to
-// rebuild its materialised tables, and the stability tracker is rebuilt
-// from the same records.
+// rebuild its materialised tables, whose route table is the processor's
+// churn baseline, and the stability tracker is rebuilt from the same
+// records.
 func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
-	c.Proc.ImportTarget(name, ck.Proc[name], ck.Latest[name])
+	var latest *tables.Snapshot
 	ts, ok := ck.Logs[name]
 	if ok {
 		c.Log.ImportTarget(name, ts)
+		latest = c.Log.Latest(name)
 	}
+	c.Proc.ImportTarget(name, ck.Proc[name], latest)
 	c.restoreTarget(name, ts.Records, ck, now)
-	c.Engine.SetLatest(name, ck.Latest[name])
 }
 
 // restoreTarget installs what a handoff and a recovery derive the same
-// way: the stability tracker, rebuilt from the target's delta-log
-// records, and the breaker and health row, whose cooldown restarts at
-// now.
+// way: the stability tracker, rebuilt into a processor that holds none
+// for the target by feeding it each delta-log record's route delta as
+// the Log stage fed the exporter's, and the breaker and health row,
+// whose cooldown restarts at now. No records means no successful cycle,
+// and no tracker.
 func (c *Core) restoreTarget(name string, recs []logger.CycleRecord, ck *Checkpoint, now time.Time) {
-	c.Engine.SetStability(name, stabilityFromRecords(recs))
+	for i := range recs {
+		c.Proc.ObserveStability(name, recs[i].At, recs[i].Routes.Upserted, recs[i].Routes.Removed)
+	}
 	c.Collector.ResetTarget(name)
 	if h, ok := ck.Health[name]; ok {
 		c.Collector.RestoreHealth(h, now)
@@ -126,25 +128,7 @@ func (c *Core) restoreTarget(name string, recs []logger.CycleRecord, ck *Checkpo
 func (c *Core) RemoveTarget(name string) {
 	c.Proc.ImportTarget(name, nil, nil)
 	c.Log.Remove(name)
-	c.Engine.SetStability(name, nil)
-	c.Engine.SetLatest(name, nil)
 	c.Collector.ResetTarget(name)
-}
-
-// stabilityFromRecords rebuilds a target's route-stability tracker from
-// its delta-log records: the exporter's Log stage fed its tracker each
-// record's route delta as it appended it, so feeding a fresh tracker
-// the same deltas yields the one the exporter held. No records means no
-// successful cycle, and no tracker.
-func stabilityFromRecords(recs []logger.CycleRecord) *process.RouteStability {
-	if len(recs) == 0 {
-		return nil
-	}
-	rs := process.NewRouteStability()
-	for i := range recs {
-		rs.ObserveDelta(recs[i].At, recs[i].Routes.Upserted, recs[i].Routes.Removed)
-	}
-	return rs
 }
 
 // WriteCheckpoint checkpoints the core into its store as of the cycle
@@ -159,7 +143,7 @@ func (c *Core) WriteCheckpoint(at time.Time) error {
 		targets[i].Name = name
 	}
 	ck := c.Export(at, targets)
-	ck.Logs, ck.Latest = nil, nil
+	ck.Logs = nil
 	ck.Ring = c.Proc.Ring()
 	return c.Store.WriteCheckpoint(c.Log, appendCheckpoint(nil, ck), at)
 }
@@ -185,8 +169,10 @@ type RecoveryReport struct {
 // Recover rebuilds a fresh core from the archive store holds: the
 // newest checkpoint, imported target by target as a handoff imports,
 // then the WAL tail past it replayed through the processor and the
-// breakers as the live cycles ran it. The core's own configuration
-// applies to what it restores.
+// breakers as the live cycles ran it. Each target's latest snapshot is
+// then the recovered delta log's (Logger.Latest falls back to
+// Materialized). The core's own configuration applies to what it
+// restores.
 func (c *Core) Recover(store *logger.Store) (*RecoveryReport, error) {
 	ra := store.Recover()
 	ck := NewCheckpoint()
@@ -254,11 +240,6 @@ func (c *Core) Recover(store *logger.Store) (*RecoveryReport, error) {
 		c.Proc.IngestCounts(ev.Snapshot, ev.SACache, ev.MBGPRoutes)
 		if ev.Target != AggregateTarget {
 			c.Collector.RecordSuccess(ev.Target, ev.At)
-		}
-	}
-	for _, name := range rep.Targets {
-		if sn, ok := c.Log.Materialized(name); ok {
-			c.Engine.SetLatest(name, sn)
 		}
 	}
 	return rep, nil

@@ -19,14 +19,14 @@ import (
 // replays it from the exported records. This drives a core's Log stage
 // with generated cycles and, beside it, a reference tracker that
 // Observes every whole table, and requires after every cycle that the
-// engine's tracker, the one stabilityFromRecords rebuilds from the
-// logger's export, and the reference are equal.
+// processor's tracker, the one restoreTarget rebuilds from the logger's
+// export in a fresh core, and the reference are equal.
 //
 // data scripts the run. Each cycle reads one control byte — a gap cycle
 // (a gap marker, no observation), an empty table, a rebuild of the
-// engine's tracker from the log's records the way recovery rebuilds it
-// (so the run-length presence count crosses that path mid-run, and the
-// rebuilt tracker then runs on live), or a table — and a table reads
+// processor's tracker from the log's records the way an import rebuilds
+// it (so the run-length presence count crosses that path mid-run, and
+// the rebuilt tracker then runs on live), or a table — and a table reads
 // one byte per pool prefix: absent,
 // unchanged, metric changed while up, uptime reset while up, or listed
 // twice. Every entry keeps Since == At − Uptime, as tables.BuildSnapshot
@@ -59,6 +59,7 @@ func FuzzStabilityFromRecords(f *testing.F) {
 			} else {
 				if ctl == 2 && ref != nil {
 					ts, _ := core.Log.ExportTarget(target)
+					core.Proc.ImportTarget(target, nil, nil)
 					core.restoreTarget(target, ts.Records, NewCheckpoint(), at)
 				}
 				it.Snapshot = &tables.Snapshot{Target: target, At: at}
@@ -74,9 +75,11 @@ func FuzzStabilityFromRecords(f *testing.F) {
 			}
 			core.stageLog(it, at)
 
-			live := core.Engine.Stability(target)
+			live := core.Proc.Stability(target)
 			ts, _ := core.Log.ExportTarget(target)
-			derived := stabilityFromRecords(ts.Records)
+			fresh := New(collect.DefaultPolicy(), nil, nil)
+			fresh.restoreTarget(target, ts.Records, NewCheckpoint(), at)
+			derived := fresh.Proc.Stability(target)
 			if ref == nil {
 				if live != nil || derived != nil {
 					t.Fatalf("cycle %d: nothing but gaps so far, yet live tracker %v, derived %v", cycle, live != nil, derived != nil)

@@ -131,7 +131,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 		t.Fatalf("precondition: %s's breaker %v after %d failures; want it closed, and faults so far", name, h.Breaker, h.TotalFailures)
 	}
 	want := exportSansIDs(a, at, moved)
-	wantStab := a.Engine.Stability(name).ExportState()
+	wantStab := a.Proc.Stability(name).ExportState()
 
 	c := twinCore()
 	c.ImportTarget(name, a.Export(at, []collect.Target{moved}), at)
@@ -145,7 +145,6 @@ func TestHandoffLockStepTwin(t *testing.T) {
 			{"Proc", reflect.DeepEqual(got.Proc, want.Proc)},
 			{"Logs", reflect.DeepEqual(got.Logs, want.Logs)},
 			{"Health", reflect.DeepEqual(got.Health, want.Health)},
-			{"Latest", reflect.DeepEqual(got.Latest, want.Latest)},
 		} {
 			if !d.eq {
 				t.Errorf("%s: the importer's export differs from the exporter's in %s", name, d.comp)
@@ -153,7 +152,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 		}
 		t.FailNow()
 	}
-	if rs := c.Engine.Stability(name); rs == nil || !reflect.DeepEqual(rs.ExportState(), wantStab) {
+	if rs := c.Proc.Stability(name); rs == nil || !reflect.DeepEqual(rs.ExportState(), wantStab) {
 		t.Fatalf("%s: the importer's stability tracker differs from the exporter's", name)
 	}
 
@@ -164,7 +163,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 			stepTwin(nb, b, tb)
 		}
 		now := nb.Now()
-		if left := a.Export(now, []collect.Target{moved}); len(left.Proc)+len(left.Logs)+len(left.Health)+len(left.Latest) != 0 || a.Engine.Stability(name) != nil {
+		if left := a.Export(now, []collect.Target{moved}); len(left.Proc)+len(left.Logs)+len(left.Health) != 0 || a.Log.Latest(name) != nil || a.Proc.Stability(name) != nil {
 			t.Fatalf("cycle k+%d: the exporter still holds %s's state: %+v", i, name, left)
 		}
 		for _, m := range process.AllMetrics {
@@ -184,7 +183,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 				t.Fatalf("cycle k+%d: %s's reconstruction of logged cycle %d differs from the twin's (%v, %v)", i, name, j, gerr, rerr)
 			}
 		}
-		if w, g := b.Engine.Stability(name).ExportState(), c.Engine.Stability(name).ExportState(); !reflect.DeepEqual(w, g) {
+		if w, g := b.Proc.Stability(name).ExportState(), c.Proc.Stability(name).ExportState(); !reflect.DeepEqual(w, g) {
 			t.Fatalf("cycle k+%d: %s's stability differs from the twin's", i, name)
 		}
 		wh, wg := b.HealthRow(name)

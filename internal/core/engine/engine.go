@@ -2,10 +2,11 @@
 // pipeline the paper's §III design describes — Data Collector →
 // Router-Table Processor → Data Logger → Data Processor → Output
 // Interface. The stage implementations are supplied once, by
-// internal/core/cycle; the engine is the schedule and the bookkeeping.
+// internal/core/cycle; the engine is only the schedule and its
+// instrumentation.
 //
 // Each registered target flows through the stages independently:
-// Collect and Normalize run concurrently on a bounded worker pool, and a
+// Collect runs concurrently on a bounded worker pool, and a
 // sequence-numbered reorder buffer admits finished targets to the
 // ordered stages (Log → Ingest → Publish) strictly in registration
 // order. That keeps every downstream artifact — delta log records,
@@ -15,19 +16,19 @@
 // stage runs once per cycle over the successful snapshots, still in
 // registration order.
 //
-// The engine also owns the per-target state the Monitor used to scatter
-// across parallel maps (latest snapshot, route-stability tracker,
-// gap/success bookkeeping) and instruments every stage with per-target
-// timings and reorder-queue depth counters on an injected monotonic
-// clock, so the pipeline's speedup over the serial schedule is
-// measured, not asserted.
+// The engine holds no target state the stages own: the latest snapshot
+// is the delta logger's, the route-stability tracker the processor's.
+// It keeps only its own bookkeeping — per-target cycle, success and gap
+// counts — and instruments every stage with per-target timings and
+// reorder-queue depth counters on an injected monotonic clock, so the
+// pipeline's speedup over the serial schedule is measured, not
+// asserted.
 package engine
 
 import (
 	"sync"
 	"time"
 
-	"repro/internal/addr"
 	"repro/internal/core/collect"
 	"repro/internal/core/process"
 	"repro/internal/core/tables"
@@ -42,12 +43,10 @@ type Item struct {
 	Target collect.Target
 	// Res is the collection outcome, set by the Collect stage.
 	Res collect.Result
-	// Snapshot is the normalized table snapshot; nil when collection or
-	// normalization failed, in which case the item flows through the
-	// remaining stages as a gap.
+	// Snapshot is the normalized table snapshot; nil when collection
+	// failed, in which case the item flows through the remaining stages
+	// as a gap.
 	Snapshot *tables.Snapshot
-	// ParseErr is why a sound capture did not parse, for Normalize.
-	ParseErr error
 	// Stats is set by the Ingest stage on success.
 	Stats *process.CycleStats
 
@@ -61,11 +60,9 @@ func (it *Item) Failed() bool { return it.Snapshot == nil }
 // cycle clock.
 type itemTimings struct {
 	collectStart time.Duration
-	collectEnd   time.Duration
-	normalizeEnd time.Duration
-	// enqueued..dequeued is the time parked in the reorder buffer
+	// collectEnd..dequeued is the time parked in the reorder buffer
 	// waiting for earlier-registered targets (head-of-line blocking).
-	enqueued   time.Duration
+	collectEnd time.Duration
 	dequeued   time.Duration
 	logEnd     time.Duration
 	ingestEnd  time.Duration
@@ -73,19 +70,19 @@ type itemTimings struct {
 }
 
 // Stages supplies the monitor-side implementations of the pipeline
-// stages. Collect and Normalize are called concurrently across targets
-// from the worker pool and must be safe for concurrent use across
-// distinct targets; Collect is told its pool slot, below
-// Options.Concurrency, which no other worker uses meanwhile. Log,
-// Ingest, Publish and Aggregate are invoked from a single goroutine, in
-// registration order, and need no locking against one another. Normalize is skipped when Collect failed; Log,
-// Ingest and Publish always run so gap handling stays stage-local.
+// stages. Collect is called concurrently across targets from the worker
+// pool and must be safe for concurrent use across distinct targets; it
+// is told its pool slot, below Options.Concurrency, which no other
+// worker uses meanwhile, and leaves the item's snapshot nil on any
+// failure, a dump that did not parse included. Log, Ingest, Publish and
+// Aggregate are invoked from a single goroutine, in registration order,
+// and need no locking against one another. They always run, so gap
+// handling stays stage-local.
 type Stages struct {
-	Collect   func(it *Item, now time.Time, slot int)
-	Normalize func(it *Item, now time.Time)
-	Log       func(it *Item, now time.Time)
-	Ingest    func(it *Item, now time.Time)
-	Publish   func(it *Item, now time.Time)
+	Collect func(it *Item, now time.Time, slot int)
+	Log     func(it *Item, now time.Time)
+	Ingest  func(it *Item, now time.Time)
+	Publish func(it *Item, now time.Time)
 	// Aggregate runs once per cycle after every item has been
 	// published, over the successful snapshots in registration order.
 	// Nil disables the stage.
@@ -94,32 +91,29 @@ type Stages struct {
 
 // Options parameterize one cycle run.
 type Options struct {
-	// Concurrency bounds the Collect/Normalize worker pool. Values
-	// below 1 mean 1; values above the target count are clamped to it.
+	// Concurrency bounds the Collect worker pool. Values below 1 mean
+	// 1; values above the target count are clamped to it.
 	Concurrency int
 	// Aggregate enables the final merge stage (needs Stages.Aggregate).
 	Aggregate bool
 }
 
-// targetState consolidates the per-target state the Monitor used to
-// keep in parallel maps, plus the engine's own bookkeeping.
+// targetState is the engine's bookkeeping for one target.
 type targetState struct {
 	name      string
-	latest    *tables.Snapshot
-	stability *process.RouteStability
 	cycles    int
 	successes int
 	gaps      int
 	lastSeq   int
-	stages    map[Stage]*StageStat
+	stages    map[Stage]StageStat
 }
 
-// Engine runs monitoring cycles through the staged pipeline and owns
-// the per-target state and instrumentation. An Engine belongs to the
-// goroutine that calls Run: every method is called from it, and every
-// state write happens there — the ordered stages and finishCycle run on
-// it, and the pool workers Run starts touch no engine state. Readers on
-// other goroutines read the Stats their owner published.
+// Engine runs monitoring cycles through the staged pipeline and keeps
+// their instrumentation. An Engine belongs to the goroutine that calls
+// Run: every method is called from it, and every state write happens
+// there — the ordered stages and finishCycle run on it, and the pool
+// workers Run starts touch no engine state. Readers on other goroutines
+// read the Stats their owner published.
 type Engine struct {
 	stages Stages
 	clock  Clock
@@ -129,7 +123,7 @@ type Engine struct {
 	conc   int
 	// Cumulative per-stage timing instrumentation — local to this
 	// engine's life, deliberately not part of any state transfer.
-	totals map[Stage]*StageStat
+	totals map[Stage]StageStat
 	last   *CycleReport
 }
 
@@ -146,60 +140,8 @@ func New(stages Stages, clock Clock) *Engine {
 		stages: stages,
 		clock:  clock,
 		states: make(map[string]*targetState),
-		totals: make(map[Stage]*StageStat),
+		totals: make(map[Stage]StageStat),
 	}
-}
-
-// state returns (creating if needed) a target's consolidated state.
-func (e *Engine) state(name string) *targetState {
-	st := e.states[name]
-	if st == nil {
-		st = &targetState{name: name, stages: make(map[Stage]*StageStat)}
-		e.states[name] = st
-	}
-	return st
-}
-
-// Latest returns the most recent snapshot recorded for a target, or nil.
-func (e *Engine) Latest(name string) *tables.Snapshot {
-	if st := e.states[name]; st != nil {
-		return st.latest
-	}
-	return nil
-}
-
-// SetLatest records a target's most recent snapshot out of band — the
-// aggregate stage and archive recovery use it.
-func (e *Engine) SetLatest(name string, sn *tables.Snapshot) {
-	e.state(name).latest = sn
-}
-
-// Stability returns a target's route-stability tracker, or nil before
-// its first successful cycle.
-func (e *Engine) Stability(name string) *process.RouteStability {
-	if st := e.states[name]; st != nil {
-		return st.stability
-	}
-	return nil
-}
-
-// ObserveStability folds one logged cycle's route delta into the
-// target's stability tracker, creating the tracker on first use. The
-// core's Log stage calls it with the record it has just appended.
-func (e *Engine) ObserveStability(target string, at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
-	st := e.state(target)
-	if st.stability == nil {
-		st.stability = process.NewRouteStability()
-	}
-	st.stability.ObserveDelta(at, upserted, removed)
-}
-
-// SetStability installs (or, with nil, clears) one target's stability
-// tracker, leaving every other target's untouched — the import path of
-// a shard handoff and of a crash recovery, which rebuild the tracker
-// from the target's delta log.
-func (e *Engine) SetStability(name string, rs *process.RouteStability) {
-	e.state(name).stability = rs
 }
 
 // Run executes one monitoring cycle over targets, stamped at now, and
@@ -232,8 +174,8 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 		Stages:      make(map[Stage]StageStat),
 	}
 
-	// Collect/Normalize fan out on the bounded pool; finished items
-	// funnel into the reorder buffer via the collected channel.
+	// Collect fans out on the bounded pool; finished items funnel into
+	// the reorder buffer via the collected channel.
 	jobs := make(chan *Item)
 	collected := make(chan *Item, n)
 	var wg sync.WaitGroup
@@ -245,11 +187,6 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 				it.t.collectStart = clock()
 				e.stages.Collect(it, now, w)
 				it.t.collectEnd = clock()
-				if it.Res.Err == nil {
-					e.stages.Normalize(it, now)
-				}
-				it.t.normalizeEnd = clock()
-				it.t.enqueued = it.t.normalizeEnd
 				collected <- it
 			}
 		}()
@@ -271,9 +208,6 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 		it.t.logEnd = clock()
 		e.stages.Ingest(it, now)
 		it.t.ingestEnd = clock()
-		if it.Snapshot != nil {
-			e.SetLatest(it.Snapshot.Target, it.Snapshot)
-		}
 		e.stages.Publish(it, now)
 		it.t.publishEnd = clock()
 	}
@@ -303,7 +237,7 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 		if len(snaps) > 0 {
 			aStart := clock()
 			aggStats = e.stages.Aggregate(now, snaps)
-			report.observe(StageAggregate, clock()-aStart)
+			observe(report.Stages, StageAggregate, clock()-aStart)
 		}
 	}
 
@@ -320,24 +254,28 @@ func (e *Engine) finishCycle(items []*Item, report *CycleReport) {
 	report.Cycle = e.cycles
 	for _, it := range items {
 		tc := TargetCycle{
-			Target:      it.Target.Name,
-			Seq:         it.Seq,
-			Status:      string(it.Res.Status),
-			CollectNs:   (it.t.collectEnd - it.t.collectStart).Nanoseconds(),
-			NormalizeNs: (it.t.normalizeEnd - it.t.collectEnd).Nanoseconds(),
-			WaitNs:      (it.t.dequeued - it.t.enqueued).Nanoseconds(),
-			LogNs:       (it.t.logEnd - it.t.dequeued).Nanoseconds(),
-			IngestNs:    (it.t.ingestEnd - it.t.logEnd).Nanoseconds(),
-			PublishNs:   (it.t.publishEnd - it.t.ingestEnd).Nanoseconds(),
+			Target:    it.Target.Name,
+			Seq:       it.Seq,
+			Status:    string(it.Res.Status),
+			CollectNs: (it.t.collectEnd - it.t.collectStart).Nanoseconds(),
+			WaitNs:    (it.t.dequeued - it.t.collectEnd).Nanoseconds(),
+			LogNs:     (it.t.logEnd - it.t.dequeued).Nanoseconds(),
+			IngestNs:  (it.t.ingestEnd - it.t.logEnd).Nanoseconds(),
+			PublishNs: (it.t.publishEnd - it.t.ingestEnd).Nanoseconds(),
 		}
 		report.PerTarget = append(report.PerTarget, tc)
-		report.observe(StageCollect, time.Duration(tc.CollectNs))
-		report.observe(StageNormalize, time.Duration(tc.NormalizeNs))
-		report.observe(StageLog, time.Duration(tc.LogNs))
-		report.observe(StageIngest, time.Duration(tc.IngestNs))
-		report.observe(StagePublish, time.Duration(tc.PublishNs))
-
-		st := e.state(it.Target.Name)
+		st := e.states[tc.Target]
+		if st == nil {
+			st = &targetState{name: tc.Target, stages: make(map[Stage]StageStat)}
+			e.states[tc.Target] = st
+		}
+		for _, sc := range [...]struct {
+			stage Stage
+			ns    int64
+		}{{StageCollect, tc.CollectNs}, {StageLog, tc.LogNs}, {StageIngest, tc.IngestNs}, {StagePublish, tc.PublishNs}} {
+			observe(report.Stages, sc.stage, time.Duration(sc.ns))
+			observe(st.stages, sc.stage, time.Duration(sc.ns))
+		}
 		st.cycles++
 		st.lastSeq = it.Seq
 		if it.Snapshot == nil {
@@ -346,31 +284,11 @@ func (e *Engine) finishCycle(items []*Item, report *CycleReport) {
 		} else {
 			st.successes++
 		}
-		for _, sc := range []struct {
-			stage Stage
-			ns    int64
-		}{
-			{StageCollect, tc.CollectNs},
-			{StageNormalize, tc.NormalizeNs},
-			{StageLog, tc.LogNs},
-			{StageIngest, tc.IngestNs},
-			{StagePublish, tc.PublishNs},
-		} {
-			stat := st.stages[sc.stage]
-			if stat == nil {
-				stat = &StageStat{}
-				st.stages[sc.stage] = stat
-			}
-			stat.observe(time.Duration(sc.ns))
-		}
 	}
 	for stage, stat := range report.Stages {
 		tot := e.totals[stage]
-		if tot == nil {
-			tot = &StageStat{}
-			e.totals[stage] = tot
-		}
 		tot.merge(stat)
+		e.totals[stage] = tot
 	}
 	e.last = report
 }

@@ -26,13 +26,9 @@ func fakeTargets(n int) []collect.Target {
 	return out
 }
 
-// okCollect fabricates a successful collection; okNormalize attaches a
-// minimal snapshot.
-func okCollect(it *Item, _ time.Time, _ int) {
+// okCollect fabricates a successful collection with a minimal snapshot.
+func okCollect(it *Item, now time.Time, _ int) {
 	it.Res = collect.Result{Target: it.Target.Name, Status: collect.StatusOK, Attempts: 1}
-}
-
-func okNormalize(it *Item, now time.Time) {
 	it.Snapshot = &tables.Snapshot{Target: it.Target.Name, At: now}
 }
 
@@ -56,7 +52,6 @@ func TestOrderingUnderRandomCompletion(t *testing.T) {
 			time.Sleep(delays[it.Seq])
 			okCollect(it, now, slot)
 		},
-		Normalize: okNormalize,
 		Log: func(it *Item, _ time.Time) {
 			mu.Lock()
 			logOrder = append(logOrder, it.Seq)
@@ -114,8 +109,7 @@ func TestBoundedPool(t *testing.T) {
 			atomic.AddInt64(&inflight, -1)
 			okCollect(it, now, slot)
 		},
-		Normalize: okNormalize,
-		Log:       noop, Ingest: noop, Publish: noop,
+		Log: noop, Ingest: noop, Publish: noop,
 	}, nil)
 	e.Run(sim.Epoch, fakeTargets(n), Options{Concurrency: conc})
 	if got := atomic.LoadInt64(&peak); got > conc {
@@ -141,7 +135,6 @@ func TestPipelinedOverlap(t *testing.T) {
 			}
 			okCollect(it, now, slot)
 		},
-		Normalize: okNormalize,
 		Log: func(it *Item, _ time.Time) {
 			if !slowDone.Load() {
 				atomic.AddInt64(&early, 1)
@@ -167,8 +160,7 @@ func TestQueueDepth(t *testing.T) {
 			}
 			okCollect(it, now, slot)
 		},
-		Normalize: okNormalize,
-		Log:       noop, Ingest: noop, Publish: noop,
+		Log: noop, Ingest: noop, Publish: noop,
 	}, nil)
 	_, _, report := e.Run(sim.Epoch, fakeTargets(n), Options{Concurrency: n})
 	if report.MaxQueueDepth < n-1 {
@@ -197,43 +189,40 @@ func TestDeterministicClock(t *testing.T) {
 			return time.Duration(atomic.AddInt64(&ticks, 1)) * time.Millisecond
 		}
 		e := New(Stages{
-			Collect:   okCollect,
-			Normalize: okNormalize,
-			Log:       noop, Ingest: noop, Publish: noop,
+			Collect: okCollect,
+			Log:     noop, Ingest: noop, Publish: noop,
 		}, clock)
 		_, _, report := e.Run(sim.Epoch, fakeTargets(1), Options{Concurrency: 1})
 		return report
 	}
 	r1, r2 := run(), run()
-	// Clock calls, in order: cycle start, collect start/end, normalize
-	// end, dequeue, log end, ingest end, publish end, cycle end — each
-	// advancing 1ms, so every stage reads exactly 1ms and the wall span
-	// is 8ms.
+	// Clock calls, in order: cycle start, collect start/end, dequeue,
+	// log end, ingest end, publish end, cycle end — each advancing 1ms,
+	// so every stage reads exactly 1ms and the wall span is 7ms.
 	want := TargetCycle{
 		Target: "t00", Status: string(collect.StatusOK),
-		CollectNs:   int64(time.Millisecond),
-		NormalizeNs: int64(time.Millisecond),
-		WaitNs:      int64(time.Millisecond),
-		LogNs:       int64(time.Millisecond),
-		IngestNs:    int64(time.Millisecond),
-		PublishNs:   int64(time.Millisecond),
+		CollectNs: int64(time.Millisecond),
+		WaitNs:    int64(time.Millisecond),
+		LogNs:     int64(time.Millisecond),
+		IngestNs:  int64(time.Millisecond),
+		PublishNs: int64(time.Millisecond),
 	}
 	if r1.PerTarget[0] != want {
 		t.Errorf("per-target timings = %+v, want %+v", r1.PerTarget[0], want)
 	}
-	if r1.WallNs != int64(8*time.Millisecond) {
-		t.Errorf("wall = %v, want 8ms", time.Duration(r1.WallNs))
+	if r1.WallNs != int64(7*time.Millisecond) {
+		t.Errorf("wall = %v, want 7ms", time.Duration(r1.WallNs))
 	}
 	if r1.PerTarget[0] != r2.PerTarget[0] || r1.WallNs != r2.WallNs {
 		t.Error("virtual-clock instrumentation not reproducible across runs")
 	}
 }
 
-// TestGapFlow: a failed collection must skip Normalize but still flow
-// through the ordered stages (gap handling is stage-local), count as a
-// gap in the target's cumulative state, and fail the report.
+// TestGapFlow: a failed collection must still flow through the ordered
+// stages (gap handling is stage-local), count as a gap in the target's
+// cumulative state, and fail the report.
 func TestGapFlow(t *testing.T) {
-	var normalized, logged, ingested int64
+	var logged, ingested int64
 	e := New(Stages{
 		Collect: func(it *Item, now time.Time, slot int) {
 			if it.Seq == 1 {
@@ -245,10 +234,6 @@ func TestGapFlow(t *testing.T) {
 			}
 			okCollect(it, now, slot)
 		},
-		Normalize: func(it *Item, now time.Time) {
-			atomic.AddInt64(&normalized, 1)
-			okNormalize(it, now)
-		},
 		Log:    func(*Item, time.Time) { atomic.AddInt64(&logged, 1) },
 		Ingest: func(*Item, time.Time) { atomic.AddInt64(&ingested, 1) },
 		Publish: func(it *Item, _ time.Time) {
@@ -258,9 +243,6 @@ func TestGapFlow(t *testing.T) {
 		},
 	}, nil)
 	items, _, report := e.Run(sim.Epoch, fakeTargets(3), Options{Concurrency: 2})
-	if normalized != 2 {
-		t.Errorf("normalize ran %d times, want 2 (skipped on collect failure)", normalized)
-	}
 	if logged != 3 || ingested != 3 {
 		t.Errorf("log/ingest ran %d/%d times, want 3/3 (gaps flow through)", logged, ingested)
 	}
@@ -280,14 +262,6 @@ func TestGapFlow(t *testing.T) {
 			t.Errorf("%s: cycles=%d gaps=%d", ts.Target, ts.Cycles, ts.Gaps)
 		}
 	}
-	// The failed target must not acquire a latest snapshot. (Trackers
-	// are the Log stage's to drive; see internal/core/cycle.)
-	if e.Latest("t01") != nil {
-		t.Error("failed target acquired state")
-	}
-	if e.Latest("t00") == nil {
-		t.Error("successful target missing state")
-	}
 }
 
 // TestAggregateStage: the merge stage sees the successful snapshots in
@@ -303,8 +277,7 @@ func TestAggregateStage(t *testing.T) {
 			}
 			okCollect(it, now, slot)
 		},
-		Normalize: okNormalize,
-		Log:       noop, Ingest: noop, Publish: noop,
+		Log: noop, Ingest: noop, Publish: noop,
 		Aggregate: func(_ time.Time, snaps []*tables.Snapshot) *process.CycleStats {
 			names := make([]string, len(snaps))
 			for i, sn := range snaps {
@@ -345,8 +318,7 @@ func TestAggregateStage(t *testing.T) {
 		Collect: func(it *Item, _ time.Time, _ int) {
 			it.Res = collect.Result{Target: it.Target.Name, Err: errors.New("down")}
 		},
-		Normalize: okNormalize,
-		Log:       noop, Ingest: noop, Publish: noop,
+		Log: noop, Ingest: noop, Publish: noop,
 		Aggregate: stages.Aggregate,
 	}, nil)
 	got = nil
@@ -359,9 +331,8 @@ func TestAggregateStage(t *testing.T) {
 // per-stage observations into totals and per-target views.
 func TestStatsAccumulate(t *testing.T) {
 	e := New(Stages{
-		Collect:   okCollect,
-		Normalize: okNormalize,
-		Log:       noop, Ingest: noop, Publish: noop,
+		Collect: okCollect,
+		Log:     noop, Ingest: noop, Publish: noop,
 	}, nil)
 	const cycles, n = 3, 2
 	for i := 0; i < cycles; i++ {
@@ -398,8 +369,8 @@ func TestStatsAccumulate(t *testing.T) {
 // cleanly.
 func TestZeroTargets(t *testing.T) {
 	e := New(Stages{
-		Collect: okCollect, Normalize: okNormalize,
-		Log: noop, Ingest: noop, Publish: noop,
+		Collect: okCollect,
+		Log:     noop, Ingest: noop, Publish: noop,
 	}, nil)
 	items, aggStats, report := e.Run(sim.Epoch, nil, Options{Concurrency: 4, Aggregate: true})
 	if len(items) != 0 || aggStats != nil {
@@ -423,8 +394,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 			okCollect(it, now, slot)
 		},
-		Normalize: okNormalize,
-		Log:       noop, Ingest: noop, Publish: noop,
+		Log: noop, Ingest: noop, Publish: noop,
 	}, nil)
 
 	before := runtime.NumGoroutine()
@@ -464,8 +434,7 @@ func TestCollectSlotsAreExclusive(t *testing.T) {
 			busy[slot].Store(false)
 			okCollect(it, now, slot)
 		},
-		Normalize: okNormalize,
-		Log:       noop, Ingest: noop, Publish: noop,
+		Log: noop, Ingest: noop, Publish: noop,
 	}, nil)
 	e.Run(sim.Epoch, fakeTargets(24), Options{Concurrency: workers})
 	if bad.Load() != 0 {

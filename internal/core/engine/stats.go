@@ -1,13 +1,21 @@
 package engine
 
-import "time"
+import (
+	"cmp"
+	"maps"
+	"slices"
+	"time"
+)
 
 // Stage identifies one pipeline stage in instrumentation output.
 type Stage string
 
-// The pipeline stages, in flow order. Collect and Normalize run on the
-// worker pool; Log, Ingest and Publish run serially in registration
-// order; Aggregate runs once per cycle.
+// The pipeline stages, in flow order. Collect runs on the worker pool;
+// Log, Ingest and Publish run serially in registration order; Aggregate
+// runs once per cycle. StageNormalize is never observed: a dump is
+// scanned into tables as Collect reads it, and a dump that did not
+// parse fails Collect. The name stays, with its place in
+// OrderedStages, for the benchmark harness that reports every stage.
 const (
 	StageCollect   Stage = "collect"
 	StageNormalize Stage = "normalize"
@@ -56,6 +64,13 @@ func (s *StageStat) observe(d time.Duration) {
 	}
 }
 
+// observe adds one execution of stage to a stats map.
+func observe(m map[Stage]StageStat, stage Stage, d time.Duration) {
+	stat := m[stage]
+	stat.observe(d)
+	m[stage] = stat
+}
+
 func (s *StageStat) merge(o StageStat) {
 	s.Count += o.Count
 	s.TotalNs += o.TotalNs
@@ -74,12 +89,11 @@ type TargetCycle struct {
 	Status string `json:"status"`
 	// Per-stage durations; WaitNs is the time parked in the reorder
 	// buffer behind earlier-registered targets.
-	CollectNs   int64 `json:"collect_ns"`
-	NormalizeNs int64 `json:"normalize_ns"`
-	WaitNs      int64 `json:"wait_ns"`
-	LogNs       int64 `json:"log_ns"`
-	IngestNs    int64 `json:"ingest_ns"`
-	PublishNs   int64 `json:"publish_ns"`
+	CollectNs int64 `json:"collect_ns"`
+	WaitNs    int64 `json:"wait_ns"`
+	LogNs     int64 `json:"log_ns"`
+	IngestNs  int64 `json:"ingest_ns"`
+	PublishNs int64 `json:"publish_ns"`
 }
 
 // CycleReport instruments one cycle end to end.
@@ -98,12 +112,6 @@ type CycleReport struct {
 	MaxQueueDepth int                 `json:"max_queue_depth"`
 	Stages        map[Stage]StageStat `json:"stages"`
 	PerTarget     []TargetCycle       `json:"per_target"`
-}
-
-func (r *CycleReport) observe(stage Stage, d time.Duration) {
-	stat := r.Stages[stage]
-	stat.observe(d)
-	r.Stages[stage] = stat
 }
 
 // StageTotal returns one stage's accumulated duration in the cycle.
@@ -141,47 +149,21 @@ func (e *Engine) Stats() Stats {
 	out := Stats{
 		Cycles:      e.cycles,
 		Concurrency: e.conc,
-		Stages:      make(map[Stage]StageStat, len(e.totals)),
+		Stages:      maps.Clone(e.totals),
 		LastCycle:   e.last,
 	}
-	for stage, stat := range e.totals {
-		out.Stages[stage] = *stat
-	}
 	for _, st := range e.states {
-		if st.cycles == 0 {
-			// State created by SetLatest/SetStability only (e.g. the
-			// aggregate target or recovered history) has no cycle
-			// instrumentation to report.
-			continue
-		}
-		ts := TargetStats{
+		out.Targets = append(out.Targets, TargetStats{
 			Target:    st.name,
 			Cycles:    st.cycles,
 			Successes: st.successes,
 			Gaps:      st.gaps,
 			LastSeq:   st.lastSeq,
-			Stages:    make(map[Stage]StageStat, len(st.stages)),
-		}
-		for stage, stat := range st.stages {
-			ts.Stages[stage] = *stat
-		}
-		out.Targets = append(out.Targets, ts)
+			Stages:    maps.Clone(st.stages),
+		})
 	}
-	sortTargetStats(out.Targets)
+	slices.SortFunc(out.Targets, func(a, b TargetStats) int {
+		return cmp.Or(cmp.Compare(a.LastSeq, b.LastSeq), cmp.Compare(a.Target, b.Target))
+	})
 	return out
-}
-
-func sortTargetStats(ts []TargetStats) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && lessTargetStats(ts[j], ts[j-1]); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-}
-
-func lessTargetStats(a, b TargetStats) bool {
-	if a.LastSeq != b.LastSeq {
-		return a.LastSeq < b.LastSeq
-	}
-	return a.Target < b.Target
 }

@@ -78,6 +78,9 @@ type targetLog struct {
 	// and never written; their Uptime is that cycle's and is ignored.
 	pairs  tables.PairTable
 	routes tables.RouteTable
+	// latest is the snapshot the last Append took, nil after a replay
+	// or an import, which carry deltas only.
+	latest *tables.Snapshot
 	column []byte // Append's scratch buffer for the counter rows
 	// fullEntries counts what full-snapshot storage would have used.
 	fullEntries  uint64
@@ -121,9 +124,10 @@ func (l *Logger) target(name string) *targetLog {
 // The snapshot's tables are walked against the previous cycle's in key
 // order, so the record lists upserts and removals in key order with no
 // sorting, and are then kept — by reference, not copied — as the next
-// cycle's predecessor: a snapshot handed to Append must not be written
-// afterwards. The walk also writes the counter rows to a scratch buffer
-// the record gets a copy of if a counter moved.
+// cycle's predecessor, and the snapshot as the target's Latest: a
+// snapshot handed to Append must not be written afterwards. The walk
+// also writes the counter rows to a scratch buffer the record gets a
+// copy of if a counter moved.
 func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
 	tl := l.target(sn.Target)
 	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP)}
@@ -158,6 +162,7 @@ func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
 		}
 	})
 
+	tl.latest = sn
 	tl.Records = append(tl.Records, rec)
 	tl.fullEntries += uint64(len(sn.Pairs) + len(sn.Routes))
 	tl.deltaEntries += deltaSize(rec)
@@ -241,6 +246,7 @@ func (l *Logger) ApplyRecord(target string, rec CycleRecord, fullEntries uint64)
 	var err error
 	tl.pairs, err = patchPairs(tl.pairs, rec.Pairs)
 	tl.routes = patchRoutes(tl.routes, rec.Routes)
+	tl.latest = nil
 	tl.Records = append(tl.Records, rec)
 	tl.fullEntries += fullEntries
 	tl.deltaEntries += deltaSize(rec)
@@ -274,6 +280,17 @@ func (l *Logger) Materialized(target string) (*tables.Snapshot, bool) {
 	}
 	at := tl.Records[len(tl.Records)-1].At
 	return &tables.Snapshot{Target: target, At: at, Pairs: pairsAt(tl.pairs, at), Routes: routesAt(tl.routes, at)}, true
+}
+
+// Latest returns the target's most recent snapshot, nil before its
+// first logged cycle: the one Append last took, or after a replay or an
+// import, which carry deltas only, the tables Materialized rebuilds.
+func (l *Logger) Latest(target string) *tables.Snapshot {
+	if tl := l.targets[target]; tl != nil && tl.latest != nil {
+		return tl.latest
+	}
+	sn, _ := l.Materialized(target)
+	return sn
 }
 
 // pairsAt copies a retained pair table with every uptime as of at.

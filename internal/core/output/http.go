@@ -33,6 +33,7 @@ type Server struct {
 	shards  func() any
 	anoms   func() []process.Anomaly
 	series  func(target string, m process.Metric) *process.Series
+	targets func() []string
 	query   QueryFunc
 }
 
@@ -111,6 +112,10 @@ func (s *Server) SetSeries(fn func(target string, m process.Metric) *process.Ser
 	s.series = fn
 }
 
+// SetTargets overrides the / index's target list, by default the
+// processor view's; sharded deployments install the fleet's listing.
+func (s *Server) SetTargets(fn func() []string) { s.targets = fn }
+
 // lookupSeries resolves a target's series through the installed
 // override, falling back to the processor view.
 func (s *Server) lookupSeries(pv *process.View, target string, m process.Metric) *process.Series {
@@ -137,7 +142,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	pv, tables := s.view()
 	var idx index
-	idx.Targets = pv.Targets()
+	if s.targets != nil {
+		idx.Targets = s.targets()
+	} else {
+		idx.Targets = pv.Targets()
+	}
 	for _, m := range process.AllMetrics {
 		idx.Metrics = append(idx.Metrics, string(m))
 	}

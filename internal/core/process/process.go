@@ -210,6 +210,10 @@ type Processor struct {
 	// target has an entry exactly when it has been ingested, an empty
 	// table included.
 	prevRoutes map[string]tables.RouteTable
+	// stability is, per target, the route-stability tracker the cycle
+	// core's Log stage drives (ObserveStability); a target has one from
+	// its first logged table.
+	stability map[string]*RouteStability
 	// store holds every series point, compressed.
 	store *tsdb.Store
 
@@ -292,6 +296,7 @@ func New() *Processor {
 		Window:              12,
 		windows:             make(map[string]map[Metric]*window),
 		prevRoutes:          make(map[string]tables.RouteTable),
+		stability:           make(map[string]*RouteStability),
 		store:               tsdb.New(),
 		open:                make(map[string]map[string]openEpisode),
 		baseStart:           make(map[string]int),

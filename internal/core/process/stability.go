@@ -59,6 +59,24 @@ func (h *prefixHistory) fall(cycle int, at time.Time) {
 	h.lifetimes = append(h.lifetimes, at.Sub(h.currentSince))
 }
 
+// Stability returns a target's route-stability tracker, or nil before
+// its first logged table.
+func (p *Processor) Stability(target string) *RouteStability { return p.stability[target] }
+
+// ObserveStability folds one logged cycle's route delta into the
+// target's tracker (ObserveDelta), creating the tracker on first use.
+// The cycle core's Log stage calls it with the record it has just
+// appended, and a handoff import or a recovery with each record of the
+// target's delta log, into a processor that holds no tracker for it.
+func (p *Processor) ObserveStability(target string, at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
+	rs := p.stability[target]
+	if rs == nil {
+		rs = NewRouteStability()
+		p.stability[target] = rs
+	}
+	rs.ObserveDelta(at, upserted, removed)
+}
+
 // NewRouteStability returns an empty tracker.
 func NewRouteStability() *RouteStability {
 	return &RouteStability{byPrefix: make(map[addr.Prefix]*prefixHistory)}

@@ -6,10 +6,11 @@
 // ExportTarget captures one target's compressed series, baseline
 // anchor, anomaly history and open episodes — not the route table its
 // next churn is counted against, which is the target's latest
-// snapshot's and is taken from that at import. ImportTarget splices
-// them into another processor, assigning fresh ring IDs (the anomaly
-// ring's ID contiguity invariant forbids inserting foreign IDs
-// mid-ring); Restore installs every
+// snapshot's and is taken from that at import, nor its route-stability
+// tracker, which the importer rebuilds from the target's delta log
+// (ObserveStability). ImportTarget splices them into another processor,
+// assigning fresh ring IDs (the anomaly ring's ID contiguity invariant
+// forbids inserting foreign IDs mid-ring); Restore installs every
 // target's the same way into a processor that has ingested nothing and
 // keeps the IDs, the checkpoint carrying the ring's counters (Ring).
 // Fleet-level views dedup the resulting cross-shard copies by ownership;
@@ -26,8 +27,10 @@ import (
 
 // TargetState is the exportable processing state of one target: the
 // transfer unit for shard handoff and, encoded by the cycle core, part
-// of a crash checkpoint. All fields are plain data, deep-copied on
-// export and import.
+// of a crash checkpoint. All fields are plain data. An export shares
+// what the processor never writes again — the store's sealed blocks and
+// its series heads up to their current lengths (tsdb.Store.ExportTarget)
+// — and copies the rest; an import copies all of it.
 type TargetState struct {
 	Target string
 	// Store carries the target's compressed series, its whole history:
@@ -53,8 +56,8 @@ type OpenTransfer struct {
 	Frozen float64
 }
 
-// ExportTarget deep-copies one target's processing state, or returns
-// nil if the processor has never seen the target.
+// ExportTarget captures one target's processing state, or returns nil
+// if the processor has never seen the target.
 func (p *Processor) ExportTarget(target string) *TargetState {
 	store := p.store.ExportTarget(target)
 	base, okBase := p.baseStart[target]
@@ -85,16 +88,18 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 	return st
 }
 
-// ImportTarget replaces one target's processing state with a deep copy
-// of st, leaving every other target untouched. The imported anomalies
-// are appended to the ring with fresh local IDs — in ring-order they
+// ImportTarget replaces one target's processing state with a copy of
+// st, leaving every other target untouched, and drops its stability
+// tracker. The imported anomalies are appended to the ring with fresh
+// local IDs — in ring-order they
 // read as "history learned at import time", and any older copies of the
 // same episodes already in this ring (e.g. from a previous ownership
 // stint) remain; fleet views dedup by (target, kind, open-time) keeping
 // the highest local ID. A nil st simply removes the target's state.
 //
-// latest is the last snapshot the exporter ingested for the target, nil
-// if it never ingested one. The table the next cycle's churn is counted
+// latest is the last snapshot the exporter ingested for the target, or
+// its tables as the imported delta log rebuilds them, nil if it never
+// ingested one. The table the next cycle's churn is counted
 // against is that snapshot's, so it is taken from there rather than
 // carried: one exists exactly when a snapshot does, an empty table
 // included.
@@ -157,12 +162,13 @@ func (p *Processor) Restore(ring Ring, states map[string]*TargetState, latest ma
 
 // install replaces one target's compressed store, detection windows,
 // baseline anchor and churn baseline with st's, dropping its open
-// episodes; the anomaly ring is the caller's. The windows are rebuilt
+// episodes and its stability tracker; the anomaly ring is the caller's. The windows are rebuilt
 // by pushing the imported points through them as Ingest and MarkGap
 // did. A nil st just removes the target.
 func (p *Processor) install(target string, st *TargetState, latest *tables.Snapshot) {
 	delete(p.windows, target)
 	delete(p.prevRoutes, target)
+	delete(p.stability, target)
 	delete(p.baseStart, target)
 	delete(p.open, target)
 	p.store.Remove(target)

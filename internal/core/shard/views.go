@@ -12,6 +12,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core/collect"
@@ -67,6 +68,19 @@ func (v *fleetView) procFor(name string) *process.View {
 		return v.shards[sh]
 	}
 	return v.fleet
+}
+
+// targets lists, sorted, every target the view serves series for: the
+// fleet-level ones and the assigned ones.
+func (v *fleetView) targets() []string {
+	names := v.fleet.Targets()
+	for name := range v.status.Assignment {
+		if !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 func (s *Supervisor) buildStatus() FleetStatus {
@@ -226,6 +240,11 @@ func (s *Supervisor) SeriesView(name string, m process.Metric) *process.Series {
 	return s.view.Load().procFor(name).Series(name, m)
 }
 
+// SeriesTargets lists, sorted, every target the last published cycle
+// serves series for: QueryFleet's default set, and the / index under
+// -shards. Safe from any goroutine.
+func (s *Supervisor) SeriesTargets() []string { return s.view.Load().targets() }
+
 // QueryFleet executes a store query across the fleet as the last
 // published cycle left it: each target is answered by its owning
 // shard's store view (the fleet-level synthetic targets by the
@@ -238,20 +257,7 @@ func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
 	v := s.view.Load()
 	names := q.Targets
 	if len(names) == 0 {
-		seen := make(map[string]bool)
-		for name := range v.status.Assignment {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-		for _, name := range v.fleet.Targets() {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
+		names = v.targets()
 	}
 
 	parts := make([]tsdb.TargetResult, 0, len(names))

@@ -220,9 +220,11 @@ func (sr *series) scan(lo, hi int64, fn func(pts []Point)) error {
 	return nil
 }
 
-// SeriesState is the exportable form of one compressed series. Sealed
-// block payloads are immutable after seal, so exports share them and
-// deep-copy only the head.
+// SeriesState is the exportable form of one compressed series. An
+// export shares the store's arrays, as a View does: Blocks and Head are
+// the series' slices capped at their lengths, which later appends land
+// past and a seal replaces, so the export stays what it was while the
+// store goes on. Neither may be written.
 type SeriesState struct {
 	Blocks [][]byte
 	Head   []Point
@@ -241,7 +243,8 @@ type State struct {
 	Targets map[string]*TargetState
 }
 
-// ExportTarget copies one target's series state, nil when unseen.
+// ExportTarget takes one target's series state, nil when unseen: the
+// picture View takes, so it copies no point.
 func (st *Store) ExportTarget(target string) *TargetState {
 	tm := st.series[target]
 	if tm == nil {
@@ -250,15 +253,15 @@ func (st *Store) ExportTarget(target string) *TargetState {
 	out := &TargetState{Target: target, Series: make(map[string]*SeriesState, len(tm))}
 	for metric, sr := range tm {
 		out.Series[metric] = &SeriesState{
-			Blocks: append([][]byte(nil), sr.blocks...),
-			Head:   append([]Point(nil), sr.head...),
+			Blocks: sr.blocks[:len(sr.blocks):len(sr.blocks)],
+			Head:   sr.head[:len(sr.head):len(sr.head)],
 		}
 	}
 	return out
 }
 
-// ImportTarget replaces one target's series state, leaving other
-// targets untouched; nil removes the target. Every imported block is
+// ImportTarget replaces one target's series state with a copy of ts,
+// leaving other targets untouched; nil removes the target. Every imported block is
 // decoded once to validate it, and its sparse-index entry rebuilt from
 // its header.
 func (st *Store) ImportTarget(target string, ts *TargetState) error {

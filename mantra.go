@@ -116,8 +116,7 @@ type Monitor struct {
 
 	targets []Target
 	// core owns the resilient collector, delta logger, data processor,
-	// the stage engine (with its consolidated per-target state) and the
-	// WAL commit.
+	// the stage engine and the WAL commit.
 	core   *cycle.Core
 	server *output.Server
 	// lastResults holds the per-target outcomes of the latest cycle.
@@ -240,7 +239,7 @@ func (m *Monitor) RunCycle(now time.Time) ([]CycleStats, error) {
 // or nil before the first cycle — route lifetimes, availability and flap
 // counts (the route-monitoring outputs of §II-B).
 func (m *Monitor) RouteStability(target string) *process.RouteStability {
-	return m.core.Engine.Stability(target)
+	return m.core.Proc.Stability(target)
 }
 
 // refreshTables rebuilds the summary tables for the snapshot's target —
@@ -292,9 +291,11 @@ func (m *Monitor) Query(q Query) (QueryResult, error) {
 	return m.published.Load().proc.Store().Query(q)
 }
 
-// Latest returns the most recent normalized snapshot for a target, or nil.
+// Latest returns the most recent normalized snapshot for a target, or
+// nil: the delta logger's (Logger.Latest), which after an archive
+// recovery is the tables it rebuilt.
 func (m *Monitor) Latest(target string) *tables.Snapshot {
-	return m.core.Engine.Latest(target)
+	return m.core.Log.Latest(target)
 }
 
 // Anomalies returns the retained anomalies in detection order; the ring

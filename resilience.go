@@ -39,9 +39,7 @@ type TargetHealth = collect.TargetHealth
 // accumulated failure history. Use ResetCollectState for a deliberate
 // wipe.
 func (m *Monitor) SetCollectPolicy(p collect.Policy) {
-	nc := collect.NewCollector(p)
-	nc.CarryState(m.core.Collector)
-	m.core.Collector = nc
+	m.core.Collector.SetPolicy(p)
 }
 
 // ResetCollectState wipes the per-target breakers and health ledger
