@@ -55,7 +55,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 20847
+LOC_CEILING = 20798
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -72,9 +72,9 @@ loc-check:
 # upserts plus the moved counters; the tables, materialised and
 # reconstructed — live, exported, through the WAL codec and a
 # checkpoint — equal the input bit for bit always), the stability
-# tracker driven by the Log stage
-# and the one replayed from delta-log records against one that observed
-# every table (live = handed off), the segment log's frame scanner on
+# tracker a core folds from its delta-log records when read, across a
+# move of the log into a fresh core, against one that observed every
+# table, the segment log's frame scanner on
 # arbitrary bytes under the WAL's and the mirror's magics (no panics;
 # payloads are slices of the input within the frame cap; the prefix it
 # calls intact rescans clean), the tsdb block decoder behind /graph,
@@ -100,7 +100,7 @@ fuzz:
 	$(GO) test ./internal/core/tables -fuzz FuzzMergeSnapshots -fuzztime 30s
 	$(GO) test ./internal/addr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/core/logger -fuzz FuzzAppendMatchesMapDiff -fuzztime 30s
-	$(GO) test ./internal/core/cycle -fuzz FuzzStabilityFromRecords -fuzztime 30s
+	$(GO) test ./internal/core/cycle -run '^$$' -fuzz '^FuzzStabilityFromRecords$$' -fuzztime 30s
 	$(GO) test ./internal/core/seglog -fuzz FuzzScan -fuzztime 30s
 	$(GO) test ./internal/core/tsdb -fuzz FuzzBlockDecode -fuzztime 30s
 	$(GO) test ./internal/core/tsdb -fuzz FuzzTierRange -fuzztime 30s

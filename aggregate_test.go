@@ -316,6 +316,7 @@ func TestAggregationRecoversPostTransitionCoverage(t *testing.T) {
 func TestMonitorRouteStability(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	n, m := newMonitoredNetwork(t)
+	m.EnableAggregation()
 	for i := 0; i < 12; i++ {
 		n.Step()
 		if _, err := m.RunCycle(n.Now()); err != nil {
@@ -342,5 +343,26 @@ func TestMonitorRouteStability(t *testing.T) {
 	}
 	if m.RouteStability("ghost") != nil {
 		t.Error("unknown target should be nil")
+	}
+	// The aggregate view is logged like a router but is synthetic: it
+	// has no stability tracker.
+	if m.Log().Cycles(mantra.AggregateTarget) != 12 {
+		t.Fatalf("precondition: aggregate view logged %d cycles, want 12", m.Log().Cycles(mantra.AggregateTarget))
+	}
+	if m.RouteStability(mantra.AggregateTarget) != nil {
+		t.Error("the aggregate view should have no stability tracker")
+	}
+	// History outlives membership: a removed target's tracker still
+	// answers, and a later cycle leaves it as it was.
+	want := rs.ExportState()
+	if !m.RemoveTarget("fixw") {
+		t.Fatal("fixw was not registered")
+	}
+	n.Step()
+	if _, err := m.RunCycle(n.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.RouteStability("fixw"); got == nil || !reflect.DeepEqual(got.ExportState(), want) {
+		t.Error("a removed target's stability tracker changed or went away")
 	}
 }

@@ -23,11 +23,10 @@ type ArchiveConfig struct {
 	// CheckpointEvery writes a full-state checkpoint after this many
 	// cycles; 0 means 12 (six hours at the paper's 30-minute cadence).
 	CheckpointEvery int
-	// SegmentBytes, SyncEveryAppend, KeepCheckpoints pass through to the
-	// store; see logger.StoreOptions.
+	// SegmentBytes and SyncEveryAppend pass through to the store; see
+	// logger.StoreOptions.
 	SegmentBytes    int64
 	SyncEveryAppend bool
-	KeepCheckpoints int
 	// Resume recovers existing archive data into the monitor. Without it,
 	// a directory that already has data is an error.
 	Resume bool
@@ -63,12 +62,13 @@ type archiveState struct {
 // and gap marker the monitor logs is persisted to a checksummed
 // write-ahead log under cfg.Dir, with periodic full-state checkpoints.
 // With cfg.Resume set and existing data present, the monitor's logger,
-// processor series, stability trackers, health ledger and latest
-// snapshots are rebuilt to their pre-crash values before the call
-// returns; at most the final partially-written record is lost, and the
-// returned report says exactly what was repaired. The monitor's own
-// settings (SetMaxAnomalies) apply to what is restored, so make them
-// first. Call before the first cycle.
+// processor series, health ledger and latest snapshots are rebuilt to
+// their pre-crash values before the call returns, and route stability,
+// derived from the logger, with them; at most the final
+// partially-written record is lost, and the returned report says
+// exactly what was repaired. The monitor's own settings
+// (SetMaxAnomalies) apply to what is restored, so make them first. Call
+// before the first cycle.
 func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 	if m.archive != nil {
 		return nil, errors.New("mantra: archive already enabled")
@@ -76,7 +76,6 @@ func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 	store, err := logger.OpenStore(cfg.Dir, logger.StoreOptions{
 		SegmentBytes:    cfg.SegmentBytes,
 		SyncEveryAppend: cfg.SyncEveryAppend,
-		KeepCheckpoints: cfg.KeepCheckpoints,
 	})
 	if err != nil {
 		return nil, err

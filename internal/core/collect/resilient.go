@@ -133,12 +133,8 @@ type Policy struct {
 	// cycle; 0 means 3.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry; 0 means 100 ms.
-	// Each further retry doubles it, capped at MaxDelay (0 means 2 s).
+	// Each further retry doubles it, capped at maxDelay.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// JitterSeed perturbs the deterministic backoff jitter so distinct
-	// deployments desynchronize; any fixed value keeps runs reproducible.
-	JitterSeed int64
 	// BreakerThreshold is the consecutive failed cycles before a target's
 	// breaker opens; 0 means 5.
 	BreakerThreshold int
@@ -149,6 +145,9 @@ type Policy struct {
 	// time.Sleep.
 	Sleep func(time.Duration)
 }
+
+// maxDelay caps the retry backoff.
+const maxDelay = 2 * time.Second
 
 // DefaultPolicy returns the production defaults: 3 attempts, 100 ms base
 // backoff capped at 2 s, breaker opening after 5 failed cycles with a
@@ -161,9 +160,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
 	}
 	if p.BreakerThreshold <= 0 {
 		p.BreakerThreshold = 5
@@ -178,32 +174,31 @@ func (p Policy) withDefaults() Policy {
 }
 
 // Backoff returns the delay before retry attempt (attempt ≥ 1) against the
-// named target: exponential from BaseDelay capped at MaxDelay, scaled into
-// [0.5, 1.0) by a jitter derived deterministically from the target name,
-// attempt number and JitterSeed — retries desynchronize across targets
-// without a shared random source, and identical runs stay identical.
+// named target: exponential from BaseDelay capped at maxDelay, scaled into
+// [0.5, 1.0) by a jitter derived deterministically from the target name
+// and attempt number — retries desynchronize across targets without a
+// shared random source, and identical runs stay identical.
 func (p Policy) Backoff(target string, attempt int) time.Duration {
 	p = p.withDefaults()
 	if attempt < 1 {
 		attempt = 1
 	}
 	d := p.BaseDelay
-	for i := 1; i < attempt && d < p.MaxDelay; i++ {
+	for i := 1; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
-	// FNV-1a over "target/attempt/seed", composed in a stack buffer: the
-	// byte stream matches what fmt.Fprintf("%s/%d/%d") used to feed the
-	// hasher, so jitter values are unchanged, but the per-retry fmt and
-	// hasher allocations are gone (Backoff sits on the collect hot path).
+	// FNV-1a over "target/attempt/0", composed in a stack buffer. The
+	// trailing 0 is a seed field the input has always carried, kept so
+	// the jitter values stay what they were; Backoff sits on the collect
+	// hot path, so no fmt and no hasher allocation.
 	var buf [64]byte
 	b := append(buf[:0], target...)
 	b = append(b, '/')
 	b = strconv.AppendInt(b, int64(attempt), 10)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(p.JitterSeed), 10)
+	b = append(b, "/0"...)
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for _, c := range b {

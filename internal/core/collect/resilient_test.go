@@ -146,14 +146,14 @@ func TestRunStripsCRLFEchoAndPrompt(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := collect.Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
+	p := collect.Policy{BaseDelay: 100 * time.Millisecond}
 	if a, b := p.Backoff("fixw", 1), p.Backoff("fixw", 1); a != b {
 		t.Errorf("backoff not deterministic: %v vs %v", a, b)
 	}
 	if a, b := p.Backoff("fixw", 1), p.Backoff("ucsb", 1); a == b {
 		t.Errorf("jitter does not desynchronize targets: both %v", a)
 	}
-	// Attempt n doubles the base, capped at MaxDelay, jittered into
+	// Attempt n doubles the base, capped at 2 s, jittered into
 	// [0.5, 1.0) of the raw delay.
 	for attempt, raw := range map[int]time.Duration{
 		1: 100 * time.Millisecond,

@@ -157,10 +157,7 @@ func (c *Core) stageCollect(it *engine.Item, now time.Time, slot int) {
 }
 
 // stageLog appends the cycle to the delta log and buffers its WAL
-// frame; a failed target gets an explicit gap marker instead. The record
-// Append returns is the cycle's only comparison of the route table with
-// its predecessor, so the processor's stability tracker for the target
-// is driven from it here rather than from the table.
+// frame; a failed target gets an explicit gap marker instead.
 func (c *Core) stageLog(it *engine.Item, now time.Time) {
 	if it.Snapshot == nil {
 		reason := ""
@@ -173,18 +170,15 @@ func (c *Core) stageLog(it *engine.Item, now time.Time) {
 		}
 		return
 	}
-	rec := c.logDelta(it.Snapshot)
-	c.Proc.ObserveStability(it.Snapshot.Target, rec.At, rec.Routes.Upserted, rec.Routes.Removed)
+	c.logDelta(it.Snapshot)
 }
 
-// logDelta appends a snapshot to the delta log, buffers the record and
-// returns it.
-func (c *Core) logDelta(sn *tables.Snapshot) logger.CycleRecord {
+// logDelta appends a snapshot to the delta log and buffers the record.
+func (c *Core) logDelta(sn *tables.Snapshot) {
 	rec := c.Log.Append(sn)
 	if c.Store != nil {
 		c.frames = append(c.frames, frame{target: sn.Target, rec: rec, fullEntries: uint64(len(sn.Pairs) + len(sn.Routes))})
 	}
-	return rec
 }
 
 // stageIngest feeds the snapshot into the data processor; failed
@@ -216,6 +210,25 @@ func (c *Core) aggregate(now time.Time, snaps []*tables.Snapshot) *process.Cycle
 		c.Publish(agg)
 	}
 	return &st
+}
+
+// RouteStability folds the target's delta-log records, in order, into a
+// fresh route-stability tracker (RouteStability.ObserveDelta): the
+// tracker is derived from the log when it is read, so no cycle, handoff
+// or recovery keeps or rebuilds one, and the call costs O(history). It
+// is nil for a target with no logged table — unknown, or only gaps so
+// far — and for the synthetic AggregateTarget.
+func (c *Core) RouteStability(target string) *process.RouteStability {
+	ts, _ := c.Log.ExportTarget(target)
+	if target == AggregateTarget || len(ts.Records) == 0 {
+		return nil
+	}
+	rs := process.NewRouteStability()
+	for i := range ts.Records {
+		rec := &ts.Records[i]
+		rs.ObserveDelta(rec.At, rec.Routes.Upserted, rec.Routes.Removed)
+	}
+	return rs
 }
 
 // HealthRow returns what both /health builders show for one target: the

@@ -23,9 +23,8 @@ import (
 // determine, and copies nothing its core will not write again, at a
 // cost independent of table size and history length: Logs is a view of
 // the append-only delta log, and Proc shares the series store's sealed
-// blocks and heads (tsdb.Store.ExportTarget). The route-stability
-// tracker and the processor's previous route table are derived at
-// import, both from Logs' records.
+// blocks and heads (tsdb.Store.ExportTarget). The processor's previous
+// route table is derived at import, from Logs' records.
 //
 // A crash checkpoint leaves Logs out, the store's own checkpoint of the
 // delta log determining it, and sets Ring: the recovered processor
@@ -93,8 +92,7 @@ func (c *Core) Export(at time.Time, targets []collect.Target) *Checkpoint {
 // the receiving side of a handoff. now anchors the restored breaker's
 // cooldown. The import is O(history): the logger replays every record to
 // rebuild its materialised tables, whose route table is the processor's
-// churn baseline, and the stability tracker is rebuilt from the same
-// records.
+// churn baseline.
 func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
 	var latest *tables.Snapshot
 	ts, ok := ck.Logs[name]
@@ -103,19 +101,12 @@ func (c *Core) ImportTarget(name string, ck *Checkpoint, now time.Time) {
 		latest = c.Log.Latest(name)
 	}
 	c.Proc.ImportTarget(name, ck.Proc[name], latest)
-	c.restoreTarget(name, ts.Records, ck, now)
+	c.restoreTarget(name, ck, now)
 }
 
-// restoreTarget installs what a handoff and a recovery derive the same
-// way: the stability tracker, rebuilt into a processor that holds none
-// for the target by feeding it each delta-log record's route delta as
-// the Log stage fed the exporter's, and the breaker and health row,
-// whose cooldown restarts at now. No records means no successful cycle,
-// and no tracker.
-func (c *Core) restoreTarget(name string, recs []logger.CycleRecord, ck *Checkpoint, now time.Time) {
-	for i := range recs {
-		c.Proc.ObserveStability(name, recs[i].At, recs[i].Routes.Upserted, recs[i].Routes.Removed)
-	}
+// restoreTarget installs what a handoff and a recovery restore the same
+// way: the breaker and health row, whose cooldown restarts at now.
+func (c *Core) restoreTarget(name string, ck *Checkpoint, now time.Time) {
 	c.Collector.ResetTarget(name)
 	if h, ok := ck.Health[name]; ok {
 		c.Collector.RestoreHealth(h, now)
@@ -209,14 +200,7 @@ func (c *Core) Recover(store *logger.Store) (*RecoveryReport, error) {
 	}
 	c.Proc.Restore(ck.Ring, ck.Proc, latest)
 	for _, name := range rep.Targets {
-		// The aggregate view is synthetic: the live path gives it no
-		// stability tracker or health row, so neither does recovery.
-		var recs []logger.CycleRecord
-		if name != AggregateTarget {
-			ts, _ := c.Log.ExportTarget(name)
-			recs = ts.Records
-		}
-		c.restoreTarget(name, recs, ck, now)
+		c.restoreTarget(name, ck, now)
 	}
 
 	for _, ev := range ra.Events {

@@ -14,27 +14,27 @@ import (
 	"repro/internal/sim"
 )
 
-// A target's stability tracker has one input, the route delta of each
-// logged record: the Log stage hands it over live, the handoff import
-// replays it from the exported records. This drives a core's Log stage
-// with generated cycles and, beside it, a reference tracker that
-// Observes every whole table, and requires after every cycle that the
-// processor's tracker, the one restoreTarget rebuilds from the logger's
-// export in a fresh core, and the reference are equal.
+// A target's stability tracker is derived from one input, the route
+// delta of each logged record, when it is read. This drives a core's
+// Log stage with generated cycles and, beside it, a reference tracker
+// that Observes every whole table, and requires after every cycle that
+// Core.RouteStability and the reference are equal, and that
+// RouteStability is nil before the first logged table.
 //
 // data scripts the run. Each cycle reads one control byte — a gap cycle
-// (a gap marker, no observation), an empty table, a rebuild of the
-// processor's tracker from the log's records the way an import rebuilds
-// it (so the run-length presence count crosses that path mid-run, and
-// the rebuilt tracker then runs on live), or a table — and a table reads
-// one byte per pool prefix: absent,
-// unchanged, metric changed while up, uptime reset while up, or listed
-// twice. Every entry keeps Since == At − Uptime, as tables.BuildSnapshot
-// does; ObserveDelta relies on it.
+// (a gap marker, no observation), an empty table, a move of the
+// target's delta log into a fresh core the way a handoff moves it
+// (Logger.ExportTarget, then ImportTarget; the run continues on the
+// fresh core, so the run-length presence count crosses an import
+// mid-run), or a table — and a table reads one byte per pool prefix:
+// absent, unchanged, metric changed while up, uptime reset while up, or
+// listed twice. Every entry keeps Since == At − Uptime, as
+// tables.BuildSnapshot does; ObserveDelta relies on it.
 func FuzzStabilityFromRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 3, 9, 9, 9, 9, 9, 9, 9, 9, 3, 0, 0, 0, 0, 0, 0, 0, 0, 3, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Add([]byte{3, 1, 2, 3, 4, 1, 1, 1, 1, 0, 2, 3, 1, 0, 3, 4, 1, 1, 1, 3, 0, 0, 1, 1, 2, 2, 3, 3, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{0, 2, 0, 1, 2, 0, 3, 1, 1, 1, 1, 1, 1, 1, 1})
 	// 240 seeded cycles, so a plain `go test` already covers a long run.
 	rng := sim.NewRNG(19)
 	long := make([]byte, 240*(1+len(fuzzPool)))
@@ -57,10 +57,13 @@ func FuzzStabilityFromRecords(f *testing.F) {
 			if ctl == 0 {
 				it.Res.Err = errors.New("scripted gap")
 			} else {
-				if ctl == 2 && ref != nil {
-					ts, _ := core.Log.ExportTarget(target)
-					core.Proc.ImportTarget(target, nil, nil)
-					core.restoreTarget(target, ts.Records, NewCheckpoint(), at)
+				if ctl == 2 {
+					ck := NewCheckpoint()
+					if ts, ok := core.Log.ExportTarget(target); ok {
+						ck.Logs[target] = ts
+					}
+					core = New(collect.DefaultPolicy(), nil, nil)
+					core.ImportTarget(target, ck, at)
 				}
 				it.Snapshot = &tables.Snapshot{Target: target, At: at}
 				if ctl == 1 {
@@ -75,26 +78,18 @@ func FuzzStabilityFromRecords(f *testing.F) {
 			}
 			core.stageLog(it, at)
 
-			live := core.Proc.Stability(target)
-			ts, _ := core.Log.ExportTarget(target)
-			fresh := New(collect.DefaultPolicy(), nil, nil)
-			fresh.restoreTarget(target, ts.Records, NewCheckpoint(), at)
-			derived := fresh.Proc.Stability(target)
+			got := core.RouteStability(target)
 			if ref == nil {
-				if live != nil || derived != nil {
-					t.Fatalf("cycle %d: nothing but gaps so far, yet live tracker %v, derived %v", cycle, live != nil, derived != nil)
+				if got != nil {
+					t.Fatalf("cycle %d: nothing but gaps so far, yet a tracker", cycle)
 				}
 				continue
 			}
-			if live == nil || derived == nil {
-				t.Fatalf("cycle %d: live tracker %v, derived %v after a logged table", cycle, live != nil, derived != nil)
+			if got == nil {
+				t.Fatalf("cycle %d: no tracker after a logged table", cycle)
 			}
-			want := ref.ExportState()
-			if got := live.ExportState(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("cycle %d: the Log stage's tracker differs from one that observed every table\nlive: %+v\nref:  %+v", cycle, got, want)
-			}
-			if got := derived.ExportState(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("cycle %d: tracker replayed from %d records differs from one that observed every table\nderived: %+v\nref:     %+v", cycle, len(ts.Records), got, want)
+			if g, w := got.ExportState(), ref.ExportState(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("cycle %d: tracker folded from %d records differs from one that observed every table\ngot: %+v\nref: %+v", cycle, core.Log.Cycles(target), g, w)
 			}
 		}
 	})

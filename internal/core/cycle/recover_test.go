@@ -138,7 +138,7 @@ func sameCore(t *testing.T, want, got *Core, cycle int) {
 		if w, g := want.Log.Gaps(name), got.Log.Gaps(name); !reflect.DeepEqual(w, g) {
 			t.Fatalf("cycle %d: %s's gap markers differ", cycle, name)
 		}
-		ws, gs := want.Proc.Stability(name), got.Proc.Stability(name)
+		ws, gs := want.RouteStability(name), got.RouteStability(name)
 		if (ws == nil) != (gs == nil) || ws != nil && !reflect.DeepEqual(ws.ExportState(), gs.ExportState()) {
 			t.Fatalf("cycle %d: %s's stability tracker differs", cycle, name)
 		}

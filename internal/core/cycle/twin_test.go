@@ -131,7 +131,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 		t.Fatalf("precondition: %s's breaker %v after %d failures; want it closed, and faults so far", name, h.Breaker, h.TotalFailures)
 	}
 	want := exportSansIDs(a, at, moved)
-	wantStab := a.Proc.Stability(name).ExportState()
+	wantStab := a.RouteStability(name).ExportState()
 
 	c := twinCore()
 	c.ImportTarget(name, a.Export(at, []collect.Target{moved}), at)
@@ -152,7 +152,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 		}
 		t.FailNow()
 	}
-	if rs := c.Proc.Stability(name); rs == nil || !reflect.DeepEqual(rs.ExportState(), wantStab) {
+	if rs := c.RouteStability(name); rs == nil || !reflect.DeepEqual(rs.ExportState(), wantStab) {
 		t.Fatalf("%s: the importer's stability tracker differs from the exporter's", name)
 	}
 
@@ -163,7 +163,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 			stepTwin(nb, b, tb)
 		}
 		now := nb.Now()
-		if left := a.Export(now, []collect.Target{moved}); len(left.Proc)+len(left.Logs)+len(left.Health) != 0 || a.Log.Latest(name) != nil || a.Proc.Stability(name) != nil {
+		if left := a.Export(now, []collect.Target{moved}); len(left.Proc)+len(left.Logs)+len(left.Health) != 0 || a.Log.Latest(name) != nil || a.RouteStability(name) != nil {
 			t.Fatalf("cycle k+%d: the exporter still holds %s's state: %+v", i, name, left)
 		}
 		for _, m := range process.AllMetrics {
@@ -183,7 +183,7 @@ func TestHandoffLockStepTwin(t *testing.T) {
 				t.Fatalf("cycle k+%d: %s's reconstruction of logged cycle %d differs from the twin's (%v, %v)", i, name, j, gerr, rerr)
 			}
 		}
-		if w, g := b.Proc.Stability(name).ExportState(), c.Proc.Stability(name).ExportState(); !reflect.DeepEqual(w, g) {
+		if w, g := b.RouteStability(name).ExportState(), c.RouteStability(name).ExportState(); !reflect.DeepEqual(w, g) {
 			t.Fatalf("cycle k+%d: %s's stability differs from the twin's", i, name)
 		}
 		wh, wg := b.HealthRow(name)

@@ -17,12 +17,11 @@
 // registration order.
 //
 // The engine holds no target state the stages own: the latest snapshot
-// is the delta logger's, the route-stability tracker the processor's.
-// It keeps only its own bookkeeping — per-target cycle, success and gap
-// counts — and instruments every stage with per-target timings and
-// reorder-queue depth counters on an injected monotonic clock, so the
-// pipeline's speedup over the serial schedule is measured, not
-// asserted.
+// is the delta logger's. It keeps only its own bookkeeping — per-target
+// cycle, success and gap counts — and instruments every stage with
+// per-target timings and reorder-queue depth counters on an injected
+// monotonic clock, so the pipeline's speedup over the serial schedule
+// is measured, not asserted.
 package engine
 
 import (

@@ -206,11 +206,11 @@ func (s *Store) prune() {
 	if err != nil {
 		return
 	}
-	if keep := s.opts.KeepCheckpoints; len(ckpts) > keep {
-		for _, seq := range ckpts[:len(ckpts)-keep] {
+	if len(ckpts) > keepCheckpoints {
+		for _, seq := range ckpts[:len(ckpts)-keepCheckpoints] {
 			_ = os.Remove(filepath.Join(s.dir, ckptName(seq))) // retention pruning is best-effort; a surviving file is retried next prune and never corrupts state
 		}
-		ckpts = ckpts[len(ckpts)-keep:]
+		ckpts = ckpts[len(ckpts)-keepCheckpoints:]
 	}
 	if len(ckpts) == 0 {
 		return

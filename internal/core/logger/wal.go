@@ -48,17 +48,15 @@ type StoreOptions struct {
 	// rotation and checkpoint; a crash can then lose the records of the
 	// final unsynced cycles but never corrupt earlier ones.
 	SyncEveryAppend bool
-	// KeepCheckpoints retains this many most-recent checkpoints (the older
-	// ones are fallbacks if the newest is damaged); 0 means 2.
-	KeepCheckpoints int
 }
+
+// keepCheckpoints is how many most-recent checkpoints the store retains:
+// the older one is the fallback if the newest is damaged.
+const keepCheckpoints = 2
 
 func (o StoreOptions) withDefaults() StoreOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = seglog.DefaultSegmentBytes
-	}
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = 2
 	}
 	return o
 }

@@ -175,13 +175,13 @@ func (d *SustainedDetector) Cleared(cur, frozen float64) bool {
 }
 
 // DefaultDetectors returns the standard detector set: the paper's
-// route-injection step detector (parameterized by the given factor and
-// jump) plus the incident-library signatures for RP loss, SA storms,
-// MBGP route leaks, and prune-storm route flapping.
-func DefaultDetectors(spikeFactor float64, spikeMinJump int) []Detector {
+// route-injection step detector (spikeFactor, spikeMinJump) plus the
+// incident-library signatures for RP loss, SA storms, MBGP route leaks,
+// and prune-storm route flapping.
+func DefaultDetectors() []Detector {
 	return []Detector{
 		&SpikeDetector{KindName: KindRouteInjection, Watch: MetricRoutes,
-			Sev: SeverityCritical, Factor: spikeFactor, MinJump: float64(spikeMinJump)},
+			Sev: SeverityCritical, Factor: spikeFactor, MinJump: spikeMinJump},
 		&CollapseDetector{KindName: KindRPLoss, Watch: MetricSACache,
 			Sev: SeverityCritical, MinLevel: 3, CollapseFrac: 0.25, RecoverFrac: 0.3},
 		&SpikeDetector{KindName: KindSAStorm, Watch: MetricSACache,
@@ -198,7 +198,6 @@ func DefaultDetectors(spikeFactor float64, spikeMinJump int) []Detector {
 // register them once at startup, before the first cycle.
 func (p *Processor) SetDetectors(ds ...Detector) {
 	p.detectors = append([]Detector(nil), ds...)
-	p.customDetectors = true
 }
 
 // Detectors returns the registered detector set in run order.

@@ -31,6 +31,15 @@ import (
 // DefaultSenderThresholdKbps is the paper's content/control threshold.
 const DefaultSenderThresholdKbps = 4.0
 
+// spikeFactor and spikeMinJump parameterize the default route-injection
+// detector: it fires when the route count exceeds the trailing mean by
+// this multiple and by at least this many routes. SetDetectors installs
+// other thresholds.
+const (
+	spikeFactor  = 1.5
+	spikeMinJump = 200
+)
+
 // Metric names the time series the processor maintains.
 type Metric string
 
@@ -183,12 +192,6 @@ type Anomaly struct {
 type Processor struct {
 	// SenderThresholdKbps classifies senders vs passive participants.
 	SenderThresholdKbps float64
-	// SpikeFactor triggers the route-injection detector when the route
-	// count exceeds the trailing mean by this multiple (and SpikeMinJump
-	// absolute routes). Consumed when the default detector set is built;
-	// use SetDetectors for custom thresholds after construction.
-	SpikeFactor  float64
-	SpikeMinJump int
 	// Window is the trailing window (in cycles) for anomaly baselines.
 	Window int
 	// MaxAnomalies caps the in-memory anomaly ring: the oldest records
@@ -210,10 +213,6 @@ type Processor struct {
 	// target has an entry exactly when it has been ingested, an empty
 	// table included.
 	prevRoutes map[string]tables.RouteTable
-	// stability is, per target, the route-stability tracker the cycle
-	// core's Log stage drives (ObserveStability); a target has one from
-	// its first logged table.
-	stability map[string]*RouteStability
 	// store holds every series point, compressed.
 	store *tsdb.Store
 
@@ -225,8 +224,7 @@ type Processor struct {
 	open      map[string]map[string]openEpisode
 	baseStart map[string]int
 
-	detectors       []Detector
-	customDetectors bool
+	detectors []Detector
 
 	// view is the last published View.
 	view atomic.Pointer[View]
@@ -291,17 +289,14 @@ func (v *View) Targets() []string { return v.store.Targets() }
 func New() *Processor {
 	p := &Processor{
 		SenderThresholdKbps: DefaultSenderThresholdKbps,
-		SpikeFactor:         1.5,
-		SpikeMinJump:        200,
 		Window:              12,
 		windows:             make(map[string]map[Metric]*window),
 		prevRoutes:          make(map[string]tables.RouteTable),
-		stability:           make(map[string]*RouteStability),
 		store:               tsdb.New(),
 		open:                make(map[string]map[string]openEpisode),
 		baseStart:           make(map[string]int),
 	}
-	p.detectors = DefaultDetectors(p.SpikeFactor, p.SpikeMinJump)
+	p.detectors = DefaultDetectors()
 	p.Publish()
 	return p
 }

@@ -59,24 +59,6 @@ func (h *prefixHistory) fall(cycle int, at time.Time) {
 	h.lifetimes = append(h.lifetimes, at.Sub(h.currentSince))
 }
 
-// Stability returns a target's route-stability tracker, or nil before
-// its first logged table.
-func (p *Processor) Stability(target string) *RouteStability { return p.stability[target] }
-
-// ObserveStability folds one logged cycle's route delta into the
-// target's tracker (ObserveDelta), creating the tracker on first use.
-// The cycle core's Log stage calls it with the record it has just
-// appended, and a handoff import or a recovery with each record of the
-// target's delta log, into a processor that holds no tracker for it.
-func (p *Processor) ObserveStability(target string, at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
-	rs := p.stability[target]
-	if rs == nil {
-		rs = NewRouteStability()
-		p.stability[target] = rs
-	}
-	rs.ObserveDelta(at, upserted, removed)
-}
-
 // NewRouteStability returns an empty tracker.
 func NewRouteStability() *RouteStability {
 	return &RouteStability{byPrefix: make(map[addr.Prefix]*prefixHistory)}
@@ -88,10 +70,10 @@ func NewRouteStability() *RouteStability {
 // a removal is a fall, and an upsert of a prefix that is up (a metric or
 // gateway change, an uptime reset) is no transition, so a cycle costs
 // its delta entries, not its table. It is the tracker's only input in
-// the product: the live Log stage, the WAL-tail replay and the handoff
-// import all hand it the record's route delta. A rise takes the entry's
-// Since as the start of the period, which tables.BuildSnapshot sets to
-// the cycle's At − Uptime.
+// the product: cycle.Core.RouteStability folds a target's delta-log
+// records through it when asked. A rise takes the entry's Since as the
+// start of the period, which tables.BuildSnapshot sets to the cycle's
+// At − Uptime.
 func (rs *RouteStability) ObserveDelta(at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
 	rs.cycles++
 	for _, e := range upserted {
@@ -119,10 +101,10 @@ func (rs *RouteStability) rise(p addr.Prefix, since time.Time) {
 
 // Observe folds one cycle in from its whole route table: every listed
 // prefix that is not up rises, every up prefix the table does not list
-// falls. Nothing in the product calls it — the cycle has the delta
-// record and uses ObserveDelta. It is the table-form statement of what
-// the tracker computes: FuzzStabilityFromRecords holds ObserveDelta to
-// it, and the benchmark's layer walk times it.
+// falls. Nothing in the product calls it — the delta log holds the
+// records, and ObserveDelta folds them. It is the table-form statement
+// of what the tracker computes: FuzzStabilityFromRecords holds
+// ObserveDelta to it, and the benchmark's layer walk times it.
 func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
 	rs.cycles++
 	listed := make(map[addr.Prefix]bool, len(routes))

@@ -1,8 +1,8 @@
 // Whole-state exports of the processor and of a route-stability
 // tracker. No product code writes them: a checkpoint carries each
-// target's TargetState (transfer.go), and a tracker is rebuilt from the
-// delta log's records. They are kept for bench/layers.go, which times
-// them.
+// target's TargetState (transfer.go), and a tracker is folded from the
+// delta log's records when it is read. They are kept for
+// bench/layers.go, which times them.
 package process
 
 import (
@@ -53,8 +53,8 @@ type OpenEpisodeState struct {
 func (p *Processor) ExportState() *State {
 	st := &State{
 		SenderThresholdKbps: p.SenderThresholdKbps,
-		SpikeFactor:         p.SpikeFactor,
-		SpikeMinJump:        p.SpikeMinJump,
+		SpikeFactor:         spikeFactor,
+		SpikeMinJump:        spikeMinJump,
 		Window:              p.Window,
 		MaxAnomalies:        p.MaxAnomalies,
 		GapResetCycles:      p.GapResetCycles,

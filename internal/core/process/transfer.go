@@ -6,11 +6,10 @@
 // ExportTarget captures one target's compressed series, baseline
 // anchor, anomaly history and open episodes — not the route table its
 // next churn is counted against, which is the target's latest
-// snapshot's and is taken from that at import, nor its route-stability
-// tracker, which the importer rebuilds from the target's delta log
-// (ObserveStability). ImportTarget splices them into another processor,
-// assigning fresh ring IDs (the anomaly ring's ID contiguity invariant
-// forbids inserting foreign IDs mid-ring); Restore installs every
+// snapshot's and is taken from that at import. ImportTarget splices
+// them into another processor, assigning fresh ring IDs (the anomaly
+// ring's ID contiguity invariant forbids inserting foreign IDs
+// mid-ring); Restore installs every
 // target's the same way into a processor that has ingested nothing and
 // keeps the IDs, the checkpoint carrying the ring's counters (Ring).
 // Fleet-level views dedup the resulting cross-shard copies by ownership;
@@ -89,13 +88,12 @@ func (p *Processor) ExportTarget(target string) *TargetState {
 }
 
 // ImportTarget replaces one target's processing state with a copy of
-// st, leaving every other target untouched, and drops its stability
-// tracker. The imported anomalies are appended to the ring with fresh
-// local IDs — in ring-order they
-// read as "history learned at import time", and any older copies of the
-// same episodes already in this ring (e.g. from a previous ownership
-// stint) remain; fleet views dedup by (target, kind, open-time) keeping
-// the highest local ID. A nil st simply removes the target's state.
+// st, leaving every other target untouched. The imported anomalies are
+// appended to the ring with fresh local IDs — in ring-order they read
+// as "history learned at import time", and any older copies of the same
+// episodes already in this ring (e.g. from a previous ownership stint)
+// remain; fleet views dedup by (target, kind, open-time) keeping the
+// highest local ID. A nil st simply removes the target's state.
 //
 // latest is the last snapshot the exporter ingested for the target, or
 // its tables as the imported delta log rebuilds them, nil if it never
@@ -162,13 +160,12 @@ func (p *Processor) Restore(ring Ring, states map[string]*TargetState, latest ma
 
 // install replaces one target's compressed store, detection windows,
 // baseline anchor and churn baseline with st's, dropping its open
-// episodes and its stability tracker; the anomaly ring is the caller's. The windows are rebuilt
-// by pushing the imported points through them as Ingest and MarkGap
-// did. A nil st just removes the target.
+// episodes; the anomaly ring is the caller's. The windows are rebuilt by
+// pushing the imported points through them as Ingest and MarkGap did. A
+// nil st just removes the target.
 func (p *Processor) install(target string, st *TargetState, latest *tables.Snapshot) {
 	delete(p.windows, target)
 	delete(p.prevRoutes, target)
-	delete(p.stability, target)
 	delete(p.baseStart, target)
 	delete(p.open, target)
 	p.store.Remove(target)

@@ -98,8 +98,8 @@ func TestTornCycleHandoffDerivesState(t *testing.T) {
 	}
 	for _, name := range moved {
 		owner := s.Status().Assignment[name]
-		got := s.CoreOf(owner).Proc.Stability(name)
-		want := ctl.CoreOf(0).Proc.Stability(name)
+		got := s.CoreOf(owner).RouteStability(name)
+		want := ctl.CoreOf(0).RouteStability(name)
 		if got == nil || want == nil {
 			t.Fatalf("%s: stability tracker missing (handed off %v, control %v)", name, got != nil, want != nil)
 		}

@@ -11,12 +11,13 @@
 // (wedge) is declared dead at the next cycle boundary, never from a
 // wall clock. A dead worker's targets hand off to the survivors:
 // each moved target resumes from the shard checkpoint — WAL/delta
-// chain, health ledger, breaker position, route-stability tracker and
-// open anomaly episodes all transfer through the per-target
-// export/import seams — with explicit gap markers covering the cycles
-// the fleet was blind to. Restarts are supervised with bounded
-// exponential backoff; a restored shard steals its ring ranges back
-// (failback) through the same live transfer, with no blind window.
+// chain, health ledger, breaker position and open anomaly episodes all
+// transfer through the per-target export/import seams, and route
+// stability is derived from the moved delta log — with explicit gap
+// markers covering the cycles the fleet was blind to. Restarts are
+// supervised with bounded exponential backoff; a restored shard steals
+// its ring ranges back (failback) through the same live transfer, with
+// no blind window.
 //
 // The determinism contract extends to the fleet: collection is
 // target-local and the fan-in (tables.MergeSnapshots, sorted fleet
@@ -59,9 +60,8 @@ type Config struct {
 	// closed done channel.
 	HeartbeatTimeout time.Duration
 	// RestartBackoff is the delay before a dead worker's first restart
-	// attempt, doubling per subsequent death up to MaxRestartBackoff.
-	RestartBackoff    time.Duration
-	MaxRestartBackoff time.Duration
+	// attempt, doubling per subsequent death up to 16 times itself.
+	RestartBackoff time.Duration
 	// Policy is each shard collector's resilience policy.
 	Policy collect.Policy
 	// Commands is the per-cycle dump set; defaults to StandardCommands.
@@ -85,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RestartBackoff <= 0 {
 		c.RestartBackoff = time.Minute
-	}
-	if c.MaxRestartBackoff <= 0 {
-		c.MaxRestartBackoff = 16 * c.RestartBackoff
 	}
 	if len(c.Commands) == 0 {
 		c.Commands = collect.StandardCommands
@@ -433,10 +430,7 @@ func (s *Supervisor) handoff(w *worker, now time.Time, res *CycleResult) {
 	w.alive = false
 	w.deadAt = now
 	w.restartAt = now.Add(w.backoff)
-	w.backoff *= 2
-	if w.backoff > s.cfg.MaxRestartBackoff {
-		w.backoff = s.cfg.MaxRestartBackoff
-	}
+	w.backoff = min(2*w.backoff, 16*s.cfg.RestartBackoff)
 	// Stop the goroutine if it is still running (a wedged worker is
 	// alive and draining its request channel) and release the WAL dir
 	// for the eventual restart.

@@ -101,8 +101,8 @@ type QueryResult = tsdb.Result
 // modules wired into the stage engine, shared with every shard worker —
 // plus the HTTP output server and the archive's checkpoint cadence.
 //
-// Its cycles, target and table registration and archive calls belong to
-// one goroutine, and so do the reads of its modules' own state (Latest,
+// Its cycles, target registration and archive calls belong to one
+// goroutine, and so do the reads of its modules' own state (Latest,
 // RouteStability, Health, LastResults, Processor, Log). Its read methods
 // — Series, Query, Anomalies, OpenAnomalies, AnomalyRollup, HealthView,
 // ArchiveStatus, EngineStats, LastCycleReport — and every endpoint answer
@@ -236,10 +236,12 @@ func (m *Monitor) RunCycle(now time.Time) ([]CycleStats, error) {
 }
 
 // RouteStability returns the per-prefix stability tracker of a target,
-// or nil before the first cycle — route lifetimes, availability and flap
-// counts (the route-monitoring outputs of §II-B).
+// or nil before its first logged cycle and for AggregateTarget — route
+// lifetimes, availability and flap counts (the route-monitoring outputs
+// of §II-B). It is folded from the target's delta log on each call
+// (cycle.Core.RouteStability), so it costs O(history).
 func (m *Monitor) RouteStability(target string) *process.RouteStability {
-	return m.core.Proc.Stability(target)
+	return m.core.RouteStability(target)
 }
 
 // refreshTables rebuilds the summary tables for the snapshot's target —
@@ -331,12 +333,6 @@ func (m *Monitor) Log() *logger.Logger { return m.core.Log }
 // Handler returns the HTTP handler serving results: series JSON, ASCII
 // graphs, interactive tables, and the anomaly feed.
 func (m *Monitor) Handler() http.Handler { return m.server }
-
-// RegisterTable publishes an additional summary table.
-func (m *Monitor) RegisterTable(t *output.Table) {
-	m.tables[t.Name] = t
-	m.publish()
-}
 
 // BusiestSessions returns a snapshot's top-n sessions by bandwidth — the
 // paper's "busiest multicast sessions" summary.
