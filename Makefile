@@ -55,7 +55,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 20798
+LOC_CEILING = 20828
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -63,7 +63,8 @@ loc-check:
 	echo "make loc: $$t lines (ceiling $(LOC_CEILING))"
 
 # Short fuzz passes over the dump validator, the pre-processor, the
-# one-pass table scanner (its structural checks and its tables against
+# word-at-a-time clean-byte check against its byte-at-a-time definition,
+# the one-pass table scanner (its structural checks and its tables against
 # the validator and the parser it fused), the k-way snapshot merge and
 # the address scanners (each against the implementation it replaced:
 # equal results, equal error text), the
@@ -96,6 +97,7 @@ loc-check:
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
+	$(GO) test ./internal/core/collect -run '^$$' -fuzz '^FuzzPrintable$$' -fuzztime 30s
 	$(GO) test ./internal/core/tables -fuzz FuzzBuildSnapshot -fuzztime 30s
 	$(GO) test ./internal/core/tables -fuzz FuzzMergeSnapshots -fuzztime 30s
 	$(GO) test ./internal/addr -fuzz FuzzParse -fuzztime 30s

@@ -52,32 +52,45 @@ func V4(a, b, c, d byte) IP {
 // are decimal digits only: no sign, no leading zero, at most 255. It
 // scans the bytes in place and allocates nothing unless it fails.
 func Parse(s string) (IP, error) {
-	var ip uint32
-	parts := 0
-	badLo, badHi := -1, -1 // the first invalid octet is s[badLo:badHi]
-	for lo := 0; lo <= len(s); parts++ {
-		hi, v, ok := lo, uint32(0), true
-		for ; hi < len(s) && s[hi] != '.'; hi++ {
-			d := uint32(s[hi] - '0')
-			// A fourth digit or a digit after a leading zero is out of
-			// range whatever it is, so v never outgrows three digits.
-			if ok = ok && d <= 9 && hi-lo < 3 && (hi == lo || v != 0); ok {
-				v = v*10 + d
-			}
-		}
-		if (!ok || hi == lo || v > 255) && badLo < 0 {
-			badLo, badHi = lo, hi
-		}
-		ip = ip<<8 | v
-		lo = hi + 1
+	if ip, n, ok := quad(s); ok && n == len(s) {
+		return ip, nil
 	}
-	if parts != 4 {
+	if strings.Count(s, ".") != 3 {
 		return 0, errors.New("addr: " + strconv.Quote(s) + " is not a dotted-quad IPv4 address")
 	}
-	if badLo >= 0 {
-		return 0, errors.New("addr: invalid octet " + strconv.Quote(s[badLo:badHi]) + " in " + strconv.Quote(s))
+	for oct, rest := "", s; ; { // some octet is at fault: name the first
+		oct, rest, _ = strings.Cut(rest, ".")
+		if _, n := octet(oct); n == 0 || n < len(oct) {
+			return 0, errors.New("addr: invalid octet " + strconv.Quote(oct) + " in " + strconv.Quote(s))
+		}
 	}
-	return IP(ip), nil
+}
+
+// quad reads the address s starts with and its length; ok is false if none.
+func quad(s string) (ip IP, n int, ok bool) {
+	for part := 0; ; part++ {
+		v, k := octet(s[n:])
+		if ip, n = ip<<8|v, n+k; k == 0 || part == 3 {
+			return ip, n, k > 0
+		}
+		if n == len(s) || s[n] != '.' {
+			return 0, 0, false
+		}
+		n++
+	}
+}
+
+// octet reads the octet s starts with — one to three digits, no leading
+// zero, at most 255 — and how many bytes it took, 0 when there is none.
+func octet(s string) (v IP, n int) {
+	for n < len(s) && n < 3 && s[n]-'0' <= 9 && (n == 0 || v != 0) {
+		v = v*10 + IP(s[n]-'0')
+		n++
+	}
+	if v > 255 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // MustParse is like Parse but panics on malformed input.

@@ -75,6 +75,32 @@ func FuzzValidateDump(f *testing.F) {
 	})
 }
 
+// FuzzPrintable holds the word-at-a-time byte check to its definition,
+// one byte at a time: printable ASCII, space, tab, CR or LF. The seeds put
+// each byte at either side of a class boundary at every lane of a word
+// and at every place in a tail of 0 to 7 bytes after it.
+func FuzzPrintable(f *testing.F) {
+	for _, c := range []byte{0x00, 0x09, 0x0a, 0x0b, 0x0d, 0x1f, 0x20, 0x7e, 0x7f, 0x80, 0xff} {
+		for tail := 0; tail < 8; tail++ {
+			for at := 0; at < 8+tail; at++ {
+				b := []byte(strings.Repeat(" ~", 8)[:8+tail])
+				b[at] = c
+				f.Add(string(b))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		want := true
+		for i := 0; i < len(raw); i++ {
+			c := raw[i]
+			want = want && (' ' <= c && c <= '~' || c == '\t' || c == '\r' || c == '\n')
+		}
+		if got := collect.Printable(raw); got != want {
+			t.Fatalf("Printable(%q) = %v, want %v", raw, got, want)
+		}
+	})
+}
+
 // FuzzPreprocess checks the dump pre-processor on arbitrary input: no
 // panics, every returned line trimmed and non-empty, and idempotence —
 // re-joining the cleaned lines and pre-processing again must be a fixed

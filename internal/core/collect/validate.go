@@ -78,6 +78,32 @@ func CheckDump(prompt, command, raw string, printable bool, first string, lines 
 	}
 }
 
+// Printable reports whether raw is all bytes CheckDump calls printable,
+// eight at a time: a word with one outside ' '..'~' goes byte by byte.
+func Printable(raw string) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for len(raw) > 0 {
+		b := raw[:min(8, len(raw))]
+		if len(b) == 8 {
+			w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+			// A byte below ' ' borrows into its high bit, one past '~' carries
+			// into it or has it set; only such a byte borrows or carries out.
+			if ((w-' '*ones)|(w+(0x7f-'~')*ones)|w)&highs == 0 {
+				raw = raw[8:]
+				continue
+			}
+		}
+		for i := 0; i < len(b); i++ {
+			if c := b[i]; c-' ' > '~'-' ' && c != '\t' && c != '\r' && c != '\n' {
+				return false
+			}
+		}
+		raw = raw[len(b):]
+	}
+	return true
+}
+
 // declaredRows reads N of a header's "- N entries|neighbors|groups", or M
 // of a following ", M members" (IGMP lists one row per member). A count
 // too large for an int reads as the largest int.
@@ -107,7 +133,6 @@ func digits(s string) bool { return s != "" && strings.Trim(s, "0123456789") == 
 // are kept for bench/layers.go and bench/replay_test.go only, until the
 // benchmark's layer walk drops them along with Preprocess.
 func ValidateDump(prompt, command, raw string) error {
-	printable := strings.IndexFunc(raw, func(c rune) bool { return c > '~' || c < ' ' && c != '\t' && c != '\r' && c != '\n' }) < 0
 	first, lines := "", 0
 	for rest := raw; rest != ""; {
 		var line string
@@ -117,7 +142,7 @@ func ValidateDump(prompt, command, raw string) error {
 			}
 		}
 	}
-	return CheckDump(prompt, command, raw, printable, first, lines)
+	return CheckDump(prompt, command, raw, Printable(raw), first, lines)
 }
 
 // ValidateDumps runs ValidateDump over a full cycle's dump set, returning

@@ -173,14 +173,12 @@ type scan struct {
 	rest string
 	// line is the current line as captured, for error messages.
 	line string
-	// f[:n] are the line's first fields, more the unsplit rest of a long
-	// line; next splits that into spare only to check its bytes.
-	f, spare [maxFields]string
-	n        int
-	more     string
-	// bad, first and lines are what collect.CheckDump needs (see split and
+	// f[:n] are the line's first fields, more the unsplit rest of a long line.
+	f    [maxFields]string
+	n    int
+	more string
+	// first and lines are what collect.CheckDump needs of the lines (see
 	// next); count is what the first table line declares.
-	bad   bool
 	first string
 	lines int
 	count declared
@@ -211,35 +209,31 @@ func (r *scan) internFlags(s string) string {
 	return s
 }
 
+// space marks the ASCII white space strings.Fields cuts at.
+var space = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // split cuts the leading fields of s into f, as strings.Fields would over
 // ASCII white space, and returns how many it cut and what is left once f
-// is full ("" when s had no more than len(f) fields). It sets bad at a
-// byte it reads that is neither printable ASCII nor a space, tab or CR;
-// it does not read more, which its caller splits in turn or next checks.
-func (r *scan) split(s string, f *[maxFields]string) (n int, more string) {
-	start, bad := -1, false // where the field being read began; -1 between fields
-	for i := 0; i < len(s) && more == ""; i++ {
-		c := s[i]
-		space := c == ' ' || c-'\t' < 5 // \t \n \v \f \r
-		bad = bad || c-' ' > '~'-' ' && c != '\t' && c != '\r'
-		switch {
-		case space && start >= 0:
-			f[n] = s[start:i]
-			n++
-			start = -1
-		case space || start >= 0:
-		case n < len(f):
-			start = i
-		default:
-			more = s[i:]
+// is full ("" when s had no more than len(f) fields), which its caller
+// splits in turn or drops.
+func split(s string, f *[maxFields]string) (n int, more string) {
+	for i := 0; ; {
+		for i < len(s) && space[s[i]] {
+			i++
 		}
-	}
-	if start >= 0 {
-		f[n] = s[start:]
+		if i == len(s) {
+			return n, ""
+		}
+		if n == len(f) {
+			return n, s[i:]
+		}
+		start := i
+		for i < len(s) && !space[s[i]] {
+			i++
+		}
+		f[n] = s[start:i]
 		n++
 	}
-	r.bad = r.bad || bad
-	return n, more
 }
 
 // joined is the line as collect.Preprocess would have handed it over:
@@ -292,7 +286,7 @@ func (r *scan) headerCount() declared {
 		if more == "" {
 			break
 		}
-		n, more = r.split(more, &f)
+		n, more = split(more, &f)
 	}
 	v, err := strconv.Atoi(count)
 	return declared{v, err == nil}
@@ -303,10 +297,7 @@ func (r *scan) headerCount() declared {
 func (r *scan) next() bool {
 	for r.rest != "" {
 		r.line, r.rest, _ = strings.Cut(r.rest, "\n")
-		r.n, r.more = r.split(r.line, &r.f)
-		for more := r.more; more != ""; _, more = r.split(more, &r.spare) {
-		}
-		if r.n > 0 {
+		if r.n, r.more = split(r.line, &r.f); r.n > 0 {
 			if r.lines++; r.lines == 1 {
 				r.first = r.line
 			}
@@ -348,7 +339,8 @@ func (t table[E]) parse(r *scan, target, command string) ([]E, error) {
 				most = r.count.n
 			}
 		}
-		if r.hasPrefix(t.title) || r.hasPrefix(t.columns) {
+		// Rows start with a digit, which no title or column prefix does.
+		if c := r.f[0][0]; (c == t.title[0] || c == t.columns[0]) && (r.hasPrefix(t.title) || r.hasPrefix(t.columns)) {
 			continue
 		}
 		e, err := t.row(r)
@@ -482,7 +474,7 @@ func mbgpRow(r *scan) (MBGPEntry, error) {
 		if more == "" {
 			break
 		}
-		r.n, more = r.split(more, &r.f)
+		r.n, more = split(more, &r.f)
 		path = r.f[:r.n]
 	}
 	e.ASPath = r.as[start:len(r.as):len(r.as)]
@@ -587,7 +579,7 @@ func (s *Scanner) scan(target, command, raw string) {
 	for r.next() { // what a parse left, or a skipped command's dump
 	}
 	if s.defect == nil {
-		s.defect = collect.CheckDump(s.Prompt, command, raw, !r.bad, r.first, r.lines)
+		s.defect = collect.CheckDump(s.Prompt, command, raw, collect.Printable(raw), r.first, r.lines)
 	}
 	s.counts = append(s.counts, count{command, r.count})
 }
