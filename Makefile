@@ -55,7 +55,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 20828
+LOC_CEILING = 20997
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -93,7 +93,9 @@ loc-check:
 # read chunking through the collector's scan sink and through a verbatim
 # copy of the copy-then-scan session it replaced (equal results,
 # snapshots, row errors and defects; with bytes after a prompt, which
-# the old session misfiled by read size, one outcome at every chunking).
+# the old session misfiled by read size, one outcome at every chunking),
+# and the /query and /series point bodies against encoding/json over
+# the wire structs they replaced (the same bytes, or 500 and its error).
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
@@ -109,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/core/logger -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 30s
 	$(GO) test ./internal/core/cycle -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 30s
 	$(GO) test ./internal/core/collect -run '^$$' -fuzz '^FuzzStreamedCapture$$' -fuzztime 30s
+	$(GO) test ./internal/core/output -run '^$$' -fuzz '^FuzzPointBody$$' -fuzztime 30s
 
 # The chaos suite under the race detector with shuffled test order: the
 # 220-cycle fault-injection run, the breaker lifecycle, and the scripted

@@ -11,22 +11,35 @@ import (
 	"repro/internal/core/tsdb"
 )
 
-// line is one overlaid series as a graph reads it: extent boxes its
-// value points between two times (a zero time leaves that end open),
-// and each walks them in time order.
+// line is one overlaid series as a graph reads it, times in unixnano:
+// extent boxes its value points in [lo, hi], and each walks them in
+// time order.
 type line struct {
 	name   string
-	extent func(from, to time.Time) extent
-	each   func(fn func(t time.Time, v float64))
+	extent func(lo, hi int64) extent
+	each   func(fn func(t int64, v float64))
 }
 
 // extent is the box around some value points: their earliest and latest
-// times and their least and greatest values. ok is false while it holds
-// none.
+// times in unixnano and their least and greatest values. ok is false
+// while it holds none.
 type extent struct {
-	xMin, xMax time.Time
+	xMin, xMax int64
 	yMin, yMax float64
 	ok         bool
+}
+
+// window returns a zoom's bounds in unixnano, an open end as the
+// farthest instant on its side.
+func window(from, to time.Time) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	if !from.IsZero() {
+		lo = from.UnixNano()
+	}
+	if !to.IsZero() {
+		hi = to.UnixNano()
+	}
+	return lo, hi
 }
 
 // add grows e to hold o.
@@ -36,10 +49,10 @@ func (e *extent) add(o extent) {
 	case !e.ok:
 		*e = o
 	default:
-		if o.xMin.Before(e.xMin) {
+		if o.xMin < e.xMin {
 			e.xMin = o.xMin
 		}
-		if o.xMax.After(e.xMax) {
+		if o.xMax > e.xMax {
 			e.xMax = o.xMax
 		}
 		if o.yMin < e.yMin {
@@ -71,15 +84,15 @@ func NewGraph(title, ylabel string) *Graph {
 // Overlay adds a series to the display — the paper's multi-graph overlay
 // feature for analyzing relationships among variables.
 func (g *Graph) Overlay(name string, s *process.Series) {
-	each := func(fn func(time.Time, float64)) {
+	each := func(fn func(int64, float64)) {
 		for i, tm := range s.Times {
-			fn(tm, s.Values[i])
+			fn(tm.UnixNano(), s.Values[i])
 		}
 	}
-	g.series = append(g.series, line{name: name, each: each, extent: func(from, to time.Time) (e extent) {
-		each(func(tm time.Time, v float64) {
-			if (from.IsZero() || !tm.Before(from)) && (to.IsZero() || !tm.After(to)) {
-				e.add(extent{tm, tm, v, v, true})
+	g.series = append(g.series, line{name: name, each: each, extent: func(lo, hi int64) (e extent) {
+		each(func(t int64, v float64) {
+			if t >= lo && t <= hi {
+				e.add(extent{t, t, v, v, true})
 			}
 		})
 		return e
@@ -91,25 +104,18 @@ func (g *Graph) Overlay(name string, s *process.Series) {
 // sealed blocks' headers, and each decodes a block at a time, so what a
 // graph of a long history costs stays flat in its length.
 func (g *Graph) overlayStored(name string, st *tsdb.View, target, metric string) {
-	g.series = append(g.series, line{name: name, extent: func(from, to time.Time) extent {
-		q := tsdb.Query{Metric: metric, Op: tsdb.OpMax}
-		if !from.IsZero() {
-			q.From = from.UnixNano()
-		}
-		if !to.IsZero() {
-			q.To = to.UnixNano()
-		}
-		res, err := st.QueryTarget(q, target)
+	g.series = append(g.series, line{name: name, extent: func(lo, hi int64) extent {
+		res, err := st.QueryTarget(tsdb.Query{Metric: metric, Op: tsdb.OpMax, From: lo, To: hi}, target)
 		if a := res.Agg; err == nil && a != nil {
-			return extent{time.Unix(0, a.FirstT), time.Unix(0, a.LastT), a.Min, a.Max, true}
+			return extent{a.FirstT, a.LastT, a.Min, a.Max, true}
 		}
 		return extent{}
-	}, each: func(fn func(time.Time, float64)) {
+	}, each: func(fn func(int64, float64)) {
 		// Self-sealed blocks always decode.
 		_ = st.Scan(target, metric, func(pts []tsdb.Point) {
 			for _, pt := range pts {
 				if !pt.Gap {
-					fn(time.Unix(0, pt.T), pt.V)
+					fn(pt.T, pt.V)
 				}
 			}
 		})
@@ -136,21 +142,22 @@ func (g *Graph) ResetZoom() {
 	g.yRangeSet = false
 }
 
-// bounds computes effective axis ranges.
-func (g *Graph) bounds() (xMin, xMax time.Time, yMin, yMax float64, ok bool) {
+// bounds computes effective axis ranges, times in unixnano.
+func (g *Graph) bounds() (xMin, xMax int64, yMin, yMax float64, ok bool) {
 	var all extent
+	lo, hi := window(g.xMin, g.xMax)
 	for _, l := range g.series {
-		all.add(l.extent(g.xMin, g.xMax))
+		all.add(l.extent(lo, hi))
 	}
 	if !all.ok {
-		return time.Time{}, time.Time{}, 0, 0, false
+		return 0, 0, 0, 0, false
 	}
 	xMin, xMax, yMin, yMax = all.xMin, all.xMax, all.yMin, all.yMax
 	if !g.xMin.IsZero() {
-		xMin = g.xMin
+		xMin = lo
 	}
 	if !g.xMax.IsZero() {
-		xMax = g.xMax
+		xMax = hi
 	}
 	if g.yRangeSet {
 		yMin, yMax = g.yMin, g.yMax
@@ -181,16 +188,16 @@ func (g *Graph) RenderASCII(w io.Writer, width, height int) error {
 	for i := range grid {
 		grid[i] = []byte(strings.Repeat(" ", width))
 	}
-	span := xMax.Sub(xMin)
+	span := xMax - xMin
 	for si, l := range g.series {
 		glyph := seriesGlyphs[si%len(seriesGlyphs)]
-		l.each(func(tm time.Time, v float64) {
-			if tm.Before(xMin) || tm.After(xMax) || v < yMin || v > yMax {
+		l.each(func(t int64, v float64) {
+			if t < xMin || t > xMax || v < yMin || v > yMax {
 				return
 			}
 			var x int
 			if span > 0 {
-				x = int(float64(width-1) * float64(tm.Sub(xMin)) / float64(span))
+				x = int(float64(width-1) * float64(t-xMin) / float64(span))
 			}
 			y := height - 1 - int(float64(height-1)*(v-yMin)/(yMax-yMin))
 			grid[y][x] = glyph
@@ -207,8 +214,8 @@ func (g *Graph) RenderASCII(w io.Writer, width, height int) error {
 		}
 		fmt.Fprintf(w, "%10s |%s|\n", label, string(row))
 	}
-	fmt.Fprintf(w, "%10s  %-*s%s\n", "", width-len(xMax.UTC().Format("01/02"))+1,
-		xMin.UTC().Format("2006-01-02"), xMax.UTC().Format("01/02"))
+	last := time.Unix(0, xMax).UTC().Format("01/02")
+	fmt.Fprintf(w, "%10s  %-*s%s\n", "", width-len(last)+1, time.Unix(0, xMin).UTC().Format("2006-01-02"), last)
 	var legend []string
 	for si, l := range g.series {
 		legend = append(legend, fmt.Sprintf("%c=%s", seriesGlyphs[si%len(seriesGlyphs)], l.name))
@@ -226,20 +233,17 @@ func trimNum(v float64) string {
 
 // Points returns the x-y coordinate data of one series within the current
 // zoom — the "raw statistical results represented as x-y coordinate data"
-// the data processor emits for chart plotting.
+// the data processor emits for chart plotting, times as UTC instants.
 func (g *Graph) Points(seriesIdx int) (xs []time.Time, ys []float64) {
 	if seriesIdx < 0 || seriesIdx >= len(g.series) {
 		return nil, nil
 	}
-	g.series[seriesIdx].each(func(tm time.Time, v float64) {
-		if !g.xMin.IsZero() && tm.Before(g.xMin) {
-			return
+	lo, hi := window(g.xMin, g.xMax)
+	g.series[seriesIdx].each(func(t int64, v float64) {
+		if t >= lo && t <= hi {
+			xs = append(xs, time.Unix(0, t).UTC())
+			ys = append(ys, v)
 		}
-		if !g.xMax.IsZero() && tm.After(g.xMax) {
-			return
-		}
-		xs = append(xs, tm)
-		ys = append(ys, v)
 	})
 	return xs, ys
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core/process"
 )
@@ -176,21 +175,9 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	type point struct {
-		T time.Time `json:"t"`
-		V float64   `json:"v"`
-		// Gap marks a cycle in which collection failed; V is meaningless.
-		Gap bool `json:"gap,omitempty"`
-	}
-	pts := make([]point, 0, series.Len()+len(series.Gaps))
-	for i := range series.Values {
-		pts = append(pts, point{T: series.Times[i], V: series.Values[i]})
-	}
-	for _, g := range series.Gaps {
-		pts = append(pts, point{T: g, Gap: true})
-	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].T.Before(pts[j].T) })
-	writeJSON(w, pts)
+	e := newBody(series.Len() + len(series.Gaps))
+	e.series(series)
+	e.send(w)
 }
 
 // serveSource answers with what an installed source returns as JSON,
@@ -332,7 +319,10 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	serveSource(w, r, s.shards)
 }
 
+// writeJSON answers with v as json.NewEncoder(w).Encode writes it, or
+// with 500 and the error when v cannot be encoded.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	b, err := json.Marshal(v)
+	e := body{b: b, err: err}
+	e.send(w)
 }

@@ -7,9 +7,10 @@
 package output
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -35,44 +36,6 @@ func (s *Server) runQuery(pv *process.View, q tsdb.Query) (tsdb.Result, error) {
 		return s.query(q)
 	}
 	return pv.Store().Query(q)
-}
-
-// queryPoint mirrors the /series point shape so ranged query output is
-// byte-compatible with the live-ring endpoint.
-type queryPoint struct {
-	T time.Time `json:"t"`
-	V float64   `json:"v"`
-	// Gap marks a cycle in which collection failed; V is meaningless.
-	Gap bool `json:"gap,omitempty"`
-}
-
-// queryTarget is one target's slice of a query result.
-type queryTarget struct {
-	Target string       `json:"target"`
-	Points []queryPoint `json:"points,omitempty"`
-	Agg    *tsdb.Agg    `json:"agg,omitempty"`
-}
-
-// queryResponse is the JSON body served at /query.
-type queryResponse struct {
-	Metric  string        `json:"metric"`
-	Op      string        `json:"op"`
-	Targets []queryTarget `json:"targets"`
-}
-
-// toResponse converts a store result to the wire shape, materializing
-// int64 unixnano timestamps as UTC instants exactly the way the live
-// ring records them, so streamed and post-hoc output bytes agree.
-func toResponse(res tsdb.Result) queryResponse {
-	out := queryResponse{Metric: res.Metric, Op: string(res.Op), Targets: make([]queryTarget, 0, len(res.Targets))}
-	for _, tr := range res.Targets {
-		qt := queryTarget{Target: tr.Target, Agg: tr.Agg}
-		for _, pt := range tr.Points {
-			qt.Points = append(qt.Points, queryPoint{T: time.Unix(0, pt.T).UTC(), V: pt.V, Gap: pt.Gap})
-		}
-		out.Targets = append(out.Targets, qt)
-	}
-	return out
 }
 
 // parseQuery builds a store query from URL parameters:
@@ -155,7 +118,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, toResponse(res))
+	n := 0
+	for _, tr := range res.Targets {
+		n += len(tr.Points)
+	}
+	e := newBody(n + 6*len(res.Targets)) // a target's agg takes about six points' room
+	e.result(res)
+	e.send(w)
 }
 
 // rangedSeries answers the ranged form of /series/<target>/<metric>
@@ -190,19 +159,28 @@ func (s *Server) rangedSeries(w http.ResponseWriter, r *http.Request, pv *proces
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return true
 	}
-	pts := make([]queryPoint, 0)
+	var pts []tsdb.Point
 	for _, tr := range res.Targets {
-		if tr.Target != target {
-			continue
-		}
-		for _, pt := range tr.Points {
-			pts = append(pts, queryPoint{T: time.Unix(0, pt.T).UTC(), V: pt.V, Gap: pt.Gap})
+		switch {
+		case tr.Target != target:
+		case pts == nil:
+			pts = tr.Points
+		default:
+			pts = append(pts[:len(pts):len(pts)], tr.Points...)
 		}
 	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].T.Before(pts[j].T) })
+	if !slices.IsSortedFunc(pts, byTime) {
+		pts = slices.Clone(pts)
+		slices.SortStableFunc(pts, byTime)
+	}
 	if limit > 0 && len(pts) > limit {
 		pts = pts[len(pts)-limit:]
 	}
-	writeJSON(w, pts)
+	e := newBody(len(pts))
+	e.points(pts)
+	e.send(w)
 	return true
 }
+
+// byTime orders points by timestamp.
+func byTime(a, b tsdb.Point) int { return cmp.Compare(a.T, b.T) }

@@ -3,6 +3,7 @@ package tables_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -122,7 +123,7 @@ func refParseMroute(lines []string) (tables.PairTable, error) {
 			return nil, err
 		}
 		rate, err := strconv.ParseFloat(f[5], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(rate) || math.IsInf(rate, 0) {
 			return nil, fmt.Errorf("tables: mroute rate %q", f[5])
 		}
 		pkts, err := strconv.ParseUint(f[6], 10, 64)
@@ -536,6 +537,9 @@ func FuzzBuildSnapshot(f *testing.F) {
 	f.Add(uint8(mroute), "IP Multicast Forwarding Table - 1 entries\nSource           Group            Flags  IIF  OIFs           Kbps      Pkts        Uptime\n"+
 		"128.111.41.2     224.2.0.1        DP     12   -              0.0       17          1:00:00\n", uint8(dvmrp), routes)
 	f.Add(uint8(mroute), "Source\n128.111.41.2 224.2.0.1 DP 12 - 0.0 17 1:00:00 9\n", uint8(unknown), "")
+	for _, rate := range []string{"NaN", "-Inf", "infinity", "1e400", "0x1p-2"} {
+		f.Add(uint8(mroute), "128.111.41.2 224.2.0.1 DP 12 - "+rate+" 17 1:00:00\n", uint8(unknown), "")
+	}
 	f.Add(uint8(igmp), "IGMP Group Membership - 1 groups, 1 members\nGroup            Host             Uptime\n224.2.0.1        128.111.41.2     0:05:00\n", uint8(pim), "PIM Group Table - 0 entries\n")
 	f.Add(uint8(igmp), "Group\n224.2.0.1 128.111.41.2\n", uint8(unknown), "")
 	f.Add(uint8(msdp), "MSDP Source-Active Cache - 2 entries\nSource           Group            Origin-RP        Uptime\n128.111.41.2     224.2.0.1        -                0:05:00\n", uint8(dvmrp), routes)

@@ -392,7 +392,9 @@ func pairRow(r *scan) (PairEntry, error) {
 		return e, err
 	}
 	e.Flags = r.internFlags(r.f[2])
-	if e.RateKbps, err = strconv.ParseFloat(r.f[5], 64); err != nil {
+	// ParseFloat accepts NaN and Inf, which no router reports and
+	// which would poison every sum over the rate.
+	if e.RateKbps, err = strconv.ParseFloat(r.f[5], 64); err != nil || math.IsNaN(e.RateKbps) || math.IsInf(e.RateKbps, 0) {
 		return e, fmt.Errorf("tables: mroute rate %q", r.f[5])
 	}
 	if e.Packets, err = strconv.ParseUint(r.f[6], 10, 64); err != nil {

@@ -1,6 +1,7 @@
 package tables_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,20 @@ Source           Group            Flags  IIF  OIFs           Kbps      Pkts     
 	}
 	if pt[1].RateKbps != 64.5 || pt[1].Uptime != 30*time.Minute {
 		t.Errorf("row1 = %+v", pt[1])
+	}
+}
+
+// TestParseMrouteRejectsNonFiniteRate: strconv.ParseFloat reads NaN,
+// Inf and infinity, and one such row would poison bandwidth_kbps for
+// good, so the parser names each an unparsable rate.
+func TestParseMrouteRejectsNonFiniteRate(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
+	for _, rate := range []string{"NaN", "nan", "Inf", "+Inf", "-inf", "infinity", "-Infinity", "1e400"} {
+		raw := "1.1.1.1 224.1.1.1 D 0 - " + rate + " 5 0:05:00"
+		_, err := one("show ip mroute", raw)
+		if want := fmt.Sprintf("tables: mroute rate %q", rate); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("rate %s: err = %v, want %s", rate, err, want)
+		}
 	}
 }
 

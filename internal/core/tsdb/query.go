@@ -131,12 +131,7 @@ func (r *reader) QueryTarget(q Query, target string) (TargetResult, error) {
 func (sr *series) tierRange(tier int, lo, hi int64) ([]Point, error) {
 	// Every bucket emitted opens on a point of the head or of a block
 	// that meets [lo, hi], so those points bound the output.
-	size := len(sr.head)
-	for _, info := range sr.infos {
-		if info.LastT >= lo && info.FirstT <= hi {
-			size += info.Count
-		}
-	}
+	size := sr.bound(lo, hi)
 	var (
 		out   []Point
 		arr   [BlockPoints]Point // decode buffer
@@ -193,11 +188,28 @@ func appendBucket(out []Point, first int64, n int, sum float64, size int) []Poin
 	return append(out, Point{T: first, V: sum / float64(n)})
 }
 
+// bound counts the points of the head and of the blocks that meet
+// [lo, hi]: at least as many as the range holds.
+func (sr *series) bound(lo, hi int64) int {
+	n := len(sr.head)
+	for _, info := range sr.infos {
+		if info.LastT >= lo && info.FirstT <= hi {
+			n += info.Count
+		}
+	}
+	return n
+}
+
+// rawRange returns the points in [lo, hi], nil when there are none,
+// made once with the room the sparse index bounds them by.
 func (sr *series) rawRange(lo, hi int64) ([]Point, error) {
 	var out []Point
 	err := sr.scan(lo, hi, func(pts []Point) {
 		for _, pt := range pts {
 			if pt.T >= lo && pt.T <= hi {
+				if out == nil {
+					out = make([]Point, 0, sr.bound(lo, hi))
+				}
 				out = append(out, pt)
 			}
 		}
