@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/addr"
 	"repro/internal/core/tables"
 	"repro/internal/core/tsdb"
 )
@@ -226,6 +225,9 @@ type Processor struct {
 
 	detectors []Detector
 
+	// keys is pairStats' scratch, a key a row of the pair table.
+	keys []uint64
+
 	// view is the last published View.
 	view atomic.Pointer[View]
 }
@@ -396,54 +398,7 @@ func (p *Processor) IngestCounts(sn *tables.Snapshot, saCache, mbgpRoutes int) C
 func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleStats {
 	st := CycleStats{Target: sn.Target, At: sn.At}
 
-	sessions := sn.Pairs.Sessions()
-	participants := sn.Pairs.Participants()
-	st.Sessions = len(sessions)
-	st.Participants = len(participants)
-
-	densitySum := 0
-	for _, s := range sessions {
-		densitySum += s.Density
-		if s.Density == 1 {
-			st.SingleMemberSessions++
-		}
-	}
-	if st.Sessions > 0 {
-		st.AvgDensity = float64(densitySum) / float64(st.Sessions)
-	}
-
-	for _, pe := range participants {
-		if pe.MaxRateKbps > p.SenderThresholdKbps {
-			st.Senders++
-		}
-	}
-
-	// Active sessions and bandwidth-saved from per-pair rates.
-	activeGroups := make(map[addr.IP]bool)
-	unicastKbps := 0.0
-	densityOf := make(map[addr.IP]int, len(sessions))
-	for _, s := range sessions {
-		densityOf[s.Group] = s.Density
-	}
-	for _, e := range sn.Pairs {
-		st.BandwidthKbps += e.RateKbps
-		if e.RateKbps > p.SenderThresholdKbps {
-			activeGroups[e.Group] = true
-			// The unicast equivalent of this stream: one copy per
-			// receiver (density includes the sender itself).
-			receivers := densityOf[e.Group] - 1
-			if receivers < 1 {
-				receivers = 1
-			}
-			unicastKbps += e.RateKbps * float64(receivers)
-		} else {
-			unicastKbps += e.RateKbps
-		}
-	}
-	st.ActiveSessions = len(activeGroups)
-	if st.BandwidthKbps > 0 {
-		st.SavedFactor = unicastKbps / st.BandwidthKbps
-	}
+	p.pairStats(sn.Pairs, &st)
 
 	st.Routes = len(sn.Routes)
 	st.RouteChurn = p.routeChurn(sn.Target, sn.Routes)
@@ -485,6 +440,68 @@ func (p *Processor) ingest(sn *tables.Snapshot, saCache, mbgpRoutes int) CycleSt
 
 	p.detect(sn.Target, sn.At, w)
 	return st
+}
+
+// pairStats derives st's session, participant and bandwidth fields from
+// runs over the pair table's rows ordered by group and then by source, in
+// the processor's scratch. A session's density counts its rows. Its run
+// re-keys each row by index and density, so the keys sorted back into
+// row order give each row's density for the unicast equivalent; it and
+// the bandwidth are summed in row order.
+func (p *Processor) pairStats(pairs tables.PairTable, st *CycleStats) {
+	threshold := p.SenderThresholdKbps
+	keys := pairs.Order(p.keys, false)
+	for i, j := 0, 0; i < len(keys); i = j {
+		j = tables.RunEnd(keys, i)
+		active := false
+		for x, k := range keys[i:j] {
+			active = active || pairs[uint32(k)].RateKbps > threshold
+			keys[i+x] = uint64(uint32(k))<<32 | uint64(j-i)
+		}
+		st.Sessions++
+		if j-i == 1 {
+			st.SingleMemberSessions++
+		}
+		if active {
+			st.ActiveSessions++
+		}
+	}
+	if st.Sessions > 0 {
+		st.AvgDensity = float64(len(pairs)) / float64(st.Sessions)
+	}
+
+	slices.Sort(keys) // a table in group order is in row order already
+	unicastKbps := 0.0
+	for i, k := range keys {
+		rate := pairs[i].RateKbps
+		st.BandwidthKbps += rate
+		if rate > threshold {
+			// The unicast equivalent of this stream: one copy per
+			// receiver (density includes the sender itself).
+			unicastKbps += rate * float64(max(uint32(k)-1, 1))
+		} else {
+			unicastKbps += rate
+		}
+	}
+	if st.BandwidthKbps > 0 {
+		st.SavedFactor = unicastKbps / st.BandwidthKbps
+	}
+
+	keys = pairs.Order(keys, true)
+	for i, j := 0, 0; i < len(keys); i = j {
+		j = tables.RunEnd(keys, i)
+		peak := 0.0
+		for _, k := range keys[i:j] {
+			if rate := pairs[uint32(k)].RateKbps; rate > peak {
+				peak = rate
+			}
+		}
+		st.Participants++
+		if peak > threshold {
+			st.Senders++
+		}
+	}
+	p.keys = keys
 }
 
 // routeChurn counts the prefixes routes adds to and drops from the

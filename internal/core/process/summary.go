@@ -1,8 +1,10 @@
 package process
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"repro/internal/addr"
 	"repro/internal/core/tables"
 )
 
@@ -10,11 +12,8 @@ import (
 // paper's "busiest multicast sessions" summary table.
 func BusiestSessions(sn *tables.Snapshot, n int) tables.SessionTable {
 	ss := sn.Pairs.Sessions()
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].TotalRateKbps != ss[j].TotalRateKbps {
-			return ss[i].TotalRateKbps > ss[j].TotalRateKbps
-		}
-		return ss[i].Group < ss[j].Group
+	slices.SortFunc(ss, func(a, b tables.SessionEntry) int {
+		return cmp.Or(cmp.Compare(b.TotalRateKbps, a.TotalRateKbps), cmp.Compare(a.Group, b.Group))
 	})
 	if n > len(ss) {
 		n = len(ss)
@@ -25,11 +24,8 @@ func BusiestSessions(sn *tables.Snapshot, n int) tables.SessionTable {
 // TopSenders returns the top-n participants by peak rate.
 func TopSenders(sn *tables.Snapshot, n int) tables.ParticipantTable {
 	ps := sn.Pairs.Participants()
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].MaxRateKbps != ps[j].MaxRateKbps {
-			return ps[i].MaxRateKbps > ps[j].MaxRateKbps
-		}
-		return ps[i].Host < ps[j].Host
+	slices.SortFunc(ps, func(a, b tables.ParticipantEntry) int {
+		return cmp.Or(cmp.Compare(b.MaxRateKbps, a.MaxRateKbps), cmp.Compare(a.Host, b.Host))
 	})
 	if n > len(ps) {
 		n = len(ps)
@@ -49,13 +45,13 @@ type RouteSummary struct {
 // SummarizeRoutes computes a RouteSummary for the snapshot.
 func SummarizeRoutes(sn *tables.Snapshot) RouteSummary {
 	rs := RouteSummary{MetricCounts: make(map[int]int)}
-	gateways := make(map[string]bool)
+	gateways := make(map[addr.IP]bool)
 	for _, r := range sn.Routes {
 		rs.Total++
 		if r.Local {
 			rs.Local++
 		} else {
-			gateways[r.Gateway.String()] = true
+			gateways[r.Gateway] = true
 		}
 		rs.MetricCounts[r.Metric]++
 	}

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -19,14 +20,23 @@ import (
 // cycle: the driver records each reader's response before the first
 // cycle and after every cycle, and every response a reader got
 // mid-cycle — mid-handoff included — must be one of those, byte for
-// byte. A reader blocking the cycle trips the deadline, which fails the
-// test with every goroutine's stack. Under the race detector an
+// byte. A reader blocking the cycle trips the watchdog, which fails the
+// test with every goroutine's stack once no cycle has completed within
+// cycleBudget; it is re-armed after every cycle, so a loaded machine
+// stretches the run without failing it. Under the race detector an
 // unguarded read fails it too: the workers, the supervisor and the
 // readers share state only through the request/response channels and
 // the published view.
 func TestViewsUnderChaosWatchdog(t *testing.T) {
-	testfault.Deadline(t, time.Minute)
-	const cycles = 40
+	testfault.Deadline(t, testfault.Limit)
+	// A cycle takes under a second under -race on a 2-core machine; the
+	// budget leaves a loaded one thirty times that.
+	const cycles, cycleBudget = 40, 30 * time.Second
+	stalled := time.AfterFunc(cycleBudget, func() {
+		buf := make([]byte, 8<<20)
+		panic(fmt.Sprintf("no cycle completed within %v; goroutines:\n%s", cycleBudget, buf[:runtime.Stack(buf, true)]))
+	})
+	defer stalled.Stop()
 	n := newFleetNetwork(t)
 	// 45-minute heartbeat over 30-minute cycles catches a wedge on its
 	// second cycle; an hour's backoff restarts a dead shard two cycles
@@ -135,6 +145,7 @@ func TestViewsUnderChaosWatchdog(t *testing.T) {
 		if _, err := s.RunCycle(n.Now()); err != nil {
 			t.Fatal(err)
 		}
+		stalled.Reset(cycleBudget)
 		record()
 	}
 	halt()

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -620,56 +621,81 @@ func (s *Scanner) finish() (sn *Snapshot, err, defect error) {
 	return sn, nil, s.defect
 }
 
-// Participants derives the Participant table from the Pair table.
-func (p PairTable) Participants() ParticipantTable {
-	agg := make(map[addr.IP]*ParticipantEntry)
-	order := make([]addr.IP, 0)
-	for _, e := range p {
-		pe := agg[e.Source]
-		if pe == nil {
-			pe = &ParticipantEntry{Host: e.Source}
-			agg[e.Source] = pe
-			order = append(order, e.Source)
+// Order returns the Pair table's rows in address order, in keys[:0]
+// grown as needed: a key a row, the row's group (or its source, if
+// bySource) in the high 32 bits and its index in the low, sorted, so an
+// address's rows are one run (RunEnd) in row order. A table already in
+// order sorts in one linear pass.
+func (p PairTable) Order(keys []uint64, bySource bool) []uint64 {
+	keys = slices.Grow(keys[:0], len(p))[:len(p)]
+	for i := range p {
+		a := p[i].Group
+		if bySource {
+			a = p[i].Source
 		}
-		pe.Groups++
-		if e.RateKbps > pe.MaxRateKbps {
-			pe.MaxRateKbps = e.RateKbps
-		}
-		if e.Uptime > pe.Uptime {
-			pe.Uptime = e.Uptime
-		}
+		keys[i] = uint64(a)<<32 | uint64(i)
 	}
-	out := make(ParticipantTable, 0, len(agg))
-	for _, h := range order {
-		out = append(out, *agg[h])
+	slices.Sort(keys)
+	return keys
+}
+
+// RunEnd returns the end of the run of keys that starts at i: the first
+// index past i with another address, or len(keys).
+func RunEnd(keys []uint64, i int) int {
+	j := i + 1
+	for j < len(keys) && keys[j]>>32 == keys[i]>>32 {
+		j++
+	}
+	return j
+}
+
+// runs counts the runs of ordered keys.
+func runs(keys []uint64) (n int) {
+	for i := 0; i < len(keys); i = RunEnd(keys, i) {
+		n++
+	}
+	return n
+}
+
+// Participants derives the Participant table from the Pair table, one
+// entry a source in ascending address order.
+func (p PairTable) Participants() ParticipantTable {
+	keys := p.Order(nil, true)
+	out := make(ParticipantTable, 0, runs(keys))
+	for i, j := 0, 0; i < len(keys); i = j {
+		j = RunEnd(keys, i)
+		pe := ParticipantEntry{Host: addr.IP(keys[i] >> 32), Groups: j - i}
+		for _, k := range keys[i:j] {
+			e := &p[uint32(k)]
+			if e.RateKbps > pe.MaxRateKbps {
+				pe.MaxRateKbps = e.RateKbps
+			}
+			pe.Uptime = max(pe.Uptime, e.Uptime)
+		}
+		out = append(out, pe)
 	}
 	return out
 }
 
-// Sessions derives the Session table from the Pair table.
+// Sessions derives the Session table from the Pair table, one entry a
+// group in ascending address order; a group's rate is summed in row
+// order.
 func (p PairTable) Sessions() SessionTable {
-	agg := make(map[addr.IP]*SessionEntry)
-	order := make([]addr.IP, 0)
-	for _, e := range p {
-		se := agg[e.Group]
-		if se == nil {
-			se = &SessionEntry{Group: e.Group, Protocol: protocolOf(e.Flags)}
-			agg[e.Group] = se
-			order = append(order, e.Group)
+	keys := p.Order(nil, false)
+	out := make(SessionTable, 0, runs(keys))
+	for i, j := 0, 0; i < len(keys); i = j {
+		j = RunEnd(keys, i)
+		se := SessionEntry{Group: addr.IP(keys[i] >> 32), Density: j - i, Protocol: protocolOf(p[uint32(keys[i])].Flags)}
+		for _, k := range keys[i:j] {
+			e := &p[uint32(k)]
+			se.TotalRateKbps += e.RateKbps
+			se.Packets += e.Packets
+			se.Uptime = max(se.Uptime, e.Uptime)
+			if se.Protocol != protocolOf(e.Flags) {
+				se.Protocol = "mixed"
+			}
 		}
-		se.Density++
-		se.TotalRateKbps += e.RateKbps
-		se.Packets += e.Packets
-		if e.Uptime > se.Uptime {
-			se.Uptime = e.Uptime
-		}
-		if se.Protocol != protocolOf(e.Flags) {
-			se.Protocol = "mixed"
-		}
-	}
-	out := make(SessionTable, 0, len(agg))
-	for _, g := range order {
-		out = append(out, *agg[g])
+		out = append(out, se)
 	}
 	return out
 }

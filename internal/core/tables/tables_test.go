@@ -180,14 +180,16 @@ func TestDeriveSessions(t *testing.T) {
 	}
 }
 
-// TestDerivedTablesInFirstSeenOrder holds Sessions and Participants to
-// the order in which the pair table first names each group and source.
-// Both aggregate through a map, so a table emitted by ranging over it
-// would come out in a different order call by call.
-func TestDerivedTablesInFirstSeenOrder(t *testing.T) {
+// TestDerivedTablesInAddressOrder holds Sessions and Participants to
+// ascending group and source order, call after call. The pair table
+// names groups in descending order and each group's sources in another
+// rotation, so neither first-seen order nor a map's iteration order
+// passes.
+func TestDerivedTablesInAddressOrder(t *testing.T) {
 	var pt tables.PairTable
-	for g := 1; g <= 8; g++ {
-		for src := 1; src <= 8; src++ {
+	for g := 8; g >= 1; g-- {
+		for i := 0; i < 8; i++ {
+			src := 8 - (g+i)%8
 			pt = append(pt, tables.PairEntry{Source: addr.V4(10, 0, 0, byte(src)), Group: addr.V4(224, 0, 1, byte(g)), Flags: "D"})
 		}
 	}
@@ -198,7 +200,7 @@ func TestDerivedTablesInFirstSeenOrder(t *testing.T) {
 		}
 		for i := range ss {
 			if ss[i].Group != addr.V4(224, 0, 1, byte(i+1)) || ps[i].Host != addr.V4(10, 0, 0, byte(i+1)) {
-				t.Fatalf("call %d: sessions %v and participants %v out of first-seen order", call, ss, ps)
+				t.Fatalf("call %d: sessions %v and participants %v out of address order", call, ss, ps)
 			}
 		}
 	}
