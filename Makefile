@@ -55,7 +55,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 21036
+LOC_CEILING = 21311
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -72,7 +72,11 @@ loc-check:
 # diff it replaced (on well-formed tables its upserts are the identity
 # upserts plus the moved counters; the tables, materialised and
 # reconstructed — live, exported, through the WAL codec and a
-# checkpoint — equal the input bit for bit always), the stability
+# checkpoint — equal the input bit for bit always), the history the
+# log keeps as the bytes the WAL frame and the checkpoint write against
+# the records Append returned (field by field, the same bytes as
+# appendDelta makes of them, and through an export into a fresh log
+# the same records and tables), the stability
 # tracker a core folds from its delta-log records when read, across a
 # move of the log into a fresh core, against one that observed every
 # table, the segment log's frame scanner on
@@ -107,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/core/tables -fuzz FuzzMergeSnapshots -fuzztime 30s
 	$(GO) test ./internal/addr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/core/logger -fuzz FuzzAppendMatchesMapDiff -fuzztime 30s
+	$(GO) test ./internal/core/logger -run '^$$' -fuzz '^FuzzHistoryBytes$$' -fuzztime 30s
 	$(GO) test ./internal/core/cycle -run '^$$' -fuzz '^FuzzStabilityFromRecords$$' -fuzztime 30s
 	$(GO) test ./internal/core/seglog -fuzz FuzzScan -fuzztime 30s
 	$(GO) test ./internal/core/tsdb -fuzz FuzzBlockDecode -fuzztime 30s

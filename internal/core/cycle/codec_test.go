@@ -220,7 +220,13 @@ func TestCheckpointEveryFieldRoundTrip(t *testing.T) {
 	defer st.Close()
 	ra := st.Recover()
 	for name, ts := range logs {
-		if got, _ := ra.Logger.ExportTarget(name); !reflect.DeepEqual(got, ts) {
+		got := logger.TargetState{Gaps: ra.Logger.Gaps(name)}
+		_, got.FullEntries, _ = ra.Logger.StorageStats(name)
+		for i := 0; i < ra.Logger.Cycles(name); i++ {
+			rec, _ := ra.Logger.Record(name, i)
+			got.Records = append(got.Records, rec)
+		}
+		if !reflect.DeepEqual(got, ts) {
 			t.Errorf("%s's history came back as\n%+v\nwant\n%+v", name, got, ts)
 		}
 	}

@@ -173,9 +173,11 @@ func (c *Core) stageLog(it *engine.Item, now time.Time) {
 	c.logDelta(it.Snapshot)
 }
 
-// logDelta appends a snapshot to the delta log and buffers the record.
+// logDelta appends a snapshot to the delta log and buffers the record
+// as the log keeps it: Commit writes its bytes behind the frame header,
+// and nothing in the stage decodes them.
 func (c *Core) logDelta(sn *tables.Snapshot) {
-	rec := c.Log.Append(sn)
+	rec := c.Log.AppendEncoded(sn)
 	if c.Store != nil {
 		c.frames = append(c.frames, frame{target: sn.Target, rec: rec, fullEntries: uint64(len(sn.Pairs) + len(sn.Routes))})
 	}
@@ -212,20 +214,21 @@ func (c *Core) aggregate(now time.Time, snaps []*tables.Snapshot) *process.Cycle
 	return &st
 }
 
-// RouteStability folds the target's delta-log records, in order, into a
-// fresh route-stability tracker (RouteStability.ObserveDelta): the
-// tracker is derived from the log when it is read, so no cycle, handoff
-// or recovery keeps or rebuilds one, and the call costs O(history). It
-// is nil for a target with no logged table — unknown, or only gaps so
-// far — and for the synthetic AggregateTarget.
+// RouteStability decodes the target's delta-log records, in order, and
+// folds them into a fresh route-stability tracker
+// (RouteStability.ObserveDelta): the tracker is derived from the log
+// when it is read, so no cycle, handoff or recovery keeps or rebuilds
+// one, and the call costs O(history). It is nil for a target with no
+// logged table — unknown, or only gaps so far — and for the synthetic
+// AggregateTarget.
 func (c *Core) RouteStability(target string) *process.RouteStability {
-	ts, _ := c.Log.ExportTarget(target)
-	if target == AggregateTarget || len(ts.Records) == 0 {
+	n := c.Log.Cycles(target)
+	if target == AggregateTarget || n == 0 {
 		return nil
 	}
 	rs := process.NewRouteStability()
-	for i := range ts.Records {
-		rec := &ts.Records[i]
+	for i := 0; i < n; i++ {
+		rec, _ := c.Log.Record(target, i) // the log's own bytes decode
 		rs.ObserveDelta(rec.At, rec.Routes.Upserted, rec.Routes.Removed)
 	}
 	return rs

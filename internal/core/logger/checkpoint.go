@@ -41,8 +41,9 @@ type ckptPayload struct {
 var ErrBadCheckpoint = errors.New("logger: malformed checkpoint")
 
 // appendCheckpoint encodes a checkpoint body: seq and at, then for each
-// target in Targets order its name, full-entry count, gaps and records,
-// then extra to the end.
+// target in Targets order its name, full-entry count, gaps and records
+// (each the bytes the log keeps behind its header), then extra to the
+// end.
 func appendCheckpoint(b []byte, seq uint64, at time.Time, l *Logger, extra []byte) []byte {
 	b = seglog.AppendUvarint(b, seq)
 	b = seglog.AppendTime(b, at)
@@ -66,9 +67,10 @@ func appendCheckpoint(b []byte, seq uint64, at time.Time, l *Logger, extra []byt
 }
 
 // decodeCheckpoint rebuilds a Logger from a checkpoint body by applying
-// its records in order, as the live log took them; a record whose
-// counter column does not fit the table is kept all the same, as
-// ApplyRecord keeps it. Extra is a slice of b.
+// its records in order, as the live log took them, each keeping a copy
+// of its change sets' bytes; a record whose counter column does not fit
+// the table is kept all the same, as ApplyRecord keeps it. Extra is a
+// slice of b.
 func decodeCheckpoint(b []byte) (*ckptPayload, error) {
 	r := byteReader{seglog.NewReader(b, ErrBadCheckpoint)}
 	pay := &ckptPayload{Seq: r.Uvarint(), At: r.Time(), Log: New()}
@@ -82,8 +84,8 @@ func decodeCheckpoint(b []byte) (*ckptPayload, error) {
 		full := r.Uvarint()
 		tl.gaps = seglog.ReadList(r.Reader, 2, func() GapMark { return GapMark{At: r.Time(), Reason: r.Str()} })
 		for m := r.Count(9); m > 0 && r.Err() == nil; m-- {
-			if rec, _ := r.delta(); r.Err() == nil {
-				_ = pay.Log.ApplyRecord(name, rec, 0) // a misfit is kept, as the live log kept it
+			if dec, kept, _ := r.delta(); r.Err() == nil {
+				_ = pay.Log.apply(name, dec, kept.body, 0) // a misfit is kept, as the live log kept it
 			}
 		}
 		tl.fullEntries = full

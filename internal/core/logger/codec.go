@@ -3,15 +3,18 @@
 // per record (a reader can start at any record boundary), deterministic,
 // and cheap enough that append throughput is bounded by the disk, not
 // the encoder. A checkpoint (checkpoint.go) writes its records with the
-// same delta body. All integers are little-endian; variable integers use
-// the uvarint/varint encodings of encoding/binary.
+// same delta body, and the in-memory log keeps each cycle's change sets
+// in that encoding too (CycleRecord.body): one form from memory to disk,
+// decoded only when read. All integers are little-endian; variable
+// integers use the uvarint/varint encodings of encoding/binary.
 package logger
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/addr"
@@ -35,7 +38,8 @@ type walRecord struct {
 	Kind   byte
 	Target string
 
-	// Delta fields (recDelta).
+	// Delta fields (recDelta). A decoded Rec is in the form the log
+	// keeps, its change sets encoded in a copy of the payload's bytes.
 	Rec         CycleRecord
 	FullEntries uint64
 
@@ -62,14 +66,23 @@ func appendPair(b []byte, e tables.PairEntry) []byte {
 	return seglog.AppendTime(b, e.Since)
 }
 
+func appendPairKey(b []byte, k pairKey) []byte {
+	b = seglog.AppendU32(b, uint32(k.Source))
+	return seglog.AppendU32(b, uint32(k.Group))
+}
+
 func appendRoute(b []byte, e tables.RouteEntry) []byte {
-	b = seglog.AppendU32(b, uint32(e.Prefix.Addr))
-	b = append(b, byte(e.Prefix.Len))
+	b = appendPrefix(b, e.Prefix)
 	b = seglog.AppendU32(b, uint32(e.Gateway))
 	b = seglog.AppendBool(b, e.Local)
 	b = seglog.AppendVarint(b, int64(e.Metric))
 	b = seglog.AppendVarint(b, int64(e.Uptime))
 	return seglog.AppendTime(b, e.Since)
+}
+
+func appendPrefix(b []byte, p addr.Prefix) []byte {
+	b = seglog.AppendU32(b, uint32(p.Addr))
+	return append(b, byte(p.Len))
 }
 
 // --- the counter column ---------------------------------------------------
@@ -96,14 +109,6 @@ func appendCounter(b []byte, d, rate uint64, rateChanged bool) []byte {
 		b = seglog.AppendU64(b, rate)
 	}
 	return b
-}
-
-// sealColumn puts the row count before the rows, in a slice allocated
-// at its length: the record keeps it, the rows' buffer is reused.
-func sealColumn(rows int, body []byte) []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(rows))
-	return append(append(make([]byte, 0, n+len(body)), hdr[:n]...), body...)
 }
 
 // readColumn parses a counter column and, with apply, advances the
@@ -138,41 +143,136 @@ func readColumn(col []byte, t tables.PairTable, apply bool) error {
 	return r.Err()
 }
 
-// appendDelta encodes a delta record's body, the part a WAL frame and a
+// appendDelta encodes a delta record, the part a WAL frame and a
 // checkpoint share: the instant, the cycle's full-snapshot entry count,
-// the two table magnitudes, then the pair delta — upserts, removals, the
-// counter column — and the route delta.
+// the two table magnitudes, then the change sets — the bytes a record
+// the log keeps holds already, or a decoded record's encoding.
 func appendDelta(b []byte, rec CycleRecord, fullEntries uint64) []byte {
 	b = seglog.AppendTime(b, rec.At)
 	b = seglog.AppendUvarint(b, fullEntries)
 	b = seglog.AppendUvarint(b, uint64(rec.SACache))
 	b = seglog.AppendUvarint(b, uint64(rec.MBGPRoutes))
-	b = seglog.AppendUvarint(b, uint64(len(rec.Pairs.Upserted)))
-	for _, e := range rec.Pairs.Upserted {
+	if rec.body != nil {
+		return append(b, rec.body...)
+	}
+	return appendChanges(b, rec.Pairs, rec.Routes)
+}
+
+// appendChanges encodes a cycle's change sets: the pair delta —
+// upserts, removals, the counter column — and the route delta, each list
+// a count and its entries.
+func appendChanges(b []byte, p PairDelta, r RouteDelta) []byte {
+	b = seglog.AppendUvarint(b, uint64(len(p.Upserted)))
+	for _, e := range p.Upserted {
 		b = appendPair(b, e)
 	}
-	b = seglog.AppendUvarint(b, uint64(len(rec.Pairs.Removed)))
-	for _, k := range rec.Pairs.Removed {
-		b = seglog.AppendU32(b, uint32(k.Source))
-		b = seglog.AppendU32(b, uint32(k.Group))
+	b = seglog.AppendUvarint(b, uint64(len(p.Removed)))
+	for _, k := range p.Removed {
+		b = appendPairKey(b, k)
 	}
-	b = seglog.AppendUvarint(b, uint64(len(rec.Pairs.Counters)))
-	b = append(b, rec.Pairs.Counters...)
-	b = seglog.AppendUvarint(b, uint64(len(rec.Routes.Upserted)))
-	for _, e := range rec.Routes.Upserted {
+	b = seglog.AppendUvarint(b, uint64(len(p.Counters)))
+	b = append(b, p.Counters...)
+	b = seglog.AppendUvarint(b, uint64(len(r.Upserted)))
+	for _, e := range r.Upserted {
 		b = appendRoute(b, e)
 	}
-	b = seglog.AppendUvarint(b, uint64(len(rec.Routes.Removed)))
-	for _, p := range rec.Routes.Removed {
-		b = seglog.AppendU32(b, uint32(p.Addr))
-		b = append(b, byte(p.Len))
+	b = seglog.AppendUvarint(b, uint64(len(r.Removed)))
+	for _, p := range r.Removed {
+		b = appendPrefix(b, p)
 	}
 	return b
 }
 
+// quietBody is the change sets of a cycle in which nothing changed:
+// four empty lists and no column. Every quiet record shares it.
+var quietBody = appendChanges(nil, PairDelta{}, RouteDelta{})
+
+// own returns change-set bytes the log can keep: quietBody for a quiet
+// cycle's, else a copy of b at its exact length.
+func own(b []byte) []byte {
+	if bytes.Equal(b, quietBody) {
+		return quietBody
+	}
+	return bytes.Clone(b)
+}
+
+// The lists of a cycle's change sets, in encoding order around the
+// counter column.
+const (
+	pairUps = iota
+	pairGone
+	routeUps
+	routeGone
+)
+
+// encoder is AppendEncoded's scratch: a cycle's four change lists and
+// its counter rows, each encoded as the walk finds its entries, for the
+// record's bytes to be assembled from once their lengths are known.
+type encoder struct {
+	lists [4]struct {
+		n int
+		b []byte
+	}
+	column []byte
+}
+
+func (e *encoder) reset() {
+	for i := range e.lists {
+		e.lists[i].n, e.lists[i].b = 0, e.lists[i].b[:0]
+	}
+	e.column = e.column[:0]
+}
+
+// add counts one more entry of list i, whose bytes are now b.
+func (e *encoder) add(i int, b []byte) {
+	e.lists[i].n++
+	e.lists[i].b = b
+}
+
+// entries counts the upserts and removals: the cycle's delta entries.
+func (e *encoder) entries() uint64 {
+	n := 0
+	for _, l := range e.lists {
+		n += l.n
+	}
+	return uint64(n)
+}
+
+// body assembles the change sets appendChanges would write, in one
+// allocation of their exact length: the column, if a counter moved, is
+// the table's row count and then its rows. A quiet cycle gets quietBody.
+func (e *encoder) body(rows int, moved bool) []byte {
+	col := 0
+	if moved {
+		col = uvarintLen(uint64(rows)) + len(e.column)
+	} else if e.entries() == 0 {
+		return quietBody
+	}
+	size := uvarintLen(uint64(col)) + col
+	for _, l := range e.lists {
+		size += uvarintLen(uint64(l.n)) + len(l.b)
+	}
+	b := make([]byte, 0, size)
+	for i, l := range e.lists {
+		if i == routeUps {
+			b = seglog.AppendUvarint(b, uint64(col))
+			if moved {
+				b = seglog.AppendUvarint(b, uint64(rows))
+				b = append(b, e.column...)
+			}
+		}
+		b = seglog.AppendUvarint(b, uint64(l.n))
+		b = append(b, l.b...)
+	}
+	return b
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // encodePayload renders a record's payload (everything inside the frame).
 func encodePayload(r walRecord) []byte {
-	b := make([]byte, 0, 64)
+	b := make([]byte, 0, 64+len(r.Rec.body))
 	b = seglog.AppendUvarint(b, r.Seq)
 	b = append(b, r.Kind)
 	b = seglog.AppendString(b, r.Target)
@@ -228,23 +328,51 @@ func (r byteReader) route() tables.RouteEntry {
 	return e
 }
 
-// delta reads an appendDelta body.
-func (r byteReader) delta() (rec CycleRecord, fullEntries uint64) {
-	rec.At = r.Time()
-	fullEntries = r.Uvarint()
-	rec.SACache = int(r.Uvarint())
-	rec.MBGPRoutes = int(r.Uvarint())
-	rec.Pairs.Upserted = seglog.ReadList(r.Reader, 2, r.pair)
-	rec.Pairs.Removed = seglog.ReadList(r.Reader, 8, r.pairKey)
-	if col := r.Str(); col != "" {
-		rec.Pairs.Counters = []byte(col) // not a slice of the segment's read buffer
-		if readColumn(rec.Pairs.Counters, nil, false) != nil {
-			r.Fail()
-		}
+// changes reads appendChanges' bytes: the change sets, their counter
+// column a slice of the bytes read, and those bytes.
+func (r byteReader) changes() (p PairDelta, rt RouteDelta, raw []byte) {
+	start := r.Rest()
+	p.Upserted = seglog.ReadList(r.Reader, 2, r.pair)
+	p.Removed = seglog.ReadList(r.Reader, 8, r.pairKey)
+	if p.Counters = r.Bytes(); p.Counters != nil && readColumn(p.Counters, nil, false) != nil {
+		r.Fail()
 	}
-	rec.Routes.Upserted = seglog.ReadList(r.Reader, 2, r.route)
-	rec.Routes.Removed = seglog.ReadList(r.Reader, 5, r.prefix)
-	return rec, fullEntries
+	rt.Upserted = seglog.ReadList(r.Reader, 2, r.route)
+	rt.Removed = seglog.ReadList(r.Reader, 5, r.prefix)
+	return p, rt, start[:len(start)-len(r.Rest())]
+}
+
+// delta reads an appendDelta record: decoded, its counter column a
+// slice of the reader's bytes, and as the log keeps it, its change sets
+// in bytes of its own.
+func (r byteReader) delta() (dec, kept CycleRecord, fullEntries uint64) {
+	dec.At = r.Time()
+	fullEntries = r.Uvarint()
+	dec.SACache = int(r.Uvarint())
+	dec.MBGPRoutes = int(r.Uvarint())
+	var raw []byte
+	dec.Pairs, dec.Routes, raw = r.changes()
+	kept = CycleRecord{At: dec.At, SACache: dec.SACache, MBGPRoutes: dec.MBGPRoutes}
+	if r.Err() == nil {
+		kept.body = own(raw)
+	}
+	return dec, kept, fullEntries
+}
+
+// decoded returns rec with its change sets decoded from the bytes the
+// log keeps, the counter column a slice of them; a decoded record is
+// returned as it is.
+func (rec CycleRecord) decoded() (CycleRecord, error) {
+	if rec.body == nil {
+		return rec, nil
+	}
+	r := byteReader{seglog.NewReader(rec.body, ErrBadRecord)}
+	rec.Pairs, rec.Routes, _ = r.changes()
+	rec.body = nil
+	if len(r.Rest()) != 0 {
+		r.Fail()
+	}
+	return rec, r.Err()
 }
 
 // decodePayload parses one record payload.
@@ -256,7 +384,7 @@ func decodePayload(b []byte) (walRecord, error) {
 	out.Target = r.Str()
 	switch out.Kind {
 	case recDelta:
-		out.Rec, out.FullEntries = r.delta()
+		_, out.Rec, out.FullEntries = r.delta()
 	case recGap:
 		out.At = r.Time()
 		out.Reason = r.Str()

@@ -241,6 +241,73 @@ func fuzzTable(data []byte, pool []fuzzRow, at time.Time, list func(i, k int), s
 	return data, sorted, duplicates
 }
 
+// fuzzHistory scripts one target's tables cycle by cycle: the pools'
+// state and the cycle clock.
+type fuzzHistory struct {
+	target        string
+	routes, pairs []fuzzRow
+	at            time.Time
+}
+
+func newFuzzHistory(target string) *fuzzHistory {
+	return &fuzzHistory{target: target, routes: make([]fuzzRow, len(fuzzPrefixes)), pairs: make([]fuzzRow, len(fuzzPairKeys)), at: sim.Epoch}
+}
+
+// next reads one cycle off data, half an hour after the last: its
+// control byte — a gap (nil snapshot), empty tables, whole-table
+// turnover (every entry comes up afresh with new content), or plain
+// tables — and then one byte per pool entry (see fuzzTable and
+// fuzzCounters). It reports whether the tables are in key order and
+// duplicate-free, and returns what is left of data.
+func (h *fuzzHistory) next(data []byte, cycle int) (sn *tables.Snapshot, wellFormed bool, rest []byte) {
+	ctl := data[0] % 8
+	data = data[1:]
+	h.at = h.at.Add(30 * time.Minute)
+	at, routes, pairs := h.at, h.routes, h.pairs
+	if ctl == 0 {
+		return nil, false, data
+	}
+	sn = &tables.Snapshot{Target: h.target, At: at}
+	if ctl == 1 {
+		clear(routes)
+		clear(pairs)
+		return sn, true, data
+	}
+	if ctl == 2 {
+		for i := range routes {
+			routes[i] = fuzzRow{rev: routes[i].rev + 1}
+		}
+		for i := range pairs {
+			pairs[i] = fuzzRow{rev: pairs[i].rev + 1}
+		}
+	}
+	var sortedR, sortedP, dupR, dupP bool
+	data, sortedR, dupR = fuzzTable(data, routes, at, func(i, k int) {
+		r := routes[i]
+		sn.Routes = append(sn.Routes, tables.RouteEntry{Prefix: fuzzPrefixes[i], Metric: 1 + r.rev%30 + k, Since: r.since, Uptime: at.Sub(r.since)})
+	}, func() {
+		m := len(sn.Routes)
+		sn.Routes[m-1], sn.Routes[m-2] = sn.Routes[m-2], sn.Routes[m-1]
+	})
+	data, sortedP, dupP = fuzzTable(data, pairs, at, func(i, k int) {
+		r, key := pairs[i], fuzzPairKeys[i]
+		rate, packets := fuzzCounters(r.arg, r.rev+k, cycle)
+		sn.Pairs = append(sn.Pairs, tables.PairEntry{Source: key.Source, Group: key.Group, Flags: fuzzFlags[(r.rev+k)%3], RateKbps: rate, Packets: packets, Since: r.since, Uptime: at.Sub(r.since)})
+	}, func() {
+		m := len(sn.Pairs)
+		sn.Pairs[m-1], sn.Pairs[m-2] = sn.Pairs[m-2], sn.Pairs[m-1]
+	})
+	return sn, sortedR && sortedP && !dupR && !dupP, data
+}
+
+// walked returns sn's tables as Append takes them: in key order, the
+// last row of a key winning, uptimes from Since.
+func walked(sn *tables.Snapshot) *tables.Snapshot {
+	return &tables.Snapshot{Target: sn.Target, At: sn.At,
+		Pairs:  pairsAt(tables.PairTable(nil).Walk(sn.Pairs, func(_, _ *tables.PairEntry) {}), sn.At),
+		Routes: routesAt(tables.RouteTable(nil).Walk(sn.Routes, func(_, _ *tables.RouteEntry) {}), sn.At)}
+}
+
 // samePairs compares pair tables row for row. exact compares rates by
 // their bits, so ±0 and NaN payloads must match too; otherwise rates
 // compare by ==, as the reference compared them, except that a NaN
@@ -349,61 +416,24 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const target = "fixw"
 		got, want := New(), newRefLog()
-		routes := make([]fuzzRow, len(fuzzPrefixes))
-		pairs := make([]fuzzRow, len(fuzzPairKeys))
-		at := sim.Epoch
+		h := newFuzzHistory(target)
 		// given holds each logged cycle's tables as Append takes them: in
 		// key order, the last row of a key winning, uptimes from Since.
 		var given []*tables.Snapshot
 		var prev tables.PairTable
 		for cycle := 0; len(data) > 0; cycle++ {
-			ctl := data[0] % 8
-			data = data[1:]
-			at = at.Add(30 * time.Minute)
-			if ctl == 0 {
-				got.MarkGap(target, at, "scripted gap")
+			var sn *tables.Snapshot
+			var wellFormed bool
+			if sn, wellFormed, data = h.next(data, cycle); sn == nil {
+				got.MarkGap(target, h.at, "scripted gap")
 				continue
-			}
-			sn := &tables.Snapshot{Target: target, At: at}
-			wellFormed := true
-			if ctl == 1 {
-				clear(routes)
-				clear(pairs)
-			} else {
-				if ctl == 2 {
-					for i := range routes {
-						routes[i] = fuzzRow{rev: routes[i].rev + 1}
-					}
-					for i := range pairs {
-						pairs[i] = fuzzRow{rev: pairs[i].rev + 1}
-					}
-				}
-				var sortedR, sortedP, dupR, dupP bool
-				data, sortedR, dupR = fuzzTable(data, routes, at, func(i, k int) {
-					r := routes[i]
-					sn.Routes = append(sn.Routes, tables.RouteEntry{Prefix: fuzzPrefixes[i], Metric: 1 + r.rev%30 + k, Since: r.since, Uptime: at.Sub(r.since)})
-				}, func() {
-					m := len(sn.Routes)
-					sn.Routes[m-1], sn.Routes[m-2] = sn.Routes[m-2], sn.Routes[m-1]
-				})
-				data, sortedP, dupP = fuzzTable(data, pairs, at, func(i, k int) {
-					r, key := pairs[i], fuzzPairKeys[i]
-					rate, packets := fuzzCounters(r.arg, r.rev+k, cycle)
-					sn.Pairs = append(sn.Pairs, tables.PairEntry{Source: key.Source, Group: key.Group, Flags: fuzzFlags[(r.rev+k)%3], RateKbps: rate, Packets: packets, Since: r.since, Uptime: at.Sub(r.since)})
-				}, func() {
-					m := len(sn.Pairs)
-					sn.Pairs[m-1], sn.Pairs[m-2] = sn.Pairs[m-2], sn.Pairs[m-1]
-				})
-				wellFormed = sortedR && sortedP && !dupR && !dupP
 			}
 			givenP, givenR := append(tables.PairTable(nil), sn.Pairs...), append(tables.RouteTable(nil), sn.Routes...)
 			gotRec, wantRec := got.Append(sn), want.Append(sn)
 			if !samePairs(sn.Pairs, givenP, true) || !reflect.DeepEqual(sn.Routes, givenR) {
 				t.Fatalf("cycle %d: Append wrote to the snapshot's tables", cycle)
 			}
-			cur := &tables.Snapshot{Target: target, At: at,
-				Pairs:  pairsAt(tables.PairTable(nil).Walk(givenP, func(_, _ *tables.PairEntry) {}), at),
-				Routes: routesAt(tables.RouteTable(nil).Walk(givenR, func(_, _ *tables.RouteEntry) {}), at)}
+			cur := walked(sn)
 			given = append(given, cur)
 
 			for _, e := range gotRec.Pairs.Upserted {

@@ -10,7 +10,9 @@
 //   - no redundancy: the Participant and Session tables are derivable
 //     from the Pair table, so they are never logged at all.
 //
-// Any cycle's full tables can be reconstructed by replaying deltas.
+// Any cycle's full tables can be reconstructed by replaying deltas. The
+// log keeps each cycle's deltas in the encoding its WAL frame and the
+// checkpoint write (codec.go), and decodes them when they are read.
 package logger
 
 import (
@@ -47,6 +49,14 @@ type RouteDelta struct {
 }
 
 // CycleRecord is one logged monitoring cycle for one target.
+//
+// A record comes in one of two forms. Append, Record and decoding hand
+// out decoded records: Pairs and Routes hold the change sets. The log
+// itself keeps each cycle as the bytes the WAL frame and the checkpoint
+// write (codec.go): At and the magnitudes, and the change sets encoded
+// in body, Pairs and Routes left empty. Those are the records
+// TargetState.Records views and AppendEncoded returns; Record decodes
+// them, and Store.AppendDelta writes their bytes as they are.
 type CycleRecord struct {
 	At     time.Time
 	Pairs  PairDelta
@@ -57,6 +67,10 @@ type CycleRecord struct {
 	// carries the counts a recovery needs to replay detection exactly.
 	SACache    int
 	MBGPRoutes int
+	// body is the encoded change sets of a record the log keeps, nil on
+	// a decoded one. It is never written once made, and quiet cycles
+	// share one.
+	body []byte
 }
 
 // GapMark records one failed collection cycle: no snapshot arrived at At,
@@ -68,6 +82,8 @@ type GapMark struct {
 
 // targetLog accumulates one collection point's history.
 type targetLog struct {
+	// Records are the logged cycles in the form the log keeps them,
+	// their change sets encoded.
 	Records []CycleRecord
 	// gaps lists the failed cycles interleaved with Records.
 	gaps []GapMark
@@ -81,15 +97,16 @@ type targetLog struct {
 	// latest is the snapshot the last Append took, nil after a replay
 	// or an import, which carry deltas only.
 	latest *tables.Snapshot
-	column []byte // Append's scratch buffer for the counter rows
 	// fullEntries counts what full-snapshot storage would have used.
 	fullEntries  uint64
 	deltaEntries uint64
 }
 
-// Logger stores delta-encoded history per collection point.
+// Logger stores delta-encoded history per collection point. Like the
+// cycle core that drives it, it belongs to one goroutine at a time.
 type Logger struct {
 	targets map[string]*targetLog
+	enc     encoder // AppendEncoded's scratch, shared by every target
 }
 
 // New returns an empty logger.
@@ -117,25 +134,35 @@ func (l *Logger) target(name string) *targetLog {
 	return tl
 }
 
-// Append logs one cycle snapshot, computing deltas against the previous
-// cycle of the same target. It returns the delta record it stored, so a
-// durable archive can persist exactly what the in-memory log holds.
+// Append logs one cycle snapshot as AppendEncoded does and returns the
+// record decoded: the delta against the previous cycle of the same
+// target, upserts and removals in key order.
+func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
+	rec, _ := l.AppendEncoded(sn).decoded() // the log's own bytes decode
+	return rec
+}
+
+// AppendEncoded logs one cycle snapshot, computing deltas against the
+// previous cycle of the same target, and returns the record as the log
+// keeps it, its change sets encoded: what Store.AppendDelta writes as it
+// is, so a durable archive persists exactly what the in-memory log
+// holds.
 //
 // The snapshot's tables are walked against the previous cycle's in key
-// order, so the record lists upserts and removals in key order with no
-// sorting, and are then kept — by reference, not copied — as the next
+// order, and are then kept — by reference, not copied — as the next
 // cycle's predecessor, and the snapshot as the target's Latest: a
 // snapshot handed to Append must not be written afterwards. The walk
-// also writes the counter rows to a scratch buffer the record gets a
-// copy of if a counter moved.
-func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
+// encodes the change sets into the logger's scratch as it finds them,
+// and the record gets one copy of them at its exact length; a cycle in
+// which nothing changed shares quietBody and allocates nothing.
+func (l *Logger) AppendEncoded(sn *tables.Snapshot) CycleRecord {
 	tl := l.target(sn.Target)
-	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP)}
-
-	col, moved := tl.column[:0], false
+	e := &l.enc
+	e.reset()
+	moved := false
 	tl.pairs = tl.pairs.Walk(sn.Pairs, func(old, cur *tables.PairEntry) {
 		if cur == nil {
-			rec.Pairs.Removed = append(rec.Pairs.Removed, pairKey{Source: old.Source, Group: old.Group})
+			e.add(pairGone, appendPairKey(e.lists[pairGone].b, pairKey{Source: old.Source, Group: old.Group}))
 			return
 		}
 		var packets, rate uint64 // a new key's predecessor counts nothing
@@ -143,29 +170,27 @@ func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
 			packets, rate = old.Packets, math.Float64bits(old.RateKbps)
 		}
 		if old == nil || identity(*old) != identity(*cur) {
-			rec.Pairs.Upserted = append(rec.Pairs.Upserted, identity(*cur))
+			e.add(pairUps, appendPair(e.lists[pairUps].b, *cur))
 		}
 		d, r := cur.Packets-packets, math.Float64bits(cur.RateKbps)
-		col = appendCounter(col, d, r, r != rate)
+		e.column = appendCounter(e.column, d, r, r != rate)
 		moved = moved || d != 0 || r != rate
 	})
-	tl.column = col
-	if moved {
-		rec.Pairs.Counters = sealColumn(len(tl.pairs), col)
-	}
+	rows := len(tl.pairs)
 	tl.routes = tl.routes.Walk(sn.Routes, func(old, cur *tables.RouteEntry) {
 		switch {
 		case cur == nil:
-			rec.Routes.Removed = append(rec.Routes.Removed, old.Prefix)
+			e.add(routeGone, appendPrefix(e.lists[routeGone].b, old.Prefix))
 		case old == nil || normRoute(*old) != normRoute(*cur):
-			rec.Routes.Upserted = append(rec.Routes.Upserted, normRoute(*cur))
+			e.add(routeUps, appendRoute(e.lists[routeUps].b, normRoute(*cur)))
 		}
 	})
 
+	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP), body: e.body(rows, moved)}
 	tl.latest = sn
 	tl.Records = append(tl.Records, rec)
 	tl.fullEntries += uint64(len(sn.Pairs) + len(sn.Routes))
-	tl.deltaEntries += deltaSize(rec)
+	tl.deltaEntries += e.entries()
 	return rec
 }
 
@@ -235,21 +260,36 @@ func patchRoutes(prev tables.RouteTable, d RouteDelta) tables.RouteTable {
 	return patch(tables.RouteTable.Walk, prev, d.Upserted, gone, nil)
 }
 
-// ApplyRecord appends a pre-computed delta record — the replay path of the
-// durable archive. The record must have been produced by Append against
-// the same history prefix; fullEntries is the full-snapshot entry count of
-// the cycle that produced it, restoring the storage-stats baseline. A
-// record whose counter column does not fit is logged all the same, its
-// pairs keeping their counters, and reported as ErrBadRecord.
+// ApplyRecord appends a pre-computed delta record, decoded or in the
+// form the log keeps — the replay path of the durable archive and of an
+// import. The record must have been produced by Append against the same
+// history prefix; fullEntries is the full-snapshot entry count of the
+// cycle that produced it, restoring the storage-stats baseline. A record
+// whose counter column does not fit is logged all the same, its pairs
+// keeping their counters, and reported as ErrBadRecord.
 func (l *Logger) ApplyRecord(target string, rec CycleRecord, fullEntries uint64) error {
+	dec, err := rec.decoded()
+	if err != nil {
+		return err
+	}
+	body := rec.body
+	if body == nil {
+		body = own(appendChanges(nil, rec.Pairs, rec.Routes))
+	}
+	return l.apply(target, dec, body, fullEntries)
+}
+
+// apply patches target's tables with a decoded record and keeps it as
+// body, its change sets' encoding.
+func (l *Logger) apply(target string, dec CycleRecord, body []byte, fullEntries uint64) error {
 	tl := l.target(target)
 	var err error
-	tl.pairs, err = patchPairs(tl.pairs, rec.Pairs)
-	tl.routes = patchRoutes(tl.routes, rec.Routes)
+	tl.pairs, err = patchPairs(tl.pairs, dec.Pairs)
+	tl.routes = patchRoutes(tl.routes, dec.Routes)
 	tl.latest = nil
-	tl.Records = append(tl.Records, rec)
+	tl.Records = append(tl.Records, CycleRecord{At: dec.At, SACache: dec.SACache, MBGPRoutes: dec.MBGPRoutes, body: body})
 	tl.fullEntries += fullEntries
-	tl.deltaEntries += deltaSize(rec)
+	tl.deltaEntries += deltaSize(dec)
 	return err
 }
 
@@ -347,8 +387,8 @@ func (l *Logger) At(target string, idx int) (time.Time, error) {
 	return tl.Records[idx].At, nil
 }
 
-// ReconstructPairs replays deltas to materialize the pair table as it was
-// at cycle idx (0-based).
+// ReconstructPairs decodes and replays deltas to materialize the pair
+// table as it was at cycle idx (0-based).
 func (l *Logger) ReconstructPairs(target string, idx int) (tables.PairTable, error) {
 	tl := l.targets[target]
 	if tl == nil || idx < 0 || idx >= len(tl.Records) {
@@ -356,13 +396,14 @@ func (l *Logger) ReconstructPairs(target string, idx int) (tables.PairTable, err
 	}
 	var state tables.PairTable
 	for i := 0; i <= idx; i++ {
-		state, _ = patchPairs(state, tl.Records[i].Pairs) // a misfit as ApplyRecord took it
+		rec, _ := tl.Records[i].decoded()
+		state, _ = patchPairs(state, rec.Pairs) // a misfit as ApplyRecord took it
 	}
 	return pairsAt(state, tl.Records[idx].At), nil
 }
 
-// ReconstructRoutes replays deltas to materialize the route table at
-// cycle idx.
+// ReconstructRoutes decodes and replays deltas to materialize the route
+// table at cycle idx.
 func (l *Logger) ReconstructRoutes(target string, idx int) (tables.RouteTable, error) {
 	tl := l.targets[target]
 	if tl == nil || idx < 0 || idx >= len(tl.Records) {
@@ -370,18 +411,21 @@ func (l *Logger) ReconstructRoutes(target string, idx int) (tables.RouteTable, e
 	}
 	var state tables.RouteTable
 	for i := 0; i <= idx; i++ {
-		state = patchRoutes(state, tl.Records[i].Routes)
+		rec, _ := tl.Records[i].decoded()
+		state = patchRoutes(state, rec.Routes)
 	}
 	return routesAt(state, tl.Records[idx].At), nil
 }
 
-// Record returns the raw delta record of cycle idx.
+// Record returns the delta record of cycle idx, decoded from the bytes
+// the log keeps; its counter column is a slice of them and must not be
+// written.
 func (l *Logger) Record(target string, idx int) (CycleRecord, error) {
 	tl := l.targets[target]
 	if tl == nil || idx < 0 || idx >= len(tl.Records) {
 		return CycleRecord{}, fmt.Errorf("logger: no cycle %d for %q", idx, target)
 	}
-	return tl.Records[idx], nil
+	return tl.Records[idx].decoded()
 }
 
 // StorageStats reports entry counts stored as deltas versus what full
@@ -400,7 +444,7 @@ func (l *Logger) StorageStats(target string) (deltaEntries, fullEntries uint64, 
 }
 
 // TargetState is one target's history: the shard handoff's transfer
-// unit.
+// unit. Records are in the form the log keeps them, change sets encoded.
 type TargetState struct {
 	Records []CycleRecord
 	Gaps    []GapMark
@@ -408,15 +452,15 @@ type TargetState struct {
 	FullEntries uint64
 }
 
-// ExportTarget captures one target's serialized history — the shard
-// handoff transfer unit — or false if the logger has never seen it.
-// The history is append-only, so the export is a view of it, not a
-// copy: the slices are clipped to their length, a later Append or
-// MarkGap on this logger lands beyond them (in place or in a regrown
-// array) and never inside, and an append to the view reallocates
-// instead of writing into the live log. The export therefore stays
-// stable while the exporting shard keeps appending, at a cost
-// independent of how long the history is.
+// ExportTarget captures one target's history — the shard handoff
+// transfer unit — or false if the logger has never seen it. The history
+// is append-only and its records' bytes are never written, so the
+// export is a view of it, not a copy: the slices are clipped to their
+// length, a later Append or MarkGap on this logger lands beyond them (in
+// place or in a regrown array) and never inside, and an append to the
+// view reallocates instead of writing into the live log. The export
+// therefore stays stable while the exporting shard keeps appending, at a
+// cost independent of how long the history is.
 func (l *Logger) ExportTarget(name string) (TargetState, bool) {
 	tl := l.targets[name]
 	if tl == nil {
@@ -432,9 +476,10 @@ func (l *Logger) ExportTarget(name string) (TargetState, bool) {
 
 // ImportTarget replaces one target's history with ts, leaving every
 // other target untouched — the receiving side of a shard handoff. The
-// materialized tables and storage counters are rebuilt by replaying the
-// recorded delta chain, exactly as a checkpoint's decoder does for every
-// target, so Append continues the chain seamlessly.
+// materialized tables and storage counters are rebuilt by decoding and
+// replaying the recorded delta chain, exactly as a checkpoint's decoder
+// does for every target, so Append continues the chain seamlessly; the
+// records' bytes are shared with the exporter, not copied.
 func (l *Logger) ImportTarget(name string, ts TargetState) {
 	delete(l.targets, name)
 	tl := l.target(name)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core/seglog"
 	"repro/internal/core/tables"
 )
 
@@ -114,6 +115,12 @@ func TestOpenStoreRefusesAnotherFormatVersion(t *testing.T) {
 	}
 }
 
+// sealColumn puts the row count before the rows: the column a record
+// whose table has rows pairs carries.
+func sealColumn(rows int, body []byte) []byte {
+	return append(seglog.AppendUvarint(nil, uint64(rows)), body...)
+}
+
 // TestDecodeRejectsMalformedColumn: a checksummed frame whose counter
 // column does not parse into its declared row count is undecodable, like
 // any other malformed payload.
@@ -135,8 +142,8 @@ func TestDecodeRejectsMalformedColumn(t *testing.T) {
 		if c.ok != (err == nil) || !c.ok && !errors.Is(err, ErrBadRecord) {
 			t.Errorf("%s: decode error %v", c.name, err)
 		}
-		if c.ok && !reflect.DeepEqual(got.Rec.Pairs.Counters, c.col) {
-			t.Errorf("%s: column %x came back as %x", c.name, c.col, got.Rec.Pairs.Counters)
+		if dec, _ := got.Rec.decoded(); c.ok && !reflect.DeepEqual(dec.Pairs.Counters, c.col) {
+			t.Errorf("%s: column %x came back as %x", c.name, c.col, dec.Pairs.Counters)
 		}
 	}
 }

@@ -208,9 +208,10 @@ func (s *Store) Close() error {
 	return s.log.Close()
 }
 
-// AppendDelta persists one cycle's delta record for a target. The first
-// record of a never-seen target is preceded by a metadata record
-// announcing it. fullEntries is the full-snapshot entry count of the
+// AppendDelta persists one cycle's delta record for a target: a record
+// as the log keeps it (AppendEncoded) is written with its bytes as they
+// stand, a decoded one is encoded. The first record of a never-seen
+// target is preceded by a metadata record announcing it. fullEntries is the full-snapshot entry count of the
 // cycle, preserving the storage-compression baseline across restarts.
 func (s *Store) AppendDelta(target string, rec CycleRecord, fullEntries uint64) error {
 	s.mu.Lock()

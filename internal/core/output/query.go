@@ -130,8 +130,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // rangedSeries answers the ranged form of /series/<target>/<metric>
 // (any of from, to, limit present) through the query engine, which
 // decodes only the blocks the range meets. The output shape matches the
-// unranged endpoint exactly; limit keeps the newest n points. The bool
-// reports whether ranged mode applied.
+// unranged endpoint exactly; limit keeps the newest n points, which the
+// engine reads newest block first, decoding none it does not need. The
+// bool reports whether ranged mode applied.
 func (s *Server) rangedSeries(w http.ResponseWriter, r *http.Request, pv *process.View, target string, m process.Metric) bool {
 	v := r.URL.Query()
 	if v.Get("from") == "" && v.Get("to") == "" && v.Get("limit") == "" {
@@ -154,7 +155,7 @@ func (s *Server) rangedSeries(w http.ResponseWriter, r *http.Request, pv *proces
 			return true
 		}
 	}
-	res, err := s.runQuery(pv, tsdb.Query{Targets: []string{target}, Metric: string(m), Op: tsdb.OpRange, From: from, To: to})
+	res, err := s.runQuery(pv, tsdb.Query{Targets: []string{target}, Metric: string(m), Op: tsdb.OpRange, From: from, To: to, Limit: limit})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return true

@@ -131,6 +131,20 @@ func (r *Reader) Str() string {
 	return string(r.take(int(n)))
 }
 
+// Bytes reads a length-prefixed byte string as a slice of the payload,
+// not a copy; nil when it is empty.
+func (r *Reader) Bytes() []byte {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)-r.off) {
+		r.Fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	return r.take(int(n))
+}
+
 // Bool reads AppendBool's byte: 1 is true, anything else false.
 func (r *Reader) Bool() bool { return r.Byte() == 1 }
 

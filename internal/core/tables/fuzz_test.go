@@ -31,10 +31,13 @@ import (
 // collect.Preprocess to a []string, strings.Fields per row,
 // strings.Split per uptime, Preprocess again for the header count. It is
 // kept verbatim as the oracle FuzzBuildSnapshot compares against, with
-// ONE deliberate edit, marked "sanctioned divergence" below: the old
+// two deliberate edits, marked "sanctioned divergence" below: the old
 // parseUptime took signed numerals ("0:+5:07") because strconv.Atoi
-// does, and the scanner takes digits only. (Addresses and prefix lengths
-// had the same hole; internal/addr's FuzzParse holds that half.)
+// does, and the scanner takes digits only (addresses and prefix lengths
+// had the same hole; internal/addr's FuzzParse holds that half); and the
+// old parsers kept a route table that lists a prefix twice and a pair
+// table that lists an (S,G) twice, which the scanner rejects (see
+// refTwice).
 
 func refParseUptime(s string) (time.Duration, error) {
 	parts := strings.Split(s, ":")
@@ -69,6 +72,34 @@ func refHeaderCount(line string) (int, bool) {
 	return n, err == nil
 }
 
+// refTwice is the second sanctioned divergence: a table that lists a key
+// twice is an error naming the key. A row whose key equals the row's
+// before it fails where it stands, ahead of any later malformed row; in
+// a table that only repeats a key further apart, the least such key is
+// named once every row has parsed.
+func refTwice[E any](rows []E, key func(E) string, less func(a, b E) bool, twice func(E) error) error {
+	seen := make(map[string]E)
+	var least *E
+	for _, e := range rows {
+		if _, ok := seen[key(e)]; ok && (least == nil || less(e, *least)) {
+			least = &e
+		}
+		seen[key(e)] = e
+	}
+	if least != nil {
+		return twice(*least)
+	}
+	return nil
+}
+
+func refRouteTwice(e tables.RouteEntry) error {
+	return fmt.Errorf("tables: dvmrp prefix %s listed twice", e.Prefix)
+}
+
+func refPairTwice(e tables.PairEntry) error {
+	return fmt.Errorf("tables: mroute (S,G) (%s, %s) listed twice", e.Source, e.Group)
+}
+
 func refParseDVMRPRoutes(lines []string) (tables.RouteTable, error) {
 	var out tables.RouteTable
 	for _, line := range lines {
@@ -99,9 +130,14 @@ func refParseDVMRPRoutes(lines []string) (tables.RouteTable, error) {
 		if e.Uptime, err = refParseUptime(f[3]); err != nil {
 			return nil, err
 		}
+		// Sanctioned divergence: a prefix listed twice.
+		if n := len(out); n > 0 && out[n-1].Prefix == e.Prefix {
+			return nil, refRouteTwice(e)
+		}
 		out = append(out, e)
 	}
-	return out, nil
+	return out, refTwice(out, func(e tables.RouteEntry) string { return e.Prefix.String() },
+		func(a, b tables.RouteEntry) bool { return a.Prefix.Compare(b.Prefix) < 0 }, refRouteTwice)
 }
 
 func refParseMroute(lines []string) (tables.PairTable, error) {
@@ -134,12 +170,20 @@ func refParseMroute(lines []string) (tables.PairTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, tables.PairEntry{
+		e := tables.PairEntry{
 			Source: src, Group: grp, Flags: f[2],
 			RateKbps: rate, Packets: pkts, Uptime: up,
-		})
+		}
+		// Sanctioned divergence: an (S,G) listed twice.
+		if n := len(out); n > 0 && out[n-1].Source == src && out[n-1].Group == grp {
+			return nil, refPairTwice(e)
+		}
+		out = append(out, e)
 	}
-	return out, nil
+	return out, refTwice(out, func(e tables.PairEntry) string { return fmt.Sprint(e.Source, e.Group) },
+		func(a, b tables.PairEntry) bool {
+			return a.Group < b.Group || a.Group == b.Group && a.Source < b.Source
+		}, refPairTwice)
 }
 
 func refParseIGMP(lines []string) ([]tables.IGMPEntry, error) {
@@ -539,6 +583,17 @@ func FuzzBuildSnapshot(f *testing.F) {
 	f.Add(uint8(mroute), "Source\n128.111.41.2 224.2.0.1 DP 12 - 0.0 17 1:00:00 9\n", uint8(unknown), "")
 	for _, rate := range []string{"NaN", "-Inf", "infinity", "1e400", "0x1p-2"} {
 		f.Add(uint8(mroute), "128.111.41.2 224.2.0.1 DP 12 - "+rate+" 17 1:00:00\n", uint8(unknown), "")
+	}
+	// Keys listed twice: next to each other, ahead of a malformed row,
+	// and further apart in a table out of key order, behind which a
+	// malformed row wins.
+	const row1, row2 = "10.0.0.0/8 local 0 0:00:05\n", "128.111.0.0/16 198.32.255.3 3 12:30:00\n"
+	for _, raw := range []string{row1 + row1, row1 + row1 + "x\n", row2 + row1 + row2, row2 + row1 + row2 + "x\n", row2 + row1 + "10.0.0.0/16 local 0 0:00:05\n"} {
+		f.Add(uint8(dvmrp), raw, uint8(unknown), "")
+	}
+	const sg1, sg2 = "128.111.41.2 224.2.0.1 DP 12 - 0.0 17 1:00:00\n", "10.1.1.1 224.2.0.1 DP 12 - 0.0 17 1:00:00\n"
+	for _, raw := range []string{sg1 + sg1, sg2 + sg1 + sg2, sg1 + sg2 + sg1 + "x\n", strings.Replace(sg1, "DP", "S", 1) + sg1} {
+		f.Add(uint8(mroute), raw, uint8(dvmrp), routes)
 	}
 	f.Add(uint8(igmp), "IGMP Group Membership - 1 groups, 1 members\nGroup            Host             Uptime\n224.2.0.1        128.111.41.2     0:05:00\n", uint8(pim), "PIM Group Table - 0 entries\n")
 	f.Add(uint8(igmp), "Group\n224.2.0.1 128.111.41.2\n", uint8(unknown), "")

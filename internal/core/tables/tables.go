@@ -82,7 +82,8 @@ type ParticipantTable []ParticipantEntry
 type SessionEntry struct {
 	Group addr.IP
 	// Density is the number of participant hosts with state for the
-	// group.
+	// group: its pair rows, one an (S,G), since the scanner rejects a
+	// table that lists an (S,G) twice and the merge keeps one row a key.
 	Density int
 	// TotalRateKbps is the aggregate bandwidth into the group.
 	TotalRateKbps float64
@@ -312,28 +313,45 @@ func (r *scan) next() bool {
 
 // table is one dump layout: the prefixes of its title and column-header
 // lines, which are skipped wherever they appear, and the parser every
-// other line goes through.
+// other line goes through. A keyed table also maps a row to its key, as
+// a number in the table's key order, and a key to the error that names
+// it listed twice.
 type table[E any] struct {
 	title, columns string
 	row            func(*scan) (E, error)
+	key            func(*E) uint64
+	twice          func(key uint64) error
 }
 
 var (
-	routeTable = table[RouteEntry]{"DVMRP Routing Table", "Origin-Subnet", routeRow}
-	pairTable  = table[PairEntry]{"IP Multicast Forwarding Table", "Source ", pairRow}
-	igmpTable  = table[IGMPEntry]{"IGMP Group Membership", "Group ", igmpRow}
-	saTable    = table[SAEntry]{"MSDP Source-Active Cache", "Source ", saRow}
-	mbgpTable  = table[MBGPEntry]{"MBGP Table", "Network ", mbgpRow}
+	routeTable = table[RouteEntry]{"DVMRP Routing Table", "Origin-Subnet", routeRow,
+		func(e *RouteEntry) uint64 { return uint64(e.Prefix.Addr)<<8 | uint64(e.Prefix.Len) },
+		func(k uint64) error {
+			return fmt.Errorf("tables: dvmrp prefix %s listed twice", addr.Prefix{Addr: addr.IP(k >> 8), Len: int(k & 0xff)})
+		}}
+	pairTable = table[PairEntry]{"IP Multicast Forwarding Table", "Source ", pairRow,
+		func(e *PairEntry) uint64 { return uint64(e.Group)<<32 | uint64(e.Source) },
+		func(k uint64) error {
+			return fmt.Errorf("tables: mroute (S,G) (%s, %s) listed twice", addr.IP(uint32(k)), addr.IP(k>>32))
+		}}
+	igmpTable = table[IGMPEntry]{title: "IGMP Group Membership", columns: "Group ", row: igmpRow}
+	saTable   = table[SAEntry]{title: "MSDP Source-Active Cache", columns: "Source ", row: saRow}
+	mbgpTable = table[MBGPEntry]{title: "MBGP Table", columns: "Network ", row: mbgpRow}
 )
 
 // parse maps the lines r has left of target's dump of command to a
 // table. The first line's declared entry count, which it keeps in r,
 // sizes the table before the first row is kept, capped by what the
 // dump's length could hold. It stops at the first row that does not
-// parse.
+// parse, or in a keyed table at the first row whose key repeats the
+// row's before it; a table out of key order, which no router renders,
+// is then checked for a key anywhere twice by sorting a copy of its
+// keys.
 func (t table[E]) parse(r *scan, target, command string) ([]E, error) {
 	most := len(r.rest) / minRowBytes
 	var out []E
+	var last uint64
+	sorted := true
 	for first := true; r.next(); first = false {
 		if first {
 			if r.count = r.headerCount(); r.count.ok && r.count.n < most {
@@ -352,6 +370,29 @@ func (t table[E]) parse(r *scan, target, command string) ([]E, error) {
 			out = make([]E, 0, most)
 		}
 		out = append(out, e)
+		if t.key == nil {
+			continue
+		}
+		k := t.key(&out[len(out)-1])
+		if len(out) > 1 && k <= last {
+			if k == last {
+				return nil, fmt.Errorf("tables: %s %q: %w", target, command, t.twice(k))
+			}
+			sorted = false
+		}
+		last = k
+	}
+	if !sorted {
+		keys := make([]uint64, len(out))
+		for i := range out {
+			keys[i] = t.key(&out[i])
+		}
+		slices.Sort(keys)
+		for i := 1; i < len(keys); i++ {
+			if keys[i] == keys[i-1] {
+				return nil, fmt.Errorf("tables: %s %q: %w", target, command, t.twice(keys[i]))
+			}
+		}
 	}
 	return out, nil
 }

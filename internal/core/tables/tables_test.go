@@ -105,6 +105,38 @@ func TestParseMrouteRejectsNonFiniteRate(t *testing.T) {
 	}
 }
 
+// TestBuildSnapshotRejectsRepeatedKeys: a route table that lists a
+// prefix twice, or a pair table that lists an (S,G) twice, does not
+// parse, whether the rows are adjacent or, in a table out of key order,
+// apart; the error names the target, the command and the key. (Kept, a
+// repeated (S,G) counted twice in a session's density and a repeated
+// prefix twice in the route count, where a recovery, replaying the
+// logger's one row per key, counted once.)
+func TestBuildSnapshotRejectsRepeatedKeys(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
+	const (
+		r1, r2 = "10.0.0.0/8 local 0 0:00:05\n", "128.111.0.0/16 198.32.255.3 3 12:30:00\n"
+		p1, p2 = "128.111.41.2 224.2.0.1 DP 12 - 0.0 17 1:00:00\n", "10.1.1.1 224.2.0.1 DP 12 - 0.0 17 1:00:00\n"
+	)
+	for _, c := range []struct{ command, raw, want string }{
+		{"show ip dvmrp route", r1 + r1, `tables: r "show ip dvmrp route": tables: dvmrp prefix 10.0.0.0/8 listed twice`},
+		{"show ip dvmrp route", r2 + r1 + r2, `tables: r "show ip dvmrp route": tables: dvmrp prefix 128.111.0.0/16 listed twice`},
+		{"show ip mroute", p1 + p1, `tables: r "show ip mroute": tables: mroute (S,G) (128.111.41.2, 224.2.0.1) listed twice`},
+		{"show ip mroute", p1 + p2 + p1, `tables: r "show ip mroute": tables: mroute (S,G) (128.111.41.2, 224.2.0.1) listed twice`},
+	} {
+		sn, err := one(c.command, c.raw)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: snapshot %+v, error %v; want error %s", c.raw, sn, err, c.want)
+		}
+	}
+	// One row a key, in or out of order, still parses.
+	for _, c := range [][2]string{{"show ip dvmrp route", r2 + r1}, {"show ip mroute", p1 + p2}, {"show ip mroute", p2 + p1}} {
+		if _, err := one(c[0], c[1]); err != nil {
+			t.Errorf("%q: %v", c[1], err)
+		}
+	}
+}
+
 func TestParseUptimeValidation(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	raw := "1.1.1.1 224.1.1.1 D 0 - 1.0 5 0:99:00"

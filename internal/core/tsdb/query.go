@@ -59,6 +59,12 @@ type Query struct {
 	// Tier selects range resolution: 0 raw, Tier10 or Tier100 for one
 	// averaged point per bucket. Aggregates always read raw data.
 	Tier int
+	// Limit, when positive, keeps a raw range to its newest Limit points
+	// per target: the blocks are read newest first, and no block older
+	// than the Limit-th newest point in range is decoded. Series are
+	// appended in nondecreasing time, so those are the points a read of
+	// the whole range would end with.
+	Limit int
 }
 
 // Agg is the aggregate summary of the value points a query matched.
@@ -116,6 +122,8 @@ func (r *reader) QueryTarget(q Query, target string) (TargetResult, error) {
 		res.Agg, err = sr.aggregate(lo, hi)
 	case q.Tier == Tier10 || q.Tier == Tier100:
 		res.Points, err = sr.tierRange(q.Tier, lo, hi)
+	case q.Limit > 0:
+		res.Points, err = sr.newest(lo, hi, q.Limit)
 	default:
 		res.Points, err = sr.rawRange(lo, hi)
 	}
@@ -218,6 +226,38 @@ func (sr *series) rawRange(lo, hi int64) ([]Point, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// newest returns the last limit points in [lo, hi], in append order,
+// nil when there are none: the head's, then each block's meeting the
+// range, newest first, taken from the end until limit are held.
+func (sr *series) newest(lo, hi int64, limit int) ([]Point, error) {
+	out := make([]Point, min(limit, sr.bound(lo, hi))) // filled from the end
+	k := len(out)
+	take := func(pts []Point) {
+		for j := len(pts) - 1; j >= 0 && k > 0; j-- {
+			if pts[j].T >= lo && pts[j].T <= hi {
+				k--
+				out[k] = pts[j]
+			}
+		}
+	}
+	take(sr.head)
+	var arr [BlockPoints]Point // decode buffer
+	for i := len(sr.blocks) - 1; i >= 0 && k > 0; i-- {
+		if info := sr.infos[i]; info.LastT < lo || info.FirstT > hi {
+			continue
+		}
+		pts, err := appendBlock(arr[:0], sr.blocks[i])
+		if err != nil {
+			return nil, err
+		}
+		take(pts)
+	}
+	if k == len(out) {
+		return nil, nil
+	}
+	return out[k:], nil
 }
 
 // aggregate folds the value points in [lo, hi], reading fully-contained
