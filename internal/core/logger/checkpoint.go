@@ -84,8 +84,8 @@ func decodeCheckpoint(b []byte) (*ckptPayload, error) {
 		full := r.Uvarint()
 		tl.gaps = seglog.ReadList(r.Reader, 2, func() GapMark { return GapMark{At: r.Time(), Reason: r.Str()} })
 		for m := r.Count(9); m > 0 && r.Err() == nil; m-- {
-			if dec, kept, _ := r.delta(); r.Err() == nil {
-				_ = pay.Log.apply(name, dec, kept.body, 0) // a misfit is kept, as the live log kept it
+			if dec, body, _ := r.delta(); r.Err() == nil {
+				_ = pay.Log.apply(name, dec, body, 0) // a misfit is kept, as the live log kept it
 			}
 		}
 		tl.fullEntries = full
@@ -147,7 +147,7 @@ func (s *Store) Recover() *RecoveredArchive {
 	for _, r := range s.tail {
 		switch r.Kind {
 		case recDelta:
-			if ra.Logger.ApplyRecord(r.Target, r.Rec, r.FullEntries) != nil {
+			if ra.Logger.apply(r.Target, r.Rec, r.body, r.FullEntries) != nil {
 				ra.Stats.UnappliedCounters++
 			}
 			sn, _ := ra.Logger.Materialized(r.Target)

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 
 	"repro/internal/addr"
@@ -38,9 +37,12 @@ type walRecord struct {
 	Kind   byte
 	Target string
 
-	// Delta fields (recDelta). A decoded Rec is in the form the log
-	// keeps, its change sets encoded in a copy of the payload's bytes.
+	// Delta fields (recDelta). Rec is written in either form; a decoded
+	// one comes with its change sets' bytes in body, a copy of the
+	// payload's as the log keeps them, which its counter column is a
+	// slice of.
 	Rec         CycleRecord
+	body        []byte
 	FullEntries uint64
 
 	// Gap fields (recGap).
@@ -196,80 +198,6 @@ func own(b []byte) []byte {
 	return bytes.Clone(b)
 }
 
-// The lists of a cycle's change sets, in encoding order around the
-// counter column.
-const (
-	pairUps = iota
-	pairGone
-	routeUps
-	routeGone
-)
-
-// encoder is AppendEncoded's scratch: a cycle's four change lists and
-// its counter rows, each encoded as the walk finds its entries, for the
-// record's bytes to be assembled from once their lengths are known.
-type encoder struct {
-	lists [4]struct {
-		n int
-		b []byte
-	}
-	column []byte
-}
-
-func (e *encoder) reset() {
-	for i := range e.lists {
-		e.lists[i].n, e.lists[i].b = 0, e.lists[i].b[:0]
-	}
-	e.column = e.column[:0]
-}
-
-// add counts one more entry of list i, whose bytes are now b.
-func (e *encoder) add(i int, b []byte) {
-	e.lists[i].n++
-	e.lists[i].b = b
-}
-
-// entries counts the upserts and removals: the cycle's delta entries.
-func (e *encoder) entries() uint64 {
-	n := 0
-	for _, l := range e.lists {
-		n += l.n
-	}
-	return uint64(n)
-}
-
-// body assembles the change sets appendChanges would write, in one
-// allocation of their exact length: the column, if a counter moved, is
-// the table's row count and then its rows. A quiet cycle gets quietBody.
-func (e *encoder) body(rows int, moved bool) []byte {
-	col := 0
-	if moved {
-		col = uvarintLen(uint64(rows)) + len(e.column)
-	} else if e.entries() == 0 {
-		return quietBody
-	}
-	size := uvarintLen(uint64(col)) + col
-	for _, l := range e.lists {
-		size += uvarintLen(uint64(l.n)) + len(l.b)
-	}
-	b := make([]byte, 0, size)
-	for i, l := range e.lists {
-		if i == routeUps {
-			b = seglog.AppendUvarint(b, uint64(col))
-			if moved {
-				b = seglog.AppendUvarint(b, uint64(rows))
-				b = append(b, e.column...)
-			}
-		}
-		b = seglog.AppendUvarint(b, uint64(l.n))
-		b = append(b, l.b...)
-	}
-	return b
-}
-
-// uvarintLen is the length of v's uvarint encoding.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
 // encodePayload renders a record's payload (everything inside the frame).
 func encodePayload(r walRecord) []byte {
 	b := make([]byte, 0, 64+len(r.Rec.body))
@@ -329,34 +257,39 @@ func (r byteReader) route() tables.RouteEntry {
 }
 
 // changes reads appendChanges' bytes: the change sets, their counter
-// column a slice of the bytes read, and those bytes.
-func (r byteReader) changes() (p PairDelta, rt RouteDelta, raw []byte) {
+// column a slice of the bytes read, and those bytes. With keep, the
+// bytes returned are a copy the log can keep (own), and the column is a
+// slice of the copy instead.
+func (r byteReader) changes(keep bool) (p PairDelta, rt RouteDelta, raw []byte) {
 	start := r.Rest()
 	p.Upserted = seglog.ReadList(r.Reader, 2, r.pair)
 	p.Removed = seglog.ReadList(r.Reader, 8, r.pairKey)
 	if p.Counters = r.Bytes(); p.Counters != nil && readColumn(p.Counters, nil, false) != nil {
 		r.Fail()
 	}
+	colEnd := len(start) - len(r.Rest())
 	rt.Upserted = seglog.ReadList(r.Reader, 2, r.route)
 	rt.Removed = seglog.ReadList(r.Reader, 5, r.prefix)
-	return p, rt, start[:len(start)-len(r.Rest())]
+	raw = start[:len(start)-len(r.Rest())]
+	if keep && r.Err() == nil {
+		raw = own(raw)
+		if p.Counters != nil {
+			p.Counters = raw[colEnd-len(p.Counters) : colEnd]
+		}
+	}
+	return p, rt, raw
 }
 
-// delta reads an appendDelta record: decoded, its counter column a
-// slice of the reader's bytes, and as the log keeps it, its change sets
-// in bytes of its own.
-func (r byteReader) delta() (dec, kept CycleRecord, fullEntries uint64) {
+// delta reads an appendDelta record, decoded, and its change sets'
+// bytes as the log keeps them, in a copy of their own that the counter
+// column is a slice of.
+func (r byteReader) delta() (dec CycleRecord, body []byte, fullEntries uint64) {
 	dec.At = r.Time()
 	fullEntries = r.Uvarint()
 	dec.SACache = int(r.Uvarint())
 	dec.MBGPRoutes = int(r.Uvarint())
-	var raw []byte
-	dec.Pairs, dec.Routes, raw = r.changes()
-	kept = CycleRecord{At: dec.At, SACache: dec.SACache, MBGPRoutes: dec.MBGPRoutes}
-	if r.Err() == nil {
-		kept.body = own(raw)
-	}
-	return dec, kept, fullEntries
+	dec.Pairs, dec.Routes, body = r.changes(true)
+	return dec, body, fullEntries
 }
 
 // decoded returns rec with its change sets decoded from the bytes the
@@ -367,7 +300,7 @@ func (rec CycleRecord) decoded() (CycleRecord, error) {
 		return rec, nil
 	}
 	r := byteReader{seglog.NewReader(rec.body, ErrBadRecord)}
-	rec.Pairs, rec.Routes, _ = r.changes()
+	rec.Pairs, rec.Routes, _ = r.changes(false)
 	rec.body = nil
 	if len(r.Rest()) != 0 {
 		r.Fail()
@@ -384,7 +317,7 @@ func decodePayload(b []byte) (walRecord, error) {
 	out.Target = r.Str()
 	switch out.Kind {
 	case recDelta:
-		_, out.Rec, out.FullEntries = r.delta()
+		out.Rec, out.body, out.FullEntries = r.delta()
 	case recGap:
 		out.At = r.Time()
 		out.Reason = r.Str()

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core/seglog"
 	"repro/internal/core/tables"
 )
 
@@ -106,7 +107,11 @@ type targetLog struct {
 // cycle core that drives it, it belongs to one goroutine at a time.
 type Logger struct {
 	targets map[string]*targetLog
-	enc     encoder // AppendEncoded's scratch, shared by every target
+	// AppendEncoded's scratch, shared by every target: a cycle's change
+	// sets, its counter rows and column, and their encoding.
+	pairs           PairDelta
+	routes          RouteDelta
+	rows, col, body []byte
 }
 
 // New returns an empty logger.
@@ -152,17 +157,20 @@ func (l *Logger) Append(sn *tables.Snapshot) CycleRecord {
 // order, and are then kept — by reference, not copied — as the next
 // cycle's predecessor, and the snapshot as the target's Latest: a
 // snapshot handed to Append must not be written afterwards. The walk
-// encodes the change sets into the logger's scratch as it finds them,
-// and the record gets one copy of them at its exact length; a cycle in
-// which nothing changed shares quietBody and allocates nothing.
+// gathers the change sets in the logger's scratch, appendChanges
+// encodes them there, and the record gets one copy of the bytes at
+// their exact length; a cycle in which nothing changed shares quietBody
+// and allocates nothing.
 func (l *Logger) AppendEncoded(sn *tables.Snapshot) CycleRecord {
 	tl := l.target(sn.Target)
-	e := &l.enc
-	e.reset()
+	p, r := &l.pairs, &l.routes
+	p.Upserted, p.Removed = p.Upserted[:0], p.Removed[:0]
+	r.Upserted, r.Removed = r.Upserted[:0], r.Removed[:0]
+	l.rows = l.rows[:0]
 	moved := false
 	tl.pairs = tl.pairs.Walk(sn.Pairs, func(old, cur *tables.PairEntry) {
 		if cur == nil {
-			e.add(pairGone, appendPairKey(e.lists[pairGone].b, pairKey{Source: old.Source, Group: old.Group}))
+			p.Removed = append(p.Removed, pairKey{Source: old.Source, Group: old.Group})
 			return
 		}
 		var packets, rate uint64 // a new key's predecessor counts nothing
@@ -170,27 +178,32 @@ func (l *Logger) AppendEncoded(sn *tables.Snapshot) CycleRecord {
 			packets, rate = old.Packets, math.Float64bits(old.RateKbps)
 		}
 		if old == nil || identity(*old) != identity(*cur) {
-			e.add(pairUps, appendPair(e.lists[pairUps].b, *cur))
+			p.Upserted = append(p.Upserted, identity(*cur))
 		}
-		d, r := cur.Packets-packets, math.Float64bits(cur.RateKbps)
-		e.column = appendCounter(e.column, d, r, r != rate)
-		moved = moved || d != 0 || r != rate
+		d, rt := cur.Packets-packets, math.Float64bits(cur.RateKbps)
+		l.rows = appendCounter(l.rows, d, rt, rt != rate)
+		moved = moved || d != 0 || rt != rate
 	})
-	rows := len(tl.pairs)
+	p.Counters = nil
+	if moved { // the column: the table's row count, then its rows
+		l.col = append(seglog.AppendUvarint(l.col[:0], uint64(len(tl.pairs))), l.rows...)
+		p.Counters = l.col
+	}
 	tl.routes = tl.routes.Walk(sn.Routes, func(old, cur *tables.RouteEntry) {
 		switch {
 		case cur == nil:
-			e.add(routeGone, appendPrefix(e.lists[routeGone].b, old.Prefix))
+			r.Removed = append(r.Removed, old.Prefix)
 		case old == nil || normRoute(*old) != normRoute(*cur):
-			e.add(routeUps, appendRoute(e.lists[routeUps].b, normRoute(*cur)))
+			r.Upserted = append(r.Upserted, normRoute(*cur))
 		}
 	})
 
-	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP), body: e.body(rows, moved)}
+	l.body = appendChanges(l.body[:0], *p, *r)
+	rec := CycleRecord{At: sn.At, SACache: len(sn.SAs), MBGPRoutes: len(sn.MBGP), body: own(l.body)}
 	tl.latest = sn
 	tl.Records = append(tl.Records, rec)
 	tl.fullEntries += uint64(len(sn.Pairs) + len(sn.Routes))
-	tl.deltaEntries += e.entries()
+	tl.deltaEntries += deltaSize(CycleRecord{Pairs: *p, Routes: *r})
 	return rec
 }
 

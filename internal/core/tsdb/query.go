@@ -122,10 +122,12 @@ func (r *reader) QueryTarget(q Query, target string) (TargetResult, error) {
 		res.Agg, err = sr.aggregate(lo, hi)
 	case q.Tier == Tier10 || q.Tier == Tier100:
 		res.Points, err = sr.tierRange(q.Tier, lo, hi)
-	case q.Limit > 0:
-		res.Points, err = sr.newest(lo, hi, q.Limit)
 	default:
-		res.Points, err = sr.rawRange(lo, hi)
+		limit := q.Limit
+		if limit <= 0 {
+			limit = math.MaxInt
+		}
+		res.Points, err = sr.newest(lo, hi, limit)
 	}
 	return res, err
 }
@@ -208,43 +210,33 @@ func (sr *series) bound(lo, hi int64) int {
 	return n
 }
 
-// rawRange returns the points in [lo, hi], nil when there are none,
-// made once with the room the sparse index bounds them by.
-func (sr *series) rawRange(lo, hi int64) ([]Point, error) {
-	var out []Point
-	err := sr.scan(lo, hi, func(pts []Point) {
-		for _, pt := range pts {
-			if pt.T >= lo && pt.T <= hi {
-				if out == nil {
-					out = make([]Point, 0, sr.bound(lo, hi))
-				}
-				out = append(out, pt)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // newest returns the last limit points in [lo, hi], in append order,
 // nil when there are none: the head's, then each block's meeting the
-// range, newest first, taken from the end until limit are held.
+// range, newest first, taken from the end until limit are held. The
+// output is made at the first point in range, with the room the sparse
+// index bounds them by.
 func (sr *series) newest(lo, hi int64, limit int) ([]Point, error) {
-	out := make([]Point, min(limit, sr.bound(lo, hi))) // filled from the end
-	k := len(out)
+	var out []Point // filled from the end
+	k := 0
 	take := func(pts []Point) {
-		for j := len(pts) - 1; j >= 0 && k > 0; j-- {
-			if pts[j].T >= lo && pts[j].T <= hi {
-				k--
-				out[k] = pts[j]
+		for j := len(pts) - 1; j >= 0; j-- {
+			if pts[j].T < lo || pts[j].T > hi {
+				continue
+			}
+			if out == nil {
+				out = make([]Point, min(limit, sr.bound(lo, hi)))
+				k = len(out)
+			}
+			k--
+			out[k] = pts[j]
+			if k == 0 {
+				return
 			}
 		}
 	}
 	take(sr.head)
 	var arr [BlockPoints]Point // decode buffer
-	for i := len(sr.blocks) - 1; i >= 0 && k > 0; i-- {
+	for i := len(sr.blocks) - 1; i >= 0 && (out == nil || k > 0); i-- {
 		if info := sr.infos[i]; info.LastT < lo || info.FirstT > hi {
 			continue
 		}
@@ -253,9 +245,6 @@ func (sr *series) newest(lo, hi int64, limit int) ([]Point, error) {
 			return nil, err
 		}
 		take(pts)
-	}
-	if k == len(out) {
-		return nil, nil
 	}
 	return out[k:], nil
 }
