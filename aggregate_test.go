@@ -17,17 +17,20 @@ import (
 	"repro/internal/workload"
 )
 
+// upFor is the Since of state that has been up for d at sim.Epoch.
+func upFor(d time.Duration) int64 { return sim.Epoch.Add(-d).UnixNano() }
+
 func TestMergeSnapshotsDedup(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	s1 := &tables.Snapshot{Target: "a", At: sim.Epoch, Pairs: tables.PairTable{
-		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.1.1.1"), RateKbps: 64, Packets: 100, Uptime: time.Hour},
+		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.1.1.1"), RateKbps: 64, Packets: 100, Since: upFor(time.Hour)},
 		{Source: addr.MustParse("2.2.2.2"), Group: addr.MustParse("224.1.1.1"), RateKbps: 1},
 	}, Routes: tables.RouteTable{
 		{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Metric: 3},
 	}}
 	s2 := &tables.Snapshot{Target: "b", At: sim.Epoch, Pairs: tables.PairTable{
-		// Same pair seen elsewhere with lower rate but longer uptime.
-		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.1.1.1"), RateKbps: 50, Packets: 200, Uptime: 2 * time.Hour},
+		// Same pair seen elsewhere with lower rate but an earlier Since.
+		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.1.1.1"), RateKbps: 50, Packets: 200, Since: upFor(2 * time.Hour)},
 		{Source: addr.MustParse("3.3.3.3"), Group: addr.MustParse("224.1.1.2"), RateKbps: 2},
 	}, Routes: tables.RouteTable{
 		{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Metric: 1},
@@ -41,7 +44,7 @@ func TestMergeSnapshotsDedup(t *testing.T) {
 		t.Fatalf("pairs = %d, want 3 (dedup)", len(agg.Pairs))
 	}
 	first := agg.Pairs[0]
-	if first.RateKbps != 64 || first.Packets != 200 || first.Uptime != 2*time.Hour {
+	if first.RateKbps != 64 || first.Packets != 200 || first.Since != upFor(2*time.Hour) {
 		t.Errorf("merged pair = %+v", first)
 	}
 	if len(agg.Routes) != 2 {
@@ -56,28 +59,28 @@ func TestMergeSnapshotsDedup(t *testing.T) {
 // snapshots must merge to the identical aggregate — the property that
 // lets the cycle engine merge without caring how collection finished.
 // The inputs deliberately include every tie the merge breaks: equal
-// uptimes with different Since, equal metrics, field-wise max races.
+// Since with different flags, equal metrics, field-wise max races.
 func TestMergeSnapshotsOrderIndependent(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	src := addr.MustParse("1.1.1.1")
 	grp := addr.MustParse("224.1.1.1")
-	mk := func(target string, rate float64, pkts uint64, up time.Duration, since time.Time, flags string, metric int) *tables.Snapshot {
+	mk := func(target string, rate float64, pkts uint64, up time.Duration, flags string, metric int) *tables.Snapshot {
 		return &tables.Snapshot{Target: target, At: sim.Epoch, Pairs: tables.PairTable{
-			{Source: src, Group: grp, RateKbps: rate, Packets: pkts, Uptime: up, Since: since, Flags: flags},
+			{Source: src, Group: grp, RateKbps: rate, Packets: pkts, Since: upFor(up), Flags: flags},
 		}, Routes: tables.RouteTable{
-			{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Metric: metric, Uptime: up, Since: since},
+			{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Metric: metric, Since: upFor(up)},
 		}}
 	}
 	snaps := []*tables.Snapshot{
-		mk("a", 64, 100, time.Hour, sim.Epoch.Add(-time.Hour), "DP", 3),
-		mk("b", 50, 200, 2*time.Hour, sim.Epoch.Add(-2*time.Hour), "D", 1),
-		// Same uptime as b, later Since, higher rate: rate must still win
-		// field-wise while b's (Since, Flags) identity survives.
-		mk("c", 99, 150, 2*time.Hour, sim.Epoch.Add(-time.Hour), "DT", 1),
-		mk("d", 10, 400, 30*time.Minute, sim.Epoch.Add(-30*time.Minute), "P", 2),
-		// Same uptime and Since as b: only the flags break the tie, and
-		// the lesser wins whichever arrives first.
-		mk("e", 20, 50, 2*time.Hour, sim.Epoch.Add(-2*time.Hour), "C", 1),
+		mk("a", 64, 100, time.Hour, "DP", 3),
+		mk("b", 50, 200, 2*time.Hour, "D", 1),
+		// Later Since than b, higher rate: rate must still win field-wise
+		// while b's (Since, Flags) identity survives.
+		mk("c", 99, 150, time.Hour, "DT", 1),
+		mk("d", 10, 400, 30*time.Minute, "P", 2),
+		// Same Since as b: only the flags break the tie, and the lesser
+		// wins whichever arrives first.
+		mk("e", 20, 50, 2*time.Hour, "C", 1),
 		nil,
 	}
 	ref := mantra.MergeSnapshots("aggregate", sim.Epoch, snaps...)
@@ -95,16 +98,15 @@ func TestMergeSnapshotsOrderIndependent(t *testing.T) {
 		}
 	}
 	// Sanity on the reference itself: one pair, rate/packets are maxima,
-	// uptime belongs to the dominant (longest-lived, earliest-Since,
-	// least-flags) entry.
+	// Since belongs to the dominant (earliest-Since, least-flags) entry.
 	if len(ref.Pairs) != 1 {
 		t.Fatalf("pairs = %d", len(ref.Pairs))
 	}
 	p := ref.Pairs[0]
-	if p.RateKbps != 99 || p.Packets != 400 || p.Uptime != 2*time.Hour || p.Flags != "C" {
+	if p.RateKbps != 99 || p.Packets != 400 || p.Since != upFor(2*time.Hour) || p.Flags != "C" {
 		t.Errorf("merged pair = %+v", p)
 	}
-	if len(ref.Routes) != 1 || ref.Routes[0].Metric != 1 || ref.Routes[0].Uptime != 2*time.Hour {
+	if len(ref.Routes) != 1 || ref.Routes[0].Metric != 1 || ref.Routes[0].Since != upFor(2*time.Hour) {
 		t.Errorf("merged route = %+v", ref.Routes[0])
 	}
 }
@@ -121,27 +123,27 @@ func TestMergeSnapshotsHandoffRace(t *testing.T) {
 	gone := addr.MustParse("9.9.9.9")
 	grp := addr.MustParse("224.1.1.1")
 	stale := &tables.Snapshot{Target: "fixw", At: sim.Epoch, Pairs: tables.PairTable{
-		{Source: src, Group: grp, RateKbps: 64, Packets: 100, Uptime: time.Hour},
+		{Source: src, Group: grp, RateKbps: 64, Packets: 100, Since: upFor(time.Hour)},
 		// Withdrawn by the time the new owner collects: must not survive.
-		{Source: gone, Group: grp, RateKbps: 8, Packets: 10, Uptime: time.Minute},
+		{Source: gone, Group: grp, RateKbps: 8, Packets: 10, Since: upFor(time.Minute)},
 	}, Routes: tables.RouteTable{
 		{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Metric: 1},
 		{Prefix: addr.MustParsePrefix("99.0.0.0/8"), Metric: 1},
 	}}
 	fresh := &tables.Snapshot{Target: "fixw", At: sim.Epoch.Add(time.Second), Pairs: tables.PairTable{
-		{Source: src, Group: grp, RateKbps: 32, Packets: 150, Uptime: time.Hour + time.Second},
+		{Source: src, Group: grp, RateKbps: 32, Packets: 150, Since: upFor(time.Hour)}, // up 1h1s at its At
 	}, Routes: tables.RouteTable{
 		{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Metric: 3},
 	}}
 	other := &tables.Snapshot{Target: "ucsb-r1", At: sim.Epoch, Pairs: tables.PairTable{
-		{Source: src, Group: grp, RateKbps: 16, Packets: 50, Uptime: 30 * time.Minute},
+		{Source: src, Group: grp, RateKbps: 16, Packets: 50, Since: upFor(30 * time.Minute)},
 	}}
 	ref := mantra.MergeSnapshots("fleet", sim.Epoch.Add(time.Second), stale, fresh, other)
 	if len(ref.Pairs) != 1 {
 		t.Fatalf("pairs = %d, want 1 (stale 9.9.9.9 pair must not survive handoff)", len(ref.Pairs))
 	}
 	p := ref.Pairs[0]
-	if p.Packets != 150 || p.Uptime != time.Hour+time.Second {
+	if p.Packets != 150 || p.Since != upFor(time.Hour) {
 		t.Errorf("merged pair = %+v, want fresh fixw observation to dominate", p)
 	}
 	if p.RateKbps != 32 {
@@ -173,7 +175,7 @@ func TestMergeSnapshotsHandoffRace(t *testing.T) {
 	// Equal At (no real race — e.g. the engine's own aggregate fed back)
 	// falls through to the commutative entry-level merge.
 	tie := &tables.Snapshot{Target: "fixw", At: sim.Epoch, Pairs: tables.PairTable{
-		{Source: src, Group: grp, RateKbps: 80, Packets: 90, Uptime: time.Hour},
+		{Source: src, Group: grp, RateKbps: 80, Packets: 90, Since: upFor(time.Hour)},
 	}}
 	both := mantra.MergeSnapshots("fleet", sim.Epoch, stale, tie)
 	if len(both.Pairs) != 2 {

@@ -286,13 +286,13 @@ func BenchmarkAblationDirectRead(b *testing.B) {
 			sn.Pairs = append(sn.Pairs, tables.PairEntry{
 				Source: e.Key.Source, Group: e.Key.Group,
 				Flags: e.Flags.String(), RateKbps: e.RateKbps,
-				Packets: e.Packets, Uptime: now.Sub(e.Created),
+				Packets: e.Packets, Since: e.Created.UnixNano(),
 			})
 		}
 		for _, route := range r.Net.DVMRP.Table(rt.Spec.ID) {
 			sn.Routes = append(sn.Routes, tables.RouteEntry{
 				Prefix: route.Prefix, Metric: route.Metric,
-				Uptime: now.Sub(route.Since),
+				Since: route.Since.UnixNano(),
 			})
 		}
 	}
@@ -496,7 +496,7 @@ func BenchmarkAblationSNMPWalk(b *testing.B) {
 	b.ResetTimer()
 	var routes int
 	for i := 0; i < b.N; i++ {
-		tbls, err := collect.CollectSNMP(c)
+		tbls, err := snmp.CollectSNMP(c)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -566,7 +566,7 @@ func TestCheckpointAllocFlatInHistory(t *testing.T) {
 	at := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
 	routes := make(tables.RouteTable, 60)
 	for i := range routes {
-		routes[i] = tables.RouteEntry{Prefix: addr.PrefixFrom(addr.IP(uint32(i)<<16), 16), Metric: 1 + i%5, Since: at}
+		routes[i] = tables.RouteEntry{Prefix: addr.PrefixFrom(addr.IP(uint32(i)<<16), 16), Metric: 1 + i%5, Since: at.UnixNano()}
 	}
 	checkpoint := func(records int) (allocs float64, bytes, file uint64) {
 		st, err := logger.OpenStore(t.TempDir(), logger.StoreOptions{})
@@ -713,7 +713,7 @@ func counterTables(pairs int) (a, b tables.PairTable) {
 	since := time.Date(2001, 9, 3, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < pairs; i++ {
 		e := tables.PairEntry{Source: addr.IP(0x0a000000 + uint32(i%50)), Group: addr.IP(0xe0020000 + uint32(i/50)),
-			Flags: "DT", RateKbps: float64(i%7) + 0.25, Packets: uint64(1000 * i), Since: since}
+			Flags: "DT", RateKbps: float64(i%7) + 0.25, Packets: uint64(1000 * i), Since: since.UnixNano()}
 		a = append(a, e)
 		e.Packets += uint64(1 + i%90)
 		if i%5 == 0 {
@@ -802,7 +802,7 @@ func TestLoggerHistoryRetainedBytes(t *testing.T) {
 		sn := &tables.Snapshot{Target: "dvmrp", At: since.Add(time.Duration(c) * 30 * time.Minute), Routes: make(tables.RouteTable, entries)}
 		for i := range sn.Routes {
 			sn.Routes[i] = tables.RouteEntry{Prefix: addr.PrefixFrom(addr.IP(0x0a000000+uint32(i)<<8), 24),
-				Gateway: addr.V4(192, 168, 0, 1), Metric: 1 + (c+i)%15, Since: since}
+				Gateway: addr.V4(192, 168, 0, 1), Metric: 1 + (c+i)%15, Since: since.UnixNano()}
 		}
 		return sn
 	}
@@ -810,7 +810,7 @@ func TestLoggerHistoryRetainedBytes(t *testing.T) {
 		sn := &tables.Snapshot{Target: "rp", At: since.Add(time.Duration(c) * 30 * time.Minute), Pairs: make(tables.PairTable, entries)}
 		for i := range sn.Pairs {
 			sn.Pairs[i] = tables.PairEntry{Source: addr.IP(0x0a000000 + uint32(i%50)), Group: addr.IP(0xe0020000 + uint32(i/50)),
-				Flags: [2]string{"DT", "DP"}[c%2], RateKbps: 2.5, Packets: 1000, Since: since}
+				Flags: [2]string{"DT", "DP"}[c%2], RateKbps: 2.5, Packets: 1000, Since: since.UnixNano()}
 		}
 		return sn
 	}

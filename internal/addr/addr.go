@@ -145,8 +145,8 @@ type Prefix struct {
 	// Addr is the network address; bits below Len are kept zero by the
 	// constructors in this package.
 	Addr IP
-	// Len is the mask length, 0..32.
-	Len int
+	// Len is the mask length, 0..32: a byte, so a prefix is 8 bytes.
+	Len uint8
 }
 
 // PrefixFrom masks ip down to length bits and returns the prefix.
@@ -155,7 +155,7 @@ func PrefixFrom(ip IP, bits int) Prefix {
 	if bits < 0 || bits > 32 {
 		panic(fmt.Sprintf("addr: prefix length %d out of range", bits))
 	}
-	return Prefix{Addr: ip & maskFor(bits), Len: bits}
+	return Prefix{Addr: ip & maskFor(bits), Len: uint8(bits)}
 }
 
 // ParsePrefix parses CIDR notation such as "128.111.0.0/16". The length
@@ -181,7 +181,7 @@ func ParsePrefix(s string) (Prefix, error) {
 	if ip&maskFor(bits) != ip {
 		return Prefix{}, fmt.Errorf("addr: %q has host bits set", s)
 	}
-	return Prefix{Addr: ip, Len: bits}, nil
+	return Prefix{Addr: ip, Len: uint8(bits)}, nil
 }
 
 // MustParsePrefix is like ParsePrefix but panics on malformed input.
@@ -202,16 +202,16 @@ func maskFor(bits int) IP {
 
 // Mask returns the netmask of the prefix as an address,
 // e.g. 255.255.0.0 for a /16.
-func (p Prefix) Mask() IP { return maskFor(p.Len) }
+func (p Prefix) Mask() IP { return maskFor(int(p.Len)) }
 
 // String renders the prefix in CIDR notation.
 func (p Prefix) String() string {
-	return p.Addr.String() + "/" + strconv.Itoa(p.Len)
+	return p.Addr.String() + "/" + strconv.Itoa(int(p.Len))
 }
 
 // Contains reports whether ip falls inside the prefix.
 func (p Prefix) Contains(ip IP) bool {
-	return ip&maskFor(p.Len) == p.Addr
+	return ip&maskFor(int(p.Len)) == p.Addr
 }
 
 // ContainsPrefix reports whether q is entirely inside p.
@@ -229,7 +229,7 @@ func (p Prefix) First() IP { return p.Addr }
 
 // Last returns the highest address in the prefix (the broadcast address).
 func (p Prefix) Last() IP {
-	return p.Addr | ^maskFor(p.Len)
+	return p.Addr | ^maskFor(int(p.Len))
 }
 
 // NumAddresses returns the number of addresses covered by the prefix.
@@ -252,7 +252,7 @@ func (p Prefix) Parent() Prefix {
 	if p.Len == 0 {
 		panic("addr: /0 has no parent")
 	}
-	return PrefixFrom(p.Addr, p.Len-1)
+	return PrefixFrom(p.Addr, int(p.Len)-1)
 }
 
 // Compare orders prefixes first by address then by length (shorter first).
@@ -326,8 +326,8 @@ func Aggregate(ps []Prefix) []Prefix {
 func LongestMatch(ps []Prefix, ip IP) int {
 	best, bestLen := -1, -1
 	for i, p := range ps {
-		if p.Contains(ip) && p.Len > bestLen {
-			best, bestLen = i, p.Len
+		if p.Contains(ip) && int(p.Len) > bestLen {
+			best, bestLen = i, int(p.Len)
 		}
 	}
 	return best

@@ -394,7 +394,7 @@ func splitAtoiParsePrefix(s string) (Prefix, error) {
 	if ip&maskFor(bits) != ip {
 		return Prefix{}, fmt.Errorf("addr: %q has host bits set", s)
 	}
-	return Prefix{Addr: ip, Len: bits}, nil
+	return Prefix{Addr: ip, Len: uint8(bits)}, nil
 }
 
 // FuzzParse holds the in-place scanners to the Split+Atoi parsers they

@@ -188,7 +188,7 @@ func TestCheckpointEveryFieldRoundTrip(t *testing.T) {
 			rec := &ts.Records[i]
 			for j := range rec.Pairs.Upserted {
 				e := &rec.Pairs.Upserted[j]
-				e.RateKbps, e.Packets, e.Uptime = 0, 0, 0
+				e.RateKbps, e.Packets = 0, 0
 			}
 			rec.Pairs.Counters = []byte{1, 4} // one row: one more packet
 		}
@@ -316,14 +316,14 @@ func scriptedCore(t *testing.T, dir string, script []byte) (*Core, time.Time) {
 					it.Snapshot.Pairs = append(it.Snapshot.Pairs, tables.PairEntry{
 						Source: addr.V4(10, 0, 0, byte(k)), Group: addr.V4(224, 2, 0, 1), Flags: "DT",
 						RateKbps: scriptRates[b>>1&7], Packets: scriptPackets[int(b>>4)%len(scriptPackets)],
-						Since: since, Uptime: at.Sub(since)})
+						Since: since.UnixNano()})
 				}
 			}
 			for k := 0; k < 4 && len(script) > 0; k++ {
 				if b := next(); b&1 == 1 {
 					it.Snapshot.Routes = append(it.Snapshot.Routes, tables.RouteEntry{
 						Prefix: addr.PrefixFrom(addr.V4(20+byte(k), 0, 0, 0), 8), Gateway: addr.V4(192, 0, 2, 1),
-						Metric: int(b >> 1), Since: since, Uptime: at.Sub(since)})
+						Metric: int(b >> 1), Since: since.UnixNano()})
 				}
 			}
 			if len(script) > 0 {

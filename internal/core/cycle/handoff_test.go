@@ -28,8 +28,9 @@ import (
 // fresh core, so the run-length presence count crosses an import
 // mid-run), or a table — and a table reads one byte per pool prefix:
 // absent, unchanged, metric changed while up, uptime reset while up, or
-// listed twice. Every entry keeps Since == At − Uptime, as
-// tables.BuildSnapshot does; ObserveDelta relies on it.
+// listed twice. Every entry's Since is the instant its prefix last rose
+// or had its uptime reset, as tables.BuildSnapshot anchors it at
+// At − uptime; ObserveDelta relies on it.
 func FuzzStabilityFromRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 3, 9, 9, 9, 9, 9, 9, 9, 9, 3, 0, 0, 0, 0, 0, 0, 0, 0, 3, 9, 9, 9, 9, 9, 9, 9, 9})
@@ -127,11 +128,10 @@ func fuzzTable(data []byte, since map[addr.Prefix]time.Time, at time.Time) (tabl
 			up = at.Add(-time.Duration(b>>3) * time.Minute)
 			since[p] = up
 		}
-		e := tables.RouteEntry{Prefix: p, Metric: 1, Uptime: at.Sub(up)}
+		e := tables.RouteEntry{Prefix: p, Metric: 1, Since: up.UnixNano()}
 		if op == 2 {
 			e.Metric = 2 + int(b>>4)
 		}
-		e.Since = at.Add(-e.Uptime)
 		routes = append(routes, e)
 		if op == 5 {
 			e.Metric++

@@ -65,7 +65,7 @@ func appendPair(b []byte, e tables.PairEntry) []byte {
 	b = seglog.AppendU32(b, uint32(e.Source))
 	b = seglog.AppendU32(b, uint32(e.Group))
 	b = seglog.AppendString(b, e.Flags)
-	return seglog.AppendTime(b, e.Since)
+	return seglog.AppendNanos(b, e.Since)
 }
 
 func appendPairKey(b []byte, k pairKey) []byte {
@@ -73,13 +73,15 @@ func appendPairKey(b []byte, k pairKey) []byte {
 	return seglog.AppendU32(b, uint32(k.Group))
 }
 
+// appendRoute encodes a route row. The varint after the metric is always
+// 0: rows once carried their uptime there, and MWAL0003 keeps the place.
 func appendRoute(b []byte, e tables.RouteEntry) []byte {
 	b = appendPrefix(b, e.Prefix)
 	b = seglog.AppendU32(b, uint32(e.Gateway))
 	b = seglog.AppendBool(b, e.Local)
 	b = seglog.AppendVarint(b, int64(e.Metric))
-	b = seglog.AppendVarint(b, int64(e.Uptime))
-	return seglog.AppendTime(b, e.Since)
+	b = seglog.AppendVarint(b, 0)
+	return seglog.AppendNanos(b, e.Since)
 }
 
 func appendPrefix(b []byte, p addr.Prefix) []byte {
@@ -227,7 +229,7 @@ func (r byteReader) pair() tables.PairEntry {
 	e.Source = addr.IP(r.U32())
 	e.Group = addr.IP(r.U32())
 	e.Flags = r.Str()
-	e.Since = r.Time()
+	e.Since = r.Nanos()
 	return e
 }
 
@@ -237,7 +239,7 @@ func (r byteReader) pairKey() pairKey {
 
 func (r byteReader) prefix() addr.Prefix {
 	a := addr.IP(r.U32())
-	l := int(r.Byte())
+	l := r.Byte()
 	if l > 32 {
 		r.Fail()
 		return addr.Prefix{}
@@ -251,44 +253,63 @@ func (r byteReader) route() tables.RouteEntry {
 	e.Gateway = addr.IP(r.U32())
 	e.Local = r.Bool()
 	e.Metric = int(r.Varint())
-	e.Uptime = time.Duration(r.Varint())
-	e.Since = r.Time()
+	if r.Varint() != 0 { // appendRoute's constant uptime
+		r.Fail()
+	}
+	e.Since = r.Nanos()
 	return e
 }
 
-// changes reads appendChanges' bytes: the change sets, their counter
-// column a slice of the bytes read, and those bytes. With keep, the
-// bytes returned are a copy the log can keep (own), and the column is a
-// slice of the copy instead.
-func (r byteReader) changes(keep bool) (p PairDelta, rt RouteDelta, raw []byte) {
-	start := r.Rest()
+// pairDelta reads the pair half of appendChanges' bytes, its counter
+// column a slice of them.
+func (r byteReader) pairDelta() (p PairDelta) {
 	p.Upserted = seglog.ReadList(r.Reader, 2, r.pair)
 	p.Removed = seglog.ReadList(r.Reader, 8, r.pairKey)
 	if p.Counters = r.Bytes(); p.Counters != nil && readColumn(p.Counters, nil, false) != nil {
 		r.Fail()
 	}
-	colEnd := len(start) - len(r.Rest())
+	return p
+}
+
+// skipPairs steps over the pair half of appendChanges' bytes without
+// building anything, to the route half.
+func (r byteReader) skipPairs() {
+	for n := r.Count(2); n > 0; n-- {
+		r.pairKey()
+		r.Bytes() // the flags, not made a string
+		r.Nanos()
+	}
+	for n := r.Count(8); n > 0; n-- {
+		r.pairKey()
+	}
+	r.Bytes()
+}
+
+// routeDelta reads the route half of appendChanges' bytes.
+func (r byteReader) routeDelta() (rt RouteDelta) {
 	rt.Upserted = seglog.ReadList(r.Reader, 2, r.route)
 	rt.Removed = seglog.ReadList(r.Reader, 5, r.prefix)
-	raw = start[:len(start)-len(r.Rest())]
-	if keep && r.Err() == nil {
-		raw = own(raw)
-		if p.Counters != nil {
-			p.Counters = raw[colEnd-len(p.Counters) : colEnd]
-		}
-	}
-	return p, rt, raw
+	return rt
 }
 
 // delta reads an appendDelta record, decoded, and its change sets'
-// bytes as the log keeps them, in a copy of their own that the counter
-// column is a slice of.
+// bytes as the log keeps them (own), in a copy of their own that the
+// counter column is a slice of.
 func (r byteReader) delta() (dec CycleRecord, body []byte, fullEntries uint64) {
 	dec.At = r.Time()
 	fullEntries = r.Uvarint()
 	dec.SACache = int(r.Uvarint())
 	dec.MBGPRoutes = int(r.Uvarint())
-	dec.Pairs, dec.Routes, body = r.changes(true)
+	start := r.Rest()
+	dec.Pairs = r.pairDelta()
+	colEnd, col := len(start)-len(r.Rest()), dec.Pairs.Counters
+	dec.Routes = r.routeDelta()
+	if r.Err() == nil {
+		body = own(start[:len(start)-len(r.Rest())])
+		if col != nil {
+			dec.Pairs.Counters = body[colEnd-len(col) : colEnd]
+		}
+	}
 	return dec, body, fullEntries
 }
 
@@ -299,13 +320,17 @@ func (rec CycleRecord) decoded() (CycleRecord, error) {
 	if rec.body == nil {
 		return rec, nil
 	}
-	r := byteReader{seglog.NewReader(rec.body, ErrBadRecord)}
-	rec.Pairs, rec.Routes, _ = r.changes(false)
-	rec.body = nil
+	r := rec.reader()
+	rec.Pairs, rec.Routes, rec.body = r.pairDelta(), r.routeDelta(), nil
 	if len(r.Rest()) != 0 {
 		r.Fail()
 	}
 	return rec, r.Err()
+}
+
+// reader reads a kept record's change-set bytes.
+func (rec CycleRecord) reader() byteReader {
+	return byteReader{seglog.NewReader(rec.body, ErrBadRecord)}
 }
 
 // decodePayload parses one record payload.

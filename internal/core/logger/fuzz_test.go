@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -18,17 +19,12 @@ import (
 	"repro/internal/sim"
 )
 
-// normPair is the row the reference logs: the whole pair, counters and
-// all, but for the per-cycle aging field the absolute Since carries.
-func normPair(e tables.PairEntry) tables.PairEntry {
-	e.Uptime = 0
-	return e
-}
-
 // refLog is the delta logger as it stood before the sorted walk: the
 // materialised tables are hash maps, a cycle is diffed by mark and sweep
 // over them, and removal sets and materialised tables are sorted on the
-// way out. Kept verbatim as the oracle of FuzzAppendMatchesMapDiff.
+// way out. Kept verbatim as the oracle of FuzzAppendMatchesMapDiff, but
+// for the per-cycle Uptime it once cleared from each row it logged and
+// restamped on each row it materialised: rows no longer carry one.
 type refLog struct {
 	Records      []CycleRecord
 	lastPairs    map[pairKey]tables.PairEntry
@@ -50,7 +46,6 @@ func (tl *refLog) Append(sn *tables.Snapshot) CycleRecord {
 	seenP := make(map[pairKey]bool, len(sn.Pairs))
 	seenR := make(map[addr.Prefix]bool, len(sn.Routes))
 	for _, e := range sn.Pairs {
-		e = normPair(e)
 		k := pairKey{Source: e.Source, Group: e.Group}
 		seenP[k] = true
 		if old, ok := tl.lastPairs[k]; !ok || old != e {
@@ -73,7 +68,6 @@ func (tl *refLog) Append(sn *tables.Snapshot) CycleRecord {
 	})
 
 	for _, e := range sn.Routes {
-		e = normRoute(e)
 		seenR[e.Prefix] = true
 		if old, ok := tl.lastRoutes[e.Prefix]; !ok || old != e {
 			rec.Routes.Upserted = append(rec.Routes.Upserted, e)
@@ -119,16 +113,10 @@ func (tl *refLog) Materialized(target string) *tables.Snapshot {
 	sn := &tables.Snapshot{Target: target, At: at}
 	sn.Pairs = make(tables.PairTable, 0, len(tl.lastPairs))
 	for _, e := range tl.lastPairs {
-		if !e.Since.IsZero() {
-			e.Uptime = at.Sub(e.Since)
-		}
 		sn.Pairs = append(sn.Pairs, e)
 	}
 	sn.Routes = make(tables.RouteTable, 0, len(tl.lastRoutes))
 	for _, e := range tl.lastRoutes {
-		if !e.Since.IsZero() {
-			e.Uptime = at.Sub(e.Since)
-		}
 		sn.Routes = append(sn.Routes, e)
 	}
 	sortPairs(sn.Pairs)
@@ -284,7 +272,7 @@ func (h *fuzzHistory) next(data []byte, cycle int) (sn *tables.Snapshot, wellFor
 	var sortedR, sortedP, dupR, dupP bool
 	data, sortedR, dupR = fuzzTable(data, routes, at, func(i, k int) {
 		r := routes[i]
-		sn.Routes = append(sn.Routes, tables.RouteEntry{Prefix: fuzzPrefixes[i], Metric: 1 + r.rev%30 + k, Since: r.since, Uptime: at.Sub(r.since)})
+		sn.Routes = append(sn.Routes, tables.RouteEntry{Prefix: fuzzPrefixes[i], Metric: 1 + r.rev%30 + k, Since: r.since.UnixNano()})
 	}, func() {
 		m := len(sn.Routes)
 		sn.Routes[m-1], sn.Routes[m-2] = sn.Routes[m-2], sn.Routes[m-1]
@@ -292,7 +280,7 @@ func (h *fuzzHistory) next(data []byte, cycle int) (sn *tables.Snapshot, wellFor
 	data, sortedP, dupP = fuzzTable(data, pairs, at, func(i, k int) {
 		r, key := pairs[i], fuzzPairKeys[i]
 		rate, packets := fuzzCounters(r.arg, r.rev+k, cycle)
-		sn.Pairs = append(sn.Pairs, tables.PairEntry{Source: key.Source, Group: key.Group, Flags: fuzzFlags[(r.rev+k)%3], RateKbps: rate, Packets: packets, Since: r.since, Uptime: at.Sub(r.since)})
+		sn.Pairs = append(sn.Pairs, tables.PairEntry{Source: key.Source, Group: key.Group, Flags: fuzzFlags[(r.rev+k)%3], RateKbps: rate, Packets: packets, Since: r.since.UnixNano()})
 	}, func() {
 		m := len(sn.Pairs)
 		sn.Pairs[m-1], sn.Pairs[m-2] = sn.Pairs[m-2], sn.Pairs[m-1]
@@ -301,11 +289,11 @@ func (h *fuzzHistory) next(data []byte, cycle int) (sn *tables.Snapshot, wellFor
 }
 
 // walked returns sn's tables as Append takes them: in key order, the
-// last row of a key winning, uptimes from Since.
+// last row of a key winning.
 func walked(sn *tables.Snapshot) *tables.Snapshot {
 	return &tables.Snapshot{Target: sn.Target, At: sn.At,
-		Pairs:  pairsAt(tables.PairTable(nil).Walk(sn.Pairs, func(_, _ *tables.PairEntry) {}), sn.At),
-		Routes: routesAt(tables.RouteTable(nil).Walk(sn.Routes, func(_, _ *tables.RouteEntry) {}), sn.At)}
+		Pairs:  tables.PairTable(nil).Walk(sn.Pairs, func(_, _ *tables.PairEntry) {}),
+		Routes: tables.RouteTable(nil).Walk(sn.Routes, func(_, _ *tables.RouteEntry) {})}
 }
 
 // samePairs compares pair tables row for row. exact compares rates by
@@ -329,8 +317,10 @@ func samePairs(a, b tables.PairTable, exact bool) bool {
 	return true
 }
 
+// sameTables compares two cycles' tables row for row: an empty table
+// equals a nil one.
 func sameTables(a, b *tables.Snapshot, exact bool) bool {
-	return a.Target == b.Target && a.At == b.At && samePairs(a.Pairs, b.Pairs, exact) && reflect.DeepEqual(a.Routes, b.Routes)
+	return a.Target == b.Target && a.At == b.At && samePairs(a.Pairs, b.Pairs, exact) && slices.Equal(a.Routes, b.Routes)
 }
 
 // FuzzAppendMatchesMapDiff drives the logger and the map-based reference
@@ -418,7 +408,7 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 		got, want := New(), newRefLog()
 		h := newFuzzHistory(target)
 		// given holds each logged cycle's tables as Append takes them: in
-		// key order, the last row of a key winning, uptimes from Since.
+		// key order, the last row of a key winning.
 		var given []*tables.Snapshot
 		var prev tables.PairTable
 		for cycle := 0; len(data) > 0; cycle++ {
@@ -437,7 +427,7 @@ func FuzzAppendMatchesMapDiff(f *testing.F) {
 			given = append(given, cur)
 
 			for _, e := range gotRec.Pairs.Upserted {
-				if e.RateKbps != 0 || math.Signbit(e.RateKbps) || e.Packets != 0 || e.Uptime != 0 {
+				if e.RateKbps != 0 || math.Signbit(e.RateKbps) || e.Packets != 0 {
 					t.Fatalf("cycle %d: identity upsert carries counters: %+v", cycle, e)
 				}
 			}

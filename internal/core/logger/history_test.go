@@ -21,22 +21,11 @@ func instant(t time.Time) time.Time {
 	return time.Unix(t.Unix(), int64(t.Nanosecond())).UTC()
 }
 
-// sameRecord compares two decoded records field by field, times as
-// instants.
+// sameRecord compares two decoded records field by field, At as an
+// instant.
 func sameRecord(a, b CycleRecord) bool {
-	norm := func(r CycleRecord) CycleRecord {
-		r.At = instant(r.At)
-		r.Pairs.Upserted = append([]tables.PairEntry(nil), r.Pairs.Upserted...)
-		for i := range r.Pairs.Upserted {
-			r.Pairs.Upserted[i].Since = instant(r.Pairs.Upserted[i].Since)
-		}
-		r.Routes.Upserted = append([]tables.RouteEntry(nil), r.Routes.Upserted...)
-		for i := range r.Routes.Upserted {
-			r.Routes.Upserted[i].Since = instant(r.Routes.Upserted[i].Since)
-		}
-		return r
-	}
-	return reflect.DeepEqual(norm(a), norm(b))
+	a.At, b.At = instant(a.At), instant(b.At)
+	return reflect.DeepEqual(a, b)
 }
 
 // diffRecord is the record Append should hand out for the cycle that
@@ -69,12 +58,10 @@ func diffRecord(prev, cur *tables.Snapshot) CycleRecord {
 	}
 	oldR := make(map[addr.Prefix]tables.RouteEntry)
 	for _, e := range prev.Routes {
-		e.Uptime = 0
 		oldR[e.Prefix] = e
 	}
 	nowR := make(map[addr.Prefix]bool)
 	for _, e := range cur.Routes {
-		e.Uptime = 0
 		nowR[e.Prefix] = true
 		if o, ok := oldR[e.Prefix]; !ok || o != e {
 			rec.Routes.Upserted = append(rec.Routes.Upserted, e)

@@ -35,7 +35,7 @@ type pairKey struct {
 
 // PairDelta is the pair-table change set of one cycle. Upserted holds
 // the rows whose key is new or whose Flags or Since changed, counters
-// and Uptime zeroed; Counters is the column (codec.go) of every pair's
+// zeroed; Counters is the column (codec.go) of every pair's
 // Packets and RateKbps against the previous cycle's, nil if none moved.
 type PairDelta struct {
 	Upserted []tables.PairEntry
@@ -43,7 +43,7 @@ type PairDelta struct {
 	Counters []byte
 }
 
-// RouteDelta is the route-table change set of one cycle.
+// RouteDelta is one cycle's route-table change set: whole rows, gone prefixes.
 type RouteDelta struct {
 	Upserted []tables.RouteEntry
 	Removed  []addr.Prefix
@@ -91,8 +91,8 @@ type targetLog struct {
 	// pairs and routes are the tables as of the latest record, in key
 	// order and duplicate-free (the form tables' Walk returns): what the
 	// next cycle is compared with. After an Append they are the
-	// snapshot's own tables, shared with whoever else holds the snapshot
-	// and never written; their Uptime is that cycle's and is ignored.
+	// snapshot's own tables, shared with whoever else holds the snapshot;
+	// after a replay, what patch made. Either way they are never written.
 	pairs  tables.PairTable
 	routes tables.RouteTable
 	// latest is the snapshot the last Append took, nil after a replay
@@ -119,15 +119,10 @@ func New() *Logger {
 	return &Logger{targets: make(map[string]*targetLog)}
 }
 
-// identity strips a pair row to what Upserted logs. The absolute Since
-// carries the per-cycle Uptime and is stable while the entry persists.
+// identity strips a pair row to what Upserted logs: the counters, which
+// move every cycle, travel in the column.
 func identity(e tables.PairEntry) tables.PairEntry {
 	return tables.PairEntry{Source: e.Source, Group: e.Group, Flags: e.Flags, Since: e.Since}
-}
-
-func normRoute(e tables.RouteEntry) tables.RouteEntry {
-	e.Uptime = 0
-	return e
 }
 
 func (l *Logger) target(name string) *targetLog {
@@ -193,8 +188,8 @@ func (l *Logger) AppendEncoded(sn *tables.Snapshot) CycleRecord {
 		switch {
 		case cur == nil:
 			r.Removed = append(r.Removed, old.Prefix)
-		case old == nil || normRoute(*old) != normRoute(*cur):
-			r.Upserted = append(r.Upserted, normRoute(*cur))
+		case old == nil || *old != *cur:
+			r.Upserted = append(r.Upserted, *cur)
 		}
 	})
 
@@ -323,51 +318,25 @@ func (l *Logger) Gaps(target string) []GapMark {
 
 // Materialized returns the full tables as of the latest logged cycle of
 // target — the state Append diffs against — or false before the first
-// cycle. Uptimes are recomputed from the stable Since instants, exactly as
-// ReconstructPairs/ReconstructRoutes do, so the result equals a
-// reconstruction of the final cycle without replaying the chain.
+// cycle: a reconstruction of the final cycle without replaying the chain,
+// in the log's own tables, which the caller must not write.
 func (l *Logger) Materialized(target string) (*tables.Snapshot, bool) {
 	tl := l.targets[target]
 	if tl == nil || len(tl.Records) == 0 {
 		return nil, false
 	}
-	at := tl.Records[len(tl.Records)-1].At
-	return &tables.Snapshot{Target: target, At: at, Pairs: pairsAt(tl.pairs, at), Routes: routesAt(tl.routes, at)}, true
+	return &tables.Snapshot{Target: target, At: tl.Records[len(tl.Records)-1].At, Pairs: tl.pairs, Routes: tl.routes}, true
 }
 
 // Latest returns the target's most recent snapshot, nil before its
 // first logged cycle: the one Append last took, or after a replay or an
-// import, which carry deltas only, the tables Materialized rebuilds.
+// import, which carry deltas only, the tables Materialized returns.
 func (l *Logger) Latest(target string) *tables.Snapshot {
 	if tl := l.targets[target]; tl != nil && tl.latest != nil {
 		return tl.latest
 	}
 	sn, _ := l.Materialized(target)
 	return sn
-}
-
-// pairsAt copies a retained pair table with every uptime as of at.
-func pairsAt(t tables.PairTable, at time.Time) tables.PairTable {
-	out := append(make(tables.PairTable, 0, len(t)), t...)
-	for i := range out {
-		out[i].Uptime = 0
-		if !out[i].Since.IsZero() {
-			out[i].Uptime = at.Sub(out[i].Since)
-		}
-	}
-	return out
-}
-
-// routesAt copies a retained route table with every uptime as of at.
-func routesAt(t tables.RouteTable, at time.Time) tables.RouteTable {
-	out := append(make(tables.RouteTable, 0, len(t)), t...)
-	for i := range out {
-		out[i].Uptime = 0
-		if !out[i].Since.IsZero() {
-			out[i].Uptime = at.Sub(out[i].Since)
-		}
-	}
-	return out
 }
 
 // Targets returns the known collection points, sorted by name so callers
@@ -400,34 +369,34 @@ func (l *Logger) At(target string, idx int) (time.Time, error) {
 	return tl.Records[idx].At, nil
 }
 
-// ReconstructPairs decodes and replays deltas to materialize the pair
-// table as it was at cycle idx (0-based).
+// ReconstructPairs decodes and replays the pair half of each kept
+// record to materialize the pair table as it was at cycle idx (0-based).
 func (l *Logger) ReconstructPairs(target string, idx int) (tables.PairTable, error) {
 	tl := l.targets[target]
 	if tl == nil || idx < 0 || idx >= len(tl.Records) {
 		return nil, fmt.Errorf("logger: no cycle %d for %q", idx, target)
 	}
 	var state tables.PairTable
-	for i := 0; i <= idx; i++ {
-		rec, _ := tl.Records[i].decoded()
-		state, _ = patchPairs(state, rec.Pairs) // a misfit as ApplyRecord took it
+	for _, rec := range tl.Records[:idx+1] {
+		state, _ = patchPairs(state, rec.reader().pairDelta()) // a misfit as ApplyRecord took it
 	}
-	return pairsAt(state, tl.Records[idx].At), nil
+	return state, nil
 }
 
-// ReconstructRoutes decodes and replays deltas to materialize the route
-// table at cycle idx.
+// ReconstructRoutes replays the route half of each kept record, the pair
+// half stepped over unread, to materialize the route table at cycle idx.
 func (l *Logger) ReconstructRoutes(target string, idx int) (tables.RouteTable, error) {
 	tl := l.targets[target]
 	if tl == nil || idx < 0 || idx >= len(tl.Records) {
 		return nil, fmt.Errorf("logger: no cycle %d for %q", idx, target)
 	}
 	var state tables.RouteTable
-	for i := 0; i <= idx; i++ {
-		rec, _ := tl.Records[i].decoded()
-		state = patchRoutes(state, rec.Routes)
+	for _, rec := range tl.Records[:idx+1] {
+		r := rec.reader()
+		r.skipPairs()
+		state = patchRoutes(state, r.routeDelta())
 	}
-	return routesAt(state, tl.Records[idx].At), nil
+	return state, nil
 }
 
 // Record returns the delta record of cycle idx, decoded from the bytes

@@ -36,7 +36,7 @@ func TestReconstructionPropertyRandomHistories(t *testing.T) {
 					pairs[src] = tables.PairEntry{
 						Source: src, Group: addr.V4(224, 1, 1, 1),
 						Flags: "D", RateKbps: float64(rng.Intn(100)),
-						Since: at,
+						Since: at.UnixNano(),
 					}
 				case 1:
 					delete(pairs, src)
@@ -49,18 +49,16 @@ func TestReconstructionPropertyRandomHistories(t *testing.T) {
 				p := addr.PrefixFrom(addr.V4(byte(20+rng.Intn(4)), 0, 0, 0), 8)
 				switch rng.Intn(3) {
 				case 0:
-					routes[p] = tables.RouteEntry{Prefix: p, Metric: 1 + rng.Intn(5), Since: at}
+					routes[p] = tables.RouteEntry{Prefix: p, Metric: 1 + rng.Intn(5), Since: at.UnixNano()}
 				case 1:
 					delete(routes, p)
 				}
 			}
 			sn := &tables.Snapshot{Target: "t", At: at}
 			for _, e := range pairs {
-				e.Uptime = at.Sub(e.Since)
 				sn.Pairs = append(sn.Pairs, e)
 			}
 			for _, e := range routes {
-				e.Uptime = at.Sub(e.Since)
 				sn.Routes = append(sn.Routes, e)
 			}
 			sortPairs(sn.Pairs)

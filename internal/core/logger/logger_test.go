@@ -128,6 +128,34 @@ func TestReconstructMatchesOriginal(t *testing.T) {
 	}
 }
 
+// TestReconstructRoutesSkipsPairs: ReconstructRoutes steps over each
+// record's pair half without decoding it, so a history whose pairs are
+// upserted every cycle, flags and all, costs it the allocations of the
+// same routes logged with no pairs: not a flag string, not a pair row.
+func TestReconstructRoutesSkipsPairs(t *testing.T) {
+	const cycles = 12
+	withPairs, routesOnly := New(), New()
+	for c := 0; c < cycles; c++ {
+		at := sim.Epoch.Add(time.Duration(c) * 30 * time.Minute)
+		routes := tables.RouteTable{route("10.0.0.0/8", 1+c%3), route("11.0.0.0/8", 2)}
+		pairs := tables.PairTable{pair("1.1.1.1", "224.1.1.1", 5), pair("2.2.2.2", "224.1.1.1", 1)}
+		for i := range pairs {
+			pairs[i].Flags = [...]string{"DT", "DP", "SPT"}[(c+i)%3] // a new identity every cycle
+		}
+		withPairs.Append(snap(at, pairs, routes))
+		routesOnly.Append(snap(at, nil, routes))
+	}
+	if rec, _ := withPairs.Record("fixw", cycles-1); len(rec.Pairs.Upserted) != 2 {
+		t.Fatalf("last cycle upserts %d pairs, want 2", len(rec.Pairs.Upserted))
+	}
+	allocs := func(l *Logger) float64 {
+		return testing.AllocsPerRun(20, func() { _, _ = l.ReconstructRoutes("fixw", cycles-1) })
+	}
+	if got, want := allocs(withPairs), allocs(routesOnly); got != want {
+		t.Errorf("ReconstructRoutes allocates %v times over a history with pair upserts, %v without: it decodes the pair half", got, want)
+	}
+}
+
 func TestReconstructErrors(t *testing.T) {
 	l := New()
 	if _, err := l.ReconstructPairs("x", 0); err == nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core/seglog"
-	"repro/internal/core/tables"
 )
 
 // readDir maps every file under dir to its bytes.
@@ -186,17 +185,11 @@ func TestRecoverAppliesAMisfitColumnWithoutIt(t *testing.T) {
 		t.Fatalf("recovery = %+v with %d events, want one unapplied column, no tear and all 6 deltas", ra.Stats, len(ra.Events))
 	}
 	// The misfit cycle keeps the tables before it; the others are the
-	// live logger's. Uptimes aside: the misfit is a minute later.
-	noUptime := func(p []tables.PairEntry) []tables.PairEntry {
-		for i := range p {
-			p[i].Uptime = 0
-		}
-		return p
-	}
+	// live logger's.
 	for idx, want := range []int{0, 1, 1, 2, 3, 4} {
 		got, err1 := ra.Logger.ReconstructPairs("fixw", idx)
 		exp, err2 := l.ReconstructPairs("fixw", want)
-		if err1 != nil || err2 != nil || !samePairs(noUptime(got), noUptime(exp), true) {
+		if err1 != nil || err2 != nil || !samePairs(got, exp, true) {
 			t.Errorf("cycle %d: pairs %+v (%v), want cycle %d's %+v", idx, got, err1, want, exp)
 		}
 	}

@@ -28,7 +28,7 @@ func genHistory(rng *rand.Rand, target string, cycles int) []*tables.Snapshot {
 				pairs[src] = tables.PairEntry{
 					Source: src, Group: addr.V4(224, 1, 1, byte(1+rng.Intn(3))),
 					Flags: "DT", RateKbps: float64(rng.Intn(200)),
-					Packets: uint64(rng.Intn(1e6)), Since: at,
+					Packets: uint64(rng.Intn(1e6)), Since: at.UnixNano(),
 				}
 			case 1:
 				delete(pairs, src)
@@ -43,7 +43,7 @@ func genHistory(rng *rand.Rand, target string, cycles int) []*tables.Snapshot {
 			case 0:
 				routes[p] = tables.RouteEntry{
 					Prefix: p, Gateway: addr.V4(192, 0, 2, byte(rng.Intn(9))),
-					Metric: 1 + rng.Intn(5), Since: at,
+					Metric: 1 + rng.Intn(5), Since: at.UnixNano(),
 				}
 			case 1:
 				delete(routes, p)
@@ -51,11 +51,9 @@ func genHistory(rng *rand.Rand, target string, cycles int) []*tables.Snapshot {
 		}
 		sn := &tables.Snapshot{Target: target, At: at}
 		for _, e := range pairs {
-			e.Uptime = at.Sub(e.Since)
 			sn.Pairs = append(sn.Pairs, e)
 		}
 		for _, e := range routes {
-			e.Uptime = at.Sub(e.Since)
 			sn.Routes = append(sn.Routes, e)
 		}
 		sortPairs(sn.Pairs)

@@ -23,7 +23,7 @@ func refParticipants(p tables.PairTable) tables.ParticipantTable {
 	for _, e := range p {
 		pe := agg[e.Source]
 		if pe == nil {
-			pe = &tables.ParticipantEntry{Host: e.Source}
+			pe = &tables.ParticipantEntry{Host: e.Source, Since: e.Since}
 			agg[e.Source] = pe
 			order = append(order, e.Source)
 		}
@@ -31,8 +31,8 @@ func refParticipants(p tables.PairTable) tables.ParticipantTable {
 		if e.RateKbps > pe.MaxRateKbps {
 			pe.MaxRateKbps = e.RateKbps
 		}
-		if e.Uptime > pe.Uptime {
-			pe.Uptime = e.Uptime
+		if e.Since < pe.Since {
+			pe.Since = e.Since
 		}
 	}
 	out := make(tables.ParticipantTable, 0, len(agg))
@@ -59,15 +59,15 @@ func refSessions(p tables.PairTable) tables.SessionTable {
 	for _, e := range p {
 		se := agg[e.Group]
 		if se == nil {
-			se = &tables.SessionEntry{Group: e.Group, Protocol: protocolOf(e.Flags)}
+			se = &tables.SessionEntry{Group: e.Group, Protocol: protocolOf(e.Flags), Since: e.Since}
 			agg[e.Group] = se
 			order = append(order, e.Group)
 		}
 		se.Density++
 		se.TotalRateKbps += e.RateKbps
 		se.Packets += e.Packets
-		if e.Uptime > se.Uptime {
-			se.Uptime = e.Uptime
+		if e.Since < se.Since {
+			se.Since = e.Since
 		}
 		if se.Protocol != protocolOf(e.Flags) {
 			se.Protocol = "mixed"
@@ -141,9 +141,9 @@ func tableKey[E tables.SessionEntry | tables.ParticipantEntry](rows []E) string 
 	for _, r := range rows {
 		switch r := any(r).(type) {
 		case tables.SessionEntry:
-			fmt.Fprintf(&b, "%v %d %x %d %s %v\n", r.Group, r.Density, math.Float64bits(r.TotalRateKbps), r.Packets, r.Protocol, r.Uptime)
+			fmt.Fprintf(&b, "%v %d %x %d %s %v\n", r.Group, r.Density, math.Float64bits(r.TotalRateKbps), r.Packets, r.Protocol, r.Since)
 		case tables.ParticipantEntry:
-			fmt.Fprintf(&b, "%v %d %x %v\n", r.Host, r.Groups, math.Float64bits(r.MaxRateKbps), r.Uptime)
+			fmt.Fprintf(&b, "%v %d %x %v\n", r.Host, r.Groups, math.Float64bits(r.MaxRateKbps), r.Since)
 		}
 	}
 	return b.String()
@@ -161,7 +161,7 @@ var fuzzRates = [16]float64{
 var fuzzFlags = [8]string{"D", "S", "SJ", "DS", "C", "", "SPT", "D"}
 
 // pairTablesFrom decodes the fuzzer's bytes into pair tables, four bytes
-// a row: source, group, flags and rate, packets and uptime. A source byte
+// a row: source, group, flags and rate, packets and Since. A source byte
 // of 0xff ends a table; the first byte picks the sender threshold and
 // whether the tables are sorted by (group, source) as a router lists them.
 func pairTablesFrom(data []byte) (threshold float64, tabs []tables.PairTable) {
@@ -182,7 +182,7 @@ func pairTablesFrom(data []byte) (threshold float64, tabs []tables.PairTable) {
 			Flags:    fuzzFlags[data[2]&7],
 			RateKbps: fuzzRates[data[2]>>4],
 			Packets:  uint64(data[3]) << 56,
-			Uptime:   time.Duration(data[3]&7) * time.Hour,
+			Since:    int64(data[3]&7) * int64(time.Hour),
 		})
 	}
 	tabs = append(tabs, cur)

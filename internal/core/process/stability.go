@@ -72,12 +72,11 @@ func NewRouteStability() *RouteStability {
 // its delta entries, not its table. It is the tracker's only input in
 // the product: cycle.Core.RouteStability folds a target's delta-log
 // records through it when asked. A rise takes the entry's Since as the
-// start of the period, which tables.BuildSnapshot sets to the cycle's
-// At − Uptime.
+// start of the period, as Observe does.
 func (rs *RouteStability) ObserveDelta(at time.Time, upserted []tables.RouteEntry, removed []addr.Prefix) {
 	rs.cycles++
 	for _, e := range upserted {
-		rs.rise(e.Prefix, e.Since)
+		rs.rise(e.Prefix, time.Unix(0, e.Since).UTC())
 	}
 	for _, p := range removed {
 		if h := rs.byPrefix[p]; h != nil && h.up {
@@ -110,7 +109,7 @@ func (rs *RouteStability) Observe(routes tables.RouteTable, at time.Time) {
 	listed := make(map[addr.Prefix]bool, len(routes))
 	for _, r := range routes {
 		listed[r.Prefix] = true
-		rs.rise(r.Prefix, at.Add(-r.Uptime))
+		rs.rise(r.Prefix, time.Unix(0, r.Since).UTC())
 	}
 	for p, h := range rs.byPrefix {
 		if h.up && !listed[p] {

@@ -10,10 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-func rt(prefixes ...string) tables.RouteTable {
+// rt is a route table of prefixes that came up at at.
+func rt(at time.Time, prefixes ...string) tables.RouteTable {
 	var out tables.RouteTable
 	for _, p := range prefixes {
-		out = append(out, tables.RouteEntry{Prefix: addr.MustParsePrefix(p), Metric: 1})
+		out = append(out, tables.RouteEntry{Prefix: addr.MustParsePrefix(p), Metric: 1, Since: at.UnixNano()})
 	}
 	return out
 }
@@ -22,7 +23,7 @@ func TestStabilityStablePrefix(t *testing.T) {
 	rs := NewRouteStability()
 	at := sim.Epoch
 	for i := 0; i < 10; i++ {
-		rs.Observe(rt("10.0.0.0/8", "11.0.0.0/8"), at)
+		rs.Observe(rt(at, "10.0.0.0/8", "11.0.0.0/8"), at)
 		at = at.Add(30 * time.Minute)
 	}
 	if rs.Cycles() != 10 || rs.TrackedPrefixes() != 2 {
@@ -43,9 +44,9 @@ func TestStabilityFlapCounting(t *testing.T) {
 	// Prefix 10/8 always there; 11/8 flaps twice.
 	patterns := []bool{true, true, false, true, false, true}
 	for _, up := range patterns {
-		routes := rt("10.0.0.0/8")
+		routes := rt(at, "10.0.0.0/8")
 		if up {
-			routes = append(routes, rt("11.0.0.0/8")...)
+			routes = append(routes, rt(at, "11.0.0.0/8")...)
 		}
 		rs.Observe(routes, at)
 		at = at.Add(30 * time.Minute)
@@ -78,7 +79,7 @@ func TestStabilityUptimeAnchorsLifetime(t *testing.T) {
 	at := sim.Epoch.Add(10 * time.Hour)
 	// The route has been up for 6 hours when first observed; when it
 	// disappears one cycle later, its lifetime reflects the full period.
-	routes := tables.RouteTable{{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Uptime: 6 * time.Hour}}
+	routes := tables.RouteTable{{Prefix: addr.MustParsePrefix("10.0.0.0/8"), Since: at.Add(-6 * time.Hour).UnixNano()}}
 	rs.Observe(routes, at)
 	at = at.Add(30 * time.Minute)
 	rs.Observe(nil, at)
@@ -128,7 +129,7 @@ func (o *rebuiltTracker) observe(routes tables.RouteTable, at time.Time) {
 		cur[r.Prefix] = true
 		if !h.Up {
 			h.Up = true
-			h.CurrentSince = at.Add(-r.Uptime)
+			h.CurrentSince = time.Unix(0, r.Since).UTC()
 		}
 	}
 	for p := range o.last {
@@ -178,7 +179,8 @@ func churningTables(seed int64, cycles int) []tables.RouteTable {
 	for c := range out {
 		for i := 0; i < 40; i++ {
 			if rng.Intn(3) > 0 {
-				e := tables.RouteEntry{Prefix: addr.PrefixFrom(addr.V4(10, byte(i), 0, 0), 16), Uptime: time.Duration(rng.Intn(600)) * time.Second}
+				up := time.Duration(rng.Intn(600)) * time.Second
+				e := tables.RouteEntry{Prefix: addr.PrefixFrom(addr.V4(10, byte(i), 0, 0), 16), Since: sim.Epoch.Add(-up).UnixNano()}
 				out[c] = append(out[c], e)
 				if rng.Intn(10) == 0 {
 					out[c] = append(out[c], e)

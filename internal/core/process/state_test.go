@@ -26,9 +26,9 @@ func TestStabilityExportStateDeterministicBytes(t *testing.T) {
 	at := sim.Epoch
 	for i := 0; i < 6; i++ {
 		if i%2 == 0 {
-			rs.Observe(rt("10.0.0.0/8", "11.0.0.0/8", "192.168.0.0/16", "172.16.0.0/12"), at)
+			rs.Observe(rt(at, "10.0.0.0/8", "11.0.0.0/8", "192.168.0.0/16", "172.16.0.0/12"), at)
 		} else {
-			rs.Observe(rt("10.0.0.0/8", "192.168.0.0/16"), at)
+			rs.Observe(rt(at, "10.0.0.0/8", "192.168.0.0/16"), at)
 		}
 		at = at.Add(30 * time.Minute)
 	}

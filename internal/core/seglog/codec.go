@@ -39,6 +39,15 @@ func AppendTime(b []byte, t time.Time) []byte {
 	return AppendU32(b, uint32(t.Nanosecond()))
 }
 
+// AppendNanos encodes an instant held as Unix nanoseconds, 0 for none,
+// as AppendTime encodes it.
+func AppendNanos(b []byte, ns int64) []byte {
+	if ns == 0 {
+		return append(b, 0)
+	}
+	return AppendTime(b, time.Unix(0, ns))
+}
+
 // Reader walks an immutable payload, latching the first error: a short
 // or malformed read also consumes whatever is left, so every later read
 // fails too and returns zero, and a decoder reads straight through and
@@ -159,6 +168,21 @@ func (r *Reader) Time() time.Time {
 		return time.Time{}
 	}
 	return time.Unix(sec, int64(nsec)).UTC()
+}
+
+// Nanos reads an AppendNanos instant; one that Unix nanoseconds cannot
+// hold fails.
+func (r *Reader) Nanos() int64 {
+	t := r.Time()
+	if t.IsZero() {
+		return 0
+	}
+	ns := t.UnixNano() // wraps out of range, which the round trip tells
+	if !time.Unix(0, ns).Equal(t) {
+		r.Fail()
+		return 0
+	}
+	return ns
 }
 
 // Count reads a declared element count and checks it against the bytes

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core/seglog"
 )
@@ -321,6 +323,28 @@ func TestReaderLatches(t *testing.T) {
 	r = seglog.NewReader(append(seglog.AppendUvarint(nil, 1<<40), 1, 2, 3, 4), bad)
 	if r.Str() != "" || r.Err() != bad || r.U32() != 0 || len(r.Rest()) != 0 {
 		t.Fatalf("overlong string: err = %v, rest = %v", r.Err(), r.Rest())
+	}
+}
+
+// TestNanosAreTimes: an instant held as Unix nanoseconds is written as
+// the bytes AppendTime writes for it, before the epoch and at the ends
+// of the range included, and reads back; an instant the bytes hold but
+// nanoseconds cannot fails.
+func TestNanosAreTimes(t *testing.T) {
+	for _, ns := range []int64{0, 1, -1, 1e9, -1e9 - 1, 907196400123456789, math.MaxInt64, math.MinInt64} {
+		want := seglog.AppendTime(nil, time.Time{})
+		if ns != 0 {
+			want = seglog.AppendTime(nil, time.Unix(0, ns))
+		}
+		b := seglog.AppendNanos(nil, ns)
+		if r := seglog.NewReader(b, errors.New("bad")); !bytes.Equal(b, want) || r.Nanos() != ns || r.Err() != nil {
+			t.Errorf("%d: wrote %x, want %x; read back %v", ns, b, want, r.Err())
+		}
+	}
+	for _, at := range []time.Time{time.Unix(math.MaxInt64/1_000_000_000+1, 0), time.Unix(math.MinInt64/1_000_000_000-1, 0)} {
+		if r := seglog.NewReader(seglog.AppendTime(nil, at), errors.New("bad")); r.Nanos() != 0 || r.Err() == nil {
+			t.Errorf("%v read as nanoseconds", at)
+		}
 	}
 }
 

@@ -37,7 +37,10 @@ import (
 // had the same hole; internal/addr's FuzzParse holds that half); and the
 // old parsers kept a route table that lists a prefix twice and a pair
 // table that lists an (S,G) twice, which the scanner rejects (see
-// refTwice).
+// refTwice). The route and pair parsers also follow the rows' later
+// shape: no Uptime field, and Since the snapshot's At in Unix
+// nanoseconds less the uptime, set as each row is parsed rather than in
+// a pass over both tables at the end.
 
 func refParseUptime(s string) (time.Duration, error) {
 	parts := strings.Split(s, ":")
@@ -100,7 +103,7 @@ func refPairTwice(e tables.PairEntry) error {
 	return fmt.Errorf("tables: mroute (S,G) (%s, %s) listed twice", e.Source, e.Group)
 }
 
-func refParseDVMRPRoutes(lines []string) (tables.RouteTable, error) {
+func refParseDVMRPRoutes(lines []string, at time.Time) (tables.RouteTable, error) {
 	var out tables.RouteTable
 	for _, line := range lines {
 		if strings.HasPrefix(line, "DVMRP Routing Table") || strings.HasPrefix(line, "Origin-Subnet") {
@@ -127,9 +130,11 @@ func refParseDVMRPRoutes(lines []string) (tables.RouteTable, error) {
 		if e.Metric, err = strconv.Atoi(f[2]); err != nil {
 			return nil, fmt.Errorf("tables: dvmrp metric %q", f[2])
 		}
-		if e.Uptime, err = refParseUptime(f[3]); err != nil {
+		up, err := refParseUptime(f[3])
+		if err != nil {
 			return nil, err
 		}
+		e.Since = at.UnixNano() - int64(up)
 		// Sanctioned divergence: a prefix listed twice.
 		if n := len(out); n > 0 && out[n-1].Prefix == e.Prefix {
 			return nil, refRouteTwice(e)
@@ -140,7 +145,7 @@ func refParseDVMRPRoutes(lines []string) (tables.RouteTable, error) {
 		func(a, b tables.RouteEntry) bool { return a.Prefix.Compare(b.Prefix) < 0 }, refRouteTwice)
 }
 
-func refParseMroute(lines []string) (tables.PairTable, error) {
+func refParseMroute(lines []string, at time.Time) (tables.PairTable, error) {
 	var out tables.PairTable
 	for _, line := range lines {
 		if strings.HasPrefix(line, "IP Multicast Forwarding Table") || strings.HasPrefix(line, "Source ") {
@@ -172,7 +177,7 @@ func refParseMroute(lines []string) (tables.PairTable, error) {
 		}
 		e := tables.PairEntry{
 			Source: src, Group: grp, Flags: f[2],
-			RateKbps: rate, Packets: pkts, Uptime: up,
+			RateKbps: rate, Packets: pkts, Since: at.UnixNano() - int64(up),
 		}
 		// Sanctioned divergence: an (S,G) listed twice.
 		if n := len(out); n > 0 && out[n-1].Source == src && out[n-1].Group == grp {
@@ -294,9 +299,9 @@ func refBuildSnapshot(dumps []collect.Dump) (*tables.Snapshot, error) {
 		var err error
 		switch d.Command {
 		case "show ip dvmrp route":
-			sn.Routes, err = refParseDVMRPRoutes(lines)
+			sn.Routes, err = refParseDVMRPRoutes(lines, sn.At)
 		case "show ip mroute":
-			sn.Pairs, err = refParseMroute(lines)
+			sn.Pairs, err = refParseMroute(lines, sn.At)
 		case "show ip igmp groups":
 			sn.IGMP, err = refParseIGMP(lines)
 		case "show ip msdp sa-cache":
@@ -334,12 +339,6 @@ func refBuildSnapshot(dumps []collect.Dump) (*tables.Snapshot, error) {
 			return nil, fmt.Errorf("tables: %s %q truncated: header says %d entries, parsed %d",
 				d.Target, d.Command, want, got)
 		}
-	}
-	for i := range sn.Pairs {
-		sn.Pairs[i].Since = sn.At.Add(-sn.Pairs[i].Uptime)
-	}
-	for i := range sn.Routes {
-		sn.Routes[i].Since = sn.At.Add(-sn.Routes[i].Uptime)
 	}
 	return sn, nil
 }

@@ -13,7 +13,7 @@ import (
 //
 //   - Pair table: deduplicated on (source, group); the highest observed
 //     rate wins (different routers see the same stream at different
-//     points of its tree), counters take the maximum, uptime the longest.
+//     points of its tree), counters take the maximum, Since the earliest.
 //   - Route table: deduplicated on prefix with the best (lowest) metric.
 //
 // When the same target appears more than once — the shard-handoff race,
@@ -127,10 +127,10 @@ func union[T ~[]E, E any](order func(a, b *E) int, fold func(acc, e *E), ts ...T
 }
 
 // mergePair combines two observations of the same (source, group) pair.
-// Rates and counters take the field-wise maximum; uptime, its anchored
-// Since, and the flag string travel together from the dominant entry —
-// the longer-lived one, ties broken by earlier Since then smaller flag
-// string — so the merge commutes.
+// Rates and counters take the field-wise maximum; Since and the flag
+// string travel together from the dominant entry — the one whose state
+// began first (of one cycle's snapshots, the longest-lived), ties broken
+// by the smaller flag string — so the merge commutes.
 func mergePair(a, b PairEntry) PairEntry {
 	dom, other := a, b
 	if pairDominates(b, a) {
@@ -145,30 +145,24 @@ func mergePair(a, b PairEntry) PairEntry {
 	return dom
 }
 
-// pairDominates reports whether a wins the uptime/flags tie-break over b.
+// pairDominates reports whether a wins the Since/flags tie-break over b.
 func pairDominates(a, b PairEntry) bool {
-	if a.Uptime != b.Uptime {
-		return a.Uptime > b.Uptime
-	}
-	if !a.Since.Equal(b.Since) {
-		return a.Since.Before(b.Since)
+	if a.Since != b.Since {
+		return a.Since < b.Since
 	}
 	return a.Flags < b.Flags
 }
 
 // routePreferred reports whether route a beats b for the same prefix:
-// best (lowest) metric, then longest uptime, then a stable total order
+// best (lowest) metric, then earliest Since, then a stable total order
 // over the remaining fields so the choice never depends on which
 // vantage's table arrived first.
 func routePreferred(a, b RouteEntry) bool {
 	if a.Metric != b.Metric {
 		return a.Metric < b.Metric
 	}
-	if a.Uptime != b.Uptime {
-		return a.Uptime > b.Uptime
-	}
-	if !a.Since.Equal(b.Since) {
-		return a.Since.Before(b.Since)
+	if a.Since != b.Since {
+		return a.Since < b.Since
 	}
 	if a.Local != b.Local {
 		return a.Local

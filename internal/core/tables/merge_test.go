@@ -102,12 +102,11 @@ func fuzzSnapshots(data []byte) []*Snapshot {
 		for n := b.pick(9); n > 0; n-- {
 			sn.Pairs = append(sn.Pairs, PairEntry{Source: ip(), Group: ip(),
 				Flags: [...]string{"D", "S", "DP"}[b.pick(3)], RateKbps: float64(b.pick(4)),
-				Packets: uint64(b.pick(4)), Uptime: time.Duration(b.pick(3)) * time.Hour, Since: when()})
+				Packets: uint64(b.pick(4)), Since: when().UnixNano()})
 		}
 		for n := b.pick(9); n > 0; n-- {
-			sn.Routes = append(sn.Routes, RouteEntry{Prefix: addr.Prefix{Addr: ip(), Len: 8 + b.pick(2)},
-				Gateway: ip(), Local: b.pick(2) == 0, Metric: b.pick(3),
-				Uptime: time.Duration(b.pick(3)) * time.Hour, Since: when()})
+			sn.Routes = append(sn.Routes, RouteEntry{Prefix: addr.Prefix{Addr: ip(), Len: uint8(8 + b.pick(2))},
+				Gateway: ip(), Local: b.pick(2) == 0, Metric: b.pick(3), Since: when().UnixNano()})
 		}
 		if b.pick(2) == 0 {
 			sort.SliceStable(sn.Pairs, func(x, y int) bool { return pairOrder(&sn.Pairs[x], &sn.Pairs[y]) < 0 })
@@ -138,4 +137,32 @@ func FuzzMergeSnapshots(f *testing.F) {
 			t.Fatalf("merge differs\n got: %+v\nwant: %+v", got, want)
 		}
 	})
+}
+
+// TestMergeEarliestSinceAcrossAt states the merge's tie-break where a
+// longest-uptime rule would disagree with it: a stale snapshot (a
+// handed-off target whose new owner has not reported yet) beside a newer
+// one of another target. Of two rows for one key, the one whose state
+// began first wins — its Since, flags and gateway — though the newer
+// snapshot reports the longer uptime at its later At.
+func TestMergeEarliestSinceAcrossAt(t *testing.T) {
+	t0 := time.Date(1998, 10, 1, 0, 0, 0, 0, time.UTC)
+	began := t0.Add(-time.Hour).UnixNano()        // up 1h at the stale At
+	later := t0.Add(-30 * time.Minute).UnixNano() // up 2h30m at the newer At
+	p, src, grp := addr.MustParsePrefix("10.0.0.0/8"), addr.IP(0x0a000001), addr.IP(0xe0020001)
+	stale := &Snapshot{Target: "a", At: t0,
+		Pairs:  PairTable{{Source: src, Group: grp, Flags: "S", RateKbps: 1, Since: began}},
+		Routes: RouteTable{{Prefix: p, Gateway: 1, Metric: 2, Since: began}}}
+	newer := &Snapshot{Target: "b", At: t0.Add(2 * time.Hour),
+		Pairs:  PairTable{{Source: src, Group: grp, Flags: "D", RateKbps: 5, Since: later}},
+		Routes: RouteTable{{Prefix: p, Gateway: 2, Metric: 2, Since: later}}}
+	for _, snaps := range [][]*Snapshot{{stale, newer}, {newer, stale}} {
+		got := MergeSnapshots("fleet", newer.At, snaps...)
+		want := &Snapshot{Target: "fleet", At: newer.At,
+			Pairs:  PairTable{{Source: src, Group: grp, Flags: "S", RateKbps: 5, Since: began}},
+			Routes: RouteTable{{Prefix: p, Gateway: 1, Metric: 2, Since: began}}}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("merge = %+v, want the rows whose state began first %+v", got, want)
+		}
+	}
 }

@@ -34,12 +34,10 @@ type PairEntry struct {
 	RateKbps float64
 	// Packets is the cumulative packet count.
 	Packets uint64
-	// Uptime is how long the router has had state for the pair.
-	Uptime time.Duration
-	// Since is the absolute instant state appeared (snapshot time minus
-	// uptime), filled by BuildSnapshot. Unlike Uptime it is stable
-	// across cycles, which is what makes delta logging effective.
-	Since time.Time
+	// Since is when the router's state for the pair appeared, in Unix
+	// nanoseconds (0 for none): At less the uptime the router reports,
+	// stable while the state persists, which makes delta logging pay.
+	Since int64
 }
 
 // PairTable lists every session-participant tuple the router has state for.
@@ -53,10 +51,9 @@ type RouteEntry struct {
 	Gateway addr.IP
 	Local   bool
 	Metric  int
-	Uptime  time.Duration
-	// Since is the absolute instant the route appeared; see
-	// PairEntry.Since.
-	Since time.Time
+	// Since is when the route appeared; see PairEntry.Since. A route row
+	// holds no pointer, so a route table is nothing the collector scans.
+	Since int64
 }
 
 // RouteTable lists the current set of live routes.
@@ -70,9 +67,8 @@ type ParticipantEntry struct {
 	// MaxRateKbps is the host's highest per-pair rate — the sender
 	// classification input.
 	MaxRateKbps float64
-	// Uptime is the longest pair uptime, i.e. how long Mantra has had
-	// state for the host.
-	Uptime time.Duration
+	// Since is the earliest pair Since: when state for the host began.
+	Since int64
 }
 
 // ParticipantTable lists hosts participating in sessions.
@@ -92,8 +88,8 @@ type SessionEntry struct {
 	// Protocol records which protocol's state advertised the session
 	// ("dvmrp" for dense flags, "pim" for sparse).
 	Protocol string
-	// Uptime is the longest pair uptime for the group.
-	Uptime time.Duration
+	// Since is the earliest pair Since for the group.
+	Since int64
 }
 
 // SessionTable lists the multicast sessions visible at the router.
@@ -185,9 +181,9 @@ type scan struct {
 	lines int
 	count declared
 	// as is the backing array the MBGP table's AS paths are cut from; at
-	// is the snapshot time the Since of a route or pair is anchored to.
+	// is the snapshot's At in Unix nanoseconds, a row's Since anchor.
 	as []int
-	at time.Time
+	at int64
 	// flags are the distinct flag strings the Pair table has kept so far.
 	flags  [8]string
 	nflags int
@@ -327,7 +323,7 @@ var (
 	routeTable = table[RouteEntry]{"DVMRP Routing Table", "Origin-Subnet", routeRow,
 		func(e *RouteEntry) uint64 { return uint64(e.Prefix.Addr)<<8 | uint64(e.Prefix.Len) },
 		func(k uint64) error {
-			return fmt.Errorf("tables: dvmrp prefix %s listed twice", addr.Prefix{Addr: addr.IP(k >> 8), Len: int(k & 0xff)})
+			return fmt.Errorf("tables: dvmrp prefix %s listed twice", addr.Prefix{Addr: addr.IP(k >> 8), Len: uint8(k)})
 		}}
 	pairTable = table[PairEntry]{"IP Multicast Forwarding Table", "Source ", pairRow,
 		func(e *PairEntry) uint64 { return uint64(e.Group)<<32 | uint64(e.Source) },
@@ -415,8 +411,8 @@ func routeRow(r *scan) (RouteEntry, error) {
 	if e.Metric, err = strconv.Atoi(r.f[2]); err != nil {
 		return e, fmt.Errorf("tables: dvmrp metric %q", r.f[2])
 	}
-	e.Uptime, err = parseUptime(r.f[3])
-	e.Since = r.at.Add(-e.Uptime)
+	up, err := parseUptime(r.f[3])
+	e.Since = r.at - int64(up)
 	return e, err
 }
 
@@ -442,8 +438,8 @@ func pairRow(r *scan) (PairEntry, error) {
 	if e.Packets, err = strconv.ParseUint(r.f[6], 10, 64); err != nil {
 		return e, fmt.Errorf("tables: mroute packets %q", r.f[6])
 	}
-	e.Uptime, err = parseUptime(r.f[7])
-	e.Since = r.at.Add(-e.Uptime)
+	up, err := parseUptime(r.f[7])
+	e.Since = r.at - int64(up)
 	return e, err
 }
 
@@ -603,7 +599,7 @@ func (s *Scanner) End() error {
 // has failed already, checks it unless a defect was found already, and
 // keeps its declared count.
 func (s *Scanner) scan(target, command, raw string) {
-	s.r = scan{rest: raw, at: s.At}
+	s.r = scan{rest: raw, at: s.At.UnixNano()}
 	r := &s.r
 	switch {
 	case s.err != nil:
@@ -705,13 +701,13 @@ func (p PairTable) Participants() ParticipantTable {
 	out := make(ParticipantTable, 0, runs(keys))
 	for i, j := 0, 0; i < len(keys); i = j {
 		j = RunEnd(keys, i)
-		pe := ParticipantEntry{Host: addr.IP(keys[i] >> 32), Groups: j - i}
+		pe := ParticipantEntry{Host: addr.IP(keys[i] >> 32), Groups: j - i, Since: p[uint32(keys[i])].Since}
 		for _, k := range keys[i:j] {
 			e := &p[uint32(k)]
 			if e.RateKbps > pe.MaxRateKbps {
 				pe.MaxRateKbps = e.RateKbps
 			}
-			pe.Uptime = max(pe.Uptime, e.Uptime)
+			pe.Since = min(pe.Since, e.Since)
 		}
 		out = append(out, pe)
 	}
@@ -726,12 +722,13 @@ func (p PairTable) Sessions() SessionTable {
 	out := make(SessionTable, 0, runs(keys))
 	for i, j := 0, 0; i < len(keys); i = j {
 		j = RunEnd(keys, i)
-		se := SessionEntry{Group: addr.IP(keys[i] >> 32), Density: j - i, Protocol: protocolOf(p[uint32(keys[i])].Flags)}
+		first := &p[uint32(keys[i])]
+		se := SessionEntry{Group: addr.IP(keys[i] >> 32), Density: j - i, Protocol: protocolOf(first.Flags), Since: first.Since}
 		for _, k := range keys[i:j] {
 			e := &p[uint32(k)]
 			se.TotalRateKbps += e.RateKbps
 			se.Packets += e.Packets
-			se.Uptime = max(se.Uptime, e.Uptime)
+			se.Since = min(se.Since, e.Since)
 			if se.Protocol != protocolOf(e.Flags) {
 				se.Protocol = "mixed"
 			}

@@ -2,9 +2,12 @@ package tables_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/addr"
 	"repro/internal/core/collect"
@@ -39,10 +42,10 @@ Origin-Subnet       From-Gateway     Metric  Uptime
 	if rt[0].Prefix != addr.MustParsePrefix("128.111.0.0/16") || rt[0].Metric != 3 {
 		t.Errorf("row0 = %+v", rt[0])
 	}
-	if rt[0].Uptime != 12*time.Hour+30*time.Minute {
-		t.Errorf("uptime = %v", rt[0].Uptime)
+	if up := time.Duration(sn.At.UnixNano() - rt[0].Since); up != 12*time.Hour+30*time.Minute {
+		t.Errorf("uptime = %v", up)
 	}
-	if !rt[1].Local || rt[1].Uptime != 100*time.Hour+5*time.Second {
+	if !rt[1].Local || time.Duration(sn.At.UnixNano()-rt[1].Since) != 100*time.Hour+5*time.Second {
 		t.Errorf("row1 = %+v", rt[1])
 	}
 }
@@ -86,7 +89,7 @@ Source           Group            Flags  IIF  OIFs           Kbps      Pkts     
 	if pt[0].Flags != "DP" || pt[0].RateKbps != 0 || pt[0].Packets != 17 {
 		t.Errorf("row0 = %+v", pt[0])
 	}
-	if pt[1].RateKbps != 64.5 || pt[1].Uptime != 30*time.Minute {
+	if pt[1].RateKbps != 64.5 || time.Duration(sn.At.UnixNano()-pt[1].Since) != 30*time.Minute {
 		t.Errorf("row1 = %+v", pt[1])
 	}
 }
@@ -175,26 +178,29 @@ Network             Next-Hop         Uptime    Path
 	}
 }
 
+// ago is the Since of state that is up for d at sim.Epoch.
+func ago(d time.Duration) int64 { return sim.Epoch.Add(-d).UnixNano() }
+
 func TestDeriveParticipants(t *testing.T) {
 	pt := tables.PairTable{
-		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.0.1.1"), RateKbps: 0.5, Uptime: time.Hour},
-		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.0.1.2"), RateKbps: 64, Uptime: 2 * time.Hour},
-		{Source: addr.MustParse("2.2.2.2"), Group: addr.MustParse("224.0.1.1"), RateKbps: 1.5, Uptime: time.Minute},
+		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.0.1.1"), RateKbps: 0.5, Since: ago(time.Hour)},
+		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.0.1.2"), RateKbps: 64, Since: ago(2 * time.Hour)},
+		{Source: addr.MustParse("2.2.2.2"), Group: addr.MustParse("224.0.1.1"), RateKbps: 1.5, Since: ago(time.Minute)},
 	}
 	parts := pt.Participants()
 	if len(parts) != 2 {
 		t.Fatalf("participants = %+v", parts)
 	}
 	if parts[0].Host != addr.MustParse("1.1.1.1") || parts[0].Groups != 2 ||
-		parts[0].MaxRateKbps != 64 || parts[0].Uptime != 2*time.Hour {
+		parts[0].MaxRateKbps != 64 || parts[0].Since != ago(2*time.Hour) {
 		t.Errorf("p0 = %+v", parts[0])
 	}
 }
 
 func TestDeriveSessions(t *testing.T) {
 	pt := tables.PairTable{
-		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.0.1.1"), Flags: "D", RateKbps: 0.5, Packets: 10, Uptime: time.Hour},
-		{Source: addr.MustParse("2.2.2.2"), Group: addr.MustParse("224.0.1.1"), Flags: "D", RateKbps: 64, Packets: 90, Uptime: 2 * time.Hour},
+		{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse("224.0.1.1"), Flags: "D", RateKbps: 0.5, Packets: 10, Since: ago(time.Hour)},
+		{Source: addr.MustParse("2.2.2.2"), Group: addr.MustParse("224.0.1.1"), Flags: "D", RateKbps: 64, Packets: 90, Since: ago(2 * time.Hour)},
 		{Source: addr.MustParse("3.3.3.3"), Group: addr.MustParse("224.0.1.2"), Flags: "ST", RateKbps: 8, Packets: 5},
 	}
 	ss := pt.Sessions()
@@ -207,8 +213,8 @@ func TestDeriveSessions(t *testing.T) {
 	if ss[0].Protocol != "dvmrp" || ss[1].Protocol != "pim" {
 		t.Errorf("protocols = %q, %q", ss[0].Protocol, ss[1].Protocol)
 	}
-	if ss[0].Uptime != 2*time.Hour {
-		t.Errorf("uptime = %v", ss[0].Uptime)
+	if ss[0].Since != ago(2*time.Hour) {
+		t.Errorf("since = %d", ss[0].Since)
 	}
 }
 
@@ -325,5 +331,46 @@ func TestBuildSnapshotErrors(t *testing.T) {
 	unknown := []collect.Dump{{Target: "a", Command: "show clock", Raw: "whatever"}}
 	if _, err := tables.BuildSnapshot(unknown); err != nil {
 		t.Errorf("unknown command should be skipped: %v", err)
+	}
+}
+
+// pointers lists the fields of t, by path, that hold a pointer the
+// garbage collector follows: pointers, strings, slices, maps, channels,
+// functions and interfaces, in nested structs and arrays too.
+func pointers(t reflect.Type, path string) []string {
+	switch t.Kind() {
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < t.NumField(); i++ {
+			out = append(out, pointers(t.Field(i).Type, strings.TrimPrefix(path+"."+t.Field(i).Name, "."))...)
+		}
+		return out
+	case reflect.Array:
+		return pointers(t.Elem(), path+"[]")
+	case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.UnsafePointer:
+		return []string{path}
+	}
+	return nil
+}
+
+// TestRowLayout pins the two row types every cycle allocates by the
+// thousand: a route row in 32 bytes with no pointer, so a route table is
+// nothing the collector scans, and a pair row in 48 bytes whose one
+// pointer is its interned Flags. A field that moves every cycle, or a
+// time.Time and its location pointer, breaks it.
+func TestRowLayout(t *testing.T) {
+	for _, c := range []struct {
+		row        any
+		size, want uintptr
+		pointers   []string
+	}{
+		{tables.RouteEntry{}, unsafe.Sizeof(tables.RouteEntry{}), 32, nil},
+		{tables.PairEntry{}, unsafe.Sizeof(tables.PairEntry{}), 48, []string{"Flags"}},
+	} {
+		rt := reflect.TypeOf(c.row)
+		if got := pointers(rt, ""); c.size != c.want || !slices.Equal(got, c.pointers) {
+			t.Errorf("%v is %d bytes with pointers %q; want %d bytes with pointers %q: a row holds its stable identity only (DESIGN.md §7)",
+				rt, c.size, got, c.want, c.pointers)
+		}
 	}
 }

@@ -32,7 +32,7 @@ const unreachable = 2 * Infinity
 type pkey uint64
 
 func pack(p addr.Prefix) pkey      { return pkey(uint64(p.Addr)<<6 | uint64(p.Len)) }
-func (k pkey) unpack() addr.Prefix { return addr.Prefix{Addr: addr.IP(k >> 6), Len: int(k & 63)} }
+func (k pkey) unpack() addr.Prefix { return addr.Prefix{Addr: addr.IP(k >> 6), Len: uint8(k & 63)} }
 
 // Route is one entry of a router's DVMRP routing table.
 type Route struct {

@@ -1,14 +1,14 @@
-package collect
+package snmp
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/addr"
-	"repro/internal/snmp"
 )
 
-// SNMPSnapshotTables is the SNMP alternative to the CLI scrape: it walks
+// SNMPTables is the SNMP alternative to the CLI scrape: it walks
 // the era's MIBs (DVMRP route table and ipMRouteTable) and returns the
 // raw bindings grouped per table, for comparison against the CLI path.
 //
@@ -43,16 +43,16 @@ type SNMPPair struct {
 }
 
 // CollectSNMP walks the multicast MIBs through the client.
-func CollectSNMP(c *snmp.Client) (*SNMPTables, error) {
+func CollectSNMP(c *Client) (*SNMPTables, error) {
 	out := &SNMPTables{
 		RouteRows: make(map[addr.Prefix]SNMPRoute),
 		PairRows:  make(map[SNMPPairKey]SNMPPair),
 	}
-	routeBinds, err := c.Walk(snmp.OIDDVMRPRoute)
+	routeBinds, err := c.Walk(OIDDVMRPRoute)
 	if err != nil {
-		return nil, fmt.Errorf("collect: snmp dvmrp walk: %w", err)
+		return nil, fmt.Errorf("snmp: dvmrp walk: %w", err)
 	}
-	base := len(snmp.OIDDVMRPRoute)
+	base := len(OIDDVMRPRoute)
 	for _, vb := range routeBinds {
 		// Index: col . src(4) . mask(4)
 		if len(vb.OID) != base+1+8 {
@@ -61,24 +61,24 @@ func CollectSNMP(c *snmp.Client) (*SNMPTables, error) {
 		col := vb.OID[base]
 		src := oidIP(vb.OID[base+1 : base+5])
 		mask := oidIP(vb.OID[base+5 : base+9])
-		p := addr.PrefixFrom(src, maskLen(mask))
+		p := addr.PrefixFrom(src, bits.LeadingZeros32(^uint32(mask)))
 		row := out.RouteRows[p]
 		switch col {
-		case 3:
+		case colDVMRPUpstream:
 			row.Upstream = valueIP(vb.Value)
-		case 5:
+		case colDVMRPMetric:
 			row.Metric = int(vb.Value.Int)
-		case 6:
+		case colDVMRPUpTime:
 			row.Uptime = time.Duration(vb.Value.Int) * 10 * time.Millisecond
 		}
 		out.RouteRows[p] = row
 	}
 
-	pairBinds, err := c.Walk(snmp.OIDIPMRoute)
+	pairBinds, err := c.Walk(OIDIPMRoute)
 	if err != nil {
-		return nil, fmt.Errorf("collect: snmp mroute walk: %w", err)
+		return nil, fmt.Errorf("snmp: mroute walk: %w", err)
 	}
-	base = len(snmp.OIDIPMRoute)
+	base = len(OIDIPMRoute)
 	for _, vb := range pairBinds {
 		// Index: col . group(4) . src(4) . srcmask(4)
 		if len(vb.OID) != base+1+12 {
@@ -90,11 +90,11 @@ func CollectSNMP(c *snmp.Client) (*SNMPTables, error) {
 		k := SNMPPairKey{Source: src, Group: group}
 		row := out.PairRows[k]
 		switch col {
-		case 6:
+		case colMRouteUpTime:
 			row.Uptime = time.Duration(vb.Value.Int) * 10 * time.Millisecond
-		case 7:
+		case colMRoutePkts:
 			row.Packets = uint64(vb.Value.Int)
-		case 8:
+		case colMRouteOctets:
 			row.Octets = uint64(vb.Value.Int)
 		}
 		out.PairRows[k] = row
@@ -106,17 +106,9 @@ func oidIP(arcs []uint32) addr.IP {
 	return addr.V4(byte(arcs[0]), byte(arcs[1]), byte(arcs[2]), byte(arcs[3]))
 }
 
-func valueIP(v snmp.Value) addr.IP {
+func valueIP(v Value) addr.IP {
 	if len(v.Str) != 4 {
 		return 0
 	}
 	return addr.V4(v.Str[0], v.Str[1], v.Str[2], v.Str[3])
-}
-
-func maskLen(mask addr.IP) int {
-	n := 0
-	for bit := addr.IP(1) << 31; bit != 0 && mask&bit != 0; bit >>= 1 {
-		n++
-	}
-	return n
 }

@@ -1,4 +1,4 @@
-package collect_test
+package snmp_test
 
 import (
 	"testing"
@@ -8,13 +8,13 @@ import (
 )
 
 func TestCollectSNMPMatchesRouterState(t *testing.T) {
-	n := testNetwork(t)
+	n := buildNetwork(t)
 	r := n.Router("ucsb-gw")
 	agent := snmp.NewAgent("public")
 	agent.SetView(snmp.BuildView(r, n.Now()))
 	c := snmp.NewClient("public", snmp.AgentTransport(agent))
 
-	tbls, err := collect.CollectSNMP(c)
+	tbls, err := snmp.CollectSNMP(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +40,14 @@ func TestCollectSNMPMatchesRouterState(t *testing.T) {
 func TestCollectSNMPAgainstCLI(t *testing.T) {
 	// Both collection paths must agree on the route count; only the CLI
 	// path carries protocol flags and the newer protocols' state.
-	n := testNetwork(t)
+	n := buildNetwork(t)
 	r := n.Router("fixw")
 	r.Password = ""
 
 	agent := snmp.NewAgent("public")
 	agent.SetView(snmp.BuildView(r, n.Now()))
 	c := snmp.NewClient("public", snmp.AgentTransport(agent))
-	viaSNMP, err := collect.CollectSNMP(c)
+	viaSNMP, err := snmp.CollectSNMP(c)
 	if err != nil {
 		t.Fatal(err)
 	}

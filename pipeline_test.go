@@ -96,7 +96,8 @@ func seriesDigest(m *mantra.Monitor, targets []string) string {
 
 // reconstructDigest reopens an archive directory, recovers it and hashes
 // every target's pair and route tables as reconstructed at every cycle:
-// each field of each row, floats and instants by their bits.
+// each field of each row, floats by their bits, and for each Since the
+// uptime At − Since (0 for none) and the instant, as rows carried both.
 func reconstructDigest(t *testing.T, dir string) string {
 	t.Helper()
 	st, err := logger.OpenStore(dir, logger.StoreOptions{})
@@ -113,14 +114,15 @@ func reconstructDigest(t *testing.T, dir string) string {
 			h.Write(b[:])
 		}
 	}
-	instant := func(at time.Time) uint64 {
-		if at.IsZero() {
-			return 0
-		}
-		return uint64(at.UnixNano())
-	}
 	for _, target := range l.Targets() {
 		for idx := 0; idx < l.Cycles(target); idx++ {
+			at, _ := l.At(target, idx)
+			uptime := func(since int64) uint64 {
+				if since == 0 {
+					return 0
+				}
+				return uint64(at.UnixNano() - since)
+			}
 			pairs, err1 := l.ReconstructPairs(target, idx)
 			routes, err2 := l.ReconstructRoutes(target, idx)
 			if err1 != nil || err2 != nil {
@@ -130,7 +132,7 @@ func reconstructDigest(t *testing.T, dir string) string {
 			put(uint64(len(pairs)))
 			for _, e := range pairs {
 				fmt.Fprintf(h, "%s\n", e.Flags)
-				put(uint64(e.Source), uint64(e.Group), math.Float64bits(e.RateKbps), e.Packets, uint64(e.Uptime), instant(e.Since))
+				put(uint64(e.Source), uint64(e.Group), math.Float64bits(e.RateKbps), e.Packets, uptime(e.Since), uint64(e.Since))
 			}
 			put(uint64(len(routes)))
 			for _, e := range routes {
@@ -138,7 +140,7 @@ func reconstructDigest(t *testing.T, dir string) string {
 				if e.Local {
 					local = 1
 				}
-				put(uint64(e.Prefix.Addr), uint64(e.Prefix.Len), uint64(e.Gateway), local, uint64(e.Metric), uint64(e.Uptime), instant(e.Since))
+				put(uint64(e.Prefix.Addr), uint64(e.Prefix.Len), uint64(e.Gateway), local, uint64(e.Metric), uptime(e.Since), uint64(e.Since))
 			}
 		}
 	}
