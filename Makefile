@@ -55,7 +55,7 @@ loc:
 
 # The ceiling on that total. A PR that needs more lines raises it in its
 # own diff, so growth is a decision somebody reviewed.
-LOC_CEILING = 21246
+LOC_CEILING = 21299
 
 loc-check:
 	@t=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -102,12 +102,15 @@ loc-check:
 # the wire structs they replaced (the same bytes, or 500 and its error),
 # and a cycle's pair-derived statistics, Session and Participant tables
 # and summary tables against the map-based derivations they replaced, on
-# random pair tables (the same results bit for bit).
+# random pair tables (the same results bit for bit). The table scanner's
+# pass runs under scripts/fuzz-progress.sh, which fails it when the exec
+# count stops at its first report: the fuzzer once spent whole runs
+# minimizing inputs grown from recorded dumps of tens of kilobytes.
 fuzz:
 	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
 	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
 	$(GO) test ./internal/core/collect -run '^$$' -fuzz '^FuzzPrintable$$' -fuzztime 30s
-	$(GO) test ./internal/core/tables -fuzz FuzzBuildSnapshot -fuzztime 30s
+	bash scripts/fuzz-progress.sh $(GO) test ./internal/core/tables -run '^$$' -fuzz '^FuzzBuildSnapshot$$' -fuzztime 30s
 	$(GO) test ./internal/core/tables -fuzz FuzzMergeSnapshots -fuzztime 30s
 	$(GO) test ./internal/addr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/core/logger -fuzz FuzzAppendMatchesMapDiff -fuzztime 30s

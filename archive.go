@@ -98,7 +98,7 @@ func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 		}
 		for _, target := range report.Targets {
 			if sn := m.core.Log.Latest(target); sn != nil {
-				m.refreshTables(sn)
+				m.keepSnapshot(sn)
 			}
 		}
 	}

@@ -555,11 +555,14 @@ func TestWriteFileAllocBytes(t *testing.T) {
 }
 
 // TestCheckpointAllocFlatInHistory holds Store.WriteCheckpoint to a
-// fixed number of allocations whatever the history's length, and its
-// bytes to 1.3 times the file it writes plus 4 KiB for the paths, the
-// file handles and the directory listing: the body is encoded by hand
-// into one buffer sized from the previous checkpoint. (Regression: gob
-// allocated per record, and about seven times the file in bytes.)
+// fixed number of allocations whatever the history's length, its bytes
+// to 1.3 times the file it writes plus 4 KiB for the paths, the file
+// handles and the directory listing, and its bytes at 1000 records to
+// within 1 KiB of those at 100: the body is encoded by hand through one
+// 16 KiB scratch streamed to the file, so the bytes do not grow with the
+// file. (Regressions: gob allocated per record, and about seven times
+// the file in bytes; a buffer the size of the whole body, made for each
+// write, allocated the file's length again.)
 func TestCheckpointAllocFlatInHistory(t *testing.T) {
 	testfault.Deadline(t, testfault.Limit)
 	a, b := counterTables(40)
@@ -603,6 +606,9 @@ func TestCheckpointAllocFlatInHistory(t *testing.T) {
 		if gate := c[1]*13/10 + 4<<10; c[0] > gate {
 			t.Errorf("WriteCheckpoint allocated %d bytes for a %d-byte file; gate is %d", c[0], c[1], gate)
 		}
+	}
+	if gate := shortBytes + 1<<10; longBytes > gate {
+		t.Errorf("WriteCheckpoint allocated %d bytes at 100 records and %d at 1000; gate is %d", shortBytes, longBytes, gate)
 	}
 }
 

@@ -1,11 +1,12 @@
 // Checkpoints and restart recovery for the durable archive.
 //
-// A checkpoint is one atomic framed file (seglog.WriteFile) holding the
-// full Logger state plus an opaque caller payload (the cycle core stores
-// every target's processor state and health row there), stamped with
-// the WAL sequence number it covers. Its body is encoded by hand with
-// the WAL's own primitives, records included (appendDelta), so equal
-// states write equal bytes. Recovery loads the newest valid checkpoint —
+// A checkpoint is one atomic framed file (seglog.WriteFileFrom) holding
+// the full Logger state plus an opaque caller payload (the cycle core
+// stores every target's processor state and health row there), stamped
+// with the WAL sequence number it covers. Its body is encoded by hand
+// with the WAL's own primitives, records included (appendDelta), so
+// equal states write equal bytes, and is streamed to the file as it is
+// encoded. Recovery loads the newest valid checkpoint —
 // falling back to an older one if the newest is damaged — and replays
 // only the WAL records past it. Segments wholly covered by every
 // retained checkpoint are pruned.
@@ -14,6 +15,7 @@ package logger
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -40,11 +42,25 @@ type ckptPayload struct {
 // but does not decode.
 var ErrBadCheckpoint = errors.New("logger: malformed checkpoint")
 
-// appendCheckpoint encodes a checkpoint body: seq and at, then for each
-// target in Targets order its name, full-entry count, gaps and records
-// (each the bytes the log keeps behind its header), then extra to the
-// end.
-func appendCheckpoint(b []byte, seq uint64, at time.Time, l *Logger, extra []byte) []byte {
+// writeCheckpoint is the one checkpoint encoder. It writes a checkpoint
+// body to w: seq and at, then for each target in Targets order its name,
+// full-entry count, gaps and records (each the bytes the log keeps
+// behind its header), then extra to the end, straight from its slice.
+// The rest goes through a 16 KiB scratch written out each time it holds
+// 12 KiB, so the write allocates the same at any history length.
+func writeCheckpoint(w io.Writer, seq uint64, at time.Time, l *Logger, extra []byte) error {
+	const spillAt = 12 << 10
+	b := make([]byte, 0, 16<<10)
+	var err error
+	spill := func(min int) { // after a failed write, the rest is encoded and dropped
+		if len(b) < min {
+			return
+		}
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		b = b[:0]
+	}
 	b = seglog.AppendUvarint(b, seq)
 	b = seglog.AppendTime(b, at)
 	names := l.Targets()
@@ -57,13 +73,19 @@ func appendCheckpoint(b []byte, seq uint64, at time.Time, l *Logger, extra []byt
 		for _, g := range tl.gaps {
 			b = seglog.AppendTime(b, g.At)
 			b = seglog.AppendString(b, g.Reason)
+			spill(spillAt)
 		}
 		b = seglog.AppendUvarint(b, uint64(len(tl.Records)))
 		for _, rec := range tl.Records {
 			b = appendDelta(b, rec, 0)
+			spill(spillAt)
 		}
 	}
-	return append(b, extra...)
+	spill(0)
+	if err == nil {
+		_, err = w.Write(extra)
+	}
+	return err
 }
 
 // decodeCheckpoint rebuilds a Logger from a checkpoint body by applying
@@ -185,15 +207,13 @@ func (s *Store) WriteCheckpoint(l *Logger, extra []byte, now time.Time) error {
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("logger: checkpoint: sync wal: %w", err)
 	}
-	// A fresh buffer a little larger than the last checkpoint: the
-	// history only grows, and one that outlived the write would hold a
-	// checkpoint's worth of heap between writes.
-	hint := s.stats.CheckpointBytes
-	body := appendCheckpoint(make([]byte, 0, hint+hint/8), s.seq, now, l, extra)
-	if err := seglog.WriteFile(filepath.Join(s.dir, ckptName(s.seq)), ckptMagic, body); err != nil {
+	n, err := seglog.WriteFileFrom(filepath.Join(s.dir, ckptName(s.seq)), ckptMagic, func(w io.Writer) error {
+		return writeCheckpoint(w, s.seq, now, l, extra)
+	})
+	if err != nil {
 		return fmt.Errorf("logger: checkpoint: %w", err)
 	}
-	s.stats.CheckpointBytes = ckptSize(body)
+	s.stats.CheckpointBytes = ckptSize(n)
 	s.stats.Checkpoints++
 	s.stats.CheckpointSeq = s.seq
 	s.stats.LastCheckpointAt = now
@@ -224,8 +244,8 @@ func (s *Store) prune() {
 	s.log.Prune(func(seg seglog.Segment) bool { return seg.ID+uint64(seg.Frames)-1 <= ckpts[0] })
 }
 
-// ckptSize is the length of the file that holds body.
-func ckptSize(body []byte) int64 { return int64(len(ckptMagic) + seglog.FrameHeader + len(body)) }
+// ckptSize is the length of the file that holds a body of n bytes.
+func ckptSize(n int64) int64 { return int64(len(ckptMagic)+seglog.FrameHeader) + n }
 
 // loadCheckpoint reads and decodes one checkpoint file.
 func loadCheckpoint(path string) (*ckptPayload, error) {
@@ -237,7 +257,7 @@ func loadCheckpoint(path string) (*ckptPayload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("logger: checkpoint %s: %w", filepath.Base(path), err)
 	}
-	pay.Size = ckptSize(body)
+	pay.Size = ckptSize(int64(len(body)))
 	return pay, nil
 }
 

@@ -1,7 +1,9 @@
 package logger
 
 import (
+	"bytes"
 	"encoding/binary"
+	"time"
 
 	"repro/internal/core/seglog"
 )
@@ -11,3 +13,11 @@ import (
 const frameHeader = seglog.FrameHeader
 
 func u32at(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+
+// appendCheckpoint appends to b the checkpoint body writeCheckpoint
+// streams to a file.
+func appendCheckpoint(b []byte, seq uint64, at time.Time, l *Logger, extra []byte) []byte {
+	buf := bytes.NewBuffer(b)
+	_ = writeCheckpoint(buf, seq, at, l, extra) // a bytes.Buffer's writes do not fail
+	return buf.Bytes()
+}

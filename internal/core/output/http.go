@@ -8,15 +8,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core/process"
+	"repro/internal/core/tables"
 )
 
 // Server exposes Mantra's results over HTTP: the web-based presentation
 // layer (tables and graph data) of the paper's Output Interface. Every
 // endpoint answers from the last published cycle, and no handler takes
 // a lock: by default the server reads the processor's published View,
-// the / index and /tables/* read the tables Publish last swapped in
-// with the View they were built with, and each Set* source returns a
-// view its owner published. The Set* sources are wiring: install them
+// the / index and /tables/* read the snapshots Publish last swapped in
+// with the View of the same cycle, and each Set* source returns a view
+// its owner published. The Set* sources are wiring: install them
 // before the server serves.
 type Server struct {
 	mux  *http.ServeMux
@@ -37,14 +38,14 @@ type Server struct {
 }
 
 // view is one published cycle as the server serves it: the processor's
-// view and the summary tables built in the same cycle.
+// view and each target's latest snapshot as of the same cycle.
 type view struct {
-	proc   *process.View
-	tables map[string]*Table
+	proc  *process.View
+	snaps map[string]*tables.Snapshot
 }
 
 // NewServer returns a server over a processor's published views.
-// Summary tables are published with Publish.
+// Snapshots for the summary tables are published with Publish.
 func NewServer(p *process.Processor) *Server {
 	s := &Server{
 		mux:  http.NewServeMux(),
@@ -63,18 +64,18 @@ func NewServer(p *process.Processor) *Server {
 	return s
 }
 
-// Publish swaps in, whole, the summary tables and the processor view
-// they were built with, so the / index never pairs one cycle's targets
-// with another's tables. Neither may be modified afterwards.
-func (s *Server) Publish(pv *process.View, tables map[string]*Table) {
-	s.published.Store(&view{proc: pv, tables: tables})
+// Publish swaps in, whole, each target's latest snapshot by name and
+// the processor view of the same cycle, so the / index never pairs one
+// cycle's targets with another's tables. Neither may be modified.
+func (s *Server) Publish(pv *process.View, snaps map[string]*tables.Snapshot) {
+	s.published.Store(&view{proc: pv, snaps: snaps})
 }
 
 // view returns what the / index and /tables/* answer from: the last
-// Publish, or before one the processor's view and no tables.
-func (s *Server) view() (*process.View, map[string]*Table) {
+// Publish, or before one the processor's view and no snapshots.
+func (s *Server) view() (*process.View, map[string]*tables.Snapshot) {
 	if v := s.published.Load(); v != nil {
-		return v.proc, v.tables
+		return v.proc, v.snaps
 	}
 	return s.proc.View(), nil
 }
@@ -139,7 +140,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		Metrics []string `json:"metrics"`
 		Tables  []string `json:"tables"`
 	}
-	pv, tables := s.view()
+	pv, snaps := s.view()
 	var idx index
 	if s.targets != nil {
 		idx.Targets = s.targets()
@@ -149,8 +150,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	for _, m := range process.AllMetrics {
 		idx.Metrics = append(idx.Metrics, string(m))
 	}
-	for name := range tables {
-		idx.Tables = append(idx.Tables, name)
+	for target := range snaps {
+		idx.Tables = append(idx.Tables, "busiest-"+target, "senders-"+target, "routes-"+target)
 	}
 	sort.Strings(idx.Tables)
 	writeJSON(w, idx)
@@ -240,28 +241,60 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	_ = g.RenderASCII(w, 100, 20)
 }
 
-// handleTable serves /tables/<name> as plain text, honoring ?sort=col and
+// summarize renders a snapshot's summary table of one kind, nil for an
+// unknown kind or no snapshot: the paper's busiest sessions and top
+// senders, twenty rows each, and the count of routes at each metric up
+// to 64.
+func summarize(kind string, sn *tables.Snapshot) *Table {
+	if sn == nil {
+		return nil
+	}
+	name := kind + "-" + sn.Target
+	var t *Table
+	switch kind {
+	case "busiest":
+		t = NewTable(name, "group", "density", "kbps", "protocol")
+		for _, s := range process.BusiestSessions(sn, 20) {
+			_ = t.AddRow(Str(s.Group.String()), Num(float64(s.Density)), Num(s.TotalRateKbps), Str(s.Protocol))
+		}
+	case "senders":
+		t = NewTable(name, "host", "groups", "max_kbps")
+		for _, p := range process.TopSenders(sn, 20) {
+			_ = t.AddRow(Str(p.Host.String()), Num(float64(p.Groups)), Num(p.MaxRateKbps))
+		}
+	case "routes":
+		t = NewTable(name, "metric", "count")
+		rs := process.SummarizeRoutes(sn)
+		for metric := 0; metric <= 64; metric++ {
+			if c := rs.MetricCounts[metric]; c > 0 {
+				_ = t.AddRow(Num(float64(metric)), Num(float64(c)))
+			}
+		}
+	}
+	return t
+}
+
+// handleTable serves /tables/<kind>-<target> as plain text, rendered
+// from the target's published snapshot, honoring ?sort=col and
 // ?q=substr query operations.
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	name := strings.TrimPrefix(r.URL.Path, "/tables/")
-	_, tables := s.view()
-	t, ok := tables[name]
-	if !ok {
+	kind, target, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/tables/"), "-")
+	_, snaps := s.view()
+	view := summarize(kind, snaps[target])
+	if view == nil {
 		http.NotFound(w, r)
 		return
 	}
-	view := t
-	if q := r.URL.Query().Get("q"); q != "" {
-		view = view.Search(q)
+	// The table is this request's own, so it is sorted in place.
+	q := r.URL.Query()
+	if substr := q.Get("q"); substr != "" {
+		view = view.Search(substr)
 	}
-	if col := r.URL.Query().Get("sort"); col != "" {
-		cp := &Table{Name: view.Name, Columns: view.Columns, Rows: append([][]Cell(nil), view.Rows...)}
-		asc := r.URL.Query().Get("desc") == ""
-		if err := cp.Sort(col, asc); err != nil {
+	if col := q.Get("sort"); col != "" {
+		if err := view.Sort(col, q.Get("desc") == ""); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		view = cp
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_ = view.Render(w)

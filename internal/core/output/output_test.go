@@ -207,7 +207,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	p := process.New()
 	ingestSample(p)
 	s := NewServer(p)
-	s.Publish(p.Publish(), map[string]*Table{"sessions": sampleTable(t)})
+	sn := &tables.Snapshot{Target: "fixw", At: sim.Epoch}
+	for _, r := range []struct {
+		g string
+		k float64
+	}{{"224.2.0.1", 64}, {"224.2.0.2", 0.5}, {"224.9.0.9", 512}} {
+		sn.Pairs = append(sn.Pairs, tables.PairEntry{Source: addr.MustParse("1.1.1.1"), Group: addr.MustParse(r.g), RateKbps: r.k, Flags: "D"})
+	}
+	s.Publish(p.Publish(), map[string]*tables.Snapshot{"fixw": sn})
 
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -230,7 +237,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		return resp.StatusCode, sb.String()
 	}
 
-	if code, body := get("/"); code != 200 || !strings.Contains(body, "fixw") {
+	if code, body := get("/"); code != 200 || !strings.Contains(body, `"tables":["busiest-fixw","routes-fixw","senders-fixw"]`) {
 		t.Errorf("index: %d %s", code, body)
 	}
 	code, body := get("/series/fixw/sessions")
@@ -247,17 +254,22 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code, body := get("/graph/fixw/sessions"); code != 200 || !strings.Contains(body, "sessions") {
 		t.Errorf("graph: %d %s", code, body)
 	}
-	if code, body := get("/tables/sessions?sort=kbps&desc=1"); code != 200 || !strings.Contains(body, "224.9.0.9") {
+	if code, body := get("/tables/busiest-fixw?sort=kbps"); code != 200 || strings.Index(body, "224.2.0.2") > strings.Index(body, "224.9.0.9") {
 		t.Errorf("table: %d %s", code, body)
 	}
-	if code, body := get("/tables/sessions?q=224.2.0.2"); code != 200 || strings.Contains(body, "224.9.0.9") {
+	if code, body := get("/tables/busiest-fixw?sort=kbps&desc=1"); code != 200 || strings.Index(body, "224.9.0.9") > strings.Index(body, "224.2.0.2") {
+		t.Errorf("table sorted descending: %d %s", code, body)
+	}
+	if code, body := get("/tables/busiest-fixw?q=224.2.0.2"); code != 200 || !strings.Contains(body, "(1 rows)") {
 		t.Errorf("table search: %d %s", code, body)
 	}
-	if code, _ := get("/tables/sessions?sort=ghost"); code != 400 {
+	if code, _ := get("/tables/busiest-fixw?sort=ghost"); code != 400 {
 		t.Error("bad sort column should 400")
 	}
-	if code, _ := get("/tables/none"); code != 404 {
-		t.Error("unknown table should 404")
+	for _, name := range []string{"none", "busiest-nobody", "sessions-fixw", "busiest"} {
+		if code, _ := get("/tables/" + name); code != 404 {
+			t.Errorf("unknown table %s should 404", name)
+		}
 	}
 	if code, body := get("/anomalies"); code != 200 || !strings.HasPrefix(strings.TrimSpace(body), "[") {
 		t.Errorf("anomalies: %d %s", code, body)

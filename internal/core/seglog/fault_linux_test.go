@@ -1,6 +1,8 @@
 package seglog_test
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -68,10 +70,14 @@ func TestAppendSurfacesWriteAndSyncFaults(t *testing.T) {
 }
 
 // TestWriteFileSurfacesSyncAndRenameFaults holds WriteFile to its
-// atomic contract under the two faults a test can raise: a temporary
-// that cannot fsync (a pipe in its place) and a rename that cannot land
-// (a directory in the way). Both return the error, and neither leaves
-// the target path holding a file.
+// atomic contract under the faults a test can raise: a temporary that
+// cannot fsync (a pipe in its place, or its descriptor re-pointed at
+// /dev/null while the payload streams) and a rename that cannot land (a
+// directory in the way). Each returns the error, and none leaves the
+// target path holding a file. On the pipe the first step to fail is the
+// header's write at offset 0 (a pipe cannot seek), which comes after
+// the payload and before the fsync; /dev/null takes that write and
+// fails the fsync.
 func TestWriteFileSurfacesSyncAndRenameFaults(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt")
@@ -88,6 +94,25 @@ func TestWriteFileSurfacesSyncAndRenameFaults(t *testing.T) {
 	}
 	if err := os.Remove(path + seglog.TempSuffix); err != nil {
 		t.Fatal(err)
+	}
+
+	_, err := seglog.WriteFileFrom(path, testMagic, func(w io.Writer) error {
+		null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		defer null.Close()
+		if err := syscall.Dup3(int(null.Fd()), testfault.OpenFD(t, dir, "ckpt"), 0); err != nil {
+			return err
+		}
+		_, err = w.Write([]byte("body"))
+		return err
+	})
+	if !errors.Is(err, syscall.EINVAL) {
+		t.Errorf("WriteFileFrom onto a temporary that cannot fsync: err = %v, want EINVAL", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a failed WriteFileFrom left %s: %v", path, err)
 	}
 
 	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {

@@ -16,7 +16,7 @@
 // visitor is the tear — the segment is cut back to it and every later
 // segment is removed, so at most the tail is lost and what remains is
 // always a prefix of what was appended. An atomic single-frame file
-// (WriteFile/ReadFile) carries checkpoints in the same framing.
+// (WriteFileFrom/ReadFile) carries checkpoints in the same framing.
 //
 // A Log is not safe for concurrent use; its owner serializes calls.
 package seglog
@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -314,23 +315,50 @@ func (l *Log) Prune(drop func(Segment) bool) {
 }
 
 // WriteFile atomically replaces path with magic and one frame holding
-// payload: temp file, fsync, rename, directory fsync. The header and the
-// payload are written one after the other, so the payload is never
-// copied.
+// payload; it is WriteFileFrom with a body that writes payload once.
 func WriteFile(path, magic string, payload []byte) error {
-	hdr := make([]byte, 0, len(magic)+FrameHeader)
-	hdr = append(hdr, magic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, castagnoli))
+	_, err := WriteFileFrom(path, magic, func(w io.Writer) error { _, err := w.Write(payload); return err })
+	return err
+}
 
+// frameWriter passes a frame's payload through to its file, counting
+// the payload's length and checksum as it goes.
+type frameWriter struct {
+	f   *os.File
+	n   int64
+	sum uint32
+}
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.n += int64(n)
+	w.sum = crc32.Update(w.sum, castagnoli, p[:n])
+	return n, err
+}
+
+// WriteFileFrom atomically replaces path with magic and one frame whose
+// payload body writes, streamed to the file as body writes it: a zeroed
+// header, the payload, the header at offset 0 once the payload's length
+// and checksum are known, then fsync, rename and a directory fsync. It
+// returns the payload's length. An error from body or from any step
+// leaves path as it was; the temporary it leaves is an aborted write.
+func WriteFileFrom(path, magic string, body func(io.Writer) error) (int64, error) {
+	hdr := make([]byte, len(magic)+FrameHeader)
 	tmp := path + TempSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	w := &frameWriter{f: f}
 	_, err = f.Write(hdr)
 	if err == nil {
-		_, err = f.Write(payload)
+		err = body(w)
+	}
+	if err == nil {
+		copy(hdr, magic)
+		binary.LittleEndian.PutUint32(hdr[len(magic):], uint32(w.n))
+		binary.LittleEndian.PutUint32(hdr[len(magic)+4:], w.sum)
+		_, err = f.WriteAt(hdr, 0)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -342,7 +370,7 @@ func WriteFile(path, magic string, payload []byte) error {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// The rename is not durable until its directory entry is; best
 	// effort where directories cannot be synced.
@@ -350,7 +378,7 @@ func WriteFile(path, magic string, payload []byte) error {
 		_ = d.Sync()  // documented best-effort: directory fsync is unsupported on some platforms
 		_ = d.Close() // read-only directory handle; nothing to flush
 	}
-	return nil
+	return w.n, nil
 }
 
 // ReadFile reads a file WriteFile wrote and returns its payload after

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -305,6 +306,52 @@ func TestWriteFileReadFile(t *testing.T) {
 		if _, err := seglog.ReadFile(path, testMagic); err == nil {
 			t.Fatalf("flip at byte %d accepted", pos)
 		}
+	}
+}
+
+// TestWriteFileFromStreams: a payload written in pieces makes the file
+// WriteFile makes of the whole, and a body that fails midway returns
+// its error and leaves the target path as it was: absent, then holding
+// the last complete write.
+func TestWriteFileFromStreams(t *testing.T) {
+	dir := t.TempDir()
+	whole, streamed := filepath.Join(dir, "whole"), filepath.Join(dir, "streamed")
+	payload := bytes.Repeat([]byte("checkpoint body "), 1000)
+	if err := seglog.WriteFile(whole, testMagic, payload); err != nil {
+		t.Fatal(err)
+	}
+	pieces := func(fail error) func(w io.Writer) error {
+		return func(w io.Writer) error {
+			for rest := payload; len(rest) > 0; rest = rest[min(len(rest), 3000):] {
+				if fail != nil && len(rest) < len(payload)/2 {
+					return fail
+				}
+				if _, err := w.Write(rest[:min(len(rest), 3000)]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	broken := errors.New("encoder failed")
+	if _, err := seglog.WriteFileFrom(streamed, testMagic, pieces(broken)); !errors.Is(err, broken) {
+		t.Fatalf("a body failing midway: err = %v, want %v", err, broken)
+	}
+	if _, err := os.Stat(streamed); !os.IsNotExist(err) {
+		t.Fatalf("a failed write left %s: %v", streamed, err)
+	}
+	if n, err := seglog.WriteFileFrom(streamed, testMagic, pieces(nil)); err != nil || n != int64(len(payload)) {
+		t.Fatalf("WriteFileFrom = %d, %v; want %d bytes", n, err, len(payload))
+	}
+	want, _ := os.ReadFile(whole)
+	if got, _ := os.ReadFile(streamed); !bytes.Equal(got, want) {
+		t.Fatalf("streamed file differs from the whole write: %d bytes, want %d", len(got), len(want))
+	}
+	if _, err := seglog.WriteFileFrom(streamed, testMagic, pieces(broken)); !errors.Is(err, broken) {
+		t.Fatalf("a body failing midway over a file: err = %v", err)
+	}
+	if got, _ := os.ReadFile(streamed); !bytes.Equal(got, want) {
+		t.Fatal("a failed write changed the file it was to replace")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -528,6 +529,56 @@ func realDumps(tb testing.TB) []collect.Dump {
 	return out
 }
 
+// capture is two dumps as FuzzBuildSnapshot takes them: a command index
+// into fuzzCommands and the dump's text, each.
+type capture struct {
+	cmd1 uint8
+	raw1 string
+	cmd2 uint8
+	raw2 string
+}
+
+// recordedCaptures pairs each recorded dump with the next, and gives it
+// alone as a CRLF and as an interleaved LF-CR transport deliver it.
+func recordedCaptures(tb testing.TB) []capture {
+	cmdOf := func(cmd string) uint8 { return uint8(slices.Index(fuzzCommands, cmd)) }
+	unknown := uint8(len(fuzzCommands) - 1)
+	dumps := realDumps(tb)
+	var out []capture
+	for i, d := range dumps {
+		next := dumps[(i+1)%len(dumps)]
+		out = append(out, capture{cmdOf(d.Command), d.Raw, cmdOf(next.Command), next.Raw},
+			capture{cmdOf(d.Command), strings.ReplaceAll(d.Raw, "\n", "\r\n"), unknown, ""},
+			capture{cmdOf(d.Command), strings.ReplaceAll(d.Raw, "\n", "\n\r"), unknown, ""})
+	}
+	return out
+}
+
+// seedLines is how much of each recorded dump FuzzBuildSnapshot seeds.
+const seedLines = 8
+
+// firstLines returns s up to and including its nth line feed.
+func firstLines(s string, n int) string {
+	end := 0
+	for ; n > 0; n-- {
+		i := strings.IndexByte(s[end:], '\n')
+		if i < 0 {
+			return s
+		}
+		end += i + 1
+	}
+	return s[:end]
+}
+
+// TestBuildSnapshotRecordedCaptures holds the scanner to the reference
+// on the whole recorded captures, which FuzzBuildSnapshot seeds cut.
+func TestBuildSnapshotRecordedCaptures(t *testing.T) {
+	testfault.Deadline(t, testfault.Limit)
+	for _, c := range recordedCaptures(t) {
+		sameAsReference(t, []collect.Dump{fuzzDump(c.cmd1, c.raw1), fuzzDump(c.cmd2, c.raw2)})
+	}
+}
+
 // FuzzBuildSnapshot holds the one-pass scanner to the reference above
 // over two-dump captures: equal snapshots, equal error text, the parse
 // error of any dump ahead of the truncation error of any other.
@@ -547,14 +598,13 @@ func FuzzBuildSnapshot(f *testing.F) {
 	)
 	const routes = "DVMRP Routing Table - 2 entries\nOrigin-Subnet       From-Gateway     Metric  Uptime\n" +
 		"128.111.0.0/16      198.32.255.3     3       12:30:00\n10.0.0.0/8          local            0       100:00:05\n"
-	dumps := realDumps(f)
-	for i, d := range dumps {
-		next := dumps[(i+1)%len(dumps)]
-		f.Add(cmdOf[d.Command], d.Raw, cmdOf[next.Command], next.Raw)
-		// The same capture as a CRLF and as an interleaved LF-CR
-		// transport deliver it.
-		f.Add(cmdOf[d.Command], strings.ReplaceAll(d.Raw, "\n", "\r\n"), uint8(unknown), "")
-		f.Add(cmdOf[d.Command], strings.ReplaceAll(d.Raw, "\n", "\n\r"), uint8(unknown), "")
+	// The recorded captures, each dump cut to its first lines: the
+	// fuzzer minimizes every input that finds new coverage, and on dumps
+	// of tens of kilobytes that took up to its minute's limit per input,
+	// so runs made no progress past their seeds. The whole captures are
+	// TestBuildSnapshotRecordedCaptures' cases.
+	for _, c := range recordedCaptures(f) {
+		f.Add(c.cmd1, firstLines(c.raw1, seedLines), c.cmd2, firstLines(c.raw2, seedLines))
 	}
 	for _, raw := range []string{
 		"", "\n", " \t\r\n", routes,

@@ -10,8 +10,8 @@
 // (DVMRP routes, the multicast forwarding cache, IGMP/PIM/MSDP/MBGP
 // state), normalizes the dumps into its local Pair/Participant/Session/
 // Route tables, logs deltas for off-line analysis, updates the result
-// time series, and refreshes the interactive summary tables served over
-// HTTP.
+// time series, and serves the interactive summary tables over HTTP,
+// rendered from each target's latest snapshot when they are read.
 //
 // A Monitor drives the five modules of the paper's design:
 // Data Collector → Router-Table Processor → Data Logger → Data Processor
@@ -128,9 +128,10 @@ type Monitor struct {
 	aggregate bool
 	// archive is the durable write-ahead archive, nil until EnableArchive.
 	archive *archiveState
-	// tables holds the summary tables as the cycle builds them; publish
-	// hands the server a copy.
-	tables map[string]*output.Table
+	// snaps holds each target's latest snapshot, the aggregate's
+	// included, as the cycle publishes them; publish hands the server a
+	// copy, from which it renders the summary tables when they are read.
+	snaps map[string]*tables.Snapshot
 	// published is the view the read methods answer from.
 	published atomic.Pointer[view]
 }
@@ -146,10 +147,10 @@ type view struct {
 }
 
 // publish builds the view of the Monitor as it stands and swaps it in,
-// with the summary tables, for every reader.
+// with the snapshots the summary tables render from, for every reader.
 func (m *Monitor) publish() {
 	pv := m.core.Proc.Publish()
-	m.server.Publish(pv, maps.Clone(m.tables))
+	m.server.Publish(pv, maps.Clone(m.snaps))
 	v := &view{proc: pv, health: m.buildHealth(pv), stats: m.core.Engine.Stats()}
 	if m.archive != nil {
 		st := m.buildArchiveStatus()
@@ -164,10 +165,10 @@ func New() *Monitor {
 	m := &Monitor{
 		Commands: append([]string(nil), collect.StandardCommands...),
 		core:     cycle.New(collect.DefaultPolicy(), nil, nil),
-		tables:   make(map[string]*output.Table),
+		snaps:    make(map[string]*tables.Snapshot),
 	}
 	m.server = output.NewServer(m.core.Proc)
-	m.core.Publish = m.refreshTables
+	m.core.Publish = m.keepSnapshot
 	m.server.SetHealth(func() any { return m.published.Load().health })
 	m.server.SetArchive(func() any {
 		if st := m.published.Load().archive; st != nil {
@@ -224,13 +225,14 @@ func (m *Monitor) Targets() []string {
 
 // RunCycle performs one full monitoring cycle stamped at now: resilient
 // collection (retries, per-target circuit breakers, dump validation),
-// table processing, delta logging, statistics, and summary-table refresh.
-// It returns per-target statistics for the targets that produced a
-// snapshot. A failing target no longer aborts the cycle: it is skipped,
-// recorded in Health and LastResults, and its series get an explicit gap
-// marker. The cycle errs (with ErrAllTargetsFailed) only when every
-// target failed. RunCycle drives the stage engine with a single worker,
-// i.e. the serial schedule; see RunCycleConcurrent for the pipelined one.
+// table processing, delta logging, statistics, and the snapshots the
+// summary tables render from. It returns per-target statistics for the
+// targets that produced a snapshot. A failing target no longer aborts
+// the cycle: it is skipped, recorded in Health and LastResults, and its
+// series get an explicit gap marker. The cycle errs (with
+// ErrAllTargetsFailed) only when every target failed. RunCycle drives
+// the stage engine with a single worker, i.e. the serial schedule; see
+// RunCycleConcurrent for the pipelined one.
 func (m *Monitor) RunCycle(now time.Time) ([]CycleStats, error) {
 	return m.runEngine(now, 1)
 }
@@ -244,40 +246,10 @@ func (m *Monitor) RouteStability(target string) *process.RouteStability {
 	return m.core.RouteStability(target)
 }
 
-// refreshTables rebuilds the summary tables for the snapshot's target —
-// the core's Publish hook. They reach readers with the cycle's view.
-func (m *Monitor) refreshTables(sn *tables.Snapshot) {
-	name := sn.Target
-	busiest := output.NewTable("busiest-"+name, "group", "density", "kbps", "protocol")
-	for _, s := range process.BusiestSessions(sn, 20) {
-		_ = busiest.AddRow(
-			output.Str(s.Group.String()),
-			output.Num(float64(s.Density)),
-			output.Num(s.TotalRateKbps),
-			output.Str(s.Protocol),
-		)
-	}
-	m.tables[busiest.Name] = busiest
-
-	senders := output.NewTable("senders-"+name, "host", "groups", "max_kbps")
-	for _, p := range process.TopSenders(sn, 20) {
-		_ = senders.AddRow(
-			output.Str(p.Host.String()),
-			output.Num(float64(p.Groups)),
-			output.Num(p.MaxRateKbps),
-		)
-	}
-	m.tables[senders.Name] = senders
-
-	routes := output.NewTable("routes-"+name, "metric", "count")
-	rs := process.SummarizeRoutes(sn)
-	for metric := 0; metric <= 64; metric++ {
-		if c := rs.MetricCounts[metric]; c > 0 {
-			_ = routes.AddRow(output.Num(float64(metric)), output.Num(float64(c)))
-		}
-	}
-	m.tables[routes.Name] = routes
-}
+// keepSnapshot records the snapshot as its target's latest — the core's
+// Publish hook. It reaches readers with the cycle's view, and a target
+// that fails a cycle keeps the last one it delivered.
+func (m *Monitor) keepSnapshot(sn *tables.Snapshot) { m.snaps[sn.Target] = sn }
 
 // Series returns a copy of the named result series for a target, read
 // back out of the compressed store as last published, or nil before
